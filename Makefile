@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-json bench-diff service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
+.PHONY: build test vet race verify bench bench-json bench-diff bench-pair service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,18 @@ bench-json:
 bench-diff:
 	$(GO) run ./cmd/quartzbench -trials 500 -tasks 4 -rpcs 200 -json /tmp/bench-new.json >/dev/null
 	$(GO) run ./cmd/benchdiff -old BENCH_quartz.json -new /tmp/bench-new.json
+
+# Paired runs of the repository's benchmark (BENCHMARK.json) on two
+# revisions, alternating, with a fresh seed per pair: how a performance
+# claim is checked on a small shared box. Prints each side's median and
+# quartiles per end-to-end metric, the pairs won, and whether the
+# outputs digests matched.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=paper_packet PAIRS=10
+BASE ?= HEAD~1
+WORKLOAD ?= paper_packet
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # End-to-end check of the quartzd job service: submit, poll, fetch,
 # cache hit on resubmit (envelope and raw-scenario forms), graceful

@@ -1,6 +1,10 @@
 // Command benchdiff compares two quartzbench -json run reports and
 // fails when any experiment's simulator throughput (events/sec)
-// regressed beyond a threshold. `make bench-diff` runs a fresh
+// regressed beyond a threshold. When the two reports drove a different
+// number of events through an experiment — the simulated work is fixed
+// by the parameters, so the simulator changed what it spends an event
+// on — events/sec is not comparable, and the experiment's wall time is
+// compared instead. `make bench-diff` runs a fresh
 // smoke-scale report and diffs it against the committed
 // BENCH_quartz.json, which is how CI catches hot-path regressions
 // before they land.
@@ -30,8 +34,21 @@ import (
 var (
 	oldPath   = flag.String("old", "BENCH_quartz.json", "baseline run report")
 	newPath   = flag.String("new", "", "candidate run report")
-	threshold = flag.Float64("threshold", 25, "allowed events/sec regression, percent")
+	threshold = flag.Float64("threshold", 25, "allowed events/sec (or wall time) regression, percent")
 )
+
+// compare judges one experiment present in both reports. Equal event
+// counts mean the same simulated work cost the same events, so the
+// rate is the metric: deltaPct is the change in events/sec. Differing
+// counts mean an event is no longer the same unit of work; deltaPct is
+// then the change in speed by wall time, old/new - 1, so that in both
+// cases a negative delta is a slowdown and the threshold applies alike.
+func compare(oldE, newE experiments.ExperimentReport) (deltaPct float64, byWall bool) {
+	if oldE.Events != newE.Events && newE.WallSecs > 0 {
+		return 100 * (oldE.WallSecs/newE.WallSecs - 1), true
+	}
+	return 100 * (newE.EventsPerSec - oldE.EventsPerSec) / oldE.EventsPerSec, false
+}
 
 func readReport(path string) (*experiments.Report, error) {
 	f, err := os.Open(path)
@@ -103,7 +120,7 @@ func main() {
 			skipped = append(skipped, oldE.Name)
 			continue
 		}
-		deltaPct := 100 * (newE.EventsPerSec - oldE.EventsPerSec) / oldE.EventsPerSec
+		deltaPct, byWall := compare(oldE, newE)
 		mark := ""
 		if deltaPct < -*threshold {
 			mark = "  << regression"
@@ -111,6 +128,10 @@ func main() {
 		}
 		fmt.Printf("%-10s %14.0f %14.0f %+7.1f%%%s\n",
 			oldE.Name, oldE.EventsPerSec, newE.EventsPerSec, deltaPct, mark)
+		if byWall {
+			fmt.Printf("%-10s events differ (%d -> %d): delta is speed by wall time, %.3fs -> %.3fs\n",
+				"", oldE.Events, newE.Events, oldE.WallSecs, newE.WallSecs)
+		}
 	}
 	// New-only experiments have no baseline to diff against; list them
 	// so the skip is deliberate rather than silent.
@@ -133,7 +154,7 @@ func main() {
 			len(added), *oldPath, strings.Join(added, ", "))
 	}
 	if regressed {
-		fmt.Fprintf(os.Stderr, "benchdiff: events/sec regressed more than %.0f%% vs %s\n", *threshold, *oldPath)
+		fmt.Fprintf(os.Stderr, "benchdiff: throughput regressed more than %.0f%% vs %s\n", *threshold, *oldPath)
 		os.Exit(1)
 	}
 	fmt.Printf("ok: no experiment regressed more than %.0f%%\n", *threshold)

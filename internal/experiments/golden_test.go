@@ -1,0 +1,98 @@
+package experiments_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"github.com/quartz-dcn/quartz/internal/experiments"
+	"github.com/quartz-dcn/quartz/internal/scenario"
+)
+
+// The hashes below pin the rendered text of the packet-level
+// experiments (and one sharded scenario) at small fixed parameters.
+// They were recorded on the commit before the forward path was
+// reworked to move packets by pointer and elide idle-port completions,
+// so "byte-identical output" is checked across commits, not only
+// within one process. A change that alters simulation results on
+// purpose re-records them (the failure message prints the new hash)
+// and says why in CHANGES.md.
+
+var goldenParams = experiments.Params{Seed: 7, Trials: 200, Tasks: 2, RPCs: 50}
+
+var goldenExperiments = map[string]string{
+	"fig17":     "6a87dea563ce44a1fab1369a1133de97e370824b23f3f207719f183d6a110da7",
+	"fig18":     "07f8e8ba993c6645003fddfdb218254bc119cac82d24af916226b83ddc00d4db",
+	"fig20":     "640b9f3fd2bc0f1c584df186d043e27262c9d58659b664aa570a96d8ed67ddb2",
+	"validate":  "839fa78c5563819b62474090eaf8ebae41ee84a938d6ed64a8011a4117d16307",
+	"table8":    "384948e574b97da983f4edad622a181c7836506002bbf32d4ba6d942eab4adcb",
+	"ablations": "8ea7eb4b65e50b08f82a8f03d0d0dc7d548a3c8397641cc8e8f0f589a7ea85a1",
+}
+
+func textDigest(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+func TestGoldenExperimentOutput(t *testing.T) {
+	for name, want := range goldenExperiments {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			e, ok := experiments.Find(name)
+			if !ok {
+				t.Fatalf("experiment %q not registered", name)
+			}
+			out, err := e.Run(context.Background(), goldenParams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := textDigest(out.Text); got != want {
+				t.Errorf("%s output changed: sha256 %s, want %s\n%s", name, got, want, out.Text)
+			}
+		})
+	}
+}
+
+// goldenScenario exercises what the registry experiments do not: the
+// sharded engine family, a fiber cut with held-and-detoured frames, and
+// the queue sampler reading port depth between packet events.
+const goldenScenario = `{"schema": "quartz-scenario/v1", "name": "golden", "seed": 7,
+ "sim": {"duration_ms": 4, "shards": %d,
+         "topology": {"kind": "ring"},
+         "workload": {"kind": "scattergather", "tasks": 3, "fanout": 8},
+         "faults": {"detect_ms": 0.5, "policy": "detour",
+                    "events": [{"kind": "fiber", "fiber": 0, "segment": 2, "at_ms": 1, "repair_ms": 3}]},
+         "probes": {"flows": true, "queue_sample_us": 50, "hot_ports": 4}}}`
+
+// goldenScenarioDigest is the hash of the scenario's text with the
+// "| K shard(s)" header field removed: every K must print the rest
+// identically.
+const goldenScenarioDigest = "5360a6f9954fd208c88321345f9c806e56237b182ad2387af4f1809fe1016366"
+
+func TestGoldenShardedScenario(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		f, err := scenario.Decode([]byte(fmt.Sprintf(goldenScenario, k)), "golden.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := scenario.Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Experiment.Run(context.Background(), c.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardField := fmt.Sprintf(" | %d shard(s)", k)
+		if !strings.Contains(out.Text, shardField) {
+			t.Fatalf("K=%d: output does not name its shard count:\n%s", k, out.Text)
+		}
+		text := strings.Replace(out.Text, shardField, "", 1)
+		if got := textDigest(text); got != goldenScenarioDigest {
+			t.Errorf("K=%d scenario output changed: sha256 %s, want %s\n%s", k, got, goldenScenarioDigest, text)
+		}
+	}
+}

@@ -11,9 +11,9 @@ import (
 // TestForwardPathZeroAllocs locks in the tentpole invariant: with
 // probes and path recording off, a steady-state packet lifecycle —
 // Send, NIC delays, per-hop forward, transmit, propagation, delivery —
-// allocates nothing. Pooled netEvents, ring-buffer port queues, dense
-// routing tables, and the boxing-free event queue each contribute; a
-// regression in any of them shows up here.
+// allocates nothing. Pooled netEvents that double as the port queues'
+// elements, dense routing tables, and the boxing-free event queue each
+// contribute; a regression in any of them shows up here.
 func TestForwardPathZeroAllocs(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	net, err := New(Config{
@@ -23,7 +23,7 @@ func TestForwardPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm pools, ring buffers, and the calendar queue's bucket storage
+	// Warm the record pool and the calendar queue's bucket storage
 	// with a burst larger than any steady-state batch below.
 	for i := 0; i < 64; i++ {
 		net.Unicast(routing.FlowID(i), h0, h1, 1500, 0)
@@ -96,39 +96,62 @@ func TestDropReasonStrings(t *testing.T) {
 	}
 }
 
-// TestPktQueueWraparound exercises the ring buffer across growth and
-// wraparound boundaries against a straightforward model.
+// TestPktQueueWraparound exercises the intrusive output FIFO against a
+// straightforward model: interleaved pushes and pops that drain it to
+// one element, to empty, and refill it, with records recycled through a
+// shard's pool the way the forward path recycles them.
 func TestPktQueueWraparound(t *testing.T) {
-	var q pktQueue
+	n := &Network{}
+	sh := &netShard{}
+	var q pktFIFO
 	next := uint64(0)
 	var model []uint64
 	push := func() {
 		next++
-		q.push(queued{p: Packet{ID: next}})
+		ev := n.newEvent(sh)
+		ev.p.ID = next
+		q.push(ev)
 		model = append(model, next)
 	}
 	pop := func() {
-		got := q.pop().p.ID
-		want := model[0]
+		ev := q.pop()
+		if ev.next != nil {
+			t.Fatalf("popped record %d still linked", ev.p.ID)
+		}
+		got, want := ev.p.ID, model[0]
 		model = model[1:]
 		if got != want {
 			t.Fatalf("pop = %d, want %d", got, want)
 		}
+		sh.freeEvent(ev)
 	}
-	// Interleave pushes and pops so head wraps several times.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3+round%5; i++ {
 			push()
 		}
-		for q.len() > 1 {
+		for q.head != q.tail {
 			pop()
 		}
+		if round%7 == 6 {
+			pop()
+			if !q.empty() || q.tail != nil {
+				t.Fatalf("round %d: drained queue not empty (head %v tail %v)", round, q.head, q.tail)
+			}
+		}
 	}
-	for q.len() > 0 {
+	for !q.empty() {
 		pop()
 	}
 	if len(model) != 0 {
 		t.Fatalf("model has %d leftovers", len(model))
+	}
+	// Every record came from the pool's slabs and went back to it.
+	free := 0
+	for ev := sh.freeEv; ev != nil; ev = ev.next {
+		free++
+	}
+	if free < eventSlab || free != sh.pooled {
+		t.Fatalf("%d records on the free list, %d allocated (slabs of at least %d)", free, sh.pooled, eventSlab)
 	}
 }
 
@@ -160,8 +183,8 @@ func BenchmarkForwardDeliver(b *testing.B) {
 }
 
 // BenchmarkTransmitQueue drives a deep output queue through one
-// bottleneck port: the cost is dominated by transmitNext and the ring
-// buffer.
+// bottleneck port: the cost is dominated by transmitNext and the
+// output FIFO.
 func BenchmarkTransmitQueue(b *testing.B) {
 	g, h0, h1 := twoHosts(b, 1*sim.Gbps)
 	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})

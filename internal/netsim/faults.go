@@ -132,13 +132,6 @@ type FaultObserver interface {
 // detection plus local route recomputation.
 const DefaultDetectionDelay = 1 * sim.Millisecond
 
-// heldPacket is an in-flight packet pulled off a cut port, awaiting
-// reconvergence under DetourInFlight.
-type heldPacket struct {
-	from topology.NodeID
-	p    Packet
-}
-
 // FaultInjector is the unified failure surface of a Network: it owns
 // every link's up/down state (reference-counted, so overlapping faults
 // compose), applies FaultSchedules, and drives reconvergence. Obtain it
@@ -153,7 +146,10 @@ type FaultInjector struct {
 	detection sim.Time
 	policy    ReroutePolicy
 	fiber     func(fiber, segment int) ([]topology.LinkID, error)
-	held      []heldPacket
+	// held are the records of in-flight packets pulled off cut ports,
+	// awaiting reconvergence under DetourInFlight; each still names the
+	// node it was queued at.
+	held []*netEvent
 	// OnChange, when set, observes every FaultChange alongside any
 	// probe implementing FaultObserver.
 	OnChange func(FaultChange)
@@ -331,20 +327,16 @@ func (fi *FaultInjector) failLink(id topology.LinkID) {
 		di := 2*int(id) + d
 		dl := &fi.n.dirs[di]
 		dl.down = true
-		from := fi.n.portRef(di).From
-		for pri := range dl.queues {
-			q := &dl.queues[pri]
-			for i := 0; i < q.len(); i++ {
-				item := q.at(i)
-				dl.queuedBytes -= item.p.Size
-				if fi.policy == DetourInFlight {
-					fi.held = append(fi.held, heldPacket{from: from, p: item.p})
-				} else {
-					dl.drops++
-					fi.n.drop(fi.n.shards[fi.n.shardOfDir[di]], item.p, DropCodeLinkCut, id, nil)
-				}
+		sh := fi.n.shards[fi.n.shardOfDir[di]]
+		for q := dl.nextQueue(); q != nil; q = dl.nextQueue() {
+			ev := q.pop()
+			dl.queuedBytes -= ev.p.Size
+			if fi.policy == DetourInFlight {
+				fi.held = append(fi.held, ev)
+			} else {
+				dl.drops++
+				fi.n.drop(sh, ev, DropCodeLinkCut, id, nil)
 			}
-			q.reset()
 		}
 	}
 }
@@ -375,9 +367,8 @@ func (fi *FaultInjector) reconverge() {
 	held := fi.held
 	fi.held = nil
 	now := fi.n.Scheduler().Now()
-	for _, h := range held {
-		sh := fi.n.shards[fi.n.shardOfNode[h.from]]
-		fi.n.forward(sh, h.from, h.p, now, 0)
+	for _, ev := range held {
+		fi.n.forward(fi.n.shards[fi.n.shardOfNode[ev.node]], ev, now)
 	}
 }
 

@@ -297,10 +297,13 @@ type netShard struct {
 	eng    *sim.Engine
 	router routing.Router
 
-	// freeEv is this shard's pooled-event free list. Records migrate
-	// between shards with cross-shard packets (popped by the sender,
-	// freed by the receiver); the barrier orders those accesses.
+	// freeEv is this shard's pooled-record free list. Records migrate
+	// between shards with cross-shard packets (taken by the sender's
+	// shard, freed by the shard that delivers or drops); the barrier
+	// orders those accesses. pooled counts the records this shard has
+	// allocated so far.
 	freeEv *netEvent
+	pooled int
 
 	probe     Probe
 	onDeliver func(Delivery)
@@ -310,18 +313,37 @@ type netShard struct {
 	dropped   uint64
 }
 
-// netEvent is a pooled, typed simulation event (sim.Action): one record
-// carries a packet through NIC delays, propagation, and host
-// forwarding. Records recycle through Network.freeEv, so after warm-up
-// a packet's whole lifecycle schedules without heap allocation —
-// replacing the per-event closures that used to dominate the profile.
+// netEvent is the one pooled record a packet lives in from Send to
+// delivery or drop. It is the scheduled event (sim.Action) while the
+// packet is in a NIC, on a wire, or in a host's stack, and the element
+// of the output FIFO while it waits for a port; arrive, forward and
+// transmitNext mutate it in place and re-arm it for the next hop, so a
+// hop moves a pointer rather than copying the 128-byte Packet through
+// every call and queue slot. The Packet is copied out exactly once per
+// consumer report (Delivery, Drop, QueueEvent), and only when a
+// consumer is attached. Records come from per-shard free lists refilled
+// a slab at a time, so a steady-state lifecycle allocates nothing.
 type netEvent struct {
 	n    *Network
 	kind uint8
+	// node is where the event fires, or the node whose port the record
+	// is queued on.
 	node topology.NodeID
-	ser  sim.Time
-	p    Packet
-	next *netEvent // free-list link
+	// ser is the occupancy of the link the packet last crossed — inbound
+	// serialization for evArrive/evForward. While queued it is the
+	// outbound occupancy (wire serialization or the forwarding engine's
+	// per-frame service, whichever is longer), which becomes the next
+	// hop's inbound value unchanged.
+	ser sim.Time
+	// ready and tailIn are valid while queued. ready is the earliest
+	// instant the transmitter may start (switch processing complete; may
+	// lie in the past for cut-through heads); tailIn is when the
+	// packet's tail fully arrived at this node — the retransmission
+	// cannot complete before it.
+	ready  sim.Time
+	tailIn sim.Time
+	p      Packet
+	next   *netEvent // free-list link, or FIFO link while queued
 }
 
 const (
@@ -330,124 +352,107 @@ const (
 	evForward              // source NIC or host stack delay elapsed
 )
 
-// Run implements sim.Action. The record is returned to the executing
-// shard's pool before dispatch so the handlers it calls can
-// immediately reuse it. The event always executes on the shard owning
-// ev.node (cross-shard arrivals travel through the synchronizer's
-// rings into that shard's engine), so the pool access is single-
-// threaded.
+// Run implements sim.Action. The event always executes on the shard
+// owning ev.node (cross-shard arrivals travel through the
+// synchronizer's rings into that shard's engine), so the handlers touch
+// that shard's state single-threaded.
 func (ev *netEvent) Run(int64, int64) {
-	n, kind, node, ser, p := ev.n, ev.kind, ev.node, ev.ser, ev.p
-	sh := n.shards[n.shardOfNode[node]]
-	ev.p = Packet{} // release the Path slice, if any
-	ev.next = sh.freeEv
-	sh.freeEv = ev
-	switch kind {
+	n := ev.n
+	sh := n.shards[n.shardOfNode[ev.node]]
+	switch ev.kind {
 	case evArrive:
-		n.arrive(sh, node, p, ser)
+		n.arrive(sh, ev)
 	case evDeliver:
-		n.deliver(sh, p)
+		n.deliver(sh, ev)
 	case evForward:
-		n.forward(sh, node, p, sh.eng.Now(), ser)
+		n.forward(sh, ev, sh.eng.Now())
 	}
 }
 
-// newEvent takes a record from the shard's pool (or allocates the
-// pool's next record) and fills it.
-func (n *Network) newEvent(sh *netShard, kind uint8, node topology.NodeID, ser sim.Time, p Packet) *netEvent {
+// eventSlab is the fewest records one free-list refill allocates. A
+// congested port holds a record per queued frame, so records are needed
+// in bursts: each refill doubles the shard's pool (and never adds fewer
+// than eventSlab), which keeps a small network's footprint small and a
+// congested one's refills logarithmic in its peak backlog.
+const eventSlab = 64
+
+// newEvent takes a record from the shard's pool, refilling the pool
+// with a slab when it is empty. The caller fills it in.
+func (n *Network) newEvent(sh *netShard) *netEvent {
 	ev := sh.freeEv
 	if ev == nil {
-		ev = &netEvent{n: n}
-	} else {
-		sh.freeEv = ev.next
-		ev.next = nil
+		slab := make([]netEvent, max(eventSlab, sh.pooled))
+		sh.pooled += len(slab)
+		for i := range slab {
+			slab[i].n = n
+			slab[i].next = ev
+			ev = &slab[i]
+		}
 	}
-	ev.kind, ev.node, ev.ser, ev.p = kind, node, ser, p
+	sh.freeEv = ev.next
+	ev.next = nil
 	return ev
 }
 
-// txDoneAction completes a transmission: Run's arguments encode the
-// direction index and packet size, so the one value embedded in Network
-// serves every port with zero allocation. It always runs on the shard
-// owning the direction (the transmit side scheduled it locally).
+// freeEvent returns a record to the shard's pool once its packet has
+// been delivered or dropped.
+func (sh *netShard) freeEvent(ev *netEvent) {
+	ev.p.Path = nil // the one reference a Packet holds
+	ev.next = sh.freeEv
+	sh.freeEv = ev
+}
+
+// txDoneAction completes a transmission when another frame is waiting
+// behind it: Run's arguments encode the direction index and packet
+// size, so the one value embedded in Network serves every port with
+// zero allocation. It always runs on the shard owning the direction
+// (the transmit side scheduled it locally). A frame that leaves an
+// empty queue behind schedules no completion at all — see
+// dirLink.settle.
 type txDoneAction struct{ n *Network }
 
 func (t *txDoneAction) Run(di, size int64) {
 	n := t.n
-	n.dirs[di].queuedBytes -= int(size)
+	dl := &n.dirs[di]
+	dl.queuedBytes -= int(size)
+	if dl.nextQueue() == nil {
+		dl.busy = false // a fault flushed the queue behind the frame
+		return
+	}
 	n.transmitNext(int(di), n.shards[n.shardOfDir[di]])
 }
 
 // numPriorities is the number of output-queue classes per port.
 const numPriorities = 2
 
-// queued is one packet waiting at an output port.
-type queued struct {
-	p Packet
-	// ready is the earliest instant the transmitter may start (switch
-	// processing complete; may lie in the past for cut-through heads).
-	ready sim.Time
-	// tailIn is when the packet's tail fully arrived at this node: the
-	// retransmission cannot complete before it.
-	tailIn sim.Time
-	// ser is the outbound occupancy (wire serialization or the
-	// forwarding engine's per-frame service, whichever is longer).
-	ser sim.Time
+// pktFIFO is an output queue: an intrusive singly-linked FIFO of the
+// packets' own records, so enqueueing a frame stores one pointer and a
+// queue of any depth needs no storage of its own.
+type pktFIFO struct {
+	head, tail *netEvent
 }
 
-// pktQueue is a power-of-two ring buffer of queued packets. The old
-// representation popped with dl.queues[pri] = dl.queues[pri][1:], which
-// walks the backing array forward (forcing append to reallocate) and
-// pins every popped packet until the array is dropped; the ring reuses
-// its storage indefinitely and zeroes each slot as it pops.
-type pktQueue struct {
-	buf  []queued // len(buf) is a power of two (or zero before first push)
-	head int      // index of the front element; always < len(buf)
-	n    int
-}
+func (q *pktFIFO) empty() bool { return q.head == nil }
 
-func (q *pktQueue) len() int { return q.n }
-
-func (q *pktQueue) push(item queued) {
-	if q.n == len(q.buf) {
-		q.grow()
+func (q *pktFIFO) push(ev *netEvent) {
+	ev.next = nil
+	if q.tail == nil {
+		q.head = ev
+	} else {
+		q.tail.next = ev
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = item
-	q.n++
+	q.tail = ev
 }
 
-func (q *pktQueue) pop() queued {
-	item := q.buf[q.head]
-	q.buf[q.head] = queued{} // release packet references
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return item
-}
-
-// at returns the i-th element from the front (for fault-time flushes).
-func (q *pktQueue) at(i int) *queued {
-	return &q.buf[(q.head+i)&(len(q.buf)-1)]
-}
-
-// reset empties the queue, keeping capacity and releasing references.
-func (q *pktQueue) reset() {
-	for i := range q.buf {
-		q.buf[i] = queued{}
+// pop removes the front record; the queue must not be empty.
+func (q *pktFIFO) pop() *netEvent {
+	ev := q.head
+	q.head = ev.next
+	if q.head == nil {
+		q.tail = nil
 	}
-	q.head, q.n = 0, 0
-}
-
-func (q *pktQueue) grow() {
-	newCap := 2 * len(q.buf)
-	if newCap == 0 {
-		newCap = 8
-	}
-	nb := make([]queued, newCap)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nb
-	q.head = 0
+	ev.next = nil
+	return ev
 }
 
 // dirLink is one direction of a link: its own transmitter and
@@ -459,14 +464,48 @@ type dirLink struct {
 	capBytes    int
 	down        bool
 
-	queues [numPriorities]pktQueue
+	queues [numPriorities]pktFIFO
 	busy   bool
 	freeAt sim.Time
+
+	// A frame that starts transmitting with nothing queued behind it
+	// schedules no completion event: lazy records that its completion —
+	// queuedBytes -= lazySize, busy = false, due at (freeAt, lazySeq) in
+	// the engine's total order — has yet to be applied. settle applies
+	// it the next time anyone looks at the port.
+	lazy     bool
+	lazySize int
+	lazySeq  uint64
 
 	drops     uint64
 	txPackets uint64
 	txBytes   uint64
 	busyTime  sim.Time
+}
+
+// nextQueue returns the highest-priority queue holding a frame, or nil
+// when nothing waits behind the transmitter.
+func (dl *dirLink) nextQueue() *pktFIFO {
+	for pri := range dl.queues {
+		if !dl.queues[pri].empty() {
+			return &dl.queues[pri]
+		}
+	}
+	return nil
+}
+
+// settle applies the port's elided transmit completion if an eagerly
+// scheduled one would have run by now — eng is the engine of the shard
+// owning the direction, and Passed decides a same-instant tie by
+// schedule order exactly as the queue would have. Every reader of
+// queuedBytes or busy settles first: forward, Network.QueuedBytes and
+// the queue sampler.
+func (dl *dirLink) settle(eng *sim.Engine) {
+	if dl.lazy && eng.Passed(dl.freeAt, dl.lazySeq) {
+		dl.queuedBytes -= dl.lazySize
+		dl.busy = false
+		dl.lazy = false
+	}
 }
 
 // New builds a network simulator from cfg.
@@ -811,14 +850,17 @@ func (n *Network) Unicast(flow routing.FlowID, src, dst topology.NodeID, size, t
 // time. The caller fills Flow, Src, Dst, Size, Tag and Waypoint
 // (NoWaypoint for direct routing); ID, Created and Hops are managed by
 // the network. It returns the packet ID.
-func (n *Network) Send(p Packet) uint64 {
-	if p.Size <= 0 {
-		panic(fmt.Sprintf("netsim: packet size %d", p.Size))
+func (n *Network) Send(pkt Packet) uint64 {
+	if pkt.Size <= 0 {
+		panic(fmt.Sprintf("netsim: packet size %d", pkt.Size))
 	}
-	if n.g.Node(p.Src).Kind != topology.Host {
-		panic(fmt.Sprintf("netsim: source %d is not a host", p.Src))
+	if n.g.Node(pkt.Src).Kind != topology.Host {
+		panic(fmt.Sprintf("netsim: source %d is not a host", pkt.Src))
 	}
-	sh := n.shards[n.shardOfNode[p.Src]]
+	sh := n.shards[n.shardOfNode[pkt.Src]]
+	ev := n.newEvent(sh)
+	ev.node, ev.ser, ev.p = pkt.Src, 0, pkt
+	p := &ev.p
 	if n.sharded != nil {
 		// Per-source IDs: the sequence a host hands out is independent
 		// of how sends interleave across shards, so packet IDs — and
@@ -841,21 +883,23 @@ func (n *Network) Send(p Packet) uint64 {
 	}
 	if p.Src == p.Dst {
 		// Loopback: deliver after the stack round trip.
-		sh.eng.AfterAction(2*n.host.NICLatency, n.newEvent(sh, evDeliver, p.Src, 0, p), 0, 0)
+		ev.kind = evDeliver
+		sh.eng.AfterAction(2*n.host.NICLatency, ev, 0, 0)
 		return p.ID
 	}
 	// NIC send-side latency, then onto the wire.
-	sh.eng.AfterAction(n.host.NICLatency, n.newEvent(sh, evForward, p.Src, 0, p), 0, 0)
+	ev.kind = evForward
+	sh.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
 	return p.ID
 }
 
-// forward routes packet p out of node at readyTime (the time its tail
-// is ready to begin serialization on the chosen output). serIn is the
-// serialization time of the inbound link (0 at the source host). sh is
-// the shard owning node.
-func (n *Network) forward(sh *netShard, node topology.NodeID, p Packet, readyTime sim.Time, serIn sim.Time) {
+// forward routes ev's packet out of ev.node at readyTime (the time its
+// tail is ready to begin serialization on the chosen output) and queues
+// the record on that port. sh is the shard owning the node.
+func (n *Network) forward(sh *netShard, ev *netEvent, readyTime sim.Time) {
+	node, p := ev.node, &ev.p
 	if p.Hops >= maxHops {
-		n.drop(sh, p, DropCodeHopLimit, -1, nil)
+		n.drop(sh, ev, DropCodeHopLimit, -1, nil)
 		return
 	}
 	if node == p.Waypoint {
@@ -866,7 +910,7 @@ func (n *Network) forward(sh *netShard, node topology.NodeID, p Packet, readyTim
 		Hash: p.Hash,
 	})
 	if err != nil {
-		n.drop(sh, p, DropCodeNoRoute, -1, err)
+		n.drop(sh, ev, DropCodeNoRoute, -1, err)
 		return
 	}
 	link := n.g.Link(port.Link)
@@ -877,170 +921,181 @@ func (n *Network) forward(sh *netShard, node topology.NodeID, p Packet, readyTim
 	dl := &n.dirs[di]
 	if dl.down {
 		dl.drops++
-		n.drop(sh, p, DropCodeLinkDown, port.Link, nil)
+		n.drop(sh, ev, DropCodeLinkDown, port.Link, nil)
 		return
 	}
+	dl.settle(sh.eng)
 	if dl.queuedBytes+p.Size > dl.capBytes {
 		dl.drops++
-		n.drop(sh, p, DropCodeQueueFull, port.Link, nil)
+		n.drop(sh, ev, DropCodeQueueFull, port.Link, nil)
 		return
 	}
+	ser := dl.rate.Serialize(p.Size)
 	if n.g.Node(node).Kind == topology.Switch {
-		if thresh := n.models[node].ECNThresholdBytes; thresh > 0 && dl.queuedBytes >= thresh {
+		m := &n.models[node]
+		if m.ECNThresholdBytes > 0 && dl.queuedBytes >= m.ECNThresholdBytes {
 			p.Marked = true
+		}
+		// Store-and-forward chassis ports are paced by the forwarding
+		// engine when that is slower than the wire.
+		if m.ServiceTime > ser {
+			ser = m.ServiceTime
 		}
 	}
 	dl.queuedBytes += p.Size
-	ser := dl.rate.Serialize(p.Size)
-	// Store-and-forward chassis ports are paced by the forwarding
-	// engine when that is slower than the wire.
-	if n.g.Node(node).Kind == topology.Switch {
-		if svc := n.models[node].ServiceTime; svc > ser {
-			ser = svc
-		}
-	}
 	pri := int(p.Priority)
 	if pri >= numPriorities {
 		pri = numPriorities - 1
 	}
-	dl.queues[pri].push(queued{
-		p: p, ready: readyTime, tailIn: sh.eng.Now(), ser: ser,
-	})
+	ev.ready, ev.tailIn, ev.ser = readyTime, sh.eng.Now(), ser
+	dl.queues[pri].push(ev)
 	if sh.probe != nil {
 		sh.probe.PacketEnqueued(QueueEvent{
 			At: sh.eng.Now(), Port: PortRef{Link: port.Link, From: node},
-			QueuedBytes: dl.queuedBytes, Packet: p,
+			QueuedBytes: dl.queuedBytes, Packet: *p,
 		})
 	}
-	if !dl.busy {
+	switch {
+	case !dl.busy:
 		n.transmitNext(di, sh)
+	case dl.lazy:
+		// The port is mid-frame and its completion was elided: arm it
+		// now, under the order number it reserved, so this frame starts
+		// exactly when an eagerly scheduled completion would start it.
+		dl.lazy = false
+		sh.eng.ScheduleReserved(dl.freeAt, dl.lazySeq, &n.txDone, int64(di), int64(dl.lazySize))
 	}
 }
 
 // transmitNext starts the transmitter on the next queued packet,
-// serving strict priority order; it re-arms itself from the completion
-// event until the queues drain. sh is the shard owning the direction's
-// transmit side.
+// serving strict priority order, and re-arms the packet's record as the
+// arrival at the far end. At least one frame must be queued. sh is the
+// shard owning the direction's transmit side.
 func (n *Network) transmitNext(di int, sh *netShard) {
 	dl := &n.dirs[di]
-	var item queued
-	found := false
-	for pri := 0; pri < numPriorities; pri++ {
-		if dl.queues[pri].len() > 0 {
-			item = dl.queues[pri].pop()
-			found = true
-			break
-		}
-	}
-	if !found {
-		dl.busy = false
-		return
-	}
+	ev := dl.nextQueue().pop()
 	dl.busy = true
 	start := dl.freeAt
-	if item.ready > start {
-		start = item.ready
+	if ev.ready > start {
+		start = ev.ready
 	}
-	endTx := start + item.ser
-	if endTx < item.tailIn {
+	ser := ev.ser
+	endTx := start + ser
+	if endTx < ev.tailIn {
 		// A cut-through head start cannot let the tail leave before it
 		// has fully arrived.
-		endTx = item.tailIn
+		endTx = ev.tailIn
 	}
 	if now := sh.eng.Now(); endTx < now {
 		endTx = now
 	}
+	size := ev.p.Size
 	dl.freeAt = endTx
 	dl.txPackets++
-	dl.txBytes += uint64(item.p.Size)
-	dl.busyTime += item.ser
+	dl.txBytes += uint64(size)
+	dl.busyTime += ser
 	l := n.g.Link(topology.LinkID(di / 2))
 	peer := l.A
 	if di%2 == 0 {
 		peer = l.B
 	}
-	p := item.p
-	size := p.Size
-	ser := item.ser
 	if sh.probe != nil {
 		// QueuedBytes reflects the depth once this packet's tail leaves,
 		// which is also when At falls.
 		sh.probe.PacketTransmitted(QueueEvent{
-			At: endTx, Port: n.portRef(di), QueuedBytes: dl.queuedBytes - size, Packet: p,
+			At: endTx, Port: n.portRef(di), QueuedBytes: dl.queuedBytes - size, Packet: ev.p,
 		})
 	}
 	// Completion first, then arrival — the schedule order older closure
 	// code used, preserved so event ordering (and every result) is
-	// byte-identical.
-	sh.eng.ScheduleAction(endTx, &n.txDone, int64(di), int64(size))
+	// byte-identical. With nothing queued behind this frame the
+	// completion is only a reservation of its place in that order (see
+	// dirLink.settle); every other event keeps its (time, order).
+	if dl.nextQueue() == nil {
+		dl.lazy, dl.lazySize, dl.lazySeq = true, size, sh.eng.ReserveSeq()
+	} else {
+		sh.eng.ScheduleAction(endTx, &n.txDone, int64(di), int64(size))
+	}
+	ev.kind, ev.node = evArrive, peer
 	if ps := n.shardOfNode[peer]; int(ps) != sh.idx {
 		// Cross-shard hop: the arrival travels through the
 		// synchronizer's SPSC ring and is committed into the peer's
 		// engine at the next barrier. Its timestamp is endTx + prop >=
 		// now + lookahead, which is what makes the window conservative.
-		n.sharded.Cross(sh.idx, int(ps), endTx+dl.prop, n.newEvent(sh, evArrive, peer, ser, p), 0, 0)
+		n.sharded.Cross(sh.idx, int(ps), endTx+dl.prop, ev, 0, 0)
 	} else {
-		sh.eng.ScheduleAction(endTx+dl.prop, n.newEvent(sh, evArrive, peer, ser, p), 0, 0)
+		sh.eng.ScheduleAction(endTx+dl.prop, ev, 0, 0)
 	}
 }
 
-// arrive handles the tail of packet p reaching node at the current
-// simulation time, having been serialized over serIn. sh is the shard
-// owning node.
-func (n *Network) arrive(sh *netShard, node topology.NodeID, p Packet, serIn sim.Time) {
-	now := sh.eng.Now()
+// arrive handles the tail of ev's packet reaching ev.node at the
+// current simulation time, having been serialized over ev.ser. sh is
+// the shard owning the node.
+func (n *Network) arrive(sh *netShard, ev *netEvent) {
+	node, p := ev.node, &ev.p
 	if n.record {
 		p.Path = append(p.Path, node)
 	}
+	p.Hops++
 	if node == p.Dst {
-		p.Hops++
 		// NIC receive-side latency.
-		sh.eng.AfterAction(n.host.NICLatency, n.newEvent(sh, evDeliver, node, 0, p), 0, 0)
+		ev.kind = evDeliver
+		sh.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
 		return
 	}
-	p.Hops++
 	if n.g.Node(node).Kind == topology.Host {
 		// Server-side forwarding (BCube-style): pay the OS stack.
-		sh.eng.AfterAction(n.host.ForwardLatency, n.newEvent(sh, evForward, node, serIn, p), 0, 0)
+		ev.kind = evForward
+		sh.eng.AfterAction(n.host.ForwardLatency, ev, 0, 0)
 		return
 	}
 	m := &n.models[node]
-	var ready sim.Time
+	ready := sh.eng.Now() + m.Latency
 	if m.CutThrough {
-		// The head arrived serIn ago and may leave m.Latency later. The
+		// The head arrived ev.ser ago and may leave m.Latency later. The
 		// tail cannot leave the output before it has arrived here;
-		// forward clamps the transmit completion to now.
-		ready = now - serIn + m.Latency
-	} else {
-		// Store-and-forward: wait for the full frame, then process.
-		ready = now + m.Latency
+		// transmitNext clamps the transmit completion to now. (A
+		// store-and-forward switch waits for the full frame, then
+		// processes.)
+		ready -= ev.ser
 	}
-	n.forward(sh, node, p, ready, serIn)
+	n.forward(sh, ev, ready)
 }
 
-func (n *Network) deliver(sh *netShard, p Packet) {
+// deliver and drop end a packet's life: the record goes back to the
+// pool before any handler runs, so a handler that sends can reuse it,
+// and the Packet is copied out only if a handler is there to read it.
+
+func (n *Network) deliver(sh *netShard, ev *netEvent) {
 	sh.delivered++
-	if sh.onDeliver != nil || sh.probe != nil {
-		d := Delivery{Packet: p, At: sh.eng.Now(), Latency: sh.eng.Now() - p.Created}
-		if sh.onDeliver != nil {
-			sh.onDeliver(d)
-		}
-		if sh.probe != nil {
-			sh.probe.PacketDelivered(d)
-		}
+	if sh.onDeliver == nil && sh.probe == nil {
+		sh.freeEvent(ev)
+		return
+	}
+	now := sh.eng.Now()
+	d := Delivery{Packet: ev.p, At: now, Latency: now - ev.p.Created}
+	sh.freeEvent(ev)
+	if sh.onDeliver != nil {
+		sh.onDeliver(d)
+	}
+	if sh.probe != nil {
+		sh.probe.PacketDelivered(d)
 	}
 }
 
-func (n *Network) drop(sh *netShard, p Packet, code DropCode, link topology.LinkID, err error) {
+func (n *Network) drop(sh *netShard, ev *netEvent, code DropCode, link topology.LinkID, err error) {
 	sh.dropped++
-	if sh.onDrop != nil || sh.probe != nil {
-		d := Drop{Packet: p, At: sh.eng.Now(), Code: code, Link: link, Err: err}
-		if sh.onDrop != nil {
-			sh.onDrop(d)
-		}
-		if sh.probe != nil {
-			sh.probe.PacketDropped(d)
-		}
+	if sh.onDrop == nil && sh.probe == nil {
+		sh.freeEvent(ev)
+		return
+	}
+	d := Drop{Packet: ev.p, At: sh.eng.Now(), Code: code, Link: link, Err: err}
+	sh.freeEvent(ev)
+	if sh.onDrop != nil {
+		sh.onDrop(d)
+	}
+	if sh.probe != nil {
+		sh.probe.PacketDropped(d)
 	}
 }
 
@@ -1061,5 +1116,7 @@ func (n *Network) QueuedBytes(link topology.LinkID, from topology.NodeID) int {
 	if n.g.Link(link).B == from {
 		di++
 	}
-	return n.dirs[di].queuedBytes
+	dl := &n.dirs[di]
+	dl.settle(n.shards[n.shardOfDir[di]].eng)
+	return dl.queuedBytes
 }

@@ -506,6 +506,7 @@ type sampleAgg struct {
 
 func (s *QueueSampler) sampleOne(i int, now sim.Time, agg *sampleAgg) {
 	dl := &s.net.dirs[i]
+	dl.settle(s.net.shards[s.net.shardOfDir[i]].eng)
 	util := (dl.busyTime - s.lastBusy[i]).Seconds() / s.interval.Seconds()
 	if util > 1 {
 		util = 1 // a frame mid-flight can straddle the tick

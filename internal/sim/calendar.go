@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sort"
 )
 
@@ -114,9 +115,14 @@ func (b *bucket) compact() {
 // day. For workloads whose event horizon is dense and roughly uniform —
 // packet simulations are — enqueue and dequeue approach O(1). The
 // structure resizes itself to keep about one event per bucket.
+//
+// Both the day width and the bucket count are powers of two, so mapping
+// a timestamp to its bucket is a shift and a mask rather than two
+// 64-bit divisions per push.
 type calendarQueue struct {
 	buckets  []bucket
-	width    Time // day width
+	mask     int  // len(buckets) - 1
+	shift    uint // day width is 1 << shift
 	dayStart Time // start time of the current day
 	day      int  // current bucket index
 	n        int
@@ -133,35 +139,46 @@ func newCalendarQueue() *calendarQueue {
 	return q
 }
 
+// init sizes the calendar: nbuckets must be a power of two; width is
+// rounded down to one.
 func (q *calendarQueue) init(nbuckets int, width, start Time) {
 	q.buckets = make([]bucket, nbuckets)
-	q.width = width
-	q.dayStart = start - start%width
+	q.mask = nbuckets - 1
+	q.shift = uint(bits.Len64(uint64(width))) - 1
 	if start < 0 {
-		q.dayStart = 0
+		start = 0
 	}
-	q.day = int(q.dayStart/width) % nbuckets
+	q.dayStart = start &^ (q.width() - 1)
+	q.day = q.bucketFor(q.dayStart)
 	q.resizeUp = 2 * nbuckets
 	q.resizeDn = nbuckets/2 - 2
 }
 
+func (q *calendarQueue) width() Time { return Time(1) << q.shift }
+
 func (q *calendarQueue) bucketFor(at Time) int {
-	return int(at/q.width) % len(q.buckets)
+	return int(at>>q.shift) & q.mask
 }
 
 func (q *calendarQueue) push(e event) {
 	bk := &q.buckets[q.bucketFor(e.at)]
 	evs := bk.evs
-	// Insert keeping the live window sorted by (at, seq); buckets stay
-	// short so linear insertion wins over anything clever.
-	i := len(evs)
-	for i > bk.head && e.before(&evs[i-1]) {
-		i--
+	if n := len(evs); n == bk.head || !e.before(&evs[n-1]) {
+		// Sorts last in its day — the common case, since most events are
+		// scheduled forward in time.
+		bk.evs = append(evs, e)
+	} else {
+		// Insert keeping the live window sorted by (at, seq); buckets
+		// stay short so linear insertion wins over anything clever.
+		i := n - 1
+		for i > bk.head && e.before(&evs[i-1]) {
+			i--
+		}
+		evs = append(evs, event{})
+		copy(evs[i+1:], evs[i:])
+		evs[i] = e
+		bk.evs = evs
 	}
-	evs = append(evs, event{})
-	copy(evs[i+1:], evs[i:])
-	evs[i] = e
-	bk.evs = evs
 	q.n++
 	if q.n > q.resizeUp {
 		q.resize(len(q.buckets) * 2)
@@ -169,14 +186,15 @@ func (q *calendarQueue) push(e event) {
 }
 
 func (q *calendarQueue) pop() event {
+	width := q.width()
 	for {
 		// Scan forward from the current day for the next event that
 		// belongs to the current year window.
 		for i := 0; i < len(q.buckets); i++ {
-			b := (q.day + i) % len(q.buckets)
-			dayStart := q.dayStart + Time(i)*q.width
+			b := (q.day + i) & q.mask
+			dayStart := q.dayStart + Time(i)<<q.shift
 			bk := &q.buckets[b]
-			if bk.len() > 0 && bk.evs[bk.head].at < dayStart+q.width {
+			if bk.len() > 0 && bk.evs[bk.head].at < dayStart+width {
 				e := bk.evs[bk.head]
 				bk.evs[bk.head] = event{} // release references
 				bk.head++
@@ -196,19 +214,11 @@ func (q *calendarQueue) pop() event {
 			}
 		}
 		// Nothing in this year: jump to the globally earliest event.
-		min := MaxTime
-		found := false
-		for i := range q.buckets {
-			bk := &q.buckets[i]
-			if bk.len() > 0 && bk.evs[bk.head].at < min {
-				min = bk.evs[bk.head].at
-				found = true
-			}
-		}
+		min, found := q.earliest()
 		if !found {
 			panic("sim: pop on empty calendar queue")
 		}
-		q.dayStart = min - min%q.width
+		q.dayStart = min &^ (width - 1)
 		q.day = q.bucketFor(q.dayStart)
 	}
 }
@@ -217,22 +227,29 @@ func (q *calendarQueue) peekAt() Time {
 	// Used only to decide whether to stop before `end`; a full scan is
 	// acceptable because RunUntil calls it once per event anyway, and
 	// the common case finds the event in the current day.
+	width := q.width()
 	for i := 0; i < len(q.buckets); i++ {
-		b := (q.day + i) % len(q.buckets)
-		dayStart := q.dayStart + Time(i)*q.width
-		bk := &q.buckets[b]
-		if bk.len() > 0 && bk.evs[bk.head].at < dayStart+q.width {
+		bk := &q.buckets[(q.day+i)&q.mask]
+		if bk.len() > 0 && bk.evs[bk.head].at < q.dayStart+Time(i)<<q.shift+width {
 			return bk.evs[bk.head].at
 		}
 	}
-	min := MaxTime
+	min, _ := q.earliest()
+	return min
+}
+
+// earliest scans every bucket for the smallest head timestamp (MaxTime,
+// false when the queue is empty).
+func (q *calendarQueue) earliest() (Time, bool) {
+	min, found := MaxTime, false
 	for i := range q.buckets {
 		bk := &q.buckets[i]
 		if bk.len() > 0 && bk.evs[bk.head].at < min {
 			min = bk.evs[bk.head].at
+			found = true
 		}
 	}
-	return min
+	return min, found
 }
 
 func (q *calendarQueue) size() int { return q.n }
@@ -248,7 +265,7 @@ func (q *calendarQueue) resize(nbuckets int) {
 		all = append(all, bk.evs[bk.head:]...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].before(&all[j]) })
-	width := q.width
+	width := q.width()
 	if len(all) > 2 {
 		span := all[len(all)-1].at - all[0].at
 		if w := span / Time(len(all)); w > 0 {

@@ -102,6 +102,14 @@ type Engine struct {
 	wall    time.Duration
 	probe   EventProbe
 
+	// passAt/passSeq are the run frontier Passed compares against: every
+	// event that sorts before (passAt, passSeq) has had its turn. The run
+	// loop moves it to each event it pops, a RunUntil that ends without
+	// Stop moves it past everything scheduled so far for <= end, and
+	// advanceTo moves it to the start of its instant.
+	passAt  Time
+	passSeq uint64
+
 	// runStart/running track the in-progress Run/RunUntil call so
 	// heartbeat events can see live wall time (wallNow).
 	runStart time.Time
@@ -177,6 +185,44 @@ func (e *Engine) ScheduleAction(at Time, act Action, a, b int64) {
 	}
 }
 
+// ReserveSeq takes the schedule-order number the next Schedule call
+// would have been given, without scheduling anything. A caller that can
+// apply an event's effect lazily reserves the event's place in the
+// total order here, asks Passed whether that place has come up, and
+// falls back to ScheduleReserved when the event is needed after all —
+// every other event keeps the (time, order) it would have had if the
+// reserved one had been scheduled eagerly.
+func (e *Engine) ReserveSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// ScheduleReserved is ScheduleAction under a number from ReserveSeq:
+// the event runs at (at, seq), exactly where an event scheduled at the
+// time of the reservation would. Each reserved number may be scheduled
+// at most once, and only while Passed(at, seq) is false.
+func (e *Engine) ScheduleReserved(at Time, seq uint64, act Action, a, b int64) {
+	if e.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: schedule reserved (%v, %d) after its turn passed (now %v)", at, seq, e.now))
+	}
+	e.queue.push(event{at: at, seq: seq, act: act, a: a, b: b})
+	if s := e.queue.size(); s > e.peak {
+		e.peak = s
+	}
+}
+
+// Passed reports whether an event scheduled for instant at under
+// schedule-order number seq would already have run. Inside an event it
+// compares (at, seq) against the running event's own place, so a tie on
+// the instant is decided by schedule order, as the queue would decide
+// it. Between runs, everything scheduled before a RunUntil(end) that
+// was not stopped returned has passed if its instant is <= end; on a
+// shard parked for a global phase at instant P, everything before P has
+// passed and nothing at P has.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return at < e.passAt || (at == e.passAt && seq < e.passSeq)
+}
+
 // After runs fn delay after the current time. Like Schedule, the
 // closure form allocates; prefer AfterAction on per-packet paths.
 func (e *Engine) After(delay Time, fn func()) {
@@ -225,7 +271,9 @@ func (e *Engine) Run() {
 
 // RunUntil processes events with timestamps <= end, then advances the
 // clock to end (if it is later than the last event). Events scheduled at
-// exactly end are processed.
+// exactly end are processed. A run cut short by Stop leaves the clock at
+// the last event it processed: events at or before end may still be
+// pending, and a resumed run must not see time move backwards.
 func (e *Engine) RunUntil(end Time) {
 	e.stopped = false
 	start := time.Now()
@@ -238,6 +286,7 @@ func (e *Engine) RunUntil(end Time) {
 		}
 		ev := e.queue.pop()
 		e.now = ev.at
+		e.passAt, e.passSeq = ev.at, ev.seq
 		e.ran++
 		if ev.fn != nil {
 			ev.fn()
@@ -251,9 +300,20 @@ func (e *Engine) RunUntil(end Time) {
 	e.running = false
 	e.wall += time.Since(start)
 	totalEvents.Add(e.ran - startRan)
+	if !e.stopped {
+		e.ranThrough(end)
+	}
+}
+
+// ranThrough records that every event scheduled so far for an instant
+// <= end has run: the clock moves to end (Run's MaxTime is not an
+// instant) and the frontier past all of them. Anything scheduled later
+// for exactly end gets a higher order number and has not passed.
+func (e *Engine) ranThrough(end Time) {
 	if e.now < end && end < MaxTime {
 		e.now = end
 	}
+	e.passAt, e.passSeq = end, e.seq+1
 }
 
 // NextEventAt returns the timestamp of the earliest pending event, and
@@ -279,6 +339,9 @@ func (e *Engine) advanceTo(at Time) {
 		panic(fmt.Sprintf("sim: advance to %v past pending event at %v", at, e.queue.peekAt()))
 	}
 	e.now = at
+	if at > e.passAt {
+		e.passAt, e.passSeq = at, 0
+	}
 }
 
 // wallNow returns wall-clock time spent in Run/RunUntil so far,

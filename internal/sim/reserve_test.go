@@ -1,0 +1,273 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// Tests for the engine's lazy-event surface — ReserveSeq,
+// ScheduleReserved, Passed — and for the clock after a stopped run.
+
+func bothEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
+	t.Helper()
+	t.Run("heap", func(t *testing.T) { f(t, NewEngine()) })
+	t.Run("calendar", func(t *testing.T) { f(t, NewCalendarEngine()) })
+}
+
+// recorder is an Action that logs the label it was scheduled with.
+type recorder struct{ log *[]string }
+
+func (r recorder) Run(a, _ int64) { *r.log = append(*r.log, fmt.Sprint("r", a)) }
+
+// TestRunUntilStopLeavesClock: a run cut short by Stop must not jump
+// the clock to end past events that are still pending, or the resumed
+// run moves Now() backwards.
+func TestRunUntilStopLeavesClock(t *testing.T) {
+	bothEngines(t, func(t *testing.T, e *Engine) {
+		var seen []Time
+		e.Schedule(10, func() { seen = append(seen, e.Now()); e.Stop() })
+		e.Schedule(20, func() { seen = append(seen, e.Now()) })
+		e.RunUntil(100)
+		if e.Now() != 10 || e.Pending() != 1 {
+			t.Fatalf("after Stop: now %v pending %d, want 10 and 1", e.Now(), e.Pending())
+		}
+		before := e.Now()
+		e.RunUntil(100)
+		if len(seen) != 2 || seen[1] != 20 || seen[1] < before {
+			t.Fatalf("resumed run saw %v after now %v", seen, before)
+		}
+		if e.Now() != 100 {
+			t.Fatalf("completed run left now %v, want 100", e.Now())
+		}
+	})
+}
+
+// TestScheduleReservedKeepsOrder: an event armed late under a reserved
+// number runs exactly where an eagerly scheduled one would have —
+// between the events scheduled before and after the reservation, also
+// on a same-instant tie — and nothing else moves.
+func TestScheduleReservedKeepsOrder(t *testing.T) {
+	// script builds one schedule on e. Eagerly, r1 and r2 are ordinary
+	// events; lazily they are reservations, armed from events that run
+	// before their turn: r2 from an earlier instant, r1 from its own
+	// instant by the lower-numbered event "a".
+	script := func(t *testing.T, e *Engine, lazy bool) []string {
+		var log []string
+		rec := recorder{&log}
+		mark := func(s string) func() { return func() { log = append(log, s) } }
+		var r1, r2 uint64
+		e.Schedule(50, func() {
+			log = append(log, "a")
+			if lazy {
+				if e.Passed(50, r1) {
+					t.Error("r1 passed while a lower-numbered event at its instant runs")
+				}
+				e.ScheduleReserved(50, r1, rec, 1, 0)
+			}
+		})
+		if lazy {
+			r1 = e.ReserveSeq()
+		} else {
+			e.ScheduleAction(50, rec, 1, 0)
+		}
+		e.Schedule(50, mark("b"))
+		if lazy {
+			r2 = e.ReserveSeq()
+		} else {
+			e.ScheduleAction(70, rec, 2, 0)
+		}
+		e.Schedule(70, mark("c"))
+		e.Schedule(60, mark("d"))
+		e.Schedule(10, func() {
+			if lazy {
+				e.ScheduleReserved(70, r2, rec, 2, 0)
+			}
+		})
+		// Scheduled later for r1's instant: a higher number, so it must
+		// not overtake r1 however late r1 is armed.
+		e.Schedule(5, func() { e.Schedule(50, mark("e")) })
+		e.Run()
+		return log
+	}
+	for _, mk := range []func() *Engine{NewEngine, NewCalendarEngine} {
+		eager, lazy := mk(), mk()
+		want := script(t, eager, false)
+		if fmt.Sprint(want) != "[a r1 b e d r2 c]" {
+			t.Fatalf("eager reference ran %v", want)
+		}
+		if got := script(t, lazy, true); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("lazy run %v, eager run %v", got, want)
+		}
+		if lazy.Processed() != eager.Processed() {
+			t.Fatalf("lazy run processed %d events, eager %d", lazy.Processed(), eager.Processed())
+		}
+	}
+}
+
+// TestPassedInsideEvents: within a run, Passed compares against the
+// running event's own (time, number).
+func TestPassedInsideEvents(t *testing.T) {
+	bothEngines(t, func(t *testing.T, e *Engine) {
+		var r uint64
+		check := func(label string, at Time, want bool) {
+			t.Helper()
+			if got := e.Passed(at, r); got != want {
+				t.Errorf("%s: Passed(%v, r) = %v, want %v", label, at, got, want)
+			}
+		}
+		e.Schedule(50, func() { // lower number than r
+			check("earlier instant", 49, true)
+			check("tie, reserved later than running event", 50, false)
+			check("later instant", 51, false)
+		})
+		r = e.ReserveSeq()
+		e.Schedule(50, func() { // higher number than r
+			check("tie, reserved earlier than running event", 50, true)
+			check("later instant", 51, false)
+		})
+		e.Schedule(40, func() { check("before the instant", 50, false) })
+		e.Run()
+		if e.Processed() != 3 {
+			t.Fatalf("processed %d events, want 3 (a reservation is not an event)", e.Processed())
+		}
+	})
+}
+
+// TestPassedBetweenRuns: a RunUntil that was not stopped has run
+// everything scheduled so far for <= end; a number taken afterwards for
+// exactly end has not had its turn.
+func TestPassedBetweenRuns(t *testing.T) {
+	bothEngines(t, func(t *testing.T, e *Engine) {
+		e.Schedule(10, func() {})
+		r := e.ReserveSeq()
+		if e.Passed(10, r) {
+			t.Fatal("passed before any run")
+		}
+		e.RunUntil(100)
+		for _, tc := range []struct {
+			at   Time
+			want bool
+		}{{10, true}, {100, true}, {101, false}} {
+			if got := e.Passed(tc.at, r); got != tc.want {
+				t.Errorf("after RunUntil(100): Passed(%v, early) = %v, want %v", tc.at, got, tc.want)
+			}
+		}
+		late := e.ReserveSeq()
+		if e.Passed(100, late) {
+			t.Error("a number reserved after the run passed at the run's end instant")
+		}
+		if !e.Passed(99, late) {
+			t.Error("an instant before the run's end did not pass")
+		}
+		// The late reservation is still schedulable at end, and runs.
+		ran := false
+		e.ScheduleReserved(100, late, actionFunc(func() { ran = true }), 0, 0)
+		e.RunUntil(100)
+		if !ran {
+			t.Error("event armed at the previous run's end instant never ran")
+		}
+		// Run drains the queue: every reservation made before it passes.
+		r2 := e.ReserveSeq()
+		e.Schedule(500, func() {})
+		e.Run()
+		if !e.Passed(500, r2) || !e.Passed(1<<40, r2) {
+			t.Error("reservation not passed after Run drained the queue")
+		}
+	})
+}
+
+// TestPassedStoppedRun: Stop freezes the frontier at the last event
+// processed, not at the RunUntil bound.
+func TestPassedStoppedRun(t *testing.T) {
+	bothEngines(t, func(t *testing.T, e *Engine) {
+		r := e.ReserveSeq()
+		e.Schedule(10, func() { e.Stop() })
+		e.Schedule(60, func() {})
+		e.RunUntil(100)
+		if !e.Passed(9, r) {
+			t.Error("instant before the stopping event did not pass")
+		}
+		if e.Passed(50, r) {
+			t.Error("instant after the stopping event passed although the run stopped before it")
+		}
+		e.ScheduleReserved(50, r, actionFunc(func() {
+			if e.Now() != 50 {
+				t.Errorf("reserved event ran at %v, want 50", e.Now())
+			}
+		}), 0, 0)
+		e.RunUntil(100)
+		if !e.Passed(50, r) || e.Processed() != 3 {
+			t.Errorf("after resume: passed %v, processed %d", e.Passed(50, r), e.Processed())
+		}
+	})
+}
+
+func TestScheduleReservedAfterItsTurnPanics(t *testing.T) {
+	e := NewEngine()
+	r := e.ReserveSeq()
+	e.Schedule(10, func() {})
+	e.RunUntil(20)
+	defer func() {
+		if recover() == nil {
+			t.Error("arming a reservation whose turn has passed did not panic")
+		}
+	}()
+	e.ScheduleReserved(15, r, actionFunc(func() {}), 0, 0)
+}
+
+// TestPassedParkedShard: a shard with nothing pending is never run up
+// to a global phase's instant, only advanced to it; everything before
+// that instant has still passed on it, and nothing at it has.
+func TestPassedParkedShard(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		s := NewShardedEngine(k, Microsecond, func(int) *Engine { return NewCalendarEngine() })
+		idle := s.Shard(k - 1)
+		r := idle.ReserveSeq()
+		s.Shard(0).Schedule(100*Nanosecond, func() {})
+		const P = 5 * Microsecond
+		checked := false
+		s.Schedule(P, func() {
+			checked = true
+			if idle.Now() != P {
+				t.Errorf("K=%d: parked shard clock %v in the global phase, want %v", k, idle.Now(), P)
+			}
+			if !idle.Passed(P-1, r) {
+				t.Errorf("K=%d: instant before the global phase has not passed on the parked shard", k)
+			}
+			if idle.Passed(P, r) {
+				t.Errorf("K=%d: the global phase's own instant passed on the parked shard", k)
+			}
+		})
+		s.RunUntil(10 * Microsecond)
+		if !checked {
+			t.Fatalf("K=%d: global event never ran", k)
+		}
+		if !idle.Passed(10*Microsecond, r) {
+			t.Errorf("K=%d: run end did not pass on the idle shard", k)
+		}
+	}
+}
+
+// TestShardedRunUntilStopLeavesClocks mirrors TestRunUntilStopLeavesClock
+// for the synchronizer: Stop must not advance shard clocks past pending
+// events.
+func TestShardedRunUntilStopLeavesClocks(t *testing.T) {
+	s := NewShardedEngine(2, Microsecond, func(int) *Engine { return NewCalendarEngine() })
+	sh := s.Shard(0)
+	var seen []Time
+	sh.Schedule(10*Nanosecond, func() { s.Stop() })
+	sh.Schedule(50*Microsecond, func() { seen = append(seen, sh.Now()) })
+	s.RunUntil(100 * Microsecond)
+	if sh.Now() >= 50*Microsecond || s.Pending() != 1 {
+		t.Fatalf("after Stop: shard clock %v, pending %d; want the clock before the pending event at 50us", sh.Now(), s.Pending())
+	}
+	s.RunUntil(100 * Microsecond)
+	if len(seen) != 1 || seen[0] != 50*Microsecond || s.Now() != 100*Microsecond {
+		t.Fatalf("resumed run: saw %v, now %v", seen, s.Now())
+	}
+}
+
+// actionFunc adapts a closure to Action for tests.
+type actionFunc func()
+
+func (f actionFunc) Run(int64, int64) { f() }

@@ -586,6 +586,7 @@ func (s *ShardedEngine) RunUntil(end Time) {
 		horizon++
 	}
 
+	drained := false // every event at <= end has run (the loop was not cut short by Stop)
 	for !s.stopped.Load() {
 		// T_i: each shard's earliest event (T their minimum); G: the
 		// earliest strict global; F/D: the earliest flex event and the
@@ -614,6 +615,7 @@ func (s *ShardedEngine) RunUntil(end Time) {
 			next = F
 		}
 		if next == MaxTime || next > end {
+			drained = true
 			break
 		}
 
@@ -653,19 +655,18 @@ func (s *ShardedEngine) RunUntil(end Time) {
 		s.commitCrossed(k, window)
 	}
 
-	// Mirror Engine.RunUntil: advance every clock to end.
-	if end < MaxTime {
-		for _, e := range s.engines {
-			if e.now < end {
-				e.now = end
-			}
-		}
-		if s.globals.now < end {
-			s.globals.now = end
-		}
-		if s.now < end {
-			s.now = end
-		}
+	// Mirror Engine.RunUntil: unless Stop cut the run short, every
+	// clock advances to end; after Stop they stay where the shards got
+	// to, so a resumed run never sees time move backwards.
+	if !drained {
+		return
+	}
+	for _, e := range s.engines {
+		e.ranThrough(end)
+	}
+	s.globals.ranThrough(end)
+	if s.now < end && end < MaxTime {
+		s.now = end
 	}
 }
 

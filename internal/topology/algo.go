@@ -225,21 +225,40 @@ func (g *Graph) AllShortestNextHops(dst NodeID) [][]Port {
 }
 
 // AllShortestNextHopsAvoiding is AllShortestNextHops on the graph with
-// the given links removed — for routing around failures.
+// the given links removed — for routing around failures. The per-node
+// lists are carved out of one backing array (counted first, each with
+// its capacity clipped to its length), so a table costs three
+// allocations however many nodes it covers; callers only read them.
 func (g *Graph) AllShortestNextHopsAvoiding(dst NodeID, dead map[LinkID]bool) [][]Port {
 	dist := g.BFSDist(dst, dead)
-	next := make([][]Port, len(g.nodes))
+	onPath := func(n int, p Port) bool {
+		return !dead[p.Link] && dist[p.Peer] >= 0 && dist[p.Peer] == dist[n]-1
+	}
+	total := 0
 	for n := range g.nodes {
 		if dist[n] <= 0 { // dst itself or unreachable
 			continue
 		}
 		for _, p := range g.ports[n] {
-			if dead[p.Link] {
-				continue
+			if onPath(n, p) {
+				total++
 			}
-			if dist[p.Peer] >= 0 && dist[p.Peer] == dist[n]-1 {
-				next[n] = append(next[n], p)
+		}
+	}
+	next := make([][]Port, len(g.nodes))
+	backing := make([]Port, 0, total)
+	for n := range g.nodes {
+		if dist[n] <= 0 {
+			continue
+		}
+		lo := len(backing)
+		for _, p := range g.ports[n] {
+			if onPath(n, p) {
+				backing = append(backing, p)
 			}
+		}
+		if hi := len(backing); hi > lo {
+			next[n] = backing[lo:hi:hi]
 		}
 	}
 	return next

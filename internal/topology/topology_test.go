@@ -427,6 +427,13 @@ func TestAllShortestNextHops(t *testing.T) {
 	if next[d] != nil {
 		t.Errorf("dst has next hops %v, want none", next[d])
 	}
+	// The lists share one backing array: growing one must reallocate
+	// rather than overwrite its neighbour.
+	want := next[b][0]
+	_ = append(next[a], Port{Peer: -1})
+	if cap(next[a]) != len(next[a]) || next[b][0] != want {
+		t.Errorf("append to a's list (cap %d, len %d) reached b's: %v", cap(next[a]), len(next[a]), next[b])
+	}
 }
 
 func TestLinksBetweenSets(t *testing.T) {

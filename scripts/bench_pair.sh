@@ -1,0 +1,108 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of two revisions, the way a small shared box
+# needs them (choosing-metrics §8): the base revision and the change
+# are checked out side by side as two git worktrees, and the
+# repository's benchmark (BENCHMARK.json: bash bench/bench.sh) runs on
+# them alternately — base first in even pairs, change first in odd
+# ones — with a fresh seed per pair and the run length BENCHMARK.json
+# fixes. Prints, per end-to-end metric, each side's median and
+# quartiles and how many pairs the change won, and whether the two
+# sides' outputs_digest matched in every pair.
+#
+#   scripts/bench_pair.sh <base-rev> <workload> [pairs=10] [change-rev=HEAD]
+#
+# The change side is a committed revision, as the driver measures it;
+# to measure work in progress, commit it first (or pass the commit
+# `git stash create` prints). Worktrees go under ${TMPDIR:-/tmp} and
+# are removed on exit.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+  sed -n '2,18p' "$0" >&2
+  exit 2
+fi
+base_rev=$1
+workload=$2
+pairs=${3:-10}
+change_rev=${4:-HEAD}
+
+repo=$(git rev-parse --show-toplevel)
+cd "$repo"
+seconds=$(awk -F'[:,]' '/"run_seconds"/ {gsub(/ /, "", $2); print $2}' BENCHMARK.json)
+metrics=$(awk '/"end_to_end"/ {on=1} /"per_layer"/ {on=0} on && /"name"/ {gsub(/[",]/, "", $2); print $2}' BENCHMARK.json)
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pair.XXXXXX")
+cleanup() {
+  git -C "$repo" worktree remove --force "$work/base" 2>/dev/null || true
+  git -C "$repo" worktree remove --force "$work/change" 2>/dev/null || true
+  git -C "$repo" worktree prune
+  rm -rf "$work"
+}
+trap cleanup EXIT
+git worktree add --quiet --detach "$work/base" "$base_rev"
+git worktree add --quiet --detach "$work/change" "$change_rev"
+echo "base   $(git -C "$work/base" log -1 --format='%h %s' | cut -c1-72)"
+echo "change $(git -C "$work/change" log -1 --format='%h %s' | cut -c1-72)"
+echo "workload $workload, $pairs pairs, $seconds s per run"
+
+# run <side> <pair> <seed>: one benchmark run; its report lands in
+# $work/<side>.<pair>.txt.
+run() {
+  (cd "$work/$1" && bash bench/bench.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0) \
+    >"$work/$1.$2.txt" 2>"$work/$1.$2.err" || {
+    echo "pair $2: $1 run failed:" >&2
+    tail -5 "$work/$1.$2.err" >&2
+    exit 1
+  }
+}
+# value <side> <pair> <metric>: the metric's value in that run's report.
+value() { awk -v m="$3" '$1 == m {print $2; exit}' "$work/$1.$2.txt"; }
+
+seed0=$(($(date +%s) % 100000))
+digests_match=yes
+for ((i = 0; i < pairs; i++)); do
+  seed=$((seed0 + i))
+  if ((i % 2 == 0)); then order="base change"; else order="change base"; fi
+  for side in $order; do run "$side" "$i" "$seed"; done
+  db=$(value base "$i" outputs_digest)
+  dc=$(value change "$i" outputs_digest)
+  same=same
+  if [ "$db" != "$dc" ] || [ -z "$db" ]; then
+    same=DIFFERENT
+    digests_match=no
+  fi
+  printf 'pair %2d seed %-6d (%s first) outputs %s' "$i" "$seed" "${order%% *}" "$same"
+  for m in $metrics; do printf '  %s %s -> %s' "$m" "$(value base "$i" "$m")" "$(value change "$i" "$m")"; done
+  printf '\n'
+done
+
+# quartiles: q1, median, q3 of the numbers on stdin (linear interpolation).
+quartiles() {
+  sort -g | awk '{v[NR] = $1}
+    function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+    END { printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
+}
+
+echo
+printf '%-20s %-34s %-34s %s\n' "metric (lower wins)" "base q1 / median / q3" "change q1 / median / q3" "change wins"
+for m in $metrics; do
+  wins=0
+  ties=0
+  for ((i = 0; i < pairs; i++)); do
+    case $(awk -v b="$(value base "$i" "$m")" -v c="$(value change "$i" "$m")" 'BEGIN {print (c < b) ? "win" : (c == b) ? "tie" : "loss"}') in
+      win) wins=$((wins + 1)) ;;
+      tie) ties=$((ties + 1)) ;;
+    esac
+  done
+  read -r b1 b2 b3 < <(for ((i = 0; i < pairs; i++)); do value base "$i" "$m"; done | quartiles)
+  read -r c1 c2 c3 < <(for ((i = 0; i < pairs; i++)); do value change "$i" "$m"; done | quartiles)
+  verdict=$(awk -v b="$b2" -v c="$c2" -v q1="$b1" -v q3="$b3" -v w="$wins" -v n="$pairs" 'BEGIN {
+    if (b == 0) { print ""; exit }
+    d = 100 * (c - b) / b
+    s = sprintf("median %+.1f%%", d)
+    if (n >= 10 && 10 * w >= 9 * n && b - c > q3 - q1) s = s ", a gain by the section-8 rule"
+    print s }')
+  printf '%-20s %-34s %-34s %d of %d (%d ties)  %s\n' "$m" "$b1 / $b2 / $b3" "$c1 / $c2 / $c3" "$wins" "$pairs" "$ties" "$verdict"
+done
+echo "outputs_digest matched in every pair: $digests_match"
+[ "$digests_match" = yes ]
