@@ -11,24 +11,21 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The concurrency-bearing packages under the race detector: the event
-# engine (the sharded synchronizer's epoch park/wake and stride spin
-# barriers — TestEpochBarrierStress hammers them with 1ns windows and
-# concurrent Stop — its SPSC rings, and flex-event coalescing), the
-# packet-level network simulator (probe and fault-injection hooks,
-# cross-shard forwarding, the per-pair lookahead matrix), the routers
-# (Reroute mutates live tables; shard clones serve concurrent
-# lookups), the traffic harnesses (per-shard delivery fan-in), the
+# The packages that own goroutines, under the race detector: the
 # metrics registry (lock-free instruments scraped while written), the
-# job service (worker pool vs HTTP handlers), and the cluster tier
+# job service (worker pool vs HTTP handlers), the cluster tier
 # (dispatchers vs heartbeat monitors vs dynamic registration —
 # TestClusterRaceStress keeps the requeue path hot with a permanently
-# dead worker).
+# dead worker), and the experiments' cell worker pool (forEachCell:
+# concurrent cells writing indexed slots, progress and trace hooks
+# called from every worker). A simulation itself runs on one engine on
+# one goroutine (DESIGN.md §11), so sim, netsim, routing and traffic
+# have nothing for the detector to see.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/netsim/... ./internal/routing/... ./internal/traffic/... ./internal/metrics/... ./internal/service/... ./internal/cluster/...
+	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/...
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the simulator core.
+# pass on the goroutine-owning packages.
 verify: build vet test race
 
 bench:
@@ -79,11 +76,10 @@ scenario-smoke:
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
-# End-to-end check of execution tracing: sharded quartzsim and
-# quartzbench traces validate under cmd/tracecheck (schema, per-track
-# timestamp order), the -json report carries barrier_profile, and a
-# quartzd job round-trips its X-Quartz-Trace header through
-# GET /jobs/{id}/trace. CI runs this as the trace-smoke step.
+# End-to-end check of execution tracing: quartzsim and quartzbench
+# traces validate under cmd/tracecheck (schema, per-track timestamp
+# order), and a quartzd job round-trips its X-Quartz-Trace header
+# through GET /jobs/{id}/trace. CI runs this as the trace-smoke step.
 trace-smoke:
 	bash scripts/trace_smoke.sh
 

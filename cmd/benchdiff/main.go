@@ -63,15 +63,6 @@ func readReport(path string) (*experiments.Report, error) {
 	return &r, nil
 }
 
-// cpuLabel renders a report's recorded host parallelism, tolerating
-// reports written before the field existed.
-func cpuLabel(r *experiments.Report) string {
-	if r.NumCPU == 0 {
-		return "unrecorded"
-	}
-	return fmt.Sprintf("%d CPU / GOMAXPROCS %d", r.NumCPU, r.GoMaxProcs)
-}
-
 func main() {
 	flag.Parse()
 	if *newPath == "" {
@@ -87,15 +78,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
-	}
-	// Differing host parallelism skews every wall-clock column (a 1-CPU
-	// box inverts the sharded speedup table) but does not make the code
-	// under test slower — warn, never gate. Reports that predate the
-	// num_cpu field carry 0 and are not comparable either way.
-	if oldRep.NumCPU != newRep.NumCPU {
-		fmt.Fprintf(os.Stderr,
-			"benchdiff: warning: CPU counts differ (%s: %s, %s: %s); wall-clock columns are not comparable\n",
-			*oldPath, cpuLabel(oldRep), *newPath, cpuLabel(newRep))
 	}
 	byName := make(map[string]experiments.ExperimentReport, len(newRep.Experiments))
 	for _, e := range newRep.Experiments {

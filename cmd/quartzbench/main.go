@@ -4,7 +4,7 @@
 // Usage:
 //
 //	quartzbench [-run all|<name>] [-list] [-scenario FILE]
-//	            [-seed N] [-trials N] [-tasks N] [-rpcs N] [-shards N]
+//	            [-seed N] [-trials N] [-tasks N] [-rpcs N]
 //	            [-csv DIR] [-json FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	            [-trace-spans FILE] [-flight-recorder]
 //
@@ -26,13 +26,11 @@
 // -json writes a machine-readable run report: per-experiment wall time
 // and simulator events/sec plus the run parameters and build
 // environment. `make bench-json` uses it to regenerate
-// BENCH_quartz.json, the repo's accumulating perf record. When a
-// sharded engine ran, the report also carries a barrier_profile block
-// (window counts, compute vs barrier-wait wall time).
+// BENCH_quartz.json, the repo's accumulating perf record.
 //
 // -trace-spans records execution spans — experiment build/run/cell
-// phases down to sharded-engine barrier windows — and writes Chrome
-// trace-event JSON for Perfetto (ui.perfetto.dev). -flight-recorder
+// phases — and writes Chrome trace-event JSON for Perfetto
+// (ui.perfetto.dev). -flight-recorder
 // bounds the recorder to the most recent spans so a long run keeps a
 // black box instead of an unbounded log.
 package main
@@ -58,7 +56,7 @@ import (
 )
 
 // flightRecorderSpans bounds the -flight-recorder ring: enough for the
-// last few thousand windows of a long run without unbounded memory.
+// last few thousand cells of a long run without unbounded memory.
 const flightRecorderSpans = 4096
 
 var (
@@ -69,10 +67,9 @@ var (
 	trials     = flag.Int("trials", 5000, "Monte-Carlo trials (fig6)")
 	tasks      = flag.Int("tasks", 8, "maximum concurrent tasks (fig17/fig18)")
 	rpcs       = flag.Int("rpcs", 2000, "RPCs per point (fig14)")
-	shardsN    = flag.Int("shards", 0, "pin the shard count of sharded-execution experiments (0 = the default 1/2/4/8 ladder)")
 	csvDir     = flag.String("csv", "", "also write each experiment's rows as CSV files into this directory")
 	jsonOut    = flag.String("json", "", "write a machine-readable run report (wall time, events/sec per experiment) to this file")
-	traceSpans = flag.String("trace-spans", "", "record execution spans (experiment cells, sharded-engine windows) and write Chrome trace-event JSON to this file (open in Perfetto)")
+	traceSpans = flag.String("trace-spans", "", "record execution spans (experiment cells) and write Chrome trace-event JSON to this file (open in Perfetto)")
 	flightRec  = flag.Bool("flight-recorder", false, "bound the span recorder to the most recent spans (with -trace-spans): a black box for long runs")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile after the run to this file")
@@ -141,7 +138,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	params := experiments.Params{Seed: *seed, Trials: *trials, Tasks: *tasks, RPCs: *rpcs, Shards: *shardsN}
+	params := experiments.Params{Seed: *seed, Trials: *trials, Tasks: *tasks, RPCs: *rpcs}
 
 	which := strings.ToLower(*run)
 	exps := experiments.All()
@@ -172,7 +169,6 @@ func main() {
 		}
 		params.Trace = spans
 	}
-	profileBefore := sim.BarrierProfileSnapshot()
 	report := experiments.NewReport(params, time.Now())
 
 	ran := false
@@ -222,9 +218,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "quartzbench: unknown experiment %q\n", *run)
 		printRegistry()
 		os.Exit(2)
-	}
-	if profile := sim.BarrierProfileSnapshot().Sub(profileBefore); profile.Windows > 0 || profile.GlobalPhases > 0 {
-		report.BarrierProfile = &profile
 	}
 	if spans != nil {
 		f, err := os.Create(*traceSpans)

@@ -44,8 +44,7 @@
 // directed link's queue depth and utilization each US microseconds of
 // virtual time, written to -probe-out. Both emit CSV, or JSON when the
 // file name ends in .json. -trace-spans records execution spans — one
-// Perfetto track per shard showing barrier windows and wait time, plus
-// one track per flow — as Chrome trace-event JSON; -flight-recorder
+// Perfetto track per flow — as Chrome trace-event JSON; -flight-recorder
 // bounds it to the most recent spans so a long run keeps a black box
 // instead of an unbounded log. A run-telemetry summary (events processed,
 // peak calendar size, wall-clock event rate) always prints at the end.
@@ -90,8 +89,8 @@ import (
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
-// flightRecorderSpans bounds the -flight-recorder ring: enough for the
-// last few thousand barrier windows of a long run.
+// flightRecorderSpans bounds the -flight-recorder ring: the last few
+// thousand flows of a long run.
 const flightRecorderSpans = 4096
 
 var (
@@ -110,17 +109,15 @@ var (
 	fanout     = flag.Int("fanout", 12, "receivers (or senders) per task")
 	ms         = flag.Int("ms", 10, "measured milliseconds of virtual time")
 	seed       = flag.Int64("seed", 1, "random seed")
-	shards     = flag.Int("shards", 0, "run on N parallel topology shards (0 = single engine); results are identical for every value")
 	hot        = flag.Int("hot", 5, "show the N hottest ports")
 
-	traceOut   = flag.String("trace", "", "record per-packet lifecycle events to this file (CSV, or JSON if it ends in .json)")
-	traceMax   = flag.Int("trace-max", 100_000, "keep at most N trace events (0 = unbounded)")
-	spansOut   = flag.String("trace-spans", "", "record execution spans (sharded-engine barrier windows, flow lifetimes) and write Chrome trace-event JSON to this file (open in Perfetto)")
-	flightRec  = flag.Bool("flight-recorder", false, "bound the span recorder to the most recent spans (with -trace-spans): a black box for long runs")
-	probeUS    = flag.Int64("probe-interval", 0, "sample queue depth/utilization every N microseconds (0 = off)")
-	coalesceUS = flag.Int64("coalesce-us", 0, "let periodic ticks (probe samples, metrics heartbeats) run up to N microseconds late; on a sharded run ticks coalesce into fewer all-shards-parked phases, tick times stay deterministic (0 = exact tick times)")
-	probeOut   = flag.String("probe-out", "", "write queue samples to this file (CSV, or JSON if it ends in .json); default: per-port summary on stdout")
-	telemetry  = flag.Bool("telemetry", true, "print the run-telemetry summary")
+	traceOut  = flag.String("trace", "", "record per-packet lifecycle events to this file (CSV, or JSON if it ends in .json)")
+	traceMax  = flag.Int("trace-max", 100_000, "keep at most N trace events (0 = unbounded)")
+	spansOut  = flag.String("trace-spans", "", "record execution spans (flow lifetimes) and write Chrome trace-event JSON to this file (open in Perfetto)")
+	flightRec = flag.Bool("flight-recorder", false, "bound the span recorder to the most recent spans (with -trace-spans): a black box for long runs")
+	probeUS   = flag.Int64("probe-interval", 0, "sample queue depth/utilization every N microseconds (0 = off)")
+	probeOut  = flag.String("probe-out", "", "write queue samples to this file (CSV, or JSON if it ends in .json); default: per-port summary on stdout")
+	telemetry = flag.Bool("telemetry", true, "print the run-telemetry summary")
 
 	metricsAddr = flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics Prometheus text, /status JSON)")
 	metricsOut  = flag.String("metrics-out", "", "stream NDJSON registry snapshots to this file, one per heartbeat")
@@ -316,35 +313,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "quartzsim: %v\n", err)
 		os.Exit(2)
 	}
-	// Sharded runs deliver on K goroutines: the sharded harness takes
-	// them per shard and merges statistics on read. Size it by the
-	// request — the partitioner may clamp the shard count downward, and
-	// unused sub-harnesses merge as zeros.
-	var h *traffic.Harness
-	var shh *traffic.ShardedHarness
-	cfg := netsim.Config{
+	h := traffic.NewHarness()
+	net, err := netsim.New(netsim.Config{
 		Graph:       arch.Graph,
 		Router:      arch.Router,
 		SwitchModel: arch.Model,
-	}
-	if *shards >= 1 {
-		shh = traffic.NewShardedHarness(*shards)
-		cfg.Shards = *shards
-		cfg.OnDeliverSharded = shh.Deliver
-	} else {
-		h = traffic.NewHarness()
-		cfg.OnDeliver = h.Deliver
-	}
-	net, err := netsim.New(cfg)
+		OnDeliver:   h.Deliver,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quartzsim: %v\n", err)
 		os.Exit(1)
-	}
-	latency := func(tag int) *metrics.Stats {
-		if shh != nil {
-			return shh.Latency(tag)
-		}
-		return h.Latency(tag)
 	}
 	rng := rand.New(rand.NewSource(*seed + 1))
 	hosts := arch.Graph.Hosts()
@@ -352,9 +330,7 @@ func main() {
 
 	runEnd := end + 2*sim.Millisecond
 
-	// All observability attaches through Network.Observe: it builds the
-	// per-shard probe chains (a single set on a legacy network) and the
-	// Observer merges their output after the run.
+	// All observability attaches through Network.Observe.
 	oo := netsim.ObserveOptions{}
 	if *traceOut != "" {
 		oo.Trace, oo.TraceLimit = true, *traceMax
@@ -367,7 +343,7 @@ func main() {
 			spans = trace.NewRecorder()
 		}
 		oo.Spans = spans
-		oo.Flows = true // flow spans render from the merged flow table
+		oo.Flows = true // flow spans render from the flow table
 	}
 	var reg *metrics.Registry
 	if *metricsAddr != "" || *metricsOut != "" || *flowsOut != "" {
@@ -388,11 +364,6 @@ func main() {
 	if oo.SampleEvery > 0 || oo.HeartbeatEvery > 0 {
 		oo.Until = runEnd
 	}
-	if *coalesceUS < 0 {
-		fmt.Fprintln(os.Stderr, "quartzsim: -coalesce-us must be non-negative")
-		os.Exit(2)
-	}
-	oo.CoalesceTolerance = sim.Time(*coalesceUS) * sim.Microsecond
 	obs := net.Observe(oo)
 	sampler := obs.Sampler()
 
@@ -406,9 +377,7 @@ func main() {
 				os.Exit(1)
 			}
 			exporter = metrics.NewNDJSONExporter(metricsFile)
-			// Export on shard 0's heartbeat only: one writer, and every
-			// other shard's instruments read atomically in the snapshot.
-			obs.Heartbeats()[0].OnTick = func(at sim.Time) {
+			obs.Heartbeat().OnTick = func(at sim.Time) {
 				if err := exporter.Export(int64(at), reg.Snapshot()); err != nil {
 					fmt.Fprintf(os.Stderr, "quartzsim: writing metrics: %v\n", err)
 					os.Exit(1)
@@ -423,7 +392,6 @@ func main() {
 				"tasks":    strconv.Itoa(*tasks),
 				"ms":       strconv.Itoa(*ms),
 				"seed":     strconv.FormatInt(*seed, 10),
-				"shards":   strconv.Itoa(net.NumShards()),
 			}, errc)
 			go func() {
 				if err := <-errc; err != nil && err != http.ErrServerClosed {
@@ -454,11 +422,7 @@ func main() {
 		case "gather":
 			t = traffic.Gather(net, rest, sender, *pps, tag, arch.VLB, rng)
 		case "scattergather":
-			if shh != nil {
-				t = traffic.ShardedScatterGather(net, shh, sender, rest, *pps, tag, tag+1, arch.VLB, rng)
-			} else {
-				t = traffic.ScatterGather(net, h, sender, rest, *pps, tag, tag+1, arch.VLB, rng)
-			}
+			t = traffic.ScatterGather(net, h, sender, rest, *pps, tag, tag+1, arch.VLB, rng)
 		case "replay":
 			if *replay == "" {
 				return fmt.Errorf("-workload replay requires -replay FILE")
@@ -564,19 +528,19 @@ func main() {
 	// long simulation interrupted mid-write stays usable.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	sched := net.Scheduler()
+	eng := net.Engine()
 	const watchdogEvery = 100 * sim.Microsecond
 	var interruptedAt sim.Time
 	var watchdog func()
 	watchdog = func() {
 		if ctx.Err() != nil {
-			interruptedAt = sched.Now()
-			sched.Stop()
+			interruptedAt = eng.Now()
+			eng.Stop()
 			return
 		}
-		sched.After(watchdogEvery, watchdog)
+		eng.After(watchdogEvery, watchdog)
 	}
-	sched.After(watchdogEvery, watchdog)
+	eng.After(watchdogEvery, watchdog)
 
 	net.RunUntil(runEnd)
 	if interruptedAt > 0 {
@@ -585,15 +549,11 @@ func main() {
 			"quartzsim: interrupted at virtual time %v; writing partial outputs\n", interruptedAt)
 	}
 
-	fmt.Printf("%s | %s | %d task(s), %d streams each at %.0f pps | %d ms",
+	fmt.Printf("%s | %s | %d task(s), %d streams each at %.0f pps | %d ms\n",
 		arch.Name, *workload, n, *fanout, *pps, *ms)
-	if *shards >= 1 {
-		fmt.Printf(" | %d shard(s)", net.NumShards())
-	}
-	fmt.Println()
 	fmt.Printf("delivered %d packets, dropped %d\n\n", net.Delivered(), net.Dropped())
 	for _, tag := range tags {
-		s := latency(tag)
+		s := h.Latency(tag)
 		if s.N() == 0 {
 			continue
 		}
@@ -608,7 +568,7 @@ func main() {
 			to := arch.Graph.Node(l.Other(ps.From))
 			fmt.Printf("  %-10s -> %-10s  %8d pkts %10d B  util %5.1f%%  drops %d\n",
 				from.Name, to.Name, ps.Packets, ps.Bytes,
-				100*ps.Utilization(sched.Now()), ps.Drops)
+				100*ps.Utilization(eng.Now()), ps.Drops)
 		}
 	}
 
@@ -689,7 +649,7 @@ func main() {
 	}
 	if exporter != nil {
 		// Final snapshot so the stream always ends with end-of-run state.
-		if err := exporter.Export(int64(sched.Now()), reg.Snapshot()); err == nil {
+		if err := exporter.Export(int64(eng.Now()), reg.Snapshot()); err == nil {
 			err = metricsFile.Close()
 		}
 		if err != nil {
@@ -709,7 +669,6 @@ func main() {
 			"tool":     "quartzsim",
 			"arch":     *archName,
 			"workload": *workload,
-			"shards":   strconv.Itoa(net.NumShards()),
 		})
 		if cerr := f.Close(); err == nil {
 			err = cerr

@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -49,5 +51,30 @@ func TestFlagDocOutput(t *testing.T) {
 	}
 	if got != total {
 		t.Errorf("flagdoc has %d flag rows, want %d", got, total)
+	}
+}
+
+// TestRemovedFlagsRejected re-executes the test binary as quartzsim:
+// a flag that went with the multi-shard engine (DESIGN.md §11) ends
+// the process non-zero with the usage text — it is not accepted and
+// ignored.
+func TestRemovedFlagsRejected(t *testing.T) {
+	if args := os.Getenv("QUARTZSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"quartzsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{"-shards 2", "-ms 1 -coalesce-us 5"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsRejected$")
+		cmd.Env = append(os.Environ(), "QUARTZSIM_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		if _, failed := err.(*exec.ExitError); !failed {
+			t.Errorf("quartzsim %s: err = %v, want a non-zero exit\n%s", args, err, out)
+		}
+		for _, want := range []string{"flag provided but not defined", "Usage: quartzsim [flags]"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("quartzsim %s: output lacks %q:\n%s", args, want, out)
+			}
+		}
 	}
 }

@@ -31,7 +31,7 @@ type resultView struct {
 
 // paramSpec strips hooks off runner parameters for the wire.
 func paramSpec(p experiments.Params) service.ParamSpec {
-	return service.ParamSpec{Seed: p.Seed, Trials: p.Trials, Tasks: p.Tasks, RPCs: p.RPCs, Shards: p.Shards}
+	return service.ParamSpec{Seed: p.Seed, Trials: p.Trials, Tasks: p.Tasks, RPCs: p.RPCs}
 }
 
 // doJSON issues one request and decodes a 2xx body into out (skipped

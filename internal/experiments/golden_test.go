@@ -4,8 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
@@ -13,11 +11,12 @@ import (
 )
 
 // The hashes below pin the rendered text of the packet-level
-// experiments (and one sharded scenario) at small fixed parameters.
-// They were recorded on the commit before the forward path was
-// reworked to move packets by pointer and elide idle-port completions,
-// so "byte-identical output" is checked across commits, not only
-// within one process. A change that alters simulation results on
+// experiments (and one scenario) at small fixed parameters. The
+// experiment hashes were recorded on the commit before the forward path
+// was reworked to move packets by pointer and elide idle-port
+// completions, the scenario hash on the commit before the multi-shard
+// execution family was deleted, so "byte-identical output" is checked
+// across commits, not only within one process. A change that alters simulation results on
 // purpose re-records them (the failure message prints the new hash)
 // and says why in CHANGES.md.
 
@@ -57,42 +56,33 @@ func TestGoldenExperimentOutput(t *testing.T) {
 }
 
 // goldenScenario exercises what the registry experiments do not: the
-// sharded engine family, a fiber cut with held-and-detoured frames, and
-// the queue sampler reading port depth between packet events.
+// scenario runner, a fiber cut with held-and-detoured frames, the flow
+// table, and the queue sampler reading port depth between packet
+// events.
 const goldenScenario = `{"schema": "quartz-scenario/v1", "name": "golden", "seed": 7,
- "sim": {"duration_ms": 4, "shards": %d,
+ "sim": {"duration_ms": 4,
          "topology": {"kind": "ring"},
          "workload": {"kind": "scattergather", "tasks": 3, "fanout": 8},
          "faults": {"detect_ms": 0.5, "policy": "detour",
                     "events": [{"kind": "fiber", "fiber": 0, "segment": 2, "at_ms": 1, "repair_ms": 3}]},
          "probes": {"flows": true, "queue_sample_us": 50, "hot_ports": 4}}}`
 
-// goldenScenarioDigest is the hash of the scenario's text with the
-// "| K shard(s)" header field removed: every K must print the rest
-// identically.
-const goldenScenarioDigest = "5360a6f9954fd208c88321345f9c806e56237b182ad2387af4f1809fe1016366"
+const goldenScenarioDigest = "52659b6da14c789c94a2454160cd9eb1d5dae8f90b418c032ab3a2a0153fdd99"
 
-func TestGoldenShardedScenario(t *testing.T) {
-	for _, k := range []int{1, 2, 4} {
-		f, err := scenario.Decode([]byte(fmt.Sprintf(goldenScenario, k)), "golden.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := scenario.Compile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := c.Experiment.Run(context.Background(), c.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardField := fmt.Sprintf(" | %d shard(s)", k)
-		if !strings.Contains(out.Text, shardField) {
-			t.Fatalf("K=%d: output does not name its shard count:\n%s", k, out.Text)
-		}
-		text := strings.Replace(out.Text, shardField, "", 1)
-		if got := textDigest(text); got != goldenScenarioDigest {
-			t.Errorf("K=%d scenario output changed: sha256 %s, want %s\n%s", k, got, goldenScenarioDigest, text)
-		}
+func TestGoldenScenario(t *testing.T) {
+	f, err := scenario.Decode([]byte(goldenScenario), "golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Experiment.Run(context.Background(), c.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := textDigest(out.Text); got != goldenScenarioDigest {
+		t.Errorf("scenario output changed: sha256 %s, want %s\n%s", got, goldenScenarioDigest, out.Text)
 	}
 }

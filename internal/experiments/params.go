@@ -36,10 +36,6 @@ type Params struct {
 	Tasks int
 	// RPCs is the RPC count per point (Figure 14 and extensions).
 	RPCs int
-	// Shards, when > 0, pins the shard count of sharded-execution
-	// experiments: the "sharded" sweep compares {1, Shards} instead of
-	// its default ladder. 0 keeps the experiment default.
-	Shards int
 
 	// Progress, when non-nil, receives coarse completion callbacks as
 	// an experiment finishes internal units of work. It is a hook, not
@@ -48,9 +44,9 @@ type Params struct {
 	Progress Progress `json:"-"`
 
 	// Trace, when non-nil, records execution spans as the experiment
-	// runs: per-cell wall spans under forEachCell, engine window spans
-	// from sharded runs. Like Progress it is a hook — it never affects
-	// results, is excluded from CacheKey, and is omitted from JSON.
+	// runs: per-cell wall spans under forEachCell. Like Progress it is a
+	// hook — it never affects results, is excluded from CacheKey, and is
+	// omitted from JSON.
 	Trace *trace.Recorder `json:"-"`
 }
 
@@ -161,12 +157,6 @@ func CacheKeyRange(name string, p Params, lo, hi int) string {
 // CacheKeyRange.
 func keyPreimage(name string, p Params) []byte {
 	p = p.WithDefaults()
-	key := fmt.Appendf(nil, "quartz-exp/v1|%s|seed=%d|trials=%d|tasks=%d|rpcs=%d",
+	return fmt.Appendf(nil, "quartz-exp/v1|%s|seed=%d|trials=%d|tasks=%d|rpcs=%d",
 		strings.ToLower(strings.TrimSpace(name)), p.Seed, p.Trials, p.Tasks, p.RPCs)
-	if p.Shards > 0 {
-		// Appended only when set, so every pre-sharding submission keeps
-		// its historical cache key.
-		key = fmt.Appendf(key, "|shards=%d", p.Shards)
-	}
-	return key
 }

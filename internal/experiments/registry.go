@@ -308,21 +308,6 @@ func All() []Experiment {
 			},
 		},
 		{
-			Name: "sharded", Title: "Sharded execution: event throughput vs shard count", Section: "ext.",
-			Covers: []string{"ShardedThroughput"},
-			Run: func(ctx context.Context, p Params) (Output, error) {
-				var counts []int
-				if p.Shards > 0 {
-					counts = []int{1, p.Shards}
-				}
-				rows, err := ShardedThroughput(ctx, counts, p)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderSharded(rows), CSV: map[string]interface{}{"sharded": rows}}, nil
-			},
-		},
-		{
 			Name: "ablations", Title: "Ablations: ring size, switch model, VLB fraction, ECMP mode", Section: "ext.",
 			// The four axes flatten into one 14-cell grid (AblationRange)
 			// so progress ticks per cell and cluster runs shard freely;

@@ -11,8 +11,6 @@ import (
 	"io"
 	"runtime"
 	"time"
-
-	"github.com/quartz-dcn/quartz/internal/sim"
 )
 
 // ExperimentReport is the machine-readable record of one experiment
@@ -75,10 +73,8 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// NumCPU and GoMaxProcs record the host parallelism the run had —
-	// the context a speedup column is meaningless without (a 1-CPU box
-	// inverts it). cmd/benchdiff warns when comparing across differing
-	// CPU counts.
+	// NumCPU and GoMaxProcs record the host parallelism the run had:
+	// the cell worker pool of the grid-shaped experiments scales with it.
 	NumCPU     int    `json:"num_cpu,omitempty"`
 	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
 	Params     Params `json:"params"`
@@ -88,10 +84,6 @@ type Report struct {
 	// Mem is the run-wide memory summary (nil in reports from versions
 	// that predate it; the field is additive to the v1 schema).
 	Mem *MemStats `json:"mem,omitempty"`
-	// BarrierProfile is the sharded synchronizer's window economics over
-	// the run (sim.BarrierProfileSnapshot delta; nil when no sharded
-	// engine ran or in reports that predate it — additive to v1).
-	BarrierProfile *sim.BarrierProfile `json:"barrier_profile,omitempty"`
 }
 
 // ReportSchema identifies the current report format.

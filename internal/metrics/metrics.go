@@ -35,33 +35,6 @@ func (s *Stats) Add(x float64) {
 	s.hasExtrema = true
 }
 
-// Merge folds another accumulator into s, as if every observation o
-// recorded had been recorded on s (Chan et al.'s parallel combination
-// of Welford states). Sharded runs keep one Stats per shard and merge
-// at the end; the merged moments can differ from the sequential ones
-// in the last floating-point ulp, which is why byte-identity
-// guarantees are stated over integer outputs, not float summaries.
-func (s *Stats) Merge(o *Stats) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.n = n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-}
-
 // N returns the number of observations.
 func (s *Stats) N() int64 { return s.n }
 

@@ -98,17 +98,16 @@ func TestDropReasonStrings(t *testing.T) {
 
 // TestPktQueueWraparound exercises the intrusive output FIFO against a
 // straightforward model: interleaved pushes and pops that drain it to
-// one element, to empty, and refill it, with records recycled through a
-// shard's pool the way the forward path recycles them.
+// one element, to empty, and refill it, with records recycled through
+// the pool the way the forward path recycles them.
 func TestPktQueueWraparound(t *testing.T) {
 	n := &Network{}
-	sh := &netShard{}
 	var q pktFIFO
 	next := uint64(0)
 	var model []uint64
 	push := func() {
 		next++
-		ev := n.newEvent(sh)
+		ev := n.newEvent()
 		ev.p.ID = next
 		q.push(ev)
 		model = append(model, next)
@@ -123,7 +122,7 @@ func TestPktQueueWraparound(t *testing.T) {
 		if got != want {
 			t.Fatalf("pop = %d, want %d", got, want)
 		}
-		sh.freeEvent(ev)
+		n.freeEvent(ev)
 	}
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3+round%5; i++ {
@@ -147,11 +146,11 @@ func TestPktQueueWraparound(t *testing.T) {
 	}
 	// Every record came from the pool's slabs and went back to it.
 	free := 0
-	for ev := sh.freeEv; ev != nil; ev = ev.next {
+	for ev := n.freeEv; ev != nil; ev = ev.next {
 		free++
 	}
-	if free < eventSlab || free != sh.pooled {
-		t.Fatalf("%d records on the free list, %d allocated (slabs of at least %d)", free, sh.pooled, eventSlab)
+	if free < eventSlab || free != n.pooled {
+		t.Fatalf("%d records on the free list, %d allocated (slabs of at least %d)", free, n.pooled, eventSlab)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
@@ -262,7 +263,7 @@ func (fi *FaultInjector) Apply(s FaultSchedule) error {
 		fi.detection = s.DetectionDelay
 	}
 	fi.policy = s.Policy
-	now := fi.n.Scheduler().Now()
+	now := fi.n.eng.Now()
 	resolved := make([][]topology.LinkID, len(s.Events))
 	for i, ev := range s.Events {
 		links, err := fi.resolve(ev)
@@ -279,12 +280,9 @@ func (fi *FaultInjector) Apply(s FaultSchedule) error {
 	}
 	for i, ev := range s.Events {
 		ev, links := ev, resolved[i]
-		// On a sharded network these are global events: the
-		// synchronizer parks every shard before running them, so the
-		// injector may flush queues and mutate link state anywhere.
-		fi.n.Scheduler().Schedule(ev.At, func() { fi.inject(ev, links, false) })
+		fi.n.eng.Schedule(ev.At, func() { fi.inject(ev, links, false) })
 		if ev.RepairAt > ev.At {
-			fi.n.Scheduler().Schedule(ev.RepairAt, func() { fi.inject(ev, links, true) })
+			fi.n.eng.Schedule(ev.RepairAt, func() { fi.inject(ev, links, true) })
 		}
 	}
 	return nil
@@ -301,14 +299,14 @@ func (fi *FaultInjector) inject(ev FaultEvent, links []topology.LinkID, repair b
 			fi.failLink(l)
 		}
 	}
-	now := fi.n.Scheduler().Now()
+	now := fi.n.eng.Now()
 	fi.emit(FaultChange{
 		At: now, Event: ev, Links: links, Repair: repair, DeadLinks: fi.DeadCount(),
 	})
-	fi.n.Scheduler().After(fi.detection, func() {
+	fi.n.eng.After(fi.detection, func() {
 		fi.reconverge()
 		fi.emit(FaultChange{
-			At: fi.n.Scheduler().Now(), Event: ev, Links: links, Repair: repair,
+			At: fi.n.eng.Now(), Event: ev, Links: links, Repair: repair,
 			Reconverged: true, DeadLinks: fi.DeadCount(),
 		})
 	})
@@ -327,7 +325,6 @@ func (fi *FaultInjector) failLink(id topology.LinkID) {
 		di := 2*int(id) + d
 		dl := &fi.n.dirs[di]
 		dl.down = true
-		sh := fi.n.shards[fi.n.shardOfDir[di]]
 		for q := dl.nextQueue(); q != nil; q = dl.nextQueue() {
 			ev := q.pop()
 			dl.queuedBytes -= ev.p.Size
@@ -335,7 +332,7 @@ func (fi *FaultInjector) failLink(id topology.LinkID) {
 				fi.held = append(fi.held, ev)
 			} else {
 				dl.drops++
-				fi.n.drop(sh, ev, DropCodeLinkCut, id, nil)
+				fi.n.drop(ev, DropCodeLinkCut, id, nil)
 			}
 		}
 	}
@@ -360,15 +357,17 @@ func (fi *FaultInjector) repairLink(id topology.LinkID) {
 // any packets held for detour.
 func (fi *FaultInjector) reconverge() {
 	dead := fi.Dead()
-	fi.n.rerouteAll(dead)
+	if r, ok := fi.n.router.(routing.Rerouter); ok {
+		r.Reroute(dead)
+	}
 	if len(fi.held) == 0 {
 		return
 	}
 	held := fi.held
 	fi.held = nil
-	now := fi.n.Scheduler().Now()
+	now := fi.n.eng.Now()
 	for _, ev := range held {
-		fi.n.forward(fi.n.shards[fi.n.shardOfNode[ev.node]], ev, now)
+		fi.n.forward(ev, now)
 	}
 }
 
@@ -376,10 +375,8 @@ func (fi *FaultInjector) emit(c FaultChange) {
 	if fi.OnChange != nil {
 		fi.OnChange(c)
 	}
-	for _, sh := range fi.n.shards {
-		if fo, ok := sh.probe.(FaultObserver); ok {
-			fo.FaultChanged(c)
-		}
+	if fo, ok := fi.n.probe.(FaultObserver); ok {
+		fo.FaultChanged(c)
 	}
 }
 

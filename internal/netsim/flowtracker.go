@@ -127,7 +127,6 @@ type FlowTracker struct {
 	flowsSeen  *metrics.Gauge
 	latency    *metrics.LatencyHistogram
 	reg        *metrics.Registry
-	labels     metrics.Labels
 }
 
 // NewFlowTracker returns an empty tracker.
@@ -147,22 +146,15 @@ func NewFlowTracker() *FlowTracker {
 //	quartz_fault_window_drops_total  counter  drops inside degradation windows
 //	quartz_flows_seen                gauge    distinct flows observed
 //	quartz_packet_latency_us         histogram  delivery latency
-func (t *FlowTracker) Bind(r *metrics.Registry) { t.BindLabeled(r, nil) }
-
-// BindLabeled is Bind with a fixed label set on every instrument. A
-// sharded run binds each shard's tracker with {"shard": i}, so the
-// registry carries one series per shard (sum across the label for the
-// network-wide totals) and no two shards publish to the same gauge.
-func (t *FlowTracker) BindLabeled(r *metrics.Registry, labels metrics.Labels) {
+func (t *FlowTracker) Bind(r *metrics.Registry) {
 	t.reg = r
-	t.labels = labels
-	t.sent = r.Counter("quartz_packets_sent_total", "packets injected at source hosts", labels)
-	t.delivered = r.Counter("quartz_packets_delivered_total", "packets delivered to destination hosts", labels)
-	t.bytes = r.Counter("quartz_bytes_delivered_total", "payload bytes delivered", labels)
-	t.retx = r.Counter("quartz_retransmits_total", "source sends reusing a transport sequence number", labels)
-	t.faultDrops = r.Counter("quartz_fault_window_drops_total", "drops inside fault degradation windows", labels)
-	t.flowsSeen = r.Gauge("quartz_flows_seen", "distinct flows observed", labels)
-	t.latency = r.Histogram("quartz_packet_latency_us", "per-packet delivery latency in microseconds", labels)
+	t.sent = r.Counter("quartz_packets_sent_total", "packets injected at source hosts", nil)
+	t.delivered = r.Counter("quartz_packets_delivered_total", "packets delivered to destination hosts", nil)
+	t.bytes = r.Counter("quartz_bytes_delivered_total", "payload bytes delivered", nil)
+	t.retx = r.Counter("quartz_retransmits_total", "source sends reusing a transport sequence number", nil)
+	t.faultDrops = r.Counter("quartz_fault_window_drops_total", "drops inside fault degradation windows", nil)
+	t.flowsSeen = r.Gauge("quartz_flows_seen", "distinct flows observed", nil)
+	t.latency = r.Histogram("quartz_packet_latency_us", "per-packet delivery latency in microseconds", nil)
 	t.droppedBy = make(map[string]*metrics.Counter)
 }
 
@@ -173,11 +165,7 @@ func (t *FlowTracker) dropCounter(class string) *metrics.Counter {
 	}
 	c := t.droppedBy[class]
 	if c == nil {
-		labels := metrics.Labels{"reason": class}
-		for k, v := range t.labels {
-			labels[k] = v
-		}
-		c = t.reg.Counter("quartz_packets_dropped_total", "packets dropped, by reason class", labels)
+		c = t.reg.Counter("quartz_packets_dropped_total", "packets dropped, by reason class", metrics.Labels{"reason": class})
 		t.droppedBy[class] = c
 	}
 	return c
@@ -283,52 +271,10 @@ func (t *FlowTracker) FaultChanged(c FaultChange) {
 	t.degraded++
 }
 
-// MergeFrom folds every flow tracked by o into t. Each per-flow field
-// combines order-independently (FirstSend min, LastActivity max,
-// counts summed, MaxHops max, drop classes added), so merging K
-// shard-local trackers in any order yields the same table. A flow's
-// source host lives on exactly one shard, so retransmit detection
-// (which needs the per-source sequence set) is already complete in the
-// shard trackers and seenSeq is not carried over. After a merge the
-// flow order is canonical — (FirstSend, Flow) ascending — making the
-// merged table identical for every shard count, where an unmerged
-// tracker breaks FirstSend ties by insertion order.
-//
-// MergeFrom is a post-run operation; do not call it while either
-// tracker is still attached to a running network.
-func (t *FlowTracker) MergeFrom(o *FlowTracker) {
-	for _, id := range o.order {
-		of := o.flows[id]
-		f := t.flows[id]
-		if f == nil {
-			f = &flowState{FlowStats: FlowStats{
-				Flow: id, FirstSend: of.FirstSend, LastActivity: of.LastActivity,
-				DropsByClass: make(map[string]uint64, len(of.DropsByClass)),
-			}}
-			t.flows[id] = f
-			t.order = append(t.order, id)
-		} else {
-			if of.FirstSend < f.FirstSend {
-				f.FirstSend = of.FirstSend
-			}
-			if of.LastActivity > f.LastActivity {
-				f.LastActivity = of.LastActivity
-			}
-		}
-		f.PacketsSent += of.PacketsSent
-		f.PacketsDelivered += of.PacketsDelivered
-		f.PacketsDropped += of.PacketsDropped
-		f.BytesDelivered += of.BytesDelivered
-		f.Retransmits += of.Retransmits
-		f.SumLatency += of.SumLatency
-		f.FaultWindowDrops += of.FaultWindowDrops
-		if of.MaxHops > f.MaxHops {
-			f.MaxHops = of.MaxHops
-		}
-		for k, v := range of.DropsByClass {
-			f.DropsByClass[k] += v
-		}
-	}
+// sortFlows puts the flow table in canonical order: (FirstSend, Flow)
+// ascending, where insertion order breaks FirstSend ties by whichever
+// flow's first packet the event loop happened to enqueue first.
+func (t *FlowTracker) sortFlows() {
 	sort.Slice(t.order, func(i, j int) bool {
 		a, b := t.flows[t.order[i]], t.flows[t.order[j]]
 		if a.FirstSend != b.FirstSend {
@@ -336,9 +282,6 @@ func (t *FlowTracker) MergeFrom(o *FlowTracker) {
 		}
 		return a.Flow < b.Flow
 	})
-	if t.flowsSeen != nil {
-		t.flowsSeen.Set(float64(len(t.flows)))
-	}
 }
 
 // Flows returns every tracked flow in first-send order, with FCT

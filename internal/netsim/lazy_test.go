@@ -177,7 +177,7 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 		}
 		rec := NewTraceRecorder(0)
 		net.SetProbe(rec)
-		net.Scheduler().Schedule(sendA, func() { net.Unicast(1, a, dst, sizeA, 0) })
+		net.Engine().Schedule(sendA, func() { net.Unicast(1, a, dst, sizeA, 0) })
 		net.RunUntil(end)
 		for _, e := range rec.Events() {
 			if e.Op == TraceTransmit && e.Link == port.Link && e.From == port.From {
@@ -221,8 +221,8 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 				t.Fatalf("B would have to be sent at %v", sendB)
 			}
 			drive := func(net *Network) {
-				net.Scheduler().Schedule(sendA, func() { net.Unicast(1, a, dst, sizeA, 0) })
-				net.Scheduler().Schedule(sendB, func() { net.Unicast(2, b, dst, tc.sizeB, 0) })
+				net.Engine().Schedule(sendA, func() { net.Unicast(1, a, dst, sizeA, 0) })
+				net.Engine().Schedule(sendB, func() { net.Unicast(2, b, dst, tc.sizeB, 0) })
 			}
 			// Sampler interval = doneA: its first tick is a third event
 			// on the tied picosecond.
@@ -296,7 +296,7 @@ func TestElidedCompletionsMatchEagerUnderLoad(t *testing.T) {
 						Flow: routing.FlowID(rng.Intn(64)), Src: h, Dst: dst,
 						Size: 64 + rng.Intn(1437), Priority: uint8(rng.Intn(3)), Waypoint: NoWaypoint,
 					}
-					net.Scheduler().Schedule(at, func() { net.Send(pkt) })
+					net.Engine().Schedule(at, func() { net.Send(pkt) })
 				}
 				if err := net.Faults().Apply(FaultSchedule{
 					Events:         []FaultEvent{{Kind: FaultLink, Link: direct, At: 700 * sim.Microsecond, RepairAt: 1500 * sim.Microsecond}},
@@ -343,7 +343,7 @@ func TestEventsPerPacketUncontended(t *testing.T) {
 		for i := 0; i < packets; i++ {
 			// Spaced far wider than the path latency: never two in flight.
 			at := sim.Time(i) * 100 * sim.Microsecond
-			net.Scheduler().Schedule(at, func() { net.Unicast(1, h0, h1, 400, 0) })
+			net.Engine().Schedule(at, func() { net.Unicast(1, h0, h1, 400, 0) })
 		}
 		net.Run()
 		if net.Delivered() != packets {

@@ -205,39 +205,20 @@ func (d Drop) Reason() string {
 type Config struct {
 	Graph  *topology.Graph
 	Router routing.Router
-	// Engine to schedule on; New creates one when nil. Mutually
-	// exclusive with Shards.
+	// Engine to schedule on; New creates a calendar-queue engine when
+	// nil.
 	Engine *sim.Engine
-	// Shards >= 1 selects sharded parallel execution: the topology is
-	// partitioned into that many shards (hosts follow their ToR; see
-	// PartitionByRing), each with its own event loop, synchronized
-	// conservatively with the minimum cross-shard propagation delay as
-	// lookahead. Results are identical for every shard count K >= 1
-	// (the "sharded family"), but differ from the legacy Shards == 0
-	// single-engine mode, which keeps its historical packet-ID
-	// sequence. Run control must then go through Scheduler/RunUntil
-	// rather than Engine.
-	Shards int
 	// SwitchModel selects the model per switch; nil means Arista7150
 	// everywhere.
 	SwitchModel func(topology.Node) SwitchModel
 	// Host is the end-host model; zero value means DefaultHost.
 	Host HostModel
-	// OnDeliver and OnDrop are optional hooks. In sharded mode they
-	// are called from shard goroutines concurrently and must be safe
-	// for that — or use OnDeliverSharded, whose shard argument lets a
-	// per-shard accumulator (traffic.ShardedHarness) stay lock-free.
+	// OnDeliver and OnDrop are optional hooks.
 	OnDeliver func(Delivery)
 	OnDrop    func(Drop)
-	// OnDeliverSharded, when set in sharded mode, is called instead of
-	// OnDeliver with the delivering shard's index. Deliveries for one
-	// shard index never run concurrently with each other.
-	OnDeliverSharded func(shard int, d Delivery)
 	// Probe observes the full packet lifecycle (enqueue, transmit,
 	// deliver, drop); nil — the default — costs nothing. Combine
-	// several with Probes. In sharded mode the same probe instance is
-	// attached to every shard and must be concurrency-safe; prefer
-	// Observe, which builds per-shard observers and merges them.
+	// several with Probes, or attach the standard set with Observe.
 	Probe Probe
 	// RecordPaths attaches the traversed node sequence to every packet
 	// (Packet.Path) — for route validation and debugging; it allocates
@@ -262,45 +243,16 @@ type Network struct {
 	faults *FaultInjector
 
 	// txDone is the shared transmit-completion action (see
-	// txDoneAction); with the per-shard netEvent pools it keeps the
-	// steady-state packet lifecycle allocation-free.
+	// txDoneAction); with the netEvent pool it keeps the steady-state
+	// packet lifecycle allocation-free.
 	txDone txDoneAction
 
-	// Execution. Exactly one of eng (legacy single engine) and sharded
-	// is non-nil. shards always has at least one entry: in legacy mode
-	// shards[0] wraps eng and the lookup tables map everything to
-	// shard 0, so the hot path is shared between modes.
-	eng         *sim.Engine
-	sharded     *sim.ShardedEngine
-	shards      []*netShard
-	shardOfNode []int32 // node  -> owning shard
-	shardOfDir  []int32 // dir   -> owning shard (the transmitting endpoint's)
-
-	// nextID is the legacy global packet-ID sequence; hostSeq the
-	// sharded family's per-source sequence (IDs must not depend on
-	// shard interleaving, since ECMP per-packet spray hashes them).
-	nextID  uint64
-	hostSeq []uint64
-
-	// routersCloned records whether each shard got its own router copy
-	// (routing.ShardCloner), so rerouteAll knows how many to rebuild.
-	routersCloned bool
-}
-
-// netShard is the per-shard mutable half of Network: everything the
-// packet hot path writes. Each instance is touched only by its own
-// shard's goroutine during windows (and by the coordinator during
-// global phases, with shards parked), so none of it needs atomics. In
-// legacy mode there is exactly one, aliased to the single engine.
-type netShard struct {
-	idx    int
+	// A simulation executes on exactly one engine (DESIGN.md §11);
+	// parallelism lives between simulations.
 	eng    *sim.Engine
 	router routing.Router
 
-	// freeEv is this shard's pooled-record free list. Records migrate
-	// between shards with cross-shard packets (taken by the sender's
-	// shard, freed by the shard that delivers or drops); the barrier
-	// orders those accesses. pooled counts the records this shard has
+	// freeEv is the pooled-record free list; pooled counts the records
 	// allocated so far.
 	freeEv *netEvent
 	pooled int
@@ -309,6 +261,7 @@ type netShard struct {
 	onDeliver func(Delivery)
 	onDrop    func(Drop)
 
+	nextID    uint64
 	delivered uint64
 	dropped   uint64
 }
@@ -321,8 +274,8 @@ type netShard struct {
 // hop moves a pointer rather than copying the 128-byte Packet through
 // every call and queue slot. The Packet is copied out exactly once per
 // consumer report (Delivery, Drop, QueueEvent), and only when a
-// consumer is attached. Records come from per-shard free lists refilled
-// a slab at a time, so a steady-state lifecycle allocates nothing.
+// consumer is attached. Records come from a free list refilled a slab
+// at a time, so a steady-state lifecycle allocates nothing.
 type netEvent struct {
 	n    *Network
 	kind uint8
@@ -352,63 +305,57 @@ const (
 	evForward              // source NIC or host stack delay elapsed
 )
 
-// Run implements sim.Action. The event always executes on the shard
-// owning ev.node (cross-shard arrivals travel through the
-// synchronizer's rings into that shard's engine), so the handlers touch
-// that shard's state single-threaded.
+// Run implements sim.Action.
 func (ev *netEvent) Run(int64, int64) {
 	n := ev.n
-	sh := n.shards[n.shardOfNode[ev.node]]
 	switch ev.kind {
 	case evArrive:
-		n.arrive(sh, ev)
+		n.arrive(ev)
 	case evDeliver:
-		n.deliver(sh, ev)
+		n.deliver(ev)
 	case evForward:
-		n.forward(sh, ev, sh.eng.Now())
+		n.forward(ev, n.eng.Now())
 	}
 }
 
 // eventSlab is the fewest records one free-list refill allocates. A
 // congested port holds a record per queued frame, so records are needed
-// in bursts: each refill doubles the shard's pool (and never adds fewer
+// in bursts: each refill doubles the pool (and never adds fewer
 // than eventSlab), which keeps a small network's footprint small and a
 // congested one's refills logarithmic in its peak backlog.
 const eventSlab = 64
 
-// newEvent takes a record from the shard's pool, refilling the pool
-// with a slab when it is empty. The caller fills it in.
-func (n *Network) newEvent(sh *netShard) *netEvent {
-	ev := sh.freeEv
+// newEvent takes a record from the pool, refilling the pool with a slab
+// when it is empty. The caller fills it in.
+func (n *Network) newEvent() *netEvent {
+	ev := n.freeEv
 	if ev == nil {
-		slab := make([]netEvent, max(eventSlab, sh.pooled))
-		sh.pooled += len(slab)
+		slab := make([]netEvent, max(eventSlab, n.pooled))
+		n.pooled += len(slab)
 		for i := range slab {
 			slab[i].n = n
 			slab[i].next = ev
 			ev = &slab[i]
 		}
 	}
-	sh.freeEv = ev.next
+	n.freeEv = ev.next
 	ev.next = nil
 	return ev
 }
 
-// freeEvent returns a record to the shard's pool once its packet has
-// been delivered or dropped.
-func (sh *netShard) freeEvent(ev *netEvent) {
+// freeEvent returns a record to the pool once its packet has been
+// delivered or dropped.
+func (n *Network) freeEvent(ev *netEvent) {
 	ev.p.Path = nil // the one reference a Packet holds
-	ev.next = sh.freeEv
-	sh.freeEv = ev
+	ev.next = n.freeEv
+	n.freeEv = ev
 }
 
 // txDoneAction completes a transmission when another frame is waiting
 // behind it: Run's arguments encode the direction index and packet
 // size, so the one value embedded in Network serves every port with
-// zero allocation. It always runs on the shard owning the direction
-// (the transmit side scheduled it locally). A frame that leaves an
-// empty queue behind schedules no completion at all — see
-// dirLink.settle.
+// zero allocation. A frame that leaves an empty queue behind schedules
+// no completion at all — see dirLink.settle.
 type txDoneAction struct{ n *Network }
 
 func (t *txDoneAction) Run(di, size int64) {
@@ -419,7 +366,7 @@ func (t *txDoneAction) Run(di, size int64) {
 		dl.busy = false // a fault flushed the queue behind the frame
 		return
 	}
-	n.transmitNext(int(di), n.shards[n.shardOfDir[di]])
+	n.transmitNext(int(di))
 }
 
 // numPriorities is the number of output-queue classes per port.
@@ -495,9 +442,8 @@ func (dl *dirLink) nextQueue() *pktFIFO {
 }
 
 // settle applies the port's elided transmit completion if an eagerly
-// scheduled one would have run by now — eng is the engine of the shard
-// owning the direction, and Passed decides a same-instant tie by
-// schedule order exactly as the queue would have. Every reader of
+// scheduled one would have run by now — Passed decides a same-instant
+// tie by schedule order exactly as the queue would have. Every reader of
 // queuedBytes or busy settles first: forward, Network.QueuedBytes and
 // the queue sampler.
 func (dl *dirLink) settle(eng *sim.Engine) {
@@ -516,17 +462,25 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Router == nil {
 		return nil, fmt.Errorf("netsim: nil router")
 	}
-	if cfg.Shards >= 1 && cfg.Engine != nil {
-		return nil, fmt.Errorf("netsim: Config.Engine and Config.Shards are mutually exclusive")
-	}
 	host := cfg.Host
 	if host == (HostModel{}) {
 		host = DefaultHost
 	}
+	eng := cfg.Engine
+	if eng == nil {
+		// The calendar queue is ~2x faster than the binary heap on
+		// packet workloads and produces the identical event order.
+		eng = sim.NewCalendarEngine()
+	}
 	n := &Network{
-		g:      cfg.Graph,
-		host:   host,
-		record: cfg.RecordPaths,
+		g:         cfg.Graph,
+		host:      host,
+		record:    cfg.RecordPaths,
+		eng:       eng,
+		router:    cfg.Router,
+		probe:     cfg.Probe,
+		onDeliver: cfg.OnDeliver,
+		onDrop:    cfg.OnDrop,
 	}
 	n.txDone = txDoneAction{n: n}
 	n.models = make([]SwitchModel, cfg.Graph.NumNodes())
@@ -553,198 +507,7 @@ func New(cfg Config) (*Network, error) {
 			n.dirs[2*i+d] = dirLink{rate: l.Rate, prop: l.Prop, capBytes: capBytes}
 		}
 	}
-	if cfg.Shards >= 1 {
-		if err := n.initSharded(cfg); err != nil {
-			return nil, err
-		}
-	} else {
-		n.initLegacy(cfg)
-	}
 	return n, nil
-}
-
-// initLegacy wires the historical single-engine execution: one shard
-// aliasing the one engine, every lookup table mapping to it.
-func (n *Network) initLegacy(cfg Config) {
-	eng := cfg.Engine
-	if eng == nil {
-		// The calendar queue is ~2x faster than the binary heap on
-		// packet workloads and produces the identical event order.
-		eng = sim.NewCalendarEngine()
-	}
-	n.eng = eng
-	n.shards = []*netShard{{
-		idx:       0,
-		eng:       eng,
-		router:    cfg.Router,
-		probe:     cfg.Probe,
-		onDeliver: cfg.OnDeliver,
-		onDrop:    cfg.OnDrop,
-	}}
-	n.shardOfNode = make([]int32, cfg.Graph.NumNodes())
-	n.shardOfDir = make([]int32, len(n.dirs))
-}
-
-// initSharded partitions the topology, builds the synchronizer with a
-// per-shard-pair lookahead matrix derived from the cross-shard links,
-// and wires per-shard state.
-//
-// The matrix entry for shards (i, j) is the minimum over directed
-// links from an i-node to a j-node of prop + txExtra: propagation
-// delay plus the provable floor between the event that initiates a
-// transmit and the tail leaving the port. The floor is per-transmitter
-// (see txExtra); pairs with no direct link get 0 (the synchronizer
-// bounds them through its shortest-path closure). Compared with the
-// old single scalar (the global minimum propagation delay), each pair
-// is bounded by its own — usually larger — delay, which widens every
-// shard's parallel window.
-func (n *Network) initSharded(cfg Config) error {
-	part, err := PartitionByRing(cfg.Graph, cfg.Shards)
-	if err != nil {
-		return err
-	}
-	k := part.Shards
-	n.shardOfNode = part.Of
-	n.shardOfDir = make([]int32, len(n.dirs))
-	// Per-node minimum adjacent link rate: the slowest wire that can
-	// feed a cut-through switch bounds how early a tail can leave it.
-	minInRate := make([]sim.Rate, cfg.Graph.NumNodes())
-	for i := 0; i < cfg.Graph.NumLinks(); i++ {
-		l := cfg.Graph.Link(topology.LinkID(i))
-		for _, node := range [2]topology.NodeID{l.A, l.B} {
-			if minInRate[node] == 0 || l.Rate < minInRate[node] {
-				minInRate[node] = l.Rate
-			}
-		}
-	}
-	lookM := make([][]sim.Time, k)
-	for i := range lookM {
-		lookM[i] = make([]sim.Time, k)
-	}
-	look, haveCross := sim.Time(0), false
-	for i := 0; i < cfg.Graph.NumLinks(); i++ {
-		l := cfg.Graph.Link(topology.LinkID(i))
-		sa, sb := part.Of[l.A], part.Of[l.B]
-		n.shardOfDir[2*i] = sa
-		n.shardOfDir[2*i+1] = sb
-		if sa == sb {
-			continue
-		}
-		for d := 0; d < 2; d++ {
-			from, fs, ts := l.A, sa, sb
-			if d == 1 {
-				from, fs, ts = l.B, sb, sa
-			}
-			edge := l.Prop + n.txExtra(from, l.Rate, minInRate[from])
-			if edge <= 0 {
-				return fmt.Errorf("netsim: cross-shard link with propagation delay %v leaves no lookahead window", l.Prop)
-			}
-			if cur := lookM[fs][ts]; cur == 0 || edge < cur {
-				lookM[fs][ts] = edge
-			}
-			if !haveCross || edge < look {
-				look, haveCross = edge, true
-			}
-		}
-	}
-	if !haveCross {
-		// No cross-shard links (K == 1, or disconnected partitions):
-		// any positive lookahead is conservatively correct.
-		look = sim.Millisecond
-	}
-	n.sharded = sim.NewShardedEngine(k, look, func(int) *sim.Engine {
-		return sim.NewCalendarEngine()
-	})
-	if haveCross {
-		n.sharded.SetLookahead(lookM)
-	}
-	n.hostSeq = make([]uint64, cfg.Graph.NumNodes())
-	cloner, canClone := cfg.Router.(routing.ShardCloner)
-	n.routersCloned = canClone && k > 1
-	n.shards = make([]*netShard, k)
-	for i := 0; i < k; i++ {
-		router := cfg.Router
-		if n.routersCloned && i > 0 {
-			router = cloner.CloneForShard()
-		}
-		sh := &netShard{
-			idx:    i,
-			eng:    n.sharded.Shard(i),
-			router: router,
-			probe:  cfg.Probe,
-			onDrop: cfg.OnDrop,
-		}
-		if cfg.OnDeliverSharded != nil {
-			shard, fn := i, cfg.OnDeliverSharded
-			sh.onDeliver = func(d Delivery) { fn(shard, d) }
-		} else {
-			sh.onDeliver = cfg.OnDeliver
-		}
-		n.shards[i] = sh
-	}
-	return nil
-}
-
-// txExtra returns the provable minimum virtual time between any event
-// on node's shard that initiates a transmit on an outgoing link of
-// rate out and the transmitted tail leaving the port (endTx in
-// transmitNext) — the serialization component of the cross-shard
-// lookahead promise. It must lower-bound every path into transmitNext:
-//
-//   - a transmitter re-armed from its own txDone completion starts at
-//     freeAt = now, so endTx >= now + ser >= now + out.Serialize(1)
-//     (for switches, ser is additionally floored by ServiceTime);
-//   - a host enqueue has ready = now, same bound;
-//   - a store-and-forward switch has ready = now + Latency, but the
-//     re-arm and fault-replay (ready = now) paths cap the provable
-//     floor at max(out.Serialize(1), ServiceTime) — the Latency term
-//     must NOT be counted;
-//   - a cut-through switch has ready = now − serIn + Latency: with
-//     every inbound wire at least as fast as the output, serIn <= ser
-//     and endTx >= now + min(Latency, out.Serialize(1)) across all
-//     paths; with a slower inbound wire the head start can consume
-//     the whole budget (endTx clamps to now), so the floor is zero
-//     and the pair falls back to propagation delay alone.
-//
-// minIn is the slowest link adjacent to node (0 when it has none).
-func (n *Network) txExtra(node topology.NodeID, out sim.Rate, minIn sim.Rate) sim.Time {
-	ser1 := out.Serialize(1)
-	if n.g.Node(node).Kind == topology.Host {
-		return ser1
-	}
-	m := &n.models[node]
-	if !m.CutThrough {
-		if m.ServiceTime > ser1 {
-			return m.ServiceTime
-		}
-		return ser1
-	}
-	if minIn > 0 && minIn < out {
-		return 0
-	}
-	if m.Latency < ser1 {
-		return m.Latency
-	}
-	return ser1
-}
-
-// rerouteAll recomputes routes around dead on every router the network
-// holds: one shared router in legacy mode, every shard-local clone
-// otherwise. Reroute is deterministic in (graph, dead), so the clones
-// stay identical without any cross-shard coordination. Runs with the
-// simulation single-threaded (legacy event or global phase).
-func (n *Network) rerouteAll(dead map[topology.LinkID]bool) {
-	if !n.routersCloned {
-		if r, ok := n.shards[0].router.(routing.Rerouter); ok {
-			r.Reroute(dead)
-		}
-		return
-	}
-	for _, sh := range n.shards {
-		if r, ok := sh.router.(routing.Rerouter); ok {
-			r.Reroute(dead)
-		}
-	}
 }
 
 func (n *Network) bufferOf(node topology.NodeID) int {
@@ -754,91 +517,32 @@ func (n *Network) bufferOf(node topology.NodeID) int {
 	return n.models[node].BufferBytes
 }
 
-// Engine returns the single simulation engine driving this network.
-// It panics on a sharded network, which has one engine per shard: use
-// Scheduler for run control and global scheduling, or SchedulerFor for
-// node-local scheduling.
-func (n *Network) Engine() *sim.Engine {
-	if n.sharded != nil {
-		panic("netsim: Engine() on a sharded network; use Scheduler()/SchedulerFor()")
-	}
-	return n.eng
-}
+// Engine returns the simulation engine driving this network.
+func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Scheduler returns the scheduling surface driving this network: the
-// single engine in legacy mode, the sharded synchronizer otherwise.
-// Schedule/After on a sharded network enqueue global (all-shards-
-// parked) events — correct for run control, fault scripts, and
-// watchdogs, not for per-packet work.
-func (n *Network) Scheduler() sim.Scheduler {
-	if n.sharded != nil {
-		return n.sharded
-	}
-	return n.eng
-}
+// Scheduler is a synonym of Engine, kept for the repository's benchmark
+// (bench/, frozen by BENCHMARK.json), its only caller.
+func (n *Network) Scheduler() *sim.Engine { return n.eng }
 
-// SchedulerFor returns the scheduler owning the given node: events for
-// traffic sourced at that node belong on it. In legacy mode this is
-// the single engine. Closures scheduled here run on the owning shard's
-// goroutine and may touch that shard's state only.
-func (n *Network) SchedulerFor(node topology.NodeID) sim.Scheduler {
-	return n.shards[n.shardOfNode[node]].eng
-}
-
-// Sharded returns the sharded synchronizer, or nil in legacy mode.
-func (n *Network) Sharded() *sim.ShardedEngine { return n.sharded }
-
-// NumShards returns the number of execution shards (1 in legacy mode).
-func (n *Network) NumShards() int { return len(n.shards) }
-
-// ShardOf returns the shard owning the given node (0 in legacy mode).
-func (n *Network) ShardOf(node topology.NodeID) int { return int(n.shardOfNode[node]) }
-
-// Run processes events until none remain — Engine().Run() in legacy
-// mode, the parallel synchronizer otherwise.
-func (n *Network) Run() { n.Scheduler().Run() }
+// Run processes events until none remain.
+func (n *Network) Run() { n.eng.Run() }
 
 // RunUntil processes events with timestamps <= end, then advances the
-// clock(s) to end.
-func (n *Network) RunUntil(end sim.Time) { n.Scheduler().RunUntil(end) }
+// clock to end.
+func (n *Network) RunUntil(end sim.Time) { n.eng.RunUntil(end) }
 
 // SetProbe attaches a lifecycle observer (nil detaches it); it replaces
-// any probe set via Config.Probe. Use Probes to combine several. On a
-// sharded network the same instance is attached to every shard and is
-// called from shard goroutines concurrently; prefer Observe, which
-// builds per-shard observers and merges their output.
-func (n *Network) SetProbe(p Probe) {
-	for _, sh := range n.shards {
-		sh.probe = p
-	}
-}
-
-// SetShardProbe attaches a lifecycle observer to one shard: it sees
-// exactly the events executing on that shard (enqueues and transmits
-// at the shard's nodes, deliveries and drops at the shard's hosts and
-// ports), always from that shard's goroutine.
-func (n *Network) SetShardProbe(shard int, p Probe) { n.shards[shard].probe = p }
+// any probe set via Config.Probe. Use Probes to combine several.
+func (n *Network) SetProbe(p Probe) { n.probe = p }
 
 // Graph returns the simulated topology.
 func (n *Network) Graph() *topology.Graph { return n.g }
 
 // Delivered returns the count of packets delivered so far.
-func (n *Network) Delivered() uint64 {
-	var total uint64
-	for _, sh := range n.shards {
-		total += sh.delivered
-	}
-	return total
-}
+func (n *Network) Delivered() uint64 { return n.delivered }
 
 // Dropped returns the count of packets dropped so far.
-func (n *Network) Dropped() uint64 {
-	var total uint64
-	for _, sh := range n.shards {
-		total += sh.dropped
-	}
-	return total
-}
+func (n *Network) Dropped() uint64 { return n.dropped }
 
 // Unicast injects a packet at its source host at the current simulation
 // time, routing directly to dst. It returns the packet ID.
@@ -857,25 +561,12 @@ func (n *Network) Send(pkt Packet) uint64 {
 	if n.g.Node(pkt.Src).Kind != topology.Host {
 		panic(fmt.Sprintf("netsim: source %d is not a host", pkt.Src))
 	}
-	sh := n.shards[n.shardOfNode[pkt.Src]]
-	ev := n.newEvent(sh)
+	ev := n.newEvent()
 	ev.node, ev.ser, ev.p = pkt.Src, 0, pkt
 	p := &ev.p
-	if n.sharded != nil {
-		// Per-source IDs: the sequence a host hands out is independent
-		// of how sends interleave across shards, so packet IDs — and
-		// the per-packet ECMP spray that hashes them — are identical
-		// for every shard count. During a run, Send must be called
-		// from the source's shard (traffic handlers satisfy this: a
-		// delivery runs on its destination's shard, and replies
-		// originate there).
-		n.hostSeq[p.Src]++
-		p.ID = uint64(p.Src+1)<<40 | n.hostSeq[p.Src]
-	} else {
-		n.nextID++
-		p.ID = n.nextID
-	}
-	p.Created = sh.eng.Now()
+	n.nextID++
+	p.ID = n.nextID
+	p.Created = n.eng.Now()
 	p.Hops = 0
 	p.Hash = routing.PacketHash(p.Flow)
 	if n.record {
@@ -884,33 +575,33 @@ func (n *Network) Send(pkt Packet) uint64 {
 	if p.Src == p.Dst {
 		// Loopback: deliver after the stack round trip.
 		ev.kind = evDeliver
-		sh.eng.AfterAction(2*n.host.NICLatency, ev, 0, 0)
+		n.eng.AfterAction(2*n.host.NICLatency, ev, 0, 0)
 		return p.ID
 	}
 	// NIC send-side latency, then onto the wire.
 	ev.kind = evForward
-	sh.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
+	n.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
 	return p.ID
 }
 
 // forward routes ev's packet out of ev.node at readyTime (the time its
 // tail is ready to begin serialization on the chosen output) and queues
-// the record on that port. sh is the shard owning the node.
-func (n *Network) forward(sh *netShard, ev *netEvent, readyTime sim.Time) {
+// the record on that port.
+func (n *Network) forward(ev *netEvent, readyTime sim.Time) {
 	node, p := ev.node, &ev.p
 	if p.Hops >= maxHops {
-		n.drop(sh, ev, DropCodeHopLimit, -1, nil)
+		n.drop(ev, DropCodeHopLimit, -1, nil)
 		return
 	}
 	if node == p.Waypoint {
 		p.Waypoint = NoWaypoint
 	}
-	port, err := sh.router.NextPort(node, routing.PacketMeta{
+	port, err := n.router.NextPort(node, routing.PacketMeta{
 		Flow: p.Flow, Seq: p.ID, Src: p.Src, Dst: p.Dst, Waypoint: p.Waypoint,
 		Hash: p.Hash,
 	})
 	if err != nil {
-		n.drop(sh, ev, DropCodeNoRoute, -1, err)
+		n.drop(ev, DropCodeNoRoute, -1, err)
 		return
 	}
 	link := n.g.Link(port.Link)
@@ -921,13 +612,13 @@ func (n *Network) forward(sh *netShard, ev *netEvent, readyTime sim.Time) {
 	dl := &n.dirs[di]
 	if dl.down {
 		dl.drops++
-		n.drop(sh, ev, DropCodeLinkDown, port.Link, nil)
+		n.drop(ev, DropCodeLinkDown, port.Link, nil)
 		return
 	}
-	dl.settle(sh.eng)
+	dl.settle(n.eng)
 	if dl.queuedBytes+p.Size > dl.capBytes {
 		dl.drops++
-		n.drop(sh, ev, DropCodeQueueFull, port.Link, nil)
+		n.drop(ev, DropCodeQueueFull, port.Link, nil)
 		return
 	}
 	ser := dl.rate.Serialize(p.Size)
@@ -947,31 +638,30 @@ func (n *Network) forward(sh *netShard, ev *netEvent, readyTime sim.Time) {
 	if pri >= numPriorities {
 		pri = numPriorities - 1
 	}
-	ev.ready, ev.tailIn, ev.ser = readyTime, sh.eng.Now(), ser
+	ev.ready, ev.tailIn, ev.ser = readyTime, n.eng.Now(), ser
 	dl.queues[pri].push(ev)
-	if sh.probe != nil {
-		sh.probe.PacketEnqueued(QueueEvent{
-			At: sh.eng.Now(), Port: PortRef{Link: port.Link, From: node},
+	if n.probe != nil {
+		n.probe.PacketEnqueued(QueueEvent{
+			At: n.eng.Now(), Port: PortRef{Link: port.Link, From: node},
 			QueuedBytes: dl.queuedBytes, Packet: *p,
 		})
 	}
 	switch {
 	case !dl.busy:
-		n.transmitNext(di, sh)
+		n.transmitNext(di)
 	case dl.lazy:
 		// The port is mid-frame and its completion was elided: arm it
 		// now, under the order number it reserved, so this frame starts
 		// exactly when an eagerly scheduled completion would start it.
 		dl.lazy = false
-		sh.eng.ScheduleReserved(dl.freeAt, dl.lazySeq, &n.txDone, int64(di), int64(dl.lazySize))
+		n.eng.ScheduleReserved(dl.freeAt, dl.lazySeq, &n.txDone, int64(di), int64(dl.lazySize))
 	}
 }
 
 // transmitNext starts the transmitter on the next queued packet,
 // serving strict priority order, and re-arms the packet's record as the
-// arrival at the far end. At least one frame must be queued. sh is the
-// shard owning the direction's transmit side.
-func (n *Network) transmitNext(di int, sh *netShard) {
+// arrival at the far end. At least one frame must be queued.
+func (n *Network) transmitNext(di int) {
 	dl := &n.dirs[di]
 	ev := dl.nextQueue().pop()
 	dl.busy = true
@@ -986,7 +676,7 @@ func (n *Network) transmitNext(di int, sh *netShard) {
 		// has fully arrived.
 		endTx = ev.tailIn
 	}
-	if now := sh.eng.Now(); endTx < now {
+	if now := n.eng.Now(); endTx < now {
 		endTx = now
 	}
 	size := ev.p.Size
@@ -999,10 +689,10 @@ func (n *Network) transmitNext(di int, sh *netShard) {
 	if di%2 == 0 {
 		peer = l.B
 	}
-	if sh.probe != nil {
+	if n.probe != nil {
 		// QueuedBytes reflects the depth once this packet's tail leaves,
 		// which is also when At falls.
-		sh.probe.PacketTransmitted(QueueEvent{
+		n.probe.PacketTransmitted(QueueEvent{
 			At: endTx, Port: n.portRef(di), QueuedBytes: dl.queuedBytes - size, Packet: ev.p,
 		})
 	}
@@ -1012,26 +702,17 @@ func (n *Network) transmitNext(di int, sh *netShard) {
 	// completion is only a reservation of its place in that order (see
 	// dirLink.settle); every other event keeps its (time, order).
 	if dl.nextQueue() == nil {
-		dl.lazy, dl.lazySize, dl.lazySeq = true, size, sh.eng.ReserveSeq()
+		dl.lazy, dl.lazySize, dl.lazySeq = true, size, n.eng.ReserveSeq()
 	} else {
-		sh.eng.ScheduleAction(endTx, &n.txDone, int64(di), int64(size))
+		n.eng.ScheduleAction(endTx, &n.txDone, int64(di), int64(size))
 	}
 	ev.kind, ev.node = evArrive, peer
-	if ps := n.shardOfNode[peer]; int(ps) != sh.idx {
-		// Cross-shard hop: the arrival travels through the
-		// synchronizer's SPSC ring and is committed into the peer's
-		// engine at the next barrier. Its timestamp is endTx + prop >=
-		// now + lookahead, which is what makes the window conservative.
-		n.sharded.Cross(sh.idx, int(ps), endTx+dl.prop, ev, 0, 0)
-	} else {
-		sh.eng.ScheduleAction(endTx+dl.prop, ev, 0, 0)
-	}
+	n.eng.ScheduleAction(endTx+dl.prop, ev, 0, 0)
 }
 
 // arrive handles the tail of ev's packet reaching ev.node at the
-// current simulation time, having been serialized over ev.ser. sh is
-// the shard owning the node.
-func (n *Network) arrive(sh *netShard, ev *netEvent) {
+// current simulation time, having been serialized over ev.ser.
+func (n *Network) arrive(ev *netEvent) {
 	node, p := ev.node, &ev.p
 	if n.record {
 		p.Path = append(p.Path, node)
@@ -1040,17 +721,17 @@ func (n *Network) arrive(sh *netShard, ev *netEvent) {
 	if node == p.Dst {
 		// NIC receive-side latency.
 		ev.kind = evDeliver
-		sh.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
+		n.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
 		return
 	}
 	if n.g.Node(node).Kind == topology.Host {
 		// Server-side forwarding (BCube-style): pay the OS stack.
 		ev.kind = evForward
-		sh.eng.AfterAction(n.host.ForwardLatency, ev, 0, 0)
+		n.eng.AfterAction(n.host.ForwardLatency, ev, 0, 0)
 		return
 	}
 	m := &n.models[node]
-	ready := sh.eng.Now() + m.Latency
+	ready := n.eng.Now() + m.Latency
 	if m.CutThrough {
 		// The head arrived ev.ser ago and may leave m.Latency later. The
 		// tail cannot leave the output before it has arrived here;
@@ -1059,43 +740,43 @@ func (n *Network) arrive(sh *netShard, ev *netEvent) {
 		// processes.)
 		ready -= ev.ser
 	}
-	n.forward(sh, ev, ready)
+	n.forward(ev, ready)
 }
 
 // deliver and drop end a packet's life: the record goes back to the
 // pool before any handler runs, so a handler that sends can reuse it,
 // and the Packet is copied out only if a handler is there to read it.
 
-func (n *Network) deliver(sh *netShard, ev *netEvent) {
-	sh.delivered++
-	if sh.onDeliver == nil && sh.probe == nil {
-		sh.freeEvent(ev)
+func (n *Network) deliver(ev *netEvent) {
+	n.delivered++
+	if n.onDeliver == nil && n.probe == nil {
+		n.freeEvent(ev)
 		return
 	}
-	now := sh.eng.Now()
+	now := n.eng.Now()
 	d := Delivery{Packet: ev.p, At: now, Latency: now - ev.p.Created}
-	sh.freeEvent(ev)
-	if sh.onDeliver != nil {
-		sh.onDeliver(d)
+	n.freeEvent(ev)
+	if n.onDeliver != nil {
+		n.onDeliver(d)
 	}
-	if sh.probe != nil {
-		sh.probe.PacketDelivered(d)
+	if n.probe != nil {
+		n.probe.PacketDelivered(d)
 	}
 }
 
-func (n *Network) drop(sh *netShard, ev *netEvent, code DropCode, link topology.LinkID, err error) {
-	sh.dropped++
-	if sh.onDrop == nil && sh.probe == nil {
-		sh.freeEvent(ev)
+func (n *Network) drop(ev *netEvent, code DropCode, link topology.LinkID, err error) {
+	n.dropped++
+	if n.onDrop == nil && n.probe == nil {
+		n.freeEvent(ev)
 		return
 	}
-	d := Drop{Packet: ev.p, At: sh.eng.Now(), Code: code, Link: link, Err: err}
-	sh.freeEvent(ev)
-	if sh.onDrop != nil {
-		sh.onDrop(d)
+	d := Drop{Packet: ev.p, At: n.eng.Now(), Code: code, Link: link, Err: err}
+	n.freeEvent(ev)
+	if n.onDrop != nil {
+		n.onDrop(d)
 	}
-	if sh.probe != nil {
-		sh.probe.PacketDropped(d)
+	if n.probe != nil {
+		n.probe.PacketDropped(d)
 	}
 }
 
@@ -1117,6 +798,6 @@ func (n *Network) QueuedBytes(link topology.LinkID, from topology.NodeID) int {
 		di++
 	}
 	dl := &n.dirs[di]
-	dl.settle(n.shards[n.shardOfDir[di]].eng)
+	dl.settle(n.eng)
 	return dl.queuedBytes
 }

@@ -1,18 +1,12 @@
 package netsim
 
-// Observer is the single attach surface for run observability. Before
-// sharded execution, callers wired a TraceRecorder, a FlowTracker, a
-// QueueSampler, and a heartbeat by hand — four attach points with
-// different lifecycles. On a sharded network that wiring multiplies by
-// K and picks up subtle rules (packet probes must be per-shard, fault
-// rows must not duplicate, sampler ticks must be global phases).
-// Network.Observe owns those rules: one call attaches everything to
-// every shard, and the Observer hands back merged, shard-count-
-// independent views.
+// Observer is the single attach surface for run observability: one
+// Network.Observe call wires a TraceRecorder, a FlowTracker, a
+// QueueSampler, and an engine heartbeat — four attach points with
+// different lifecycles — and the Observer hands back their views.
 
 import (
 	"sort"
-	"strconv"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/sim"
@@ -22,76 +16,50 @@ import (
 // ObserveOptions selects what Network.Observe attaches. The zero value
 // attaches nothing; set the fields for the views the run needs.
 type ObserveOptions struct {
-	// Trace records per-packet lifecycle events (one TraceRecorder per
-	// shard; Observer.Trace merges them into one deterministic order).
+	// Trace records per-packet lifecycle events.
 	Trace bool
-	// TraceLimit bounds each shard recorder's event count (<= 0 means
+	// TraceLimit bounds the recorder's event count (<= 0 means
 	// unbounded — only for small runs).
 	TraceLimit int
 
-	// Flows aggregates per-flow telemetry (one FlowTracker per shard;
-	// Observer.Flows merges them into one shard-count-independent table).
+	// Flows aggregates per-flow telemetry.
 	Flows bool
 
 	// SampleEvery enables periodic queue sampling at this virtual
-	// interval. Sampler ticks run on the network scheduler — global
-	// phases on a sharded network — so one sampler serves every shard.
+	// interval.
 	SampleEvery sim.Time
 
 	// Until is the virtual horizon (inclusive) for sampler and heartbeat
 	// ticks. Required when SampleEvery or HeartbeatEvery is set.
 	Until sim.Time
 
-	// CoalesceTolerance lets each periodic tick (sampler and sharded
-	// heartbeat) run up to this much virtual time after its nominal
-	// instant. On a sharded network ticks with slack coalesce into
-	// fewer all-shards-parked phases instead of fragmenting every
-	// parallel window (see sim.Scheduler.ScheduleFlex); tick times stay
-	// deterministic and identical for every shard count. Zero keeps
-	// exact tick times; single-engine networks ignore the tolerance.
-	CoalesceTolerance sim.Time
-
-	// Registry, when set, binds the flow trackers (labeled per shard),
-	// the sampler, and the heartbeats to it.
+	// Registry, when set, binds the flow tracker, the sampler, and the
+	// heartbeat to it.
 	Registry *metrics.Registry
 
-	// HeartbeatEvery attaches a sim.Heartbeat to every shard engine at
-	// this virtual interval, labeled {"shard": i}. Requires Registry.
-	// On a sharded network it additionally attaches a
-	// sim.ShardedHeartbeat publishing barrier-wait fraction and
-	// per-shard event skew.
+	// HeartbeatEvery attaches a sim.Heartbeat to the engine at this
+	// virtual interval. Requires Registry.
 	HeartbeatEvery sim.Time
 
-	// Spans, when set, enables execution-span recording: on a sharded
-	// network the synchronizer's window/barrier/global/drain spans land
-	// here (sim.ShardedEngine.AttachTrace, with Registry receiving the
-	// window and barrier-wait histograms when both are set). Post-run,
-	// Observer.FlowSpans renders the merged flow table onto the same
-	// recorder. Use a trace.NewFlightRecorder to bound long runs.
+	// Spans, when set, is the execution-span recorder Observer.FlowSpans
+	// renders the flow table onto after the run. Use a
+	// trace.NewFlightRecorder to bound long runs.
 	Spans *trace.Recorder
 }
 
-// Observer holds the attachments made by Network.Observe and exposes
-// merged views over them. Accessors that merge (Trace, Flows) are
-// post-run operations: call them after Run returns.
+// Observer holds the attachments made by Network.Observe. Trace and
+// Flows are post-run views: call them after Run returns.
 type Observer struct {
-	net     *Network
-	traces  []*TraceRecorder
-	flows   []*FlowTracker
+	trace   *TraceRecorder
+	flows   *FlowTracker
 	sampler *QueueSampler
-	beats   []*sim.Heartbeat
+	beat    *sim.Heartbeat
 	spans   *trace.Recorder
-	sbeat   *sim.ShardedHeartbeat
 }
 
-// Observe attaches the selected observability to every shard and
-// returns the Observer. Call it once, after New and before running.
-// Probes already attached (Config.Probe) are preserved and fire first.
-//
-// Per-shard packet probes see only their shard's packet events; fault
-// transitions fan out to every shard's probe chain, with trace fault
-// rows recorded by shard 0 alone so the merged trace carries each
-// transition once.
+// Observe attaches the selected observability and returns the Observer.
+// Call it once, after New and before running. A probe already attached
+// (Config.Probe) is preserved and fires first.
 func (n *Network) Observe(o ObserveOptions) *Observer {
 	if (o.SampleEvery > 0 || o.HeartbeatEvery > 0) && o.Until <= 0 {
 		panic("netsim: ObserveOptions.Until is required for sampler or heartbeat ticks")
@@ -99,102 +67,60 @@ func (n *Network) Observe(o ObserveOptions) *Observer {
 	if o.HeartbeatEvery > 0 && o.Registry == nil {
 		panic("netsim: ObserveOptions.HeartbeatEvery requires a Registry")
 	}
-	if o.CoalesceTolerance < 0 {
-		panic("netsim: ObserveOptions.CoalesceTolerance must be non-negative")
-	}
-	obs := &Observer{net: n}
+	obs := &Observer{spans: o.Spans}
 	if o.SampleEvery > 0 {
 		obs.sampler = NewQueueSampler(n, o.SampleEvery)
-		obs.sampler.SetCoalesceTolerance(o.CoalesceTolerance)
 		if o.Registry != nil {
 			obs.sampler.Bind(o.Registry)
 		}
 		obs.sampler.Start(o.Until)
 	}
-	sharded := n.sharded != nil
-	if o.Spans != nil {
-		obs.spans = o.Spans
-		if sharded {
-			n.sharded.AttachTrace(sim.ShardedTraceOptions{Recorder: o.Spans, Registry: o.Registry})
-		}
+	probes := []Probe{n.probe}
+	if o.Trace {
+		obs.trace = NewTraceRecorder(o.TraceLimit)
+		probes = append(probes, obs.trace)
 	}
-	if sharded && o.HeartbeatEvery > 0 {
-		obs.sbeat = sim.AttachShardedHeartbeatCoalesced(n.sharded, o.Registry, o.HeartbeatEvery, o.Until, o.CoalesceTolerance)
+	if o.Flows {
+		obs.flows = NewFlowTracker()
+		if o.Registry != nil {
+			obs.flows.Bind(o.Registry)
+		}
+		probes = append(probes, obs.flows)
 	}
-	for i, sh := range n.shards {
-		probes := []Probe{sh.probe}
-		if o.Trace {
-			tr := NewTraceRecorder(o.TraceLimit)
-			obs.traces = append(obs.traces, tr)
-			if i == 0 {
-				probes = append(probes, tr)
-			} else {
-				// Fault transitions fan to every shard; only shard 0's
-				// recorder keeps its FaultObserver side so the merged
-				// trace has one row per transition, not K.
-				probes = append(probes, packetProbe{tr})
-			}
-		}
-		if o.Flows {
-			ft := NewFlowTracker()
-			obs.flows = append(obs.flows, ft)
-			if o.Registry != nil {
-				if sharded {
-					ft.BindLabeled(o.Registry, metrics.Labels{"shard": strconv.Itoa(i)})
-				} else {
-					ft.Bind(o.Registry)
-				}
-			}
-			probes = append(probes, ft)
-		}
-		if obs.sampler != nil {
-			// As a probe the sampler only maintains exact per-port peak
-			// depths; each port belongs to one shard, so concurrent
-			// updates never touch the same element.
-			probes = append(probes, obs.sampler)
-		}
-		n.SetShardProbe(i, Probes(probes...))
-		if o.HeartbeatEvery > 0 {
-			var labels metrics.Labels
-			if sharded {
-				labels = metrics.Labels{"shard": strconv.Itoa(i)}
-			}
-			obs.beats = append(obs.beats,
-				sim.AttachHeartbeatLabeled(sh.eng, o.Registry, o.HeartbeatEvery, o.Until, labels))
-		}
+	if obs.sampler != nil {
+		// As a probe the sampler maintains exact per-port peak depths.
+		probes = append(probes, obs.sampler)
+	}
+	n.SetProbe(Probes(probes...))
+	if o.HeartbeatEvery > 0 {
+		obs.beat = sim.AttachHeartbeat(n.eng, o.Registry, o.HeartbeatEvery, o.Until)
 	}
 	return obs
 }
 
-// Trace merges the per-shard trace recorders into one recorder whose
-// event order is a pure function of event content — identical for
-// every shard count in the sharded family. (A single shard's recorder
-// is in execution order; the merge re-sorts, so even K=1 goes through
-// the same path.) Returns nil when Observe ran without Trace.
+// Trace returns the recorded trace re-sorted by event content. The
+// recorder itself is in execution order, which is not time order — a
+// transmit row is written when the frame is dequeued and stamped with
+// the later instant its tail leaves — so the exported trace is ordered
+// by traceLess instead. Returns nil when Observe ran without Trace.
 func (o *Observer) Trace() *TraceRecorder {
-	if o.traces == nil {
+	if o.trace == nil {
 		return nil
 	}
-	merged := NewTraceRecorder(0)
-	var evs []TraceEvent
-	for _, tr := range o.traces {
-		evs = append(evs, tr.events...)
-		merged.truncated += tr.truncated
-		for id, p := range tr.paths {
-			merged.paths[id] = p
-		}
-	}
+	evs := append([]TraceEvent(nil), o.trace.events...)
 	sort.SliceStable(evs, func(i, j int) bool { return traceLess(evs[i], evs[j]) })
+	sorted := NewTraceRecorder(0)
+	sorted.truncated = o.trace.truncated
+	sorted.paths = o.trace.paths
 	for _, e := range evs {
-		merged.add(e)
+		sorted.add(e)
 	}
-	return merged
+	return sorted
 }
 
 // traceLess is a total order on trace events by content: timestamp
 // first, then every remaining field. Events that compare equal are
-// byte-identical rows, so the sorted order — and hence the merged
-// trace output — does not depend on which shard recorded what.
+// byte-identical rows.
 func traceLess(a, b TraceEvent) bool {
 	if a.At != b.At {
 		return a.At < b.At
@@ -220,51 +146,31 @@ func traceLess(a, b TraceEvent) bool {
 	return a.Reason < b.Reason
 }
 
-// Flows merges the per-shard flow trackers into one table sorted by
-// (FirstSend, Flow) — identical for every shard count. Returns nil
-// when Observe ran without Flows.
+// Flows returns the flow tracker with its table in canonical order —
+// (FirstSend, Flow) ascending, where a bare tracker breaks FirstSend
+// ties by insertion. Returns nil when Observe ran without Flows.
 func (o *Observer) Flows() *FlowTracker {
 	if o.flows == nil {
 		return nil
 	}
-	merged := NewFlowTracker()
-	for _, ft := range o.flows {
-		merged.MergeFrom(ft)
-	}
-	return merged
+	o.flows.sortFlows()
+	return o.flows
 }
-
-// ShardTraces returns the per-shard recorders (index = shard).
-func (o *Observer) ShardTraces() []*TraceRecorder { return o.traces }
-
-// ShardFlows returns the per-shard flow trackers (index = shard).
-func (o *Observer) ShardFlows() []*FlowTracker { return o.flows }
 
 // Sampler returns the queue sampler (nil unless SampleEvery was set).
 func (o *Observer) Sampler() *QueueSampler { return o.sampler }
 
-// Heartbeats returns the attached per-shard heartbeats (index = shard;
-// nil unless HeartbeatEvery was set).
-func (o *Observer) Heartbeats() []*sim.Heartbeat { return o.beats }
+// Heartbeat returns the attached engine heartbeat (nil unless
+// HeartbeatEvery was set).
+func (o *Observer) Heartbeat() *sim.Heartbeat { return o.beat }
 
-// ShardedHeartbeat returns the synchronizer-level heartbeat (nil unless
-// HeartbeatEvery was set on a sharded network).
-func (o *Observer) ShardedHeartbeat() *sim.ShardedHeartbeat { return o.sbeat }
-
-// Spans returns the execution-span recorder passed to Observe (nil
-// unless ObserveOptions.Spans was set).
-func (o *Observer) Spans() *trace.Recorder { return o.spans }
-
-// FlowSpans renders the merged flow table as virtual-only spans on the
+// FlowSpans renders the flow table as virtual-only spans on the
 // Observer's recorder: one "flow" span per flow in the "net" category,
 // Track = flow ID, spanning FirstSend→LastActivity on the virtual
 // clock, annotated with sent/delivered/dropped/bytes/retransmits.
 // Wall fields stay zero, so the Chrome export places them on the
-// virtual timeline and — because the flow table is merged shard-count-
-// independently — their ContentCSV("net") is identical for every K,
-// the property the trace determinism tests pin. Requires Observe to
-// have run with both Flows and Spans; call after the run. Returns the
-// number of flow spans recorded.
+// virtual timeline. Requires Observe to have run with both Flows and
+// Spans; call after the run. Returns the number of flow spans recorded.
 func (o *Observer) FlowSpans() int {
 	if o.spans == nil || o.flows == nil {
 		return 0
@@ -283,13 +189,3 @@ func (o *Observer) FlowSpans() int {
 	}
 	return len(flows)
 }
-
-// packetProbe narrows a probe to the packet lifecycle: it forwards the
-// four Probe hooks and deliberately does not implement FaultObserver,
-// so fault fan-out skips the wrapped probe.
-type packetProbe struct{ p Probe }
-
-func (w packetProbe) PacketEnqueued(e QueueEvent)    { w.p.PacketEnqueued(e) }
-func (w packetProbe) PacketTransmitted(e QueueEvent) { w.p.PacketTransmitted(e) }
-func (w packetProbe) PacketDelivered(d Delivery)     { w.p.PacketDelivered(d) }
-func (w packetProbe) PacketDropped(d Drop)           { w.p.PacketDropped(d) }

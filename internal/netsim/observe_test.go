@@ -1,0 +1,129 @@
+package netsim
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
+	"testing"
+
+	"github.com/quartz-dcn/quartz/internal/routing"
+	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/topology"
+)
+
+func buildMesh(t testing.TB) *topology.Graph {
+	t.Helper()
+	g, err := topology.NewFullMesh(topology.MeshConfig{Switches: 8, HostsPerSwitch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestObserve checks the consolidated observability surface: one call
+// attaches the recorders, the accessors hand back their views.
+func TestObserve(t *testing.T) {
+	g := buildMesh(t)
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := net.Observe(ObserveOptions{Trace: true, Flows: true})
+	hosts := g.Hosts()
+	net.Unicast(1, hosts[0], hosts[3], 400, 0)
+	net.Unicast(2, hosts[5], hosts[9], 400, 0)
+	net.Engine().Run()
+	flows := obs.Flows().Flows()
+	if len(flows) != 2 {
+		t.Fatalf("flow table has %d rows, want 2", len(flows))
+	}
+	for _, f := range flows {
+		if f.PacketsDelivered != 1 {
+			t.Errorf("flow %d delivered %d, want 1", f.Flow, f.PacketsDelivered)
+		}
+	}
+	if ev := obs.Trace().Events(); len(ev) == 0 {
+		t.Fatal("trace is empty")
+	}
+}
+
+// The two digests pin Observer.Trace() CSV and Observer.Flows() CSV
+// bytes for one single-engine run. They were recorded on the commit
+// before the multi-shard execution family (and with it the K-way
+// fan-in inside Observe) was deleted, so the two orderings the merge
+// step used to apply — trace rows by content, flows by (FirstSend,
+// Flow) — are checked across that deletion, not only within one
+// process; on that commit the unsorted recorder and tracker printed
+// different bytes for this run. The run has two link cuts (one repaired) and a switch failure, and flows 9 and 3
+// first send at the same instant in that order, so a flow table that
+// broke the tie by insertion would print 9 before 3.
+const (
+	goldenObserveTrace = "c0df60c1abaff0ce70d984dfd8bb2fe9f8cd075d3dee0b8f7d9c1cdd8494b6a2"
+	goldenObserveFlows = "ae21054af025daf6296c0ad904643a9b1feedfa0c702648368cc0b3dc2c69105"
+)
+
+func TestGoldenObserveOutput(t *testing.T) {
+	g := buildMesh(t)
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := net.Observe(ObserveOptions{Trace: true, Flows: true})
+	hosts := g.Hosts()
+	eng := net.Engine()
+	for i, h := range hosts {
+		for j := 0; j < 40; j++ {
+			src, dst := h, hosts[(i+1+j)%len(hosts)]
+			flow := routing.FlowID(i*64 + j%8)
+			eng.Schedule(sim.Time(i*37+j*211)*sim.Microsecond, func() {
+				net.Send(Packet{Flow: flow, Src: src, Dst: dst, Size: 400, Waypoint: NoWaypoint})
+			})
+		}
+	}
+	// Flows 9 then 3 first send in the same event, on hosts whose
+	// other flows start elsewhere in time.
+	eng.Schedule(50*sim.Microsecond, func() {
+		net.Send(Packet{Flow: 9, Src: hosts[2], Dst: hosts[11], Size: 400, Waypoint: NoWaypoint})
+		net.Send(Packet{Flow: 3, Src: hosts[7], Dst: hosts[12], Size: 400, Waypoint: NoWaypoint})
+	})
+	// Links 16+ are the switch-to-switch mesh links (host links come
+	// first in creation order).
+	if err := net.Faults().Apply(FaultSchedule{
+		Events: []FaultEvent{
+			{Kind: FaultLink, Link: 20, At: 3 * sim.Millisecond, RepairAt: 6 * sim.Millisecond},
+			{Kind: FaultLink, Link: 30, At: 5 * sim.Millisecond},
+			{Kind: FaultSwitch, Switch: g.Switches()[6], At: 7 * sim.Millisecond},
+		},
+		DetectionDelay: 500 * sim.Microsecond,
+		Policy:         DropInFlight,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntil(20 * sim.Millisecond)
+	if net.Dropped() == 0 {
+		t.Fatal("the faults dropped nothing; the run does not exercise faults")
+	}
+
+	var traceCSV, flowCSV strings.Builder
+	if err := obs.Trace().WriteCSV(&traceCSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Flows().WriteCSV(&flowCSV); err != nil {
+		t.Fatal(err)
+	}
+	flows := obs.Flows().Flows()
+	for i, f := range flows {
+		if f.Flow == 3 && (i+1 >= len(flows) || flows[i+1].Flow != 9 || flows[i+1].FirstSend != f.FirstSend) {
+			t.Errorf("flows 3 and 9 tie on FirstSend and must print in that order")
+		}
+	}
+	for name, c := range map[string]struct{ got, want string }{
+		"trace CSV":  {traceCSV.String(), goldenObserveTrace},
+		"flow table": {flowCSV.String(), goldenObserveFlows},
+	} {
+		sum := sha256.Sum256([]byte(c.got))
+		if d := hex.EncodeToString(sum[:]); d != c.want {
+			t.Errorf("%s changed: sha256 %s, want %s (%d bytes)", name, d, c.want, len(c.got))
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
@@ -344,9 +343,6 @@ type QueueSample struct {
 type QueueSampler struct {
 	net      *Network
 	interval sim.Time
-	// tol is the coalescing tolerance each tick declares (see
-	// SetCoalesceTolerance).
-	tol sim.Time
 	// watch restricts sampling to these directed-link indices (empty
 	// means every port).
 	watch []int
@@ -438,35 +434,19 @@ func (s *QueueSampler) Bind(r *metrics.Registry) {
 	}
 }
 
-// Start schedules periodic sampling on the network's scheduler until
-// the given virtual time (inclusive). Call it before running. On a
-// sharded network each tick runs as a global phase — every shard
-// parked — so one sampler reads every port's queue race-free, and the
-// tick sequence is identical for every shard count.
-// SetCoalesceTolerance lets each sampler tick run up to tol of virtual
-// time after its nominal instant, batched with other global work into
-// one all-shards-parked phase on a sharded network (see
-// sim.Scheduler.ScheduleFlex). Zero (the default) keeps exact tick
-// times; a single-engine network ignores the tolerance entirely. Call
-// before Start; negative tolerances panic.
-func (s *QueueSampler) SetCoalesceTolerance(tol sim.Time) {
-	if tol < 0 {
-		panic(fmt.Sprintf("netsim: negative coalesce tolerance %v", tol))
-	}
-	s.tol = tol
-}
-
+// Start schedules periodic sampling on the network's engine until the
+// given virtual time (inclusive). Call it before running.
 func (s *QueueSampler) Start(until sim.Time) {
 	s.started = true
-	sched := s.net.Scheduler()
+	eng := s.net.eng
 	var tick func()
 	tick = func() {
-		s.sample(sched.Now())
-		if sched.Now()+s.interval <= until {
-			sched.AfterFlex(s.interval, s.tol, tick)
+		s.sample(eng.Now())
+		if eng.Now()+s.interval <= until {
+			eng.After(s.interval, tick)
 		}
 	}
-	sched.AfterFlex(s.interval, s.tol, tick)
+	eng.After(s.interval, tick)
 }
 
 // sample records one observation per watched directed link and
@@ -506,7 +486,7 @@ type sampleAgg struct {
 
 func (s *QueueSampler) sampleOne(i int, now sim.Time, agg *sampleAgg) {
 	dl := &s.net.dirs[i]
-	dl.settle(s.net.shards[s.net.shardOfDir[i]].eng)
+	dl.settle(s.net.eng)
 	util := (dl.busyTime - s.lastBusy[i]).Seconds() / s.interval.Seconds()
 	if util > 1 {
 		util = 1 // a frame mid-flight can straddle the tick
@@ -628,27 +608,16 @@ type RunTelemetry struct {
 	EventsPerSec float64
 	// Delivered and Dropped count packets.
 	Delivered, Dropped uint64
-	// Shards is the per-shard breakdown of a sharded run (nil for the
-	// legacy single engine) — see sim.Telemetry.Shards.
-	Shards []sim.ShardTelemetry
 }
 
 func (t RunTelemetry) String() string {
-	s := fmt.Sprintf("%d events (peak calendar %d) in %v (%.3g ev/s); %d delivered, %d dropped",
+	return fmt.Sprintf("%d events (peak calendar %d) in %v (%.3g ev/s); %d delivered, %d dropped",
 		t.Events, t.PeakPending, t.Wall.Round(time.Microsecond), t.EventsPerSec, t.Delivered, t.Dropped)
-	if len(t.Shards) > 0 {
-		parts := make([]string, len(t.Shards))
-		for i, sh := range t.Shards {
-			parts[i] = fmt.Sprintf("%d:%dev", sh.Shard, sh.Events)
-		}
-		s += fmt.Sprintf("; shards [%s]", strings.Join(parts, " "))
-	}
-	return s
 }
 
 // Telemetry reports the run so far.
 func (n *Network) Telemetry() RunTelemetry {
-	et := n.Scheduler().Telemetry()
+	et := n.eng.Telemetry()
 	return RunTelemetry{
 		Events:       et.Events,
 		PeakPending:  et.PeakPending,
@@ -656,7 +625,6 @@ func (n *Network) Telemetry() RunTelemetry {
 		EventsPerSec: et.EventsPerSecond(),
 		Delivered:    n.Delivered(),
 		Dropped:      n.Dropped(),
-		Shards:       et.Shards,
 	}
 }
 

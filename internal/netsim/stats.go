@@ -84,16 +84,10 @@ func (n *Network) RestoreLink(id topology.LinkID) error {
 
 // SetRouter swaps the forwarding strategy mid-run (e.g. after a
 // failure, install a router computed on the degraded topology).
-// In-flight packets finish their current hop under the old choice. On
-// a sharded network the same instance is installed on every shard
-// (shard-local clones are discarded), so it must tolerate concurrent
-// NextPort calls — ECMP/VLB reads do.
+// In-flight packets finish their current hop under the old choice.
 func (n *Network) SetRouter(r routing.Router) {
 	if r == nil {
 		panic("netsim: SetRouter(nil)")
 	}
-	for _, sh := range n.shards {
-		sh.router = r
-	}
-	n.routersCloned = false
+	n.router = r
 }

@@ -317,7 +317,6 @@ func axisDefs(d *Doc) map[string]axisDef {
 		defs["packet_size"] = intAxis(64, 9000, func(d *Doc, n int64) { d.Sim.Workload.PacketSize = int(n) })
 		defs["pps"] = floatAxis(0, 100e6, func(d *Doc, x float64) { d.Sim.Workload.PPS = x })
 		defs["duration_ms"] = floatAxis(0, maxDurationMS, func(d *Doc, x float64) { d.Sim.DurationMS = x })
-		defs["shards"] = intAxis(1, maxShards, func(d *Doc, n int64) { d.Sim.Shards = int(n) })
 		defs["workload"] = stringAxis(workloadKinds, func(d *Doc, s string) {
 			d.Sim.Workload.Kind = s
 			if s == "permutation" || s == "incast" {

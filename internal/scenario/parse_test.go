@@ -80,18 +80,47 @@ func TestLineAncestorFallback(t *testing.T) {
 }
 
 func TestDecodeUnknownField(t *testing.T) {
-	doc := `{
+	cases := []struct {
+		name, file, doc, path string
+		line                  int
+	}{
+		{"typo", "t.json", `{
   "schema": "quartz-scenario/v1",
   "name": "t",
   "experiment": {"name": "fig6", "trails": 100}
-}`
-	_, err := Decode([]byte(doc), "t.json")
-	if err == nil {
-		t.Fatal("want error for unknown field")
+}`, "experiment.trails", 4},
+		// sim.shards selected the multi-shard engine family until it was
+		// deleted (DESIGN.md §11): a document that still carries it is
+		// rejected by name, not silently run on one engine.
+		{"removed sim.shards", "t.json", `{
+  "schema": "quartz-scenario/v1",
+  "name": "t",
+  "sim": {"topology": {"kind": "ring"}, "workload": {"kind": "scatter"},
+          "shards": 2}
+}`, "sim.shards", 5},
+		{"removed sim.shards, TOML", "t.toml", `schema = "quartz-scenario/v1"
+name = "t"
+[sim]
+shards = 2
+[sim.topology]
+kind = "ring"
+[sim.workload]
+kind = "scatter"
+`, "sim.shards", 4},
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "t.json:4") || !strings.Contains(msg, "trails") {
-		t.Errorf("error %q should name t.json:4 and the field", msg)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode([]byte(tc.doc), tc.file)
+			list, ok := err.(ErrorList)
+			if !ok || len(list) != 1 {
+				t.Fatalf("want an ErrorList of one, got %T: %v", err, err)
+			}
+			e := list[0]
+			if e.Path != tc.path || e.Line != tc.line || !strings.Contains(e.Msg, "unknown field") {
+				t.Errorf("got %s:%d path %q msg %q; want line %d path %q, an unknown-field error",
+					e.File, e.Line, e.Path, e.Msg, tc.line, tc.path)
+			}
+		})
 	}
 }
 

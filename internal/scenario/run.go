@@ -117,40 +117,21 @@ func faultSchedule(fs *FaultsSpec, g *topology.Graph) (netsim.FaultSchedule, err
 
 // runSim executes one SimSpec and renders the deterministic summary.
 // rec, when non-nil and the document sets probes.trace_spans, receives
-// execution spans (engine windows, flow lifetimes) as a side channel.
+// execution spans (flow lifetimes) as a side channel.
 func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder) (string, error) {
 	arch, err := BuildArch(spec.Topology, spec.Routing, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return "", err
 	}
-	cfg := netsim.Config{
+	h := traffic.NewHarness()
+	net, err := netsim.New(netsim.Config{
 		Graph:       arch.Graph,
 		Router:      arch.Router,
 		SwitchModel: arch.Model,
-	}
-	// Sharded runs take deliveries on K goroutines; the sharded harness
-	// gives each shard a private sub-harness and merges on read. The
-	// partitioner may clamp the shard count, so size the harness by the
-	// request — unused sub-harnesses merge as zeros.
-	var h *traffic.Harness
-	var sh *traffic.ShardedHarness
-	if spec.Shards >= 1 {
-		sh = traffic.NewShardedHarness(spec.Shards)
-		cfg.Shards = spec.Shards
-		cfg.OnDeliverSharded = sh.Deliver
-	} else {
-		h = traffic.NewHarness()
-		cfg.OnDeliver = h.Deliver
-	}
-	net, err := netsim.New(cfg)
+		OnDeliver:   h.Deliver,
+	})
 	if err != nil {
 		return "", err
-	}
-	latency := func(tag int) *metrics.Stats {
-		if sh != nil {
-			return sh.Latency(tag)
-		}
-		return h.Latency(tag)
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
 	hosts := arch.Graph.Hosts()
@@ -159,9 +140,7 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 
 	var b strings.Builder
 
-	// Observability rides the consolidated attach surface: Observe
-	// builds per-shard probes (one set on a legacy network) and merges
-	// their output on read, so the same code serves both modes.
+	// Observability rides the consolidated attach surface.
 	var obs *netsim.Observer
 	var sampler *netsim.QueueSampler
 	tracing := spec.Probes != nil && spec.Probes.TraceSpans && rec != nil
@@ -244,11 +223,7 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 			case "gather":
 				t = traffic.Gather(net, rest, sender, w.PPS, tag, arch.VLB, rng)
 			case "scattergather":
-				if sh != nil {
-					t = traffic.ShardedScatterGather(net, sh, sender, rest, w.PPS, tag, tag+1, arch.VLB, rng)
-				} else {
-					t = traffic.ScatterGather(net, h, sender, rest, w.PPS, tag, tag+1, arch.VLB, rng)
-				}
+				t = traffic.ScatterGather(net, h, sender, rest, w.PPS, tag, tag+1, arch.VLB, rng)
 			}
 			t.SetSize(w.PacketSize)
 			if err := t.Start(end); err != nil {
@@ -273,19 +248,18 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 	}
 
 	// Stop the event loop promptly when the submission is cancelled
-	// (quartzd timeouts, Ctrl-C in quartzsim). On a sharded network the
-	// watchdog is a global event: it runs with every shard parked.
-	sched := net.Scheduler()
+	// (quartzd timeouts, Ctrl-C in quartzsim).
+	eng := net.Engine()
 	const watchdogEvery = 100 * sim.Microsecond
 	var watchdog func()
 	watchdog = func() {
 		if ctx.Err() != nil {
-			sched.Stop()
+			eng.Stop()
 			return
 		}
-		sched.After(watchdogEvery, watchdog)
+		eng.After(watchdogEvery, watchdog)
 	}
-	sched.After(watchdogEvery, watchdog)
+	eng.After(watchdogEvery, watchdog)
 
 	net.RunUntil(runEnd)
 	if err := ctx.Err(); err != nil {
@@ -296,15 +270,11 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 		obs.FlowSpans()
 	}
 
-	fmt.Fprintf(&b, "%s | %s | %d task(s), %d streams each at %.0f pps | %g ms",
+	fmt.Fprintf(&b, "%s | %s | %d task(s), %d streams each at %.0f pps | %g ms\n",
 		arch.Name, w.Kind, w.Tasks, streams, w.PPS, spec.DurationMS)
-	if spec.Shards >= 1 {
-		fmt.Fprintf(&b, " | %d shard(s)", net.NumShards())
-	}
-	b.WriteByte('\n')
 	fmt.Fprintf(&b, "delivered %d packets, dropped %d\n", net.Delivered(), net.Dropped())
 	for _, tag := range tags {
-		s := latency(tag)
+		s := h.Latency(tag)
 		if s.N() == 0 {
 			continue
 		}
@@ -326,7 +296,7 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 			to := arch.Graph.Node(l.Other(ps.From))
 			fmt.Fprintf(&b, "  %-10s -> %-10s  %8d pkts %10d B  util %5.1f%%  drops %d\n",
 				from.Name, to.Name, ps.Packets, ps.Bytes,
-				100*ps.Utilization(sched.Now()), ps.Drops)
+				100*ps.Utilization(eng.Now()), ps.Drops)
 		}
 	}
 	if sampler != nil {

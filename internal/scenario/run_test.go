@@ -137,45 +137,9 @@ func TestRegistryScenarioRuns(t *testing.T) {
 	}
 }
 
-// TestSimRunSharded runs the same document at several shard counts and
-// requires identical delivered/dropped totals — the sharded engine
-// family is deterministic, so sharding must never change the physics.
-func TestSimRunSharded(t *testing.T) {
-	summary := func(shards string) (string, string) {
-		doc := `{"schema": "quartz-scenario/v1", "name": "shards",
-		         "sim": {"duration_ms": 2, "shards": ` + shards + `,
-		                 "topology": {"kind": "tree3", "quartz": "both"},
-		                 "workload": {"kind": "scattergather", "tasks": 2, "fanout": 3, "pps": 2000},
-		                 "probes": {"flows": true}}}`
-		out := runOnce(t, compileSim(t, doc))
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "delivered") {
-				return out, line
-			}
-		}
-		t.Fatalf("no delivered line:\n%s", out)
-		return out, ""
-	}
-	out1, base := summary("1")
-	if !strings.Contains(out1, "1 shard(s)") {
-		t.Errorf("output missing shard count:\n%s", out1)
-	}
-	for _, shards := range []string{"2", "4"} {
-		if _, got := summary(shards); got != base {
-			t.Errorf("shards=%s: %q, want %q", shards, got, base)
-		}
-	}
-	// Same scenario, same shards: byte-identical output (cache safety).
-	a, _ := summary("2")
-	b, _ := summary("2")
-	if a != b {
-		t.Fatalf("same sharded scenario, different output:\n--- first\n%s\n--- second\n%s", a, b)
-	}
-}
-
 func TestSimRunTraceSpans(t *testing.T) {
 	doc := `{"schema": "quartz-scenario/v1", "name": "spans",
-	         "sim": {"duration_ms": 2, "shards": 2,
+	         "sim": {"duration_ms": 2,
 	                 "topology": {"kind": "tree3", "quartz": "edge"},
 	                 "workload": {"kind": "scatter", "tasks": 2, "fanout": 3, "pps": 2000},
 	                 "probes": {"trace_spans": true}}}`
@@ -184,7 +148,7 @@ func TestSimRunTraceSpans(t *testing.T) {
 	// Without a recorder the probe is inert.
 	plain := runOnce(t, c)
 
-	// With one, engine and flow spans land in it — and the rendered
+	// With one, flow spans land in it — and the rendered
 	// text stays byte-identical, so tracing never splits cache entries.
 	rec := trace.NewRecorder()
 	p := c.Params
@@ -200,9 +164,7 @@ func TestSimRunTraceSpans(t *testing.T) {
 	for _, s := range rec.Spans() {
 		names[s.Cat+"/"+s.Name]++
 	}
-	for _, want := range []string{"engine/window", "engine/barrier", "net/flow"} {
-		if names[want] == 0 {
-			t.Errorf("no %s spans recorded (got %v)", want, names)
-		}
+	if names["net/flow"] == 0 {
+		t.Errorf("no net/flow spans recorded (got %v)", names)
 	}
 }

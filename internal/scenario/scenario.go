@@ -92,13 +92,6 @@ type SimSpec struct {
 	// DurationMS is the measured virtual time in milliseconds.
 	// Default 10.
 	DurationMS float64 `json:"duration_ms,omitempty"`
-	// Shards, when >= 1, runs the simulation on that many parallel
-	// topology shards (DESIGN.md §11). Results are identical for every
-	// value — sharding buys wall-clock time on multi-core runners, not
-	// different physics. 0 (the default, omitted from the canonical
-	// form so pre-sharding documents keep their cache keys) selects the
-	// legacy single-engine path.
-	Shards int `json:"shards,omitempty"`
 }
 
 // TopologySpec selects and sizes the simulated network.
@@ -192,8 +185,8 @@ type ProbesSpec struct {
 	QueueSampleUS int64 `json:"queue_sample_us,omitempty"`
 	// HotPorts appends the N busiest ports by bytes. 0 = off.
 	HotPorts int `json:"hot_ports,omitempty"`
-	// TraceSpans records execution spans (sharded-engine barrier
-	// windows, flow lifetimes) into the submission's trace recorder —
+	// TraceSpans records execution spans (flow lifetimes) into the
+	// submission's trace recorder —
 	// quartzd's per-job flight recorder, or the file behind quartzsim
 	// -trace-spans. Span output is side-band: it never appears in the
 	// rendered text, so enabling it cannot split cache entries. A

@@ -20,7 +20,6 @@ const (
 	maxTasks       = 64    // concurrent workload tasks
 	maxDurationMS  = 10000 // 10 s of virtual time per cell
 	maxSweepCells  = 512   // cells × trials
-	maxShards      = 64    // execution shards of a sim scenario
 )
 
 var (
@@ -148,10 +147,6 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 	if s.DurationMS <= 0 || s.DurationMS > maxDurationMS {
 		add(f.errAt("sim.duration_ms", "duration %g out of range (0, %d] ms", s.DurationMS, maxDurationMS))
 	}
-
-	// Shards (0 = legacy single engine; the partitioner clamps to the
-	// switch count, so large values are wasteful but not wrong).
-	checkRange(f, add, "sim.shards", s.Shards, 1, maxShards)
 
 	// Faults.
 	if fa := s.Faults; fa != nil {

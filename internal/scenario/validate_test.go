@@ -104,6 +104,13 @@ func TestSweepValidation(t *testing.T) {
 			"unknown sweep axis",
 		},
 		{
+			"removed shards axis",
+			`{"schema": "quartz-scenario/v1", "name": "t",
+			  "sim": {"topology": {"kind": "ring"}, "workload": {"kind": "scatter"}},
+			  "sweep": {"axes": {"shards": [1, 2]}}}`,
+			"unknown sweep axis",
+		},
+		{
 			"cap",
 			`{"schema": "quartz-scenario/v1", "name": "t", "experiment": {"name": "fig6"},
 			  "sweep": {"axes": {"seed": [1,2,3,4,5,6,7,8,9,10]}, "trials": 100}}`,

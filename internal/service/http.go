@@ -32,7 +32,7 @@ package service
 // Every job carries an execution trace: POST /jobs reads an optional
 // X-Quartz-Trace header naming it (default: the job ID), job responses
 // echo the header back, and GET /jobs/{id}/trace serves the spans —
-// job lifecycle down to sharded-engine barrier windows — as Chrome
+// job lifecycle down to experiment cells and flows — as Chrome
 // trace-event JSON loadable in Perfetto. The trace of a running job is
 // whatever has been recorded so far.
 //
@@ -139,9 +139,17 @@ func parseSubmitBody(body []byte) (Request, error) {
 	if err := json.Unmarshal(body, &probe); err == nil && probe.Schema != "" {
 		return Request{Scenario: body}, nil
 	}
+	// Strict, like the scenario format: a field the envelope does not
+	// have (a typo, a removed parameter) is an error, not a silent
+	// default.
 	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		return Request{}, err
+	}
+	if dec.More() {
+		return Request{}, errors.New("trailing data after the job envelope")
 	}
 	return req, nil
 }
@@ -187,8 +195,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
+	// 200 only for a cache hit. The job's state at this instant says
+	// nothing: an instant job may already have run to completion, and
+	// its first submission is still a 202.
 	code := http.StatusAccepted
-	if job.State().Terminal() { // cache hit: no execution pending
+	if job.CacheHit() {
 		code = http.StatusOK
 	}
 	w.Header().Set(traceHeader, job.TraceID())

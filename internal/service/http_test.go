@@ -126,33 +126,35 @@ func TestHTTPBackpressure429(t *testing.T) {
 	_ = s
 }
 
+// TestHTTPCacheHit200 pins what the submit status means: 202 for a job
+// this submission created (even an instant one that has already
+// finished by the time the handler answers — hence the loop, which
+// under -race loses that race in most runs when the status is read
+// off the job's state), 200 only when the result came from the cache.
 func TestHTTPCacheHit200(t *testing.T) {
-	_, ts, sr := newTestServer(t, Config{QueueCapacity: 4, Workers: 1})
+	s, ts, sr := newTestServer(t, Config{QueueCapacity: 4, Workers: 2})
 
-	req := Request{Experiment: "echo", Params: ParamSpec{Seed: 3}}
-	_, v := postJob(t, ts, req)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var cur View
-		getJSON(t, ts.URL+"/jobs/"+v.ID, &cur)
-		if cur.State.Terminal() {
-			break
+	const submissions = 300
+	for seed := int64(1); seed <= submissions; seed++ {
+		req := Request{Experiment: "echo", Params: ParamSpec{Seed: seed}}
+		resp, v := postJob(t, ts, req)
+		if resp.StatusCode != http.StatusAccepted || v.CacheHit {
+			t.Fatalf("seed %d: first submit = %d cache_hit=%v, want 202 without a cache hit", seed, resp.StatusCode, v.CacheHit)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
+		waitDone(t, s, v.ID)
+		if seed > 1 {
+			continue
 		}
-		time.Sleep(5 * time.Millisecond)
+		resp, hit := postJob(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cache-hit submit = %d, want 200", resp.StatusCode)
+		}
+		if !hit.CacheHit || hit.State != StateDone {
+			t.Fatalf("cache-hit view = %+v", hit)
+		}
 	}
-
-	resp, hit := postJob(t, ts, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cache-hit submit = %d, want 200", resp.StatusCode)
-	}
-	if !hit.CacheHit || hit.State != StateDone {
-		t.Fatalf("cache-hit view = %+v", hit)
-	}
-	if sr.runs.Load() != 1 {
-		t.Errorf("cache hit executed the experiment: runs = %d", sr.runs.Load())
+	if sr.runs.Load() != submissions {
+		t.Errorf("cache hit executed the experiment: runs = %d, want %d", sr.runs.Load(), submissions)
 	}
 }
 
@@ -172,6 +174,21 @@ func TestHTTPErrorsAndAuxRoutes(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", r2.StatusCode)
+	}
+	// A field the envelope does not have → 400, not a silent default:
+	// params.shards went with the multi-shard engine (DESIGN.md §11).
+	for _, body := range []string{
+		`{"experiment":"echo","params":{"shards":2}}`,
+		`{"experiment":"echo","parms":{"seed":1}}`,
+	} {
+		r, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", body, r.StatusCode)
+		}
 	}
 	// Unknown job → 404; result of a fresh job → 409 until terminal.
 	if resp := getJSON(t, ts.URL+"/jobs/j-404404", nil); resp.StatusCode != http.StatusNotFound {

@@ -74,17 +74,16 @@ type ParamSpec struct {
 	Trials int   `json:"trials,omitempty"`
 	Tasks  int   `json:"tasks,omitempty"`
 	RPCs   int   `json:"rpcs,omitempty"`
-	Shards int   `json:"shards,omitempty"`
 }
 
 // Params converts the wire form to runner parameters.
 func (ps ParamSpec) Params() experiments.Params {
-	return experiments.Params{Seed: ps.Seed, Trials: ps.Trials, Tasks: ps.Tasks, RPCs: ps.RPCs, Shards: ps.Shards}
+	return experiments.Params{Seed: ps.Seed, Trials: ps.Trials, Tasks: ps.Tasks, RPCs: ps.RPCs}
 }
 
 // specOf converts runner parameters back to the wire form.
 func specOf(p experiments.Params) ParamSpec {
-	return ParamSpec{Seed: p.Seed, Trials: p.Trials, Tasks: p.Tasks, RPCs: p.RPCs, Shards: p.Shards}
+	return ParamSpec{Seed: p.Seed, Trials: p.Trials, Tasks: p.Tasks, RPCs: p.RPCs}
 }
 
 // CellRange selects the contiguous sweep cells [Lo, Hi) of a cell-range

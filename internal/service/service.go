@@ -29,7 +29,7 @@ import (
 
 // jobFlightSpans bounds each job's trace recorder. The ring grows
 // lazily, so short jobs pay only for the spans they record; a
-// long-running sharded job keeps its most recent windows.
+// long-running job keeps its most recent spans.
 const jobFlightSpans = 2048
 
 // Submission errors. The HTTP layer maps these to status codes

@@ -47,39 +47,10 @@ type Telemetry struct {
 	PeakPending int
 	// Wall is the real time spent inside Run/RunUntil.
 	Wall time.Duration
-	// Shards breaks the totals down per shard for a ShardedEngine run;
-	// nil for a single Engine. The aggregate fields above cover all
-	// shards (Events is the sum; Wall is the synchronizer's wall time,
-	// not the sum of per-shard loop times, so EventsPerSecond reports
-	// the real parallel throughput).
-	Shards []ShardTelemetry
 }
 
 // EventsPerSecond returns the wall-clock event rate (0 before any run).
 func (t Telemetry) EventsPerSecond() float64 {
-	if t.Wall <= 0 {
-		return 0
-	}
-	return float64(t.Events) / t.Wall.Seconds()
-}
-
-// ShardTelemetry is one shard's slice of a ShardedEngine run.
-type ShardTelemetry struct {
-	// Shard is the shard index.
-	Shard int
-	// Events is the number of events this shard's engine processed.
-	Events uint64
-	// PeakPending is this shard's event-queue high-water mark.
-	PeakPending int
-	// Wall is the wall-clock time this shard's loop spent processing
-	// (its goroutine's share; shards run concurrently, so these
-	// overlap rather than sum to the run's wall time).
-	Wall time.Duration
-}
-
-// EventsPerSecond returns the shard's wall-clock event rate (0 before
-// any run).
-func (t ShardTelemetry) EventsPerSecond() float64 {
 	if t.Wall <= 0 {
 		return 0
 	}
@@ -105,8 +76,7 @@ type Engine struct {
 	// passAt/passSeq are the run frontier Passed compares against: every
 	// event that sorts before (passAt, passSeq) has had its turn. The run
 	// loop moves it to each event it pops, a RunUntil that ends without
-	// Stop moves it past everything scheduled so far for <= end, and
-	// advanceTo moves it to the start of its instant.
+	// Stop moves it past everything scheduled so far for <= end.
 	passAt  Time
 	passSeq uint64
 
@@ -156,9 +126,7 @@ func (e *Engine) Telemetry() Telemetry {
 // that schedules per packet or per hop should implement Action once
 // and use ScheduleAction, which stores an interface pointer plus two
 // integers in the event record and allocates nothing — that is the
-// invariant TestScheduleActionZeroAllocs pins. Reaching the engine
-// through the Scheduler interface does not change this: both forms are
-// on the interface, and the Action form is the hot-path one.
+// invariant TestScheduleActionZeroAllocs pins.
 func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -216,9 +184,7 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, act Action, a, b int64) {
 // compares (at, seq) against the running event's own place, so a tie on
 // the instant is decided by schedule order, as the queue would decide
 // it. Between runs, everything scheduled before a RunUntil(end) that
-// was not stopped returned has passed if its instant is <= end; on a
-// shard parked for a global phase at instant P, everything before P has
-// passed and nothing at P has.
+// was not stopped returned has passed if its instant is <= end.
 func (e *Engine) Passed(at Time, seq uint64) bool {
 	return at < e.passAt || (at == e.passAt && seq < e.passSeq)
 }
@@ -238,27 +204,6 @@ func (e *Engine) AfterAction(delay Time, act Action, a, b int64) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	e.ScheduleAction(e.now+delay, act, a, b)
-}
-
-// ScheduleFlex runs fn at absolute virtual time at, allowing the
-// execution to slip up to tol later. On a single-threaded Engine there
-// is no barrier cost to amortize, so the tolerance is ignored and fn
-// runs exactly at at; a ShardedEngine uses the slack to coalesce
-// periodic global work (heartbeats, samplers) into fewer
-// all-shards-parked phases. See ShardedEngine.ScheduleFlex.
-func (e *Engine) ScheduleFlex(at, tol Time, fn func()) {
-	if tol < 0 {
-		panic(fmt.Sprintf("sim: negative coalescing tolerance %v", tol))
-	}
-	e.Schedule(at, fn)
-}
-
-// AfterFlex is ScheduleFlex with a delay relative to the current time.
-func (e *Engine) AfterFlex(delay, tol Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	e.ScheduleFlex(e.now+delay, tol, fn)
 }
 
 // Stop halts the run loop after the current event returns.
@@ -314,34 +259,6 @@ func (e *Engine) ranThrough(end Time) {
 		e.now = end
 	}
 	e.passAt, e.passSeq = end, e.seq+1
-}
-
-// NextEventAt returns the timestamp of the earliest pending event, and
-// whether one exists. The sharded synchronizer uses it to compute the
-// global lower bound on the next event time.
-func (e *Engine) NextEventAt() (Time, bool) {
-	if e.queue.size() == 0 {
-		return 0, false
-	}
-	return e.queue.peekAt(), true
-}
-
-// advanceTo moves the clock forward to at without processing events.
-// The sharded synchronizer calls it (with the shard parked) before
-// running a global phase, so that Now() inside global events reads the
-// global time on every shard. at must not be before now or past the
-// next pending event; both would reorder causality.
-func (e *Engine) advanceTo(at Time) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: advance to %v before now %v", at, e.now))
-	}
-	if e.queue.size() > 0 && e.queue.peekAt() < at {
-		panic(fmt.Sprintf("sim: advance to %v past pending event at %v", at, e.queue.peekAt()))
-	}
-	e.now = at
-	if at > e.passAt {
-		e.passAt, e.passSeq = at, 0
-	}
 }
 
 // wallNow returns wall-clock time spent in Run/RunUntil so far,

@@ -52,28 +52,19 @@ type Heartbeat struct {
 //	sim_clock_skew            gauge    wall seconds per virtual second over
 //	                                   the last interval (1 = real time)
 func AttachHeartbeat(e *Engine, r *metrics.Registry, interval, until Time) *Heartbeat {
-	return AttachHeartbeatLabeled(e, r, interval, until, nil)
-}
-
-// AttachHeartbeatLabeled is AttachHeartbeat with a fixed label set on
-// every instrument. A sharded run attaches one heartbeat per shard
-// engine with {"shard": i}, giving the exporter a per-shard series for
-// each signal; the tick events themselves are shard-local, so shards
-// publish independently without synchronizing.
-func AttachHeartbeatLabeled(e *Engine, r *metrics.Registry, interval, until Time, labels metrics.Labels) *Heartbeat {
 	if interval <= 0 {
 		panic("sim: heartbeat interval must be positive")
 	}
 	h := &Heartbeat{
 		eng:         e,
 		interval:    interval,
-		events:      r.Counter("sim_events_total", "simulation events processed", labels),
-		pending:     r.Gauge("sim_pending_events", "events waiting in the calendar", labels),
-		peakPending: r.Gauge("sim_peak_pending_events", "calendar high-water mark", labels),
-		evRate:      r.Gauge("sim_events_per_sec", "wall-clock event rate over the last heartbeat interval", labels),
-		virtual:     r.Gauge("sim_virtual_time_seconds", "virtual clock", labels),
-		wall:        r.Gauge("sim_wall_time_seconds", "wall-clock time spent in the event loop", labels),
-		skew:        r.Gauge("sim_clock_skew", "wall seconds per virtual second over the last heartbeat interval", labels),
+		events:      r.Counter("sim_events_total", "simulation events processed", nil),
+		pending:     r.Gauge("sim_pending_events", "events waiting in the calendar", nil),
+		peakPending: r.Gauge("sim_peak_pending_events", "calendar high-water mark", nil),
+		evRate:      r.Gauge("sim_events_per_sec", "wall-clock event rate over the last heartbeat interval", nil),
+		virtual:     r.Gauge("sim_virtual_time_seconds", "virtual clock", nil),
+		wall:        r.Gauge("sim_wall_time_seconds", "wall-clock time spent in the event loop", nil),
+		skew:        r.Gauge("sim_clock_skew", "wall seconds per virtual second over the last heartbeat interval", nil),
 	}
 	var tick func()
 	tick = func() {

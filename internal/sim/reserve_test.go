@@ -215,58 +215,6 @@ func TestScheduleReservedAfterItsTurnPanics(t *testing.T) {
 	e.ScheduleReserved(15, r, actionFunc(func() {}), 0, 0)
 }
 
-// TestPassedParkedShard: a shard with nothing pending is never run up
-// to a global phase's instant, only advanced to it; everything before
-// that instant has still passed on it, and nothing at it has.
-func TestPassedParkedShard(t *testing.T) {
-	for _, k := range []int{1, 2, 4} {
-		s := NewShardedEngine(k, Microsecond, func(int) *Engine { return NewCalendarEngine() })
-		idle := s.Shard(k - 1)
-		r := idle.ReserveSeq()
-		s.Shard(0).Schedule(100*Nanosecond, func() {})
-		const P = 5 * Microsecond
-		checked := false
-		s.Schedule(P, func() {
-			checked = true
-			if idle.Now() != P {
-				t.Errorf("K=%d: parked shard clock %v in the global phase, want %v", k, idle.Now(), P)
-			}
-			if !idle.Passed(P-1, r) {
-				t.Errorf("K=%d: instant before the global phase has not passed on the parked shard", k)
-			}
-			if idle.Passed(P, r) {
-				t.Errorf("K=%d: the global phase's own instant passed on the parked shard", k)
-			}
-		})
-		s.RunUntil(10 * Microsecond)
-		if !checked {
-			t.Fatalf("K=%d: global event never ran", k)
-		}
-		if !idle.Passed(10*Microsecond, r) {
-			t.Errorf("K=%d: run end did not pass on the idle shard", k)
-		}
-	}
-}
-
-// TestShardedRunUntilStopLeavesClocks mirrors TestRunUntilStopLeavesClock
-// for the synchronizer: Stop must not advance shard clocks past pending
-// events.
-func TestShardedRunUntilStopLeavesClocks(t *testing.T) {
-	s := NewShardedEngine(2, Microsecond, func(int) *Engine { return NewCalendarEngine() })
-	sh := s.Shard(0)
-	var seen []Time
-	sh.Schedule(10*Nanosecond, func() { s.Stop() })
-	sh.Schedule(50*Microsecond, func() { seen = append(seen, sh.Now()) })
-	s.RunUntil(100 * Microsecond)
-	if sh.Now() >= 50*Microsecond || s.Pending() != 1 {
-		t.Fatalf("after Stop: shard clock %v, pending %d; want the clock before the pending event at 50us", sh.Now(), s.Pending())
-	}
-	s.RunUntil(100 * Microsecond)
-	if len(seen) != 1 || seen[0] != 50*Microsecond || s.Now() != 100*Microsecond {
-		t.Fatalf("resumed run: saw %v, now %v", seen, s.Now())
-	}
-}
-
 // actionFunc adapts a closure to Action for tests.
 type actionFunc func()
 

@@ -36,19 +36,8 @@ const (
 // MaxTime is the "end of virtual time" sentinel: Run is RunUntil(MaxTime),
 // RunUntil treats an end of MaxTime as "never clamp the clock", and queue
 // scans use it as the identity for min-reductions. The value (2^62 − 1
-// picoseconds, about 53 days) leaves headroom below the int64 limit so
-// that end+1 window arithmetic and saturating lookahead additions cannot
-// overflow.
+// picoseconds, about 53 days) leaves headroom below the int64 limit.
 const MaxTime = Time(1)<<62 - 1
-
-// satAdd returns a+b, saturating at MaxTime — lookahead arithmetic on
-// times that may already be the MaxTime sentinel.
-func satAdd(a, b Time) Time {
-	if c := a + b; c >= a && c < MaxTime {
-		return c
-	}
-	return MaxTime
-}
 
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

@@ -3,9 +3,7 @@ package trace
 // Chrome trace-event export: the JSON object format understood by
 // Perfetto (ui.perfetto.dev) and chrome://tracing. One Perfetto
 // process per span category, one thread per track, complete ("X")
-// events on the wall clock with the virtual clock carried in args —
-// so a sharded run renders as one track per shard whose window and
-// barrier spans tile the wall time.
+// events on the wall clock with the virtual clock carried in args.
 //
 // Reference: the Trace Event Format document (Google, public). The
 // required keys per event are name, ph, ts, pid, tid; "X" events add

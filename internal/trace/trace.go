@@ -5,21 +5,19 @@
 // exporter loadable in Perfetto or chrome://tracing.
 //
 // The package depends only on the standard library so every layer of
-// the tree (the event engine, the network simulator, the experiment
-// runners, the job service) can record into the same Recorder without
-// import cycles. Aggregation into the metrics registry happens at the
-// attach sites (sim.AttachTrace), not here.
+// the tree (the network simulator, the experiment runners, the job
+// service, the cluster coordinator) can record into the same Recorder
+// without import cycles.
 //
 // Clock model. Every span carries two clocks:
 //
 //   - the virtual clock (Virt, VirtEnd): simulation time in engine
 //     ticks (picoseconds in this repo). Virtual fields are a pure
 //     function of the simulated workload, so they are byte-identical
-//     across shard counts and across machines — the determinism tests
-//     compare exactly these (ContentCSV).
+//     across machines — what ContentCSV renders.
 //   - the wall clock (Wall, WallDur): nanoseconds since the recorder's
 //     epoch. Wall fields are the performance instrument — where the
-//     coordinator actually spent its time — and are excluded from every
+//     run actually spent its time — and are excluded from every
 //     determinism comparison.
 //
 // Overhead. A nil *Recorder is a valid disabled recorder: every method
@@ -50,14 +48,15 @@ const maxArgs = 6
 // Span is one recorded interval (or instant, when both durations are
 // zero) on a named track.
 type Span struct {
-	// Name labels the span ("window", "barrier", "flow", "cell", ...).
+	// Name labels the span ("flow", "cell", "dispatch", ...).
 	Name string
-	// Cat groups spans into a Perfetto process ("engine", "net",
-	// "experiment", "job"). Determinism comparisons can filter by it.
+	// Cat groups spans into a Perfetto process ("net", "experiment",
+	// "job", "cluster"). Determinism comparisons can filter by it.
 	Cat string
-	// Track is the Perfetto thread within the category: the shard index
-	// for engine spans, the flow ID for flow spans, the cell index for
-	// experiment spans. CoordinatorTrack marks the synchronizer itself.
+	// Track is the Perfetto thread within the category: the flow ID for
+	// flow spans, the cell index for experiment spans, the range start
+	// for cluster cell-range spans. CoordinatorTrack marks the cluster
+	// coordinator itself.
 	Track int
 	// Virt and VirtEnd bound the span on the virtual clock, in engine
 	// ticks. Both zero for wall-only spans (setup, job lifecycle).
@@ -72,7 +71,7 @@ type Span struct {
 }
 
 // CoordinatorTrack is the Track value for spans recorded by a
-// synchronizer/coordinator rather than one of its shards.
+// coordinator rather than one of its workers.
 const CoordinatorTrack = -1
 
 // Annotate appends an annotation in place (dropped when full) and
@@ -87,7 +86,7 @@ func (s Span) Annotate(key string, val int64) Span {
 
 // Recorder accumulates spans. Create one with NewRecorder (unbounded)
 // or NewFlightRecorder (bounded ring that overwrites the oldest span —
-// the "what were the last N windows doing" black box for long runs).
+// the "what were the last N spans doing" black box for long runs).
 // A nil *Recorder is the disabled recorder: every method is safe to
 // call and does nothing. Recorders are safe for concurrent use.
 type Recorder struct {
@@ -226,7 +225,7 @@ func (r *Recorder) spansLocked() []Span {
 // contentLess is a total order on spans by virtual-clock content:
 // every field except the wall clock. Spans that compare equal are
 // identical rows, so the sorted order — and therefore ContentCSV — is
-// independent of record order and of which shard recorded what.
+// independent of record order.
 func contentLess(a, b Span) bool {
 	if a.Virt != b.Virt {
 		return a.Virt < b.Virt
@@ -260,8 +259,8 @@ func contentLess(a, b Span) bool {
 // ContentCSV renders the spans whose category is in cats (every span
 // when cats is empty) as CSV in virtual-time content order, with every
 // wall-clock field excluded. Two runs of the same workload produce
-// identical ContentCSV regardless of shard count, goroutine schedule,
-// or machine speed — the property the determinism tests pin.
+// identical ContentCSV regardless of goroutine schedule or machine
+// speed.
 func (r *Recorder) ContentCSV(cats ...string) string {
 	if r == nil {
 		return ""
@@ -293,19 +292,4 @@ func (r *Recorder) ContentCSV(cats ...string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Merge appends every span of the others into r (record order, others
-// in argument order). Use with per-shard recorders before exporting;
-// ContentCSV re-sorts by content, so the merged output is independent
-// of the argument order.
-func (r *Recorder) Merge(others ...*Recorder) {
-	if r == nil {
-		return
-	}
-	for _, o := range others {
-		for _, s := range o.Spans() {
-			r.Add(s)
-		}
-	}
 }

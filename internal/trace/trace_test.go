@@ -14,7 +14,6 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 	}
 	r.Add(Span{Name: "x"})
 	r.NameTrack("c", 0, "n")
-	r.Merge(NewRecorder())
 	if r.Len() != 0 || r.Dropped() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder holds state")
 	}
@@ -96,25 +95,6 @@ func TestContentCSVFiltersByCategory(t *testing.T) {
 	}
 	if got := r.ContentCSV(); !strings.Contains(got, "engine") || !strings.Contains(got, "net") {
 		t.Fatalf("unfiltered content misses categories:\n%s", got)
-	}
-}
-
-func TestMergeIsOrderIndependent(t *testing.T) {
-	mk := func(vs ...int64) *Recorder {
-		r := NewRecorder()
-		for _, v := range vs {
-			r.Add(Span{Name: "s", Cat: "net", Virt: v, VirtEnd: v + 1})
-		}
-		return r
-	}
-	m1, m2 := NewRecorder(), NewRecorder()
-	m1.Merge(mk(1, 5), mk(3))
-	m2.Merge(mk(3), mk(1, 5))
-	if m1.ContentCSV() != m2.ContentCSV() {
-		t.Fatal("merge order changed content")
-	}
-	if m1.Len() != 3 {
-		t.Fatalf("merged len %d, want 3", m1.Len())
 	}
 }
 

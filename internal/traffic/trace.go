@@ -116,7 +116,7 @@ func Replay(net *netsim.Network, events []TraceEvent) (int, error) {
 	sorted := make([]TraceEvent, len(events))
 	copy(sorted, events)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	now := net.Scheduler().Now()
+	now := net.Engine().Now()
 	for i, ev := range sorted {
 		if ev.Src < 0 || ev.Src >= len(hosts) || ev.Dst < 0 || ev.Dst >= len(hosts) {
 			return 0, fmt.Errorf("traffic: trace event %d: host index out of range (%d hosts)", i, len(hosts))
@@ -136,9 +136,7 @@ func Replay(net *netsim.Network, events []TraceEvent) (int, error) {
 			p.Flow = routing.FlowID(ev.Src)<<20 | routing.FlowID(ev.Dst)
 		}
 		at := now + ev.At
-		// Schedule on the source host's shard so the send runs on the
-		// goroutine that owns the host (the single engine in legacy mode).
-		net.SchedulerFor(p.Src).Schedule(at, func() { net.Send(p) })
+		net.Engine().Schedule(at, func() { net.Send(p) })
 	}
 	return len(sorted), nil
 }

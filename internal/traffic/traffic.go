@@ -95,9 +95,7 @@ func (s *Stream) Start(until sim.Time) error {
 		s.Size = PacketSize
 	}
 	meanGapPs := float64(sim.Second) / s.RatePPS
-	// Ticks run on the source's shard scheduler, so on a sharded
-	// network each stream injects from its own shard's goroutine.
-	eng := s.Net.SchedulerFor(s.Src)
+	eng := s.Net.Engine()
 	var tick func()
 	tick = func() {
 		if eng.Now() >= until {
@@ -264,7 +262,7 @@ func (r *RPC) Start() error {
 
 func (r *RPC) issue() {
 	r.sent++
-	r.started = r.Net.SchedulerFor(r.Client).Now()
+	r.started = r.Net.Engine().Now()
 	r.Net.Send(netsim.Packet{
 		Flow: flowBase(r.ReqTag), Src: r.Client, Dst: r.Server,
 		Size: r.ReqSize, Tag: r.ReqTag, Waypoint: netsim.NoWaypoint,
@@ -307,7 +305,7 @@ func (b *Bursty) Start(until sim.Time) error {
 	}
 	burstBits := float64(b.BurstLen) * float64(b.Size) * 8
 	periodPs := burstBits / float64(b.Bandwidth) * float64(sim.Second)
-	eng := b.Net.SchedulerFor(b.Src)
+	eng := b.Net.Engine()
 	var tick func()
 	tick = func() {
 		if eng.Now() >= until {
