@@ -76,14 +76,17 @@ scenario-smoke:
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
-# End-to-end check of execution tracing: quartzsim and quartzbench
-# traces validate under cmd/tracecheck (schema, per-track timestamp
-# order), and a quartzd job round-trips its X-Quartz-Trace header
-# through GET /jobs/{id}/trace. CI runs this as the trace-smoke step.
+# End-to-end check of execution tracing and of quartzsim's side-band
+# sinks: quartzsim (flags and a -scenario file) and quartzbench traces
+# validate under cmd/tracecheck (schema, per-track timestamp order),
+# and a quartzd job round-trips its X-Quartz-Trace header through
+# GET /jobs/{id}/trace. CI runs this as the trace-smoke step.
 trace-smoke:
 	bash scripts/trace_smoke.sh
 
 # Regenerate the quartzsim flag reference embedded in EXPERIMENTS.md
-# (print it; paste under "## quartzsim flag reference").
+# (print it; paste under "## quartzsim flag reference", and its closing
+# flags-and-fields table into SCENARIOS.md too —
+# TestFlagDocEmbeddedInDocs compares both).
 flagdoc:
 	$(GO) run ./cmd/quartzsim -flagdoc

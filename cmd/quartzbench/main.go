@@ -62,7 +62,7 @@ const flightRecorderSpans = 4096
 var (
 	run        = flag.String("run", "all", "experiment to run: all, or a name from -list")
 	list       = flag.Bool("list", false, "print the experiment registry and exit")
-	scenarioIn = flag.String("scenario", "", "run a declarative scenario file (JSON or TOML, see SCENARIOS.md) instead of registry experiments")
+	scenarioIn = flag.String("scenario", "", "run a declarative scenario file (JSON, see SCENARIOS.md) instead of registry experiments")
 	seed       = flag.Int64("seed", 2014, "random seed")
 	trials     = flag.Int("trials", 5000, "Monte-Carlo trials (fig6)")
 	tasks      = flag.Int("tasks", 8, "maximum concurrent tasks (fig17/fig18)")

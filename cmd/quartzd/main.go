@@ -41,11 +41,11 @@
 //
 // POST /jobs also accepts a declarative scenario (SCENARIOS.md)
 // instead of the envelope: a raw document (curl -d @file.json —
-// recognized by its "schema": "quartz-scenario/v1" field; TOML works
-// too), an inline {"scenario": {...}}, or a stored one by
-// {"scenario_ref": "name"}. Scenarios that parameterize a registry
-// experiment share its cache key, so a scenario submission and an
-// envelope submission of the same work coalesce into one cache entry.
+// recognized by its "schema": "quartz-scenario/v1" field), an inline
+// {"scenario": {...}}, or a stored one by {"scenario_ref": "name"}.
+// Scenarios that parameterize a registry experiment share its cache
+// key, so a scenario submission and an envelope submission of the same
+// work coalesce into one cache entry.
 //
 // A full queue answers 429 Too Many Requests with Retry-After; that is
 // the backpressure contract — the daemon never buffers unboundedly.

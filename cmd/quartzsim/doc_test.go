@@ -1,0 +1,201 @@
+package main
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/quartz-dcn/quartz/internal/scenario"
+)
+
+// setFlags puts every flag back to its default, applies the name/value
+// pairs, and returns the set of flags given — what flag.Visit reports
+// to run() after a real command line.
+func setFlags(t *testing.T, pairs ...string) map[string]bool {
+	t.Helper()
+	reset := func() {
+		flag.VisitAll(func(f *flag.Flag) {
+			if !strings.HasPrefix(f.Name, "test.") {
+				f.Value.Set(f.DefValue)
+			}
+		})
+	}
+	reset()
+	t.Cleanup(reset)
+	set := map[string]bool{}
+	for i := 0; i < len(pairs); i += 2 {
+		name := strings.TrimPrefix(pairs[i], "-")
+		if err := flag.Set(name, pairs[i+1]); err != nil {
+			t.Fatalf("-%s %s: %v", name, pairs[i+1], err)
+		}
+		set[name] = true
+	}
+	return set
+}
+
+// quartzsim re-executes the test binary as the command (see
+// TestRemovedFlagsRejected) and returns its stdout, stderr and whether
+// it exited non-zero. Arguments must not contain spaces.
+func quartzsim(t *testing.T, args ...string) (stdout, stderr string, failed bool) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsRejected$")
+	cmd.Env = append(os.Environ(), "QUARTZSIM_TEST_ARGS="+strings.Join(args, " "))
+	var out, errb strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	if _, failed = err.(*exec.ExitError); err != nil && !failed {
+		t.Fatalf("quartzsim %v: %v", args, err)
+	}
+	return out.String(), errb.String(), failed
+}
+
+// Each -arch name must select the architecture the flag path's own
+// buildArch switch built before it was deleted (the names on the right
+// are what that switch's constructors report as Architecture.Name).
+func TestArchFlagSelectsTheSameArchitecture(t *testing.T) {
+	for name, want := range map[string]string{
+		"tree3":      "three-tier tree",
+		"tree2":      "two-tier tree",
+		"ring":       "single Quartz ring",
+		"core":       "quartz in core",
+		"edge":       "quartz in edge",
+		"edgecore":   "quartz in edge and core",
+		"jellyfish":  "jellyfish",
+		"qjellyfish": "quartz in jellyfish",
+	} {
+		f, err := docFromFlags(setFlags(t, "-arch", name, "-fanout", "4"))
+		if err != nil {
+			t.Errorf("-arch %s: %v", name, err)
+			continue
+		}
+		arch, err := scenario.BuildArch(f.Doc.Sim.Topology, f.Doc.Sim.Routing, rand.New(rand.NewSource(f.Doc.Seed)))
+		if err != nil {
+			t.Errorf("-arch %s (%+v): %v", name, f.Doc.Sim.Topology, err)
+			continue
+		}
+		if arch.Name != want {
+			t.Errorf("-arch %s builds %q, want %q", name, arch.Name, want)
+		}
+	}
+	if len(archTopology) != 8 {
+		t.Errorf("%d -arch names, the table above covers 8", len(archTopology))
+	}
+	if _, err := docFromFlags(setFlags(t, "-arch", "hypercube")); err == nil {
+		t.Error("-arch hypercube built a document")
+	}
+}
+
+// goldenScenarioDigest is the SHA-256 that
+// internal/experiments/golden_test.go pins for its golden scenario
+// document, copied unedited: goldenFlags describe the same run, so the
+// document they build must render the same bytes.
+const goldenScenarioDigest = "52659b6da14c789c94a2454160cd9eb1d5dae8f90b418c032ab3a2a0153fdd99"
+
+var goldenFlags = []string{
+	"-arch", "ring", "-workload", "scattergather", "-tasks", "3", "-fanout", "8", "-ms", "4", "-seed", "7",
+	"-fail", "fiber:0.2@1ms,repair@3ms", "-fail-detect", "500us", "-fail-policy", "detour",
+	"-probe-interval", "50", "-hot", "4", "-flows-out", "F",
+}
+
+func textDigest(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+func TestFlagsBuildTheGoldenScenario(t *testing.T) {
+	f, err := docFromFlags(setFlags(t, goldenFlags...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Experiment.Run(context.Background(), c.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := textDigest(out.Text); got != goldenScenarioDigest {
+		t.Errorf("flag-built document renders sha256 %s, want the golden scenario's %s\n%s", got, goldenScenarioDigest, out.Text)
+	}
+}
+
+// The migration path from flags to files: the document -dry-run prints,
+// saved and passed back through -scenario, is the same scenario (same
+// scenario/<hash> identity and cache key) and prints the same text.
+func TestDryRunDocumentRoundTrips(t *testing.T) {
+	args := goldenFlags[:len(goldenFlags)-2] // -flows-out would write a file beside the run
+	printed, plan, failed := quartzsim(t, append(args, "-dry-run")...)
+	if failed {
+		t.Fatalf("-dry-run failed: %s", plan)
+	}
+	if !json.Valid([]byte(printed)) {
+		t.Fatalf("-dry-run's stdout is not one JSON document:\n%s", printed)
+	}
+	path := filepath.Join(t.TempDir(), "printed.json")
+	if err := os.WriteFile(path, []byte(printed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	identity := func(plan string) (id []string) {
+		for _, line := range strings.Split(plan, "\n") {
+			if strings.HasPrefix(line, "experiment: scenario/") || strings.HasPrefix(line, "cache key:") {
+				id = append(id, line)
+			}
+		}
+		return id
+	}
+	again, stderr, failed := quartzsim(t, "-scenario", path, "-dry-run")
+	if failed {
+		t.Fatalf("-scenario printed.json -dry-run failed: %s", stderr)
+	}
+	if a, b := identity(plan), identity(again); len(a) != 2 || strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Errorf("identity changed on the way through a file:\nflags: %q\nfile:  %q", a, b)
+	}
+	if strings.Contains(again, `"schema"`) {
+		t.Errorf("-scenario -dry-run printed the document back:\n%s", again)
+	}
+
+	fromFlags, _, failed := quartzsim(t, append(args, "-telemetry=false")...)
+	fromFile, _, failed2 := quartzsim(t, "-scenario", path, "-telemetry=false")
+	if failed || failed2 || fromFlags != fromFile {
+		t.Errorf("text differs:\n--- flags\n%s\n--- file\n%s", fromFlags, fromFile)
+	}
+	// Without -flows-out the document has no probes.flows, so this text
+	// is the golden one minus its "flows:" line.
+	if !strings.Contains(fromFile, "delivered 3954 packets, dropped 0\n") || strings.Contains(fromFile, "flows:") {
+		t.Errorf("unexpected text:\n%s", fromFile)
+	}
+}
+
+// Side-band sinks work for a -scenario document exactly as for flags:
+// at the parent this invocation exited 0 having written neither file.
+func TestSinksAttachToAScenarioFile(t *testing.T) {
+	dir := t.TempDir()
+	spans, flows := filepath.Join(dir, "s.json"), filepath.Join(dir, "f.csv")
+	doc := "../../examples/scenarios/fault-cut.json"
+	plain, _, failed := quartzsim(t, "-scenario", doc, "-telemetry=false")
+	if failed {
+		t.Fatal("plain run failed")
+	}
+	out, stderr, failed := quartzsim(t, "-scenario", doc, "-telemetry=false", "-trace-spans", spans, "-flows-out", flows)
+	if failed {
+		t.Fatalf("run with sinks failed: %s", stderr)
+	}
+	rest, ok := strings.CutPrefix(out, plain)
+	if !ok || strings.Count(rest, "\n") != 2 || !strings.Contains(rest, "flow rows to "+flows) || !strings.Contains(rest, "execution spans to "+spans) {
+		t.Errorf("want the document's text followed by two wrote-lines, got:\n%s", out)
+	}
+	for _, p := range []string{spans, flows} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v (size %v)", p, err, st)
+		}
+	}
+}

@@ -13,8 +13,8 @@ package scenario
 //   - Everything else (sim documents, any sweep) is keyed by the
 //     canonical hash of the normalized document: "scenario/<hash>".
 //     Normalization applies defaults and lowercases enums, and
-//     canonical marshalling fixes field order, so JSON vs TOML,
-//     reordered keys, and spelled-out defaults all reach one key.
+//     canonical marshalling fixes field order, so reordered keys and
+//     spelled-out defaults reach one key.
 
 import (
 	"context"
@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
+	"github.com/quartz-dcn/quartz/internal/netsim"
 )
 
 // Compiled is a scenario lowered onto the experiment machinery.
@@ -262,8 +263,20 @@ func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (str
 		}
 		return out.Text, out.CSV, nil
 	}
-	text, err := runSim(ctx, d.Sim, seed, p.Trace)
-	return text, nil, err
+	// The submission's span recorder is the only side band a cell has.
+	var side netsim.ObserveOptions
+	if pr := d.Sim.Probes; pr != nil && pr.TraceSpans {
+		side.Spans = p.Trace
+	}
+	s, err := NewSim(d.Sim, seed, side)
+	if err != nil {
+		return "", nil, err
+	}
+	text, err := s.Run(ctx)
+	if err != nil {
+		return "", nil, err // a cancelled cell's partial text is not a result
+	}
+	return text, nil, nil
 }
 
 // clone returns a deep-enough copy of the document for per-cell
@@ -317,9 +330,9 @@ func axisDefs(d *Doc) map[string]axisDef {
 		defs["packet_size"] = intAxis(64, 9000, func(d *Doc, n int64) { d.Sim.Workload.PacketSize = int(n) })
 		defs["pps"] = floatAxis(0, 100e6, func(d *Doc, x float64) { d.Sim.Workload.PPS = x })
 		defs["duration_ms"] = floatAxis(0, maxDurationMS, func(d *Doc, x float64) { d.Sim.DurationMS = x })
-		defs["workload"] = stringAxis(workloadKinds, func(d *Doc, s string) {
+		defs["workload"] = stringAxis(generatedWorkloads, func(d *Doc, s string) {
 			d.Sim.Workload.Kind = s
-			if s == "permutation" || s == "incast" {
+			if singlePattern(s) {
 				d.Sim.Workload.Tasks = 1
 			}
 		})

@@ -1,13 +1,13 @@
 package scenario
 
-// Parsing: bytes in (JSON or the TOML subset), *File out — the decoded
-// document plus a field-path → line-number index so that validation
-// and compilation errors can point at the offending line of the
-// original file, whichever format it was written in.
+// Parsing: JSON bytes in, *File out — the decoded document plus a
+// field-path → line-number index so that validation and compilation
+// errors can point at the offending line of the original file.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -95,8 +95,7 @@ func parentPath(path string) string {
 	return ""
 }
 
-// Load reads and decodes path. Format is chosen by extension: ".toml"
-// parses the TOML subset, everything else JSON.
+// Load reads and decodes path.
 func Load(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -105,20 +104,21 @@ func Load(path string) (*File, error) {
 	return Decode(data, path)
 }
 
+// ErrNotJSON is the one-line answer to a document in the TOML syntax
+// this package used to accept alongside JSON.
+var ErrNotJSON = errors.New("scenario documents are JSON; TOML support was removed")
+
 // Decode parses, normalizes, and validates one document. name is used
-// in error messages and selects TOML when it ends in ".toml"; with any
-// other name the format is sniffed (a document whose first significant
-// byte is '{' is JSON, otherwise TOML). The returned error is an
-// ErrorList (possibly of one) for document problems.
+// in error messages. A name ending in ".toml", or bytes whose first
+// significant byte is not '{', fail with ErrNotJSON. The returned error
+// is an ErrorList (possibly of one) for document problems.
 func Decode(data []byte, name string) (*File, error) {
 	f := &File{Name: name}
-	var err error
-	if isTOML(data, name) {
-		err = decodeTOML(data, f)
-	} else {
-		err = decodeJSON(data, f)
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); strings.HasSuffix(name, ".toml") ||
+		len(trimmed) > 0 && trimmed[0] != '{' {
+		return nil, ErrorList{{File: name, Msg: ErrNotJSON.Error()}}
 	}
-	if err != nil {
+	if err := decodeJSON(data, f); err != nil {
 		return nil, err
 	}
 	f.Doc.Normalize()
@@ -126,18 +126,6 @@ func Decode(data []byte, name string) (*File, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// isTOML picks the parse format for Decode.
-func isTOML(data []byte, name string) bool {
-	if strings.HasSuffix(name, ".toml") {
-		return true
-	}
-	if strings.HasSuffix(name, ".json") {
-		return false
-	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	return len(trimmed) > 0 && trimmed[0] != '{'
 }
 
 // decodeJSON strictly decodes JSON into f.Doc and builds the line

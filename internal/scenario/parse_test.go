@@ -83,12 +83,13 @@ func TestDecodeUnknownField(t *testing.T) {
 	cases := []struct {
 		name, file, doc, path string
 		line                  int
+		msg                   string
 	}{
 		{"typo", "t.json", `{
   "schema": "quartz-scenario/v1",
   "name": "t",
   "experiment": {"name": "fig6", "trails": 100}
-}`, "experiment.trails", 4},
+}`, "experiment.trails", 4, "unknown field"},
 		// sim.shards selected the multi-shard engine family until it was
 		// deleted (DESIGN.md §11): a document that still carries it is
 		// rejected by name, not silently run on one engine.
@@ -97,7 +98,9 @@ func TestDecodeUnknownField(t *testing.T) {
   "name": "t",
   "sim": {"topology": {"kind": "ring"}, "workload": {"kind": "scatter"},
           "shards": 2}
-}`, "sim.shards", 5},
+}`, "sim.shards", 5, "unknown field"},
+		// The same document in the removed TOML syntax is rejected too,
+		// before any field is looked at.
 		{"removed sim.shards, TOML", "t.toml", `schema = "quartz-scenario/v1"
 name = "t"
 [sim]
@@ -106,7 +109,7 @@ shards = 2
 kind = "ring"
 [sim.workload]
 kind = "scatter"
-`, "sim.shards", 4},
+`, "", 0, "TOML support was removed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,9 +119,9 @@ kind = "scatter"
 				t.Fatalf("want an ErrorList of one, got %T: %v", err, err)
 			}
 			e := list[0]
-			if e.Path != tc.path || e.Line != tc.line || !strings.Contains(e.Msg, "unknown field") {
-				t.Errorf("got %s:%d path %q msg %q; want line %d path %q, an unknown-field error",
-					e.File, e.Line, e.Path, e.Msg, tc.line, tc.path)
+			if e.Path != tc.path || e.Line != tc.line || !strings.Contains(e.Msg, tc.msg) {
+				t.Errorf("got %s:%d path %q msg %q; want line %d path %q, a message with %q",
+					e.File, e.Line, e.Path, e.Msg, tc.line, tc.path, tc.msg)
 			}
 		})
 	}
@@ -157,14 +160,54 @@ func TestDecodeTrailingData(t *testing.T) {
 	}
 }
 
+// The TOML syntax was removed, and with it the sniffing that chose a
+// parser: bytes that do not start a JSON object get one explicit line
+// whatever the name — not a TOML parse, and not a JSON syntax error at
+// offset 0.
 func TestFormatSniffing(t *testing.T) {
-	// No extension: '{' means JSON, anything else TOML.
-	if _, err := Decode([]byte(minimalExperiment), "request"); err != nil {
-		t.Errorf("sniffed JSON: %v", err)
+	if _, err := Decode([]byte("  \n"+minimalExperiment), "request"); err != nil {
+		t.Errorf("JSON after leading space: %v", err)
 	}
 	toml := "schema = \"quartz-scenario/v1\"\nname = \"t\"\n[experiment]\nname = \"fig6\"\n"
-	if _, err := Decode([]byte(toml), "request"); err != nil {
-		t.Errorf("sniffed TOML: %v", err)
+	for _, tc := range []struct{ name, file, doc string }{
+		{"toml bytes", "request", toml},
+		{"toml bytes, json name", "t.json", "\n  # comment\n" + toml},
+		{"json bytes, toml name", "t.toml", minimalExperiment},
+		{"array", "request", "[1, 2]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wantNotJSON(t, tc.doc, tc.file) })
+	}
+}
+
+// What the TOML subset parser's error table held — eight malformed
+// documents, each of which it answered with a located message of its
+// own — now gets the same answer as a well-formed one: there is no
+// parser left to find the problem.
+func TestTOMLErrors(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"inline table", "schema = \"quartz-scenario/v1\"\nsim = { x = 1 }\n"},
+		{"bad value", "name = yes\n"},
+		{"duplicate key", "name = \"a\"\nname = \"b\"\n"},
+		{"no assign", "just some words\n"},
+		{"bad header", "[sim\nname = \"a\"\n"},
+		{"unterminated string", "name = \"abc\n"},
+		{"unknown field", "schema = \"quartz-scenario/v1\"\nname = \"t\"\n[experiment]\nname = \"fig6\"\ntrails = 3\n"},
+		{"type error", "schema = \"quartz-scenario/v1\"\nname = \"t\"\n[experiment]\nname = \"fig6\"\ntrials = \"many\"\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wantNotJSON(t, tc.src, "bad.toml") })
+	}
+}
+
+// wantNotJSON requires Decode to answer doc with exactly the one
+// "documents are JSON" line.
+func wantNotJSON(t *testing.T, doc, file string) {
+	t.Helper()
+	_, err := Decode([]byte(doc), file)
+	if list, ok := err.(ErrorList); !ok || len(list) != 1 {
+		t.Fatalf("want an ErrorList of one, got %T: %v", err, err)
+	}
+	if want := file + ": " + ErrNotJSON.Error(); err.Error() != want {
+		t.Errorf("got %q, want %q", err, want)
 	}
 }
 

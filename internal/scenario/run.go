@@ -1,18 +1,22 @@
 package scenario
 
-// The sim runner: executes a SimSpec the way cmd/quartzsim would, but
-// renders only virtual-time-derived statistics, so the output of a
-// scenario is a pure function of the document and the seed — a hard
-// requirement for the result cache, where a cached body must equal
-// what a re-execution would print.
+// The one runner: every front end that describes a packet-level run —
+// quartzsim's flags, a -scenario file, quartzbench -scenario, a quartzd
+// job — produces a SimSpec, and NewSim + Run execute it. The rendered
+// text is a pure function of the document and the seed — a hard
+// requirement for the result cache, where a cached body must equal what
+// a re-execution would print. Anything wall-clock or file-shaped rides
+// the side band (ObserveOptions) and never reaches the text.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/metrics"
@@ -20,7 +24,6 @@ import (
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
-	"github.com/quartz-dcn/quartz/internal/trace"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
@@ -63,8 +66,15 @@ func BuildArch(t TopologySpec, r *RoutingSpec, rng *rand.Rand) (*core.Architectu
 	return arch, nil
 }
 
-// msTime converts virtual milliseconds (a scenario field) to sim.Time.
-func msTime(ms float64) sim.Time { return sim.Time(ms * float64(sim.Millisecond)) }
+// msTime converts virtual milliseconds (a scenario field) to sim.Time,
+// rounding to the nearest picosecond: DurationMS(d) round-trips every
+// whole-nanosecond d exactly, where truncation lost a picosecond on
+// one value in 37.
+func msTime(ms float64) sim.Time { return sim.Time(math.Round(ms * float64(sim.Millisecond))) }
+
+// DurationMS converts a Go duration (a CLI flag) to the milliseconds a
+// scenario field carries.
+func DurationMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // resolveSwitch finds a fault target switch by name or numeric node ID.
 func resolveSwitch(g *topology.Graph, target string) (topology.NodeID, error) {
@@ -115,78 +125,126 @@ func faultSchedule(fs *FaultsSpec, g *topology.Graph) (netsim.FaultSchedule, err
 	return sched, nil
 }
 
-// runSim executes one SimSpec and renders the deterministic summary.
-// rec, when non-nil and the document sets probes.trace_spans, receives
-// execution spans (flow lifetimes) as a side channel.
-func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder) (string, error) {
+// Sim is one packet-level run, built and armed but not yet executed.
+// Between NewSim and Run a caller may hook what needs the live objects
+// (Obs.Heartbeat().OnTick, a metrics endpoint); after Run it reads the
+// side-band views (Obs.Trace, Obs.Flows, Obs.Sampler, Net.Telemetry).
+type Sim struct {
+	Arch *core.Architecture
+	Net  *netsim.Network
+	Obs  *netsim.Observer
+
+	spec    *SimSpec
+	harness *traffic.Harness
+	groups  []latencyGroup
+	summary string          // the workload half of the header line
+	text    strings.Builder // fault log during the run, then the summary
+}
+
+// latencyGroup is one line of the per-task latency table: the harness
+// tag it reads and the label it prints under.
+type latencyGroup struct {
+	label string
+	tag   int
+}
+
+// NewSim builds the architecture, network, observers, fault schedule
+// and workload of spec, which must be normalized and validated (Decode
+// does both). side attaches observability beyond what the document
+// asks for — file and live sinks, a span recorder — and never changes
+// the rendered text; its SampleEvery and Until are the document's to
+// set and are overwritten.
+func NewSim(spec *SimSpec, seed int64, side netsim.ObserveOptions) (*Sim, error) {
 	arch, err := BuildArch(spec.Topology, spec.Routing, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
+	s := &Sim{Arch: arch, spec: spec, harness: traffic.NewHarness()}
+	s.Net, err = netsim.New(netsim.Config{
 		Graph:       arch.Graph,
 		Router:      arch.Router,
 		SwitchModel: arch.Model,
-		OnDeliver:   h.Deliver,
+		OnDeliver:   s.harness.Deliver,
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed + 1))
-	hosts := arch.Graph.Hosts()
 	end := msTime(spec.DurationMS)
-	runEnd := end + 2*sim.Millisecond
-
-	var b strings.Builder
 
 	// Observability rides the consolidated attach surface.
-	var obs *netsim.Observer
-	var sampler *netsim.QueueSampler
-	tracing := spec.Probes != nil && spec.Probes.TraceSpans && rec != nil
-	if p := spec.Probes; p != nil && (p.Flows || p.QueueSampleUS > 0 || tracing) {
-		oo := netsim.ObserveOptions{Flows: p.Flows || tracing}
-		if p.QueueSampleUS > 0 {
-			oo.SampleEvery = sim.Time(p.QueueSampleUS) * sim.Microsecond
-			oo.Until = end
-		}
-		if tracing {
-			oo.Spans = rec
-		}
-		obs = net.Observe(oo)
-		sampler = obs.Sampler()
+	oo := side
+	oo.SampleEvery, oo.Until = 0, end
+	if p := spec.Probes; p != nil {
+		oo.Flows = oo.Flows || p.Flows
+		oo.SampleEvery = sim.Time(p.QueueSampleUS) * sim.Microsecond
 	}
+	if oo.Spans != nil {
+		oo.Flows = true // flow spans render from the flow table
+	}
+	s.Obs = s.Net.Observe(oo)
 
 	if spec.Faults != nil {
 		sched, err := faultSchedule(spec.Faults, arch.Graph)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fi := net.Faults()
+		fi := s.Net.Faults()
 		if arch.Ring != nil {
-			if _, err := arch.Ring.AttachFaults(net); err != nil {
-				return "", err
+			if _, err := arch.Ring.AttachFaults(s.Net); err != nil {
+				return nil, err
 			}
 		}
 		fi.OnChange = func(c netsim.FaultChange) {
 			if c.Reconverged {
-				fmt.Fprintf(&b, "[%v] routes reconverged (%d links down)\n", c.At, c.DeadLinks)
+				fmt.Fprintf(&s.text, "[%v] routes reconverged (%d links down)\n", c.At, c.DeadLinks)
 				return
 			}
 			verb := "fail"
 			if c.Repair {
 				verb = "repair"
 			}
-			fmt.Fprintf(&b, "[%v] %s: %s (%d links, %d down)\n", c.At, verb, c.Event, len(c.Links), c.DeadLinks)
+			fmt.Fprintf(&s.text, "[%v] %s: %s (%d links, %d down)\n", c.At, verb, c.Event, len(c.Links), c.DeadLinks)
 		}
 		if err := fi.Apply(sched); err != nil {
-			return "", err
+			return nil, err
 		}
-		fmt.Fprintf(&b, "fault schedule: %d event(s), detection %v, policy %s\n",
+		fmt.Fprintf(&s.text, "fault schedule: %d event(s), detection %v, policy %s\n",
 			len(sched.Events), sched.DetectionDelay, spec.Faults.Policy)
 	}
+	if err := s.startWorkload(rand.New(rand.NewSource(seed+1)), end); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
-	w := spec.Workload
+// startWorkload is the one place a workload kind becomes traffic.
+func (s *Sim) startWorkload(rng *rand.Rand, end sim.Time) error {
+	w, arch, net := s.spec.Workload, s.Arch, s.Net
+	hosts := arch.Graph.Hosts()
+	tooFew := func(need int) error {
+		return fmt.Errorf("sim.workload.fanout: %s with fanout %d needs %d hosts; the %s (topology %q) has %d",
+			w.Kind, w.Fanout, need, arch.Name, s.spec.Topology.Kind, len(hosts))
+	}
+	if w.Kind == "replay" {
+		events, err := traffic.ParseTrace(strings.NewReader(w.Trace))
+		if err != nil {
+			return err
+		}
+		n, err := traffic.Replay(net, events)
+		if err != nil {
+			return err
+		}
+		seen := map[int]bool{}
+		for _, ev := range events {
+			if !seen[ev.Tag] {
+				seen[ev.Tag] = true
+				s.groups = append(s.groups, latencyGroup{fmt.Sprintf("tag %3d", ev.Tag), ev.Tag})
+			}
+		}
+		sort.Slice(s.groups, func(i, j int) bool { return s.groups[i].tag < s.groups[j].tag })
+		s.summary = fmt.Sprintf("%d trace events", n)
+		return nil
+	}
 	pick := func(k int) []topology.NodeID {
 		perm := rng.Perm(len(hosts))
 		out := make([]topology.NodeID, 0, k)
@@ -208,48 +266,61 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 		return t.Start(end)
 	}
 
-	var tags []int
 	streams := w.Fanout
 	for i := 0; i < w.Tasks; i++ {
 		tag := 10 * (i + 1)
-		var t *traffic.Task
 		switch w.Kind {
 		case "scatter", "gather", "scattergather":
+			if w.Fanout+1 > len(hosts) {
+				return tooFew(w.Fanout + 1)
+			}
 			members := pick(w.Fanout + 1)
 			sender, rest := members[0], members[1:]
+			var t *traffic.Task
 			switch w.Kind {
 			case "scatter":
 				t = traffic.Scatter(net, sender, rest, w.PPS, tag, arch.VLB, rng)
 			case "gather":
 				t = traffic.Gather(net, rest, sender, w.PPS, tag, arch.VLB, rng)
 			case "scattergather":
-				t = traffic.ScatterGather(net, h, sender, rest, w.PPS, tag, tag+1, arch.VLB, rng)
+				t = traffic.ScatterGather(net, s.harness, sender, rest, w.PPS, tag, tag+1, arch.VLB, rng)
 			}
 			t.SetSize(w.PacketSize)
 			if err := t.Start(end); err != nil {
-				return "", err
+				return err
 			}
 		case "permutation":
 			pairs := traffic.RandomPermutation(hosts, rng)
 			streams = len(pairs)
 			if err := startPairs(pairs, tag); err != nil {
-				return "", err
+				return err
 			}
 		case "incast":
+			if len(hosts) < 2 { // Incast draws until src != dst
+				return tooFew(2)
+			}
 			pairs := traffic.Incast(hosts, w.Fanout, rng)
 			streams = len(pairs)
 			if err := startPairs(pairs, tag); err != nil {
-				return "", err
+				return err
 			}
 		default:
-			return "", fmt.Errorf("unknown workload %q", w.Kind)
+			return fmt.Errorf("unknown workload %q", w.Kind)
 		}
-		tags = append(tags, tag)
+		s.groups = append(s.groups, latencyGroup{fmt.Sprintf("task %2d", i+1), tag})
 	}
+	s.summary = fmt.Sprintf("%d task(s), %d streams each at %.0f pps", w.Tasks, streams, w.PPS)
+	return nil
+}
 
-	// Stop the event loop promptly when the submission is cancelled
-	// (quartzd timeouts, Ctrl-C in quartzsim).
-	eng := net.Engine()
+// Run drives the event loop to the end of the run (duration plus a
+// 2 ms drain) and renders the deterministic summary. A cancelled ctx
+// stops the loop at the next watchdog tick — a quartzd timeout, Ctrl-C
+// in quartzsim — and Run then returns the text of the simulated
+// portion together with ctx.Err(): a job discards it, the CLI prints
+// it and still writes its sinks.
+func (s *Sim) Run(ctx context.Context) (string, error) {
+	eng := s.Net.Engine()
 	const watchdogEvery = 100 * sim.Microsecond
 	var watchdog func()
 	watchdog = func() {
@@ -261,45 +332,47 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 	}
 	eng.After(watchdogEvery, watchdog)
 
-	net.RunUntil(runEnd)
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	if tracing {
-		// Side-band only: flow spans go to the recorder, never the text.
-		obs.FlowSpans()
-	}
+	s.Net.RunUntil(msTime(s.spec.DurationMS) + 2*sim.Millisecond)
+	// Side-band only: flow spans go to the recorder, never the text.
+	s.Obs.FlowSpans()
+	s.render()
+	return s.text.String(), ctx.Err()
+}
 
-	fmt.Fprintf(&b, "%s | %s | %d task(s), %d streams each at %.0f pps | %g ms\n",
-		arch.Name, w.Kind, w.Tasks, streams, w.PPS, spec.DurationMS)
-	fmt.Fprintf(&b, "delivered %d packets, dropped %d\n", net.Delivered(), net.Dropped())
-	for _, tag := range tags {
-		s := h.Latency(tag)
-		if s.N() == 0 {
+// render appends the end-of-run summary to the text.
+func (s *Sim) render() {
+	b, spec, g := &s.text, s.spec, s.Arch.Graph
+	fmt.Fprintf(b, "%s | %s | %s | %g ms\n", s.Arch.Name, spec.Workload.Kind, s.summary, spec.DurationMS)
+	fmt.Fprintf(b, "delivered %d packets, dropped %d\n", s.Net.Delivered(), s.Net.Dropped())
+	for _, gr := range s.groups {
+		st := s.harness.Latency(gr.tag)
+		if st.N() == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "task %2d: n=%-8d mean %8.2fus ±%.2f  min %.2f  max %.2f\n",
-			tag/10, s.N(), s.Mean(), s.CI95(), s.Min(), s.Max())
+		fmt.Fprintf(b, "%s: n=%-8d mean %8.2fus ±%.2f  min %.2f  max %.2f\n",
+			gr.label, st.N(), st.Mean(), st.CI95(), st.Min(), st.Max())
 	}
-	if obs != nil && spec.Probes.Flows {
+	p := spec.Probes
+	if p == nil {
+		return
+	}
+	if p.Flows {
 		fct := metrics.NewLatencyHistogram()
-		if n := obs.Flows().FCTStats(fct); n > 0 {
-			fmt.Fprintf(&b, "flows: %d tracked | FCT p50 %.1fus p99 %.1fus max %.1fus\n",
+		if n := s.Obs.Flows().FCTStats(fct); n > 0 {
+			fmt.Fprintf(b, "flows: %d tracked | FCT p50 %.1fus p99 %.1fus max %.1fus\n",
 				n, fct.Quantile(0.50), fct.Quantile(0.99), fct.Max())
 		}
 	}
-	if spec.Probes != nil && spec.Probes.HotPorts > 0 {
-		fmt.Fprintf(&b, "hottest ports (by bytes):\n")
-		for _, ps := range net.HottestPorts(spec.Probes.HotPorts) {
-			from := arch.Graph.Node(ps.From)
-			l := arch.Graph.Link(ps.Link)
-			to := arch.Graph.Node(l.Other(ps.From))
-			fmt.Fprintf(&b, "  %-10s -> %-10s  %8d pkts %10d B  util %5.1f%%  drops %d\n",
-				from.Name, to.Name, ps.Packets, ps.Bytes,
-				100*ps.Utilization(eng.Now()), ps.Drops)
+	if p.HotPorts > 0 {
+		fmt.Fprintf(b, "hottest ports (by bytes):\n")
+		for _, ps := range s.Net.HottestPorts(p.HotPorts) {
+			to := g.Node(g.Link(ps.Link).Other(ps.From))
+			fmt.Fprintf(b, "  %-10s -> %-10s  %8d pkts %10d B  util %5.1f%%  drops %d\n",
+				g.Node(ps.From).Name, to.Name, ps.Packets, ps.Bytes,
+				100*ps.Utilization(s.Net.Engine().Now()), ps.Drops)
 		}
 	}
-	if sampler != nil {
+	if sampler := s.Obs.Sampler(); sampler != nil {
 		type portPeak struct {
 			name string
 			peak int
@@ -307,14 +380,13 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 			n    int64
 		}
 		var peaks []portPeak
-		for i := 0; i < arch.Graph.NumLinks(); i++ {
-			l := arch.Graph.Link(topology.LinkID(i))
+		for i := 0; i < g.NumLinks(); i++ {
+			l := g.Link(topology.LinkID(i))
 			for _, from := range []topology.NodeID{l.A, l.B} {
 				ref := netsim.PortRef{Link: l.ID, From: from}
 				st := sampler.DepthStats(ref)
-				to := arch.Graph.Node(l.Other(from))
 				peaks = append(peaks, portPeak{
-					name: fmt.Sprintf("%-10s -> %-10s", arch.Graph.Node(from).Name, to.Name),
+					name: fmt.Sprintf("%-10s -> %-10s", g.Node(from).Name, g.Node(l.Other(from)).Name),
 					peak: sampler.PeakDepth(ref), mean: st.Mean(), n: st.N(),
 				})
 			}
@@ -325,14 +397,10 @@ func runSim(ctx context.Context, spec *SimSpec, seed int64, rec *trace.Recorder)
 			}
 			return peaks[i].name < peaks[j].name
 		})
-		show := 5
-		if show > len(peaks) {
-			show = len(peaks)
-		}
-		fmt.Fprintf(&b, "queue depth by port (sampled every %d us; deepest %d):\n", spec.Probes.QueueSampleUS, show)
+		show := min(5, len(peaks))
+		fmt.Fprintf(b, "queue depth by port (sampled every %d us; deepest %d):\n", p.QueueSampleUS, show)
 		for _, pp := range peaks[:show] {
-			fmt.Fprintf(&b, "  %s  peak %7d B  mean %9.1f B over %d samples\n", pp.name, pp.peak, pp.mean, pp.n)
+			fmt.Fprintf(b, "  %s  peak %7d B  mean %9.1f B over %d samples\n", pp.name, pp.peak, pp.mean, pp.n)
 		}
 	}
-	return b.String(), nil
 }

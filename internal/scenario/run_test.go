@@ -2,9 +2,14 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/quartz-dcn/quartz/internal/metrics"
+	"github.com/quartz-dcn/quartz/internal/netsim"
+	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
 
@@ -106,6 +111,175 @@ func TestSimRunCancellation(t *testing.T) {
 	cancel()
 	if _, err := c.Experiment.Run(ctx, c.Params); err == nil {
 		t.Fatal("cancelled run returned nil error")
+	}
+}
+
+// A cancelled run still renders the portion it simulated: Run returns
+// that text together with ctx.Err(), so quartzsim can print it and
+// write its sinks while a job (runCell) discards it.
+func TestSimRunReturnsPartialTextOnCancel(t *testing.T) {
+	f, err := Decode([]byte(`{"schema": "quartz-scenario/v1", "name": "cancel",
+	         "sim": {"duration_ms": 1000,
+	                 "topology": {"kind": "tree2"},
+	                 "workload": {"kind": "scatter", "tasks": 1, "fanout": 2, "pps": 100}}}`), "t.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSim(f.Doc.Sim, f.Doc.Seed, netsim.ObserveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	text, err := s.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !strings.Contains(text, "delivered") {
+		t.Errorf("no partial summary:\n%s", text)
+	}
+	if now := s.Net.Engine().Now(); now >= 1000*sim.Millisecond {
+		t.Errorf("the loop ran to %v despite the cancelled context", now)
+	}
+}
+
+// A workload that needs more hosts than the topology has is an error
+// from NewSim naming the field, the need and the topology — it used to
+// be a slice-bounds panic in pick, on whichever goroutine ran the cell.
+func TestFanoutExceedingHostsIsAnError(t *testing.T) {
+	for _, tc := range []struct{ name, topology, workload, want string }{
+		{"scatter on the default tree3", `{"kind": "tree3"}`, `{"kind": "scatter", "fanout": 100}`,
+			`sim.workload.fanout: scatter with fanout 100 needs 101 hosts; the three-tier tree (topology "tree3") has 64`},
+		{"gather", `{"kind": "ring"}`, `{"kind": "gather", "fanout": 4096}`, "needs 4097 hosts"},
+		{"scattergather, one short", `{"kind": "tree2", "pods": 1, "tors_per_pod": 2, "hosts_per_tor": 2}`,
+			`{"kind": "scattergather", "fanout": 4}`, "needs 5 hosts"},
+		{"incast on one host", `{"kind": "tree2", "pods": 1, "tors_per_pod": 1, "hosts_per_tor": 1}`,
+			`{"kind": "incast", "fanout": 3}`, "needs 2 hosts"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := compileSim(t, `{"schema": "quartz-scenario/v1", "name": "f", "sim": {"duration_ms": 1,
+				"topology": `+tc.topology+`, "workload": `+tc.workload+`}}`)
+			_, err := c.Experiment.Run(context.Background(), c.Params)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	// The largest fanout that fits still runs.
+	c := compileSim(t, `{"schema": "quartz-scenario/v1", "name": "f", "sim": {"duration_ms": 1,
+		"topology": {"kind": "tree2", "pods": 1, "tors_per_pod": 2, "hosts_per_tor": 2},
+		"workload": {"kind": "scatter", "tasks": 1, "fanout": 3, "pps": 1000}}}`)
+	if out := runOnce(t, c); !strings.Contains(out, "3 streams each") {
+		t.Errorf("fanout 3 on 4 hosts:\n%s", out)
+	}
+}
+
+// The replay kind carries its packets inline and groups latency by the
+// trace's own tags.
+func TestSimRunReplay(t *testing.T) {
+	const doc = `{"schema": "quartz-scenario/v1", "name": "rp",
+	  "sim": {"duration_ms": 1, "topology": {"kind": "tree2"},
+	          "workload": {"kind": "replay",
+	                       "trace": "at_us,src,dst,size,flow,tag\n10,0,5,400,1,1\n20,1,6,400,2,3\n30.5,0,5,400,1,1\n"}}}`
+	c := compileSim(t, doc)
+	if c.Doc.Sim.Workload.Tasks != 1 {
+		t.Errorf("replay tasks = %d, want 1", c.Doc.Sim.Workload.Tasks)
+	}
+	out := runOnce(t, c)
+	for _, want := range []string{"two-tier tree | replay | 3 trace events | 1 ms", "delivered 3 packets, dropped 0", "tag   1: n=2", "tag   3: n=1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, tc := range []struct{ name, workload, want string }{
+		{"no trace", `{"kind": "replay"}`, "t.json:3: sim.workload.trace: missing required field"},
+		{"unparsable row", `{"kind": "replay", "trace": "10,0,x,400"}`, `sim.workload.trace: traffic: trace line 1: bad field "x"`},
+		{"tasks", `{"kind": "replay", "tasks": 2, "trace": "10,0,1,400"}`, "sim.workload.tasks: replay is a single global pattern"},
+		{"trace on a generated kind", `{"kind": "scatter", "trace": "10,0,1,400"}`, `sim.workload.trace: a trace is the packet list of kind "replay"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode([]byte("{\"schema\": \"quartz-scenario/v1\", \"name\": \"rp\",\n\"sim\": {\"topology\": {\"kind\": \"tree2\"},\n\"workload\": "+tc.workload+"}}"), "t.json")
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	// A host index the topology does not have is only knowable once it
+	// is built: a run-time error, not a panic.
+	c = compileSim(t, strings.Replace(doc, "10,0,5,400,1,1", "10,0,999,400,1,1", 1))
+	if _, err := c.Experiment.Run(context.Background(), c.Params); err == nil || !strings.Contains(err.Error(), "host index out of range") {
+		t.Errorf("err = %v, want a host-index error", err)
+	}
+	// replay is not a value of the workload sweep axis: it has no
+	// parameters for the other axes to vary.
+	_, err := Decode([]byte(`{"schema": "quartz-scenario/v1", "name": "rp",
+	  "sim": {"topology": {"kind": "tree2"}, "workload": {"kind": "scatter"}},
+	  "sweep": {"axes": {"workload": ["gather", "replay"]}}}`), "t.json")
+	if err == nil || !strings.Contains(err.Error(), `sweep.axes.workload[1]: unknown value "replay"`) {
+		t.Errorf("err = %v, want replay rejected as an axis value", err)
+	}
+}
+
+// Side-band observers ride beside the run and never reach the text:
+// everything quartzsim's sink flags attach at once leaves the golden
+// scenario's bytes alone, and each view is there to read afterwards.
+func TestSideBandNeverChangesText(t *testing.T) {
+	const doc = `{"schema": "quartz-scenario/v1", "name": "side", "seed": 7,
+	  "sim": {"duration_ms": 2, "topology": {"kind": "ring"},
+	          "workload": {"kind": "scattergather", "tasks": 2, "fanout": 4},
+	          "faults": {"detect_ms": 0.5, "events": [{"kind": "fiber", "fiber": 0, "segment": 2, "at_ms": 1}]},
+	          "probes": {"queue_sample_us": 50, "hot_ports": 3}}}`
+	c := compileSim(t, doc)
+	plain := runOnce(t, c)
+
+	reg := metrics.NewRegistry()
+	rec := trace.NewRecorder()
+	s, err := NewSim(c.Doc.Sim, c.Doc.Seed, netsim.ObserveOptions{
+		Trace: true, Flows: true, Spans: rec,
+		Registry: reg, HeartbeatEvery: 100 * sim.Microsecond,
+		SampleEvery: sim.Microsecond, Until: sim.Second, // the document's to set: overwritten
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ticks int
+	s.Obs.Heartbeat().OnTick = func(sim.Time) { ticks++ }
+	text, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != plain {
+		t.Errorf("side-band observers changed the text:\n--- without\n%s\n--- with\n%s", plain, text)
+	}
+	if ticks != 20 { // every 100 us of the 2 ms run
+		t.Errorf("heartbeat ticked %d times, want 20", ticks)
+	}
+	if n := len(s.Obs.Trace().Events()); n == 0 {
+		t.Error("no trace events")
+	}
+	if n := s.Obs.Flows().NumFlows(); n == 0 || rec.Len() != n {
+		t.Errorf("%d flows, %d spans: want one span per flow", n, rec.Len())
+	}
+	if n := len(s.Obs.Sampler().Samples()); n == 0 || strings.Contains(text, "flows:") {
+		t.Errorf("%d samples; flows line present = %v", n, strings.Contains(text, "flows:"))
+	}
+}
+
+// msTime rounds: every whole-nanosecond duration survives the trip
+// duration → at_ms → sim.Time that quartzsim's -fail and -fail-detect
+// make. Truncation lost a picosecond on one value in 37 (first: 260 ns
+// → 259 999 ps).
+func TestDurationRoundTrip(t *testing.T) {
+	check := func(d time.Duration) {
+		if got, want := msTime(DurationMS(d)), sim.Time(d.Nanoseconds())*sim.Nanosecond; got != want {
+			t.Fatalf("%v → %v ms → %d ps, want %d", d, DurationMS(d), got, want)
+		}
+	}
+	for d := time.Nanosecond; d <= 20*time.Millisecond; d += 7 * time.Nanosecond {
+		check(d)
+	}
+	for _, d := range []time.Duration{260, 20 * time.Millisecond, 10 * time.Second, 9999999999} {
+		check(d)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package scenario makes experiments data instead of code: a
-// declarative document format (JSON, with a TOML subset accepted) that
-// describes a Quartz experiment — either a parameterization of a
-// registry entry (internal/experiments) or a full packet-level
-// simulation (topology, Quartz placement, routing policy, workload,
-// fault schedule, probes) — plus optional sweep axes, and the
-// machinery to parse, validate, and compile such a document onto the
-// existing experiment runners.
+// declarative JSON document format that describes a Quartz experiment
+// — either a parameterization of a registry entry
+// (internal/experiments) or a full packet-level simulation (topology,
+// Quartz placement, routing policy, workload, fault schedule, probes) —
+// plus optional sweep axes, and the machinery to parse, validate, and
+// compile such a document onto the existing experiment runners.
 //
 // The compile path is:
 //
@@ -14,9 +13,12 @@
 //	      ──Compile──▶ *Compiled{experiments.Experiment, experiments.Params}
 //
 // A compiled scenario is indistinguishable from a registry experiment
-// to everything downstream: cmd/quartzsim and cmd/quartzbench run its
-// Experiment.Run directly, and internal/service submits it through the
-// same queue, worker pool, and result cache as a named experiment.
+// to everything downstream: cmd/quartzbench runs its Experiment.Run
+// directly, and internal/service submits it through the same queue,
+// worker pool, and result cache as a named experiment. A packet-level
+// run has exactly one description and one runner: cmd/quartzsim's flags
+// compile to a Doc too, and every sim document executes through NewSim
+// and (*Sim).Run (run.go).
 //
 // Cache identity is preserved across representations. A scenario that
 // merely parameterizes a registry entry (an "experiment" document with
@@ -26,8 +28,8 @@
 // quartzd's result cache no matter which format submitted it. Custom
 // simulations and sweeps are keyed by the canonical hash of the
 // normalized document (see Canonical), so two byte-different files
-// describing the same experiment — JSON vs TOML, reordered keys,
-// defaults spelled out vs omitted — still share one cache entry.
+// describing the same experiment — reordered keys, defaults spelled
+// out vs omitted — still share one cache entry.
 package scenario
 
 import "strings"
@@ -123,12 +125,12 @@ type RoutingSpec struct {
 
 // WorkloadSpec is the traffic pattern of a Sim scenario.
 type WorkloadSpec struct {
-	// Kind is "scatter", "gather", "scattergather", "permutation", or
-	// "incast". Required.
+	// Kind is "scatter", "gather", "scattergather", "permutation",
+	// "incast", or "replay". Required.
 	Kind string `json:"kind"`
 	// Tasks is the number of concurrent task instances
-	// (scatter/gather/scattergather; default 4). Permutation and
-	// incast are single global patterns and reject Tasks > 1.
+	// (scatter/gather/scattergather; default 4). Permutation, incast
+	// and replay are single global patterns and reject Tasks > 1.
 	Tasks int `json:"tasks,omitempty"`
 	// Fanout is receivers (scatter), senders (gather), or both
 	// (scattergather) per task, and the fan-in of incast. Default 12.
@@ -138,6 +140,11 @@ type WorkloadSpec struct {
 	// PacketSize is the payload size in bytes. Default 400
 	// (traffic.PacketSize).
 	PacketSize int `json:"packet_size,omitempty"`
+	// Trace is the packet list of kind "replay", inline so the document
+	// stays self-contained and hashable: CSV rows
+	// `at_us,src,dst,size[,flow[,tag]]` (traffic.ParseTrace), src and
+	// dst indexing the topology's hosts. Rejected for other kinds.
+	Trace string `json:"trace,omitempty"`
 }
 
 // FaultsSpec schedules mid-run failures (DESIGN.md §7).
@@ -186,11 +193,11 @@ type ProbesSpec struct {
 	// HotPorts appends the N busiest ports by bytes. 0 = off.
 	HotPorts int `json:"hot_ports,omitempty"`
 	// TraceSpans records execution spans (flow lifetimes) into the
-	// submission's trace recorder —
-	// quartzd's per-job flight recorder, or the file behind quartzsim
-	// -trace-spans. Span output is side-band: it never appears in the
-	// rendered text, so enabling it cannot split cache entries. A
-	// submission without a recorder ignores it.
+	// submission's trace recorder — quartzd's per-job flight recorder
+	// (quartzsim -trace-spans FILE records them for any document). Span
+	// output is side-band: it never appears in the rendered text, so
+	// enabling it cannot split cache entries. A submission without a
+	// recorder ignores it.
 	TraceSpans bool `json:"trace_spans,omitempty"`
 }
 
@@ -199,7 +206,8 @@ type SweepSpec struct {
 	// Axes maps an axis name to the values it takes. Registry
 	// scenarios sweep "seed", "trials", "tasks", "rpcs"; sim scenarios
 	// sweep "seed", "tasks", "fanout", "pps", "packet_size",
-	// "duration_ms" (numbers) and "workload", "quartz" (strings).
+	// "duration_ms" (numbers) and "workload" (any kind but "replay"),
+	// "quartz" (strings).
 	// Cells enumerate the cartesian product in sorted axis-name order,
 	// last axis fastest.
 	Axes map[string][]interface{} `json:"axes,omitempty"`
@@ -244,8 +252,8 @@ func (d *Doc) Normalize() {
 		}
 		s.Workload.Kind = lower(s.Workload.Kind)
 		if s.Workload.Tasks == 0 {
-			if s.Workload.Kind == "permutation" || s.Workload.Kind == "incast" {
-				s.Workload.Tasks = 1 // single global patterns
+			if singlePattern(s.Workload.Kind) {
+				s.Workload.Tasks = 1
 			} else {
 				s.Workload.Tasks = 4
 			}
@@ -288,6 +296,12 @@ func (d *Doc) Normalize() {
 			d.Sweep.Axes[name] = vals
 		}
 	}
+}
+
+// singlePattern reports whether a workload kind is one global pattern
+// rather than a number of task instances: its tasks field is 1.
+func singlePattern(kind string) bool {
+	return kind == "permutation" || kind == "incast" || kind == "replay"
 }
 
 // lower canonicalizes an enumerated string field.

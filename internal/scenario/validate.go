@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
+	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
 // Caps keep declared work within what the service should accept from
@@ -25,9 +26,13 @@ const (
 var (
 	topologyKinds = []string{"jellyfish", "ring", "tree2", "tree3"}
 	quartzKinds   = []string{"both", "core", "edge", "none"}
-	workloadKinds = []string{"gather", "incast", "permutation", "scatter", "scattergather"}
-	faultKinds    = []string{"fiber", "link", "switch"}
-	faultPolicies = []string{"detour", "drop"}
+	workloadKinds = []string{"gather", "incast", "permutation", "replay", "scatter", "scattergather"}
+	// generatedWorkloads are synthesized from the workload's parameters,
+	// which is what makes them values of the "workload" sweep axis;
+	// "replay" carries its packets inline instead.
+	generatedWorkloads = []string{"gather", "incast", "permutation", "scatter", "scattergather"}
+	faultKinds         = []string{"fiber", "link", "switch"}
+	faultPolicies      = []string{"detour", "drop"}
 )
 
 // quartzPlacements lists the Quartz replacement placements each base
@@ -126,7 +131,7 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 
 	// Workload.
 	w := &s.Workload
-	single := w.Kind == "permutation" || w.Kind == "incast"
+	single := singlePattern(w.Kind)
 	if w.Kind == "" {
 		add(f.errAt("sim.workload.kind", "missing required field (valid: %s)", strings.Join(workloadKinds, ", ")))
 	} else if !oneOf(w.Kind, workloadKinds) {
@@ -142,6 +147,18 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 		add(f.errAt("sim.workload.pps", "rate %g out of range (0, 1e8] packets/s", w.PPS))
 	}
 	checkRange(f, add, "sim.workload.packet_size", w.PacketSize, 64, 9000)
+	switch {
+	case w.Kind != "replay":
+		if w.Trace != "" {
+			add(f.errAt("sim.workload.trace", `a trace is the packet list of kind "replay"; %q generates its own`, w.Kind))
+		}
+	case w.Trace == "":
+		add(f.errAt("sim.workload.trace", "missing required field: replay needs CSV rows at_us,src,dst,size[,flow[,tag]]"))
+	default:
+		if _, err := traffic.ParseTrace(strings.NewReader(w.Trace)); err != nil {
+			add(f.errAt("sim.workload.trace", "%v", err))
+		}
+	}
 
 	// Duration.
 	if s.DurationMS <= 0 || s.DurationMS > maxDurationMS {

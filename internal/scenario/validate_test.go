@@ -12,7 +12,9 @@ var update = flag.Bool("update", false, "rewrite the golden .err files")
 
 // Golden tests: every testdata/*.json and *.toml must fail Decode, and
 // the full error text (one problem per line, file:line: path: msg) must
-// match the .err file next to it. Run with -update to regenerate.
+// match the .err file next to it — for the .toml, a document in the
+// removed syntax, that is the single line saying so. Run with -update
+// to regenerate.
 func TestValidationGoldens(t *testing.T) {
 	docs, err := filepath.Glob("testdata/*.json")
 	if err != nil {

@@ -24,8 +24,7 @@ package service
 // inline or named scenario ({"scenario": {...}} / {"scenario_ref":
 // "name"}), or — as a convenience for `curl -d @file.json` — a raw
 // scenario document, recognized by its required "schema":
-// "quartz-scenario/v1" field (TOML documents are recognized by a
-// non-'{' first byte). A scenario that parameterizes a registry
+// "quartz-scenario/v1" field. A scenario that parameterizes a registry
 // experiment shares that experiment's cache key, so identical
 // submissions coalesce regardless of shape.
 //
@@ -55,6 +54,7 @@ import (
 	"time"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
+	"github.com/quartz-dcn/quartz/internal/scenario"
 )
 
 // errorBody is every non-2xx JSON response.
@@ -125,13 +125,13 @@ func (s *Service) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 const maxBodyBytes = 1 << 20
 
 // parseSubmitBody turns a POST /jobs body into a Request, accepting
-// both the job envelope and a raw scenario document (JSON recognized
-// by its top-level "schema" field, TOML by a non-'{' first byte).
+// both the job envelope and a raw scenario document (recognized by its
+// top-level "schema" field). Both are JSON objects; anything else gets
+// the scenario decoder's one-line answer rather than a syntax error at
+// offset 0.
 func parseSubmitBody(body []byte) (Request, error) {
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] != '{' {
-		// Not a JSON object: treat it as a TOML scenario document.
-		return Request{Scenario: body}, nil
+	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] != '{' {
+		return Request{}, scenario.ErrNotJSON
 	}
 	var probe struct {
 		Schema string `json:"schema"`

@@ -27,7 +27,7 @@ var (
 type StoredScenario struct {
 	// Name is the storage key (the URL path element).
 	Name string
-	// Raw is the document as uploaded (JSON or TOML).
+	// Raw is the document as uploaded.
 	Raw []byte
 	// Compiled is the validated, compiled form.
 	Compiled *scenario.Compiled
@@ -46,7 +46,7 @@ func newScenarioStore(capacity int) *scenarioStore {
 
 // compileScenario decodes and compiles raw, wrapping document problems
 // in ErrBadScenario. name flavors error messages ("request" for inline
-// submissions; it also selects TOML when it ends in .toml).
+// submissions).
 func compileScenario(raw []byte, name string) (*scenario.Compiled, error) {
 	f, err := scenario.Decode(raw, name)
 	if err != nil {

@@ -223,32 +223,60 @@ func TestScenarioSubmitErrors(t *testing.T) {
 	}
 }
 
+// A body in the removed TOML syntax — anything that does not start a
+// JSON object — is a 400 with the scenario decoder's one explicit line,
+// not a job and not a JSON syntax error at offset 0.
 func TestRawTOMLSubmit(t *testing.T) {
 	s, url := realRegistryServer(t)
 	toml := "schema = \"quartz-scenario/v1\"\nname = \"toml-sub\"\n[experiment]\nname = \"table2\"\ntrials = 2\n"
-	resp, data := postBody(t, url, toml)
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("TOML submit: %d %s", resp.StatusCode, data)
+	for _, body := range []string{toml, "\n  " + toml, "[1, 2]"} {
+		resp, data := postBody(t, url, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %q: status %d, want 400 (%s)", body, resp.StatusCode, data)
+		}
+		if want := "scenario documents are JSON; TOML support was removed"; !bytes.Contains(data, []byte(want)) {
+			t.Errorf("POST %q: body %s missing %q", body, data, want)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d job(s) admitted from rejected bodies", n)
+	}
+}
+
+// A workload that needs more hosts than the topology has fails its job
+// with a message naming the field; it used to panic on the worker
+// goroutine and take the daemon down with it.
+func TestFanoutExceedingHostsFailsTheJob(t *testing.T) {
+	s, url := realRegistryServer(t)
+	resp, data := postBody(t, url, `{"schema": "quartz-scenario/v1", "name": "wide",
+	  "sim": {"duration_ms": 1, "topology": {"kind": "tree3"}, "workload": {"kind": "scatter", "fanout": 100}}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
 	}
 	var v View
 	if err := json.Unmarshal(data, &v); err != nil {
 		t.Fatal(err)
 	}
-	if v.Experiment != "table2" {
-		t.Errorf("experiment = %q", v.Experiment)
-	}
-	waitDone(t, s, v.ID)
-
-	// The TOML and JSON forms of the same scenario share a cache key.
-	respJSON, dataJSON := postBody(t, url, scenarioTable2)
-	var vj View
-	if err := json.Unmarshal(dataJSON, &vj); err != nil {
+	j, _ := s.Job(v.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if respJSON.StatusCode != http.StatusOK || !vj.CacheHit || vj.Key != v.Key {
-		t.Errorf("JSON twin missed the TOML result: %d hit=%v %s vs %s",
-			respJSON.StatusCode, vj.CacheHit, vj.Key, v.Key)
+	_, msg := j.Output()
+	if st := j.State(); st != StateFailed || !strings.Contains(msg, "sim.workload.fanout: scatter with fanout 100 needs 101 hosts") {
+		t.Errorf("job ended %v with %q, want failed naming sim.workload.fanout", st, msg)
 	}
+	// The daemon keeps serving.
+	resp2, data2 := postBody(t, url, scenarioTable2)
+	if resp2.StatusCode != http.StatusAccepted && resp2.StatusCode != http.StatusOK {
+		t.Fatalf("submit after the failed job: %d %s", resp2.StatusCode, data2)
+	}
+	var v2 View
+	if err := json.Unmarshal(data2, &v2); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, v2.ID)
 }
 
 func TestScenarioStoreCap(t *testing.T) {

@@ -12,7 +12,7 @@ echo "== build"
 go build -o "$BIN" ./cmd/quartzsim
 
 N=0
-for f in examples/scenarios/*.json examples/scenarios/*.toml; do
+for f in examples/scenarios/*.json; do
     [[ -e "$f" ]] || continue
     N=$((N + 1))
     echo "== $f"

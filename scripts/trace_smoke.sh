@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of execution tracing, curl only (no jq):
 # run quartzsim with -trace-spans and validate the Chrome trace with
-# tracecheck (flow tracks, per-track timestamp order); run quartzbench
+# tracecheck (flow tracks, per-track timestamp order), from flags and
+# from a -scenario file with -flows-out beside it; run quartzbench
 # -run fig17 with -trace-spans -json and require the panel spans and
 # the report's host-parallelism fields; then start quartzd, submit a
 # job carrying an X-Quartz-Trace
@@ -57,6 +58,20 @@ echo "== quartzsim -flight-recorder"
 "$TMP/quartzsim" -arch ring -ms 2 -tasks 1 -trace-spans "$TMP/ring_spans.json" -flight-recorder >/dev/null
 "$TMP/tracecheck" -require flow "$TMP/ring_spans.json" ||
     fail "flight-recorder trace did not validate"
+
+echo "== quartzsim -scenario FILE -trace-spans -flows-out"
+# Sinks attach to a scenario file exactly as to flags (this invocation
+# once exited 0 having written neither file).
+"$TMP/quartzsim" -scenario examples/scenarios/fault-cut.json \
+    -trace-spans "$TMP/scn_spans.json" -flows-out "$TMP/scn_flows.csv" >/dev/null
+[[ -s "$TMP/scn_spans.json" && -s "$TMP/scn_flows.csv" ]] ||
+    fail "-scenario with sink flags did not write both files"
+"$TMP/tracecheck" -min-events 20 -require flow "$TMP/scn_spans.json" ||
+    fail "scenario-file trace did not validate"
+head -n1 "$TMP/scn_flows.csv" | grep -q '^flow,first_send_ps,' ||
+    fail "scenario-file flow table has no CSV header"
+[[ $(wc -l <"$TMP/scn_flows.csv") -gt 100 ]] ||
+    fail "scenario-file flow table is nearly empty"
 
 echo "== quartzbench -run fig17 -trace-spans -json"
 "$TMP/quartzbench" -run fig17 -tasks 1 \
