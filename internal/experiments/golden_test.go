@@ -10,13 +10,15 @@ import (
 	"github.com/quartz-dcn/quartz/internal/scenario"
 )
 
-// The hashes below pin the rendered text of the packet-level
-// experiments (and one scenario) at small fixed parameters. The
-// experiment hashes were recorded on the commit before the forward path
-// was reworked to move packets by pointer and elide idle-port
-// completions, the scenario hash on the commit before the multi-shard
-// execution family was deleted, so "byte-identical output" is checked
-// across commits, not only within one process. A change that alters simulation results on
+// The hashes below pin the rendered text of the packet-level and
+// analytic experiments (and one scenario) at small fixed parameters.
+// The packet-level hashes were recorded on the commit before the
+// forward path was reworked to move packets by pointer and elide
+// idle-port completions, the scenario hash on the commit before the
+// multi-shard execution family was deleted, the six analytic hashes
+// (fig5 … fig1) on the commit before the fiber-cut and max-min kernels
+// were rewritten, so "byte-identical output" is checked across commits,
+// not only within one process. A change that alters simulation results on
 // purpose re-records them (the failure message prints the new hash)
 // and says why in CHANGES.md.
 
@@ -29,6 +31,12 @@ var goldenExperiments = map[string]string{
 	"validate":  "839fa78c5563819b62474090eaf8ebae41ee84a938d6ed64a8011a4117d16307",
 	"table8":    "384948e574b97da983f4edad622a181c7836506002bbf32d4ba6d942eab4adcb",
 	"ablations": "8ea7eb4b65e50b08f82a8f03d0d0dc7d548a3c8397641cc8e8f0f589a7ea85a1",
+	"fig5":      "63ae0bdc38d22b9201acb927d8ba577a85e2ca65416c4cd3698e5675308f3f63",
+	"fig6":      "e3fef0f6e1111e2aba885c33645ef1f3047d7f3b5cbad51f52b7a6c860720f64",
+	"table9":    "df45aa175fd8da8813f038b63f286fd2f9d896372d7f171dabc6e215b5ac3aee",
+	"fig10":     "71d3b19b83eea61e673b5753ff36a70efa63d603885902ef4ecb4b1f55cca83d",
+	"oversub":   "02170b8f8100caf471de0b3f722970d474a6a15bc323bd10cc704351785de975",
+	"fig1":      "7ef39b3714c616297bba89df9fa0edf30ad7ff97ab31de76dbf3e6fbd52690ed",
 }
 
 func textDigest(s string) string {
