@@ -36,7 +36,7 @@ const (
 
 // buildBisectionFabric models a tree fabric with the given bisection
 // fraction: each ToR's uplink trunk carries fraction * hosts * NIC.
-func buildBisectionFabric(fraction float64) (*topology.Graph, error) {
+func buildBisectionFabric(fraction float64) *topology.Graph {
 	up := sim.Rate(fraction * fig10Hosts * 10 * float64(sim.Gbps))
 	g := topology.New(fmt.Sprintf("fabric(%.2f)", fraction))
 	core := g.AddSwitch("core", topology.TierCore, -1)
@@ -48,7 +48,7 @@ func buildBisectionFabric(fraction float64) (*topology.Graph, error) {
 			g.Connect(host, tor, 10*sim.Gbps, topology.DefaultProp)
 		}
 	}
-	return g, nil
+	return g
 }
 
 // fig10Pairs builds the three §5.1 patterns' host pairs.
@@ -81,17 +81,27 @@ func throughputOn(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error
 // throughputOnQuartz allocates the pattern on the mesh with adaptive
 // VLB: §3.4 notes the indirect fraction "can be adaptive depending on
 // the traffic characteristics", so the best split is selected per
-// pattern.
+// pattern. A pair's paths do not depend on the split, so they are built
+// once and only re-weighted per fraction.
 func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error) {
+	templates := make([]flowsim.Flow, len(pairs))
+	subflows := 0
+	for i, p := range pairs {
+		f, err := flowsim.VLBFlow(g, p[0], p[1], 0.5, 0)
+		if err != nil {
+			return 0, err
+		}
+		templates[i] = f
+		subflows += len(f.Subflows)
+	}
+	flows := make([]flowsim.Flow, len(pairs))
+	buf := make([]flowsim.Subflow, subflows)
 	best := 0.0
 	for frac := 0.0; frac <= 1.0; frac += 0.125 {
-		flows := make([]flowsim.Flow, 0, len(pairs))
-		for _, p := range pairs {
-			f, err := flowsim.VLBFlow(g, p[0], p[1], 1-frac, 0)
-			if err != nil {
-				return 0, err
-			}
-			flows = append(flows, f)
+		free := buf
+		for i, tmpl := range templates {
+			flows[i] = splitVLB(tmpl, 1-frac, free)
+			free = free[len(flows[i].Subflows):]
 		}
 		alloc, err := flowsim.Allocate(g, flows)
 		if err != nil {
@@ -102,6 +112,28 @@ func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64,
 		}
 	}
 	return best, nil
+}
+
+// splitVLB returns the flow flowsim.VLBFlow builds for directFrac, given
+// the same pair's flow at an interior split (the direct path first, then
+// every detour): it shares tmpl's paths and stores its subflows in buf.
+func splitVLB(tmpl flowsim.Flow, directFrac float64, buf []flowsim.Subflow) flowsim.Flow {
+	if len(tmpl.Subflows) == 1 {
+		return tmpl // same rack, or no detour exists: one path whatever the split
+	}
+	direct, detours := tmpl.Subflows[0], tmpl.Subflows[1:]
+	f := tmpl
+	f.Subflows = buf[:0]
+	if directFrac > 0 {
+		f.Subflows = append(f.Subflows, flowsim.Subflow{Path: direct.Path, Weight: directFrac})
+	}
+	if directFrac < 1 {
+		w := (1 - directFrac) / float64(len(detours))
+		for _, d := range detours {
+			f.Subflows = append(f.Subflows, flowsim.Subflow{Path: d.Path, Weight: w})
+		}
+	}
+	return f
 }
 
 // Figure10 computes normalized throughput for the three traffic
@@ -119,17 +151,15 @@ func Figure10(ctx context.Context, seed int64) ([]Figure10Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	full, err := buildBisectionFabric(1.0)
-	if err != nil {
-		return nil, err
+	// The fabrics in Figure10Networks order. Each draws the same pairs on
+	// its own host IDs (same seed; all fabrics create hosts in the same
+	// rack-major order), once for all three patterns.
+	fabrics := []*topology.Graph{
+		buildBisectionFabric(1.0), mesh, buildBisectionFabric(0.5), buildBisectionFabric(0.25),
 	}
-	half, err := buildBisectionFabric(0.5)
-	if err != nil {
-		return nil, err
-	}
-	quarter, err := buildBisectionFabric(0.25)
-	if err != nil {
-		return nil, err
+	pairs := make([]map[string][][2]topology.NodeID, len(fabrics))
+	for i, g := range fabrics {
+		pairs[i] = fig10Pairs(g, rand.New(rand.NewSource(seed)))
 	}
 
 	patterns := []string{"Random Permutation", "Incast", "Rack Level Shuffle"}
@@ -142,37 +172,22 @@ func Figure10(ctx context.Context, seed int64) ([]Figure10Row, error) {
 		// fabric achieves).
 		row := Figure10Row{Pattern: pattern, Throughput: map[string]float64{}}
 		base := 0.0
-		for _, netName := range Figure10Networks {
+		for i, netName := range Figure10Networks {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			var g *topology.Graph
-			quartz := false
-			switch netName {
-			case "full bisection":
-				g = full
-			case "quartz":
-				g, quartz = mesh, true
-			case "1/2 bisection":
-				g = half
-			case "1/4 bisection":
-				g = quarter
-			}
-			// Regenerate the same pairs on this fabric's host IDs (all
-			// fabrics create hosts in the same rack-major order).
-			rng := rand.New(rand.NewSource(seed))
-			pairs := fig10Pairs(g, rng)[pattern]
+			g := fabrics[i]
 			var tp float64
 			var err error
-			if quartz {
-				tp, err = throughputOnQuartz(g, pairs)
+			if g == mesh {
+				tp, err = throughputOnQuartz(g, pairs[i][pattern])
 			} else {
-				tp, err = throughputOn(g, pairs)
+				tp, err = throughputOn(g, pairs[i][pattern])
 			}
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", pattern, netName, err)
 			}
-			if netName == "full bisection" {
+			if i == 0 {
 				base = tp
 			}
 			row.Throughput[netName] = tp / base

@@ -13,6 +13,7 @@ package fault
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"github.com/quartz-dcn/quartz/internal/wdm"
@@ -33,16 +34,22 @@ type Result struct {
 	PartitionProb float64
 }
 
-// model precomputes, for each channel assignment, the fiber segments it
-// crosses as a (ring, bitmask) pair. Ring sizes are <= 64 so a uint64
-// mask covers all segments.
+// model precomputes, for every fiber segment of every ring, the set of
+// channel assignments (arcs) that cross it, as a bitset over arc
+// indices: a trial ORs the rows of its cut segments and reads the loss
+// off a popcount instead of testing every arc against the cuts. Ring
+// sizes are <= 64 so a uint64 mask covers one ring's segments.
 type model struct {
-	m     int
-	rings int
-	// arcs[i] is the segment mask of assignment i; arcRing[i] its ring.
-	arcs    []uint64
-	arcRing []int
-	pairs   [][2]int
+	m, rings int
+	// pairs[i] holds the two switches arc i joins.
+	pairs [][2]uint8
+	// crossing[(ring*m+seg)*words:][:words] is the bitset of the arcs
+	// that cross segment seg of that ring.
+	crossing []uint64
+	words    int
+	// dead is evaluate's scratch: the model belongs to the one call
+	// that built it.
+	dead []uint64
 }
 
 func newModel(plan *wdm.Plan) (*model, error) {
@@ -52,30 +59,87 @@ func newModel(plan *wdm.Plan) (*model, error) {
 	if plan.M > 64 {
 		return nil, fmt.Errorf("fault: M=%d exceeds the 64-segment mask", plan.M)
 	}
-	rings := plan.Rings
+	m, rings := plan.M, plan.Rings
 	if rings == 0 {
 		rings = 1
 	}
-	md := &model{m: plan.M, rings: rings}
-	for _, a := range plan.Assignments {
-		var mask uint64
-		// Walk the arc from S to T in its assigned direction, collecting
-		// fiber segment indices (segment i joins switch i and i+1).
-		switch a.Dir {
-		case wdm.Clockwise:
-			for i := a.S; i != a.T; i = (i + 1) % plan.M {
-				mask |= 1 << uint(i)
-			}
-		case wdm.CounterClockwise:
-			for i := a.S; i != a.T; i = (i - 1 + plan.M) % plan.M {
-				mask |= 1 << uint((i-1+plan.M)%plan.M)
-			}
+	words := (len(plan.Assignments) + 63) / 64
+	md := &model{
+		m: m, rings: rings, words: words,
+		pairs:    make([][2]uint8, len(plan.Assignments)),
+		crossing: make([]uint64, rings*m*words),
+		dead:     make([]uint64, words),
+	}
+	for i, a := range plan.Assignments {
+		// A decoded plan is only checked for non-negative header fields;
+		// an endpoint outside the ring would make the walk below spin.
+		if a.S < 0 || a.S >= m || a.T < 0 || a.T >= m || a.S == a.T ||
+			a.Ring < 0 || a.Ring >= rings || a.Dir > wdm.CounterClockwise {
+			return nil, fmt.Errorf("fault: assignment %d (pair %d-%d, direction %d, ring %d) does not fit M=%d with %d ring(s)",
+				i, a.S, a.T, a.Dir, a.Ring, m, rings)
 		}
-		md.arcs = append(md.arcs, mask)
-		md.arcRing = append(md.arcRing, a.Ring)
-		md.pairs = append(md.pairs, [2]int{a.S, a.T})
+		// Walk the arc from S to T in its assigned direction, marking it
+		// on every fiber segment it crosses (segment s joins switch s and
+		// s+1, so a counter-clockwise step from s crosses segment s-1).
+		step := 1
+		if a.Dir == wdm.CounterClockwise {
+			step = m - 1
+		}
+		for s := a.S; s != a.T; s = (s + step) % m {
+			seg := s
+			if a.Dir == wdm.CounterClockwise {
+				seg = (s + step) % m
+			}
+			md.crossing[(a.Ring*m+seg)*words+i/64] |= 1 << uint(i%64)
+		}
+		md.pairs[i] = [2]uint8{uint8(a.S), uint8(a.T)}
 	}
 	return md, nil
+}
+
+// evaluate is the one trial kernel: given each ring's mask of cut
+// segments it returns how many arcs are destroyed and whether the
+// surviving logical mesh is disconnected. Union–find runs over the
+// surviving arcs only and stops once everything is joined — in a
+// near-full mesh after a few dozen arcs, not all of them. It makes no
+// assumption of one arc per switch pair (weighted plans have several).
+func (md *model) evaluate(cutMask []uint64) (lost int, partitioned bool) {
+	clear(md.dead)
+	for r, mask := range cutMask {
+		for ; mask != 0; mask &= mask - 1 {
+			row := md.crossing[(r*md.m+bits.TrailingZeros64(mask))*md.words:][:md.words]
+			for w, b := range row {
+				md.dead[w] |= b
+			}
+		}
+	}
+	var parent [256]uint8 // indexed by uint8: no bounds checks in find
+	for i := 0; i < md.m; i++ {
+		parent[i] = uint8(i)
+	}
+	find := func(x uint8) uint8 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	comps := md.m
+	for w, dead := range md.dead {
+		lost += bits.OnesCount64(dead)
+		live := ^dead
+		if rest := len(md.pairs) - 64*w; rest < 64 {
+			live &= 1<<uint(rest) - 1
+		}
+		for ; live != 0 && comps > 1; live &= live - 1 {
+			pair := md.pairs[64*w+bits.TrailingZeros64(live)]
+			if a, b := find(pair[0]), find(pair[1]); a != b {
+				parent[a] = b
+				comps--
+			}
+		}
+	}
+	return lost, comps > 1
 }
 
 // Simulate runs trials of cutting `cuts` distinct fiber segments
@@ -102,22 +166,9 @@ func Simulate(plan *wdm.Plan, cuts, trials int, rng *rand.Rand) (Result, error) 
 	res := Result{Rings: md.rings, Cuts: cuts, Trials: trials}
 	lossSum := 0.0
 	partitions := 0
-
 	cutMask := make([]uint64, md.rings)
-	parent := make([]int, md.m)
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-
 	for t := 0; t < trials; t++ {
-		for r := range cutMask {
-			cutMask[r] = 0
-		}
+		clear(cutMask)
 		// Sample `cuts` distinct fibers by rejection (cuts is tiny).
 		chosen := 0
 		for chosen < cuts {
@@ -130,25 +181,11 @@ func Simulate(plan *wdm.Plan, cuts, trials int, rng *rand.Rand) (Result, error) 
 			cutMask[r] |= bit
 			chosen++
 		}
-		// Surviving logical links and connectivity.
-		for i := range parent {
-			parent[i] = i
-		}
-		lost := 0
-		comps := md.m
-		for i, mask := range md.arcs {
-			if mask&cutMask[md.arcRing[i]] != 0 {
-				lost++
-				continue
-			}
-			a, b := find(md.pairs[i][0]), find(md.pairs[i][1])
-			if a != b {
-				parent[a] = b
-				comps--
-			}
-		}
-		lossSum += float64(lost) / float64(len(md.arcs))
-		if comps > 1 {
+		lost, partitioned := md.evaluate(cutMask)
+		// Divide per trial, in trial order: summing the integer losses
+		// and dividing once would round differently.
+		lossSum += float64(lost) / float64(len(md.pairs))
+		if partitioned {
 			partitions++
 		}
 	}
@@ -247,15 +284,6 @@ func Availability(plan *wdm.Plan, p AvailabilityParams, rng *rand.Rand) (Availab
 	res := AvailabilityResult{Rings: md.rings, SegmentUnavailability: unavail}
 
 	cutMask := make([]uint64, md.rings)
-	parent := make([]int, md.m)
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
 	lossSum, cutsSum := 0.0, 0.0
 	partitions := 0
 	for t := 0; t < p.Trials; t++ {
@@ -270,24 +298,9 @@ func Availability(plan *wdm.Plan, p AvailabilityParams, rng *rand.Rand) (Availab
 			}
 		}
 		cutsSum += float64(cuts)
-		for i := range parent {
-			parent[i] = i
-		}
-		lost := 0
-		comps := md.m
-		for i, mask := range md.arcs {
-			if mask&cutMask[md.arcRing[i]] != 0 {
-				lost++
-				continue
-			}
-			a, b := find(md.pairs[i][0]), find(md.pairs[i][1])
-			if a != b {
-				parent[a] = b
-				comps--
-			}
-		}
-		lossSum += float64(lost) / float64(len(md.arcs))
-		if comps > 1 {
+		lost, partitioned := md.evaluate(cutMask)
+		lossSum += float64(lost) / float64(len(md.pairs))
+		if partitioned {
 			partitions++
 		}
 	}

@@ -2,7 +2,9 @@ package fault
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/wdm"
@@ -89,6 +91,27 @@ func TestMoreRingsLessLoss(t *testing.T) {
 	}
 }
 
+// malformedPlans are serialized plans that pass Plan.UnmarshalJSON (it
+// checks only the header fields) but used to hang the arc walk (an
+// endpoint outside the ring never equals an index mod M) or index past
+// the per-ring masks.
+var malformedPlans = []struct{ name, doc, want string }{
+	{"T >= M", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":0,"T":1},{"S":1,"T":4}]}`, "assignment 1 (pair 1-4"},
+	{"Ring >= Rings", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":0,"T":1},{"S":0,"T":2},{"S":0,"T":3},{"S":1,"T":2,"Ring":3}]}`, "assignment 3 (pair 1-2"},
+	{"negative S", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":-1,"T":2,"Dir":1}]}`, "assignment 0 (pair -1-2"},
+	{"S == T", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":2,"T":2}]}`, "assignment 0 (pair 2-2"},
+	{"unknown Dir", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":0,"T":2,"Dir":7}]}`, "direction 7"},
+}
+
+func decodePlan(t *testing.T, doc string) *wdm.Plan {
+	t.Helper()
+	var p wdm.Plan
+	if err := json.Unmarshal([]byte(doc), &p); err != nil {
+		t.Fatal(err)
+	}
+	return &p
+}
+
 func TestSimulateErrors(t *testing.T) {
 	p := plan33(t, 1)
 	rng := rand.New(rand.NewSource(6))
@@ -107,6 +130,12 @@ func TestSimulateErrors(t *testing.T) {
 	tiny := &wdm.Plan{M: 1}
 	if _, err := Simulate(tiny, 1, 10, rng); err == nil {
 		t.Error("degenerate plan accepted")
+	}
+	for _, bad := range malformedPlans {
+		_, err := Simulate(decodePlan(t, bad.doc), 1, 10, rng)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: err = %v, want it to name %q", bad.name, err, bad.want)
+		}
 	}
 }
 
@@ -207,5 +236,37 @@ func TestAvailabilityErrors(t *testing.T) {
 	}
 	if _, err := Availability(p, AvailabilityParams{MTBFHours: 1, MTTRHours: 1, Trials: 10}, nil); err == nil {
 		t.Error("nil rng accepted")
+	}
+	for _, bad := range malformedPlans {
+		_, err := Availability(decodePlan(t, bad.doc), AvailabilityParams{MTBFHours: 1, MTTRHours: 1, Trials: 10}, rng)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: err = %v, want it to name %q", bad.name, err, bad.want)
+		}
+	}
+}
+
+func TestSimulateAllocsIndependentOfTrials(t *testing.T) {
+	p := plan33(t, 2)
+	rng := rand.New(rand.NewSource(11))
+	allocs := func(trials int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Simulate(p, 3, trials, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(10_000); few != many {
+		t.Errorf("Simulate allocates %v times at 10 trials, %v at 10000: the trial loop allocates", few, many)
+	}
+}
+
+// BenchmarkSimulate is the Figure 6 sweep at the repository benchmark's
+// parameters: a 33-switch ring, 1-4 rings x 1-4 cuts, 5000 trials a cell.
+func BenchmarkSimulate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sweep(context.Background(), 33, 4, 4, 5000, rand.New(rand.NewSource(2014))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -51,15 +51,54 @@ type Allocation struct {
 	Rates []float64
 }
 
+// hopTable maps a directed hop (from, to) of a graph to its index
+// 2*link+dir in Allocate's capacity slice: an open-addressed hash of
+// every port, built once per call, in place of a scan of from's ports
+// for every hop of every subflow.
+type hopTable struct {
+	keys  []uint64 // from<<32 | to, plus one so that zero means empty
+	index []int32
+}
+
+func newHopTable(g *topology.Graph) hopTable {
+	size := 2
+	for size < 4*g.NumLinks() { // load factor at most 1/2
+		size *= 2
+	}
+	h := hopTable{keys: make([]uint64, size), index: make([]int32, size)}
+	for i := 0; i < g.NumLinks(); i++ {
+		l := g.Link(topology.LinkID(i))
+		// Of parallel links the first wins, as in a scan of the ports.
+		for dir, hop := range [2][2]topology.NodeID{{l.A, l.B}, {l.B, l.A}} {
+			if slot, found := h.find(hop[0], hop[1]); !found {
+				h.keys[slot], h.index[slot] = hopKey(hop[0], hop[1]), int32(2*i+dir)
+			}
+		}
+	}
+	return h
+}
+
+func hopKey(from, to topology.NodeID) uint64 { return (uint64(from)<<32 | uint64(uint32(to))) + 1 }
+
+// find returns the slot that holds (from, to), or the empty slot where
+// it would go.
+func (h hopTable) find(from, to topology.NodeID) (slot int, found bool) {
+	key := hopKey(from, to)
+	slot = int(key*0x9E3779B97F4A7C15>>32) & (len(h.keys) - 1)
+	for h.keys[slot] != 0 && h.keys[slot] != key {
+		slot = (slot + 1) & (len(h.keys) - 1)
+	}
+	return slot, h.keys[slot] == key
+}
+
 // Allocate computes the max-min fair allocation for flows on g. Every
 // subflow's links are checked to exist in g.
 func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
+	// sub is one unfrozen subflow; its directed links (indices into the
+	// capacity slice) are hops[lo:hi], one arena shared by all subflows.
 	type sub struct {
-		flow   int
-		links  []int // indices into capacity slice (2*link+dir)
-		weight float64
-		rate   float64
-		frozen bool
+		flow, lo, hi int32
+		weight       float64
 	}
 
 	capacity := make([]float64, 2*g.NumLinks())
@@ -69,20 +108,16 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 		capacity[2*i+1] = float64(l.Rate)
 	}
 
-	dirIndex := func(from, to topology.NodeID) (int, error) {
-		for _, p := range g.Ports(from) {
-			if p.Peer == to {
-				idx := 2 * int(p.Link)
-				if g.Link(p.Link).B == from {
-					idx++
-				}
-				return idx, nil
-			}
+	nsubs, nhops := 0, 0
+	for _, f := range flows {
+		nsubs += len(f.Subflows)
+		for _, sf := range f.Subflows {
+			nhops += len(sf.Path)
 		}
-		return 0, fmt.Errorf("flowsim: no link %d-%d", from, to)
 	}
-
-	var subs []*sub
+	subs := make([]sub, 0, nsubs)
+	hops := make([]int32, 0, nhops)
+	table := newHopTable(g)
 	for fi, f := range flows {
 		if len(f.Subflows) == 0 {
 			return nil, fmt.Errorf("flowsim: flow %d has no subflows", fi)
@@ -99,15 +134,15 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 				return nil, fmt.Errorf("flowsim: flow %d subflow %d non-positive weight", fi, si)
 			}
 			totalW += sf.Weight
-			s := &sub{flow: fi, weight: sf.Weight}
+			lo := len(hops)
 			for h := 0; h+1 < len(sf.Path); h++ {
-				idx, err := dirIndex(sf.Path[h], sf.Path[h+1])
-				if err != nil {
-					return nil, fmt.Errorf("flow %d subflow %d hop %d: %w", fi, si, h, err)
+				slot, found := table.find(sf.Path[h], sf.Path[h+1])
+				if !found {
+					return nil, fmt.Errorf("flow %d subflow %d hop %d: flowsim: no link %d-%d", fi, si, h, sf.Path[h], sf.Path[h+1])
 				}
-				s.links = append(s.links, idx)
+				hops = append(hops, table.index[slot])
 			}
-			subs = append(subs, s)
+			subs = append(subs, sub{flow: int32(fi), lo: int32(lo), hi: int32(len(hops)), weight: sf.Weight})
 		}
 		if math.Abs(totalW-1) > 1e-9 {
 			return nil, fmt.Errorf("flowsim: flow %d subflow weights sum to %v, want 1", fi, totalW)
@@ -123,7 +158,6 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 		} else {
 			demandCap[fi] = math.Inf(1)
 		}
-		_ = fi
 	}
 
 	// Progressive filling on weighted subflows. In each round, compute
@@ -132,27 +166,51 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 	// the global minimum increment, apply it, and freeze saturated
 	// subflows. Link weights are recomputed from scratch each round:
 	// incremental maintenance leaves floating-point residue on fully
-	// frozen links, which can poison the level computation.
+	// frozen links, which can poison the level computation. subs holds
+	// the unfrozen subflows in their original order — freezing compacts
+	// it in place — so every sum below adds the same operands in the
+	// same sequence whatever has frozen before.
 	remaining := append([]float64(nil), capacity...)
 	linkWeight := make([]float64, len(capacity))
-	saturated := func(li int) bool {
-		return remaining[li] <= 1e-6*capacity[li]+1e-9
+	// saturated[li] is evaluated once per link after each change of
+	// remaining, not once per hop that asks.
+	saturated := make([]bool, len(capacity))
+	markSaturated := func() {
+		for li := range saturated {
+			saturated[li] = remaining[li] <= 1e-6*capacity[li]+1e-9
+		}
 	}
+	markSaturated()
 	flowRate := make([]float64, len(flows))
 	flowFrozen := make([]bool, len(flows))
-
-	unfrozen := len(subs)
-	for unfrozen > 0 {
-		for i := range linkWeight {
-			linkWeight[i] = 0
-		}
-		fw := make([]float64, len(flows))
+	fw := make([]float64, len(flows))
+	// freeze drops, in order, the subflows of demand-satisfied flows and
+	// those crossing a saturated link, and reports whether any went.
+	freeze := func() bool {
+		live := subs[:0]
 		for _, s := range subs {
-			if s.frozen {
-				continue
+			done := flowFrozen[s.flow]
+			for _, l := range hops[s.lo:s.hi] {
+				if done {
+					break
+				}
+				done = saturated[l]
 			}
+			if !done {
+				live = append(live, s)
+			}
+		}
+		progressed := len(live) < len(subs)
+		subs = live
+		return progressed
+	}
+
+	for len(subs) > 0 {
+		clear(linkWeight)
+		clear(fw)
+		for _, s := range subs {
 			fw[s.flow] += s.weight
-			for _, l := range s.links {
+			for _, l := range hops[s.lo:s.hi] {
 				linkWeight[l] += s.weight
 			}
 		}
@@ -162,7 +220,7 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 		level := math.Inf(1)
 		argmin := -1
 		for li, w := range linkWeight {
-			if w <= 0 || saturated(li) {
+			if w <= 0 || saturated[li] {
 				continue
 			}
 			if l := remaining[li] / w; l < level {
@@ -185,16 +243,13 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 		}
 		// Apply the increment.
 		for _, s := range subs {
-			if s.frozen {
-				continue
-			}
 			inc := s.weight * level
-			s.rate += inc
 			flowRate[s.flow] += inc
-			for _, l := range s.links {
+			for _, l := range hops[s.lo:s.hi] {
 				remaining[l] -= inc
 			}
 		}
+		markSaturated()
 		// Freeze demand-satisfied flows and subflows crossing saturated
 		// links.
 		for fi := range flows {
@@ -202,45 +257,16 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 				flowFrozen[fi] = true
 			}
 		}
-		progressed := false
-		for _, s := range subs {
-			if s.frozen {
-				continue
-			}
-			done := flowFrozen[s.flow]
-			if !done {
-				for _, l := range s.links {
-					if saturated(l) {
-						done = true
-						break
-					}
-				}
-			}
-			if done {
-				s.frozen = true
-				unfrozen--
-				progressed = true
-			}
-		}
-		if !progressed {
+		if !freeze() {
 			// Numeric safety valve: force the bottleneck link closed so
-			// the loop always terminates.
+			// the loop always terminates. No unfrozen subflow crosses any
+			// other saturated link, so this freezes exactly its own.
 			if argmin < 0 {
 				break
 			}
 			remaining[argmin] = 0
-			for _, s := range subs {
-				if s.frozen {
-					continue
-				}
-				for _, l := range s.links {
-					if l == argmin {
-						s.frozen = true
-						unfrozen--
-						break
-					}
-				}
-			}
+			saturated[argmin] = true
+			freeze()
 		}
 	}
 	return &Allocation{Rates: flowRate}, nil
@@ -310,35 +336,37 @@ func VLBFlow(g *topology.Graph, src, dst topology.NodeID, directFrac float64, de
 		f.Subflows = []Subflow{{Path: []topology.NodeID{src, sSw, dst}, Weight: 1}}
 		return f, nil
 	}
-	var mids []topology.NodeID
+	// near marks the neighbours of sSw (bit 0) and of dSw (bit 1): one
+	// pass over the two port lists instead of two link searches per
+	// candidate detour.
+	near := make([]uint8, g.NumNodes())
+	for _, p := range g.Ports(sSw) {
+		near[p.Peer] |= 1
+	}
+	for _, p := range g.Ports(dSw) {
+		near[p.Peer] |= 2
+	}
+	mids := make([]topology.NodeID, 0, len(g.Switches()))
 	for _, sw := range g.Switches() {
-		if sw == sSw || sw == dSw {
-			continue
+		if sw != sSw && sw != dSw && near[sw] == 3 {
+			mids = append(mids, sw)
 		}
-		if _, ok := g.FindLink(sSw, sw); !ok {
-			continue
-		}
-		if _, ok := g.FindLink(sw, dSw); !ok {
-			continue
-		}
-		mids = append(mids, sw)
 	}
 	if len(mids) == 0 {
 		directFrac = 1
 	}
+	// All paths are cut from one backing array.
+	nodes := make([]topology.NodeID, 0, 4+5*len(mids))
+	f.Subflows = make([]Subflow, 0, 1+len(mids))
 	if directFrac > 0 {
-		f.Subflows = append(f.Subflows, Subflow{
-			Path:   []topology.NodeID{src, sSw, dSw, dst},
-			Weight: directFrac,
-		})
+		nodes = append(nodes, src, sSw, dSw, dst)
+		f.Subflows = append(f.Subflows, Subflow{Path: nodes[0:4:4], Weight: directFrac})
 	}
 	if directFrac < 1 {
 		w := (1 - directFrac) / float64(len(mids))
 		for _, mid := range mids {
-			f.Subflows = append(f.Subflows, Subflow{
-				Path:   []topology.NodeID{src, sSw, mid, dSw, dst},
-				Weight: w,
-			})
+			nodes = append(nodes, src, sSw, mid, dSw, dst)
+			f.Subflows = append(f.Subflows, Subflow{Path: nodes[len(nodes)-5 : len(nodes) : len(nodes)], Weight: w})
 		}
 	}
 	return f, nil

@@ -360,3 +360,40 @@ func TestAllocationFeasibilityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// vlbInput is the oversubscription sweep's input for a ring of m
+// 64-port switches: a random permutation with half of every flow on
+// two-hop detours.
+func vlbInput(t testing.TB, m int) (*topology.Graph, []Flow) {
+	g := mesh(t, m, (64-(m-1))/4)
+	return g, vlbFlows(t, g, permutation(g.Hosts(), rand.New(rand.NewSource(2014))), 0.5, VLBFlow)
+}
+
+func TestAllocateAllocsIndependentOfSubflows(t *testing.T) {
+	allocs := func(m int) float64 {
+		g, flows := vlbInput(t, m)
+		// 100 runs: AllocsPerRun truncates the mean, so the handful of
+		// allocations the runtime makes at its first collection do not
+		// count.
+		return testing.AllocsPerRun(100, func() {
+			if _, err := Allocate(g, flows); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(9), allocs(33) // 126 x 8 and 264 x 32 subflows
+	if large > 16 || small != large {
+		t.Errorf("Allocate makes %v allocations on M=9 and %v on M=33, want the same and at most 16", small, large)
+	}
+}
+
+func BenchmarkAllocate(b *testing.B) {
+	g, flows := vlbInput(b, 33)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Allocate(g, flows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
