@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-json bench-diff bench-pair service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
+.PHONY: build test vet race verify bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,22 @@ WORKLOAD ?= paper_packet
 PAIRS ?= 10
 bench-pair:
 	bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS)
+
+# Profile one experiment at the repository benchmark's parameters
+# (bench/ runs seed 2014, 5000 trials, 4 tasks, 200 RPCs on one core)
+# and print the top of its CPU and allocation profiles. Profile before
+# editing: the analytic path was once diagnosed from its malloc count
+# alone, and the time turned out to be in fig6, which barely allocates.
+# The binary and the profiles stay in $(PROFDIR) for `go tool pprof -list`.
+#   make profile RUN=fig6
+RUN ?= fig6
+PROFDIR ?= $(or $(TMPDIR),/tmp)
+profile:
+	$(GO) build -o $(PROFDIR)/quartzbench.profile ./cmd/quartzbench
+	GOMAXPROCS=1 $(PROFDIR)/quartzbench.profile -run $(RUN) -seed 2014 -trials 5000 -tasks 4 -rpcs 200 \
+		-cpuprofile $(PROFDIR)/$(RUN).cpu.pprof -memprofile $(PROFDIR)/$(RUN).mem.pprof >/dev/null
+	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(PROFDIR)/$(RUN).cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(PROFDIR)/$(RUN).mem.pprof
 
 # End-to-end check of the quartzd job service: submit, poll, fetch,
 # cache hit on resubmit (envelope and raw-scenario forms), graceful

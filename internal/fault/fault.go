@@ -43,9 +43,10 @@ type model struct {
 	m, rings int
 	// pairs[i] holds the two switches arc i joins.
 	pairs [][2]uint8
-	// crossing[(ring*m+seg)*words:][:words] is the bitset of the arcs
-	// that cross segment seg of that ring.
-	crossing []uint64
+	// crossing[ring][seg*words:][:words] is the bitset of the arcs that
+	// cross segment seg of that ring; a ring that carries no arc has no
+	// rows, so memory follows the arcs, not the plan's ring count.
+	crossing [][]uint64
 	words    int
 	// dead is evaluate's scratch: the model belongs to the one call
 	// that built it.
@@ -67,7 +68,7 @@ func newModel(plan *wdm.Plan) (*model, error) {
 	md := &model{
 		m: m, rings: rings, words: words,
 		pairs:    make([][2]uint8, len(plan.Assignments)),
-		crossing: make([]uint64, rings*m*words),
+		crossing: make([][]uint64, rings),
 		dead:     make([]uint64, words),
 	}
 	for i, a := range plan.Assignments {
@@ -85,12 +86,15 @@ func newModel(plan *wdm.Plan) (*model, error) {
 		if a.Dir == wdm.CounterClockwise {
 			step = m - 1
 		}
+		if md.crossing[a.Ring] == nil {
+			md.crossing[a.Ring] = make([]uint64, m*words)
+		}
 		for s := a.S; s != a.T; s = (s + step) % m {
 			seg := s
 			if a.Dir == wdm.CounterClockwise {
 				seg = (s + step) % m
 			}
-			md.crossing[(a.Ring*m+seg)*words+i/64] |= 1 << uint(i%64)
+			md.crossing[a.Ring][seg*words+i/64] |= 1 << uint(i%64)
 		}
 		md.pairs[i] = [2]uint8{uint8(a.S), uint8(a.T)}
 	}
@@ -106,8 +110,8 @@ func newModel(plan *wdm.Plan) (*model, error) {
 func (md *model) evaluate(cutMask []uint64) (lost int, partitioned bool) {
 	clear(md.dead)
 	for r, mask := range cutMask {
-		for ; mask != 0; mask &= mask - 1 {
-			row := md.crossing[(r*md.m+bits.TrailingZeros64(mask))*md.words:][:md.words]
+		for ; mask != 0 && md.crossing[r] != nil; mask &= mask - 1 {
+			row := md.crossing[r][bits.TrailingZeros64(mask)*md.words:][:md.words]
 			for w, b := range row {
 				md.dead[w] |= b
 			}

@@ -108,7 +108,7 @@ func Allocate(g *topology.Graph, flows []Flow) (*Allocation, error) {
 		capacity[2*i+1] = float64(l.Rate)
 	}
 
-	nsubs, nhops := 0, 0
+	nsubs, nhops := 0, 0 // capacities: appends below never reallocate
 	for _, f := range flows {
 		nsubs += len(f.Subflows)
 		for _, sf := range f.Subflows {

@@ -365,6 +365,7 @@ func TestAllocationFeasibilityProperty(t *testing.T) {
 // 64-port switches: a random permutation with half of every flow on
 // two-hop detours.
 func vlbInput(t testing.TB, m int) (*topology.Graph, []Flow) {
+	t.Helper()
 	g := mesh(t, m, (64-(m-1))/4)
 	return g, vlbFlows(t, g, permutation(g.Hosts(), rand.New(rand.NewSource(2014))), 0.5, VLBFlow)
 }
