@@ -10,17 +10,18 @@ import (
 	"github.com/quartz-dcn/quartz/internal/scenario"
 )
 
-// The hashes below pin the rendered text of the packet-level and
-// analytic experiments (and one scenario) at small fixed parameters.
-// The packet-level hashes were recorded on the commit before the
-// forward path was reworked to move packets by pointer and elide
-// idle-port completions, the scenario hash on the commit before the
-// multi-shard execution family was deleted, the six analytic hashes
-// (fig5 … fig1) on the commit before the fiber-cut and max-min kernels
-// were rewritten, so "byte-identical output" is checked across commits,
-// not only within one process. A change that alters simulation results on
-// purpose re-records them (the failure message prints the new hash)
-// and says why in CHANGES.md.
+// The hashes below pin the rendered text of every registry experiment
+// (and one scenario) at small fixed parameters. The packet-level hashes
+// were recorded on the commit before the forward path was reworked to
+// move packets by pointer and elide idle-port completions, the scenario
+// hash on the commit before the multi-shard execution family was
+// deleted, the six analytic hashes (fig5 … fig1) on the commit before
+// the fiber-cut and max-min kernels were rewritten, and the last nine
+// (fig14 … table16) on the commit before the grid experiments moved
+// behind one constructor, so "byte-identical output" is checked across
+// commits, not only within one process. A change that alters simulation
+// results on purpose re-records them (the failure message prints the
+// new hash) and says why in CHANGES.md.
 
 var goldenParams = experiments.Params{Seed: 7, Trials: 200, Tasks: 2, RPCs: 50}
 
@@ -37,6 +38,15 @@ var goldenExperiments = map[string]string{
 	"fig10":     "71d3b19b83eea61e673b5753ff36a70efa63d603885902ef4ecb4b1f55cca83d",
 	"oversub":   "02170b8f8100caf471de0b3f722970d474a6a15bc323bd10cc704351785de975",
 	"fig1":      "7ef39b3714c616297bba89df9fa0edf30ad7ff97ab31de76dbf3e6fbd52690ed",
+	"fig14":     "9f74fe966a2c7640b75ad7c1ee855ac31dae2a13f0b1785751a9b29e417401a4",
+	"f6dynamic": "6091aee44aaa6c6afff50f588fea892fa578f68f1a18f7375c2cc2090f258b07",
+	"fig14tcp":  "673af49edb17cbd75720a2a20e53b13b7b67a2038e04c9c6cf7b97a15fe89a1e",
+	"fct":       "cdfe8e44f83cfce2ec5a52abe84351be4cba22ebf208c53aa7f39f2573050630",
+	"sched":     "46db7b89426dba30c4884536abfa6935ea162061dfc6a98d375c12daffbba0ba",
+	"prio":      "be305acdc2e505b7811f90e180834a374a3e9bb7f55243c0c80914647633c59e",
+	"stack":     "64bb5fb91a84cf94cdf0c2cf212fea9e031d944be58f647b2cc9c928de38b8f3",
+	"table2":    "6385729777e5c5aca91f93d8f5cf516b8022a6bfc4606a7b30a581e819a95e32",
+	"table16":   "638d8f63acbcf221ebd0068779d7337b03c26c5d45aeb419ee7fe5c8210d9db9",
 }
 
 func textDigest(s string) string {
@@ -45,6 +55,11 @@ func textDigest(s string) string {
 }
 
 func TestGoldenExperimentOutput(t *testing.T) {
+	for _, e := range experiments.All() {
+		if _, ok := goldenExperiments[e.Name]; !ok {
+			t.Errorf("registry experiment %q has no golden hash", e.Name)
+		}
+	}
 	for name, want := range goldenExperiments {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
