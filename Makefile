@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
+.PHONY: build test vet race verify loc bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
 
 build:
 	$(GO) build ./...
@@ -16,17 +16,22 @@ vet:
 # job service (worker pool vs HTTP handlers), the cluster tier
 # (dispatchers vs heartbeat monitors vs dynamic registration —
 # TestClusterRaceStress keeps the requeue path hot with a permanently
-# dead worker), and the experiments' cell worker pool (forEachCell:
-# concurrent cells writing indexed slots, progress and trace hooks
-# called from every worker). A simulation itself runs on one engine on
-# one goroutine (DESIGN.md §11), so sim, netsim, routing and traffic
-# have nothing for the detector to see.
+# dead worker), and the experiments' cell worker pool (forEachCell under
+# the Grid executor: concurrent cells writing indexed slots, progress
+# and trace hooks called from every worker). A simulation itself runs on
+# one engine on one goroutine (DESIGN.md §11), so sim, netsim, routing
+# and traffic have nothing for the detector to see.
 race:
 	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/...
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
 # pass on the goroutine-owning packages.
 verify: build vet test race
+
+# Non-test Go lines outside bench/, in total and per package: the size
+# figure ROADMAP.md tracks from PR to PR.
+loc:
+	bash scripts/loc.sh
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...

@@ -43,7 +43,7 @@ func BenchmarkFigure6(b *testing.B) {
 
 func BenchmarkTable8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table8(context.Background(), benchSeed, nil)
+		rows, err := experiments.Table8(context.Background(), experiments.Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFigure10(b *testing.B) {
 
 func BenchmarkFigure14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure14Sweep(benchSeed, 400)
+		rows, err := experiments.Figure14Sweep(context.Background(), experiments.Params{Seed: benchSeed, RPCs: 400})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkFigure14(b *testing.B) {
 func benchFigure17(b *testing.B, kind experiments.TaskKind, tasks int, panel string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure17(context.Background(), kind, tasks, benchSeed)
+		rows, err := experiments.Figure17(context.Background(), kind, experiments.Params{Seed: benchSeed, Tasks: tasks})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkFigure17ScatterGather(b *testing.B) {
 func benchFigure18(b *testing.B, kind experiments.TaskKind, tasks int, panel string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure18(context.Background(), kind, tasks, benchSeed)
+		rows, err := experiments.Figure18(context.Background(), kind, experiments.Params{Seed: benchSeed, Tasks: tasks})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFigure20(b *testing.B) {
 
 func BenchmarkAblationRingSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationRingSize(context.Background(), benchSeed, nil)
+		rows, err := experiments.AblationRingSize(context.Background(), experiments.Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkAblationRingSize(b *testing.B) {
 
 func BenchmarkAblationSwitchModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationSwitchModel(context.Background(), benchSeed, nil)
+		rows, err := experiments.AblationSwitchModel(context.Background(), experiments.Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkAblationSwitchModel(b *testing.B) {
 
 func BenchmarkAblationVLBFraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationVLBFraction(context.Background(), benchSeed, nil)
+		rows, err := experiments.AblationVLBFraction(context.Background(), experiments.Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func BenchmarkAblationVLBFraction(b *testing.B) {
 
 func BenchmarkAblationECMPMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationECMPMode(context.Background(), benchSeed, nil)
+		rows, err := experiments.AblationECMPMode(context.Background(), experiments.Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func BenchmarkPriorityComparison(b *testing.B) {
 
 func BenchmarkSimulatorValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SimulatorValidation(context.Background(), benchSeed, 100_000, nil)
+		rows, err := experiments.SimulatorValidation(context.Background(), experiments.Params{Seed: benchSeed, Trials: 3334})
 		if err != nil {
 			b.Fatal(err)
 		}

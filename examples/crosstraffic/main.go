@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	rows, err := experiments.Figure14Sweep(7, 1000)
+	rows, err := experiments.Figure14Sweep(context.Background(), experiments.Params{Seed: 7, RPCs: 1000})
 	if err != nil {
 		log.Fatal(err)
 	}

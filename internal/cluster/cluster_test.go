@@ -27,10 +27,12 @@ import (
 	"github.com/quartz-dcn/quartz/internal/service"
 )
 
-// testParams keeps the real experiments quick: enough trials to
-// exercise every cell, few enough that a 4-variant sweep suite stays
-// inside CI budgets.
-func testParams() service.ParamSpec { return service.ParamSpec{Seed: 7, Trials: 40} }
+// testParams keeps the real experiments quick: enough trials, tasks and
+// RPCs to exercise every cell, few enough that a 4-variant suite over
+// every sweep stays inside CI budgets.
+func testParams() service.ParamSpec {
+	return service.ParamSpec{Seed: 7, Trials: 40, Tasks: 2, RPCs: 50}
+}
 
 // newWorker stands up one worker daemon: a real service over the real
 // experiments registry (or lookup), wrapped by tamper when non-nil.
@@ -120,14 +122,19 @@ func runSingle(t *testing.T, name string) experiments.Output {
 	return out
 }
 
-// TestClusterMergeByteIdentical: for table8 and the ablation suite,
-// cluster output at worker counts {1, 2, 4} is byte-identical to the
-// single-process run — the tentpole determinism guarantee.
+// TestClusterMergeByteIdentical: for every registry experiment that
+// publishes a sweep, cluster output at worker counts {1, 2, 4} is
+// byte-identical to the single-process run — the tentpole determinism
+// guarantee.
 func TestClusterMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations across 3 worker counts")
 	}
-	for _, name := range []string{"table8", "ablations"} {
+	for _, exp := range experiments.All() {
+		if exp.Sweep == nil {
+			continue
+		}
+		name := exp.Name
 		want := runSingle(t, name)
 		for _, workers := range []int{1, 2, 4} {
 			got := runCluster(t, name, workers, nil)
@@ -450,6 +457,27 @@ func TestClusterNoWorkers(t *testing.T) {
 	}
 	if _, errMsg := j.Output(); !strings.Contains(errMsg, cluster.ErrNoWorkers.Error()) {
 		t.Errorf("error = %q, want ErrNoWorkers", errMsg)
+	}
+}
+
+// TestClusterEmptyGrid: a sweep whose grid is empty under the submitted
+// parameters (fig17 with tasks < 1) fails fast instead of waiting for
+// ranges that will never be queued.
+func TestClusterEmptyGrid(t *testing.T) {
+	lookup := stubLookup(0, 0)
+	w := newWorker(t, lookup, nil)
+	_, s, _ := newCoordinator(t, lookup, []string{w.URL})
+	j, err := s.Submit(service.Request{Experiment: "grid", Params: service.ParamSpec{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, errMsg := j.Output(); !strings.Contains(errMsg, "grid of 0 cells") {
+		t.Errorf("error = %q, want an empty-grid error", errMsg)
 	}
 }
 

@@ -138,6 +138,10 @@ func (c *Coordinator) RunSweep(ctx context.Context, name string, sw *experiments
 	rec := p.Trace
 	start := time.Now()
 	n := sw.Cells(p)
+	if err := experiments.CheckRange(n, 0, n); err != nil { // an empty grid would never finish
+		c.mSweeps["failed"].Inc()
+		return experiments.Output{}, fmt.Errorf("cluster: %s: %w", name, err)
+	}
 	workers := c.alive()
 	if len(workers) == 0 {
 		c.mSweeps["failed"].Inc()

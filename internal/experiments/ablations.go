@@ -86,23 +86,8 @@ func ablationRingCell(i int, seed int64) (AblationRow, error) {
 
 // AblationRingSize tests the §7 claim that "the size of the ring does
 // not affect performance": a scatter task on meshes of 4..32 switches.
-func AblationRingSize(ctx context.Context, seed int64, hooks *Hooks) ([]AblationRow, error) {
-	return runAblationCells(ctx, len(ablationRingSizes), hooks, seed, ablationRingCell)
-}
-
-// runAblationCells shards one ablation axis over the worker pool,
-// assembling rows from indexed slots.
-func runAblationCells(ctx context.Context, n int, hooks *Hooks, seed int64, cell func(i int, seed int64) (AblationRow, error)) ([]AblationRow, error) {
-	rows := make([]AblationRow, n)
-	err := forEachCell(ctx, n, hooks, func(i int) error {
-		var err error
-		rows[i], err = cell(i, seed)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+func AblationRingSize(ctx context.Context, p Params) ([]AblationRow, error) {
+	return ablationGrid(ablationRing).Local(ctx, p)
 }
 
 // ablationSwitchModels is the switch-model ablation's sweep axis.
@@ -127,8 +112,8 @@ func ablationSwitchCell(i int, seed int64) (AblationRow, error) {
 // AblationSwitchModel isolates the cut-through contribution: the same
 // mesh built from ULL cut-through switches versus CCS
 // store-and-forward chassis.
-func AblationSwitchModel(ctx context.Context, seed int64, hooks *Hooks) ([]AblationRow, error) {
-	return runAblationCells(ctx, len(ablationSwitchModels), hooks, seed, ablationSwitchCell)
+func AblationSwitchModel(ctx context.Context, p Params) ([]AblationRow, error) {
+	return ablationGrid(ablationSwitch).Local(ctx, p)
 }
 
 // AblationVLBFraction sweeps the VLB indirect fraction on the Figure 20
@@ -136,8 +121,8 @@ func AblationSwitchModel(ctx context.Context, seed int64, hooks *Hooks) ([]Ablat
 // capacity — showing the adaptive tradeoff of §3.4: too little
 // spreading saturates the direct link, too much wastes capacity on
 // two-hop detours.
-func AblationVLBFraction(ctx context.Context, seed int64, hooks *Hooks) ([]AblationRow, error) {
-	return runAblationCells(ctx, len(ablationVLBFracs), hooks, seed, ablationVLBCell)
+func AblationVLBFraction(ctx context.Context, p Params) ([]AblationRow, error) {
+	return ablationGrid(ablationVLB).Local(ctx, p)
 }
 
 // ablationVLBFracs is the VLB-fraction ablation's sweep axis.
@@ -181,8 +166,8 @@ func ablationVLBCell(i int, seed int64) (AblationRow, error) {
 // AblationECMPMode compares per-flow ECMP pinning against per-packet
 // spraying on the three-tier tree under the Figure 17 scatter load:
 // pinned flows collide on the few core ports and inflate the tail.
-func AblationECMPMode(ctx context.Context, seed int64, hooks *Hooks) ([]AblationRow, error) {
-	return runAblationCells(ctx, len(ablationECMPModes), hooks, seed, ablationECMPCell)
+func AblationECMPMode(ctx context.Context, p Params) ([]AblationRow, error) {
+	return ablationGrid(ablationECMP).Local(ctx, p)
 }
 
 // ablationECMPModes is the ECMP-mode ablation's sweep axis.
@@ -213,105 +198,56 @@ func ablationECMPCell(i int, seed int64) (AblationRow, error) {
 	return AblationRow{Config: ablationECMPModes[i].name, Latency: mean, CI: ci}, nil
 }
 
-// ablationPart is one axis of the flattened ablation grid.
+// ablationPart is one axis of the ablation grid.
 type ablationPart struct {
 	label string
 	n     int
 	cell  func(i int, seed int64) (AblationRow, error)
 }
 
-// ablationParts lays the four ablation axes end to end into one global
-// cell grid — the unit the cluster coordinator shards. Order matches
-// the historical registry rendering.
-func ablationParts() []ablationPart {
-	return []ablationPart{
-		{"ring size", len(ablationRingSizes), ablationRingCell},
-		{"switch model", len(ablationSwitchModels), ablationSwitchCell},
-		{"VLB fraction at 45 Gb/s", len(ablationVLBFracs), ablationVLBCell},
-		{"ECMP mode", len(ablationECMPModes), ablationECMPCell},
-	}
+// The four ablation axes.
+var (
+	ablationRing   = ablationPart{"ring size", len(ablationRingSizes), ablationRingCell}
+	ablationSwitch = ablationPart{"switch model", len(ablationSwitchModels), ablationSwitchCell}
+	ablationVLB    = ablationPart{"VLB fraction at 45 Gb/s", len(ablationVLBFracs), ablationVLBCell}
+	ablationECMP   = ablationPart{"ECMP mode", len(ablationECMPModes), ablationECMPCell}
+)
+
+// ablationCell is configuration i of one axis.
+type ablationCell struct {
+	part int // index into the grid's parts
+	axis string
+	i    int
 }
 
-// AblationCells returns the flattened grid size across all four axes.
-func AblationCells() int {
-	n := 0
-	for _, p := range ablationParts() {
-		n += p.n
-	}
-	return n
-}
-
-// AblationRange executes global grid cells [lo, hi): each global index
-// maps to (axis, local index) by walking the parts in order. Results
-// are indexed from the range start.
-func AblationRange(ctx context.Context, seed int64, lo, hi int, hooks *Hooks) ([]AblationRow, error) {
-	parts := ablationParts()
-	n := AblationCells()
-	if err := checkRange(n, lo, hi); err != nil {
-		return nil, fmt.Errorf("ablations: %w", err)
-	}
-	locate := func(g int) (ablationPart, int) {
-		for _, p := range parts {
-			if g < p.n {
-				return p, g
+// ablationGrid lays the given axes end to end into one grid; its rows
+// are the cells' rows in that order.
+func ablationGrid(parts ...ablationPart) Grid[ablationCell, AblationRow, []AblationRow] {
+	return Grid[ablationCell, AblationRow, []AblationRow]{
+		Name: "ablations",
+		Cells: func(Params) []ablationCell {
+			var cells []ablationCell
+			for k, part := range parts {
+				for i := 0; i < part.n; i++ {
+					cells = append(cells, ablationCell{k, part.label, i})
+				}
 			}
-			g -= p.n
-		}
-		panic("unreachable: index validated above")
-	}
-	rows := make([]AblationRow, hi-lo)
-	err := forEachCell(ctx, hi-lo, hooks, func(k int) error {
-		part, i := locate(lo + k)
-		row, err := part.cell(i, seed)
-		if err != nil {
-			return fmt.Errorf("ablation %s[%d]: %w", part.label, i, err)
-		}
-		rows[k] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// AblationMerge renders the full grid's rows as the four ablation
-// tables in axis order.
-func AblationMerge(rows []AblationRow) (string, error) {
-	if len(rows) != AblationCells() {
-		return "", fmt.Errorf("ablation merge: %d rows for a %d-cell grid", len(rows), AblationCells())
-	}
-	var b strings.Builder
-	at := 0
-	for _, p := range ablationParts() {
-		b.WriteString(RenderAblation(p.label, rows[at:at+p.n]))
-		at += p.n
-	}
-	return b.String(), nil
-}
-
-// AblationSweep publishes the flattened ablation grid for distributed
-// execution.
-func AblationSweep() *Sweep {
-	return &Sweep{
-		Cells: func(Params) int { return AblationCells() },
-		RunCells: func(ctx context.Context, p Params, lo, hi int) (CellBlock, error) {
-			rows, err := AblationRange(ctx, p.Seed, lo, hi, p.hooks())
-			if err != nil {
-				return CellBlock{}, err
-			}
-			return encodeBlock(lo, hi, rows)
+			return cells
 		},
-		Merge: func(p Params, blocks []CellBlock) (Output, error) {
-			rows, err := mergeBlocks[AblationRow](AblationCells(), blocks)
-			if err != nil {
-				return Output{}, fmt.Errorf("ablations: %w", err)
+		Run: func(p Params, c ablationCell) (AblationRow, error) {
+			return parts[c.part].cell(c.i, p.Seed)
+		},
+		Merge: func(_ Params, _ []ablationCell, rows []AblationRow) ([]AblationRow, error) {
+			return rows, nil
+		},
+		// The four tables in axis order.
+		Render: func(rows []AblationRow) Output {
+			var b strings.Builder
+			for _, part := range parts {
+				b.WriteString(RenderAblation(part.label, rows[:part.n]))
+				rows = rows[part.n:]
 			}
-			text, err := AblationMerge(rows)
-			if err != nil {
-				return Output{}, err
-			}
-			return Output{Text: text}, nil
+			return Output{Text: b.String()}
 		},
 	}
 }

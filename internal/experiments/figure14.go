@@ -81,10 +81,6 @@ func prototypeSwitch(topology.Node) netsim.SwitchModel {
 	}
 }
 
-// figure14RPCs is the RPC count per run (the paper runs 10,000; 2,000
-// keeps the default sweep fast while the CI stays tight).
-const figure14RPCs = 2000
-
 // runFigure14 measures the mean RPC latency on one topology at one
 // cross-traffic level.
 func runFigure14(quartz bool, cross sim.Rate, rpcs int, seed int64) (mean, ci float64, err error) {
@@ -147,52 +143,56 @@ func runFigure14(quartz bool, cross sim.Rate, rpcs int, seed int64) (mean, ci fl
 	return rpc.RTT.Mean(), rpc.RTT.CI95(), nil
 }
 
-// Figure14 sweeps cross-traffic 0..200 Mb/s in 25 Mb/s steps on both
-// prototype wirings and reports RPC latency normalized to each
-// topology's zero-cross-traffic mean (§6.1).
-func Figure14(seed int64) ([]Figure14Row, error) {
-	return Figure14Sweep(seed, figure14RPCs)
+// figure14Cell is one RPC run: a prototype wiring at one cross-traffic
+// level.
+type figure14Cell struct {
+	mbps   int
+	quartz bool
 }
 
-// Figure14Sweep is Figure14 with a configurable RPC count per point.
-func Figure14Sweep(seed int64, rpcs int) ([]Figure14Row, error) {
-	treeBase, _, err := runFigure14(false, 0, rpcs, seed)
-	if err != nil {
-		return nil, err
-	}
-	quartzBase, _, err := runFigure14(true, 0, rpcs, seed)
-	if err != nil {
-		return nil, err
-	}
-	var points []int
-	for mbps := 0; mbps <= 200; mbps += 25 {
-		points = append(points, mbps)
-	}
-	rows := make([]Figure14Row, len(points))
-	err = forEachCell(context.Background(), len(points), nil, func(i int) error {
-		mbps := points[i]
-		cross := sim.Rate(mbps) * sim.Mbps
-		tm, tci, err := runFigure14(false, cross, rpcs, seed+int64(mbps))
-		if err != nil {
-			return err
+// figure14Grid is 9 cross-traffic levels (0..200 Mb/s in 25 Mb/s
+// steps) × 2 wirings, level-major with the tree first. Both wirings of
+// a level share the seed seed+mbps.
+var figure14Grid = Grid[figure14Cell, meanCI, []Figure14Row]{
+	Name: "fig14",
+	Cells: func(Params) []figure14Cell {
+		var cells []figure14Cell
+		for mbps := 0; mbps <= 200; mbps += 25 {
+			cells = append(cells, figure14Cell{mbps, false}, figure14Cell{mbps, true})
 		}
-		qm, qci, err := runFigure14(true, cross, rpcs, seed+int64(mbps))
-		if err != nil {
-			return err
+		return cells
+	},
+	Run: func(p Params, c figure14Cell) (meanCI, error) {
+		m, ci, err := runFigure14(c.quartz, sim.Rate(c.mbps)*sim.Mbps, p.RPCs, p.Seed+int64(c.mbps))
+		return meanCI{m, ci}, err
+	},
+	// Each wiring is normalized to its own zero-cross-traffic cell, so
+	// level 0 reads exactly 1.00.
+	Merge: func(_ Params, cells []figure14Cell, vals []meanCI) ([]Figure14Row, error) {
+		treeBase, quartzBase := vals[0].Mean, vals[1].Mean
+		rows := make([]Figure14Row, 0, len(cells)/2)
+		for i := 0; i < len(cells); i += 2 {
+			tree, quartz := vals[i], vals[i+1]
+			rows = append(rows, Figure14Row{
+				CrossTraffic: sim.Rate(cells[i].mbps) * sim.Mbps,
+				TwoTierTree:  tree.Mean / treeBase,
+				Quartz:       quartz.Mean / quartzBase,
+				TreeCI:       tree.CI / treeBase,
+				QuartzCI:     quartz.CI / quartzBase,
+			})
 		}
-		rows[i] = Figure14Row{
-			CrossTraffic: cross,
-			TwoTierTree:  tm / treeBase,
-			Quartz:       qm / quartzBase,
-			TreeCI:       tci / treeBase,
-			QuartzCI:     qci / quartzBase,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+		return rows, nil
+	},
+	Render: func(rows []Figure14Row) Output {
+		return Output{Text: RenderFigure14(rows), CSV: map[string]interface{}{"figure14": rows}}
+	},
+}
+
+// Figure14Sweep sweeps cross-traffic on both prototype wirings with
+// p.RPCs RPCs per point (the paper runs 10,000) and reports RPC latency
+// normalized to each topology's zero-cross-traffic mean (§6.1).
+func Figure14Sweep(ctx context.Context, p Params) ([]Figure14Row, error) {
+	return figure14Grid.Local(ctx, p)
 }
 
 // RenderFigure14 renders the sweep.

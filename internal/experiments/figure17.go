@@ -3,9 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/netsim"
@@ -104,6 +104,10 @@ func defaultFig17Params(kind TaskKind) fig17Params {
 func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
 	p := core.ArchParams{}
 	switch name {
+	case "two-tier tree":
+		return core.TwoTierTreeArch(p)
+	case "single Quartz ring":
+		return core.QuartzRingArch(p)
 	case "three-tier tree":
 		return core.ThreeTierTree(p)
 	case "jellyfish":
@@ -237,59 +241,127 @@ func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params 
 	return sum / float64(count), ciSum / float64(count), nil
 }
 
-// Figure17 sweeps 1..maxTasks concurrent global tasks of the given
-// kind across the five §7 architectures (Figure 17 a/b/c). Cancelling
-// ctx stops dispatching cells and returns ctx.Err().
-func Figure17(ctx context.Context, kind TaskKind, maxTasks int, seed int64) ([]Figure17Row, error) {
-	return figureTasks(ctx, kind, maxTasks, false, Figure17Architectures, seed)
+// taskPanel is one sub-figure: a workload kind swept over 1..Params.Tasks
+// concurrent tasks, capped where the paper's panel ends.
+type taskPanel struct {
+	kind  TaskKind
+	cap   int
+	label string
 }
 
-// Figure18 sweeps one localized task plus 0..maxTasks-1 global
-// cross-traffic tasks (Figure 18 a/b/c). Cancelling ctx stops
-// dispatching cells and returns ctx.Err().
-func Figure18(ctx context.Context, kind TaskKind, maxTasks int, seed int64) ([]Figure17Row, error) {
-	return figureTasks(ctx, kind, maxTasks, true, Figure18Architectures, seed)
+// taskFigure describes Figure 17 or Figure 18. panels is indexed by
+// TaskKind.
+type taskFigure struct {
+	name   string
+	local  bool // Figure 18: measure one localized task under global cross-traffic
+	archs  []string
+	panels []taskPanel
+	csv    string // CSV stem prefix; "" exports no rows
 }
 
-func figureTasks(ctx context.Context, kind TaskKind, maxTasks int, local bool, archs []string, seed int64) ([]Figure17Row, error) {
-	params := defaultFig17Params(kind)
-	rows := make([]Figure17Row, maxTasks)
-	for n := 1; n <= maxTasks; n++ {
-		rows[n-1] = Figure17Row{Tasks: n, Latency: map[string]float64{}, CI: map[string]float64{}}
+var figure17 = taskFigure{
+	name: "fig17", archs: Figure17Architectures, csv: "figure17-",
+	panels: []taskPanel{
+		{ScatterKind, math.MaxInt, "Figure 17(a): scatter"},
+		{GatherKind, math.MaxInt, "Figure 17(b): gather"},
+		{ScatterGatherKind, 4, "Figure 17(c): scatter/gather"},
+	},
+}
+
+var figure18 = taskFigure{
+	name: "fig18", local: true, archs: Figure18Architectures,
+	panels: []taskPanel{
+		{ScatterKind, 6, "Figure 18(a): localized scatter"},
+		{GatherKind, 6, "Figure 18(b): localized gather"},
+		{ScatterGatherKind, 5, "Figure 18(c): localized scatter/gather"},
+	},
+}
+
+// taskCell is one simulation: an architecture under a number of
+// concurrent tasks of one panel's kind.
+type taskCell struct {
+	panel, tasks int
+	arch         string
+}
+
+// meanCI is the value of a latency cell: a mean and its 95% CI
+// half-width.
+type meanCI struct{ Mean, CI float64 }
+
+// grid flattens the figure panel-major into one grid; its rows are one
+// []Figure17Row per panel.
+func (f taskFigure) grid() Grid[taskCell, meanCI, [][]Figure17Row] {
+	return Grid[taskCell, meanCI, [][]Figure17Row]{
+		Name: f.name,
+		Cells: func(p Params) []taskCell {
+			var cells []taskCell
+			for k, pn := range f.panels {
+				for n := 1; n <= min(p.Tasks, pn.cap); n++ {
+					for _, name := range f.archs {
+						cells = append(cells, taskCell{k, n, name})
+					}
+				}
+			}
+			return cells
+		},
+		Run: func(p Params, c taskCell) (meanCI, error) {
+			arch, err := buildArch(c.arch, rand.New(rand.NewSource(p.Seed)))
+			if err != nil {
+				return meanCI{}, err
+			}
+			kind := f.panels[c.panel].kind
+			m, ci, err := runTasks(arch, kind, c.tasks, f.local, defaultFig17Params(kind), p.Seed+int64(100*c.tasks))
+			return meanCI{m, ci}, err
+		},
+		Merge: func(_ Params, cells []taskCell, vals []meanCI) ([][]Figure17Row, error) {
+			panels := make([][]Figure17Row, len(f.panels))
+			for i, c := range cells {
+				if c.tasks > len(panels[c.panel]) {
+					panels[c.panel] = append(panels[c.panel],
+						Figure17Row{Tasks: c.tasks, Latency: map[string]float64{}, CI: map[string]float64{}})
+				}
+				row := panels[c.panel][c.tasks-1]
+				row.Latency[c.arch], row.CI[c.arch] = vals[i].Mean, vals[i].CI
+			}
+			return panels, nil
+		},
+		Render: func(panels [][]Figure17Row) Output {
+			out := Output{CSV: map[string]interface{}{}}
+			var b strings.Builder
+			for k, pn := range f.panels {
+				b.WriteString(RenderFigure17(pn.label, f.archs, panels[k]))
+				if f.csv != "" {
+					out.CSV[f.csv+strings.ReplaceAll(pn.kind.String(), "/", "-")] = panels[k]
+				}
+			}
+			out.Text = b.String()
+			return out
+		},
 	}
-	// Every (architecture, task-count) cell is an independent
-	// simulation; run them on all cores.
-	type cell struct {
-		n    int
-		name string
-	}
-	var cells []cell
-	for n := 1; n <= maxTasks; n++ {
-		for _, name := range archs {
-			cells = append(cells, cell{n: n, name: name})
-		}
-	}
-	var mu sync.Mutex
-	err := forEachCell(ctx, len(cells), nil, func(i int) error {
-		c := cells[i]
-		arch, err := buildArch(c.name, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return err
-		}
-		m, ci, err := runTasks(arch, kind, c.n, local, params, seed+int64(100*c.n))
-		if err != nil {
-			return fmt.Errorf("%s with %d tasks: %w", c.name, c.n, err)
-		}
-		mu.Lock()
-		rows[c.n-1].Latency[c.name] = m
-		rows[c.n-1].CI[c.name] = ci
-		mu.Unlock()
-		return nil
-	})
+}
+
+// panel runs only the figure's panel for kind.
+func (f taskFigure) panel(ctx context.Context, kind TaskKind, p Params) ([]Figure17Row, error) {
+	f.panels = f.panels[kind : kind+1]
+	panels, err := f.grid().Local(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return panels[0], nil
+}
+
+// Figure17 sweeps 1..p.Tasks concurrent global tasks of the given kind
+// (at most 4 for scatter/gather) across the five §7 architectures: one
+// panel of Figure 17 a/b/c.
+func Figure17(ctx context.Context, kind TaskKind, p Params) ([]Figure17Row, error) {
+	return figure17.panel(ctx, kind, p)
+}
+
+// Figure18 sweeps one localized task plus 0..p.Tasks-1 global
+// cross-traffic tasks (at most 6 tasks, 5 for scatter/gather): one
+// panel of Figure 18 a/b/c.
+func Figure18(ctx context.Context, kind TaskKind, p Params) ([]Figure17Row, error) {
+	return figure18.panel(ctx, kind, p)
 }
 
 // RenderFigure17 renders a task sweep.

@@ -14,21 +14,19 @@ import (
 // simulation with its own engine and seed, so the sweeps parallelize
 // perfectly; results must be written to disjoint slots by index.
 //
-// h carries the observer hooks (nil means none). h.Progress, when
-// non-nil, is called after each successful cell with the number of
-// cells completed so far and n. Calls are serialized (never
-// concurrent), but completion order is nondeterministic across workers
-// — only the final (n, n) call is guaranteed to be last. h.Trace, when
-// non-nil, records one wall-only "cell" span per cell in the
-// "experiment" category, Track = cell index.
+// p carries the observer hooks. p.Progress, when non-nil, is called
+// after each successful cell with the number of cells completed so far
+// and n. Calls are serialized (never concurrent), but completion order
+// is nondeterministic across workers — only the final (n, n) call is
+// guaranteed to be last. p.Trace, when non-nil, records one wall-only
+// "cell" span per cell in the "experiment" category, Track = cell
+// index.
 //
-// Cancelling ctx stops dispatching new cells; cells already running
-// finish, and ctx.Err() is returned. A nil ctx means no cancellation.
-func forEachCell(ctx context.Context, n int, h *Hooks, fn func(i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := h.trace(); rec.Enabled() {
+// Cancelling ctx, or a cell failing, stops dispatching new cells; cells
+// already running finish, and the first cell error (else ctx.Err()) is
+// returned.
+func forEachCell(ctx context.Context, n int, p Params, fn func(i int) error) error {
+	if rec := p.Trace; rec.Enabled() {
 		inner := fn
 		fn = func(i int) error {
 			start := time.Now()
@@ -43,37 +41,24 @@ func forEachCell(ctx context.Context, n int, h *Hooks, fn func(i int) error) err
 	done := 0
 	var progressMu sync.Mutex
 	tick := func() {
-		if h == nil || h.Progress == nil {
+		if p.Progress == nil {
 			return
 		}
 		progressMu.Lock()
 		done++
-		h.Progress(done, n)
+		p.Progress(done, n)
 		progressMu.Unlock()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-			tick()
-		}
-		return nil
-	}
+	// A failing cell cancels pool, which stops the dispatch loop below.
+	pool, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		next     = make(chan int)
 	)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -84,17 +69,16 @@ func forEachCell(ctx context.Context, n int, h *Hooks, fn func(i int) error) err
 						firstErr = err
 					}
 					mu.Unlock()
-					continue
+					cancel()
+					return
 				}
 				tick()
 			}
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && pool.Err() == nil; i++ {
 		select {
-		case <-ctx.Done():
-			break dispatch
+		case <-pool.Done():
 		case next <- i:
 		}
 	}

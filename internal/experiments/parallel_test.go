@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
@@ -12,7 +14,7 @@ import (
 func TestForEachCellRunsAll(t *testing.T) {
 	var count int64
 	seen := make([]int32, 100)
-	err := forEachCell(context.Background(), 100, nil, func(i int) error {
+	err := forEachCell(context.Background(), 100, Params{}, func(i int) error {
 		atomic.AddInt64(&count, 1)
 		atomic.AddInt32(&seen[i], 1)
 		return nil
@@ -32,7 +34,7 @@ func TestForEachCellRunsAll(t *testing.T) {
 
 func TestForEachCellPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	err := forEachCell(context.Background(), 10, nil, func(i int) error {
+	err := forEachCell(context.Background(), 10, Params{}, func(i int) error {
 		if i == 7 {
 			return boom
 		}
@@ -49,7 +51,7 @@ func TestForEachCellFewerCellsThanWorkers(t *testing.T) {
 	for n := 2; n <= 4; n++ {
 		var count int64
 		seen := make([]int32, n)
-		if err := forEachCell(context.Background(), n, nil, func(i int) error {
+		if err := forEachCell(context.Background(), n, Params{}, func(i int) error {
 			atomic.AddInt64(&count, 1)
 			atomic.AddInt32(&seen[i], 1)
 			return nil
@@ -65,7 +67,7 @@ func TestForEachCellFewerCellsThanWorkers(t *testing.T) {
 			}
 		}
 		boom := errors.New("boom")
-		err := forEachCell(context.Background(), n, nil, func(i int) error {
+		err := forEachCell(context.Background(), n, Params{}, func(i int) error {
 			if i == n-1 {
 				return boom
 			}
@@ -78,15 +80,49 @@ func TestForEachCellFewerCellsThanWorkers(t *testing.T) {
 }
 
 func TestForEachCellSerialError(t *testing.T) {
-	// n == 1 takes the serial path; the error must stop the loop there.
+	// One worker runs cells in order, and a failing cell is the last one
+	// it runs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	boom := errors.New("boom")
-	ran := 0
-	err := forEachCell(context.Background(), 1, nil, func(i int) error {
-		ran++
-		return boom
+	for _, tc := range []struct{ n, failAt int }{{1, 0}, {10, 3}} {
+		ran := 0
+		err := forEachCell(context.Background(), tc.n, Params{}, func(i int) error {
+			ran++
+			if i == tc.failAt {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || ran != tc.failAt+1 {
+			t.Errorf("n=%d: err = %v after %d runs, want boom after %d", tc.n, err, ran, tc.failAt+1)
+		}
+	}
+}
+
+func TestForEachCellPoolStopsAtFirstError(t *testing.T) {
+	// The pool must stop dispatching once a cell has failed. Cell 0 fails
+	// at once; the cells already handed to the other workers are held
+	// until the pool has had ample time to see the failure, so whatever
+	// runs after their release was dispatched in spite of it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	boom := errors.New("boom")
+	const n = 1000
+	var ran int64
+	release := make(chan struct{})
+	err := forEachCell(context.Background(), n, Params{}, func(i int) error {
+		atomic.AddInt64(&ran, 1)
+		if i == 0 {
+			time.AfterFunc(50*time.Millisecond, func() { close(release) })
+			return boom
+		}
+		<-release
+		return nil
 	})
-	if !errors.Is(err, boom) || ran != 1 {
-		t.Errorf("err = %v after %d runs, want boom after 1", err, ran)
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want boom", err)
+	}
+	if got := atomic.LoadInt64(&ran); got > 10 {
+		t.Errorf("%d of %d cells ran after cell 0 failed", got, n)
 	}
 }
 
@@ -97,7 +133,7 @@ func TestForEachCellKeepsFirstError(t *testing.T) {
 	for i := range errs {
 		errs[i] = errors.New("boom")
 	}
-	err := forEachCell(context.Background(), len(errs), nil, func(i int) error { return errs[i] })
+	err := forEachCell(context.Background(), len(errs), Params{}, func(i int) error { return errs[i] })
 	if err == nil {
 		t.Fatal("err = nil, want one of the cell errors")
 	}
@@ -113,11 +149,11 @@ func TestForEachCellKeepsFirstError(t *testing.T) {
 }
 
 func TestForEachCellZeroAndOne(t *testing.T) {
-	if err := forEachCell(context.Background(), 0, nil, func(int) error { t.Fatal("ran"); return nil }); err != nil {
+	if err := forEachCell(context.Background(), 0, Params{}, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Error(err)
 	}
 	ran := false
-	if err := forEachCell(context.Background(), 1, nil, func(i int) error { ran = true; return nil }); err != nil {
+	if err := forEachCell(context.Background(), 1, Params{}, func(i int) error { ran = true; return nil }); err != nil {
 		t.Error(err)
 	}
 	if !ran {
@@ -129,7 +165,7 @@ func TestForEachCellHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := int64(0)
-	err := forEachCell(ctx, 100, nil, func(i int) error {
+	err := forEachCell(ctx, 100, Params{}, func(i int) error {
 		atomic.AddInt64(&ran, 1)
 		return nil
 	})
@@ -146,7 +182,7 @@ func TestForEachCellHonorsCancellation(t *testing.T) {
 func TestForEachCellSpans(t *testing.T) {
 	rec := trace.NewRecorder()
 	const n = 9
-	err := forEachCell(context.Background(), n, &Hooks{Trace: rec}, func(i int) error { return nil })
+	err := forEachCell(context.Background(), n, Params{Trace: rec}, func(i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,17 +11,15 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
 
 // Progress is the experiment progress hook: done units of work are
-// complete out of total. The unit is experiment-defined (cells of a
-// sharded sweep, panels of a multi-part figure); total is constant for
-// the lifetime of one run. Callbacks may arrive from the worker
-// goroutines of a sharded sweep, but never concurrently — the
-// dispatcher serializes them.
+// complete out of total. The unit is the cell of a grid experiment
+// (sweep.go); total is constant for the lifetime of one run. Callbacks
+// may arrive from the worker goroutines of the cell pool, but never
+// concurrently — the pool serializes them.
 type Progress func(done, total int)
 
 // Params carries the knobs shared by the experiment runners. Zero
@@ -50,51 +48,6 @@ type Params struct {
 	Trace *trace.Recorder `json:"-"`
 }
 
-// Hooks bundles the observer hooks a runner threads into its cells. A
-// nil *Hooks is valid and means "no hooks" — existing callers that
-// passed a nil Progress keep passing nil unchanged.
-type Hooks struct {
-	Progress Progress
-	Trace    *trace.Recorder
-}
-
-// hooks projects the Params hook fields for threading into runners.
-func (p Params) hooks() *Hooks {
-	if p.Progress == nil && p.Trace == nil {
-		return nil
-	}
-	return &Hooks{Progress: p.Progress, Trace: p.Trace}
-}
-
-// tick invokes the progress hook if one is attached.
-func (h *Hooks) tick(done, total int) {
-	if h != nil && h.Progress != nil {
-		h.Progress(done, total)
-	}
-}
-
-// trace returns the span recorder (nil-safe on a nil *Hooks; a nil
-// *trace.Recorder is itself the disabled recorder).
-func (h *Hooks) trace() *trace.Recorder {
-	if h == nil {
-		return nil
-	}
-	return h.Trace
-}
-
-// span records one wall-only experiment span started at start onto the
-// Params trace hook — the panel/part-level instrument for runners that
-// do their own phase bookkeeping (fig17 panels, ablation parts).
-func (p Params) span(name string, track int, start time.Time) {
-	if p.Trace == nil {
-		return
-	}
-	p.Trace.Add(trace.Span{
-		Name: name, Cat: "experiment", Track: track,
-		Wall: p.Trace.Since(start), WallDur: time.Since(start).Nanoseconds(),
-	})
-}
-
 // DefaultParams returns the values quartzbench uses by default.
 func DefaultParams() Params {
 	return Params{Seed: 2014, Trials: 5000, Tasks: 8, RPCs: 2000}
@@ -117,13 +70,6 @@ func (p Params) WithDefaults() Params {
 		p.RPCs = d.RPCs
 	}
 	return p
-}
-
-// tick invokes the progress hook if one is attached.
-func (p Params) tick(done, total int) {
-	if p.Progress != nil {
-		p.Progress(done, total)
-	}
 }
 
 // CacheKey returns the canonical identity of one experiment execution:

@@ -46,7 +46,7 @@ func TestForEachCellProgress(t *testing.T) {
 	const n = 37
 	var dones []int
 	var lastTotal int
-	err := forEachCell(context.Background(), n, &Hooks{Progress: func(done, total int) {
+	err := forEachCell(context.Background(), n, Params{Progress: func(done, total int) {
 		// Serialized by contract: no lock needed here.
 		dones = append(dones, done)
 		lastTotal = total

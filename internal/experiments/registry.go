@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/quartz-dcn/quartz/internal/cost"
 )
@@ -37,16 +36,21 @@ type Experiment struct {
 	// Sweep, when non-nil, publishes the experiment's cell grid for
 	// distributed execution: internal/service accepts cell-range
 	// sub-jobs for it and internal/cluster shards it across workers.
-	// Entries with a Sweep use Sweep.Run as their Run, so local and
-	// cluster-merged output are byte-identical by construction.
+	// Entries with a Sweep are declared as a Grid (sweep.go) and use
+	// Sweep.Run as their Run, so local and cluster-merged output are
+	// byte-identical by construction.
 	Sweep *Sweep
 }
 
-// The registry's shared sweep definitions (one instance each, so every
+// The registry's grid experiments (one Sweep instance each, so every
 // All() call hands out the same grid).
 var (
-	table8Sweep   = Table8Sweep()
-	ablationSweep = AblationSweep()
+	table8Sweep     = table8Grid.Sweep()
+	figure14Sweep   = figure14Grid.Sweep()
+	figure17Sweep   = figure17.grid().Sweep()
+	figure18Sweep   = figure18.grid().Sweep()
+	validationSweep = validationGrid.Sweep()
+	ablationSweep   = ablationGrid(ablationRing, ablationSwitch, ablationVLB, ablationECMP).Sweep()
 )
 
 // Find returns the experiment registered under name (case-insensitive).
@@ -101,12 +105,8 @@ func All() []Experiment {
 		},
 		{
 			Name: "table8", Title: "Table 8: cost and latency configurator", Section: "§4.2",
-			Covers: []string{"Table8", "Table8Range", "Table8Merge", "Table8Sweep"},
-			// Run via the sweep: RunCells(0, 12) + Merge, the same pair a
-			// cluster run composes, so the table is byte-identical for
-			// every worker count.
-			Run:   table8Sweep.Run,
-			Sweep: table8Sweep,
+			Covers: []string{"Table8"},
+			Run:    table8Sweep.Run, Sweep: table8Sweep,
 		},
 		{
 			Name: "table9", Title: "Table 9: topology comparison at ~1k ports", Section: "§5",
@@ -132,73 +132,18 @@ func All() []Experiment {
 		},
 		{
 			Name: "fig14", Title: "Figure 14: prototype cross-traffic experiment", Section: "§6.1",
-			Covers: []string{"Figure14", "Figure14Sweep"},
-			Run: func(_ context.Context, p Params) (Output, error) {
-				rows, err := Figure14Sweep(p.Seed, p.RPCs)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderFigure14(rows), CSV: map[string]interface{}{"figure14": rows}}, nil
-			},
+			Covers: []string{"Figure14Sweep"},
+			Run:    figure14Sweep.Run, Sweep: figure14Sweep,
 		},
 		{
 			Name: "fig17", Title: "Figure 17: global task latency", Section: "§7.1",
 			Covers: []string{"Figure17"},
-			Run: func(ctx context.Context, p Params) (Output, error) {
-				out := Output{CSV: map[string]interface{}{}}
-				done := 0
-				var b strings.Builder
-				for _, kc := range []struct {
-					kind  TaskKind
-					n     int
-					label string
-				}{
-					{ScatterKind, p.Tasks, "Figure 17(a): scatter"},
-					{GatherKind, p.Tasks, "Figure 17(b): gather"},
-					{ScatterGatherKind, min(p.Tasks, 4), "Figure 17(c): scatter/gather"},
-				} {
-					start := time.Now()
-					rows, err := Figure17(ctx, kc.kind, kc.n, p.Seed)
-					if err != nil {
-						return Output{}, err
-					}
-					b.WriteString(RenderFigure17(kc.label, Figure17Architectures, rows))
-					out.CSV["figure17-"+strings.ReplaceAll(kc.kind.String(), "/", "-")] = rows
-					p.span("panel", done, start)
-					done++
-					p.tick(done, 3)
-				}
-				out.Text = b.String()
-				return out, nil
-			},
+			Run:    figure17Sweep.Run, Sweep: figure17Sweep,
 		},
 		{
 			Name: "fig18", Title: "Figure 18: localized task latency", Section: "§7.1",
 			Covers: []string{"Figure18"},
-			Run: func(ctx context.Context, p Params) (Output, error) {
-				var b strings.Builder
-				done := 0
-				for _, kc := range []struct {
-					kind  TaskKind
-					n     int
-					label string
-				}{
-					{ScatterKind, min(p.Tasks, 6), "Figure 18(a): localized scatter"},
-					{GatherKind, min(p.Tasks, 6), "Figure 18(b): localized gather"},
-					{ScatterGatherKind, min(p.Tasks, 5), "Figure 18(c): localized scatter/gather"},
-				} {
-					start := time.Now()
-					rows, err := Figure18(ctx, kc.kind, kc.n, p.Seed)
-					if err != nil {
-						return Output{}, err
-					}
-					b.WriteString(RenderFigure17(kc.label, Figure18Architectures, rows))
-					p.span("panel", done, start)
-					done++
-					p.tick(done, 3)
-				}
-				return Output{Text: b.String()}, nil
-			},
+			Run:    figure18Sweep.Run, Sweep: figure18Sweep,
 		},
 		{
 			Name: "fig20", Title: "Figure 20: pathological traffic pattern", Section: "§7.2",
@@ -286,16 +231,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "validate", Title: "Simulator validation against queueing theory (§7)", Section: "§7",
-			Run: func(ctx context.Context, p Params) (Output, error) {
-				// 30 packets per trial: the default 5000 trials keeps the
-				// historical 150k-packet run, and reduced-trial submissions
-				// (the service smoke test, quartzd clients) scale down.
-				rows, err := SimulatorValidation(ctx, p.Seed, 30*p.WithDefaults().Trials, p.hooks())
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderValidation(rows)}, nil
-			},
+			Run: validationSweep.Run, Sweep: validationSweep,
 		},
 		{
 			Name: "prio", Title: "Extension: priority queueing vs topology (DeTail, §2.1.4)", Section: "§2.1.4",
@@ -309,11 +245,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "ablations", Title: "Ablations: ring size, switch model, VLB fraction, ECMP mode", Section: "ext.",
-			// The four axes flatten into one 14-cell grid (AblationRange)
-			// so progress ticks per cell and cluster runs shard freely;
-			// the merge renders the same four tables in the same order.
-			Run:   ablationSweep.Run,
-			Sweep: ablationSweep,
+			Run: ablationSweep.Run, Sweep: ablationSweep,
 		},
 	}
 }

@@ -1,25 +1,118 @@
 package experiments
 
-// The sweep abstraction: experiments whose work is a grid of
-// independent cells publish the grid's size, a cell-range executor,
-// and a deterministic merge. That is exactly the shape the cluster
-// coordinator (internal/cluster) needs to fan a sweep out across
-// worker daemons: any partition of [0, n) into contiguous ranges,
-// executed anywhere and in any order, merges back into the same bytes
-// a single process produces — because the single-process path runs
-// through the very same RunCells + Merge pair.
+// The one way a grid-shaped experiment is written: a cell list, a
+// one-cell function and a pure merge (Grid). Everything else — range
+// checking, the worker pool, per-cell error labels, the wire form,
+// progress and trace spans, the Sweep the cluster coordinator
+// (internal/cluster) shards — is derived here, once.
 //
-// Partial results travel between processes as CellBlocks: the range
-// bounds plus a JSON payload of per-cell values. encoding/json renders
-// float64s in their shortest round-tripping form, so a block that
-// crosses the wire decodes to bit-identical values and the merged
-// table is byte-identical to a local run.
+// Any partition of [0, n) into contiguous ranges, executed anywhere and
+// in any order, merges back into the same bytes a single process
+// produces, because the single-process path runs through the very same
+// RunCells + Merge pair, wire form included. Partial results travel as
+// CellBlocks: the range bounds plus a JSON array of per-cell values.
+// encoding/json renders float64s in their shortest round-tripping
+// form, so a block that crosses the wire decodes to bit-identical
+// values.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 )
+
+// Grid declares an experiment whose work is a grid of independent
+// simulations. All four funcs are pure with respect to Params (hooks
+// excluded).
+//
+// A cell owns everything it touches — graph, router, engine, seed — so
+// cells run in any order on any machine. An experiment whose points
+// share state (fig20's routers keep per-graph state across its load
+// levels) is not a grid and stays a plain loop.
+//
+// V is a wire value: it crosses encoding/json between Run and Merge
+// even in a single process, so it has exported fields, finite floats
+// and no maps keyed by anything but strings. C never leaves the
+// process.
+type Grid[C, V, R any] struct {
+	// Name labels errors.
+	Name string
+	// Cells lists the grid under p, in merge order.
+	Cells func(p Params) []C
+	// Run executes one cell.
+	Run func(p Params, c C) (V, error)
+	// Merge assembles the experiment's typed rows from the whole grid's
+	// values; vals[i] belongs to cells[i].
+	Merge func(p Params, cells []C, vals []V) (R, error)
+	// Render turns the rows into the registry output.
+	Render func(rows R) Output
+}
+
+// runCells executes cells [lo, hi) on the worker pool and encodes
+// their values as one block. It is the only caller of forEachCell.
+func (g Grid[C, V, R]) runCells(ctx context.Context, p Params, lo, hi int) (CellBlock, error) {
+	cells := g.Cells(p)
+	if err := CheckRange(len(cells), lo, hi); err != nil {
+		return CellBlock{}, fmt.Errorf("%s: %w", g.Name, err)
+	}
+	vals := make([]json.RawMessage, hi-lo)
+	err := forEachCell(ctx, hi-lo, p, func(k int) error {
+		v, err := g.Run(p, cells[lo+k])
+		if err == nil {
+			vals[k], err = json.Marshal(v)
+		}
+		if err != nil {
+			return fmt.Errorf("%s cell %d %+v: %w", g.Name, lo+k, cells[lo+k], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return CellBlock{}, err
+	}
+	data, err := json.Marshal(vals)
+	if err != nil {
+		return CellBlock{}, fmt.Errorf("%s: encoding cells [%d,%d): %w", g.Name, lo, hi, err)
+	}
+	return CellBlock{Lo: lo, Hi: hi, Data: data}, nil
+}
+
+// merge decodes blocks covering the whole grid and merges them.
+func (g Grid[C, V, R]) merge(p Params, blocks []CellBlock) (rows R, err error) {
+	cells := g.Cells(p)
+	vals, err := mergeBlocks[V](len(cells), blocks)
+	if err != nil {
+		return rows, fmt.Errorf("%s: %w", g.Name, err)
+	}
+	return g.Merge(p, cells, vals)
+}
+
+// Local runs the whole grid on this process's worker pool and returns
+// the typed rows — the same RunCells + Merge composition, wire form
+// included, that Sweep.Run and a cluster run go through. Cancelling ctx
+// stops dispatching cells and returns ctx.Err().
+func (g Grid[C, V, R]) Local(ctx context.Context, p Params) (rows R, err error) {
+	block, err := g.runCells(ctx, p, 0, len(g.Cells(p)))
+	if err != nil {
+		return rows, err
+	}
+	return g.merge(p, []CellBlock{block})
+}
+
+// Sweep publishes the grid for the registry, the service's cell-range
+// sub-jobs and the cluster coordinator.
+func (g Grid[C, V, R]) Sweep() *Sweep {
+	return &Sweep{
+		Cells:    func(p Params) int { return len(g.Cells(p)) },
+		RunCells: g.runCells,
+		Merge: func(p Params, blocks []CellBlock) (Output, error) {
+			rows, err := g.merge(p, blocks)
+			if err != nil {
+				return Output{}, err
+			}
+			return g.Render(rows), nil
+		},
+	}
+}
 
 // CellBlock is the result of executing one contiguous cell range
 // [Lo, Hi) of a sweep grid: the experiment-specific per-cell values,
@@ -30,16 +123,16 @@ type CellBlock struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// Sweep describes an experiment divisible into independent cells. All
-// three funcs are pure with respect to Params (hooks excluded):
-// Cells(p) is constant for a given p, and RunCells results depend only
-// on (p, lo, hi).
+// Sweep is what a Grid looks like from outside the package: the grid's
+// size, a cell-range executor, and a deterministic merge. Cells(p) is
+// constant for a given p, and RunCells results depend only on
+// (p, lo, hi).
 type Sweep struct {
 	// Cells returns the grid size under p.
 	Cells func(p Params) int
-	// RunCells executes cells [lo, hi) under the forEachCell index
-	// discipline and returns their values as one block. Progress ticks
-	// (p.Progress) count within the range: done ∈ [0, hi-lo].
+	// RunCells executes cells [lo, hi) and returns their values as one
+	// block. Progress ticks (p.Progress) count within the range:
+	// done ∈ [0, hi-lo].
 	RunCells func(ctx context.Context, p Params, lo, hi int) (CellBlock, error)
 	// Merge combines blocks covering exactly [0, Cells(p)) — disjoint,
 	// sorted ascending by Lo — into the experiment's final Output.
@@ -88,16 +181,6 @@ func DecodeBlock(text string) (CellBlock, error) {
 	return b, nil
 }
 
-// encodeBlock wraps per-cell values (a slice covering [lo, hi)) as a
-// CellBlock.
-func encodeBlock(lo, hi int, cells interface{}) (CellBlock, error) {
-	data, err := json.Marshal(cells)
-	if err != nil {
-		return CellBlock{}, fmt.Errorf("encoding cells [%d,%d): %w", lo, hi, err)
-	}
-	return CellBlock{Lo: lo, Hi: hi, Data: data}, nil
-}
-
 // mergeBlocks decodes blocks covering exactly [0, n) into one slice of
 // per-cell values in cell order, rejecting gaps, overlaps, and blocks
 // whose payload length disagrees with their bounds.
@@ -127,9 +210,10 @@ func mergeBlocks[T any](n int, blocks []CellBlock) ([]T, error) {
 	return vals, nil
 }
 
-// checkRange validates a requested cell range against a grid of n
-// cells.
-func checkRange(n, lo, hi int) error {
+// CheckRange validates a requested cell range against a grid of n
+// cells: RunCells applies it, and callers that must reject a range
+// before queueing it (internal/service) call it themselves.
+func CheckRange(n, lo, hi int) error {
 	if lo < 0 || hi <= lo || hi > n {
 		return fmt.Errorf("cell range [%d,%d) outside grid of %d cells", lo, hi, n)
 	}

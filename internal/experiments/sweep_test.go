@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"github.com/quartz-dcn/quartz/internal/trace"
 )
 
 // runPartitioned executes a sweep as a set of contiguous ranges (the
@@ -34,26 +40,45 @@ func runPartitioned(t *testing.T, sw *Sweep, p Params, cuts []int) Output {
 	return out
 }
 
+// sweepTestParams keeps every registered sweep to a second or two.
+var sweepTestParams = Params{Seed: 2014, Trials: 200, Tasks: 2, RPCs: 50}
+
+// sweepExperiments returns the registry entries that publish a sweep,
+// so the tests below cover the next grid without being edited.
+func sweepExperiments() []Experiment {
+	var out []Experiment
+	for _, e := range All() {
+		if e.Sweep != nil {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestSweepPartitionDeterminism: for each registered sweep, the
 // whole-grid run and a partitioned run that crosses the wire merge to
 // byte-identical output — the invariant the cluster coordinator relies
-// on for worker-count independence.
+// on for worker-count independence. The whole-grid run executes each
+// cell exactly once.
 func TestSweepPartitionDeterminism(t *testing.T) {
-	p := Params{Seed: 2014}.WithDefaults()
-	for _, tc := range []struct {
-		name string
-		sw   *Sweep
-		cuts []int
-	}{
-		{"table8", table8Sweep, []int{5, 9}},
-		{"ablations", ablationSweep, []int{1, 6, 13}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			whole, err := tc.sw.Run(context.Background(), p)
+	for _, exp := range sweepExperiments() {
+		t.Run(exp.Name, func(t *testing.T) {
+			t.Parallel()
+			p := sweepTestParams
+			n := exp.Sweep.Cells(p)
+			p.Trace = trace.NewRecorder()
+			whole, err := exp.Run(context.Background(), p)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			split := runPartitioned(t, tc.sw, p, tc.cuts)
+			tracks := map[int]bool{}
+			for _, s := range p.Trace.Spans() {
+				tracks[s.Track] = true
+			}
+			if len(p.Trace.Spans()) != n || len(tracks) != n {
+				t.Errorf("whole-grid run executed %d cells (%d distinct) of a %d-cell grid", len(p.Trace.Spans()), len(tracks), n)
+			}
+			split := runPartitioned(t, exp.Sweep, sweepTestParams, []int{1, n / 2, n - 1})
 			if whole.Text != split.Text {
 				t.Errorf("partitioned text differs from whole-grid text:\n--- whole ---\n%s\n--- split ---\n%s", whole.Text, split.Text)
 			}
@@ -64,25 +89,84 @@ func TestSweepPartitionDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepRegistryIdentity: registry entries that publish a sweep run
-// through it, so Find(...).Run and a cluster merge share one code path.
+// TestSweepRegistryIdentity: exactly the grid-shaped experiments
+// publish a sweep, with the paper's grid sizes at default parameters.
 func TestSweepRegistryIdentity(t *testing.T) {
-	for _, name := range []string{"table8", "ablations"} {
-		exp, ok := Find(name)
-		if !ok {
-			t.Fatalf("registry entry %q missing", name)
+	want := []struct {
+		name  string
+		cells int
+	}{
+		{"table8", 6 * 2}, {"fig14", 9 * 2}, {"fig17", (8 + 8 + 4) * 5},
+		{"fig18", (6 + 6 + 5) * 4}, {"validate", 7}, {"ablations", 4 + 2 + 6 + 2},
+	}
+	got := sweepExperiments()
+	if len(got) != len(want) {
+		t.Fatalf("%d experiments publish a sweep, want %d", len(got), len(want))
+	}
+	for i, exp := range got {
+		if exp.Name != want[i].name {
+			t.Errorf("sweep %d is %s, want %s", i, exp.Name, want[i].name)
 		}
-		if exp.Sweep == nil {
-			t.Errorf("%s: no Sweep published", name)
-			continue
-		}
-		if exp.Sweep.Cells(DefaultParams()) <= 1 {
-			t.Errorf("%s: degenerate grid", name)
+		if n := exp.Sweep.Cells(DefaultParams()); n != want[i].cells {
+			t.Errorf("%s: %d cells, want %d", exp.Name, n, want[i].cells)
 		}
 	}
-	// Non-divisible experiments must not publish a grid by accident.
-	if exp, _ := Find("table2"); exp.Sweep != nil {
-		t.Errorf("table2 unexpectedly publishes a sweep")
+	// Experiments whose points share state, or that have no points,
+	// must not publish a grid by accident.
+	for _, name := range []string{"fig20", "table2"} {
+		if exp, _ := Find(name); exp.Sweep != nil {
+			t.Errorf("%s unexpectedly publishes a sweep", name)
+		}
+	}
+}
+
+// TestSweepCancelledBeforeRun: a context cancelled before the run
+// returns ctx.Err() from every sweep without executing a cell.
+func TestSweepCancelledBeforeRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, exp := range sweepExperiments() {
+		p := sweepTestParams
+		p.Trace = trace.NewRecorder()
+		if _, err := exp.Run(ctx, p); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", exp.Name, err)
+		}
+		if n := len(p.Trace.Spans()); n != 0 {
+			t.Errorf("%s: cancelled run executed %d cells", exp.Name, n)
+		}
+	}
+}
+
+// TestGridLabelsCellErrors: a failing cell and a value encoding/json
+// rejects are both reported against the grid's name and the cell.
+func TestGridLabelsCellErrors(t *testing.T) {
+	boom := errors.New("boom")
+	g := Grid[int, float64, []float64]{
+		Name:  "toy",
+		Cells: func(Params) []int { return []int{10, 20, 30} },
+		Run: func(_ Params, c int) (float64, error) {
+			switch c {
+			case 20:
+				return 0, boom
+			case 30:
+				return math.NaN(), nil
+			}
+			return float64(c), nil
+		},
+		Merge: func(_ Params, _ []int, vals []float64) ([]float64, error) { return vals, nil },
+	}
+	if rows, err := g.Local(context.Background(), Params{}); err == nil {
+		t.Fatalf("Local = %v, want an error", rows)
+	}
+	sw := g.Sweep()
+	if _, err := sw.RunCells(context.Background(), Params{}, 1, 2); !errors.Is(err, boom) || !strings.Contains(err.Error(), "toy cell 1 20") {
+		t.Errorf("failing cell: err = %v, want boom labelled toy cell 1 20", err)
+	}
+	if _, err := sw.RunCells(context.Background(), Params{}, 2, 3); err == nil || !strings.Contains(err.Error(), "toy cell 2 30") {
+		t.Errorf("NaN cell: err = %v, want an encoding error labelled toy cell 2 30", err)
+	}
+	if _, err := sw.RunCells(context.Background(), Params{}, 2, 4); err == nil {
+		t.Error("RunCells accepted a range past the grid")
 	}
 }
 
@@ -90,11 +174,11 @@ func TestSweepRegistryIdentity(t *testing.T) {
 // mismatches are merge errors, never silent corruption.
 func TestSweepMergeRejectsBadCoverage(t *testing.T) {
 	mk := func(lo, hi int, vals []float64) CellBlock {
-		b, err := encodeBlock(lo, hi, vals)
+		data, err := json.Marshal(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return CellBlock{Lo: lo, Hi: hi, Data: data}
 	}
 	cases := map[string][]CellBlock{
 		"gap":      {mk(0, 2, []float64{1, 2}), mk(3, 4, []float64{4})},

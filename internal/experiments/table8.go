@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/cost"
 )
 
@@ -32,57 +31,45 @@ type Table8Row struct {
 // utilization of ~50%, "high" to ~70-80%.
 var table8LoadTasks = map[string]int{"Low": 4, "High": 7}
 
-// table8Latency measures the mean global-scatter latency of an
-// architecture at one load level.
-func table8Latency(archName string, tasks int, seed int64) (float64, error) {
-	var arch *core.Architecture
-	var err error
-	switch archName {
-	case "two-tier tree":
-		arch, err = core.TwoTierTreeArch(core.ArchParams{})
-	case "single Quartz ring":
-		arch, err = core.QuartzRingArch(core.ArchParams{})
-	default:
-		arch, err = buildArch(archName, rand.New(rand.NewSource(seed)))
-	}
-	if err != nil {
-		return 0, err
-	}
-	params := defaultFig17Params(ScatterKind)
-	mean, _, err := runTasks(arch, ScatterKind, tasks, false, params, seed)
-	return mean, err
+// table8Scenarios is the paper's six configurator comparison points.
+var table8Scenarios = []struct {
+	size, util       string
+	servers          int
+	baseline, quartz string
+}{
+	{"Small", "Low", 500, "two-tier tree", "single Quartz ring"},
+	{"Small", "High", 500, "two-tier tree", "single Quartz ring"},
+	{"Medium", "Low", 10_000, "three-tier tree", "quartz in edge"},
+	{"Medium", "High", 10_000, "three-tier tree", "quartz in edge"},
+	{"Large", "Low", 100_000, "three-tier tree", "quartz in core"},
+	{"Large", "High", 100_000, "three-tier tree", "quartz in edge and core"},
 }
 
-// table8Scenario is one configurator comparison point with its costed
-// bills of materials.
-type table8Scenario struct {
-	size, util         string
-	servers            int
-	baseline, quartz   string
-	baseBOM, quartzBOM *cost.BOM
-}
-
-// table8Scenarios builds the paper's six configurator scenarios. The
-// BOMs are pure parts-catalog arithmetic (no simulation), so the merge
-// side of the sweep can rebuild them cheaply.
-func table8Scenarios() ([]table8Scenario, error) {
+// table8CostPerServer prices one architecture at one size from the
+// calibrated 2014 parts catalog — pure arithmetic, no simulation.
+func table8CostPerServer(arch string, servers int) (float64, error) {
 	c := cost.Default2014
-	small := 500
-	medium := 10_000
-	large := 100_000
-
-	ringBOM, err := cost.QuartzRing(small, c)
-	if err != nil {
-		return nil, err
+	var bom *cost.BOM
+	switch arch {
+	case "two-tier tree":
+		bom = cost.TwoTierTree(servers, c)
+	case "single Quartz ring":
+		var err error
+		if bom, err = cost.QuartzRing(servers, c); err != nil {
+			return 0, err
+		}
+	case "three-tier tree":
+		bom = cost.ThreeTierTree(servers, c)
+	case "quartz in edge":
+		bom = cost.QuartzEdge(servers, c)
+	case "quartz in core":
+		bom = cost.QuartzCore(servers, c)
+	case "quartz in edge and core":
+		bom = cost.QuartzEdgeAndCore(servers, c)
+	default:
+		return 0, fmt.Errorf("table8: no bill of materials for %q", arch)
 	}
-	return []table8Scenario{
-		{"Small", "Low", small, "two-tier tree", "single Quartz ring", cost.TwoTierTree(small, c), ringBOM},
-		{"Small", "High", small, "two-tier tree", "single Quartz ring", cost.TwoTierTree(small, c), ringBOM},
-		{"Medium", "Low", medium, "three-tier tree", "quartz in edge", cost.ThreeTierTree(medium, c), cost.QuartzEdge(medium, c)},
-		{"Medium", "High", medium, "three-tier tree", "quartz in edge", cost.ThreeTierTree(medium, c), cost.QuartzEdge(medium, c)},
-		{"Large", "Low", large, "three-tier tree", "quartz in core", cost.ThreeTierTree(large, c), cost.QuartzCore(large, c)},
-		{"Large", "High", large, "three-tier tree", "quartz in edge and core", cost.ThreeTierTree(large, c), cost.QuartzEdgeAndCore(large, c)},
-	}, nil
+	return bom.PerServer(), nil
 }
 
 // table8Cell is one (scenario, arm) simulation of the configurator
@@ -91,122 +78,65 @@ type table8Cell struct {
 	arch  string
 	tasks int
 	seed  int64
-	label string
 }
 
-// table8Grid flattens the scenarios into the 12-cell simulation grid:
-// two arms (baseline, quartz) per scenario, each an independent
-// simulation with a fixed seed — the forEachCell index discipline the
-// cluster coordinator shards on.
-func table8Grid(seed int64) ([]table8Cell, error) {
-	scenarios, err := table8Scenarios()
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]table8Cell, 0, 2*len(scenarios))
-	for i, sc := range scenarios {
-		tasks := table8LoadTasks[sc.util]
-		cells = append(cells,
-			table8Cell{sc.baseline, tasks, seed + int64(i), fmt.Sprintf("%s/%s baseline", sc.size, sc.util)},
-			table8Cell{sc.quartz, tasks, seed + int64(i), fmt.Sprintf("%s/%s quartz", sc.size, sc.util)})
-	}
-	return cells, nil
-}
-
-// table8CellCount is the grid size: two arms per scenario.
-const table8CellCount = 12
-
-// Table8Range measures the mean latencies of grid cells [lo, hi):
-// the distributable unit of the Table 8 sweep. Results are indexed
-// from the range start (slot k holds cell lo+k).
-func Table8Range(ctx context.Context, seed int64, lo, hi int, hooks *Hooks) ([]float64, error) {
-	cells, err := table8Grid(seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkRange(len(cells), lo, hi); err != nil {
-		return nil, fmt.Errorf("table8: %w", err)
-	}
-	lats := make([]float64, hi-lo)
-	err = forEachCell(ctx, hi-lo, hooks, func(k int) error {
-		c := cells[lo+k]
-		lat, err := table8Latency(c.arch, c.tasks, c.seed)
-		if err != nil {
-			return fmt.Errorf("table8 %s: %w", c.label, err)
+// table8Grid is the 12-cell configurator grid: two arms (baseline at
+// 2i, quartz at 2i+1) per scenario i, each an independent simulation
+// seeded seed+i.
+var table8Grid = Grid[table8Cell, float64, []Table8Row]{
+	Name: "table8",
+	Cells: func(p Params) []table8Cell {
+		cells := make([]table8Cell, 0, 2*len(table8Scenarios))
+		for i, sc := range table8Scenarios {
+			tasks, seed := table8LoadTasks[sc.util], p.Seed+int64(i)
+			cells = append(cells, table8Cell{sc.baseline, tasks, seed}, table8Cell{sc.quartz, tasks, seed})
 		}
-		lats[k] = lat
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lats, nil
-}
-
-// Table8Merge assembles the final rows from the full grid's latencies
-// (index discipline of table8Grid: cell 2i is scenario i's baseline,
-// 2i+1 its quartz arm).
-func Table8Merge(lats []float64) ([]Table8Row, error) {
-	scenarios, err := table8Scenarios()
-	if err != nil {
-		return nil, err
-	}
-	if len(lats) != 2*len(scenarios) {
-		return nil, fmt.Errorf("table8 merge: %d latencies for %d scenarios", len(lats), len(scenarios))
-	}
-	rows := make([]Table8Row, 0, len(scenarios))
-	for i, sc := range scenarios {
-		rows = append(rows, Table8Row{
-			Size:                  sc.size,
-			Servers:               sc.servers,
-			Utilization:           sc.util,
-			Baseline:              sc.baseline,
-			Quartz:                sc.quartz,
-			BaselineCostPerServer: sc.baseBOM.PerServer(),
-			QuartzCostPerServer:   sc.quartzBOM.PerServer(),
-			LatencyReduction:      1 - lats[2*i+1]/lats[2*i],
-		})
-	}
-	return rows, nil
+		return cells
+	},
+	// The cell's value is the architecture's mean global-scatter latency
+	// at the scenario's load level.
+	Run: func(_ Params, c table8Cell) (float64, error) {
+		arch, err := buildArch(c.arch, rand.New(rand.NewSource(c.seed)))
+		if err != nil {
+			return 0, err
+		}
+		mean, _, err := runTasks(arch, ScatterKind, c.tasks, false, defaultFig17Params(ScatterKind), c.seed)
+		return mean, err
+	},
+	Merge: func(_ Params, _ []table8Cell, lats []float64) ([]Table8Row, error) {
+		rows := make([]Table8Row, 0, len(table8Scenarios))
+		for i, sc := range table8Scenarios {
+			baseCost, err := table8CostPerServer(sc.baseline, sc.servers)
+			if err != nil {
+				return nil, err
+			}
+			quartzCost, err := table8CostPerServer(sc.quartz, sc.servers)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, Table8Row{
+				Size:                  sc.size,
+				Servers:               sc.servers,
+				Utilization:           sc.util,
+				Baseline:              sc.baseline,
+				Quartz:                sc.quartz,
+				BaselineCostPerServer: baseCost,
+				QuartzCostPerServer:   quartzCost,
+				LatencyReduction:      1 - lats[2*i+1]/lats[2*i],
+			})
+		}
+		return rows, nil
+	},
+	Render: func(rows []Table8Row) Output {
+		return Output{Text: RenderTable8(rows), CSV: map[string]interface{}{"table8": rows}}
+	},
 }
 
 // Table8 reproduces the configurator comparison: cost per server from
 // the parts catalog and latency reduction from simulation, for the
-// paper's six scenarios. Cancelling ctx stops the sweep between cells;
-// hooks (may be nil) carries the progress and trace hooks. It is the
-// whole-grid composition of Table8Range and Table8Merge, so a cluster
-// run of the same grid merges to byte-identical rows.
-func Table8(ctx context.Context, seed int64, hooks *Hooks) ([]Table8Row, error) {
-	lats, err := Table8Range(ctx, seed, 0, table8CellCount, hooks)
-	if err != nil {
-		return nil, err
-	}
-	return Table8Merge(lats)
-}
-
-// Table8Sweep publishes the Table 8 grid for distributed execution.
-func Table8Sweep() *Sweep {
-	return &Sweep{
-		Cells: func(Params) int { return table8CellCount },
-		RunCells: func(ctx context.Context, p Params, lo, hi int) (CellBlock, error) {
-			lats, err := Table8Range(ctx, p.Seed, lo, hi, p.hooks())
-			if err != nil {
-				return CellBlock{}, err
-			}
-			return encodeBlock(lo, hi, lats)
-		},
-		Merge: func(p Params, blocks []CellBlock) (Output, error) {
-			lats, err := mergeBlocks[float64](table8CellCount, blocks)
-			if err != nil {
-				return Output{}, fmt.Errorf("table8: %w", err)
-			}
-			rows, err := Table8Merge(lats)
-			if err != nil {
-				return Output{}, err
-			}
-			return Output{Text: RenderTable8(rows), CSV: map[string]interface{}{"table8": rows}}, nil
-		},
-	}
+// paper's six scenarios.
+func Table8(ctx context.Context, p Params) ([]Table8Row, error) {
+	return table8Grid.Local(ctx, p)
 }
 
 // RenderTable8 renders the configurator table.

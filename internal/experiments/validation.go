@@ -30,46 +30,51 @@ type ValidationRow struct {
 	ErrorPct float64
 }
 
-// SimulatorValidation drives a single bottleneck queue with Poisson
-// arrivals at a range of utilizations and compares the measured mean
-// wait against the M/D/1 and M/M/1 formulas:
+// validationCell is one bottleneck-queue run.
+type validationCell struct {
+	exponential bool
+	rho         float64
+	seed        int64
+}
+
+// validationGrid drives a single bottleneck queue with Poisson arrivals
+// at a range of utilizations and compares the measured mean wait
+// against the M/D/1 and M/M/1 formulas:
 //
 //	M/D/1: W = ρ·S / (2(1-ρ))           (fixed-size packets)
 //	M/M/1: W = ρ·S̄ / (1-ρ)             (exponential packet sizes)
 //
 // The deterministic-service case uses fixed 400-byte packets; the
 // exponential case draws packet sizes from a (discretized, truncated)
-// exponential distribution.
-//
-// Cancelling ctx stops the sweep between cells; hooks (may be nil)
-// carries the progress and trace hooks. Both may come from the service
-// layer's job context.
-func SimulatorValidation(ctx context.Context, seed int64, packets int, hooks *Hooks) ([]ValidationRow, error) {
-	type cell struct {
-		exponential bool
-		rho         float64
-		seed        int64
-	}
-	var cells []cell
-	for _, rho := range []float64{0.3, 0.5, 0.7, 0.9} {
-		cells = append(cells, cell{false, rho, seed})
-	}
-	for _, rho := range []float64{0.3, 0.5, 0.7} {
-		cells = append(cells, cell{true, rho, seed + 1})
-	}
-	// Each cell is an independent simulation with a fixed seed; shard
-	// them across the worker pool and merge by index, so the table is
-	// byte-identical however many cores run it.
-	rows := make([]ValidationRow, len(cells))
-	err := forEachCell(ctx, len(cells), hooks, func(i int) error {
-		var err error
-		rows[i], err = runQueueValidation(cells[i].exponential, cells[i].rho, packets, cells[i].seed)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+// exponential distribution. Each run sends 30 packets per trial: the
+// default 5000 trials keeps the historical 150k-packet run, and
+// reduced-trial submissions (the service smoke test, quartzd clients)
+// scale down.
+var validationGrid = Grid[validationCell, ValidationRow, []ValidationRow]{
+	Name: "validate",
+	Cells: func(p Params) []validationCell {
+		var cells []validationCell
+		for _, rho := range []float64{0.3, 0.5, 0.7, 0.9} {
+			cells = append(cells, validationCell{false, rho, p.Seed})
+		}
+		for _, rho := range []float64{0.3, 0.5, 0.7} {
+			cells = append(cells, validationCell{true, rho, p.Seed + 1})
+		}
+		return cells
+	},
+	Run: func(p Params, c validationCell) (ValidationRow, error) {
+		return runQueueValidation(c.exponential, c.rho, 30*p.WithDefaults().Trials, c.seed)
+	},
+	Merge: func(_ Params, _ []validationCell, rows []ValidationRow) ([]ValidationRow, error) {
+		return rows, nil
+	},
+	Render: func(rows []ValidationRow) Output { return Output{Text: RenderValidation(rows)} },
+}
+
+// SimulatorValidation runs the §7 queueing-theory validation with
+// 30·p.Trials packets per utilization level.
+func SimulatorValidation(ctx context.Context, p Params) ([]ValidationRow, error) {
+	return validationGrid.Local(ctx, p)
 }
 
 // validationMeanSize is the mean packet size of the validation

@@ -274,10 +274,9 @@ func (s *Service) Submit(req Request) (*Job, error) {
 		if sw == nil {
 			return nil, fmt.Errorf("%w: experiment %q has no sweep grid", ErrBadRange, exp.Name)
 		}
-		n := sw.Cells(params)
 		lo, hi := req.Cells.Lo, req.Cells.Hi
-		if lo < 0 || hi <= lo || hi > n {
-			return nil, fmt.Errorf("%w: [%d,%d) outside grid of %d cells", ErrBadRange, lo, hi, n)
+		if err := experiments.CheckRange(sw.Cells(params), lo, hi); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRange, err)
 		}
 		key = experiments.CacheKeyRange(exp.Name, params, lo, hi)
 		run = func(ctx context.Context, p experiments.Params) (experiments.Output, error) {

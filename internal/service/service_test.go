@@ -487,6 +487,37 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCancelRunningGridExperiment: cancelling a running fig14 job stops
+// its grid between cells and the job ends cancelled, not done.
+func TestCancelRunningGridExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation")
+	}
+	s := New(Config{QueueCapacity: 2, Workers: 1})
+	defer s.Drain(context.Background())
+
+	job, err := s.Submit(Request{Experiment: "fig14", Params: ParamSpec{Seed: 3, RPCs: 2000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := job.watch()
+	defer job.unwatch(updates)
+	for job.State() == StateQueued {
+		select {
+		case <-updates:
+		case <-time.After(10 * time.Second):
+			t.Fatal("job never started")
+		}
+	}
+	if _, err := s.Cancel(job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job)
+	if st := job.State(); st != StateCancelled {
+		t.Errorf("state after cancelling the running job = %v, want %v", st, StateCancelled)
+	}
+}
+
 func TestRealRegistrySmoke(t *testing.T) {
 	// End to end against the real experiments registry: the validate
 	// experiment at reduced trials, then a cache hit.

@@ -291,7 +291,7 @@ var (
 	// Figure10 measures normalized throughput on three patterns.
 	Figure10 = experiments.Figure10
 	// Figure14 reruns the prototype cross-traffic experiment.
-	Figure14 = experiments.Figure14
+	Figure14 = experiments.Figure14Sweep
 	// Figure17 sweeps global scatter/gather/scatter-gather tasks.
 	Figure17 = experiments.Figure17
 	// Figure18 sweeps localized tasks under global cross-traffic.

@@ -3,7 +3,7 @@
 # run quartzsim with -trace-spans and validate the Chrome trace with
 # tracecheck (flow tracks, per-track timestamp order), from flags and
 # from a -scenario file with -flows-out beside it; run quartzbench
-# -run fig17 with -trace-spans -json and require the panel spans and
+# -run fig17 with -trace-spans -json and require the cell spans and
 # the report's host-parallelism fields; then start quartzd, submit a
 # job carrying an X-Quartz-Trace
 # header, and require the header echoed and GET /jobs/{id}/trace to
@@ -76,7 +76,7 @@ head -n1 "$TMP/scn_flows.csv" | grep -q '^flow,first_send_ps,' ||
 echo "== quartzbench -run fig17 -trace-spans -json"
 "$TMP/quartzbench" -run fig17 -tasks 1 \
     -trace-spans "$TMP/bench_spans.json" -json "$TMP/bench.json" >/dev/null
-"$TMP/tracecheck" -require panel "$TMP/bench_spans.json" ||
+"$TMP/tracecheck" -require cell "$TMP/bench_spans.json" ||
     fail "quartzbench trace did not validate"
 grep -q '"num_cpu"' "$TMP/bench.json" ||
     fail "no num_cpu in the -json report"
