@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
+.PHONY: build test vet race fuzz verify loc bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
 
 build:
 	$(GO) build ./...
@@ -24,9 +24,18 @@ vet:
 race:
 	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/...
 
+# Ten seconds of the native fuzzer on the event queue's order contract:
+# FuzzEngineOrder runs random scheduling programs on the engine and on a
+# sort-based reference model (internal/sim/model_test.go). A failure
+# leaves its input under internal/sim/testdata/fuzz/ — commit it with
+# the fix. Minimisation is capped in iterations: at the default 60 s per
+# input the whole smoke goes to shrinking the first few finds.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
+
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages.
-verify: build vet test race
+# pass on the goroutine-owning packages + the fuzz smoke.
+verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size
 # figure ROADMAP.md tracks from PR to PR.
@@ -62,21 +71,25 @@ PAIRS ?= 10
 bench-pair:
 	bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
-# Profile one experiment at the repository benchmark's parameters
-# (bench/ runs seed 2014, 5000 trials, 4 tasks, 200 RPCs on one core)
-# and print the top of its CPU and allocation profiles. Profile before
-# editing: the analytic path was once diagnosed from its malloc count
-# alone, and the time turned out to be in fig6, which barely allocates.
-# The binary and the profiles stay in $(PROFDIR) for `go tool pprof -list`.
+# Profile one or more experiments at the repository benchmark's
+# parameters (bench/ runs seed 2014, 5000 trials, 4 tasks, 200 RPCs on
+# one core) and print the top of their merged CPU and allocation
+# profiles; RUN="fig17 fig18 fig20" is one paper_packet pass. Profile
+# before editing: the analytic path was once diagnosed from its malloc
+# count alone, and the time turned out to be in fig6, which barely
+# allocates. The binary and the per-experiment profiles stay in
+# $(PROFDIR) for `go tool pprof -list`.
 #   make profile RUN=fig6
 RUN ?= fig6
 PROFDIR ?= $(or $(TMPDIR),/tmp)
 profile:
 	$(GO) build -o $(PROFDIR)/quartzbench.profile ./cmd/quartzbench
-	GOMAXPROCS=1 $(PROFDIR)/quartzbench.profile -run $(RUN) -seed 2014 -trials 5000 -tasks 4 -rpcs 200 \
-		-cpuprofile $(PROFDIR)/$(RUN).cpu.pprof -memprofile $(PROFDIR)/$(RUN).mem.pprof >/dev/null
-	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(PROFDIR)/$(RUN).cpu.pprof
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(PROFDIR)/$(RUN).mem.pprof
+	for r in $(RUN); do \
+		GOMAXPROCS=1 $(PROFDIR)/quartzbench.profile -run $$r -seed 2014 -trials 5000 -tasks 4 -rpcs 200 \
+			-cpuprofile $(PROFDIR)/$$r.cpu.pprof -memprofile $(PROFDIR)/$$r.mem.pprof >/dev/null || exit 1; \
+	done
+	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.cpu.pprof)
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.mem.pprof)
 
 # End-to-end check of the quartzd job service: submit, poll, fetch,
 # cache hit on resubmit (envelope and raw-scenario forms), graceful

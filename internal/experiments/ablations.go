@@ -129,8 +129,8 @@ func AblationVLBFraction(ctx context.Context, p Params) ([]AblationRow, error) {
 var ablationVLBFracs = []float64{0, 0.125, 0.25, 0.5, 0.75, 1.0}
 
 // ablationVLBCell runs one VLB indirect fraction. Each cell builds its
-// own ring: routers keep per-graph state, so cells must not share a
-// topology.
+// own router because the fraction is the router's parameter; the ring
+// under it is 20 nodes and is rebuilt alongside.
 func ablationVLBCell(i int, seed int64) (AblationRow, error) {
 	ull := func(topology.Node) netsim.SwitchModel { return netsim.Arista7150 }
 	frac := ablationVLBFracs[i]
@@ -234,7 +234,7 @@ func ablationGrid(parts ...ablationPart) Grid[ablationCell, AblationRow, []Ablat
 			}
 			return cells
 		},
-		Run: func(p Params, c ablationCell) (AblationRow, error) {
+		Run: func(p Params, c ablationCell, _ shared) (AblationRow, error) {
 			return parts[c.part].cell(c.i, p.Seed)
 		},
 		Merge: func(_ Params, _ []ablationCell, rows []AblationRow) ([]AblationRow, error) {

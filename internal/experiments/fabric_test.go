@@ -1,0 +1,130 @@
+package experiments
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"github.com/quartz-dcn/quartz/internal/trace"
+)
+
+// buildSpans returns the "build" spans of rec, failing unless each lies
+// inside the "cell" span of its own track.
+func buildSpans(t *testing.T, rec *trace.Recorder) []trace.Span {
+	t.Helper()
+	cells := map[int]trace.Span{}
+	for _, s := range rec.Spans() {
+		if s.Name == "cell" {
+			cells[s.Track] = s
+		}
+	}
+	var builds []trace.Span
+	for _, s := range rec.Spans() {
+		if s.Name != "build" {
+			continue
+		}
+		c, ok := cells[s.Track]
+		if !ok || s.Cat != c.Cat || s.Wall < c.Wall || s.Wall+s.WallDur > c.Wall+c.WallDur {
+			t.Errorf("build span %+v is not inside its cell's span %+v", s, c)
+		}
+		builds = append(builds, s)
+	}
+	return builds
+}
+
+// TestGridBuildsEachFabricOnce: one RunCells call builds each distinct
+// architecture once, however many cells name it and however many
+// workers run them (four here, so `make race` sees the sharing), and a
+// second call starts from nothing.
+func TestGridBuildsEachFabricOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		name   string
+		builds int // distinct architectures in the grid
+	}{
+		{"fig17", len(Figure17Architectures)},
+		{"fig18", len(Figure18Architectures)},
+		{"table8", 6}, // table8Scenarios names six, none of them seeded
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exp, ok := Find(tc.name)
+			if !ok {
+				t.Fatalf("no experiment %q", tc.name)
+			}
+			p := sweepTestParams
+			p.Trace = trace.NewRecorder()
+			whole, err := exp.Run(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := exp.Sweep.Cells(p)
+			if got := len(buildSpans(t, p.Trace)); got != tc.builds || got >= n {
+				t.Errorf("%d cells built %d architectures, want %d", n, got, tc.builds)
+			}
+
+			// One cell per call: every cell builds its own, and the output
+			// is the same.
+			p.Trace = trace.NewRecorder()
+			var blocks []CellBlock
+			for i := 0; i < n; i++ {
+				b, err := exp.Sweep.RunCells(context.Background(), p, i, i+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blocks = append(blocks, b)
+			}
+			if got := len(p.Trace.Spans()); got != 2*n {
+				t.Errorf("%d one-cell calls recorded %d spans, want a cell and a build each", n, got)
+			}
+			alone, err := exp.Sweep.Merge(p, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alone.Text != whole.Text {
+				t.Errorf("cells sharing architectures print\n%s\ncells building their own print\n%s", whole.Text, alone.Text)
+			}
+		})
+	}
+}
+
+// TestArchUsesRandMatchesBuilders: the architectures the memo keys by
+// seed are exactly the ones whose builders need the RNG.
+func TestArchUsesRandMatchesBuilders(t *testing.T) {
+	for _, name := range []string{
+		"two-tier tree", "single Quartz ring", "three-tier tree", "jellyfish",
+		"quartz in core", "quartz in edge", "quartz in edge and core", "quartz in jellyfish",
+	} {
+		_, err := buildArch(name, nil)
+		if needs := err != nil; needs != archUsesRand(name) {
+			t.Errorf("%s: builder needs a Rand = %v (err %v), archUsesRand = %v", name, needs, err, archUsesRand(name))
+		}
+	}
+}
+
+// TestPacketCellAllocBudget is the allocation gate for a packet grid:
+// what fig17 at Tasks 2 (30 cells, ≈ 1.0 M events) allocates depends on
+// the seed alone, not on the machine. The budget is about 1.5× the
+// 8.1 MB / 11.6 k mallocs measured once the cells shared their
+// architectures and the engine had its one queue; a rebuild per cell
+// plus a queue that allocates as it runs cost 26.5 MB / 51.3 k.
+func TestPacketCellAllocBudget(t *testing.T) {
+	const (
+		budgetBytes   = 12 << 20
+		budgetMallocs = 17_500
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	exp, _ := Find("fig17")
+	p := Params{Seed: 2014, Trials: 200, Tasks: 2, RPCs: 50}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := exp.Run(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("fig17 at Tasks 2: %.1f MB, %d mallocs", float64(bytes)/(1<<20), mallocs)
+	if bytes > budgetBytes || mallocs > budgetMallocs {
+		t.Errorf("fig17 at Tasks 2 allocated %d bytes in %d mallocs, budget %d bytes / %d mallocs",
+			bytes, mallocs, budgetBytes, budgetMallocs)
+	}
+}

@@ -162,7 +162,7 @@ var figure14Grid = Grid[figure14Cell, meanCI, []Figure14Row]{
 		}
 		return cells
 	},
-	Run: func(p Params, c figure14Cell) (meanCI, error) {
+	Run: func(p Params, c figure14Cell, _ shared) (meanCI, error) {
 		m, ci, err := runFigure14(c.quartz, sim.Rate(c.mbps)*sim.Mbps, p.RPCs, p.Seed+int64(c.mbps))
 		return meanCI{m, ci}, err
 	},

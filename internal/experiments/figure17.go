@@ -100,6 +100,12 @@ func defaultFig17Params(kind TaskKind) fig17Params {
 	return p
 }
 
+// archUsesRand reports whether buildArch(name, rng) draws from rng: the
+// two Jellyfish variants wire themselves at random, the rest ignore it.
+func archUsesRand(name string) bool {
+	return name == "jellyfish" || name == "quartz in jellyfish"
+}
+
 // buildArch constructs an architecture by name.
 func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
 	p := core.ArchParams{}
@@ -304,8 +310,8 @@ func (f taskFigure) grid() Grid[taskCell, meanCI, [][]Figure17Row] {
 			}
 			return cells
 		},
-		Run: func(p Params, c taskCell) (meanCI, error) {
-			arch, err := buildArch(c.arch, rand.New(rand.NewSource(p.Seed)))
+		Run: func(p Params, c taskCell, sh shared) (meanCI, error) {
+			arch, err := sh.arch(c.arch, p.Seed)
 			if err != nil {
 				return meanCI{}, err
 			}

@@ -25,10 +25,10 @@ import (
 // simulations. All four funcs are pure with respect to Params (hooks
 // excluded).
 //
-// A cell owns everything it touches — graph, router, engine, seed — so
-// cells run in any order on any machine. An experiment whose points
-// share state (fig20's routers keep per-graph state across its load
-// levels) is not a grid and stays a plain loop.
+// A cell owns everything it mutates — queues, pools, engine, RNG — so
+// cells run in any order on any machine. What is immutable, the
+// architectures, is built once per runCells call and read by every cell
+// that names it (fabric.go).
 //
 // V is a wire value: it crosses encoding/json between Run and Merge
 // even in a single process, so it has exported fields, finite floats
@@ -39,8 +39,8 @@ type Grid[C, V, R any] struct {
 	Name string
 	// Cells lists the grid under p, in merge order.
 	Cells func(p Params) []C
-	// Run executes one cell.
-	Run func(p Params, c C) (V, error)
+	// Run executes one cell; sh hands it the run's shared architectures.
+	Run func(p Params, c C, sh shared) (V, error)
 	// Merge assembles the experiment's typed rows from the whole grid's
 	// values; vals[i] belongs to cells[i].
 	Merge func(p Params, cells []C, vals []V) (R, error)
@@ -56,8 +56,9 @@ func (g Grid[C, V, R]) runCells(ctx context.Context, p Params, lo, hi int) (Cell
 		return CellBlock{}, fmt.Errorf("%s: %w", g.Name, err)
 	}
 	vals := make([]json.RawMessage, hi-lo)
+	built := new(fabrics)
 	err := forEachCell(ctx, hi-lo, p, func(k int) error {
-		v, err := g.Run(p, cells[lo+k])
+		v, err := g.Run(p, cells[lo+k], shared{built, p.Trace, k})
 		if err == nil {
 			vals[k], err = json.Marshal(v)
 		}

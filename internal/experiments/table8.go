@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/cost"
@@ -95,8 +94,8 @@ var table8Grid = Grid[table8Cell, float64, []Table8Row]{
 	},
 	// The cell's value is the architecture's mean global-scatter latency
 	// at the scenario's load level.
-	Run: func(_ Params, c table8Cell) (float64, error) {
-		arch, err := buildArch(c.arch, rand.New(rand.NewSource(c.seed)))
+	Run: func(_ Params, c table8Cell, sh shared) (float64, error) {
+		arch, err := sh.arch(c.arch, c.seed)
 		if err != nil {
 			return 0, err
 		}

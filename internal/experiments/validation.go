@@ -62,7 +62,7 @@ var validationGrid = Grid[validationCell, ValidationRow, []ValidationRow]{
 		}
 		return cells
 	},
-	Run: func(p Params, c validationCell) (ValidationRow, error) {
+	Run: func(p Params, c validationCell, _ shared) (ValidationRow, error) {
 		return runQueueValidation(c.exponential, c.rho, 30*p.WithDefaults().Trials, c.seed)
 	},
 	Merge: func(_ Params, _ []validationCell, rows []ValidationRow) ([]ValidationRow, error) {

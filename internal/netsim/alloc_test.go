@@ -23,7 +23,7 @@ func TestForwardPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the record pool and the calendar queue's bucket storage
+	// Warm the record pool and the event queue's storage
 	// with a burst larger than any steady-state batch below.
 	for i := 0; i < 64; i++ {
 		net.Unicast(routing.FlowID(i), h0, h1, 1500, 0)

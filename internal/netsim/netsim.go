@@ -205,8 +205,7 @@ func (d Drop) Reason() string {
 type Config struct {
 	Graph  *topology.Graph
 	Router routing.Router
-	// Engine to schedule on; New creates a calendar-queue engine when
-	// nil.
+	// Engine to schedule on; New creates one when nil.
 	Engine *sim.Engine
 	// SwitchModel selects the model per switch; nil means Arista7150
 	// everywhere.
@@ -468,9 +467,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		// The calendar queue is ~2x faster than the binary heap on
-		// packet workloads and produces the identical event order.
-		eng = sim.NewCalendarEngine()
+		eng = sim.NewEngine()
 	}
 	n := &Network{
 		g:         cfg.Graph,

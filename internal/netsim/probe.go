@@ -595,7 +595,7 @@ func (s *QueueSampler) WriteJSON(w io.Writer) error {
 }
 
 // RunTelemetry summarizes one simulation run end to end: engine work
-// (events, calendar high-water mark, wall-clock rate) plus the
+// (events, event-queue high-water mark, wall-clock rate) plus the
 // network's packet counters.
 type RunTelemetry struct {
 	// Events is the number of simulator events processed.

@@ -23,14 +23,14 @@ func (c *countAction) Run(a, b int64) {
 // TestScheduleActionZeroAllocs locks in the tentpole invariant: once
 // the queue's backing storage is warm, scheduling and running typed
 // events allocates nothing — no closure, no interface boxing, no
-// re-sliced buckets.
+// regrown heap or slab.
 func TestScheduleActionZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		eng  *Engine
 	}{
 		{"heap", NewEngine()},
-		{"calendar", NewCalendarEngine()},
+		{"calendar", NewEngine()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			act := &countAction{eng: tc.eng}
@@ -51,7 +51,7 @@ func TestScheduleActionZeroAllocs(t *testing.T) {
 // TestActionClosureInterleaving checks that typed and closure events
 // scheduled for the same instant still run in schedule order.
 func TestActionClosureInterleaving(t *testing.T) {
-	eng := NewCalendarEngine()
+	eng := NewEngine()
 	var order []int
 	rec := &recordAction{order: &order}
 	at := Time(5 * Nanosecond)
@@ -100,8 +100,8 @@ func benchSchedule(b *testing.B, eng *Engine, typed bool) {
 }
 
 func BenchmarkScheduleActionHeap(b *testing.B)     { benchSchedule(b, NewEngine(), true) }
-func BenchmarkScheduleActionCalendar(b *testing.B) { benchSchedule(b, NewCalendarEngine(), true) }
+func BenchmarkScheduleActionCalendar(b *testing.B) { benchSchedule(b, NewEngine(), true) }
 func BenchmarkScheduleClosureHeap(b *testing.B)    { benchSchedule(b, NewEngine(), false) }
 func BenchmarkScheduleClosureCalendar(b *testing.B) {
-	benchSchedule(b, NewCalendarEngine(), false)
+	benchSchedule(b, NewEngine(), false)
 }

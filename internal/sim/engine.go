@@ -9,24 +9,13 @@ import (
 // Action is the typed, allocation-free form of an event callback.
 // Schedule's func() form allocates a closure per event; ScheduleAction
 // instead stores an interface pointer plus two integer arguments
-// directly in the event record, so long-lived handlers (or pooled
+// directly in the event's payload, so long-lived handlers (or pooled
 // records that implement Action themselves) schedule without touching
 // the heap. The packet simulator's per-hop events use this path.
 type Action interface {
 	// Run executes the event with the two integer arguments it was
 	// scheduled with.
 	Run(a, b int64)
-}
-
-// event is a scheduled callback: either a closure (fn) or a typed
-// action with its arguments. Events are stored by value in the queue
-// backends — no boxing, no per-event allocation.
-type event struct {
-	at   Time
-	seq  uint64 // schedule order; breaks ties deterministically
-	fn   func()
-	act  Action
-	a, b int64
 }
 
 // EventProbe observes the engine's event loop. Event is called after
@@ -42,8 +31,7 @@ type EventProbe interface {
 type Telemetry struct {
 	// Events is the number of events processed so far.
 	Events uint64
-	// PeakPending is the high-water mark of the event queue — the
-	// largest calendar/heap the run ever held.
+	// PeakPending is the high-water mark of the event queue.
 	PeakPending int
 	// Wall is the real time spent inside Run/RunUntil.
 	Wall time.Duration
@@ -65,11 +53,10 @@ func (t Telemetry) EventsPerSecond() float64 {
 // Engines (they share nothing).
 type Engine struct {
 	now     Time
-	queue   eventQueue
+	queue   eventHeap
 	seq     uint64
 	stopped bool
 	ran     uint64
-	peak    int
 	wall    time.Duration
 	probe   EventProbe
 
@@ -86,17 +73,9 @@ type Engine struct {
 	running  bool
 }
 
-// NewEngine returns an engine with the clock at zero, backed by a
-// binary-heap event queue.
+// NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{queue: &heapQueue{}}
-}
-
-// NewCalendarEngine returns an engine backed by a calendar queue, which
-// approaches O(1) per event on dense packet workloads. Event ordering
-// (and therefore every simulation result) is identical to NewEngine's.
-func NewCalendarEngine() *Engine {
-	return &Engine{queue: newCalendarQueue()}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -114,7 +93,7 @@ func (e *Engine) SetProbe(p EventProbe) { e.probe = p }
 // Telemetry reports the run so far: events processed, the queue's
 // high-water mark, and wall-clock time spent in Run/RunUntil.
 func (e *Engine) Telemetry() Telemetry {
-	return Telemetry{Events: e.ran, PeakPending: e.peak, Wall: e.wall}
+	return Telemetry{Events: e.ran, PeakPending: e.queue.peak(), Wall: e.wall}
 }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
@@ -125,17 +104,14 @@ func (e *Engine) Telemetry() Telemetry {
 // one allocation per event, plus whatever the closure captures). Code
 // that schedules per packet or per hop should implement Action once
 // and use ScheduleAction, which stores an interface pointer plus two
-// integers in the event record and allocates nothing — that is the
+// integers in the event's payload and allocates nothing — that is the
 // invariant TestScheduleActionZeroAllocs pins.
 func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
-	if s := e.queue.size(); s > e.peak {
-		e.peak = s
-	}
+	e.queue.push(at, e.seq, payload{fn: fn})
 }
 
 // ScheduleAction runs act.Run(a, b) at absolute virtual time at — the
@@ -147,10 +123,7 @@ func (e *Engine) ScheduleAction(at Time, act Action, a, b int64) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, act: act, a: a, b: b})
-	if s := e.queue.size(); s > e.peak {
-		e.peak = s
-	}
+	e.queue.push(at, e.seq, payload{act: act, a: a, b: b})
 }
 
 // ReserveSeq takes the schedule-order number the next Schedule call
@@ -173,10 +146,7 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, act Action, a, b int64) {
 	if e.Passed(at, seq) {
 		panic(fmt.Sprintf("sim: schedule reserved (%v, %d) after its turn passed (now %v)", at, seq, e.now))
 	}
-	e.queue.push(event{at: at, seq: seq, act: act, a: a, b: b})
-	if s := e.queue.size(); s > e.peak {
-		e.peak = s
-	}
+	e.queue.push(at, seq, payload{act: act, a: a, b: b})
 }
 
 // Passed reports whether an event scheduled for instant at under
@@ -229,9 +199,9 @@ func (e *Engine) RunUntil(end Time) {
 		if e.queue.peekAt() > end {
 			break
 		}
-		ev := e.queue.pop()
-		e.now = ev.at
-		e.passAt, e.passSeq = ev.at, ev.seq
+		k, ev := e.queue.pop()
+		e.now = k.at
+		e.passAt, e.passSeq = k.at, k.seq
 		e.ran++
 		if ev.fn != nil {
 			ev.fn()

@@ -2,7 +2,7 @@ package sim
 
 // Heartbeat publishes the engine's own health into a metrics.Registry
 // on a periodic simulation event: how much work the loop is doing
-// (events/sec against the wall clock), how deep the calendar is, how
+// (events/sec against the wall clock), how deep the event queue is, how
 // far virtual time has advanced, and the virtual-vs-wall clock skew —
 // the "is this multi-minute run making progress?" signals a live
 // exporter serves. The tick runs inside the event loop, so publishing
@@ -44,8 +44,8 @@ type Heartbeat struct {
 // engine. The instruments:
 //
 //	sim_events_total          counter  events processed
-//	sim_pending_events        gauge    calendar/heap size now
-//	sim_peak_pending_events   gauge    calendar high-water mark
+//	sim_pending_events        gauge    event-queue depth now
+//	sim_peak_pending_events   gauge    event-queue high-water mark
 //	sim_events_per_sec        gauge    wall-clock rate over the last interval
 //	sim_virtual_time_seconds  gauge    virtual clock
 //	sim_wall_time_seconds     gauge    wall clock spent in the loop
@@ -87,7 +87,7 @@ func (h *Heartbeat) publish() {
 	events := e.Processed()
 	h.events.Add(events - h.lastEvents)
 	h.pending.Set(float64(e.Pending()))
-	h.peakPending.Set(float64(e.peak))
+	h.peakPending.Set(float64(e.queue.peak()))
 	h.virtual.Set(now.Seconds())
 	h.wall.Set(wall.Seconds())
 

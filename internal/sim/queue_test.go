@@ -1,17 +1,20 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// TestCalendarMatchesHeapOrder: both queue implementations must run any
-// random schedule in exactly the same order.
+// TestCalendarMatchesHeapOrder: the engine runs any random schedule in
+// exactly the order the reference model (model_test.go) sorts it into.
+// (The name dates from when the engine had two queues to hold equal.)
 func TestCalendarMatchesHeapOrder(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		count := int(n%500) + 1
-		run := func(e *Engine) []int {
+		run := func(e engineAPI) []int {
 			rng := rand.New(rand.NewSource(seed))
 			var order []int
 			for i := 0; i < count; i++ {
@@ -19,33 +22,22 @@ func TestCalendarMatchesHeapOrder(t *testing.T) {
 				at := Time(rng.Int63n(int64(10 * Microsecond)))
 				e.Schedule(at, func() { order = append(order, i) })
 			}
-			e.Run()
+			e.RunUntil(MaxTime)
 			return order
 		}
-		a := run(NewEngine())
-		b := run(NewCalendarEngine())
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(run(NewEngine()), run(&refEngine{}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestCalendarNestedAndSparse exercises resizing and sparse year jumps.
+// TestCalendarNestedAndSparse mixes a far-future event, a dense burst
+// that grows the queue, and scheduling from inside an event.
 func TestCalendarNestedAndSparse(t *testing.T) {
-	e := NewCalendarEngine()
+	e := NewEngine()
 	var hits []Time
-	// A sparse far-future event forces a year jump.
 	e.Schedule(3*Second, func() { hits = append(hits, e.Now()) })
-	// A dense burst forces an upward resize.
 	for i := 0; i < 1000; i++ {
 		at := Time(i) * 100 * Nanosecond
 		e.Schedule(at, func() { hits = append(hits, e.Now()) })
@@ -69,7 +61,7 @@ func TestCalendarNestedAndSparse(t *testing.T) {
 }
 
 func TestCalendarRunUntil(t *testing.T) {
-	e := NewCalendarEngine()
+	e := NewEngine()
 	ran := 0
 	for _, at := range []Time{10, 20, 30} {
 		e.Schedule(at, func() { ran++ })
@@ -84,12 +76,14 @@ func TestCalendarRunUntil(t *testing.T) {
 	}
 }
 
+// The Heap/Calendar benchmark pairs here and in alloc_test.go keep both
+// names and measure the one queue.
 func BenchmarkHeapEngine(b *testing.B) {
 	benchEngine(b, NewEngine)
 }
 
 func BenchmarkCalendarEngine(b *testing.B) {
-	benchEngine(b, NewCalendarEngine)
+	benchEngine(b, NewEngine)
 }
 
 // benchEngine models a packet-simulation profile: a rolling horizon of
@@ -111,4 +105,41 @@ func benchEngine(b *testing.B, mk func() *Engine) {
 	}
 	b.ResetTimer()
 	e.Run()
+}
+
+// holdAction is the classic hold model: every event that runs schedules
+// one successor an exponentially distributed delay later, so the queue
+// stays at the depth it was filled to.
+type holdAction struct {
+	e      *Engine
+	delays []Time
+	left   int
+}
+
+func (h *holdAction) Run(int64, int64) {
+	if h.left == 0 {
+		h.e.Stop()
+		return
+	}
+	h.left--
+	h.e.ScheduleAction(h.e.Now()+h.delays[h.left%len(h.delays)], h, 0, 0)
+}
+
+// BenchmarkHold reports ns per hold operation (one pop plus one push)
+// at a fixed number of pending events — DESIGN.md's queue table.
+func BenchmarkHold(b *testing.B) {
+	for _, pending := range []int{100, 1000, 65536} {
+		b.Run(fmt.Sprint(pending), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			h := &holdAction{e: NewEngine(), delays: make([]Time, 1<<13), left: b.N}
+			for i := range h.delays {
+				h.delays[i] = Time(rng.ExpFloat64()*1000)*Nanosecond + 1
+			}
+			for i := 0; i < pending; i++ {
+				h.e.ScheduleAction(h.delays[i%len(h.delays)], h, 0, 0)
+			}
+			b.ResetTimer()
+			h.e.Run()
+		})
+	}
 }

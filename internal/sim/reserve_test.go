@@ -8,10 +8,12 @@ import (
 // Tests for the engine's lazy-event surface — ReserveSeq,
 // ScheduleReserved, Passed — and for the clock after a stopped run.
 
+// bothEngines runs f under the two subtest names the engine's two queues
+// used to have; there is one queue now, and both run on it.
 func bothEngines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Helper()
 	t.Run("heap", func(t *testing.T) { f(t, NewEngine()) })
-	t.Run("calendar", func(t *testing.T) { f(t, NewCalendarEngine()) })
+	t.Run("calendar", func(t *testing.T) { f(t, NewEngine()) })
 }
 
 // recorder is an Action that logs the label it was scheduled with.
@@ -89,18 +91,16 @@ func TestScheduleReservedKeepsOrder(t *testing.T) {
 		e.Run()
 		return log
 	}
-	for _, mk := range []func() *Engine{NewEngine, NewCalendarEngine} {
-		eager, lazy := mk(), mk()
-		want := script(t, eager, false)
-		if fmt.Sprint(want) != "[a r1 b e d r2 c]" {
-			t.Fatalf("eager reference ran %v", want)
-		}
-		if got := script(t, lazy, true); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("lazy run %v, eager run %v", got, want)
-		}
-		if lazy.Processed() != eager.Processed() {
-			t.Fatalf("lazy run processed %d events, eager %d", lazy.Processed(), eager.Processed())
-		}
+	eager, lazy := NewEngine(), NewEngine()
+	want := script(t, eager, false)
+	if fmt.Sprint(want) != "[a r1 b e d r2 c]" {
+		t.Fatalf("eager reference ran %v", want)
+	}
+	if got := script(t, lazy, true); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("lazy run %v, eager run %v", got, want)
+	}
+	if lazy.Processed() != eager.Processed() {
+		t.Fatalf("lazy run processed %d events, eager %d", lazy.Processed(), eager.Processed())
 	}
 }
 

@@ -46,7 +46,7 @@ func TestEngineTelemetryZero(t *testing.T) {
 }
 
 func TestEngineEventProbe(t *testing.T) {
-	e := NewCalendarEngine()
+	e := NewEngine()
 	p := &countingProbe{}
 	e.SetProbe(p)
 	// A chain of nested events: each schedules the next, so the probe

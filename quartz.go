@@ -103,7 +103,7 @@ type (
 	QueueSampler = netsim.QueueSampler
 	// QueueSample is one periodic observation of a directed link.
 	QueueSample = netsim.QueueSample
-	// RunTelemetry summarizes a run: events, peak calendar, wall rate,
+	// RunTelemetry summarizes a run: events, peak queue depth, wall rate,
 	// packet counters.
 	RunTelemetry = netsim.RunTelemetry
 )
