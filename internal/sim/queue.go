@@ -5,7 +5,7 @@ package sim
 // a slot slab. Sifting moves 24-byte keys that hold no pointers — no
 // write barriers, and the collector never scans the heap's backing
 // array — while a payload is written once on push and read once on pop.
-// Both arrays only ever grow to the run's peak pending count and are
+// The arrays only ever grow to the run's peak pending count and are
 // reused from there on, so a warm queue allocates nothing.
 
 // key is an event's place in the total order plus the slab slot that
@@ -33,7 +33,8 @@ type payload struct {
 
 // heapArity is the heap's fan-out: four children per node halve the
 // depth a pop sifts through against a binary heap, and a node's
-// children share two cache lines.
+// children share two cache lines. pop's tournament over a full node is
+// written out for exactly four.
 const heapArity = 4
 
 type eventHeap struct {
