@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz verify loc bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke flagdoc
+.PHONY: build test vet race fuzz verify loc bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke examples-smoke flagdoc
 
 build:
 	$(GO) build ./...
@@ -24,17 +24,21 @@ vet:
 race:
 	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/...
 
-# Ten seconds of the native fuzzer on the event queue's order contract:
-# FuzzEngineOrder runs random scheduling programs on the engine and on a
-# sort-based reference model (internal/sim/model_test.go). A failure
-# leaves its input under internal/sim/testdata/fuzz/ — commit it with
-# the fix. Minimisation is capped in iterations: at the default 60 s per
-# input the whole smoke goes to shrinking the first few finds.
+# Ten seconds of the native fuzzer on each target. FuzzEngineOrder runs
+# random scheduling programs on the engine and on a sort-based reference
+# model (internal/sim/model_test.go): the event queue's order contract.
+# FuzzDecode feeds arbitrary bytes to the scenario decoder and compiler
+# (internal/scenario/fuzz_test.go): no panic, Normalize idempotent, the
+# canonical form re-decodes to the same identity. A failure leaves its
+# input under the package's testdata/fuzz/ — commit it with the fix.
+# Minimisation is capped in iterations: at the default 60 s per input
+# the whole smoke goes to shrinking the first few finds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/scenario
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the fuzz smoke.
+# pass on the goroutine-owning packages + the two fuzz smokes.
 verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size
@@ -101,6 +105,12 @@ service-smoke:
 # quartzsim -scenario -dry-run. CI runs this as the scenario-smoke step.
 scenario-smoke:
 	bash scripts/scenario_smoke.sh
+
+# Run every examples/*/ program (exit 0, non-empty stdout, under a
+# timeout): the programs a stranger copies first must work, not just
+# compile. CI runs this as the examples-smoke step.
+examples-smoke:
+	bash scripts/examples_smoke.sh
 
 # End-to-end check of distributed quartzd: a coordinator and two
 # workers on loopback, a table8 sweep fanned out and merged

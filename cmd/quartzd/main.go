@@ -159,7 +159,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := metrics.NewServer(handler) // read-side timeouts; responses may stream
 	log.Printf("listening on %s (queue=%d workers=%d cache=%d timeout=%v)",
 		ln.Addr(), *queue, svcWorkers(), *cache, *timeout)
 

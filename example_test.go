@@ -1,8 +1,10 @@
 package quartz_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"github.com/quartz-dcn/quartz"
 )
@@ -56,45 +58,65 @@ func ExamplePlanAmplifiers() {
 	// 12 amplifiers, one per 2 switches
 }
 
-// ExampleTraceRecorder drives the observability layer end to end: plan
-// a small ring, attach a trace-recording probe to the packet simulator,
-// send one packet across the mesh, and read back its recorded
-// lifecycle — each hop's queue join and transmission, then the
-// delivery, with the traversed path.
-func ExampleTraceRecorder() {
-	ring, err := quartz.NewRing(quartz.RingConfig{Switches: 4, HostsPerSwitch: 2})
+// ExampleRunScenario runs one scenario document — the unit of use of
+// every front end (SCENARIOS.md): a four-switch Quartz ring carrying one
+// scatter task for a virtual millisecond. The text is deterministic per
+// seed, so it can be pinned.
+func ExampleRunScenario() {
+	out, err := quartz.RunScenario(context.Background(), []byte(`{
+		"schema": "quartz-scenario/v1",
+		"name": "small-ring",
+		"seed": 1,
+		"sim": {
+			"topology": {"kind": "ring", "pods": 1, "tors_per_pod": 4, "hosts_per_tor": 2},
+			"workload": {"kind": "scatter", "tasks": 1, "fanout": 4},
+			"duration_ms": 1
+		}
+	}`))
 	if err != nil {
 		panic(err)
 	}
-	tr := quartz.NewTraceRecorder(64)
-	net, err := quartz.NewNetwork(quartz.NetworkConfig{
-		Graph:       ring.Graph,
-		Router:      quartz.NewECMP(ring.Graph),
-		RecordPaths: true,
-		Probe:       tr,
-	})
-	if err != nil {
-		panic(err)
-	}
-	hosts := ring.Graph.Hosts()
-	id := net.Unicast(1, hosts[0], hosts[len(hosts)-1], 400, 0)
-	net.Engine().Run()
-
-	for _, e := range tr.PacketEvents(id) {
-		fmt.Printf("%s hop=%d\n", e.Op, e.Hops)
-	}
-	// ECMP on the mesh takes the direct channel (§3.4): source host,
-	// two switches, destination host.
-	fmt.Println("nodes on path:", len(tr.Path(id)))
+	fmt.Print(out.Text)
 	// Output:
-	// enqueue hop=0
-	// transmit hop=0
-	// enqueue hop=1
-	// transmit hop=1
-	// enqueue hop=2
-	// transmit hop=2
-	// deliver hop=3
-	// nodes on path: 4
+	// single Quartz ring | scatter | 1 task(s), 4 streams each at 20000 pps | 1 ms
+	// delivered 77 packets, dropped 0
+	// task  1: n=77       mean     2.71us ±0.06  min 2.20  max 3.25
+}
+
+// ExampleFindExperiment runs a registry entry by its quartzbench name.
+func ExampleFindExperiment() {
+	exp, ok := quartz.FindExperiment("table9")
+	if !ok {
+		panic("table9 is not in the registry")
+	}
+	out, err := exp.Run(context.Background(), quartz.Params{Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(exp.Section, headline(out))
+	// Output:
+	// §5 Table 9: network structures with ~1k ports (64-port switches)
+}
+
+// ExampleExperiments walks the registry for the entries reproducing §7.1.
+func ExampleExperiments() {
+	for _, e := range quartz.Experiments() {
+		if e.Section == "§7.1" {
+			fmt.Println(describe(e))
+		}
+	}
+	// Output:
+	// fig17 - Figure 17: global task latency
+	// fig18 - Figure 18: localized task latency
+}
+
+// describe renders one registry entry.
+func describe(e quartz.Experiment) string { return e.Name + " - " + e.Title }
+
+// headline returns the first line of an experiment's rendered text.
+func headline(out quartz.Output) string {
+	line, _, _ := strings.Cut(out.Text, "\n")
+	return line
 }
 
 // ExampleSimulateFiberCuts shows §3.5's headline: one cut never

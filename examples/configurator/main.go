@@ -1,46 +1,28 @@
 // Configurator: should your datacenter use Quartz? (§4.4, Table 8.)
+// examples/scenarios/table8.json prices each deployment size with the
+// calibrated 2014 parts catalog and simulates its latency: the baseline
+// tree against the Quartz option the paper recommends at that size.
 //
-// The example prices a deployment at several sizes with the calibrated
-// 2014 parts catalog, prints the cost per server of each topology
-// option, and shows the Quartz bill of materials for a small DC.
-//
-// Run it with:
-//
-//	go run ./examples/configurator
+//	go run ./examples/configurator   # from the repository root
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
 
-	"github.com/quartz-dcn/quartz/internal/cost"
+	"github.com/quartz-dcn/quartz"
 )
 
 func main() {
-	c := cost.Default2014
-	fmt.Println("cost per server by deployment size (2014 USD):")
-	fmt.Printf("%10s %14s %14s %14s %14s %12s\n",
-		"servers", "2-tier tree", "quartz ring", "3-tier tree", "quartz edge", "quartz core")
-	for _, servers := range []int{500, 1000, 10_000, 100_000} {
-		ringCost := "n/a"
-		if ring, err := cost.QuartzRing(servers, c); err == nil {
-			ringCost = fmt.Sprintf("$%.0f", ring.PerServer())
-		}
-		fmt.Printf("%10d %13s %14s %13s %14s %12s\n",
-			servers,
-			fmt.Sprintf("$%.0f", cost.TwoTierTree(servers, c).PerServer()),
-			ringCost,
-			fmt.Sprintf("$%.0f", cost.ThreeTierTree(servers, c).PerServer()),
-			fmt.Sprintf("$%.0f", cost.QuartzEdge(servers, c).PerServer()),
-			fmt.Sprintf("$%.0f", cost.QuartzCore(servers, c).PerServer()),
-		)
-	}
-
-	fmt.Println("\nbill of materials, single Quartz ring for 500 servers:")
-	ring, err := cost.QuartzRing(500, c)
+	doc, err := os.ReadFile("examples/scenarios/table8.json")
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
-	fmt.Print(ring)
-	fmt.Println("\nA single ring serves up to 1120 servers (35 switches x 32); larger")
-	fmt.Println("datacenters deploy Quartz as an edge or core design element (§4).")
+	out, err := quartz.RunScenario(context.Background(), doc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(out.Text)
 }

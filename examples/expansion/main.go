@@ -1,62 +1,41 @@
-// Expansion: grow a Quartz ring in place, §8-style.
-//
-// Quartz "does not require an expensive upfront investment; switches
-// and WDMs can be added as needed." This example starts with a
-// 12-switch ring, grows it to 16 and then 24 switches, and reports the
-// operator-facing disruption each time: how many existing transceivers
-// keep their wavelength untouched, how many must retune, and how the
-// wavelength budget evolves against the 80-channel commodity mux and
-// the 160-channel fiber.
-//
-// Run it with:
+// Expansion: grow a Quartz ring in place (§8) with the planning API —
+// "switches and WDMs can be added as needed". A 12-switch ring grows to
+// 16 and then 24; each step reports how many transceivers keep their
+// wavelength, how many retune, and the amplifier plan.
 //
 //	go run ./examples/expansion
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
 
-	"github.com/quartz-dcn/quartz/internal/optics"
-	"github.com/quartz-dcn/quartz/internal/wdm"
+	"github.com/quartz-dcn/quartz"
 )
 
-func main() {
-	rng := rand.New(rand.NewSource(8))
-	plan := wdm.Greedy(12, rng)
-	fmt.Printf("initial ring: 12 switches, %d wavelengths (optimum %d)\n\n",
-		plan.Channels, wdm.OptimalChannels(12))
-
-	for _, grow := range []int{16, 24} {
-		next, stats, err := wdm.ExpandPlan(plan, grow, rng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(stats)
-		budget, err := optics.PlanRing(grow, optics.DefaultParts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  amplifiers now: %d (one per %d switches)\n", budget.Amplifiers, budget.AmpAfterHops)
-		muxes := (next.Channels + wdm.CommodityMuxChannels - 1) / wdm.CommodityMuxChannels
-		fmt.Printf("  %d-channel muxes per switch: %d; single-fiber headroom: %d channels\n\n",
-			wdm.CommodityMuxChannels, muxes, wdm.MaxChannelsPerFiber-next.Channels)
-		plan = next
-	}
-
-	// Wavelength plans are computed at design time and shipped with the
-	// hardware (§3.1.1); serialize the final plan as the factory would.
-	data, err := json.Marshal(plan)
+// grow expands plan to m switches and reports what the operator sees.
+func grow(plan *quartz.ChannelPlan, m int, rng *rand.Rand) *quartz.ChannelPlan {
+	next, stats, err := quartz.ExpandPlan(plan, m, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("final plan serialized: %d bytes of JSON for %d assignments\n",
-		len(data), len(plan.Assignments))
-	fmt.Println("first assignments:")
-	for _, a := range plan.Assignments[:4] {
-		fmt.Printf("  switch %2d <-> switch %2d on %s\n", a.S, a.T,
-			optics.ChannelLabel(a.Channel, optics.Spacing50GHz))
+	budget, err := quartz.PlanAmplifiers(m)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(stats)
+	fmt.Printf("  amplifiers now: %d (one per %d switches); optimum for %d switches: %d channels\n",
+		budget.Amplifiers, budget.AmpAfterHops, m, quartz.OptimalChannels(m))
+	return next
+}
+
+func main() {
+	rng := rand.New(rand.NewSource(8))
+	plan := quartz.GreedyChannels(12, rng)
+	fmt.Printf("initial ring: 12 switches, %d wavelengths; one fiber carries rings up to %d switches\n",
+		plan.Channels, quartz.MaxRingSize(160))
+	for _, m := range []int{16, 24} {
+		plan = grow(plan, m, rng)
 	}
 }

@@ -1,55 +1,28 @@
 // Fault tolerance: how many fiber cuts can a Quartz deployment absorb?
+// examples/scenarios/figure6.json runs the registry's Figure 6 (§3.5): a
+// 33-switch mesh on 1..4 fiber rings under random simultaneous cuts.
+// Set experiment.trials or seed in the document to vary the run.
 //
-// The example reproduces §3.5 (Figure 6): a 33-switch Quartz mesh
-// carried on 1..4 physical fiber rings, subjected to random
-// simultaneous fiber cuts. It reports the expected fraction of logical
-// mesh bandwidth lost and the probability that the surviving mesh
-// partitions.
-//
-// Run it with:
-//
-//	go run ./examples/faulttolerance [-rings N] [-trials N]
+//	go run ./examples/faulttolerance   # from the repository root
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"log"
-	"math/rand"
+	"os"
 
 	"github.com/quartz-dcn/quartz"
-	"github.com/quartz-dcn/quartz/internal/wdm"
-)
-
-var (
-	maxRings = flag.Int("rings", 4, "maximum number of physical fiber rings")
-	trials   = flag.Int("trials", 20_000, "Monte-Carlo trials per point")
 )
 
 func main() {
-	flag.Parse()
-	const m = 33
-	rng := rand.New(rand.NewSource(6))
-	base := quartz.GreedyChannels(m, rng)
-	fmt.Printf("Quartz deployment: %d switches, %d wavelength channels\n\n", m, base.Channels)
-
-	fmt.Printf("%6s %8s %22s %22s\n", "rings", "cuts", "avg bandwidth loss", "partition probability")
-	for rings := 1; rings <= *maxRings; rings++ {
-		per := (base.Channels + rings - 1) / rings
-		plan, err := wdm.SplitAcrossRings(base, rings, per)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for cuts := 1; cuts <= 4; cuts++ {
-			res, err := quartz.SimulateFiberCuts(plan, cuts, *trials, rng)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%6d %8d %21.1f%% %22.4f\n",
-				rings, cuts, 100*res.AvgBandwidthLoss, res.PartitionProb)
-		}
-		fmt.Println()
+	doc, err := os.ReadFile("examples/scenarios/figure6.json")
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("With a second physical ring, even four simultaneous cuts almost")
-	fmt.Println("never partition the mesh (cf. Figure 6: probability ~0.24%).")
+	out, err := quartz.RunScenario(context.Background(), doc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(out.Text)
 }

@@ -1,60 +1,43 @@
-// Quickstart: plan a Quartz ring and push a few packets through it.
+// Quickstart: plan the paper's flagship 1056-port ring (33 switches x 32
+// servers, §3.2), then run examples/scenarios/quickstart.json — two
+// scatter tasks across that ring. ECMP on the mesh always takes the
+// direct channel (§3.4): two 380 ns switch hops per packet.
 //
-// This example walks the whole public surface in ~60 lines: plan the
-// paper's flagship 1056-port ring (33 switches x 32 servers), inspect
-// its wavelength and amplifier plan, then simulate a quick RPC across
-// the mesh and print the observed latency.
-//
-// Run it with:
-//
-//	go run ./examples/quickstart
+//	go run ./examples/quickstart   # from the repository root
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"github.com/quartz-dcn/quartz"
-	"github.com/quartz-dcn/quartz/internal/netsim"
-	"github.com/quartz-dcn/quartz/internal/routing"
-	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
+func describe(ring *quartz.Ring) {
+	ports, size := quartz.MaxPortsSingleRing(64)
+	fmt.Println(ring)
+	fmt.Printf("64-port switches reach %d ports at ring size %d\n", ports, size)
+	fmt.Printf("wavelengths: %d used (proven minimum %d); max on any fiber link: %d\n",
+		ring.Channels(), quartz.OptimalChannels(size), ring.Plan.MaxLinkLoad())
+	fmt.Printf("wiring: %d fiber cables — two per switch per physical ring\n\n", ring.WiringComplexity())
+}
+
 func main() {
-	// 1. Plan the ring: channel assignment, fiber split, amplifiers.
 	ring, err := quartz.NewRing(quartz.RingConfig{Switches: 33, HostsPerSwitch: 32})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(ring)
-	fmt.Printf("wavelengths: %d used (proven minimum %d); max on any fiber link: %d\n",
-		ring.Channels(), quartz.OptimalChannels(33), ring.Plan.MaxLinkLoad())
-	fmt.Printf("wiring: %d fiber cables total — two per switch per physical ring\n",
-		ring.WiringComplexity())
+	describe(ring)
 
-	// 2. Simulate an RPC between two servers in different racks. ECMP
-	// on the mesh always picks the single-hop direct path (§3.4).
-	g := ring.Graph
-	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph:     g,
-		Router:    routing.NewECMP(g),
-		OnDeliver: h.Deliver,
-	})
+	doc, err := os.ReadFile("examples/scenarios/quickstart.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	hosts := g.Hosts()
-	rpc := &traffic.RPC{
-		Net: net, Harness: h,
-		Client: hosts[0], Server: hosts[len(hosts)-1],
-		Count: 1000, ReqTag: 1, ReplyTag: 2,
-	}
-	if err := rpc.Start(); err != nil {
+	out, err := quartz.RunScenario(context.Background(), doc)
+	if err != nil {
 		log.Fatal(err)
 	}
-	net.Engine().Run()
-
-	fmt.Printf("RPCs: %d completed, mean round trip %.2f us (two 380 ns switch hops each way)\n",
-		rpc.RTT.N(), rpc.RTT.Mean())
+	fmt.Print(out.Text)
 }

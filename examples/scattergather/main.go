@@ -1,84 +1,28 @@
-// Scatter/gather: compare an MPI-style workload on the paper's
-// simulated architectures.
+// Scatter/gather: an MPI-style workload as concurrent tasks are added
+// (cf. Figure 17), run from examples/scenarios/scattergather.json — one
+// packet-level simulation swept over placement x tasks. The three-tier
+// tree's store-and-forward core congests; all-cut-through Quartz stays flat.
 //
-// The example reproduces the spirit of Figure 17: concurrent
-// scatter/gather tasks with randomly placed endpoints, run on the
-// three-tier tree baseline and on Quartz in edge and core, printing the
-// mean per-packet latency as tasks are added.
-//
-// Run it with:
-//
-//	go run ./examples/scattergather
+//	go run ./examples/scattergather   # from the repository root
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math/rand"
+	"os"
 
 	"github.com/quartz-dcn/quartz"
-	"github.com/quartz-dcn/quartz/internal/core"
-	"github.com/quartz-dcn/quartz/internal/netsim"
-	"github.com/quartz-dcn/quartz/internal/sim"
-	"github.com/quartz-dcn/quartz/internal/topology"
-	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
-// run measures mean scatter latency with n concurrent tasks.
-func run(arch *core.Architecture, n int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph:       arch.Graph,
-		Router:      arch.Router,
-		SwitchModel: arch.Model,
-		OnDeliver:   h.Deliver,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	hosts := arch.Graph.Hosts()
-	const end = 10 * sim.Millisecond
-	for task := 0; task < n; task++ {
-		perm := rng.Perm(len(hosts))
-		sender := hosts[perm[0]]
-		var receivers []topology.NodeID
-		for _, i := range perm[1:13] {
-			receivers = append(receivers, hosts[i])
-		}
-		t := traffic.Scatter(net, sender, receivers, 20e3, task+1, nil, rng)
-		if err := t.Start(end); err != nil {
-			log.Fatal(err)
-		}
-	}
-	net.Engine().RunUntil(end + sim.Millisecond)
-	sum, count := 0.0, 0
-	for task := 0; task < n; task++ {
-		if s := h.Latency(task + 1); s.N() > 0 {
-			sum += s.Mean()
-			count++
-		}
-	}
-	return sum / float64(count)
-}
-
 func main() {
-	tree, err := quartz.ThreeTierTree(quartz.ArchParams{})
+	doc, err := os.ReadFile("examples/scenarios/scattergather.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	qec, err := quartz.QuartzInEdgeAndCore(quartz.ArchParams{})
+	out, err := quartz.RunScenario(context.Background(), doc)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Println("mean scatter latency per packet (us):")
-	fmt.Printf("%6s %18s %26s %10s\n", "tasks", "three-tier tree", "quartz in edge and core", "reduction")
-	for n := 1; n <= 8; n++ {
-		t := run(tree, n, int64(100+n))
-		q := run(qec, n, int64(100+n))
-		fmt.Printf("%6d %18.2f %26.2f %9.0f%%\n", n, t, q, 100*(1-q/t))
-	}
-	fmt.Println("\nThe tree's store-and-forward core dominates and congests; the")
-	fmt.Println("all-cut-through Quartz design stays flat (cf. Figure 17).")
+	fmt.Print(out.Text)
 }

@@ -47,12 +47,34 @@ func Handler(r *Registry, meta StatusMeta) http.Handler {
 	return mux
 }
 
+// Read-side limits of every server this module starts. A peer that
+// stalls mid-header or mid-body, or idles on a kept-alive connection, is
+// disconnected instead of holding a goroutine and a descriptor forever.
+// There is deliberately no write timeout: quartzd's /jobs/{id}/events
+// streams for as long as a job runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns an unstarted server for h with those limits set.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // Serve starts an HTTP server for the registry on addr in a background
 // goroutine and returns it; errors after startup (and clean shutdowns)
 // are delivered to errc if non-nil. Callers that outlive the run should
 // Close the returned server.
 func Serve(addr string, r *Registry, meta StatusMeta, errc chan<- error) *http.Server {
-	srv := &http.Server{Addr: addr, Handler: Handler(r, meta)}
+	srv := NewServer(Handler(r, meta))
+	srv.Addr = addr
 	go func() {
 		err := srv.ListenAndServe()
 		if errc != nil {

@@ -1,0 +1,53 @@
+package scenario
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// FuzzDecode feeds arbitrary bytes to the front door every submission
+// path shares (quartz.RunScenario, quartzsim/quartzbench -scenario,
+// quartzd): Decode and Compile never panic, and a document that is
+// accepted is a fixed point — Normalize changes nothing the second
+// time, and its canonical form decodes again to the same identity.
+// Seeded with every shipped example and the malformed testdata
+// documents; `make fuzz` runs it for ten seconds.
+func FuzzDecode(f *testing.F) {
+	for _, glob := range []string{filepath.Join(examplesDir, "*.json"), "testdata/*.json"} {
+		paths, err := filepath.Glob(glob)
+		if err != nil || len(paths) == 0 {
+			f.Fatalf("no seed documents match %s (%v)", glob, err)
+		}
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := Decode(data, "fuzz")
+		if err != nil {
+			return
+		}
+		if _, err := Compile(file); err != nil {
+			return
+		}
+		doc := file.Doc
+		again := doc.clone()
+		again.Normalize()
+		if !reflect.DeepEqual(doc, again) {
+			t.Fatalf("Normalize is not idempotent:\n once  %s\n twice %s", Canonical(doc), Canonical(again))
+		}
+		re, err := Decode(Canonical(doc), "canonical")
+		if err != nil {
+			t.Fatalf("canonical form of an accepted document is rejected: %v\n%s", err, Canonical(doc))
+		}
+		if got, want := ScenarioName(re.Doc), ScenarioName(doc); got != want {
+			t.Fatalf("canonical form re-decodes to %s, want %s\n%s", got, want, Canonical(doc))
+		}
+	})
+}

@@ -124,6 +124,22 @@ func (s *Service) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 // envelopes are small; a megabyte is generous).
 const maxBodyBytes = 1 << 20
 
+// readBody reads a request body of at most maxBodyBytes. A longer one is
+// refused whole with 413 — never cut and parsed — and ok is false once
+// an error has been answered.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading request body: " + err.Error()})
+	}
+	return body, err == nil
+}
+
 // parseSubmitBody turns a POST /jobs body into a Request, accepting
 // both the job envelope and a raw scenario document (recognized by its
 // top-level "schema" field). Both are JSON objects; anything else gets
@@ -155,9 +171,8 @@ func parseSubmitBody(body []byte) (Request, error) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading request body: " + err.Error()})
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := parseSubmitBody(body)
@@ -392,9 +407,8 @@ func scenarioView(st *StoredScenario) scenarioBody {
 }
 
 func (s *Service) handleScenarioPut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading request body: " + err.Error()})
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	st, err := s.PutScenario(r.PathValue("name"), body)

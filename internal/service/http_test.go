@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -188,6 +189,27 @@ func TestHTTPErrorsAndAuxRoutes(t *testing.T) {
 		r.Body.Close()
 		if r.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", body, r.StatusCode)
+		}
+	}
+	// A body over the 1 MiB cap → 413 naming the limit on both routes
+	// that read one — not a document cut at the cap and answered with
+	// "400 unexpected end of JSON input".
+	big := `{"schema":"quartz-scenario/v1","name":"big","title":"` + strings.Repeat("x", maxBodyBytes) +
+		`","experiment":{"name":"fig6"}}`
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/jobs"},
+		{http.MethodPut, "/scenarios/big"},
+	} {
+		req, _ := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader(big))
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg errorBody
+		json.NewDecoder(r.Body).Decode(&msg)
+		r.Body.Close()
+		if r.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg.Error, "1048576-byte limit") {
+			t.Errorf("oversize %s %s = %d %q, want 413 naming the limit", route.method, route.path, r.StatusCode, msg.Error)
 		}
 	}
 	// Unknown job → 404; result of a fresh job → 409 until terminal.

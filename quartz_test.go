@@ -1,6 +1,7 @@
 package quartz
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -42,12 +43,8 @@ func TestChannelHelpersFacade(t *testing.T) {
 	if err := plan.Validate(); err != nil {
 		t.Error(err)
 	}
-	exact, err := ExactChannels(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Channels != OptimalChannels(6) {
-		t.Errorf("exact(6) = %d, want %d", exact.Channels, OptimalChannels(6))
+	if plan.Channels < OptimalChannels(8) {
+		t.Errorf("greedy(8) = %d channels, below the optimum %d", plan.Channels, OptimalChannels(8))
 	}
 }
 
@@ -72,71 +69,27 @@ func TestFiberCutsFacade(t *testing.T) {
 	}
 }
 
-func TestArchitectureBuildersFacade(t *testing.T) {
-	tree, err := ThreeTierTree(ArchParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tree.Name, "tree") {
-		t.Errorf("name = %q", tree.Name)
-	}
-	qec, err := QuartzInEdgeAndCore(ArchParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qec.Graph.Hosts()) != len(tree.Graph.Hosts()) {
-		t.Errorf("host counts differ: %d vs %d", len(qec.Graph.Hosts()), len(tree.Graph.Hosts()))
-	}
-	jf, err := Jellyfish(ArchParams{}, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jf.Graph.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestExperimentEntrypointsFacade(t *testing.T) {
-	if rows := Figure5(10, 1); len(rows) != 9 {
-		t.Errorf("Figure5 rows = %d, want 9", len(rows))
+	all := Experiments()
+	if len(all) == 0 {
+		t.Fatal("empty registry")
 	}
-	rows, err := Table9(1)
+	for _, e := range all {
+		if got, ok := FindExperiment(e.Name); !ok || got.Title != e.Title {
+			t.Errorf("FindExperiment(%q) = %q, %v", e.Name, got.Title, ok)
+		}
+	}
+	if _, ok := FindExperiment("no-such-figure"); ok {
+		t.Error("FindExperiment found an unknown name")
+	}
+	exp, _ := FindExperiment("table9")
+	out, err := exp.Run(context.Background(), Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Errorf("Table9 rows = %d, want 5", len(rows))
-	}
-}
-
-func TestExtendedFacade(t *testing.T) {
-	// Dual-ToR scaling variant.
-	g, err := NewDualToRMesh(DualToRConfig{Racks: 5, HostsPerRack: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Hosts()) != 10 {
-		t.Errorf("dual-ToR hosts = %d, want 10", len(g.Hosts()))
-	}
-	// Expansion.
-	plan := GreedyChannels(8, rand.New(rand.NewSource(1)))
-	grown, stats, err := ExpandPlan(plan, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.M != 10 || stats.Kept == 0 {
-		t.Errorf("expansion stats = %+v", stats)
-	}
-	// Weighted channels.
-	wp, err := GreedyWeightedChannels(8, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wp.Channels != plan.Channels {
-		t.Errorf("uniform weighted = %d channels, plain = %d", wp.Channels, plan.Channels)
-	}
-	// Modes exported.
-	if Reno.String() != "reno" || DCTCP.String() != "dctcp" {
-		t.Error("TCP mode exports wrong")
+	for _, network := range []string{"2-Tier Tree", "Fat-Tree", "BCube", "Jellyfish", "Mesh"} {
+		if !strings.Contains(out.Text, network) {
+			t.Errorf("table9 text lacks the %s row:\n%s", network, out.Text)
+		}
 	}
 }
