@@ -29,16 +29,20 @@ race:
 # model (internal/sim/model_test.go): the event queue's order contract.
 # FuzzDecode feeds arbitrary bytes to the scenario decoder and compiler
 # (internal/scenario/fuzz_test.go): no panic, Normalize idempotent, the
-# canonical form re-decodes to the same identity. A failure leaves its
+# canonical form re-decodes to the same identity. FuzzEventStream feeds
+# arbitrary bytes to the coordinator's reader of a worker's SSE stream
+# (internal/cluster/fuzz_test.go): no panic, no terminal state without a
+# state event, no over-long line accepted. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/cluster
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the two fuzz smokes.
+# pass on the goroutine-owning packages + the three fuzz smokes.
 verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size

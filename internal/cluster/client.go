@@ -1,14 +1,16 @@
 package cluster
 
 // The coordinator's client side of the worker protocol: plain quartzd
-// HTTP JSON calls (the worker runs no cluster code). Every call gets
-// its own deadline from Config.RequestTimeout layered under the
-// caller's context.
+// HTTP JSON calls (the worker runs no cluster code). Every call but
+// the event stream gets its own deadline from Config.RequestTimeout
+// layered under the caller's context.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -98,17 +100,69 @@ func (c *Coordinator) submitCells(ctx context.Context, base, name string, p expe
 	return v, status, retryAfter, errMsg, err
 }
 
-// getJob polls one worker job.
-func (c *Coordinator) getJob(ctx context.Context, base, id string) (service.View, error) {
-	var v service.View
-	status, _, errMsg, err := c.doJSON(ctx, http.MethodGet, base+"/jobs/"+id, nil, &v)
+// followJob waits on a worker job's GET /jobs/{id}/events stream for
+// its terminal state and error. No RequestTimeout (a range may outlive
+// it): the stream dies with ctx or with the worker's heartbeat.
+func (c *Coordinator) followJob(ctx context.Context, w *worker, id string, progress func(done int)) (service.State, string, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	w.mu.Lock()
+	live := w.live
+	w.mu.Unlock()
+	defer context.AfterFunc(live, cancel)()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/jobs/"+id+"/events", nil)
 	if err != nil {
-		return service.View{}, err
+		return 0, "", err
 	}
-	if status != http.StatusOK {
-		return service.View{}, fmt.Errorf("polling job %s: HTTP %d: %s", id, status, errMsg)
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0, "", err
 	}
-	return v, nil
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, "", fmt.Errorf("following job %s: HTTP %d", id, resp.StatusCode)
+	}
+	return readEvents(resp.Body, progress)
+}
+
+const maxEventLine = 1 << 20 // bounds one line of a worker's event stream
+
+// readEvents reads a job's SSE stream to its end: "progress" events go
+// to progress, the last "state" event must be terminal and is the answer.
+func readEvents(r io.Reader, progress func(done int)) (service.State, string, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), maxEventLine)
+	type payload struct { // the fields of both event kinds
+		Done  int           `json:"done"`
+		State service.State `json:"state"`
+		Error string        `json:"error"`
+	}
+	var event string
+	var last payload // zero: queued, not terminal
+	for sc.Scan() {
+		field, value, _ := bytes.Cut(sc.Bytes(), []byte(":"))
+		switch {
+		case string(field) == "event":
+			event = string(bytes.TrimSpace(value))
+		case string(field) == "data" && (event == "progress" || event == "state"):
+			var ev payload
+			if err := json.Unmarshal(value, &ev); err != nil {
+				return 0, "", fmt.Errorf("event stream: %s: %w", event, err)
+			}
+			if event == "progress" {
+				progress(ev.Done)
+			} else {
+				last = ev
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return 0, "", fmt.Errorf("event stream: %w", err)
+	}
+	if !last.State.Terminal() {
+		return 0, "", errors.New("event stream ended before a terminal state")
+	}
+	return last.State, last.Error, nil
 }
 
 // getResult fetches a terminal worker job's output.

@@ -9,7 +9,8 @@
 // Topology. One daemon runs as the coordinator; every other daemon is
 // a stock quartzd worker — workers need no cluster code at all, the
 // coordinator drives them through POST /jobs with a cell range
-// (service.Request.Cells) and polls GET /jobs/{id} like any client.
+// (service.Request.Cells) and follows GET /jobs/{id}/events, the SSE
+// stream any client can watch, until it closes on a terminal state.
 // The worker set is static (-workers on the coordinator), dynamic
 // (workers POST /cluster/register, see Registrar), or both.
 //
@@ -20,14 +21,16 @@
 // so a block that crossed the wire is indistinguishable from one
 // computed locally.
 //
-// Failure model. A worker that fails transport, drains, or times a
-// sub-job out is marked dead and only its unfinished ranges are
-// requeued onto survivors; its heartbeat loop keeps re-dialing with
-// backoff and revives it when /healthz answers again. An experiment
-// error that is not a deadline is fatal for the whole job — a
-// deterministic failure would fail identically everywhere, so
-// retrying it elsewhere only burns cycles. When every worker is dead
-// with ranges still pending, the job fails.
+// Failure model. A worker that fails transport, drains, times a
+// sub-job out, cuts its event stream short or returns a block other
+// than the one asked for is marked dead and only its unfinished ranges
+// are requeued onto survivors; its heartbeat loop keeps re-dialing with
+// backoff and revives it when /healthz answers again. A failed probe
+// also cancels the worker's open streams: going silent costs one
+// heartbeat, not a hang. An experiment error that is not a deadline is
+// fatal for the whole job — a deterministic failure would fail
+// identically everywhere, so retrying it elsewhere only burns cycles.
+// When every worker is dead with ranges still pending, the job fails.
 //
 // Caching. The coordinator's own service caches merged output under
 // the experiment's full cache key, so a repeated submission never
@@ -39,7 +42,9 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -61,17 +66,16 @@ type Config struct {
 	// dead (the re-dial loop doubles from HeartbeatInterval). Default
 	// 30s.
 	HeartbeatBackoffMax time.Duration
-	// PollInterval paces sub-job status polls during a sweep. Default
-	// 25ms.
-	PollInterval time.Duration
-	// RequestTimeout bounds each HTTP call to a worker. Default 10s.
+	// RequestTimeout bounds each HTTP call to a worker except the
+	// event stream, which lasts as long as its range. Default 10s.
 	RequestTimeout time.Duration
 	// Registry receives the quartzd_cluster_* instruments; a private
 	// registry is created when nil. Pass the service's registry so one
 	// /metrics page shows both tiers.
 	Registry *metrics.Registry
 	// Client issues worker HTTP requests. Default: a dedicated client
-	// (per-call deadlines come from RequestTimeout).
+	// (per-call deadlines come from RequestTimeout; a Timeout of its
+	// own would cut event streams short).
 	Client *http.Client
 }
 
@@ -81,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatBackoffMax <= 0 {
 		c.HeartbeatBackoffMax = 30 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 25 * time.Millisecond
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -105,23 +106,43 @@ type worker struct {
 	alive   bool
 	depth   int // last observed queue depth (load-balancing signal)
 	lastErr string
+	live    context.Context // the worker's open event streams run under it
+	down    context.CancelFunc
 
 	mDepth *metrics.Gauge
 }
 
 func (w *worker) markAlive(depth int) {
 	w.mu.Lock()
+	revived := !w.alive
 	w.alive = true
 	w.depth = depth
 	w.lastErr = ""
 	w.mu.Unlock()
 	w.mDepth.Set(float64(depth))
+	if revived {
+		slog.Info("cluster: worker revived", "worker", w.url)
+	}
 }
 
 func (w *worker) markDead(err error) {
 	w.mu.Lock()
+	died := w.alive
 	w.alive = false
 	w.lastErr = err.Error()
+	w.mu.Unlock()
+	if died {
+		slog.Warn("cluster: worker dead", "worker", w.url, "err", err)
+	}
+}
+
+// hangUp cancels the event streams open on the worker. Only a failed
+// heartbeat does: a fault one dispatcher saw (a drain, a bad block)
+// says nothing about the worker's other ranges.
+func (w *worker) hangUp() {
+	w.mu.Lock()
+	w.down()
+	w.live, w.down = context.WithCancel(context.Background())
 	w.mu.Unlock()
 }
 
@@ -197,8 +218,9 @@ func (c *Coordinator) AddWorker(url string) {
 	if _, ok := c.workers[url]; ok {
 		return
 	}
+	live, down := context.WithCancel(context.Background())
 	w := &worker{
-		url: url,
+		url: url, live: live, down: down,
 		// Born alive: the first sweep may land before the first probe,
 		// and a wrong guess only costs one requeue.
 		alive:  true,
@@ -238,16 +260,19 @@ func (c *Coordinator) updateWorkerGauges() {
 }
 
 // monitor is one worker's heartbeat loop: probe /healthz, record the
-// queue depth, and while the worker is dead keep re-dialing with
-// exponential backoff so a restarted daemon rejoins on its own.
+// queue depth (or hang up the worker's streams), and while the worker
+// is dead keep re-dialing with exponential backoff so a restarted
+// daemon rejoins on its own.
 func (c *Coordinator) monitor(w *worker) {
 	defer c.wg.Done()
 	delay := c.cfg.HeartbeatInterval
 	for {
-		if err := c.probe(w); err != nil {
+		if hb, err := c.health(w.url); err != nil {
 			w.markDead(err)
+			w.hangUp()
 			delay = min(delay*2, c.cfg.HeartbeatBackoffMax)
 		} else {
+			w.markAlive(hb.QueueDepth)
 			delay = c.cfg.HeartbeatInterval
 		}
 		c.mu.Lock()
@@ -259,16 +284,6 @@ func (c *Coordinator) monitor(w *worker) {
 		case <-time.After(delay):
 		}
 	}
-}
-
-// probe issues one health check and flips the worker alive on success.
-func (c *Coordinator) probe(w *worker) error {
-	hb, err := c.health(w.url)
-	if err != nil {
-		return err
-	}
-	w.markAlive(hb.QueueDepth)
-	return nil
 }
 
 // WorkerView is one GET /cluster entry.

@@ -57,13 +57,16 @@ func newWorker(t *testing.T, lookup func(string) (experiments.Experiment, bool),
 // URLs: a Coordinator plus the service that fronts it.
 func newCoordinator(t *testing.T, lookup func(string) (experiments.Experiment, bool), workerURLs []string) (*cluster.Coordinator, *service.Service, *metrics.Registry) {
 	t.Helper()
+	return newCoordinatorWith(t, lookup, cluster.Config{Workers: workerURLs, HeartbeatInterval: 50 * time.Millisecond})
+}
+
+// newCoordinatorWith is newCoordinator for tests that set the
+// heartbeat or the HTTP client themselves.
+func newCoordinatorWith(t *testing.T, lookup func(string) (experiments.Experiment, bool), cfg cluster.Config) (*cluster.Coordinator, *service.Service, *metrics.Registry) {
+	t.Helper()
 	reg := metrics.NewRegistry()
-	coord := cluster.New(cluster.Config{
-		Workers:           workerURLs,
-		HeartbeatInterval: 50 * time.Millisecond,
-		PollInterval:      2 * time.Millisecond,
-		Registry:          reg,
-	})
+	cfg.Registry = reg
+	coord := cluster.New(cfg)
 	s := service.New(service.Config{QueueCapacity: 16, Workers: 2, Lookup: coord.WrapLookup(lookup), Registry: reg})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -151,8 +154,8 @@ func TestClusterMergeByteIdentical(t *testing.T) {
 
 // flakyHandler serves its worker's first sub-job submission, then
 // fails every request — the "worker killed mid-sweep" fault: the
-// coordinator loses the poll, requeues the range, and the survivor
-// finishes the sweep.
+// coordinator's event stream is refused, it requeues the range, and
+// the survivor finishes the sweep.
 type flakyHandler struct {
 	inner http.Handler
 
@@ -498,7 +501,6 @@ func TestClusterRaceStress(t *testing.T) {
 	coord := cluster.New(cluster.Config{
 		Workers:           []string{w1.URL, w2.URL, dead.URL},
 		HeartbeatInterval: 2 * time.Millisecond,
-		PollInterval:      time.Millisecond,
 		Registry:          reg,
 	})
 	s := service.New(service.Config{QueueCapacity: 32, Workers: 2, Lookup: coord.WrapLookup(lookup), Registry: reg})

@@ -8,8 +8,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -64,6 +66,7 @@ type dispatchState struct {
 	inflight  map[int]int // range lo → cells done so far (progress)
 	finished  int         // cells in completed ranges
 	err       error
+	errAttrs  []any // where err happened, for the sweep-failed log record
 
 	done   chan struct{}
 	cancel context.CancelFunc
@@ -109,25 +112,13 @@ func (d *dispatchState) tick() {
 }
 
 // fail records the first fatal error and cancels the sweep.
-func (d *dispatchState) fail(err error) {
+func (d *dispatchState) fail(err error, attrs ...any) {
 	d.mu.Lock()
 	if d.err == nil {
-		d.err = err
+		d.err, d.errAttrs = err, attrs
 	}
 	d.mu.Unlock()
 	d.cancel()
-}
-
-func (d *dispatchState) getErr() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
-}
-
-func (d *dispatchState) pending() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.remaining
 }
 
 // RunSweep executes one sweep across the cluster: shard the grid,
@@ -139,13 +130,11 @@ func (c *Coordinator) RunSweep(ctx context.Context, name string, sw *experiments
 	start := time.Now()
 	n := sw.Cells(p)
 	if err := experiments.CheckRange(n, 0, n); err != nil { // an empty grid would never finish
-		c.mSweeps["failed"].Inc()
-		return experiments.Output{}, fmt.Errorf("cluster: %s: %w", name, err)
+		return c.sweepFailed(name, fmt.Errorf("cluster: %s: %w", name, err))
 	}
 	workers := c.alive()
 	if len(workers) == 0 {
-		c.mSweeps["failed"].Inc()
-		return experiments.Output{}, fmt.Errorf("%w (experiment %s)", ErrNoWorkers, name)
+		return c.sweepFailed(name, fmt.Errorf("%w (experiment %s)", ErrNoWorkers, name))
 	}
 	// Chunk to ~2 ranges per worker: coarse enough that per-range HTTP
 	// overhead stays negligible, fine enough that a straggler worker
@@ -190,31 +179,25 @@ func (c *Coordinator) RunSweep(ctx context.Context, name string, sw *experiments
 	var failErr error
 	select {
 	case <-d.done:
-	case <-allExited:
-		failErr = d.getErr()
-		if failErr == nil {
-			failErr = fmt.Errorf("cluster: %s: every worker died with %d ranges pending", name, d.pending())
-		}
+	case <-allExited: // no dispatcher is left to touch d
+		failErr = fmt.Errorf("cluster: %s: every worker died with %d ranges pending", name, d.remaining)
 	case <-dctx.Done():
-		failErr = d.getErr()
-		if failErr == nil {
-			failErr = ctx.Err()
-		}
+		failErr = ctx.Err()
 	}
 	cancel()
-	wg.Wait() // dispatchers observe dctx and unwind
+	wg.Wait() // dispatchers observe dctx and unwind; d.err is settled after
+	if d.err != nil {
+		failErr = d.err
+	}
 	rec.Add(trace.Span{
 		Name: "dispatch", Cat: "cluster", Track: trace.CoordinatorTrack,
 		Wall: rec.Since(start), WallDur: time.Since(start).Nanoseconds(),
 	}.Annotate("workers", int64(len(workers))).Annotate("ranges", int64(len(ranges))).Annotate("cells", int64(n)))
 	if failErr != nil {
-		c.mSweeps["failed"].Inc()
-		return experiments.Output{}, failErr
+		return c.sweepFailed(name, failErr, d.errAttrs...)
 	}
 
-	d.mu.Lock()
-	blocks := append([]experiments.CellBlock(nil), d.blocks...)
-	d.mu.Unlock()
+	blocks := d.blocks
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Lo < blocks[j].Lo })
 	mstart := time.Now()
 	out, err := sw.Merge(p, blocks)
@@ -223,12 +206,18 @@ func (c *Coordinator) RunSweep(ctx context.Context, name string, sw *experiments
 		Wall: rec.Since(mstart), WallDur: time.Since(mstart).Nanoseconds(),
 	}.Annotate("blocks", int64(len(blocks))))
 	if err != nil {
-		c.mSweeps["failed"].Inc()
-		return experiments.Output{}, fmt.Errorf("cluster: %s: %w", name, err)
+		return c.sweepFailed(name, fmt.Errorf("cluster: %s: %w", name, err))
 	}
 	c.mCells.Add(uint64(n))
 	c.mSweeps["done"].Inc()
 	return out, nil
+}
+
+// sweepFailed counts and logs a sweep that ends in err.
+func (c *Coordinator) sweepFailed(name string, err error, attrs ...any) (experiments.Output, error) {
+	c.mSweeps["failed"].Inc()
+	slog.Error("cluster: sweep failed", append([]any{"experiment", name, "err", err}, attrs...)...)
+	return experiments.Output{}, err
 }
 
 // dispatcher drains the range queue against one worker until the
@@ -248,7 +237,8 @@ func (c *Coordinator) dispatcher(dctx context.Context, w *worker, d *dispatchSta
 				continue
 			}
 			if rerr.fatal {
-				d.fail(fmt.Errorf("cluster: %s cells [%d,%d) on %s: %w", d.name, r.lo, r.hi, w.url, rerr.err))
+				d.fail(fmt.Errorf("cluster: %s cells [%d,%d) on %s: %w", d.name, r.lo, r.hi, w.url, rerr.err),
+					"worker", w.url, "lo", r.lo, "hi", r.hi, "trace", rerr.trace)
 				return
 			}
 			if dctx.Err() != nil {
@@ -257,6 +247,8 @@ func (c *Coordinator) dispatcher(dctx context.Context, w *worker, d *dispatchSta
 			// Retryable: back on the queue for a survivor, worker dead
 			// until its heartbeat revives it.
 			c.mRetries.Inc()
+			slog.Warn("cluster: range requeued", "experiment", d.name, "worker", w.url,
+				"lo", r.lo, "hi", r.hi, "trace", rerr.trace, "err", rerr.err)
 			w.markDead(rerr.err)
 			p.Trace.Add(trace.Span{Name: "retry", Cat: "cluster", Track: trace.CoordinatorTrack}.
 				Annotate("lo", int64(r.lo)).Annotate("hi", int64(r.hi)))
@@ -267,20 +259,27 @@ func (c *Coordinator) dispatcher(dctx context.Context, w *worker, d *dispatchSta
 }
 
 // rangeErr classifies a range failure: fatal errors abort the sweep,
-// retryable ones requeue the range.
+// retryable ones requeue the range. trace is the worker job's trace id.
 type rangeErr struct {
 	err   error
 	fatal bool
+	trace string
 }
 
 func retryable(err error) *rangeErr { return &rangeErr{err: err} }
 func fatal(err error) *rangeErr     { return &rangeErr{err: err, fatal: true} }
 
 // runRange executes one cell range on one worker: submit (honoring
-// 429 backpressure), poll to terminal, fetch and decode the block.
-func (c *Coordinator) runRange(dctx context.Context, w *worker, d *dispatchState, p experiments.Params, r cellRange) (experiments.CellBlock, *rangeErr) {
+// 429 backpressure), follow the job's event stream to its terminal
+// state, fetch the block and hold it to what was asked.
+func (c *Coordinator) runRange(dctx context.Context, w *worker, d *dispatchState, p experiments.Params, r cellRange) (_ experiments.CellBlock, rerr *rangeErr) {
 	rstart := time.Now()
 	var view service.View
+	defer func() {
+		if rerr != nil {
+			rerr.trace = view.TraceID
+		}
+	}()
 	for {
 		v, status, retryAfter, errMsg, err := c.submitCells(dctx, w.url, d.name, p, r)
 		if err != nil {
@@ -313,21 +312,19 @@ func (c *Coordinator) runRange(dctx context.Context, w *worker, d *dispatchState
 		}
 		break
 	}
+	// A worker that answers anything but what was asked is at fault, not the sweep.
+	if want := experiments.CacheKeyRange(d.name, p, r.lo, r.hi); view.Key != want {
+		return experiments.CellBlock{}, retryable(fmt.Errorf("job %s runs under key %s, want %s", view.ID, view.Key, want))
+	}
 
-	for !view.State.Terminal() {
-		select {
-		case <-dctx.Done():
-			c.cancelJob(w.url, view.ID)
-			return experiments.CellBlock{}, retryable(dctx.Err())
-		case <-time.After(c.cfg.PollInterval):
-		}
-		v, err := c.getJob(dctx, w.url, view.ID)
+	if !view.State.Terminal() { // a cache hit is born done: nothing to follow
+		var err error
+		view.State, view.Error, err = c.followJob(dctx, w, view.ID, func(done int) { d.note(r, done) })
 		if err != nil {
-			return experiments.CellBlock{}, retryable(err)
-		}
-		view = v
-		if view.Progress != nil {
-			d.note(r, view.Progress.Done)
+			if dctx.Err() != nil {
+				c.cancelJob(w.url, view.ID)
+			}
+			return experiments.CellBlock{}, retryable(fmt.Errorf("job %s: %w", view.ID, err))
 		}
 	}
 
@@ -337,12 +334,9 @@ func (c *Coordinator) runRange(dctx context.Context, w *worker, d *dispatchState
 		if err != nil {
 			return experiments.CellBlock{}, retryable(err)
 		}
-		block, err := experiments.DecodeBlock(res.Text)
+		block, err := checkBlock(res.Text, r)
 		if err != nil {
-			return experiments.CellBlock{}, fatal(fmt.Errorf("job %s: %w", view.ID, err))
-		}
-		if block.Lo != r.lo || block.Hi != r.hi {
-			return experiments.CellBlock{}, fatal(fmt.Errorf("job %s returned cells [%d,%d), want [%d,%d)", view.ID, block.Lo, block.Hi, r.lo, r.hi))
+			return experiments.CellBlock{}, retryable(fmt.Errorf("job %s: %w", view.ID, err))
 		}
 		p.Trace.Add(trace.Span{
 			Name: "cell-range", Cat: "cluster", Track: r.lo,
@@ -361,4 +355,21 @@ func (c *Coordinator) runRange(dctx context.Context, w *worker, d *dispatchState
 		// same way on every worker, so retrying it is pure waste.
 		return experiments.CellBlock{}, fatal(errors.New(view.Error))
 	}
+}
+
+// checkBlock decodes a worker's result and holds it to the range asked
+// for: cells [lo, hi), one value per cell.
+func checkBlock(text string, r cellRange) (experiments.CellBlock, error) {
+	block, err := experiments.DecodeBlock(text)
+	if err != nil {
+		return experiments.CellBlock{}, err
+	}
+	if block.Lo != r.lo || block.Hi != r.hi {
+		return experiments.CellBlock{}, fmt.Errorf("returned cells [%d,%d), want [%d,%d)", block.Lo, block.Hi, r.lo, r.hi)
+	}
+	var vals []json.RawMessage
+	if err := json.Unmarshal(block.Data, &vals); err != nil || len(vals) != r.hi-r.lo {
+		return experiments.CellBlock{}, fmt.Errorf("block [%d,%d) carries %d values (%v)", r.lo, r.hi, len(vals), err)
+	}
+	return block, nil
 }

@@ -7,11 +7,14 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
 )
@@ -210,5 +213,69 @@ func TestRetryAfterJitter(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Errorf("no jitter: every hint was identical")
+	}
+}
+
+// TestEventsCancelStorm: many subscribers across running and queued
+// jobs all hang up mid-job. Every handler must unwind — no job keeps a
+// watcher, and the goroutine count returns to where it was before the
+// first subscription.
+func TestEventsCancelStorm(t *testing.T) {
+	s, ts, sr := newTestServer(t, Config{Workers: 2, QueueCapacity: 8})
+	var jobs []*Job
+	for i := 0; i < 4; i++ { // two run (and park), two stay queued
+		_, v := postJob(t, ts, Request{Experiment: "block", Params: ParamSpec{Seed: int64(i + 1)}})
+		j, ok := s.Job(v.ID)
+		if !ok {
+			t.Fatalf("job %s not tracked", v.ID)
+		}
+		jobs = append(jobs, j)
+	}
+	watchers := func() int {
+		n := 0
+		for _, j := range jobs {
+			j.mu.Lock()
+			n += len(j.watchers)
+			j.mu.Unlock()
+		}
+		return n
+	}
+	baseline := runtime.NumGoroutine()
+
+	const clients = 32
+	tr := &http.Transport{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	bodies := make([]io.Closer, clients)
+	for i := range bodies {
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/jobs/"+jobs[i%len(jobs)].ID()+"/events", nil)
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := resp.Body.Read(make([]byte, 1)); err != nil { // the initial state event: the handler is subscribed
+			t.Fatal(err)
+		}
+		bodies[i] = resp.Body
+	}
+	if got := watchers(); got != clients {
+		t.Fatalf("%d watchers subscribed, want %d", got, clients)
+	}
+
+	cancel() // the storm: every client gone at once
+	for _, b := range bodies {
+		b.Close()
+	}
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for watchers() != 0 || runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the storm: %d watchers left, %d goroutines (baseline %d)", watchers(), runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(sr.release)
+	for _, j := range jobs {
+		waitTerminal(t, j)
 	}
 }
