@@ -18,11 +18,13 @@ vet:
 # TestClusterRaceStress keeps the requeue path hot with a permanently
 # dead worker), and the experiments' cell worker pool (forEachCell under
 # the Grid executor: concurrent cells writing indexed slots, progress
-# and trace hooks called from every worker). A simulation itself runs on
-# one engine on one goroutine (DESIGN.md §11), so sim, netsim, routing
-# and traffic have nothing for the detector to see.
+# and trace hooks called from every worker), plus traffic for the one
+# thing concurrent cells share and write, the generator free list
+# (traffic.RandPool). A simulation itself runs on one engine on one
+# goroutine (DESIGN.md §11), so sim, netsim and routing have nothing for
+# the detector to see.
 race:
-	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/...
+	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/... ./internal/traffic/...
 
 # Ten seconds of the native fuzzer on each target. FuzzEngineOrder runs
 # random scheduling programs on the engine and on a sort-based reference

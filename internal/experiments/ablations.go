@@ -62,7 +62,7 @@ func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64) (
 		receivers = append(receivers, hosts[i])
 	}
 	const end = 5 * sim.Millisecond
-	t := traffic.Scatter(net, sender, receivers, 30e3, 1, nil, rng)
+	t := traffic.Scatter(net, sender, receivers, 30e3, 1, nil, rng, nil)
 	if err := t.Start(end); err != nil {
 		return AblationRow{}, err
 	}
@@ -191,7 +191,7 @@ func ablationECMPCell(i int, seed int64) (AblationRow, error) {
 		arch.Router = routing.NewECMP(arch.Graph)
 	}
 	params := defaultFig17Params(ScatterKind)
-	mean, ci, err := runTasks(arch, ScatterKind, 6, false, params, seed)
+	mean, ci, err := runTasks(arch, ScatterKind, 6, false, params, seed, nil)
 	if err != nil {
 		return AblationRow{}, err
 	}

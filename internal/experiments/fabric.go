@@ -7,10 +7,12 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/trace"
+	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
 // What one Grid.runCells call builds once and its cells share: the
-// architectures. A core.Architecture is immutable once built — graph,
+// architectures, and the free list its cells borrow their stream
+// generators from. A core.Architecture is immutable once built — graph,
 // next-hop and distance tables, switch-model function; NextPort and
 // ChooseWaypoint only read them — so every cell that names one can
 // simulate on the same value from any worker, while netsim.New gives
@@ -20,10 +22,12 @@ import (
 // here.
 
 // fabrics memoises architectures for one runCells call, which creates
-// it (the zero value is ready) and drops it on return.
+// it (the zero value is ready) and drops it on return; rands is that
+// call's generator free list.
 type fabrics struct {
 	mu    sync.Mutex
 	built map[fabricKey]*core.Architecture
+	rands traffic.RandPool
 }
 
 // fabricKey identifies an architecture: its name, plus the seed for the

@@ -103,14 +103,15 @@ func TestArchUsesRandMatchesBuilders(t *testing.T) {
 
 // TestPacketCellAllocBudget is the allocation gate for a packet grid:
 // what fig17 at Tasks 2 (30 cells, ≈ 1.0 M events) allocates depends on
-// the seed alone, not on the machine. The budget is about 1.5× the
-// 8.1 MB / 11.6 k mallocs measured once the cells shared their
-// architectures and the engine had its one queue; a rebuild per cell
-// plus a queue that allocates as it runs cost 26.5 MB / 51.3 k.
+// the seed alone, not on the machine. The budget sits between the
+// 4.4 MB / 10.3 k mallocs measured with the cells borrowing their
+// stream generators from the run's free list and the 8.1 MB / 11.6 k
+// they cost when each stream allocated its own; a rebuild per cell plus
+// a queue that allocates as it runs cost 26.5 MB / 51.3 k.
 func TestPacketCellAllocBudget(t *testing.T) {
 	const (
-		budgetBytes   = 12 << 20
-		budgetMallocs = 17_500
+		budgetBytes   = 6 << 20
+		budgetMallocs = 11_000
 	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	exp, _ := Find("fig17")

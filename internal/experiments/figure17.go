@@ -135,8 +135,12 @@ func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
 // given kind on one architecture. When local is true, the first task's
 // endpoints all sit in one pod ("nearby racks", Figure 18) and only
 // that task is measured; the remaining tasks are global cross-traffic.
-func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params fig17Params, seed int64) (mean, ci float64, err error) {
-	rng := rand.New(rand.NewSource(seed))
+// The cell's generators come from pool (nil allocates them) and go back
+// to it on return.
+func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params fig17Params, seed int64, pool *traffic.RandPool) (mean, ci float64, err error) {
+	rands := traffic.Rands{Pool: pool}
+	defer rands.Release()
+	rng := rands.New(seed)
 	h := traffic.NewHarness()
 	net, err := netsim.New(netsim.Config{
 		Graph:       arch.Graph,
@@ -197,11 +201,11 @@ func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params 
 		var t *traffic.Task
 		switch kind {
 		case ScatterKind:
-			t = traffic.Scatter(net, sender, receivers, params.pps, reqTag, arch.VLB, rng)
+			t = traffic.Scatter(net, sender, receivers, params.pps, reqTag, arch.VLB, rng, &rands)
 		case GatherKind:
-			t = traffic.Gather(net, receivers, sender, params.pps, reqTag, arch.VLB, rng)
+			t = traffic.Gather(net, receivers, sender, params.pps, reqTag, arch.VLB, rng, &rands)
 		case ScatterGatherKind:
-			t = traffic.ScatterGather(net, h, sender, receivers, params.pps, reqTag, reqTag+1, arch.VLB, rng)
+			t = traffic.ScatterGather(net, h, sender, receivers, params.pps, reqTag, reqTag+1, arch.VLB, rng, &rands)
 		}
 		if err := t.Start(end); err != nil {
 			return 0, 0, err
@@ -316,7 +320,7 @@ func (f taskFigure) grid() Grid[taskCell, meanCI, [][]Figure17Row] {
 				return meanCI{}, err
 			}
 			kind := f.panels[c.panel].kind
-			m, ci, err := runTasks(arch, kind, c.tasks, f.local, defaultFig17Params(kind), p.Seed+int64(100*c.tasks))
+			m, ci, err := runTasks(arch, kind, c.tasks, f.local, defaultFig17Params(kind), p.Seed+int64(100*c.tasks), &sh.fabrics.rands)
 			return meanCI{m, ci}, err
 		},
 		Merge: func(_ Params, cells []taskCell, vals []meanCI) ([][]Figure17Row, error) {

@@ -279,11 +279,11 @@ func (s *Sim) startWorkload(rng *rand.Rand, end sim.Time) error {
 			var t *traffic.Task
 			switch w.Kind {
 			case "scatter":
-				t = traffic.Scatter(net, sender, rest, w.PPS, tag, arch.VLB, rng)
+				t = traffic.Scatter(net, sender, rest, w.PPS, tag, arch.VLB, rng, nil)
 			case "gather":
-				t = traffic.Gather(net, rest, sender, w.PPS, tag, arch.VLB, rng)
+				t = traffic.Gather(net, rest, sender, w.PPS, tag, arch.VLB, rng, nil)
 			case "scattergather":
-				t = traffic.ScatterGather(net, s.harness, sender, rest, w.PPS, tag, tag+1, arch.VLB, rng)
+				t = traffic.ScatterGather(net, s.harness, sender, rest, w.PPS, tag, tag+1, arch.VLB, rng, nil)
 			}
 			t.SetSize(w.PacketSize)
 			if err := t.Start(end); err != nil {

@@ -148,16 +148,18 @@ func (t *Task) Start(until sim.Time) error {
 func flowBase(tag int) routing.FlowID { return routing.FlowID(tag) << 20 }
 
 // Scatter builds a task in which sender concurrently streams packets to
-// every receiver (§7.1) at perDestPPS packets per second each.
+// every receiver (§7.1) at perDestPPS packets per second each. Like
+// Gather, ScatterGather and Pathological it seeds one generator per
+// stream from rng and takes it from rands (nil allocates).
 func Scatter(net *netsim.Network, sender topology.NodeID, receivers []topology.NodeID,
-	perDestPPS float64, tag int, vlb *routing.VLB, rng *rand.Rand) *Task {
+	perDestPPS float64, tag int, vlb *routing.VLB, rng *rand.Rand, rands *Rands) *Task {
 	t := &Task{}
 	for i, r := range receivers {
 		t.streams = append(t.streams, &Stream{
 			Net: net, Src: sender, Dst: r,
 			Flow: flowBase(tag) + routing.FlowID(i), RatePPS: perDestPPS,
 			Tag: tag, VLB: vlb,
-			Rand: rand.New(rand.NewSource(rng.Int63())),
+			Rand: rands.New(rng.Int63()),
 		})
 	}
 	return t
@@ -166,14 +168,14 @@ func Scatter(net *netsim.Network, sender topology.NodeID, receivers []topology.N
 // Gather builds a task in which every sender concurrently streams
 // packets to one receiver (§7.1).
 func Gather(net *netsim.Network, senders []topology.NodeID, receiver topology.NodeID,
-	perSrcPPS float64, tag int, vlb *routing.VLB, rng *rand.Rand) *Task {
+	perSrcPPS float64, tag int, vlb *routing.VLB, rng *rand.Rand, rands *Rands) *Task {
 	t := &Task{}
 	for i, s := range senders {
 		t.streams = append(t.streams, &Stream{
 			Net: net, Src: s, Dst: receiver,
 			Flow: flowBase(tag) + routing.FlowID(i), RatePPS: perSrcPPS,
 			Tag: tag, VLB: vlb,
-			Rand: rand.New(rand.NewSource(rng.Int63())),
+			Rand: rands.New(rng.Int63()),
 		})
 	}
 	return t
@@ -185,9 +187,9 @@ func Gather(net *netsim.Network, senders []topology.NodeID, receiver topology.No
 // tags' latency means. The handler is registered on h.
 func ScatterGather(net *netsim.Network, h *Harness, sender topology.NodeID,
 	receivers []topology.NodeID, perDestPPS float64, reqTag, replyTag int,
-	vlb *routing.VLB, rng *rand.Rand) *Task {
-	t := Scatter(net, sender, receivers, perDestPPS, reqTag, vlb, rng)
-	replyRand := rand.New(rand.NewSource(rng.Int63()))
+	vlb *routing.VLB, rng *rand.Rand, rands *Rands) *Task {
+	t := Scatter(net, sender, receivers, perDestPPS, reqTag, vlb, rng, rands)
+	replyRand := rands.New(rng.Int63())
 	var replyFlow routing.FlowID
 	h.Handle(reqTag, func(d netsim.Delivery) {
 		reply := netsim.Packet{
@@ -413,7 +415,7 @@ func RackShuffle(g *topology.Graph, racksPerSource int, rng *rand.Rand) [][2]top
 // under one switch to hosts under another, at aggregate bandwidth
 // total. Returns per-flow streams (open-loop Poisson of 400 B packets).
 func Pathological(net *netsim.Network, srcs, dsts []topology.NodeID,
-	total sim.Rate, tag int, vlb *routing.VLB, rng *rand.Rand) (*Task, error) {
+	total sim.Rate, tag int, vlb *routing.VLB, rng *rand.Rand, rands *Rands) (*Task, error) {
 	if len(srcs) == 0 || len(srcs) != len(dsts) {
 		return nil, fmt.Errorf("traffic: pathological needs equal non-empty src/dst sets")
 	}
@@ -425,7 +427,7 @@ func Pathological(net *netsim.Network, srcs, dsts []topology.NodeID,
 			Net: net, Src: srcs[i], Dst: dsts[i],
 			Flow: flowBase(tag) + routing.FlowID(i), RatePPS: pps,
 			Tag: tag, VLB: vlb,
-			Rand: rand.New(rand.NewSource(rng.Int63())),
+			Rand: rands.New(rng.Int63()),
 		})
 	}
 	return t, nil

@@ -69,7 +69,7 @@ func TestStreamErrors(t *testing.T) {
 func TestScatterTask(t *testing.T) {
 	net, h, g := meshNet(t, 4, 4)
 	hosts := g.Hosts()
-	task := Scatter(net, hosts[0], hosts[4:10], 1e5, 1, nil, rand.New(rand.NewSource(11)))
+	task := Scatter(net, hosts[0], hosts[4:10], 1e5, 1, nil, rand.New(rand.NewSource(11)), nil)
 	if err := task.Start(5 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestScatterTask(t *testing.T) {
 func TestGatherTask(t *testing.T) {
 	net, h, g := meshNet(t, 4, 4)
 	hosts := g.Hosts()
-	task := Gather(net, hosts[4:10], hosts[0], 1e5, 2, nil, rand.New(rand.NewSource(12)))
+	task := Gather(net, hosts[4:10], hosts[0], 1e5, 2, nil, rand.New(rand.NewSource(12)), nil)
 	if err := task.Start(5 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGatherTask(t *testing.T) {
 func TestScatterGatherRepliesFlow(t *testing.T) {
 	net, h, g := meshNet(t, 4, 4)
 	hosts := g.Hosts()
-	task := ScatterGather(net, h, hosts[0], hosts[4:8], 1e5, 10, 11, nil, rand.New(rand.NewSource(13)))
+	task := ScatterGather(net, h, hosts[0], hosts[4:8], 1e5, 10, 11, nil, rand.New(rand.NewSource(13)), nil)
 	if err := task.Start(2 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPathological(t *testing.T) {
 	net, h, g := meshNet(t, 4, 4)
 	srcs := g.HostsInRack(0)
 	dsts := g.HostsInRack(1)
-	task, err := Pathological(net, srcs, dsts, 100*sim.Mbps, 40, nil, rand.New(rand.NewSource(18)))
+	task, err := Pathological(net, srcs, dsts, 100*sim.Mbps, 40, nil, rand.New(rand.NewSource(18)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPathological(t *testing.T) {
 	if n < 200 || n > 450 {
 		t.Errorf("pathological delivered %d, want ~312", n)
 	}
-	if _, err := Pathological(net, srcs, dsts[:1], sim.Gbps, 41, nil, rand.New(rand.NewSource(19))); err == nil {
+	if _, err := Pathological(net, srcs, dsts[:1], sim.Gbps, 41, nil, rand.New(rand.NewSource(19)), nil); err == nil {
 		t.Error("mismatched src/dst accepted")
 	}
 }
