@@ -100,18 +100,18 @@ func (e *Engine) Telemetry() Telemetry {
 // (before Now) panics: it would silently reorder causality.
 //
 // Schedule is the setup/test-convenience form, deprecated on hot
-// paths: each call boxes fn into a heap-allocated closure (typically
-// one allocation per event, plus whatever the closure captures). Code
-// that schedules per packet or per hop should implement Action once
-// and use ScheduleAction, which stores an interface pointer plus two
-// integers in the event's payload and allocates nothing — that is the
-// invariant TestScheduleActionZeroAllocs pins.
+// paths: a func literal that captures anything is a heap-allocated
+// closure (typically one allocation per event) before Schedule sees
+// it. Code that schedules per packet or per hop should implement Action
+// once and use ScheduleAction, which stores an interface pointer plus
+// two integers in the event's payload and allocates nothing — that is
+// the invariant TestScheduleActionZeroAllocs pins.
 func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	e.queue.push(at, e.seq, payload{fn: fn})
+	e.queue.push(at, e.seq, payload{act: funcAction(fn)})
 }
 
 // ScheduleAction runs act.Run(a, b) at absolute virtual time at — the
@@ -203,11 +203,7 @@ func (e *Engine) RunUntil(end Time) {
 		e.now = k.at
 		e.passAt, e.passSeq = k.at, k.seq
 		e.ran++
-		if ev.fn != nil {
-			ev.fn()
-		} else {
-			ev.act.Run(ev.a, ev.b)
-		}
+		ev.act.Run(ev.a, ev.b)
 		if e.probe != nil {
 			e.probe.Event(e.now, e.queue.size())
 		}

@@ -161,7 +161,7 @@ func TestPassedBetweenRuns(t *testing.T) {
 		}
 		// The late reservation is still schedulable at end, and runs.
 		ran := false
-		e.ScheduleReserved(100, late, actionFunc(func() { ran = true }), 0, 0)
+		e.ScheduleReserved(100, late, funcAction(func() { ran = true }), 0, 0)
 		e.RunUntil(100)
 		if !ran {
 			t.Error("event armed at the previous run's end instant never ran")
@@ -190,7 +190,7 @@ func TestPassedStoppedRun(t *testing.T) {
 		if e.Passed(50, r) {
 			t.Error("instant after the stopping event passed although the run stopped before it")
 		}
-		e.ScheduleReserved(50, r, actionFunc(func() {
+		e.ScheduleReserved(50, r, funcAction(func() {
 			if e.Now() != 50 {
 				t.Errorf("reserved event ran at %v, want 50", e.Now())
 			}
@@ -212,10 +212,5 @@ func TestScheduleReservedAfterItsTurnPanics(t *testing.T) {
 			t.Error("arming a reservation whose turn has passed did not panic")
 		}
 	}()
-	e.ScheduleReserved(15, r, actionFunc(func() {}), 0, 0)
+	e.ScheduleReserved(15, r, funcAction(func() {}), 0, 0)
 }
-
-// actionFunc adapts a closure to Action for tests.
-type actionFunc func()
-
-func (f actionFunc) Run(int64, int64) { f() }
