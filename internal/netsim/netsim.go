@@ -404,14 +404,22 @@ func (q *pktFIFO) pop() *netEvent {
 // dirLink is one direction of a link: its own transmitter and
 // strict-priority output queues.
 type dirLink struct {
+	// What a hop needs to know about the port's own end, copied in when
+	// the network is built so forward and transmitNext read this dirLink
+	// and neither the graph nor the model table: the node at the far
+	// end, and the sending switch's per-frame service time and ECN
+	// marking threshold (both zero on a host's NIC).
+	peer             topology.NodeID
+	down, busy, lazy bool
+	service          sim.Time
+	ecn              int
+
 	rate        sim.Rate
 	prop        sim.Time
 	queuedBytes int
 	capBytes    int
-	down        bool
 
 	queues [numPriorities]pktFIFO
-	busy   bool
 	freeAt sim.Time
 
 	// A frame that starts transmitting with nothing queued behind it
@@ -419,7 +427,6 @@ type dirLink struct {
 	// queuedBytes -= lazySize, busy = false, due at (freeAt, lazySeq) in
 	// the engine's total order — has yet to be applied. settle applies
 	// it the next time anyone looks at the port.
-	lazy     bool
 	lazySize int
 	lazySeq  uint64
 
@@ -495,13 +502,12 @@ func New(cfg Config) (*Network, error) {
 	n.dirs = make([]dirLink, 2*cfg.Graph.NumLinks())
 	for i := 0; i < cfg.Graph.NumLinks(); i++ {
 		l := cfg.Graph.Link(topology.LinkID(i))
-		for d := 0; d < 2; d++ {
-			from := l.A
-			if d == 1 {
-				from = l.B
+		for d, from := range [2]topology.NodeID{l.A, l.B} {
+			dl := dirLink{rate: l.Rate, prop: l.Prop, capBytes: n.bufferOf(from), peer: l.Other(from)}
+			if cfg.Graph.Node(from).Kind == topology.Switch {
+				dl.service, dl.ecn = n.models[from].ServiceTime, n.models[from].ECNThresholdBytes
 			}
-			capBytes := n.bufferOf(from)
-			n.dirs[2*i+d] = dirLink{rate: l.Rate, prop: l.Prop, capBytes: capBytes}
+			n.dirs[2*i+d] = dl
 		}
 	}
 	return n, nil
@@ -601,10 +607,9 @@ func (n *Network) forward(ev *netEvent, readyTime sim.Time) {
 		n.drop(ev, DropCodeNoRoute, -1, err)
 		return
 	}
-	link := n.g.Link(port.Link)
 	di := 2 * int(port.Link)
-	if link.B == node {
-		di++
+	if n.dirs[di].peer != port.Peer {
+		di++ // node is the link's B end
 	}
 	dl := &n.dirs[di]
 	if dl.down {
@@ -619,16 +624,13 @@ func (n *Network) forward(ev *netEvent, readyTime sim.Time) {
 		return
 	}
 	ser := dl.rate.Serialize(p.Size)
-	if n.g.Node(node).Kind == topology.Switch {
-		m := &n.models[node]
-		if m.ECNThresholdBytes > 0 && dl.queuedBytes >= m.ECNThresholdBytes {
-			p.Marked = true
-		}
-		// Store-and-forward chassis ports are paced by the forwarding
-		// engine when that is slower than the wire.
-		if m.ServiceTime > ser {
-			ser = m.ServiceTime
-		}
+	if dl.ecn > 0 && dl.queuedBytes >= dl.ecn {
+		p.Marked = true
+	}
+	// Store-and-forward chassis ports are paced by the forwarding engine
+	// when that is slower than the wire.
+	if dl.service > ser {
+		ser = dl.service
 	}
 	dl.queuedBytes += p.Size
 	pri := int(p.Priority)
@@ -681,11 +683,6 @@ func (n *Network) transmitNext(di int) {
 	dl.txPackets++
 	dl.txBytes += uint64(size)
 	dl.busyTime += ser
-	l := n.g.Link(topology.LinkID(di / 2))
-	peer := l.A
-	if di%2 == 0 {
-		peer = l.B
-	}
 	if n.probe != nil {
 		// QueuedBytes reflects the depth once this packet's tail leaves,
 		// which is also when At falls.
@@ -703,7 +700,7 @@ func (n *Network) transmitNext(di int) {
 	} else {
 		n.eng.ScheduleAction(endTx, &n.txDone, int64(di), int64(size))
 	}
-	ev.kind, ev.node = evArrive, peer
+	ev.kind, ev.node = evArrive, dl.peer
 	n.eng.ScheduleAction(endTx+dl.prop, ev, 0, 0)
 }
 
