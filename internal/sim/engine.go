@@ -195,11 +195,16 @@ func (e *Engine) RunUntil(end Time) {
 	startRan := e.ran
 	e.runStart = start
 	e.running = true
-	for e.queue.size() > 0 && !e.stopped {
-		if e.queue.peekAt() > end {
+	for {
+		if e.queue.hole != 0 {
+			// The last event scheduled nothing (or runs the engine itself,
+			// or panicked into a recover): it has had its turn.
+			e.queue.fill()
+		}
+		if e.stopped || e.queue.size() == 0 || e.queue.peekAt() > end {
 			break
 		}
-		k, ev := e.queue.pop()
+		k, ev := e.queue.take()
 		e.now = k.at
 		e.passAt, e.passSeq = k.at, k.seq
 		e.ran++
