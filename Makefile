@@ -84,22 +84,25 @@ bench-pair:
 # Profile one or more experiments at the repository benchmark's
 # parameters (bench/ runs seed 2014, 5000 trials, 4 tasks, 200 RPCs on
 # one core) and print the top of their merged CPU and allocation
-# profiles; RUN="fig17 fig18 fig20" is one paper_packet pass. Profile
-# before editing: the analytic path was once diagnosed from its malloc
-# count alone, and the time turned out to be in fig6, which barely
-# allocates. The binary and the per-experiment profiles stay in
-# $(PROFDIR) for `go tool pprof -list`.
+# profiles; RUN="fig17 fig18 fig20" is one paper_packet pass. Each
+# experiment runs five times and pprof merges the lot: one run of about
+# a second is about a hundred samples, and a function's share read 26 %
+# in one such profile and 39 % in the next. Profile before editing: the
+# analytic path was once diagnosed from its malloc count alone, and the
+# time turned out to be in fig6, which barely allocates. The binary and
+# the numbered per-run profiles stay in $(PROFDIR) for
+# `go tool pprof -list`.
 #   make profile RUN=fig6
 RUN ?= fig6
 PROFDIR ?= $(or $(TMPDIR),/tmp)
 profile:
 	$(GO) build -o $(PROFDIR)/quartzbench.profile ./cmd/quartzbench
-	for r in $(RUN); do \
+	for r in $(RUN); do for i in 1 2 3 4 5; do \
 		GOMAXPROCS=1 $(PROFDIR)/quartzbench.profile -run $$r -seed 2014 -trials 5000 -tasks 4 -rpcs 200 \
-			-cpuprofile $(PROFDIR)/$$r.cpu.pprof -memprofile $(PROFDIR)/$$r.mem.pprof >/dev/null || exit 1; \
-	done
-	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.cpu.pprof)
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.mem.pprof)
+			-cpuprofile $(PROFDIR)/$$r.$$i.cpu.pprof -memprofile $(PROFDIR)/$$r.$$i.mem.pprof >/dev/null || exit 1; \
+	done; done
+	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.[1-5].cpu.pprof)
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.[1-5].mem.pprof)
 
 # End-to-end check of the quartzd job service: submit, poll, fetch,
 # cache hit on resubmit (envelope and raw-scenario forms), graceful

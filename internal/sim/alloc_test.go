@@ -25,26 +25,17 @@ func (c *countAction) Run(a, b int64) {
 // events allocates nothing — no closure, no interface boxing, no
 // regrown heap or slab.
 func TestScheduleActionZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		eng  *Engine
-	}{
-		{"heap", NewEngine()},
-		{"calendar", NewEngine()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			act := &countAction{eng: tc.eng}
-			// Warm the queue storage.
-			tc.eng.ScheduleAction(tc.eng.Now()+Nanosecond, act, 64, 0)
-			tc.eng.Run()
-			allocs := testing.AllocsPerRun(200, func() {
-				tc.eng.ScheduleAction(tc.eng.Now()+Nanosecond, act, 16, 0)
-				tc.eng.Run()
-			})
-			if allocs != 0 {
-				t.Fatalf("%s: %.1f allocs per 17-event run, want 0", tc.name, allocs)
-			}
-		})
+	eng := NewEngine()
+	act := &countAction{eng: eng}
+	// Warm the queue storage.
+	eng.ScheduleAction(eng.Now()+Nanosecond, act, 64, 0)
+	eng.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		eng.ScheduleAction(eng.Now()+Nanosecond, act, 16, 0)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per 17-event run, want 0", allocs)
 	}
 }
 
@@ -99,9 +90,5 @@ func benchSchedule(b *testing.B, eng *Engine, typed bool) {
 	eng.Run()
 }
 
-func BenchmarkScheduleActionHeap(b *testing.B)     { benchSchedule(b, NewEngine(), true) }
-func BenchmarkScheduleActionCalendar(b *testing.B) { benchSchedule(b, NewEngine(), true) }
-func BenchmarkScheduleClosureHeap(b *testing.B)    { benchSchedule(b, NewEngine(), false) }
-func BenchmarkScheduleClosureCalendar(b *testing.B) {
-	benchSchedule(b, NewEngine(), false)
-}
+func BenchmarkScheduleAction(b *testing.B)  { benchSchedule(b, NewEngine(), true) }
+func BenchmarkScheduleClosure(b *testing.B) { benchSchedule(b, NewEngine(), false) }

@@ -26,10 +26,9 @@ func TestPayloadSize(t *testing.T) {
 	}
 }
 
-// TestCalendarMatchesHeapOrder: the engine runs any random schedule in
+// TestQueueMatchesSortedOrder: the engine runs any random schedule in
 // exactly the order the reference model (model_test.go) sorts it into.
-// (The name dates from when the engine had two queues to hold equal.)
-func TestCalendarMatchesHeapOrder(t *testing.T) {
+func TestQueueMatchesSortedOrder(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		count := int(n%500) + 1
 		run := func(e engineAPI) []int {
@@ -50,9 +49,9 @@ func TestCalendarMatchesHeapOrder(t *testing.T) {
 	}
 }
 
-// TestCalendarNestedAndSparse mixes a far-future event, a dense burst
-// that grows the queue, and scheduling from inside an event.
-func TestCalendarNestedAndSparse(t *testing.T) {
+// TestQueueNestedAndSparse mixes a far-future event, a dense burst that
+// grows the queue, and scheduling from inside an event.
+func TestQueueNestedAndSparse(t *testing.T) {
 	e := NewEngine()
 	var hits []Time
 	e.Schedule(3*Second, func() { hits = append(hits, e.Now()) })
@@ -78,7 +77,7 @@ func TestCalendarNestedAndSparse(t *testing.T) {
 	}
 }
 
-func TestCalendarRunUntil(t *testing.T) {
+func TestQueueRunUntilThenRun(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	for _, at := range []Time{10, 20, 30} {
@@ -94,21 +93,10 @@ func TestCalendarRunUntil(t *testing.T) {
 	}
 }
 
-// The Heap/Calendar benchmark pairs here and in alloc_test.go keep both
-// names and measure the one queue.
-func BenchmarkHeapEngine(b *testing.B) {
-	benchEngine(b, NewEngine)
-}
-
-func BenchmarkCalendarEngine(b *testing.B) {
-	benchEngine(b, NewEngine)
-}
-
-// benchEngine models a packet-simulation profile: a rolling horizon of
-// ~1000 pending events, each rescheduling a successor.
-func benchEngine(b *testing.B, mk func() *Engine) {
-	b.Helper()
-	e := mk()
+// BenchmarkEngine models a packet-simulation profile: a rolling horizon
+// of ~1000 pending events, each rescheduling a successor.
+func BenchmarkEngine(b *testing.B) {
+	e := NewEngine()
 	rng := rand.New(rand.NewSource(1))
 	live := 0
 	var spawn func()

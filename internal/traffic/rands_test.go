@@ -83,16 +83,16 @@ func TestConcurrentCellsShareFreeList(t *testing.T) {
 		meet = make(chan struct{}) // worker 0 sends, worker 1 receives
 	)
 	rendezvous := [2]func(){func() { meet <- struct{}{} }, func() { <-meet }}
-	type sim3 struct {
+	type cellNet struct {
 		net *netsim.Network
 		h   *Harness
 		g   *topology.Graph
 	}
-	var nets [2][rounds]sim3 // built here: meshNet may call t.Fatal
+	var nets [2][rounds]cellNet // built here: meshNet may call t.Fatal
 	for w := range nets {
 		for r := range nets[w] {
 			net, h, g := meshNet(t, 4, 4)
-			nets[w][r] = sim3{net, h, g}
+			nets[w][r] = cellNet{net, h, g}
 		}
 	}
 	cell := func(worker, round int) {
