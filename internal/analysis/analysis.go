@@ -158,56 +158,3 @@ func Table9(cfg Table9Config) ([]Row, error) {
 
 	return rows, nil
 }
-
-// WiringRow compares physical cabling for the §4.3 random-topology
-// designs: Jellyfish's links are all unstructured (switch-to-switch
-// runs of arbitrary length), while Quartz-in-Jellyfish keeps most
-// connectivity inside WDM rings (two short cables per switch) and only
-// the inter-ring links are random.
-type WiringRow struct {
-	Network string
-	// RandomLinks are unstructured cross-datacenter cable runs.
-	RandomLinks int
-	// StructuredCables are the WDM ring cables (two per switch).
-	StructuredCables int
-}
-
-// Total returns all physical cables.
-func (w WiringRow) Total() int { return w.RandomLinks + w.StructuredCables }
-
-// WiringComparison quantifies §4.3's claim that grouping switches into
-// Quartz rings "reduces the number of random connections and therefore
-// greatly simplifies the DCN's wiring complexity". Both networks are
-// built at the paper's simulated scale: 16 switches, four 10 Gb/s
-// network ports each.
-func WiringComparison(rng *rand.Rand) ([]WiringRow, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("analysis: WiringComparison requires a Rand")
-	}
-	jf, err := topology.NewJellyfish(topology.JellyfishConfig{
-		Switches: 16, HostsPerSwitch: 4, NetDegree: 4, Rand: rng,
-	})
-	if err != nil {
-		return nil, err
-	}
-	jfRandom := 0
-	for i := 0; i < jf.NumLinks(); i++ {
-		l := jf.Link(topology.LinkID(i))
-		if jf.Node(l.A).Kind == topology.Switch && jf.Node(l.B).Kind == topology.Switch {
-			jfRandom++
-		}
-	}
-	rows := []WiringRow{{Network: "Jellyfish", RandomLinks: jfRandom}}
-
-	// Quartz-in-Jellyfish: 4 rings of 4 switches; each ring dedicates
-	// four links to other rings (16 random links total), and each
-	// ring's internal mesh rides a WDM ring: one fiber cable per
-	// adjacent switch pair.
-	const rings, ringSize = 4, 4
-	rows = append(rows, WiringRow{
-		Network:          "Quartz in Jellyfish",
-		RandomLinks:      rings * 4,
-		StructuredCables: rings * ringSize,
-	})
-	return rows, nil
-}

@@ -150,31 +150,3 @@ func TestRowString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
-
-func TestWiringComparison(t *testing.T) {
-	rows, err := WiringComparison(rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	jf, qj := rows[0], rows[1]
-	// Jellyfish: 16 switches x 4 net ports / 2 = ~32 random runs.
-	if jf.RandomLinks < 30 || jf.RandomLinks > 32 {
-		t.Errorf("jellyfish random links = %d, want ~32", jf.RandomLinks)
-	}
-	if jf.StructuredCables != 0 {
-		t.Errorf("jellyfish structured cables = %d, want 0", jf.StructuredCables)
-	}
-	// Quartz-in-Jellyfish halves the random runs (§4.3's claim).
-	if qj.RandomLinks*2 > jf.RandomLinks {
-		t.Errorf("quartz-in-jellyfish random links = %d, want <= half of %d", qj.RandomLinks, jf.RandomLinks)
-	}
-	if qj.StructuredCables != 16 {
-		t.Errorf("structured cables = %d, want 16 (two per switch... one ring cable per adjacent pair)", qj.StructuredCables)
-	}
-	if WiringComparisonErr := func() error { _, err := WiringComparison(nil); return err }(); WiringComparisonErr == nil {
-		t.Error("nil rng accepted")
-	}
-}

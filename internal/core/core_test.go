@@ -84,14 +84,6 @@ func TestMaxPortsSingleRing(t *testing.T) {
 	}
 }
 
-func TestMaxPortsDualToR(t *testing.T) {
-	// §3.2: dual-ToR scaling reaches 2080 = 32 x 65 ports.
-	ports, racks := MaxPortsDualToR(64)
-	if ports != 2080 || racks != 65 {
-		t.Errorf("MaxPortsDualToR(64) = %d over %d racks, want 2080 over 65", ports, racks)
-	}
-}
-
 func archNames(t *testing.T) map[string]*Architecture {
 	t.Helper()
 	p := ArchParams{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/quartz-dcn/quartz/internal/netsim"
-	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/wdm"
 )
@@ -92,62 +91,4 @@ func (r *Ring) AttachFaults(net *netsim.Network) (*netsim.FaultInjector, error) 
 	fi := net.Faults()
 	fi.SetFiberResolver(r.FiberLinks)
 	return fi, nil
-}
-
-// ApplyFiberCut fails, in a packet simulation built on this ring's
-// Graph, every logical mesh link whose channel the cut destroys. It
-// returns the severed pairs. Restore with RestoreFiberCut. For cuts at
-// virtual times mid-run, with detection delay and reconvergence, use
-// AttachFaults and a netsim.FaultSchedule instead.
-func (r *Ring) ApplyFiberCut(net *netsim.Network, fiber, seg int) ([][2]int, error) {
-	return r.setFiberCut(net, fiber, seg, true)
-}
-
-// RestoreFiberCut reverses ApplyFiberCut.
-func (r *Ring) RestoreFiberCut(net *netsim.Network, fiber, seg int) error {
-	_, err := r.setFiberCut(net, fiber, seg, false)
-	return err
-}
-
-func (r *Ring) setFiberCut(net *netsim.Network, fiber, seg int, down bool) ([][2]int, error) {
-	if net.Graph() != r.Graph {
-		return nil, fmt.Errorf("core: network was not built on this ring's graph")
-	}
-	severed, err := r.FiberCutImpact(fiber, seg)
-	if err != nil {
-		return nil, err
-	}
-	sw := r.Graph.Switches()
-	for _, pair := range severed {
-		l, ok := r.Graph.FindLink(sw[pair[0]], sw[pair[1]])
-		if !ok {
-			return nil, fmt.Errorf("core: no mesh link for pair %v", pair)
-		}
-		if down {
-			err = net.FailLink(l.ID)
-		} else {
-			err = net.RestoreLink(l.ID)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return severed, nil
-}
-
-// DegradedRouter returns an ECMP router computed on the ring's mesh
-// with the given severed pairs' links removed — install it with
-// netsim.Network.SetRouter after a fiber cut so surviving traffic
-// reroutes over multi-hop logical paths.
-func (r *Ring) DegradedRouter(severed [][2]int) (routing.Router, error) {
-	dead := make(map[topology.LinkID]bool)
-	sw := r.Graph.Switches()
-	for _, pair := range severed {
-		l, ok := r.Graph.FindLink(sw[pair[0]], sw[pair[1]])
-		if !ok {
-			return nil, fmt.Errorf("core: no mesh link for pair %v", pair)
-		}
-		dead[l.ID] = true
-	}
-	return routing.NewECMPAvoiding(r.Graph, dead), nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/routing"
+	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
@@ -60,8 +61,9 @@ func TestFiberCutImpactMatchesPlan(t *testing.T) {
 
 func TestFiberCutEndToEndReroute(t *testing.T) {
 	// The full §3.5 story in one test: plan a ring, cut a fiber, watch
-	// direct traffic die, install the degraded router, watch traffic
-	// take two-hop logical paths.
+	// direct traffic die, let routes reconverge, watch traffic take
+	// two-hop logical paths, then splice the fiber and watch the direct
+	// path return.
 	r, err := NewRing(RingConfig{Switches: 6, HostsPerSwitch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +83,7 @@ func TestFiberCutEndToEndReroute(t *testing.T) {
 	}
 	hosts := r.Graph.Hosts()
 	// Find a pair severed by cutting segment 0 of fiber 0.
-	severed, err := r.ApplyFiberCut(net, 0, 0)
+	severed, err := r.FiberCutImpact(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,22 +93,32 @@ func TestFiberCutEndToEndReroute(t *testing.T) {
 	pair := severed[0]
 	src, dst := hosts[pair[0]], hosts[pair[1]]
 
-	// Direct routing now drops on the dead link.
+	const (
+		detect = 100 * sim.Microsecond
+		splice = sim.Millisecond
+	)
+	fi, err := r.AttachFaults(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fi.Apply(netsim.FaultSchedule{
+		Events:         []netsim.FaultEvent{{Kind: netsim.FaultFiber, Fiber: 0, Segment: 0, RepairAt: splice}},
+		DetectionDelay: detect,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng := net.Engine()
+
+	// Before detection, direct routing drops on the dead link.
 	net.Unicast(1, src, dst, 400, 0)
-	net.Engine().Run()
+	eng.RunUntil(detect)
 	if net.Delivered() != 0 || net.Dropped() != 1 {
 		t.Fatalf("after cut: delivered %d dropped %d, want 0/1", net.Delivered(), net.Dropped())
 	}
 
-	// Control plane reconverges: the degraded router avoids all severed
-	// links.
-	degraded, err := r.DegradedRouter(severed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.SetRouter(degraded)
+	// Control plane reconverged: routes avoid every severed link.
 	net.Unicast(2, src, dst, 400, 0)
-	net.Engine().Run()
+	eng.RunUntil(splice)
 	if net.Delivered() != 1 {
 		t.Fatalf("after reroute: delivered %d, want 1", net.Delivered())
 	}
@@ -114,13 +126,10 @@ func TestFiberCutEndToEndReroute(t *testing.T) {
 		t.Errorf("rerouted path hops = %d, want 4 (two-hop logical path)", lastHops)
 	}
 
-	// Splice repaired: restore and verify the direct path returns.
-	if err := r.RestoreFiberCut(net, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	net.SetRouter(routing.NewECMP(r.Graph))
+	// Splice repaired and reconverged: the direct path returns.
+	eng.RunUntil(splice + detect)
 	net.Unicast(3, src, dst, 400, 0)
-	net.Engine().Run()
+	eng.Run()
 	if net.Delivered() != 2 {
 		t.Fatalf("after restore: delivered %d, want 2", net.Delivered())
 	}
@@ -129,7 +138,7 @@ func TestFiberCutEndToEndReroute(t *testing.T) {
 	}
 }
 
-func TestApplyFiberCutWrongGraph(t *testing.T) {
+func TestAttachFaultsWrongGraph(t *testing.T) {
 	r1, err := NewRing(RingConfig{Switches: 4, HostsPerSwitch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +151,8 @@ func TestApplyFiberCutWrongGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.ApplyFiberCut(net, 0, 0); err == nil {
-		t.Error("cut applied to a network built on a different graph")
+	if _, err := r1.AttachFaults(net); err == nil {
+		t.Error("faults attached to a network built on a different graph")
 	}
 }
 
@@ -156,28 +165,24 @@ func TestRingJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadRing(data)
-	if err != nil {
+	var back ringJSON
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Ports() != r.Ports() || back.Channels() != r.Channels() {
-		t.Errorf("round trip: ports %d/%d channels %d/%d",
-			back.Ports(), r.Ports(), back.Channels(), r.Channels())
+	if back.Switches != 12 || back.HostsPerSwitch != 8 || back.Ports != r.Ports() {
+		t.Errorf("round trip: %d switches x %d hosts = %d ports, want 12 x 8 = %d",
+			back.Switches, back.HostsPerSwitch, back.Ports, r.Ports())
+	}
+	if back.Plan == nil || back.Plan.Channels != r.Channels() {
+		t.Fatalf("round trip lost the channel plan: %+v", back.Plan)
+	}
+	if err := back.Plan.Validate(); err != nil {
+		t.Errorf("round-tripped plan invalid: %v", err)
 	}
 	if back.Budget != r.Budget {
 		t.Errorf("budget differs: %+v vs %+v", back.Budget, r.Budget)
 	}
-	if err := back.ValidateOptics(); err != nil {
+	if err := r.ValidateOptics(); err != nil {
 		t.Error(err)
-	}
-	// Corrupt payloads rejected.
-	if _, err := LoadRing([]byte(`{`)); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, err := LoadRing([]byte(`{"switches":3}`)); err == nil {
-		t.Error("missing plan accepted")
-	}
-	if _, err := LoadRing([]byte(`{"switches":5,"plan":{"ringSize":4,"channels":0,"physicalRings":1}}`)); err == nil {
-		t.Error("mismatched sizes accepted")
 	}
 }

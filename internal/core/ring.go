@@ -172,20 +172,6 @@ func MaxPortsSingleRing(switchPorts int) (ports, ringSize int) {
 	return best, bestM
 }
 
-// MaxPortsDualToR returns the §3.2 scaling variant: two ToR switches
-// per rack, each server dual-homed, racks fully meshed pairwise. With
-// 64-port switches this reaches 2080 ports (32 x 65).
-func MaxPortsDualToR(switchPorts int) (ports, racks int) {
-	// Each rack has 2 switches; each switch splits ports between
-	// servers (s) and peers. With R racks, a switch needs 2R-2 peer
-	// links (one to each other rack's two switches... the paper counts
-	// 32x65: 65 racks of 32 servers with the longest path two
-	// switches). We mirror the paper's arithmetic: ports = s*(2s+1)
-	// with s = switchPorts/2.
-	s := switchPorts / 2
-	return s * (2*s + 1), 2*s + 1
-}
-
 // ChannelReport describes one channel's optical feasibility.
 type ChannelReport struct {
 	wdm.Assignment
@@ -258,40 +244,4 @@ func (r *Ring) MarshalJSON() ([]byte, error) {
 		Plan:           r.Plan,
 		Budget:         r.Budget,
 	})
-}
-
-// LoadRing reconstructs a Ring from its serialized form, rebuilding the
-// logical mesh and validating the plan.
-func LoadRing(data []byte) (*Ring, error) {
-	var rj ringJSON
-	if err := json.Unmarshal(data, &rj); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if rj.Plan == nil {
-		return nil, fmt.Errorf("core: serialized ring missing plan")
-	}
-	if err := rj.Plan.Validate(); err != nil {
-		return nil, fmt.Errorf("core: serialized plan invalid: %w", err)
-	}
-	if rj.Switches != rj.Plan.M {
-		return nil, fmt.Errorf("core: switches %d != plan ring size %d", rj.Switches, rj.Plan.M)
-	}
-	g, err := topology.NewFullMesh(topology.MeshConfig{
-		Switches:       rj.Switches,
-		HostsPerSwitch: rj.HostsPerSwitch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Ring{
-		Config: RingConfig{
-			Switches:       rj.Switches,
-			HostsPerSwitch: rj.HostsPerSwitch,
-			SwitchPorts:    64,
-			Parts:          optics.DefaultParts,
-		},
-		Graph:  g,
-		Plan:   rj.Plan,
-		Budget: rj.Budget,
-	}, nil
 }

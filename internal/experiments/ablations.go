@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -84,12 +83,6 @@ func ablationRingCell(i int, seed int64) (AblationRow, error) {
 	return row, nil
 }
 
-// AblationRingSize tests the §7 claim that "the size of the ring does
-// not affect performance": a scatter task on meshes of 4..32 switches.
-func AblationRingSize(ctx context.Context, p Params) ([]AblationRow, error) {
-	return ablationGrid(ablationRing).Local(ctx, p)
-}
-
 // ablationSwitchModels is the switch-model ablation's sweep axis.
 var ablationSwitchModels = []struct {
 	name  string
@@ -107,22 +100,6 @@ func ablationSwitchCell(i int, seed int64) (AblationRow, error) {
 	}
 	row.Config = ablationSwitchModels[i].name
 	return row, nil
-}
-
-// AblationSwitchModel isolates the cut-through contribution: the same
-// mesh built from ULL cut-through switches versus CCS
-// store-and-forward chassis.
-func AblationSwitchModel(ctx context.Context, p Params) ([]AblationRow, error) {
-	return ablationGrid(ablationSwitch).Local(ctx, p)
-}
-
-// AblationVLBFraction sweeps the VLB indirect fraction on the Figure 20
-// pathological pattern at 45 Gb/s — just past the direct channel's
-// capacity — showing the adaptive tradeoff of §3.4: too little
-// spreading saturates the direct link, too much wastes capacity on
-// two-hop detours.
-func AblationVLBFraction(ctx context.Context, p Params) ([]AblationRow, error) {
-	return ablationGrid(ablationVLB).Local(ctx, p)
 }
 
 // ablationVLBFracs is the VLB-fraction ablation's sweep axis.
@@ -163,13 +140,6 @@ func ablationVLBCell(i int, seed int64) (AblationRow, error) {
 	return row, nil
 }
 
-// AblationECMPMode compares per-flow ECMP pinning against per-packet
-// spraying on the three-tier tree under the Figure 17 scatter load:
-// pinned flows collide on the few core ports and inflate the tail.
-func AblationECMPMode(ctx context.Context, p Params) ([]AblationRow, error) {
-	return ablationGrid(ablationECMP).Local(ctx, p)
-}
-
 // ablationECMPModes is the ECMP-mode ablation's sweep axis.
 var ablationECMPModes = []struct {
 	name      string
@@ -205,7 +175,17 @@ type ablationPart struct {
 	cell  func(i int, seed int64) (AblationRow, error)
 }
 
-// The four ablation axes.
+// The four ablation axes. Ring size tests the §7 claim that "the size
+// of the ring does not affect performance" (a scatter task on meshes of
+// 4..32 switches). Switch model isolates the cut-through contribution:
+// the same mesh of ULL cut-through switches versus CCS store-and-forward
+// chassis. VLB fraction sweeps the indirect fraction on the Figure 20
+// pathological pattern at 45 Gb/s — just past the direct channel's
+// capacity — showing the adaptive tradeoff of §3.4: too little spreading
+// saturates the direct link, too much wastes capacity on two-hop
+// detours. ECMP mode compares per-flow pinning against per-packet
+// spraying on the three-tier tree under the Figure 17 scatter load:
+// pinned flows collide on the few core ports and inflate the tail.
 var (
 	ablationRing   = ablationPart{"ring size", len(ablationRingSizes), ablationRingCell}
 	ablationSwitch = ablationPart{"switch model", len(ablationSwitchModels), ablationSwitchCell}

@@ -9,7 +9,7 @@ import (
 func TestAblationRingSizeFlat(t *testing.T) {
 	// §7: "the size of the ring does not affect performance" — latency
 	// is flat across ring sizes (within 25%).
-	rows, err := AblationRingSize(context.Background(), Params{Seed: 11})
+	rows, err := ablationGrid(ablationRing).Local(context.Background(), Params{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestAblationRingSizeFlat(t *testing.T) {
 }
 
 func TestAblationSwitchModelGap(t *testing.T) {
-	rows, err := AblationSwitchModel(context.Background(), Params{Seed: 11})
+	rows, err := ablationGrid(ablationSwitch).Local(context.Background(), Params{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAblationSwitchModelGap(t *testing.T) {
 }
 
 func TestAblationVLBFractionShape(t *testing.T) {
-	rows, err := AblationVLBFraction(context.Background(), Params{Seed: 11})
+	rows, err := ablationGrid(ablationVLB).Local(context.Background(), Params{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAblationVLBFractionShape(t *testing.T) {
 }
 
 func TestAblationECMPMode(t *testing.T) {
-	rows, err := AblationECMPMode(context.Background(), Params{Seed: 11})
+	rows, err := ablationGrid(ablationECMP).Local(context.Background(), Params{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // experiment's rows can be exported for external plotting without
 // per-type boilerplate:
 //
-//	rows, _ := experiments.Figure17(experiments.ScatterKind, 8, seed)
+//	rows, _ := experiments.Table9(seed)
 //	experiments.WriteCSV(os.Stdout, rows)
 func WriteCSV(w io.Writer, rows interface{}) error {
 	v := reflect.ValueOf(rows)

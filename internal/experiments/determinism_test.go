@@ -15,28 +15,28 @@ func TestShardedExperimentsDeterministic(t *testing.T) {
 		run  func() (string, error)
 	}{
 		{"validate", func() (string, error) {
-			rows, err := SimulatorValidation(context.Background(), Params{Seed: 2014, Trials: 167})
+			rows, err := validationGrid.Local(context.Background(), Params{Seed: 2014, Trials: 167})
 			if err != nil {
 				return "", err
 			}
 			return RenderValidation(rows), nil
 		}},
 		{"table8", func() (string, error) {
-			rows, err := Table8(context.Background(), Params{Seed: 2014})
+			rows, err := table8Grid.Local(context.Background(), Params{Seed: 2014})
 			if err != nil {
 				return "", err
 			}
 			return RenderTable8(rows), nil
 		}},
 		{"ablation-switch-model", func() (string, error) {
-			rows, err := AblationSwitchModel(context.Background(), Params{Seed: 2014})
+			rows, err := ablationGrid(ablationSwitch).Local(context.Background(), Params{Seed: 2014})
 			if err != nil {
 				return "", err
 			}
 			return RenderAblation("switch model", rows), nil
 		}},
 		{"ablation-ring-size", func() (string, error) {
-			rows, err := AblationRingSize(context.Background(), Params{Seed: 2014})
+			rows, err := ablationGrid(ablationRing).Local(context.Background(), Params{Seed: 2014})
 			if err != nil {
 				return "", err
 			}

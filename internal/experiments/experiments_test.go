@@ -156,7 +156,7 @@ func TestSplitVLBMatchesVLBFlow(t *testing.T) {
 }
 
 func TestFigure14TreeSensitiveQuartzFlat(t *testing.T) {
-	rows, err := Figure14Sweep(context.Background(), Params{Seed: 7, RPCs: 400})
+	rows, err := figure14Grid.Local(context.Background(), Params{Seed: 7, RPCs: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFigure14TreeSensitiveQuartzFlat(t *testing.T) {
 }
 
 func TestFigure17ScatterOrdering(t *testing.T) {
-	rows, err := Figure17(context.Background(), ScatterKind, Params{Seed: 5, Tasks: 8})
+	rows, err := figure17.panel(context.Background(), ScatterKind, Params{Seed: 5, Tasks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFigure17ScatterOrdering(t *testing.T) {
 }
 
 func TestFigure17GatherSimilarToScatter(t *testing.T) {
-	rows, err := Figure17(context.Background(), GatherKind, Params{Seed: 5, Tasks: 4})
+	rows, err := figure17.panel(context.Background(), GatherKind, Params{Seed: 5, Tasks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFigure17GatherSimilarToScatter(t *testing.T) {
 }
 
 func TestFigure17ScatterGatherJump(t *testing.T) {
-	rows, err := Figure17(context.Background(), ScatterGatherKind, Params{Seed: 5, Tasks: 4})
+	rows, err := figure17.panel(context.Background(), ScatterGatherKind, Params{Seed: 5, Tasks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFigure17ScatterGatherJump(t *testing.T) {
 }
 
 func TestFigure18LocalityClaims(t *testing.T) {
-	rows, err := Figure18(context.Background(), ScatterKind, Params{Seed: 5, Tasks: 6})
+	rows, err := figure18.panel(context.Background(), ScatterKind, Params{Seed: 5, Tasks: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestFigure20Claims(t *testing.T) {
 }
 
 func TestTable8Claims(t *testing.T) {
-	rows, err := Table8(context.Background(), Params{Seed: 9})
+	rows, err := table8Grid.Local(context.Background(), Params{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

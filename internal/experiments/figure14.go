@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -186,13 +185,6 @@ var figure14Grid = Grid[figure14Cell, meanCI, []Figure14Row]{
 	Render: func(rows []Figure14Row) Output {
 		return Output{Text: RenderFigure14(rows), CSV: map[string]interface{}{"figure14": rows}}
 	},
-}
-
-// Figure14Sweep sweeps cross-traffic on both prototype wirings with
-// p.RPCs RPCs per point (the paper runs 10,000) and reports RPC latency
-// normalized to each topology's zero-cross-traffic mean (§6.1).
-func Figure14Sweep(ctx context.Context, p Params) ([]Figure14Row, error) {
-	return figure14Grid.Local(ctx, p)
 }
 
 // RenderFigure14 renders the sweep.

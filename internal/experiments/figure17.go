@@ -360,20 +360,6 @@ func (f taskFigure) panel(ctx context.Context, kind TaskKind, p Params) ([]Figur
 	return panels[0], nil
 }
 
-// Figure17 sweeps 1..p.Tasks concurrent global tasks of the given kind
-// (at most 4 for scatter/gather) across the five §7 architectures: one
-// panel of Figure 17 a/b/c.
-func Figure17(ctx context.Context, kind TaskKind, p Params) ([]Figure17Row, error) {
-	return figure17.panel(ctx, kind, p)
-}
-
-// Figure18 sweeps one localized task plus 0..p.Tasks-1 global
-// cross-traffic tasks (at most 6 tasks, 5 for scatter/gather): one
-// panel of Figure 18 a/b/c.
-func Figure18(ctx context.Context, kind TaskKind, p Params) ([]Figure17Row, error) {
-	return figure18.panel(ctx, kind, p)
-}
-
 // RenderFigure17 renders a task sweep.
 func RenderFigure17(title string, archs []string, rows []Figure17Row) string {
 	var b strings.Builder

@@ -105,8 +105,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "table8", Title: "Table 8: cost and latency configurator", Section: "§4.2",
-			Covers: []string{"Table8"},
-			Run:    table8Sweep.Run, Sweep: table8Sweep,
+			Run: table8Sweep.Run, Sweep: table8Sweep,
 		},
 		{
 			Name: "table9", Title: "Table 9: topology comparison at ~1k ports", Section: "§5",
@@ -132,18 +131,15 @@ func All() []Experiment {
 		},
 		{
 			Name: "fig14", Title: "Figure 14: prototype cross-traffic experiment", Section: "§6.1",
-			Covers: []string{"Figure14Sweep"},
-			Run:    figure14Sweep.Run, Sweep: figure14Sweep,
+			Run: figure14Sweep.Run, Sweep: figure14Sweep,
 		},
 		{
 			Name: "fig17", Title: "Figure 17: global task latency", Section: "§7.1",
-			Covers: []string{"Figure17"},
-			Run:    figure17Sweep.Run, Sweep: figure17Sweep,
+			Run: figure17Sweep.Run, Sweep: figure17Sweep,
 		},
 		{
 			Name: "fig18", Title: "Figure 18: localized task latency", Section: "§7.1",
-			Covers: []string{"Figure18"},
-			Run:    figure18Sweep.Run, Sweep: figure18Sweep,
+			Run: figure18Sweep.Run, Sweep: figure18Sweep,
 		},
 		{
 			Name: "fig20", Title: "Figure 20: pathological traffic pattern", Section: "§7.2",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -129,13 +128,6 @@ var table8Grid = Grid[table8Cell, float64, []Table8Row]{
 	Render: func(rows []Table8Row) Output {
 		return Output{Text: RenderTable8(rows), CSV: map[string]interface{}{"table8": rows}}
 	},
-}
-
-// Table8 reproduces the configurator comparison: cost per server from
-// the parts catalog and latency reduction from simulation, for the
-// paper's six scenarios.
-func Table8(ctx context.Context, p Params) ([]Table8Row, error) {
-	return table8Grid.Local(ctx, p)
 }
 
 // RenderTable8 renders the configurator table.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -69,12 +68,6 @@ var validationGrid = Grid[validationCell, ValidationRow, []ValidationRow]{
 		return rows, nil
 	},
 	Render: func(rows []ValidationRow) Output { return Output{Text: RenderValidation(rows)} },
-}
-
-// SimulatorValidation runs the §7 queueing-theory validation with
-// 30·p.Trials packets per utilization level.
-func SimulatorValidation(ctx context.Context, p Params) ([]ValidationRow, error) {
-	return validationGrid.Local(ctx, p)
 }
 
 // validationMeanSize is the mean packet size of the validation

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSimulatorValidation(t *testing.T) {
-	rows, err := SimulatorValidation(context.Background(), Params{Seed: 99, Trials: 2667})
+	rows, err := validationGrid.Local(context.Background(), Params{Seed: 99, Trials: 2667})
 	if err != nil {
 		t.Fatal(err)
 	}

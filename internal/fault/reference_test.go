@@ -167,7 +167,7 @@ func refAvailability(plan *wdm.Plan, p AvailabilityParams, rng *rand.Rand) Avail
 
 // referencePlans returns the plans of the differential tests: a greedy
 // plan for every ring size split over 1–4 fibers, and for M >= 3 a
-// weighted plan whose hot pairs carry 2 and 3 parallel channels (several
+// greedy plan whose hot pairs carry 2 and 3 parallel channels (several
 // arcs for one switch pair, the case an adjacency shortcut would get
 // wrong).
 func referencePlans(t *testing.T) map[string]*wdm.Plan {
@@ -185,11 +185,14 @@ func referencePlans(t *testing.T) map[string]*wdm.Plan {
 		if m < 3 {
 			continue
 		}
-		w, err := wdm.GreedyWeighted(m, []wdm.Demand{
-			{S: 0, T: m / 2, Channels: 3}, {S: 1, T: m - 1, Channels: 2}, {S: 0, T: 1, Channels: 2},
-		}, rand.New(rand.NewSource(int64(m))))
-		if err != nil {
-			t.Fatal(err)
+		// Each extra channel gets a wavelength of its own, on alternating
+		// sides of the ring.
+		w := wdm.Greedy(m, rand.New(rand.NewSource(int64(m))))
+		for i, hot := range [][2]int{{0, m / 2}, {0, m / 2}, {1, m - 1}, {0, 1}} {
+			w.Assignments = append(w.Assignments, wdm.Assignment{
+				S: hot[0], T: hot[1], Dir: wdm.Direction(i % 2), Channel: w.Channels,
+			})
+			w.Channels++
 		}
 		plans[fmt.Sprintf("weighted M=%d", m)] = w
 		w2, err := wdm.SplitAcrossRings(w, 2, (w.Channels+1)/2)

@@ -19,13 +19,6 @@ import (
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
 
-// DirLink identifies one direction of a topology link.
-type DirLink struct {
-	Link topology.LinkID
-	// From is the transmitting endpoint.
-	From topology.NodeID
-}
-
 // Subflow is one path of a flow with a share of the flow's traffic.
 type Subflow struct {
 	// Path is the node sequence from source to destination.
@@ -293,24 +286,6 @@ func (a *Allocation) Min() float64 {
 		}
 	}
 	return m
-}
-
-// NormalizedThroughput returns Total divided by the sum of the flows'
-// ideal rates (their demands, or the given NIC rate for unbounded
-// flows) — the y-axis of Figure 10.
-func (a *Allocation) NormalizedThroughput(flows []Flow, nic sim.Rate) float64 {
-	ideal := 0.0
-	for _, f := range flows {
-		if f.Demand > 0 {
-			ideal += float64(f.Demand)
-		} else {
-			ideal += float64(nic)
-		}
-	}
-	if ideal == 0 {
-		return 0
-	}
-	return a.Total() / ideal
 }
 
 // ShortestPathFlow builds a single-subflow Flow along one shortest path.

@@ -257,22 +257,6 @@ func TestAllocateErrors(t *testing.T) {
 	}
 }
 
-func TestNormalizedThroughput(t *testing.T) {
-	g, h0, h1 := line(t)
-	f, _ := ShortestPathFlow(g, h0, h1, 0)
-	a, err := Allocate(g, []Flow{f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nt := a.NormalizedThroughput([]Flow{f}, 10*sim.Gbps)
-	if math.Abs(nt-1) > 1e-6 {
-		t.Errorf("normalized throughput = %v, want 1", nt)
-	}
-	if (&Allocation{}).NormalizedThroughput(nil, 10*sim.Gbps) != 0 {
-		t.Error("empty normalization should be 0")
-	}
-}
-
 func TestMinAndTotal(t *testing.T) {
 	a := &Allocation{Rates: []float64{3, 1, 2}}
 	if a.Min() != 1 || a.Total() != 6 {

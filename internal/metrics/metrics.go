@@ -1,6 +1,6 @@
 // Package metrics provides the statistics used to report experiment
-// results: online mean/variance (Welford), percentiles, histograms, and
-// the 95% confidence intervals the Quartz paper draws as error bars on
+// results: online mean/variance (Welford), percentiles, and the 95%
+// confidence intervals the Quartz paper draws as error bars on
 // its evaluation figures (§6.1, §7.1). The observability probes of
 // internal/netsim aggregate their queue-depth samples with these types.
 package metrics
@@ -138,63 +138,4 @@ func (s *Sample) Percentile(p float64) float64 {
 		return s.xs[len(s.xs)-1]
 	}
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Histogram counts observations into fixed-width bins over [lo, hi);
-// out-of-range values go to the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int64
-	Underflow int64
-	Overflow  int64
-	width     float64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("metrics: invalid histogram [%v,%v) with %d bins", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n), width: (hi - lo) / float64(n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		h.Bins[int((x-h.Lo)/h.width)]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Point is one (x, y) pair of a figure series, with an optional error
-// bar half-width.
-type Point struct {
-	X, Y, Err float64
-}
-
-// Series is a labelled sequence of points — one line of a paper figure.
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y, err float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y, Err: err})
 }

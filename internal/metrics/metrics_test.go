@@ -74,8 +74,8 @@ func TestSamplePercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		s.Add(float64(i))
 	}
-	if got := s.Median(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("Median = %v, want 50.5", got)
+	if got := s.Percentile(50); math.Abs(got-50.5) > 1e-9 {
+		t.Errorf("P50 = %v, want 50.5", got)
 	}
 	if got := s.Percentile(0); got != 1 {
 		t.Errorf("P0 = %v, want 1", got)
@@ -99,55 +99,11 @@ func TestSampleUnsortedInsertions(t *testing.T) {
 	for _, x := range []float64{9, 1, 5, 3, 7} {
 		s.Add(x)
 	}
-	if got := s.Median(); got != 5 {
-		t.Errorf("Median = %v, want 5", got)
+	if got := s.Percentile(50); got != 5 {
+		t.Errorf("P50 = %v, want 5", got)
 	}
 	s.Add(0) // re-sorts lazily
 	if got := s.Percentile(0); got != 0 {
 		t.Errorf("P0 after insert = %v, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("Underflow = %d, want 1", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("Overflow = %d, want 2", h.Overflow)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Bins[1])
-	}
-	if h.Bins[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d, want 1", h.Bins[4])
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d, want 4", h.Total())
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Label = "quartz"
-	s.Add(1, 2.5, 0.1)
-	s.Add(2, 3.5, 0.2)
-	if len(s.Points) != 2 || s.Points[1].Y != 3.5 {
-		t.Errorf("Series = %+v", s)
 	}
 }

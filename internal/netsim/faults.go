@@ -12,9 +12,8 @@ import (
 // This file is the runtime fault-injection subsystem (§3.5 dynamics):
 // link, switch, and fiber-segment failures injected at virtual times
 // mid-run, a detection-delay model, and route reconvergence through
-// routing.Rerouter. The FaultInjector is the single mutation surface
-// for link state — the legacy Network.FailLink/RestoreLink calls are
-// thin wrappers over it.
+// routing.Rerouter. FaultInjector.Apply is the only way a link changes
+// state, and reconvergence the only way routes change (DESIGN.md §3).
 
 // FaultKind selects what a FaultEvent takes down.
 type FaultKind uint8
@@ -93,8 +92,8 @@ type FaultSchedule struct {
 	Events []FaultEvent
 	// DetectionDelay is the time between a fault (or repair) taking
 	// effect on the data plane and routes reconverging around it —
-	// the blackhole window. Zero keeps the injector's current setting
-	// (DefaultDetectionDelay unless changed).
+	// the blackhole window. Zero keeps the delay the last applied
+	// schedule set (DefaultDetectionDelay if none did).
 	DetectionDelay sim.Time
 	// Policy picks what happens to packets queued on a cut link.
 	Policy ReroutePolicy
@@ -168,20 +167,6 @@ func (n *Network) Faults() *FaultInjector {
 	}
 	return n.faults
 }
-
-// SetDetectionDelay overrides the reconvergence lag.
-func (fi *FaultInjector) SetDetectionDelay(d sim.Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("netsim: negative detection delay %v", d))
-	}
-	fi.detection = d
-}
-
-// DetectionDelay returns the current reconvergence lag.
-func (fi *FaultInjector) DetectionDelay() sim.Time { return fi.detection }
-
-// SetPolicy overrides the in-flight packet policy.
-func (fi *FaultInjector) SetPolicy(p ReroutePolicy) { fi.policy = p }
 
 // SetFiberResolver installs the FaultFiber link resolver (see
 // FaultSchedule.FiberLinks).
@@ -378,25 +363,4 @@ func (fi *FaultInjector) emit(c FaultChange) {
 	if fo, ok := fi.n.probe.(FaultObserver); ok {
 		fo.FaultChanged(c)
 	}
-}
-
-// forceLink backs the legacy FailLink/RestoreLink wrappers: an
-// idempotent, immediate up/down flip with no queue flush, no detection
-// delay, and no reconvergence — exactly the historical semantics. It
-// overrides any refcounts a schedule holds on the link, so avoid mixing
-// it with Apply on the same links.
-func (fi *FaultInjector) forceLink(id topology.LinkID, down bool) error {
-	if int(id) < 0 || int(id) >= fi.n.g.NumLinks() {
-		return fmt.Errorf("netsim: unknown link %d", id)
-	}
-	if down {
-		if fi.failCount[id] == 0 {
-			fi.failCount[id] = 1
-		}
-	} else {
-		delete(fi.failCount, id)
-	}
-	fi.n.dirs[2*int(id)].down = down
-	fi.n.dirs[2*int(id)+1].down = down
-	return nil
 }

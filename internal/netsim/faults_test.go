@@ -22,6 +22,23 @@ func ring4(t testing.TB) *topology.Graph {
 	return g
 }
 
+// noReconverge is a detection delay no run in these tests reaches: a
+// link a schedule cuts under it stays in the routes, so traffic routed
+// onto it is dropped as "link down".
+const noReconverge = 3600 * sim.Second
+
+// cutLink schedules link l's failure at time 0, and its repair at
+// repairAt unless that is zero, under noReconverge.
+func cutLink(t testing.TB, net *Network, l topology.LinkID, repairAt sim.Time) {
+	t.Helper()
+	if err := net.Faults().Apply(FaultSchedule{
+		Events:         []FaultEvent{{Kind: FaultLink, Link: l, RepairAt: repairAt}},
+		DetectionDelay: noReconverge,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // faultRun is the comparable outcome of one reconvergence run.
 type faultRun struct {
 	delivered, dropped uint64
@@ -251,7 +268,7 @@ func TestOverlappingFaultsRefcount(t *testing.T) {
 	}
 }
 
-func TestLegacyFailRestoreStillWorks(t *testing.T) {
+func TestHostUplinkCutAndRepair(t *testing.T) {
 	g := ring4(t)
 	var dropped int
 	net, err := New(Config{
@@ -265,21 +282,18 @@ func TestLegacyFailRestoreStillWorks(t *testing.T) {
 	h0, h1 := g.Hosts()[0], g.Hosts()[1]
 	s0 := g.ToRof(h0)
 	uplink, _ := g.FindLink(h0, s0)
-	if err := net.FailLink(uplink.ID); err != nil {
-		t.Fatal(err)
-	}
+	cutLink(t, net, uplink.ID, sim.Millisecond)
+	eng := net.Engine()
 	net.Unicast(1, h0, h1, 400, 0)
-	net.Engine().Run()
+	eng.RunUntil(sim.Millisecond / 2)
 	if dropped != 1 {
 		t.Fatalf("dropped = %d, want 1 (host uplink down)", dropped)
 	}
-	if err := net.RestoreLink(uplink.ID); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunUntil(sim.Millisecond)
 	net.Unicast(2, h0, h1, 400, 0)
-	net.Engine().Run()
+	eng.RunUntil(2 * sim.Millisecond)
 	if net.Delivered() != 1 {
-		t.Errorf("delivered = %d after restore, want 1", net.Delivered())
+		t.Errorf("delivered = %d after repair, want 1", net.Delivered())
 	}
 }
 

@@ -90,23 +90,30 @@ func TestFlowTrackerDropAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.FailLink(1); err != nil { // s0-s1 inter-switch link
+	// Cut the s0-s1 inter-switch link at 0; routes reconverge at 1ms,
+	// and with no other path the packet sent after that has no route.
+	if err := net.Faults().Apply(FaultSchedule{
+		Events:         []FaultEvent{{Kind: FaultLink, Link: 1}},
+		DetectionDelay: sim.Millisecond,
+	}); err != nil {
 		t.Fatal(err)
 	}
+	eng := net.Engine()
 	net.Unicast(7, h0, h1, 400, 0)
-	net.Engine().Run()
+	eng.Schedule(2*sim.Millisecond, func() { net.Unicast(7, h0, h1, 400, 0) })
+	eng.RunUntil(3 * sim.Millisecond)
 
 	f, ok := ft.Flow(7)
-	if !ok || f.PacketsDropped != 1 {
-		t.Fatalf("flow 7 dropped = %d, want 1", f.PacketsDropped)
+	if !ok || f.PacketsDropped != 2 {
+		t.Fatalf("flow 7 dropped = %d, want 2", f.PacketsDropped)
 	}
-	if f.DropsByClass[DropLinkDown] != 1 {
-		t.Errorf("drop classes = %v, want 1 %s", f.DropsByClass, DropLinkDown)
+	if f.DropsByClass[DropLinkDown] != 1 || f.DropsByClass[DropNoRoute] != 1 {
+		t.Errorf("drop classes = %v, want 1 %s and 1 %s", f.DropsByClass, DropLinkDown, DropNoRoute)
 	}
-	// FailLink is the legacy instant path with no FaultChange events, so
-	// the drop is NOT a fault-window drop.
-	if f.FaultWindowDrops != 0 {
-		t.Errorf("fault-window drops = %d, want 0 without a fault schedule", f.FaultWindowDrops)
+	// The no-route drop came after reconvergence closed the fault
+	// window, so it is NOT a fault-window drop.
+	if f.FaultWindowDrops != 1 {
+		t.Errorf("fault-window drops = %d, want 1 (the link-down drop only)", f.FaultWindowDrops)
 	}
 	found := false
 	for _, s := range reg.Snapshot().Series {

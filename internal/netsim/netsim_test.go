@@ -166,8 +166,8 @@ func TestQueueDropsWhenFull(t *testing.T) {
 	if net.Delivered()+net.Dropped() != 10 {
 		t.Errorf("delivered %d + dropped %d != 10", net.Delivered(), net.Dropped())
 	}
-	if net.LinkDrops(0, h0) == 0 {
-		t.Error("host uplink records no drops")
+	if up := net.Stats()[0]; up.From != h0 || up.Drops == 0 {
+		t.Errorf("host uplink stats %+v record no drops", up)
 	}
 }
 

@@ -109,13 +109,7 @@ func (o *Observer) Trace() *TraceRecorder {
 	}
 	evs := append([]TraceEvent(nil), o.trace.events...)
 	sort.SliceStable(evs, func(i, j int) bool { return traceLess(evs[i], evs[j]) })
-	sorted := NewTraceRecorder(0)
-	sorted.truncated = o.trace.truncated
-	sorted.paths = o.trace.paths
-	for _, e := range evs {
-		sorted.add(e)
-	}
-	return sorted
+	return &TraceRecorder{events: evs, truncated: o.trace.truncated}
 }
 
 // traceLess is a total order on trace events by content: timestamp

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,12 +15,7 @@ import (
 func TestTraceRecorderLifecycle(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	tr := NewTraceRecorder(0)
-	net, err := New(Config{
-		Graph:       g,
-		Router:      routing.NewECMP(g),
-		RecordPaths: true,
-		Probe:       tr,
-	})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +24,12 @@ func TestTraceRecorderLifecycle(t *testing.T) {
 
 	// Three links on the path: one enqueue + one transmit each, then
 	// one delivery.
-	evs := tr.PacketEvents(id)
+	var evs []TraceEvent
+	for _, e := range tr.Events() {
+		if e.Packet == id {
+			evs = append(evs, e)
+		}
+	}
 	if len(evs) != 7 {
 		t.Fatalf("recorded %d events, want 7: %v", len(evs), evs)
 	}
@@ -51,14 +52,18 @@ func TestTraceRecorderLifecycle(t *testing.T) {
 	if fin := evs[6]; fin.Hops != 3 || fin.Link != -1 {
 		t.Errorf("delivery event = %+v, want Hops=3 Link=-1", fin)
 	}
-	// RecordPaths gives the recorder the delivered hop list.
-	path := tr.Path(id)
-	want := []topology.NodeID{h0, topology.NodeID(0), topology.NodeID(1), h1}
-	if len(path) != 4 {
-		t.Fatalf("path = %v, want 4 nodes %v", path, want)
+	// The enqueue rows name the node each hop left from: the path is
+	// those nodes, then the destination.
+	var path []topology.NodeID
+	for _, e := range evs {
+		if e.Op == TraceEnqueue {
+			path = append(path, e.From)
+		}
 	}
-	if path[0] != h0 || path[3] != h1 {
-		t.Errorf("path = %v, want source %d ... dest %d", path, h0, h1)
+	path = append(path, h1)
+	want := []topology.NodeID{h0, topology.NodeID(0), topology.NodeID(1), h1}
+	if !slices.Equal(path, want) {
+		t.Errorf("path = %v, want %v", path, want)
 	}
 	if tr.Truncated() != 0 {
 		t.Errorf("Truncated = %d, want 0", tr.Truncated())
@@ -91,11 +96,9 @@ func TestTraceRecorderDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.FailLink(1); err != nil { // the s0-s1 inter-switch link
-		t.Fatal(err)
-	}
+	cutLink(t, net, 1, 0) // the s0-s1 inter-switch link
 	net.Unicast(1, h0, h1, 400, 0)
-	net.Engine().Run()
+	net.Engine().RunUntil(sim.Millisecond)
 	var drops []TraceEvent
 	for _, e := range tr.Events() {
 		if e.Op == TraceDrop {

@@ -87,8 +87,8 @@ func TestTraceRecorderJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// busySampler runs a short congested workload with a sampler watching the
-// bottleneck, so Samples() is non-empty.
+// busySampler runs a short congested workload under a sampler, so
+// Samples() is non-empty.
 func busySampler(t *testing.T) *QueueSampler {
 	t.Helper()
 	g, h0, h1 := twoHosts(t, sim.Gbps)
@@ -97,7 +97,6 @@ func busySampler(t *testing.T) *QueueSampler {
 		t.Fatal(err)
 	}
 	s := NewQueueSampler(net, 10*sim.Microsecond)
-	s.Watch(PortRef{Link: 1, From: topology.NodeID(0)})
 	s.Start(sim.Millisecond)
 	for i := 0; i < 50; i++ {
 		net.Unicast(1, h0, h1, 1500, 0)
@@ -164,46 +163,6 @@ func TestQueueSamplerJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueueSamplerWatchAfterStart(t *testing.T) {
-	g, h0, h1 := twoHosts(t, sim.Gbps)
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewQueueSampler(net, 10*sim.Microsecond)
-	s.Start(sim.Millisecond)
-	eng := net.Engine()
-	for i := 0; i < 50; i++ {
-		net.Unicast(1, h0, h1, 1500, 0)
-	}
-	// Narrow the watch set mid-run: from 105µs on, only the bottleneck
-	// port is sampled, with its utilization baseline reset at the call.
-	bottleneck := PortRef{Link: 1, From: topology.NodeID(0)}
-	eng.Schedule(105*sim.Microsecond, func() { s.Watch(bottleneck) })
-	eng.RunUntil(sim.Millisecond)
-
-	sawOther, sawBottleneckLate := false, false
-	for _, smp := range s.Samples() {
-		if smp.Port != bottleneck {
-			sawOther = true
-			if smp.At > 110*sim.Microsecond {
-				t.Errorf("sample of %+v at %v, after Watch narrowed the set", smp.Port, smp.At)
-			}
-		} else if smp.At > 110*sim.Microsecond {
-			sawBottleneckLate = true
-			if smp.Utilization < 0 || smp.Utilization > 1 {
-				t.Errorf("utilization %v out of range after baseline reset", smp.Utilization)
-			}
-		}
-	}
-	if !sawOther {
-		t.Error("expected pre-Watch samples of unwatched ports")
-	}
-	if !sawBottleneckLate {
-		t.Error("expected post-Watch samples of the watched port")
-	}
-}
-
 func TestQueueSamplerBindGauges(t *testing.T) {
 	// Fast host links feeding a slow inter-switch link: a queue builds
 	// and persists at s0 -> s1, so the tick gauges hold nonzero values.
@@ -220,7 +179,6 @@ func TestQueueSamplerBindGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewQueueSampler(net, 10*sim.Microsecond)
-	s.Watch(PortRef{Link: 1, From: s0})
 	reg := metrics.NewRegistry()
 	s.Bind(reg)
 	s.Start(200 * sim.Microsecond)
@@ -239,16 +197,17 @@ func TestQueueSamplerBindGauges(t *testing.T) {
 		t.Errorf("netsim_queue_bytes_total = %v, want > 0 mid-backlog", vals["netsim_queue_bytes_total"])
 	}
 	if vals["netsim_queue_bytes_max"] != vals["netsim_queue_bytes_total"] {
-		t.Errorf("with one watched port max (%v) should equal total (%v)",
+		t.Errorf("with one port queueing max (%v) should equal total (%v)",
 			vals["netsim_queue_bytes_max"], vals["netsim_queue_bytes_total"])
 	}
 	if vals["netsim_util_max"] <= 0.9 {
 		t.Errorf("netsim_util_max = %v, want ~1 on a saturated port", vals["netsim_util_max"])
 	}
-	if vals["netsim_ports_active"] != 1 {
-		t.Errorf("netsim_ports_active = %v, want 1", vals["netsim_ports_active"])
+	if m := vals["netsim_util_mean"]; m <= 0 || m >= vals["netsim_util_max"] {
+		t.Errorf("netsim_util_mean = %v, want inside (0, util_max) with mostly idle ports", m)
 	}
-	if vals["netsim_port_queue_bytes"] <= 0 {
-		t.Errorf("netsim_port_queue_bytes = %v, want > 0", vals["netsim_port_queue_bytes"])
+	// The saturated s0 -> s1 port and the s1 -> h1 port it feeds.
+	if vals["netsim_ports_active"] != 2 {
+		t.Errorf("netsim_ports_active = %v, want 2", vals["netsim_ports_active"])
 	}
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"sort"
 
-	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
@@ -61,33 +60,4 @@ func (n *Network) HottestPorts(k int) []PortStats {
 		k = len(stats)
 	}
 	return stats[:k]
-}
-
-// FailLink marks a link as failed in both directions: packets routed
-// onto it are dropped (counted with reason "link down"). Routing tables
-// are not touched, so traffic pinned to the dead link is lost.
-//
-// Deprecated: use Faults() — FaultInjector.Apply schedules failures at
-// virtual times with detection delay and route reconvergence. FailLink
-// remains as a thin wrapper with its historical instant, silent
-// semantics.
-func (n *Network) FailLink(id topology.LinkID) error {
-	return n.Faults().forceLink(id, true)
-}
-
-// RestoreLink clears a failure set by FailLink.
-//
-// Deprecated: use Faults(); see FailLink.
-func (n *Network) RestoreLink(id topology.LinkID) error {
-	return n.Faults().forceLink(id, false)
-}
-
-// SetRouter swaps the forwarding strategy mid-run (e.g. after a
-// failure, install a router computed on the degraded topology).
-// In-flight packets finish their current hop under the old choice.
-func (n *Network) SetRouter(r routing.Router) {
-	if r == nil {
-		panic("netsim: SetRouter(nil)")
-	}
-	n.router = r
 }

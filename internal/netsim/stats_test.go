@@ -53,7 +53,7 @@ func TestPortStatsCounters(t *testing.T) {
 	}
 }
 
-func TestFailLinkDropsTraffic(t *testing.T) {
+func TestCutLinkDropsTraffic(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	var reasons []string
 	net, err := New(Config{
@@ -64,42 +64,40 @@ func TestFailLinkDropsTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail the switch-to-switch link (link 1 in construction order).
+	// Cut the switch-to-switch link (link 1 in construction order) until
+	// 1ms; routes never reconverge around it.
 	l, ok := g.FindLink(g.Switches()[0], g.Switches()[1])
 	if !ok {
 		t.Fatal("no inter-switch link")
 	}
-	if err := net.FailLink(l.ID); err != nil {
-		t.Fatal(err)
-	}
+	cutLink(t, net, l.ID, sim.Millisecond)
+	eng := net.Engine()
 	net.Unicast(1, h0, h1, 400, 0)
-	net.Engine().Run()
+	eng.RunUntil(sim.Millisecond / 2)
 	if net.Delivered() != 0 || net.Dropped() != 1 {
 		t.Fatalf("delivered/dropped = %d/%d, want 0/1", net.Delivered(), net.Dropped())
 	}
 	if len(reasons) != 1 || !strings.Contains(reasons[0], "down") {
 		t.Errorf("drop reasons = %v, want link down", reasons)
 	}
-	// Restore and retry.
-	if err := net.RestoreLink(l.ID); err != nil {
-		t.Fatal(err)
-	}
+	// Repaired at 1ms: retry.
+	eng.RunUntil(sim.Millisecond)
 	net.Unicast(2, h0, h1, 400, 0)
-	net.Engine().Run()
+	eng.RunUntil(2 * sim.Millisecond)
 	if net.Delivered() != 1 {
-		t.Errorf("delivered = %d after restore, want 1", net.Delivered())
+		t.Errorf("delivered = %d after repair, want 1", net.Delivered())
 	}
-	if err := net.FailLink(-1); err == nil {
-		t.Error("bad link id accepted")
-	}
-	if err := net.RestoreLink(9999); err == nil {
-		t.Error("bad link id accepted")
+	for _, bad := range []topology.LinkID{-1, 9999} {
+		err := net.Faults().Apply(FaultSchedule{Events: []FaultEvent{{Kind: FaultLink, Link: bad, At: eng.Now()}}})
+		if err == nil {
+			t.Errorf("bad link id %d accepted", bad)
+		}
 	}
 }
 
 func TestReconvergenceAfterFailure(t *testing.T) {
-	// A mesh pair loses its direct link; installing a router computed
-	// on the degraded graph reroutes via two hops.
+	// A mesh pair loses its direct link; once routes reconverge on the
+	// degraded graph, traffic takes a two-hop detour.
 	g, err := topology.NewFullMesh(topology.MeshConfig{Switches: 4, HostsPerSwitch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -116,61 +114,20 @@ func TestReconvergenceAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct, _ := g.FindLink(sw[0], sw[1])
-	if err := net.FailLink(direct.ID); err != nil {
+	if err := net.Faults().Apply(FaultSchedule{
+		Events:         []FaultEvent{{Kind: FaultLink, Link: direct.ID}},
+		DetectionDelay: 100 * sim.Microsecond,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// Reroute around the failure: a spanning tree rooted at a third
-	// switch never uses the s0-s1 link (in a BFS tree of a full mesh,
-	// every node hangs directly off the root).
-	st, err := routing.NewSpanningTree(g, sw[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.SetRouter(st)
+	net.Engine().RunUntil(100 * sim.Microsecond)
 	net.Unicast(1, hosts[0], hosts[1], 400, 0)
 	net.Engine().Run()
 	if net.Delivered() != 1 {
 		t.Fatalf("delivered = %d, want 1 (rerouted)", net.Delivered())
 	}
-	if hops != 4 { // s0, s2 (root), s1, host
+	if hops != 4 { // s0, a third switch, s1, host
 		t.Errorf("hops = %d, want 4 (two-hop detour)", hops)
-	}
-}
-
-func TestSetRouterNilPanics(t *testing.T) {
-	g, _, _ := twoHosts(t, sim.Gbps)
-	net := newNet(t, g, Arista7150, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetRouter(nil) did not panic")
-		}
-	}()
-	net.SetRouter(nil)
-}
-
-func TestRecordPaths(t *testing.T) {
-	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
-	var path []topology.NodeID
-	net, err := New(Config{
-		Graph:       g,
-		Router:      routing.NewECMP(g),
-		RecordPaths: true,
-		OnDeliver:   func(d Delivery) { path = d.Packet.Path },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Unicast(1, h0, h1, 400, 0)
-	net.Engine().Run()
-	// h0 -> s0 -> s1 -> h1.
-	want := []topology.NodeID{h0, g.Switches()[0], g.Switches()[1], h1}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
 	}
 }
 

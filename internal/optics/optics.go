@@ -155,21 +155,6 @@ func WalkChannel(parts PartSpec, hops, ampEvery int, hopKm float64) (minDBm, arr
 	return min, power
 }
 
-// PathFeasible reports whether a channel that traverses the given
-// number of muxes and kilometres of fiber, with the given number of
-// amplifiers on its path, arrives within the receiver's window, and
-// returns the arrival power.
-func PathFeasible(parts PartSpec, muxes int, km float64, amps int) (float64, bool) {
-	if muxes < 0 || km < 0 || amps < 0 {
-		return 0, false
-	}
-	power := parts.TxPowerDBm -
-		float64(muxes)*parts.MuxInsertionLossDB -
-		km*parts.FiberLossDBPerKm +
-		float64(amps)*parts.AmpGainDB
-	return power, power >= parts.RxSensitivityDBm
-}
-
 // AttenuationNeeded returns the attenuation in dB required to bring the
 // given arrival power inside the receiver window, or 0 if none is
 // needed.

@@ -69,33 +69,6 @@ func TestPlanRingErrors(t *testing.T) {
 	}
 }
 
-func TestPathFeasible(t *testing.T) {
-	// 3 muxes, no fiber: 4 - 18 = -14 dBm >= -15: feasible.
-	power, ok := PathFeasible(DefaultParts, 3, 0, 0)
-	if !ok || power != -14 {
-		t.Errorf("3 muxes: power=%v ok=%v, want -14 dBm feasible", power, ok)
-	}
-	// 4 muxes: 4 - 24 = -20 dBm < -15: infeasible.
-	if _, ok := PathFeasible(DefaultParts, 4, 0, 0); ok {
-		t.Error("4 muxes should be infeasible without amplification")
-	}
-	// 4 muxes + 1 amp: 4 - 24 + 25 = 5 dBm: feasible (but hot).
-	power, ok = PathFeasible(DefaultParts, 4, 0, 1)
-	if !ok || power != 5 {
-		t.Errorf("amped path power=%v ok=%v, want 5 dBm feasible", power, ok)
-	}
-	// Negative inputs rejected.
-	if _, ok := PathFeasible(DefaultParts, -1, 0, 0); ok {
-		t.Error("negative mux count accepted")
-	}
-	// 40 km of fiber at 0.25 dB/km is the transceiver's rated reach:
-	// 4 - 10 = -6 dBm with no muxes.
-	power, ok = PathFeasible(DefaultParts, 0, 40, 0)
-	if !ok || power != -6 {
-		t.Errorf("40km path power=%v ok=%v, want -6 dBm feasible", power, ok)
-	}
-}
-
 func TestAttenuationNeeded(t *testing.T) {
 	// Arrival at 5 dBm with a -7 dBm overload limit: need 12 dB.
 	if got := AttenuationNeeded(DefaultParts, 5); got != 12 {
@@ -225,51 +198,5 @@ func TestPlanRingSmallRingsNeedNoAmps(t *testing.T) {
 	}
 	if b.Amplifiers == 0 {
 		t.Error("size 6 should need amplifiers (3-hop arcs pay 4 muxes)")
-	}
-}
-
-func TestITUGridAnchor(t *testing.T) {
-	// Channel 0 sits at the 193.1 THz anchor, ~1552.52 nm.
-	if f := ChannelFrequencyTHz(0, Spacing50GHz); f != 193.1 {
-		t.Errorf("anchor frequency = %v, want 193.1", f)
-	}
-	nm := ChannelWavelengthNm(0, Spacing50GHz)
-	if math.Abs(nm-1552.52) > 0.01 {
-		t.Errorf("anchor wavelength = %v nm, want ~1552.52", nm)
-	}
-	// 50 GHz spacing: adjacent channels ~0.4 nm apart.
-	gap := ChannelWavelengthNm(0, Spacing50GHz) - ChannelWavelengthNm(1, Spacing50GHz)
-	if gap < 0.35 || gap > 0.45 {
-		t.Errorf("channel gap = %v nm, want ~0.4", gap)
-	}
-	// 100 GHz doubles the gap.
-	gap100 := ChannelWavelengthNm(0, Spacing100GHz) - ChannelWavelengthNm(1, Spacing100GHz)
-	if math.Abs(gap100-2*gap) > 0.05 {
-		t.Errorf("100GHz gap = %v, want ~2x the 50GHz gap %v", gap100, gap)
-	}
-}
-
-func TestCBandCapacity(t *testing.T) {
-	// The C-band fits ~87 channels at 50 GHz upward from the anchor —
-	// comfortably covering the paper's 80-channel commodity muxes.
-	n := MaxCBandChannels(Spacing50GHz)
-	if n < 80 || n > 120 {
-		t.Errorf("C-band channels at 50GHz = %d, want ~87 (>= 80)", n)
-	}
-	if n100 := MaxCBandChannels(Spacing100GHz); n100 >= n {
-		t.Errorf("100GHz capacity %d not below 50GHz capacity %d", n100, n)
-	}
-	if !InCBand(0, Spacing50GHz) {
-		t.Error("anchor not in C-band")
-	}
-	if InCBand(500, Spacing50GHz) {
-		t.Error("channel 500 claimed to be in C-band")
-	}
-}
-
-func TestChannelLabel(t *testing.T) {
-	l := ChannelLabel(12, Spacing50GHz)
-	if l == "" || l[:5] != "ch 12" {
-		t.Errorf("label = %q", l)
 	}
 }

@@ -41,14 +41,15 @@ func directPkt(src, dst topology.NodeID, flow FlowID) PacketMeta {
 	return PacketMeta{Flow: flow, Src: src, Dst: dst, Waypoint: -1}
 }
 
-func TestNewECMPAvoidingCopiesDeadMap(t *testing.T) {
+func TestRerouteCopiesDeadMap(t *testing.T) {
 	g := meshWithHosts(t, 4)
 	h0, h1 := g.Hosts()[0], g.Hosts()[1]
 	direct := directLink(t, g, h0, h1)
 
 	dead := map[topology.LinkID]bool{direct.ID: true}
-	r := NewECMPAvoiding(g, dead)
-	// Mutating the caller's map after construction must not change the
+	r := NewECMP(g)
+	r.Reroute(dead)
+	// Mutating the caller's map after the call must not change the
 	// router's view.
 	delete(dead, direct.ID)
 	dead[topology.LinkID(999)] = true
@@ -116,28 +117,6 @@ func TestRerouteVLB(t *testing.T) {
 		if p := nextFrom(t, v, g.ToRof(h0), pkt); p.Link == direct.ID {
 			t.Fatalf("waypoint leg crossed the dead link")
 		}
-	}
-}
-
-func TestRerouteKSP(t *testing.T) {
-	g := meshWithHosts(t, 4)
-	h0, h1 := g.Hosts()[0], g.Hosts()[1]
-	direct := directLink(t, g, h0, h1)
-	r, err := NewKSP(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Reroute(map[topology.LinkID]bool{direct.ID: true})
-	checkAvoids(t, r, g, h0, h1, direct.ID)
-	r.Reroute(nil)
-	found := false
-	for flow := FlowID(0); flow < 32; flow++ {
-		if nextFrom(t, r, g.ToRof(h0), directPkt(h0, h1, flow)).Link == direct.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("direct link unused after Reroute(nil)")
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package routing implements the forwarding strategies the Quartz paper
 // evaluates (§3.4): ECMP over equal-cost shortest paths and Valiant load
 // balancing (VLB) on full meshes — the two mesh strategies of §3.4 and
-// Figure 20 — plus L2 spanning-tree forwarding (the §6 prototype's
-// Ethernet baseline), SPAIN multi-VLAN multipath (§6), and Yen's
-// k-shortest-paths (for §5 Jellyfish-style analysis).
+// Figure 20 — plus Yen's k-shortest-paths, which the flow scheduler
+// draws its alternatives from.
 //
 // A Router answers one question for the packet simulator: given the
 // switch a packet is at and the packet's flow and destination, which
 // output port should carry it? Routers precompute their tables from a
-// topology.Graph; reads are goroutine-safe. Routers that also implement
-// Rerouter (ECMP, VLB, KSP) can recompute their tables around a set of
+// topology.Graph; reads are goroutine-safe. Both routers also implement
+// Rerouter, so they can recompute their tables around a set of
 // failed links mid-run — Reroute mutates the router and must not run
 // concurrently with NextPort (the packet simulator is single-threaded,
 // so this holds naturally inside one simulation).
@@ -159,16 +158,6 @@ func NewECMP(g *topology.Graph) *ECMP {
 func NewECMPPerPacket(g *topology.Graph) *ECMP {
 	e := NewECMP(g)
 	e.perPacket = true
-	return e
-}
-
-// NewECMPAvoiding precomputes shortest-path next hops on the graph with
-// the given links treated as failed — the router a control plane would
-// install after detecting those failures. The dead map is copied; the
-// caller may reuse or mutate it afterwards without affecting the router.
-func NewECMPAvoiding(g *topology.Graph, dead map[topology.LinkID]bool) *ECMP {
-	e := &ECMP{g: g, dead: copyDead(dead)}
-	e.rebuild()
 	return e
 }
 
@@ -360,121 +349,14 @@ func (v *VLB) towardSwitch(n topology.NodeID, pkt PacketMeta) (topology.Port, er
 	panic("routing: vlb: unreachable")
 }
 
-// SpanningTree forwards along a single spanning tree rooted at a chosen
-// switch — classic L2 Ethernet behaviour, the baseline the prototype
-// compares against (§3.4, §6). All traffic between different subtrees
-// funnels through the root.
-type SpanningTree struct {
-	g    *topology.Graph
-	root topology.NodeID
-	// parent[n] is the port from n toward the root; undefined at root.
-	parent []topology.Port
-	// inTree marks the links in the tree.
-	inTree map[topology.LinkID]bool
-	name   string
-}
-
-// NewSpanningTree builds a BFS spanning tree rooted at root.
-func NewSpanningTree(g *topology.Graph, root topology.NodeID) (*SpanningTree, error) {
-	if g.Node(root).Kind != topology.Switch {
-		return nil, fmt.Errorf("routing: spanning tree root %d is not a switch", root)
-	}
-	st := &SpanningTree{
-		g:      g,
-		root:   root,
-		parent: make([]topology.Port, g.NumNodes()),
-		inTree: make(map[topology.LinkID]bool),
-		name:   fmt.Sprintf("stp(root=%s)", g.Node(root).Name),
-	}
-	for i := range st.parent {
-		st.parent[i] = topology.Port{Link: -1, Peer: -1}
-	}
-	seen := make([]bool, g.NumNodes())
-	seen[root] = true
-	queue := []topology.NodeID{root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, p := range g.Ports(n) {
-			if seen[p.Peer] {
-				continue
-			}
-			seen[p.Peer] = true
-			st.parent[p.Peer] = topology.Port{Link: p.Link, Peer: n}
-			st.inTree[p.Link] = true
-			queue = append(queue, p.Peer)
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("routing: node %d unreachable from spanning tree root", i)
-		}
-	}
-	return st, nil
-}
-
-// Name implements Router.
-func (st *SpanningTree) Name() string { return st.name }
-
-// NextPort implements Router: forward up toward the root until the
-// destination is in the subtree below, then down. Implemented by walking
-// tree hops: from n, the next hop is the unique tree neighbor that is
-// closer to dst in the tree.
-func (st *SpanningTree) NextPort(n topology.NodeID, pkt PacketMeta) (topology.Port, error) {
-	if n == pkt.Dst {
-		return topology.Port{}, fmt.Errorf("routing: stp: already at destination %d", n)
-	}
-	// Is dst in the subtree under one of n's tree children? Walk up from
-	// dst to root; if we hit n, the previous hop tells us the child port.
-	prev := pkt.Dst
-	for cur := pkt.Dst; ; {
-		if cur == n {
-			// Forward down toward prev.
-			for _, p := range st.g.Ports(n) {
-				if p.Peer == prev && st.inTree[p.Link] {
-					return p, nil
-				}
-			}
-			return topology.Port{}, fmt.Errorf("routing: stp: missing tree link %d->%d", n, prev)
-		}
-		if cur == st.root {
-			break
-		}
-		prev = cur
-		cur = st.parent[cur].Peer
-	}
-	// dst is not below n: forward up.
-	if n == st.root {
-		return topology.Port{}, fmt.Errorf("routing: stp: no route from root to %d", pkt.Dst)
-	}
-	up := st.parent[n]
-	for _, p := range st.g.Ports(n) {
-		if p.Link == up.Link {
-			return p, nil
-		}
-	}
-	return topology.Port{}, fmt.Errorf("routing: stp: missing uplink at %d", n)
-}
-
-// TreeLinks returns the set of links used by the spanning tree.
-func (st *SpanningTree) TreeLinks() map[topology.LinkID]bool { return st.inTree }
-
 // KShortestPaths returns up to k loop-free shortest paths (by hop count)
 // from src to dst using Yen's algorithm. Paths are returned in
-// non-decreasing length order. Used for Jellyfish-style path diversity
-// analysis and k-shortest-path ECMP.
+// non-decreasing length order.
 func KShortestPaths(g *topology.Graph, src, dst topology.NodeID, k int) [][]topology.NodeID {
-	return KShortestPathsAvoiding(g, src, dst, k, nil)
-}
-
-// KShortestPathsAvoiding is KShortestPaths on the graph with the links
-// in avoid removed — for recomputing path sets around failures. The
-// avoid map is only read.
-func KShortestPathsAvoiding(g *topology.Graph, src, dst topology.NodeID, k int, avoid map[topology.LinkID]bool) [][]topology.NodeID {
 	if k <= 0 {
 		return nil
 	}
-	first := g.ShortestPath(src, dst, avoid)
+	first := g.ShortestPath(src, dst, nil)
 	if first == nil {
 		return nil
 	}
@@ -488,11 +370,6 @@ func KShortestPathsAvoiding(g *topology.Graph, src, dst topology.NodeID, k int, 
 			rootPath := last[:i+1]
 			// Remove links used by previous paths sharing this root.
 			dead := make(map[topology.LinkID]bool)
-			for l, d := range avoid {
-				if d {
-					dead[l] = true
-				}
-			}
 			for _, p := range paths {
 				if len(p) > i && equalPath(p[:i+1], rootPath) {
 					if l, ok := g.FindLink(p[i], p[i+1]); ok {

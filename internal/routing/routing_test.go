@@ -214,62 +214,6 @@ func TestVLBTinyMeshFallsBackToDirect(t *testing.T) {
 	}
 }
 
-func TestSpanningTree(t *testing.T) {
-	// 2-tier tree rooted at the single aggregation switch: all
-	// cross-rack traffic goes via the root.
-	g, err := topology.NewTwoTierTree(topology.TreeConfig{ToRs: 3, Roots: 1, HostsPerToR: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := g.SwitchesInTier(topology.TierAgg)[0]
-	st, err := NewSpanningTree(g, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := g.Hosts()
-	src, dst := hosts[0], hosts[5] // racks 0 and 2
-	path := walk(t, g, st, PacketMeta{Flow: 9, Src: src, Dst: dst, Waypoint: -1}, 10)
-	if len(path) != 3 {
-		t.Fatalf("stp path %v, want tor-root-tor", path)
-	}
-	if path[1] != root {
-		t.Errorf("stp path %v does not transit root %d", path, root)
-	}
-	// Same-rack stays local.
-	local := walk(t, g, st, PacketMeta{Flow: 9, Src: hosts[0], Dst: hosts[1], Waypoint: -1}, 4)
-	if len(local) != 1 {
-		t.Errorf("stp same-rack path %v, want 1 switch", local)
-	}
-}
-
-func TestSpanningTreeOnMeshUsesFewLinks(t *testing.T) {
-	// On a full mesh, a spanning tree uses only M-1 of the M(M-1)/2
-	// switch links — the paper's argument for why plain Ethernet wastes
-	// the mesh (§3.4).
-	g := mesh(t, 6, 1)
-	st, err := NewSpanningTree(g, g.Switches()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	switchLinks := 0
-	for id := range st.TreeLinks() {
-		l := g.Link(id)
-		if g.Node(l.A).Kind == topology.Switch && g.Node(l.B).Kind == topology.Switch {
-			switchLinks++
-		}
-	}
-	if switchLinks != 5 {
-		t.Errorf("spanning tree uses %d switch links, want 5", switchLinks)
-	}
-}
-
-func TestSpanningTreeErrors(t *testing.T) {
-	g := mesh(t, 3, 1)
-	if _, err := NewSpanningTree(g, g.Hosts()[0]); err == nil {
-		t.Error("host root accepted")
-	}
-}
-
 func TestKShortestPathsRing(t *testing.T) {
 	// Ring of 6: between opposite nodes there are exactly two 3-hop
 	// edge-disjoint paths.
@@ -378,9 +322,5 @@ func TestRouterNames(t *testing.T) {
 	v, _ := NewVLB(g, 0.25)
 	if v.Name() != "vlb(0.25)" {
 		t.Errorf("VLB name = %q", v.Name())
-	}
-	st, _ := NewSpanningTree(g, g.Switches()[0])
-	if st.Name() != "stp(root=tor0)" {
-		t.Errorf("STP name = %q", st.Name())
 	}
 }

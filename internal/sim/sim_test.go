@@ -81,15 +81,8 @@ func TestBytesIn(t *testing.T) {
 }
 
 func TestDurationRoundTrip(t *testing.T) {
-	d := 42 * time.Microsecond
-	if got := FromDuration(d).Duration(); got != d {
-		t.Errorf("round trip = %v, want %v", got, d)
-	}
-}
-
-func TestFromSeconds(t *testing.T) {
-	if got := FromSeconds(1.5); got != 1500*Millisecond {
-		t.Errorf("FromSeconds(1.5) = %v, want 1.5s", got)
+	if got, want := (42 * Microsecond).Duration(), 42*time.Microsecond; got != want {
+		t.Errorf("Duration() = %v, want %v", got, want)
 	}
 }
 

@@ -45,9 +45,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns the time as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Nanos returns the time as a floating-point number of nanoseconds.
-func (t Time) Nanos() float64 { return float64(t) / float64(Nanosecond) }
-
 // Duration converts t to a time.Duration, rounding to nanoseconds.
 func (t Time) Duration() time.Duration {
 	return time.Duration(t / Nanosecond * Time(time.Nanosecond))
@@ -69,14 +66,6 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%dps", int64(t))
 	}
-}
-
-// FromSeconds converts floating-point seconds to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// FromDuration converts a time.Duration to a Time.
-func FromDuration(d time.Duration) Time {
-	return Time(d.Nanoseconds()) * Nanosecond
 }
 
 // Rate is a data rate in bits per second.

@@ -163,12 +163,6 @@ func (c *Conn) Done() bool { return c.done }
 // Retransmits returns the number of retransmitted segments.
 func (c *Conn) Retransmits() uint64 { return c.retrans }
 
-// Cwnd returns the current congestion window in segments.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
-
-// Alpha returns the DCTCP congestion estimate (0 for Reno).
-func (c *Conn) Alpha() float64 { return c.alpha }
-
 // window returns cwnd in whole segments, at least 1.
 func (c *Conn) window() uint64 {
 	w := uint64(c.cwnd)
@@ -361,10 +355,6 @@ func (c *Conn) armRTO() {
 		c.armRTO()
 	})
 }
-
-// DeliveredSegments reports how many segments have been cumulatively
-// acknowledged.
-func (c *Conn) DeliveredSegments() uint64 { return c.delivered }
 
 // Throughput returns the goodput in bits per second since Start.
 func (c *Conn) Throughput() float64 {

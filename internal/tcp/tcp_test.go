@@ -73,7 +73,7 @@ func TestFiniteFlowCompletes(t *testing.T) {
 	c.Start()
 	net.Engine().RunUntil(200 * sim.Millisecond)
 	if !c.Done() {
-		t.Fatalf("flow incomplete: acked %d segments", c.DeliveredSegments())
+		t.Fatalf("flow incomplete: acked %d segments", c.delivered)
 	}
 	if fct <= 0 {
 		t.Fatal("no completion callback")
@@ -83,8 +83,8 @@ func TestFiniteFlowCompletes(t *testing.T) {
 	if fct > 10*sim.Millisecond {
 		t.Errorf("FCT = %v, want a few ms", fct)
 	}
-	if c.DeliveredSegments() != 1000 {
-		t.Errorf("delivered %d segments, want 1000", c.DeliveredSegments())
+	if c.delivered != 1000 {
+		t.Errorf("delivered %d segments, want 1000", c.delivered)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestLossRecovery(t *testing.T) {
 	net.Engine().RunUntil(2 * sim.Second)
 	if !c.Done() {
 		t.Fatalf("flow incomplete after loss: acked %d/500, retrans %d, cwnd %.1f",
-			c.DeliveredSegments(), c.Retransmits(), c.Cwnd())
+			c.delivered, c.Retransmits(), c.cwnd)
 	}
 	if c.Retransmits() == 0 {
 		t.Error("expected retransmissions with a 10-segment buffer")
@@ -229,7 +229,7 @@ func TestRTTEstimation(t *testing.T) {
 	if c.rto != 200*sim.Microsecond {
 		t.Errorf("rto = %v, want the 200us floor", c.rto)
 	}
-	if math.IsNaN(c.Alpha()) {
+	if math.IsNaN(c.alpha) {
 		t.Error("alpha NaN")
 	}
 }

@@ -1,10 +1,5 @@
 package topology
 
-import (
-	"math"
-	"math/rand"
-)
-
 // BFSDist returns hop distances from src to every node, with -1 for
 // unreachable nodes. dead lists failed links to skip (may be nil).
 func (g *Graph) BFSDist(src NodeID, dead map[LinkID]bool) []int {
@@ -55,21 +50,6 @@ func (g *Graph) ConnectedComponents(dead map[LinkID]bool) int {
 	return count
 }
 
-// Connected reports whether all the given nodes are mutually reachable,
-// ignoring dead links. An empty or single-node set is connected.
-func (g *Graph) Connected(nodes []NodeID, dead map[LinkID]bool) bool {
-	if len(nodes) <= 1 {
-		return true
-	}
-	dist := g.BFSDist(nodes[0], dead)
-	for _, n := range nodes[1:] {
-		if dist[n] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Diameter returns the maximum shortest-path hop count over the given
 // node set (typically g.Switches() or g.Hosts()). It returns -1 if any
 // pair is disconnected.
@@ -87,30 +67,6 @@ func (g *Graph) Diameter(nodes []NodeID) int {
 		}
 	}
 	return d
-}
-
-// AvgShortestPath returns the mean shortest-path hop count over ordered
-// pairs of distinct nodes from the given set. It returns NaN on an
-// empty/singleton set and +Inf if any pair is disconnected.
-func (g *Graph) AvgShortestPath(nodes []NodeID) float64 {
-	if len(nodes) < 2 {
-		return math.NaN()
-	}
-	sum, pairs := 0, 0
-	for _, s := range nodes {
-		dist := g.BFSDist(s, nil)
-		for _, t := range nodes {
-			if t == s {
-				continue
-			}
-			if dist[t] < 0 {
-				return math.Inf(1)
-			}
-			sum += dist[t]
-			pairs++
-		}
-	}
-	return float64(sum) / float64(pairs)
 }
 
 // ShortestPath returns one shortest path from src to dst as a node
@@ -217,18 +173,13 @@ func (g *Graph) EdgeDisjointPaths(src, dst NodeID) int {
 	}
 }
 
-// AllShortestNextHops computes, for every node, the set of next-hop ports
-// on some shortest path toward dst. It is the building block for ECMP
-// routing tables. next[n] is nil when n is dst or disconnected from dst.
-func (g *Graph) AllShortestNextHops(dst NodeID) [][]Port {
-	return g.AllShortestNextHopsAvoiding(dst, nil)
-}
-
-// AllShortestNextHopsAvoiding is AllShortestNextHops on the graph with
-// the given links removed — for routing around failures. The per-node
-// lists are carved out of one backing array (counted first, each with
-// its capacity clipped to its length), so a table costs three
-// allocations however many nodes it covers; callers only read them.
+// AllShortestNextHopsAvoiding computes, for every node, the set of
+// next-hop ports on some shortest path toward dst with the dead links
+// removed — ECMP's routing table. next[n] is nil when n is dst or
+// disconnected from dst. The per-node lists are carved out of one
+// backing array (counted first, each with its capacity clipped to its
+// length), so a table costs three allocations however many nodes it
+// covers; callers only read them.
 func (g *Graph) AllShortestNextHopsAvoiding(dst NodeID, dead map[LinkID]bool) [][]Port {
 	dist := g.BFSDist(dst, dead)
 	onPath := func(n int, p Port) bool {
@@ -262,62 +213,4 @@ func (g *Graph) AllShortestNextHopsAvoiding(dst NodeID, dead map[LinkID]bool) []
 		}
 	}
 	return next
-}
-
-// LinksBetweenSets counts links with one endpoint in each of two disjoint
-// node sets — used to measure the capacity of a bisection cut.
-func (g *Graph) LinksBetweenSets(setA map[NodeID]bool) int {
-	n := 0
-	for _, l := range g.links {
-		if setA[l.A] != setA[l.B] {
-			n++
-		}
-	}
-	return n
-}
-
-// EstimateBisection estimates the network's bisection width: the
-// minimum, over sampled balanced host bisections, of the number of
-// links crossing the cut. Exact bisection is NP-hard; random sampling
-// gives an upper bound that is tight for the symmetric topologies in
-// this repository. rng drives the sampling; trials bounds the work.
-func (g *Graph) EstimateBisection(trials int, rng *rand.Rand) int {
-	hosts := g.Hosts()
-	if len(hosts) < 2 || trials < 1 || rng == nil {
-		return 0
-	}
-	best := -1
-	half := len(hosts) / 2
-	idx := make([]int, len(hosts))
-	for i := range idx {
-		idx[i] = i
-	}
-	for t := 0; t < trials; t++ {
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		setA := make(map[NodeID]bool, half)
-		for _, i := range idx[:half] {
-			setA[hosts[i]] = true
-		}
-		// Grow the host set to include each host's ToR when every host
-		// of that switch is in A — a simple switch-side assignment that
-		// avoids counting host access links for symmetric topologies.
-		for _, s := range g.Switches() {
-			inA, total := 0, 0
-			for _, p := range g.ports[s] {
-				if g.nodes[p.Peer].Kind == Host {
-					total++
-					if setA[p.Peer] {
-						inA++
-					}
-				}
-			}
-			if total > 0 && inA*2 >= total {
-				setA[s] = true
-			}
-		}
-		if cut := g.LinksBetweenSets(setA); best < 0 || cut < best {
-			best = cut
-		}
-	}
-	return best
 }

@@ -210,50 +210,6 @@ func NewThreeTierTree(cfg ThreeTierConfig) (*Graph, error) {
 	return g, nil
 }
 
-// NewFatTree builds the k-ary Fat-Tree of Al-Fares et al.: k pods, each
-// with k/2 edge and k/2 aggregation switches; (k/2)^2 core switches;
-// (k/2)^2 * k hosts. k must be even and >= 2. All links share one rate.
-func NewFatTree(k int, link LinkSpec) (*Graph, error) {
-	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("topology: fat-tree arity must be even and >=2, got %d", k)
-	}
-	if link.Rate == 0 {
-		link.Rate = 10 * sim.Gbps
-	}
-	if link.Prop == 0 {
-		link.Prop = DefaultProp
-	}
-	g := New(fmt.Sprintf("fat-tree(k=%d)", k))
-	half := k / 2
-	cores := make([]NodeID, half*half)
-	for i := range cores {
-		cores[i] = g.AddSwitch(fmt.Sprintf("core%d", i), TierCore, -1)
-	}
-	rack := 0
-	for p := 0; p < k; p++ {
-		aggs := make([]NodeID, half)
-		for a := range aggs {
-			aggs[a] = g.AddSwitch(fmt.Sprintf("agg%d-%d", p, a), TierAgg, -1)
-			// Aggregation switch a in each pod connects to core group a.
-			for c := 0; c < half; c++ {
-				g.Connect(aggs[a], cores[a*half+c], link.Rate, link.Prop)
-			}
-		}
-		for e := 0; e < half; e++ {
-			edge := g.AddSwitch(fmt.Sprintf("edge%d-%d", p, e), TierToR, rack)
-			for _, a := range aggs {
-				g.Connect(edge, a, link.Rate, link.Prop)
-			}
-			for h := 0; h < half; h++ {
-				host := g.AddHost(fmt.Sprintf("h%d-%d", rack, h), rack)
-				g.Connect(host, edge, link.Rate, link.Prop)
-			}
-			rack++
-		}
-	}
-	return g, nil
-}
-
 // NewBCube builds a BCube(n, k) of Guo et al.: n-port hosts... more
 // precisely, level-k BCube with n-port switches. Hosts have k+1 links;
 // there are n^(k+1) hosts and (k+1)*n^k switches. BCube is
@@ -470,41 +426,4 @@ func (g *Graph) removeLink(id LinkID) {
 		}
 	}
 	g.links = g.links[:last]
-}
-
-// NewDCell builds a level-1 DCell (Guo et al., the paper's §2.1.5
-// server-centric example): n+1 cells of n servers, each cell with its
-// own n-port mini-switch, and one direct server-to-server link per cell
-// pair — server (i, j-1) connects to server (j, i) for i < j. Every
-// server uses two ports (switch + one inter-cell link), and inter-cell
-// forwarding transits a server, paying the OS-stack delay the paper
-// calls out for server-centric designs.
-func NewDCell(n int, link LinkSpec) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("topology: dcell needs n >= 2, got %d", n)
-	}
-	if link.Rate == 0 {
-		link.Rate = 10 * sim.Gbps
-	}
-	if link.Prop == 0 {
-		link.Prop = DefaultProp
-	}
-	g := New(fmt.Sprintf("dcell(n=%d)", n))
-	cells := n + 1
-	servers := make([][]NodeID, cells)
-	for c := 0; c < cells; c++ {
-		sw := g.AddSwitch(fmt.Sprintf("sw%d", c), TierToR, c)
-		servers[c] = make([]NodeID, n)
-		for s := 0; s < n; s++ {
-			host := g.AddHost(fmt.Sprintf("h%d-%d", c, s), c)
-			servers[c][s] = host
-			g.Connect(host, sw, link.Rate, link.Prop)
-		}
-	}
-	for i := 0; i < cells; i++ {
-		for j := i + 1; j < cells; j++ {
-			g.Connect(servers[i][j-1], servers[j][i], link.Rate, link.Prop)
-		}
-	}
-	return g, nil
 }

@@ -1,8 +1,7 @@
 // Package topology models datacenter network topologies as graphs of
 // hosts and switches, and provides builders for the network structures the
 // Quartz paper analyzes (§4, §5, Table 9): full mesh (the Quartz logical
-// topology, §3), 2-tier and 3-tier trees, Fat-Tree, BCube, Jellyfish, and
-// the §3.2 dual-ToR scaling variant.
+// topology, §3), 2-tier and 3-tier trees, BCube and Jellyfish.
 //
 // A Graph is a static description of nodes and links; the packet simulator
 // (internal/netsim), routing (internal/routing), flow allocator
@@ -110,10 +109,10 @@ type Port struct {
 }
 
 // Graph is a static network topology. Build one with New and the Add*
-// methods, or use a builder such as NewFatTree. Graphs are cheap to share
+// methods, or use a builder such as NewFullMesh. Graphs are cheap to share
 // read-only; mutation is not goroutine-safe.
 type Graph struct {
-	// Name describes the topology, e.g. "fat-tree(k=8)".
+	// Name describes the topology, e.g. "bcube(n=4,k=1)".
 	Name string
 
 	nodes []Node

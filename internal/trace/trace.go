@@ -14,7 +14,7 @@
 //   - the virtual clock (Virt, VirtEnd): simulation time in engine
 //     ticks (picoseconds in this repo). Virtual fields are a pure
 //     function of the simulated workload, so they are byte-identical
-//     across machines — what ContentCSV renders.
+//     across machines.
 //   - the wall clock (Wall, WallDur): nanoseconds since the recorder's
 //     epoch. Wall fields are the performance instrument — where the
 //     run actually spent its time — and are excluded from every
@@ -29,8 +29,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -125,15 +123,6 @@ func NewFlightRecorder(capacity int) *Recorder {
 // Enabled reports whether the recorder records (false on nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Epoch returns the wall instant span Wall offsets are relative to
-// (zero time on nil).
-func (r *Recorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
-}
-
 // Since converts a wall instant to a span Wall offset (ns since epoch).
 func (r *Recorder) Since(t time.Time) int64 {
 	if r == nil {
@@ -224,8 +213,7 @@ func (r *Recorder) spansLocked() []Span {
 
 // contentLess is a total order on spans by virtual-clock content:
 // every field except the wall clock. Spans that compare equal are
-// identical rows, so the sorted order — and therefore ContentCSV — is
-// independent of record order.
+// identical rows, so the sorted order is independent of record order.
 func contentLess(a, b Span) bool {
 	if a.Virt != b.Virt {
 		return a.Virt < b.Virt
@@ -254,42 +242,4 @@ func contentLess(a, b Span) bool {
 		}
 	}
 	return false
-}
-
-// ContentCSV renders the spans whose category is in cats (every span
-// when cats is empty) as CSV in virtual-time content order, with every
-// wall-clock field excluded. Two runs of the same workload produce
-// identical ContentCSV regardless of goroutine schedule or machine
-// speed.
-func (r *Recorder) ContentCSV(cats ...string) string {
-	if r == nil {
-		return ""
-	}
-	want := make(map[string]bool, len(cats))
-	for _, c := range cats {
-		want[c] = true
-	}
-	r.mu.Lock()
-	all := r.spansLocked()
-	r.mu.Unlock()
-	var spans []Span
-	for _, s := range all {
-		if len(want) == 0 || want[s.Cat] {
-			spans = append(spans, s)
-		}
-	}
-	sort.SliceStable(spans, func(i, j int) bool { return contentLess(spans[i], spans[j]) })
-	var b strings.Builder
-	b.WriteString("virt,virt_end,cat,name,track,args\n")
-	for _, s := range spans {
-		fmt.Fprintf(&b, "%d,%d,%s,%s,%d,", s.Virt, s.VirtEnd, s.Cat, s.Name, s.Track)
-		for i := 0; i < s.NArgs; i++ {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			fmt.Fprintf(&b, "%s=%d", s.Args[i].Key, s.Args[i].Val)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

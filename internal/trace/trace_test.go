@@ -17,10 +17,7 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 	if r.Len() != 0 || r.Dropped() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder holds state")
 	}
-	if r.ContentCSV() != "" {
-		t.Fatal("nil recorder has content")
-	}
-	if !r.Epoch().IsZero() || r.Since(time.Now()) != 0 {
+	if r.Since(time.Now()) != 0 {
 		t.Fatal("nil recorder has a clock")
 	}
 }
@@ -60,41 +57,6 @@ func TestAnnotateBounds(t *testing.T) {
 	}
 	if s.NArgs != maxArgs {
 		t.Fatalf("NArgs %d, want %d", s.NArgs, maxArgs)
-	}
-}
-
-// TestContentCSVWallIndependent pins the determinism surface: two
-// recorders holding the same virtual content in different record
-// orders and with different wall clocks render identical ContentCSV.
-func TestContentCSVWallIndependent(t *testing.T) {
-	a, b := NewRecorder(), NewRecorder()
-	s1 := Span{Name: "flow", Cat: "net", Track: 7, Virt: 100, VirtEnd: 900}.Annotate("pkts", 3)
-	s2 := Span{Name: "flow", Cat: "net", Track: 9, Virt: 50, VirtEnd: 400}.Annotate("pkts", 1)
-	// a: in order, no wall. b: reversed, with wall stamps.
-	a.Add(s1)
-	a.Add(s2)
-	w1, w2 := s1, s2
-	w1.Wall, w1.WallDur = 5000, 10
-	w2.Wall, w2.WallDur = 9000, 20
-	b.Add(w2)
-	b.Add(w1)
-	if got, want := b.ContentCSV("net"), a.ContentCSV("net"); got != want {
-		t.Fatalf("content differs:\n%s\nvs\n%s", got, want)
-	}
-	if !strings.HasPrefix(a.ContentCSV(), "virt,virt_end,cat,name,track,args\n50,") {
-		t.Fatalf("content not sorted by virtual time:\n%s", a.ContentCSV())
-	}
-}
-
-func TestContentCSVFiltersByCategory(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Span{Name: "window", Cat: "engine", Virt: 1, VirtEnd: 2})
-	r.Add(Span{Name: "flow", Cat: "net", Virt: 1, VirtEnd: 2})
-	if got := r.ContentCSV("net"); strings.Contains(got, "engine") {
-		t.Fatalf("filtered content leaks other categories:\n%s", got)
-	}
-	if got := r.ContentCSV(); !strings.Contains(got, "engine") || !strings.Contains(got, "net") {
-		t.Fatalf("unfiltered content misses categories:\n%s", got)
 	}
 }
 

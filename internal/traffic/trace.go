@@ -140,29 +140,3 @@ func Replay(net *netsim.Network, events []TraceEvent) (int, error) {
 	}
 	return len(sorted), nil
 }
-
-// SynthesizeTrace renders a set of Poisson streams into a trace — the
-// bridge from the built-in generators to a shareable file. ratePPS and
-// size apply to every (src, dst) pair; duration bounds the trace.
-func SynthesizeTrace(pairs [][2]int, ratePPS float64, size int, duration sim.Time, rng interface{ ExpFloat64() float64 }) ([]TraceEvent, error) {
-	if ratePPS <= 0 || size <= 0 || duration <= 0 {
-		return nil, fmt.Errorf("traffic: invalid synthesis parameters")
-	}
-	meanGap := float64(sim.Second) / ratePPS
-	var events []TraceEvent
-	for i, pr := range pairs {
-		at := sim.Time(0)
-		for {
-			at += sim.Time(rng.ExpFloat64() * meanGap)
-			if at >= duration {
-				break
-			}
-			events = append(events, TraceEvent{
-				At: at, Src: pr[0], Dst: pr[1], Size: size,
-				Flow: routing.FlowID(i + 1), Tag: 1,
-			})
-		}
-	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
-	return events, nil
-}

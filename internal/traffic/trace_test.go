@@ -2,11 +2,11 @@ package traffic
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/netsim"
+	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 )
 
@@ -53,21 +53,16 @@ func TestParseTraceHeaderAndErrors(t *testing.T) {
 	}
 }
 
-func TestSynthesizeAndReplay(t *testing.T) {
-	net, h, g := meshNet(t, 4, 2)
-	rng := rand.New(rand.NewSource(3))
-	events, err := SynthesizeTrace([][2]int{{0, 5}, {2, 7}}, 1e5, 400, 5*sim.Millisecond, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 500 {
-		t.Fatalf("synthesized %d events, want ~1000", len(events))
-	}
-	// Events sorted by time.
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatal("events not sorted")
-		}
+func TestReplayDeliversEveryEvent(t *testing.T) {
+	net, h, _ := meshNet(t, 4, 2)
+	pairs := [][2]int{{0, 5}, {2, 7}}
+	var events []TraceEvent
+	for i := 0; i < 1000; i++ {
+		pr := pairs[i%2]
+		events = append(events, TraceEvent{
+			At: sim.Time(i) * 5 * sim.Microsecond, Src: pr[0], Dst: pr[1], Size: 400,
+			Flow: routing.FlowID(i%2 + 1), Tag: 1,
+		})
 	}
 	n, err := Replay(net, events)
 	if err != nil {
@@ -80,7 +75,6 @@ func TestSynthesizeAndReplay(t *testing.T) {
 	if got := h.Latency(1).N(); got != int64(len(events)) {
 		t.Errorf("delivered %d, want %d", got, len(events))
 	}
-	_ = g
 }
 
 func TestReplayValidation(t *testing.T) {
@@ -95,19 +89,6 @@ func TestReplayValidation(t *testing.T) {
 		if _, err := Replay(net, evs); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-	}
-}
-
-func TestSynthesizeErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := SynthesizeTrace(nil, 0, 400, sim.Second, rng); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := SynthesizeTrace(nil, 100, 0, sim.Second, rng); err == nil {
-		t.Error("zero size accepted")
-	}
-	if _, err := SynthesizeTrace(nil, 100, 400, 0, rng); err == nil {
-		t.Error("zero duration accepted")
 	}
 }
 

@@ -123,9 +123,6 @@ type Task struct {
 // Add appends a stream to the task.
 func (t *Task) Add(s *Stream) { t.streams = append(t.streams, s) }
 
-// Streams returns the number of streams in the task.
-func (t *Task) Streams() int { return len(t.streams) }
-
 // SetSize overrides the packet size of every stream in the task.
 // Must be called before Start.
 func (t *Task) SetSize(bytes int) {
@@ -149,8 +146,8 @@ func flowBase(tag int) routing.FlowID { return routing.FlowID(tag) << 20 }
 
 // Scatter builds a task in which sender concurrently streams packets to
 // every receiver (§7.1) at perDestPPS packets per second each. Like
-// Gather, ScatterGather and Pathological it seeds one generator per
-// stream from rng and takes it from rands (nil allocates).
+// Gather and ScatterGather it seeds one generator per stream from rng
+// and takes it from rands (nil allocates).
 func Scatter(net *netsim.Network, sender topology.NodeID, receivers []topology.NodeID,
 	perDestPPS float64, tag int, vlb *routing.VLB, rng *rand.Rand, rands *Rands) *Task {
 	t := &Task{}
@@ -409,26 +406,4 @@ func RackShuffle(g *topology.Graph, racksPerSource int, rng *rand.Rand) [][2]top
 		}
 	}
 	return out
-}
-
-// Pathological builds the §7.2 stress pattern: count flows from hosts
-// under one switch to hosts under another, at aggregate bandwidth
-// total. Returns per-flow streams (open-loop Poisson of 400 B packets).
-func Pathological(net *netsim.Network, srcs, dsts []topology.NodeID,
-	total sim.Rate, tag int, vlb *routing.VLB, rng *rand.Rand, rands *Rands) (*Task, error) {
-	if len(srcs) == 0 || len(srcs) != len(dsts) {
-		return nil, fmt.Errorf("traffic: pathological needs equal non-empty src/dst sets")
-	}
-	perFlow := float64(total) / float64(len(srcs))
-	pps := perFlow / (PacketSize * 8)
-	t := &Task{}
-	for i := range srcs {
-		t.streams = append(t.streams, &Stream{
-			Net: net, Src: srcs[i], Dst: dsts[i],
-			Flow: flowBase(tag) + routing.FlowID(i), RatePPS: pps,
-			Tag: tag, VLB: vlb,
-			Rand: rands.New(rng.Int63()),
-		})
-	}
-	return t, nil
 }

@@ -244,28 +244,6 @@ func TestRackShuffle(t *testing.T) {
 	}
 }
 
-func TestPathological(t *testing.T) {
-	net, h, g := meshNet(t, 4, 4)
-	srcs := g.HostsInRack(0)
-	dsts := g.HostsInRack(1)
-	task, err := Pathological(net, srcs, dsts, 100*sim.Mbps, 40, nil, rand.New(rand.NewSource(18)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := task.Start(10 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	net.Engine().Run()
-	// 100Mbps of 400B packets for 10ms = ~312 packets.
-	n := h.Latency(40).N()
-	if n < 200 || n > 450 {
-		t.Errorf("pathological delivered %d, want ~312", n)
-	}
-	if _, err := Pathological(net, srcs, dsts[:1], sim.Gbps, 41, nil, rand.New(rand.NewSource(19)), nil); err == nil {
-		t.Error("mismatched src/dst accepted")
-	}
-}
-
 func TestVLBStreamSpreadsPackets(t *testing.T) {
 	// With VLB fraction 1.0 on a 5-switch mesh, packets from one pair
 	// transit all three possible waypoints.

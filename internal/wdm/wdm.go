@@ -17,11 +17,7 @@
 // length L covers links s, s+1, ..., s+L-1 (mod M).
 package wdm
 
-import (
-	"bytes"
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Direction of travel around the ring.
 type Direction uint8
@@ -263,59 +259,4 @@ func shortestDirections(m int) []Direction {
 // arc spans on a ring of size m.
 func (a Assignment) Hops(m int) int {
 	return arcLen(m, a.S, a.T, a.Dir)
-}
-
-// LinkLoads returns, per physical ring, the number of channels crossing
-// each fiber link.
-func (p *Plan) LinkLoads() [][]int {
-	rings := p.Rings
-	if rings == 0 {
-		rings = 1
-	}
-	load := make([][]int, rings)
-	for r := range load {
-		load[r] = make([]int, p.M)
-	}
-	for _, a := range p.Assignments {
-		arcLinks(p.M, a.S, a.T, a.Dir, func(l int) { load[a.Ring][l]++ })
-	}
-	return load
-}
-
-// RenderChannelMap draws the plan as text: for rings of up to 16
-// switches, a wavelength-by-link occupancy grid ('#' = channel crosses
-// the link); for all sizes, per-link load bars. Intended for the
-// wavelengths planning CLI.
-func (p *Plan) RenderChannelMap() string {
-	var b strings.Builder
-	rings := p.Rings
-	if rings == 0 {
-		rings = 1
-	}
-	if p.M <= 16 {
-		for r := 0; r < rings; r++ {
-			fmt.Fprintf(&b, "ring %d occupancy (rows: wavelengths, cols: fiber links 0..%d):\n", r, p.M-1)
-			grid := make([][]byte, p.Channels)
-			for ch := range grid {
-				grid[ch] = bytes.Repeat([]byte{'.'}, p.M)
-			}
-			for _, a := range p.Assignments {
-				if a.Ring != r {
-					continue
-				}
-				arcLinks(p.M, a.S, a.T, a.Dir, func(l int) { grid[a.Channel][l] = '#' })
-			}
-			for ch, row := range grid {
-				fmt.Fprintf(&b, "  λ%-3d %s\n", ch, row)
-			}
-		}
-	}
-	loads := p.LinkLoads()
-	for r, row := range loads {
-		fmt.Fprintf(&b, "ring %d per-link load:\n", r)
-		for l, n := range row {
-			fmt.Fprintf(&b, "  link %2d-%-2d %3d %s\n", l, (l+1)%p.M, n, strings.Repeat("*", n))
-		}
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package wdm
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -321,49 +320,5 @@ func TestSplitPlanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLinkLoadsAndChannelMap(t *testing.T) {
-	p := Greedy(6, nil)
-	loads := p.LinkLoads()
-	if len(loads) != 1 || len(loads[0]) != 6 {
-		t.Fatalf("loads shape %dx%d, want 1x6", len(loads), len(loads[0]))
-	}
-	total := 0
-	maxLoad := 0
-	for _, n := range loads[0] {
-		total += n
-		if n > maxLoad {
-			maxLoad = n
-		}
-	}
-	// Sum of link loads equals the sum of arc lengths.
-	want := 0
-	for _, a := range p.Assignments {
-		want += a.Hops(6)
-	}
-	if total != want {
-		t.Errorf("total load = %d, want %d", total, want)
-	}
-	if maxLoad != p.MaxLinkLoad() {
-		t.Errorf("max from LinkLoads = %d, MaxLinkLoad = %d", maxLoad, p.MaxLinkLoad())
-	}
-	out := p.RenderChannelMap()
-	if !strings.Contains(out, "occupancy") || !strings.Contains(out, "per-link load") {
-		t.Errorf("map missing sections:\n%s", out)
-	}
-	// Every channel row appears.
-	if got := strings.Count(out, "λ"); got != p.Channels {
-		t.Errorf("map shows %d channels, want %d", got, p.Channels)
-	}
-	// Large rings skip the grid but keep the bars.
-	big := Greedy(20, nil)
-	bigOut := big.RenderChannelMap()
-	if strings.Contains(bigOut, "occupancy") {
-		t.Error("20-ring map should skip the occupancy grid")
-	}
-	if !strings.Contains(bigOut, "per-link load") {
-		t.Error("20-ring map missing load bars")
 	}
 }
