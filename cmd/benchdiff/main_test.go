@@ -1,32 +1,43 @@
 package main
 
 import (
-	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
 )
 
 func TestCompare(t *testing.T) {
-	rep := func(events uint64, wall float64) experiments.ExperimentReport {
-		return experiments.ExperimentReport{Events: events, WallSecs: wall, EventsPerSec: float64(events) / wall}
+	rep := func(exps ...experiments.ExperimentReport) *experiments.Report {
+		return &experiments.Report{Experiments: exps}
+	}
+	exp := func(name string, events uint64, wall float64) experiments.ExperimentReport {
+		return experiments.ExperimentReport{Name: name, Events: events, WallSecs: wall, EventsPerSec: float64(events) / wall}
 	}
 	for _, tc := range []struct {
 		name     string
-		old, new experiments.ExperimentReport
-		want     float64
-		byWall   bool
+		old, new *experiments.Report
+		changed  []string
+		print    []string
 	}{
-		{"same events, faster", rep(1000, 2), rep(1000, 1), 100, false},
-		{"same events, slower", rep(1000, 1), rep(1000, 2), -50, false},
-		// Fewer events for the same work in less time: the rate fell
-		// 20% but the experiment got 1.6x faster — wall time decides.
-		{"fewer events, faster", rep(1000, 2), rep(500, 1.25), 60, true},
-		{"fewer events, slower", rep(1000, 1), rep(500, 2), -50, true},
+		// Twice as slow, or twice as fast: the machine, not the code.
+		{"equal", rep(exp("fig17", 1000, 1), exp("fig5", 0, 1)), rep(exp("fig17", 1000, 2), exp("fig5", 0, 0.5)),
+			nil, []string{"fig17", "fig5"}},
+		// One event fewer is a changed simulation, however fast it ran.
+		{"changed", rep(exp("fig17", 1000, 1), exp("fig18", 500, 1)), rep(exp("fig17", 999, 0.5), exp("fig18", 500, 1)),
+			[]string{"fig17"}, []string{"<< events changed"}},
+		{"one-sided", rep(exp("gone", 10, 1), exp("fig17", 1000, 1)), rep(exp("fig17", 1000, 1), exp("added", 10, 1)),
+			nil, []string{"gone", "only in the baseline: skipped", "added", "no baseline: skipped"}},
 	} {
-		got, byWall := compare(tc.old, tc.new)
-		if math.Abs(got-tc.want) > 1e-9 || byWall != tc.byWall {
-			t.Errorf("%s: delta %.3f%% byWall=%v, want %.3f%% byWall=%v", tc.name, got, byWall, tc.want, tc.byWall)
+		var out strings.Builder
+		if changed := compare(&out, tc.old, tc.new); !slices.Equal(changed, tc.changed) {
+			t.Errorf("%s: changed = %v, want %v\n%s", tc.name, changed, tc.changed, out.String())
+		}
+		for _, want := range tc.print {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.name, want, out.String())
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
+	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
@@ -170,9 +171,7 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 		if !oneOf(fa.Policy, faultPolicies) {
 			add(f.errAt("sim.faults.policy", "unknown policy %q (valid: %s)", fa.Policy, strings.Join(faultPolicies, ", ")))
 		}
-		if fa.DetectMS <= 0 {
-			add(f.errAt("sim.faults.detect_ms", "detection delay %g must be > 0 ms", fa.DetectMS))
-		}
+		checkFaultTime(f, add, "sim.faults.detect_ms", "detection delay", fa.DetectMS)
 		if len(fa.Events) == 0 {
 			add(f.errAt("sim.faults.events", "a faults section needs at least one event"))
 		}
@@ -212,14 +211,38 @@ func validateFaultEvent(f *File, s *SimSpec, ev *FaultEventSpec, path string, ad
 	default:
 		add(f.errAt(path+".kind", "unknown fault kind %q (valid: %s)", ev.Kind, strings.Join(faultKinds, ", ")))
 	}
-	if ev.AtMS <= 0 {
-		add(f.errAt(path+".at_ms", "fault time %g must be > 0 ms", ev.AtMS))
-	} else if ev.AtMS >= s.DurationMS {
+	at := checkFaultTime(f, add, path+".at_ms", "fault time", ev.AtMS)
+	if at > 0 && at >= msTime(s.DurationMS) {
 		add(f.errAt(path+".at_ms", "fault at %g ms fires after the %g ms run ends", ev.AtMS, s.DurationMS))
 	}
-	if ev.RepairMS != 0 && ev.RepairMS <= ev.AtMS {
-		add(f.errAt(path+".repair_ms", "repair at %g ms must come after the fault at %g ms", ev.RepairMS, ev.AtMS))
+	if ev.RepairMS != 0 {
+		if repair := checkFaultTime(f, add, path+".repair_ms", "repair time", ev.RepairMS); repair > 0 && at > 0 && repair <= at {
+			add(f.errAt(path+".repair_ms", "repair at %g ms must come after the fault at %g ms", ev.RepairMS, ev.AtMS))
+		}
 	}
+}
+
+// maxFaultMS is the latest fault time the engine's clock can hold.
+const maxFaultMS = float64(sim.MaxTime / sim.Millisecond)
+
+// checkFaultTime validates a fault time as the picoseconds the runner
+// will use (msTime), not as milliseconds: FaultInjector.Apply reads a
+// zero detection delay as "keep the default" and a zero repair time as
+// "permanent", so a positive field that rounds to 0 ps would silently
+// mean something else. It returns the rounded time, or 0 after
+// reporting a problem.
+func checkFaultTime(f *File, add func(*Error), path, what string, ms float64) sim.Time {
+	switch {
+	case ms <= 0:
+		add(f.errAt(path, "%s %g must be > 0 ms", what, ms))
+	case ms > maxFaultMS:
+		add(f.errAt(path, "%s %g ms is past the end of virtual time (%g ms)", what, ms, maxFaultMS))
+	case msTime(ms) == 0:
+		add(f.errAt(path, "%s %g ms rounds to 0 ps, below the clock's resolution", what, ms))
+	default:
+		return msTime(ms)
+	}
+	return 0
 }
 
 func validateSweep(f *File, d *Doc, add func(*Error)) {

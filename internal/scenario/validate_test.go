@@ -141,3 +141,53 @@ func TestSweepValidation(t *testing.T) {
 		})
 	}
 }
+
+// Fault times are validated as the picoseconds the runner uses, not as
+// the milliseconds the document writes: a positive time that rounds to
+// 0 ps would reach FaultInjector.Apply as "keep the default delay" or
+// "never repair", and one past the clock would overflow it.
+func TestFaultTimesValidatedInPicoseconds(t *testing.T) {
+	doc := func(faults string) string {
+		return `{"schema": "quartz-scenario/v1", "name": "t",
+		  "sim": {"topology": {"kind": "ring"}, "workload": {"kind": "scatter"},
+		          "duration_ms": 10, "faults": ` + faults + `}}`
+	}
+	for _, tc := range []struct {
+		name, faults string
+		want         []string // error paths, in order; none when the document is valid
+	}{
+		{"delay below 1 ps",
+			`{"detect_ms": 1e-10, "events": [{"kind": "link", "link": 1, "at_ms": 1}]}`,
+			[]string{"sim.faults.detect_ms"}},
+		{"fault and repair below 1 ps",
+			`{"events": [{"kind": "link", "link": 1, "at_ms": 1e-10, "repair_ms": 4e-10}]}`,
+			[]string{"sim.faults.events[0].at_ms", "sim.faults.events[0].repair_ms"}},
+		{"repair in the fault's picosecond",
+			`{"events": [{"kind": "link", "link": 1, "at_ms": 1, "repair_ms": 1.0000000001}]}`,
+			[]string{"sim.faults.events[0].repair_ms"}},
+		{"fault in the run's last picosecond",
+			`{"events": [{"kind": "link", "link": 1, "at_ms": 9.9999999999}]}`,
+			[]string{"sim.faults.events[0].at_ms"}},
+		{"repair past the end of virtual time",
+			`{"events": [{"kind": "link", "link": 1, "at_ms": 1, "repair_ms": 1e300}]}`,
+			[]string{"sim.faults.events[0].repair_ms"}},
+		{"delay of one picosecond",
+			`{"detect_ms": 6e-10, "events": [{"kind": "link", "link": 1, "at_ms": 1, "repair_ms": 1.000000001}]}`,
+			nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode([]byte(doc(tc.faults)), "t.json")
+			var got []string
+			if list, ok := err.(ErrorList); ok {
+				for _, e := range list {
+					got = append(got, e.Path)
+				}
+			} else if err != nil {
+				t.Fatalf("want an ErrorList, got %T: %v", err, err)
+			}
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Errorf("errors at %q, want %q:\n%v", got, tc.want, err)
+			}
+		})
+	}
+}
