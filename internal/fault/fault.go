@@ -106,7 +106,7 @@ func newModel(plan *wdm.Plan) (*model, error) {
 // surviving logical mesh is disconnected. Union–find runs over the
 // surviving arcs only and stops once everything is joined — in a
 // near-full mesh after a few dozen arcs, not all of them. It makes no
-// assumption of one arc per switch pair (weighted plans have several).
+// assumption of one arc per switch pair (a plan may give a pair several).
 func (md *model) evaluate(cutMask []uint64) (lost int, partitioned bool) {
 	clear(md.dead)
 	for r, mask := range cutMask {
