@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz verify loc bench bench-json bench-diff bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke examples-smoke flagdoc
+.PHONY: build test vet race fuzz verify loc bench bench-json bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke examples-smoke flagdoc
 
 build:
 	$(GO) build ./...
@@ -37,7 +37,10 @@ race:
 # state event, no over-long line accepted. FuzzFailSpec feeds arbitrary
 # -fail values to quartzsim's clause parser (cmd/quartzsim/fuzz_test.go):
 # whatever it accepts decodes as sim.faults or is rejected by a field
-# under it. A failure leaves its
+# under it. FuzzCellBlocks feeds arbitrary cell-block lists to the grid
+# merge (internal/experiments/fuzz_test.go): exactly n values in cell
+# order or an error, and a block's wire form round-trips with its event
+# count. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
@@ -46,9 +49,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFailSpec$$' -fuzztime 10s -fuzzminimizetime 200x ./cmd/quartzsim
+	$(GO) test -run '^$$' -fuzz '^FuzzCellBlocks$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/experiments
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the four fuzz smokes.
+# pass on the goroutine-owning packages + the five fuzz smokes.
 verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size
@@ -61,20 +65,13 @@ bench:
 
 # Machine-readable perf record: run every experiment at reduced
 # parameters (a smoke-scale pass, minutes not hours) and write
-# per-experiment wall time and simulator events/sec to
+# per-experiment wall time, simulator events/sec and allocations to
 # BENCH_quartz.json. CI uploads it as an artifact; commit it when the
-# perf trajectory is worth recording.
+# perf trajectory is worth recording. Nothing gates on it: event counts
+# are golden values (internal/experiments/golden_test.go), and
+# bench-pair checks speed.
 bench-json:
 	$(GO) run ./cmd/quartzbench -trials 500 -tasks 4 -rpcs 200 -json BENCH_quartz.json
-
-# Ledger gate: run a fresh smoke-scale report and fail if any
-# experiment drove a different number of simulator events than the
-# committed BENCH_quartz.json — the one quantity that survives a change
-# of machine. ev/s and wall time are printed, not gated (bench-pair
-# checks speed). The fresh report goes to $(TMPDIR), else /tmp.
-bench-diff:
-	$(GO) run ./cmd/quartzbench -trials 500 -tasks 4 -rpcs 200 -json $(or $(TMPDIR),/tmp)/bench-new.json >/dev/null
-	$(GO) run ./cmd/benchdiff -old BENCH_quartz.json -new $(or $(TMPDIR),/tmp)/bench-new.json
 
 # Paired runs of the repository's benchmark (BENCHMARK.json) on two
 # revisions, alternating, with a fresh seed per pair: how a performance

@@ -51,7 +51,6 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/scenario"
-	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
 
@@ -179,7 +178,6 @@ func main() {
 		}
 		ran = true
 		fmt.Printf("==> %s\n", e.Title)
-		eventsBefore := sim.TotalEvents()
 		memBefore := experiments.CaptureMemStats()
 		wallStart := time.Now()
 		out, err := e.Run(ctx, params)
@@ -195,7 +193,7 @@ func main() {
 		report.Add(experiments.ExperimentReport{
 			Name: e.Name, Title: e.Title, Section: e.Section,
 			WallSecs:   wallSecs,
-			Events:     sim.TotalEvents() - eventsBefore,
+			Events:     out.Events,
 			AllocBytes: memAfter.TotalAllocBytes - memBefore.TotalAllocBytes,
 			Mallocs:    memAfter.Mallocs - memBefore.Mallocs,
 			CSVRows:    len(out.CSV),

@@ -127,8 +127,8 @@ func runSingle(t *testing.T, name string) experiments.Output {
 
 // TestClusterMergeByteIdentical: for every registry experiment that
 // publishes a sweep, cluster output at worker counts {1, 2, 4} is
-// byte-identical to the single-process run — the tentpole determinism
-// guarantee.
+// byte-identical to the single-process run, event count included — the
+// tentpole determinism guarantee.
 func TestClusterMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations across 3 worker counts")
@@ -147,6 +147,9 @@ func TestClusterMergeByteIdentical(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.CSV, want.CSV) {
 				t.Errorf("%s with %d workers: CSV tables differ from single-process run", name, workers)
+			}
+			if got.Events != want.Events {
+				t.Errorf("%s with %d workers: %d events, single-process run %d", name, workers, got.Events, want.Events)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/core"
@@ -37,7 +36,7 @@ func RenderAblation(title string, rows []AblationRow) string {
 
 // meshScatterLatency measures one scatter task's latency on a mesh of m
 // switches with the given switch model and router.
-func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64) (AblationRow, error) {
+func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64, sh shared) (AblationRow, error) {
 	g, err := topology.NewFullMesh(topology.MeshConfig{Switches: m, HostsPerSwitch: hostsPer})
 	if err != nil {
 		return AblationRow{}, err
@@ -46,13 +45,15 @@ func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64) (
 	net, err := netsim.New(netsim.Config{
 		Graph:       g,
 		Router:      routing.NewECMPPerPacket(g),
-		SwitchModel: func(topology.Node) netsim.SwitchModel { return model },
+		SwitchModel: uniform(model),
 		OnDeliver:   h.Deliver,
 	})
 	if err != nil {
 		return AblationRow{}, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rands := sh.rands()
+	defer rands.Release()
+	rng := rands.New(seed)
 	hosts := g.Hosts()
 	perm := rng.Perm(len(hosts))
 	sender := hosts[perm[0]]
@@ -61,11 +62,12 @@ func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64) (
 		receivers = append(receivers, hosts[i])
 	}
 	const end = 5 * sim.Millisecond
-	t := traffic.Scatter(net, sender, receivers, 30e3, 1, nil, rng, nil)
+	t := traffic.Scatter(net, sender, receivers, 30e3, 1, nil, rng, &rands)
 	if err := t.Start(end); err != nil {
 		return AblationRow{}, err
 	}
 	net.Engine().RunUntil(end + sim.Millisecond)
+	sh.ran(net)
 	s := h.Latency(1)
 	return AblationRow{Latency: s.Mean(), CI: s.CI95(), Drops: net.Dropped()}, nil
 }
@@ -74,8 +76,8 @@ func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64) (
 var ablationRingSizes = []int{4, 8, 16, 32}
 
 // ablationRingCell runs one ring-size configuration.
-func ablationRingCell(i int, seed int64) (AblationRow, error) {
-	row, err := meshScatterLatency(ablationRingSizes[i], 4, netsim.Arista7150, seed)
+func ablationRingCell(i int, seed int64, sh shared) (AblationRow, error) {
+	row, err := meshScatterLatency(ablationRingSizes[i], 4, netsim.Arista7150, seed, sh)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -93,8 +95,8 @@ var ablationSwitchModels = []struct {
 }
 
 // ablationSwitchCell runs one switch-model configuration.
-func ablationSwitchCell(i int, seed int64) (AblationRow, error) {
-	row, err := meshScatterLatency(8, 4, ablationSwitchModels[i].model, seed)
+func ablationSwitchCell(i int, seed int64, sh shared) (AblationRow, error) {
+	row, err := meshScatterLatency(8, 4, ablationSwitchModels[i].model, seed, sh)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -108,33 +110,30 @@ var ablationVLBFracs = []float64{0, 0.125, 0.25, 0.5, 0.75, 1.0}
 // ablationVLBCell runs one VLB indirect fraction. Each cell builds its
 // own router because the fraction is the router's parameter; the ring
 // under it is 20 nodes and is rebuilt alongside.
-func ablationVLBCell(i int, seed int64) (AblationRow, error) {
-	ull := func(topology.Node) netsim.SwitchModel { return netsim.Arista7150 }
+func ablationVLBCell(i int, seed int64, sh shared) (AblationRow, error) {
 	frac := ablationVLBFracs[i]
 	ring, err := fig20Ring()
 	if err != nil {
 		return AblationRow{}, err
 	}
-	var router routing.Router
-	var vlb *routing.VLB
+	arch := &core.Architecture{Graph: ring, Model: uniform(netsim.Arista7150)}
 	if frac == 0 {
-		router = routing.NewECMPPerPacket(ring)
+		arch.Router = routing.NewECMPPerPacket(ring)
 	} else {
-		v, err := routing.NewVLB(ring, frac)
-		if err != nil {
+		if arch.VLB, err = routing.NewVLB(ring, frac); err != nil {
 			return AblationRow{}, err
 		}
-		router, vlb = v, v
+		arch.Router = arch.VLB
 	}
-	mean, saturated, err := runFig20(ring, router, ull, vlb, 45*sim.Gbps, seed)
+	v, err := runFig20(arch, 45*sim.Gbps, seed, sh)
 	if err != nil {
 		return AblationRow{}, err
 	}
 	row := AblationRow{
 		Config:  fmt.Sprintf("VLB indirect fraction %.3f", frac),
-		Latency: mean,
+		Latency: v.Mean,
 	}
-	if saturated {
+	if v.Saturated {
 		row.Config += " (saturated)"
 	}
 	return row, nil
@@ -150,7 +149,7 @@ var ablationECMPModes = []struct {
 }
 
 // ablationECMPCell runs one ECMP mode.
-func ablationECMPCell(i int, seed int64) (AblationRow, error) {
+func ablationECMPCell(i int, seed int64, sh shared) (AblationRow, error) {
 	arch, err := core.ThreeTierTree(core.ArchParams{})
 	if err != nil {
 		return AblationRow{}, err
@@ -161,7 +160,7 @@ func ablationECMPCell(i int, seed int64) (AblationRow, error) {
 		arch.Router = routing.NewECMP(arch.Graph)
 	}
 	params := defaultFig17Params(ScatterKind)
-	mean, ci, err := runTasks(arch, ScatterKind, 6, false, params, seed, nil)
+	mean, ci, err := runTasks(arch, ScatterKind, 6, false, params, seed, sh)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -172,7 +171,7 @@ func ablationECMPCell(i int, seed int64) (AblationRow, error) {
 type ablationPart struct {
 	label string
 	n     int
-	cell  func(i int, seed int64) (AblationRow, error)
+	cell  func(i int, seed int64, sh shared) (AblationRow, error)
 }
 
 // The four ablation axes. Ring size tests the §7 claim that "the size
@@ -214,8 +213,8 @@ func ablationGrid(parts ...ablationPart) Grid[ablationCell, AblationRow, []Ablat
 			}
 			return cells
 		},
-		Run: func(p Params, c ablationCell, _ shared) (AblationRow, error) {
-			return parts[c.part].cell(c.i, p.Seed)
+		Run: func(p Params, c ablationCell, sh shared) (AblationRow, error) {
+			return parts[c.part].cell(c.i, p.Seed, sh)
 		},
 		Merge: func(_ Params, _ []ablationCell, rows []AblationRow) ([]AblationRow, error) {
 			return rows, nil

@@ -127,7 +127,7 @@ func BenchmarkFigure18ScatterGather(b *testing.B) {
 
 func BenchmarkFigure20(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Figure20(context.Background(), benchSeed)
+		rows, err := figure20Grid.Local(context.Background(), Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func BenchmarkAblationECMPMode(b *testing.B) {
 
 func BenchmarkFigure14TCP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Figure14TCP(benchSeed, 400)
+		rows, err := figure14TCPGrid.Local(context.Background(), Params{Seed: benchSeed, RPCs: 400})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func BenchmarkOversubscription(b *testing.B) {
 
 func BenchmarkFlowCompletion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := FlowCompletion(benchSeed, 150)
+		rows, err := fctGrid.Local(context.Background(), Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkFlowCompletion(b *testing.B) {
 
 func BenchmarkStackComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := StackComparison(benchSeed)
+		rows, err := stackGrid.Local(context.Background(), Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func BenchmarkStackComparison(b *testing.B) {
 
 func BenchmarkSchedulerComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := SchedulerComparison(benchSeed)
+		rows, err := schedulerGrid.Local(context.Background(), Params{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func BenchmarkSchedulerComparison(b *testing.B) {
 
 func BenchmarkPriorityComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := PriorityComparison(benchSeed, 400)
+		rows, err := priorityGrid.Local(context.Background(), Params{Seed: benchSeed, RPCs: 400})
 		if err != nil {
 			b.Fatal(err)
 		}

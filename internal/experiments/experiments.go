@@ -1,12 +1,14 @@
 // Package experiments regenerates every table and figure of the Quartz
-// paper's evaluation (§5–§7: Figures 5–20, Tables 8 and 9). Each
-// Figure*/Table* function builds the workload, runs the appropriate
-// simulator, and returns typed rows; String helpers render paper-style
-// ASCII tables. cmd/quartzbench and the repository's benchmark suite
-// are thin wrappers around this package.
+// paper's evaluation (§5–§7: Figures 5–20, Tables 8 and 9). An analytic
+// experiment is a Figure*/Table* function that returns typed rows;
+// every experiment that runs the event loop is a Grid (sweep.go) whose
+// cells are independent simulations and whose run reports its event
+// count. Render* helpers print paper-style ASCII tables. cmd/quartzbench
+// and the repository's benchmark suite are thin wrappers around the
+// registry (All).
 //
-// Every function takes an explicit seed: results are deterministic for
-// a given seed.
+// Every run takes an explicit seed: results are deterministic for a
+// given seed.
 package experiments
 
 import (

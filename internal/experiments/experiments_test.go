@@ -279,7 +279,7 @@ func TestFigure18LocalityClaims(t *testing.T) {
 }
 
 func TestFigure20Claims(t *testing.T) {
-	rows, err := Figure20(context.Background(), 3)
+	rows, err := figure20Grid.Local(context.Background(), Params{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestFigure14TCPIsolation(t *testing.T) {
-	rows, err := Figure14TCP(7, 400)
+	rows, err := figure14TCPGrid.Local(context.Background(), Params{Seed: 7, RPCs: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

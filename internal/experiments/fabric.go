@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"github.com/quartz-dcn/quartz/internal/core"
+	"github.com/quartz-dcn/quartz/internal/netsim"
+	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/trace"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
@@ -38,11 +40,27 @@ type fabricKey struct {
 }
 
 // shared is one cell's handle on its run's fabrics; rec and track place
-// the build span under the cell's own span.
+// the build span under the cell's own span, and events is the cell's
+// own slot of the run's event count.
 type shared struct {
 	fabrics *fabrics
 	rec     *trace.Recorder
 	track   int
+	events  *uint64
+}
+
+// ran adds what net's engine processed to the cell's event count; a
+// cell calls it once per network, after that network has run.
+func (s shared) ran(net *netsim.Network) { *s.events += net.Engine().Processed() }
+
+// rands hands one simulation of the cell its generators from the run's
+// free list; the simulation releases them when it ends.
+func (s shared) rands() traffic.Rands { return traffic.Rands{Pool: &s.fabrics.rands} }
+
+// uniform is the switch-model function of a fabric whose switches are
+// all m.
+func uniform(m netsim.SwitchModel) func(topology.Node) netsim.SwitchModel {
+	return func(topology.Node) netsim.SwitchModel { return m }
 }
 
 // arch returns the named architecture as buildArch builds it from seed,

@@ -101,31 +101,39 @@ func TestArchUsesRandMatchesBuilders(t *testing.T) {
 	}
 }
 
-// TestPacketCellAllocBudget is the allocation gate for a packet grid:
-// what fig17 at Tasks 2 (30 cells, ≈ 1.0 M events) allocates depends on
-// the seed alone, not on the machine. The budget sits between the
-// 4.4 MB / 10.3 k mallocs measured with the cells borrowing their
-// stream generators from the run's free list and the 8.1 MB / 11.6 k
-// they cost when each stream allocated its own; a rebuild per cell plus
-// a queue that allocates as it runs cost 26.5 MB / 51.3 k.
+// TestPacketCellAllocBudget is the allocation gate for the packet
+// grids: what a run allocates on one core depends on the seed alone,
+// not on the machine. fig17 at Tasks 2 (30 cells, ≈ 1.0 M events): the
+// budget sits between the 4.4 MB / 10.3 k mallocs measured with the
+// cells borrowing their stream generators from the run's free list and
+// the 8.1 MB / 11.6 k they cost when each stream allocated its own; a
+// rebuild per cell plus a queue that allocates as it runs cost 26.5 MB /
+// 51.3 k. fig20 (15 cells, ≈ 0.83 M events): its three fabrics come from
+// the run's memo and its streams borrow generators; the serial runner it
+// replaced allocated 0.98 MB, and a fabric rebuild per cell costs
+// ≈ 4.1 k mallocs.
 func TestPacketCellAllocBudget(t *testing.T) {
-	const (
-		budgetBytes   = 6 << 20
-		budgetMallocs = 11_000
-	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	exp, _ := Find("fig17")
-	p := Params{Seed: 2014, Trials: 200, Tasks: 2, RPCs: 50}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := exp.Run(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	t.Logf("fig17 at Tasks 2: %.1f MB, %d mallocs", float64(bytes)/(1<<20), mallocs)
-	if bytes > budgetBytes || mallocs > budgetMallocs {
-		t.Errorf("fig17 at Tasks 2 allocated %d bytes in %d mallocs, budget %d bytes / %d mallocs",
-			bytes, mallocs, budgetBytes, budgetMallocs)
+	for _, tc := range []struct {
+		name           string
+		bytes, mallocs uint64
+	}{
+		{"fig17", 6 << 20, 11_000},
+		{"fig20", 8 << 20 / 10, 2_000},
+	} {
+		exp, _ := Find(tc.name)
+		p := Params{Seed: 2014, Trials: 200, Tasks: 2, RPCs: 50}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := exp.Run(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		t.Logf("%s: %.2f MB, %d mallocs", tc.name, float64(bytes)/(1<<20), mallocs)
+		if bytes > tc.bytes || mallocs > tc.mallocs {
+			t.Errorf("%s allocated %d bytes in %d mallocs, budget %d bytes / %d mallocs",
+				tc.name, bytes, mallocs, tc.bytes, tc.mallocs)
+		}
 	}
 }

@@ -5,12 +5,10 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
-	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/tcp"
 	"github.com/quartz-dcn/quartz/internal/topology"
-	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
 // FCTRow reports short-flow completion times for one topology and
@@ -23,51 +21,47 @@ type FCTRow struct {
 	Flows         int
 }
 
-// FlowCompletion measures the completion time of short (15 KB) flows
-// that share the network with bulk TCP cross-traffic, on the prototype
-// tree and mesh wirings, under Reno and DCTCP. It combines the paper's
-// two latency levers: topology (the mesh removes the shared trunk) and
-// protocol (DCTCP keeps the remaining queues short) — quantifying
-// §2.1.4's claim that protocol fixes are "limited by the amount of
-// path diversity in the underlying network topology".
-func FlowCompletion(seed int64, flows int) ([]FCTRow, error) {
-	var rows []FCTRow
-	for _, quartz := range []bool{false, true} {
-		name := "two-tier tree"
-		if quartz {
-			name = "quartz mesh"
-		}
-		for _, mode := range []tcp.Mode{tcp.Reno, tcp.DCTCP} {
-			mean, p99, n, err := runFCT(quartz, mode, flows, seed)
-			if err != nil {
-				return nil, fmt.Errorf("fct %s/%v: %w", name, mode, err)
-			}
-			rows = append(rows, FCTRow{Topology: name, Mode: mode, MeanUs: mean, P99Us: p99, Flows: n})
-		}
-	}
-	return rows, nil
+// fctCell is one run: a prototype wiring under one congestion-control
+// mode.
+type fctCell struct {
+	quartz bool
+	mode   tcp.Mode
 }
 
-func runFCT(quartz bool, mode tcp.Mode, flows int, seed int64) (mean, p99 float64, n int, err error) {
-	g, hosts, _, err := prototype(quartz)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	h := traffic.NewHarness()
+// fctFlows is how many short flows each run completes.
+const fctFlows = 150
+
+// fctGrid measures the completion time of short (15 KB) flows that
+// share the network with bulk TCP cross-traffic, on the prototype tree
+// and mesh wirings, under Reno and DCTCP. It combines the paper's two
+// latency levers: topology (the mesh removes the shared trunk) and
+// protocol (DCTCP keeps the remaining queues short) — quantifying
+// §2.1.4's claim that protocol fixes are "limited by the amount of path
+// diversity in the underlying network topology".
+var fctGrid = Grid[fctCell, FCTRow, []FCTRow]{
+	Name: "fct",
+	Cells: func(Params) []fctCell {
+		return []fctCell{{false, tcp.Reno}, {false, tcp.DCTCP}, {true, tcp.Reno}, {true, tcp.DCTCP}}
+	},
+	Run: func(_ Params, c fctCell, sh shared) (FCTRow, error) {
+		mean, p99, n, err := runFCT(c.quartz, c.mode, fctFlows, sh)
+		return FCTRow{Topology: wiringName(c.quartz), Mode: c.mode, MeanUs: mean, P99Us: p99, Flows: n}, err
+	},
+	Merge:  func(_ Params, _ []fctCell, rows []FCTRow) ([]FCTRow, error) { return rows, nil },
+	Render: func(rows []FCTRow) Output { return Output{Text: RenderFCT(rows)} },
+}
+
+func runFCT(quartz bool, mode tcp.Mode, flows int, sh shared) (mean, p99 float64, n int, err error) {
 	// The prototype's 1 Gb/s switches with ECN marking at 30 KB, as
 	// DCTCP recommends for gigabit links.
-	model := prototypeSwitch(g.Node(g.Switches()[0]))
+	model := prototypeSwitch
 	model.ECNThresholdBytes = 30_000
-	net, err := netsim.New(netsim.Config{
-		Graph:       g,
-		Router:      routing.NewECMP(g),
-		SwitchModel: func(topology.Node) netsim.SwitchModel { return model },
-		Host:        netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20},
-		OnDeliver:   h.Deliver,
-	})
+	tb, err := newTestbed(quartz, model)
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	net, h, hosts := tb.net, tb.h, tb.hosts
+	defer sh.ran(net)
 	// Background: two bulk flows from S4's servers into the second
 	// server on S3 — through the shared trunk on the tree, around it on
 	// the mesh.
@@ -120,8 +114,8 @@ func runFCT(quartz bool, mode tcp.Mode, flows int, seed int64) (mean, p99 float6
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		if eng.Now() > 30*sim.Second {
-			return 0, 0, 0, fmt.Errorf("short flows starved: %d/%d after %v", done, flows, eng.Now())
+		if eng.Now() > testbedLimit {
+			return 0, 0, 0, fmt.Errorf("fct: short flows starved (completed %d/%d)", done, flows)
 		}
 	}
 	return fcts.Mean(), fcts.Percentile(99), fcts.N(), nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestFlowCompletionComparison(t *testing.T) {
-	rows, err := FlowCompletion(17, 150)
+	rows, err := fctGrid.Local(context.Background(), Params{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

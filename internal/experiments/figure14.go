@@ -31,7 +31,7 @@ type Figure14Row struct {
 // switches and six servers (two per edge switch). quartz selects the
 // full-mesh wiring of Figure 12; otherwise the 2-tier tree rewiring of
 // §6.1 (S1 as the aggregation switch).
-func prototype(quartz bool) (*topology.Graph, []topology.NodeID, topology.NodeID, error) {
+func prototype(quartz bool) (*topology.Graph, []topology.NodeID) {
 	g := topology.New("prototype")
 	rate := 1 * sim.Gbps
 	s := make([]topology.NodeID, 4)
@@ -66,80 +66,108 @@ func prototype(quartz bool) (*topology.Graph, []topology.NodeID, topology.NodeID
 			hosts = append(hosts, h)
 		}
 	}
-	return g, hosts, s[0], nil
+	return g, hosts
 }
 
-// prototypeSwitches models the testbed's 1 Gb/s store-and-forward
+// prototypeSwitch models the testbed's 1 Gb/s store-and-forward
 // managed switches (Nortel 5510 / Catalyst 4948 class).
-func prototypeSwitch(topology.Node) netsim.SwitchModel {
-	return netsim.SwitchModel{
-		Name:        "1G-SF",
-		Latency:     10 * sim.Microsecond,
-		CutThrough:  false,
-		BufferBytes: 256 << 10,
-	}
+var prototypeSwitch = netsim.SwitchModel{
+	Name:        "1G-SF",
+	Latency:     10 * sim.Microsecond,
+	CutThrough:  false,
+	BufferBytes: 256 << 10,
 }
 
-// runFigure14 measures the mean RPC latency on one topology at one
-// cross-traffic level.
-func runFigure14(quartz bool, cross sim.Rate, rpcs int, seed int64) (mean, ci float64, err error) {
-	g, hosts, _, err := prototype(quartz)
-	if err != nil {
-		return 0, 0, err
+// wiringName labels a prototype wiring in the extension tables.
+func wiringName(quartz bool) string {
+	if quartz {
+		return "quartz mesh"
 	}
-	var router routing.Router = routing.NewECMP(g)
+	return "two-tier tree"
+}
+
+// testbed is one run on the §6 prototype: its network, the harness that
+// sees every delivery, and the six servers h2a h2b (S2), h3a h3b (S3),
+// h4a h4b (S4).
+type testbed struct {
+	net   *netsim.Network
+	h     *traffic.Harness
+	hosts []topology.NodeID
+}
+
+// newTestbed builds the prototype on one wiring over switches of the
+// given model. The servers run stock Ubuntu: standard NIC latency.
+func newTestbed(quartz bool, model netsim.SwitchModel) (testbed, error) {
+	g, hosts := prototype(quartz)
 	h := traffic.NewHarness()
 	net, err := netsim.New(netsim.Config{
 		Graph:       g,
-		Router:      router,
-		SwitchModel: prototypeSwitch,
-		// The testbed servers run stock Ubuntu: standard NIC latency.
-		Host:      netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20},
-		OnDeliver: h.Deliver,
+		Router:      routing.NewECMP(g),
+		SwitchModel: uniform(model),
+		Host:        netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20},
+		OnDeliver:   h.Deliver,
 	})
+	return testbed{net, h, hosts}, err
+}
+
+// testbedLimit bounds a testbed run in virtual time: cross-traffic
+// re-arms forever, so a run whose foreground work is not done by then
+// has starved.
+const testbedLimit = 120 * sim.Second
+
+// runRPC measures the RPC of Figure 13 — the first server on S2 calling
+// the first on S3 — on one wiring of the testbed: cross starts the
+// experiment's cross-traffic (and may set the RPC's queueing classes),
+// then the RPC starts and the engine runs in 10 ms slices until rpcs
+// round trips are done. It returns their mean and 95% CI half-width in
+// µs; name labels a starved run's error.
+func runRPC(name string, quartz bool, rpcs int, sh shared, cross func(tb testbed, rpc *traffic.RPC) error) (mean, ci float64, err error) {
+	tb, err := newTestbed(quartz, prototypeSwitch)
 	if err != nil {
 		return 0, 0, err
 	}
-	// hosts: h2a h2b (S2), h3a h3b (S3), h4a h4b (S4).
-	rsrc, rdst := hosts[0], hosts[2] // S2 -> S3, as in Figure 13
 	rpc := &traffic.RPC{
-		Net: net, Harness: h,
-		Client: rsrc, Server: rdst,
+		Net: tb.net, Harness: tb.h,
+		Client: tb.hosts[0], Server: tb.hosts[2],
 		Count: rpcs, ReqTag: 1, ReplyTag: 2,
 	}
-	rng := rand.New(rand.NewSource(seed))
-	if cross > 0 {
-		// Three bursty sources aimed at the second server on S3
-		// (Figure 13): the second servers of S2 and S4, and the first
-		// of S4. In the tree all three share the aggregation uplink to
-		// S3 with the RPC; in the mesh only the S2 source shares the
-		// direct S2-S3 channel.
-		crossTarget := hosts[3] // h3b
-		for i, src := range []topology.NodeID{hosts[1], hosts[4], hosts[5]} {
-			b := &traffic.Bursty{
-				Net: net, Src: src, Dst: crossTarget,
-				Flow: routing.FlowID(1000 + i), Bandwidth: cross,
-				Tag:  100 + i,
-				Rand: rand.New(rand.NewSource(rng.Int63())),
-			}
-			if err := b.Start(sim.Time(1) << 62); err != nil {
-				return 0, 0, err
-			}
-		}
+	if err := cross(tb, rpc); err != nil {
+		return 0, 0, err
 	}
 	if err := rpc.Start(); err != nil {
 		return 0, 0, err
 	}
-	// Run until the RPCs complete; cross-traffic generators re-arm
-	// forever, so bound the run generously and stop when done.
-	eng := net.Engine()
+	eng := tb.net.Engine()
+	defer sh.ran(tb.net)
 	for rpc.RTT.N() < int64(rpcs) && eng.Pending() > 0 {
 		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
-		if eng.Now() > 120*sim.Second {
-			return 0, 0, fmt.Errorf("figure14: RPCs starved (completed %d/%d)", rpc.RTT.N(), rpcs)
+		if eng.Now() > testbedLimit {
+			return 0, 0, fmt.Errorf("%s: RPCs starved (completed %d/%d)", name, rpc.RTT.N(), rpcs)
 		}
 	}
 	return rpc.RTT.Mean(), rpc.RTT.CI95(), nil
+}
+
+// bursts starts the bursty cross-traffic of Figure 13: three sources
+// aimed at the second server on S3 — the second servers of S2 and S4,
+// and the first of S4 — each at rate, in queueing class priority, their
+// generators seeded from seed. In the tree all three share the
+// aggregation uplink to S3 with the RPC; in the mesh only the S2 source
+// shares the direct S2-S3 channel.
+func (tb testbed) bursts(rate sim.Rate, priority uint8, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	for i, src := range []topology.NodeID{tb.hosts[1], tb.hosts[4], tb.hosts[5]} {
+		b := &traffic.Bursty{
+			Net: tb.net, Src: src, Dst: tb.hosts[3],
+			Flow: routing.FlowID(1000 + i), Bandwidth: rate,
+			Tag: 100 + i, Priority: priority,
+			Rand: rand.New(rand.NewSource(rng.Int63())),
+		}
+		if err := b.Start(sim.Time(1) << 62); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // figure14Cell is one RPC run: a prototype wiring at one cross-traffic
@@ -161,8 +189,13 @@ var figure14Grid = Grid[figure14Cell, meanCI, []Figure14Row]{
 		}
 		return cells
 	},
-	Run: func(p Params, c figure14Cell, _ shared) (meanCI, error) {
-		m, ci, err := runFigure14(c.quartz, sim.Rate(c.mbps)*sim.Mbps, p.RPCs, p.Seed+int64(c.mbps))
+	Run: func(p Params, c figure14Cell, sh shared) (meanCI, error) {
+		m, ci, err := runRPC("fig14", c.quartz, p.RPCs, sh, func(tb testbed, _ *traffic.RPC) error {
+			if c.mbps == 0 {
+				return nil
+			}
+			return tb.bursts(sim.Rate(c.mbps)*sim.Mbps, 0, p.Seed+int64(c.mbps))
+		})
 		return meanCI{m, ci}, err
 	},
 	// Each wiring is normalized to its own zero-cross-traffic cell, so

@@ -3,15 +3,28 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/routing"
-	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/tcp"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
-// Figure14TCP is an extension of the §6.1 prototype experiment: the
+// Figure14TCPRow is one point of the TCP variant: normalized RPC
+// latency with the given number of bulk TCP cross-flows.
+type Figure14TCPRow struct {
+	Sources     int
+	TwoTierTree float64
+	Quartz      float64
+}
+
+// figure14TCPCell is one RPC run: a prototype wiring under a number of
+// bulk TCP sources.
+type figure14TCPCell struct {
+	sources int
+	quartz  bool
+}
+
+// figure14TCPGrid is an extension of the §6.1 prototype experiment: the
 // cross-traffic is carried by unthrottled bulk TCP connections instead
 // of the paper's paced 20-packet bursts. TCP's self-clocking parks a
 // standing queue at whatever link saturates first, so the contrast is
@@ -26,93 +39,51 @@ import (
 //
 // The x-axis is the number of active bulk sources (0..3): first the
 // two servers on S4, then the second server on S2 (co-channel with the
-// RPC in the mesh).
-func Figure14TCP(seed int64, rpcs int) ([]Figure14TCPRow, error) {
-	var rows []Figure14TCPRow
-	treeBase, err := runFigure14TCP(false, 0, rpcs, seed)
-	if err != nil {
-		return nil, err
-	}
-	quartzBase, err := runFigure14TCP(true, 0, rpcs, seed)
-	if err != nil {
-		return nil, err
-	}
-	for sources := 0; sources <= 3; sources++ {
-		tm, err := runFigure14TCP(false, sources, rpcs, seed+int64(sources))
-		if err != nil {
-			return nil, err
+// RPC in the mesh). The grid is 4 source counts × 2 wirings,
+// count-major with the tree first; the sources-0 cells are the
+// baselines each wiring is normalized by.
+var figure14TCPGrid = Grid[figure14TCPCell, float64, []Figure14TCPRow]{
+	Name: "fig14tcp",
+	Cells: func(Params) []figure14TCPCell {
+		var cells []figure14TCPCell
+		for sources := 0; sources <= 3; sources++ {
+			cells = append(cells, figure14TCPCell{sources, false}, figure14TCPCell{sources, true})
 		}
-		qm, err := runFigure14TCP(true, sources, rpcs, seed+int64(sources))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Figure14TCPRow{
-			Sources:     sources,
-			TwoTierTree: tm / treeBase,
-			Quartz:      qm / quartzBase,
+		return cells
+	},
+	Run: func(p Params, c figure14TCPCell, sh shared) (float64, error) {
+		mean, _, err := runRPC("fig14tcp", c.quartz, p.RPCs, sh, func(tb testbed, _ *traffic.RPC) error {
+			// S4's servers first (disjoint from the RPC in the mesh), then
+			// the S2 server that shares the RPC's direct channel.
+			for i, src := range []topology.NodeID{tb.hosts[4], tb.hosts[5], tb.hosts[1]}[:c.sources] {
+				conn, err := tcp.New(tcp.Config{
+					Net: tb.net, Harness: tb.h,
+					Src: src, Dst: tb.hosts[3],
+					Flow:    routing.FlowID(2000 + 10*i),
+					DataTag: 100 + 2*i, AckTag: 101 + 2*i,
+				})
+				if err != nil {
+					return err
+				}
+				conn.Start()
+			}
+			return nil
 		})
-	}
-	return rows, nil
-}
-
-// Figure14TCPRow is one point of the TCP variant: normalized RPC
-// latency with the given number of bulk TCP cross-flows.
-type Figure14TCPRow struct {
-	Sources     int
-	TwoTierTree float64
-	Quartz      float64
-}
-
-// runFigure14TCP measures mean RPC latency with n bulk TCP cross-flows.
-func runFigure14TCP(quartz bool, sources, rpcs int, seed int64) (float64, error) {
-	g, hosts, _, err := prototype(quartz)
-	if err != nil {
-		return 0, err
-	}
-	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph:       g,
-		Router:      routing.NewECMP(g),
-		SwitchModel: prototypeSwitch,
-		Host:        netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20},
-		OnDeliver:   h.Deliver,
-	})
-	if err != nil {
-		return 0, err
-	}
-	rsrc, rdst := hosts[0], hosts[2]
-	rpc := &traffic.RPC{
-		Net: net, Harness: h,
-		Client: rsrc, Server: rdst,
-		Count: rpcs, ReqTag: 1, ReplyTag: 2,
-	}
-	crossTarget := hosts[3]
-	// S4's servers first (disjoint from the RPC in the mesh), then the
-	// S2 server that shares the RPC's direct channel.
-	crossSrcs := []topology.NodeID{hosts[4], hosts[5], hosts[1]}
-	for i := 0; i < sources && i < len(crossSrcs); i++ {
-		conn, err := tcp.New(tcp.Config{
-			Net: net, Harness: h,
-			Src: crossSrcs[i], Dst: crossTarget,
-			Flow:    routing.FlowID(2000 + 10*i),
-			DataTag: 100 + 2*i, AckTag: 101 + 2*i,
-		})
-		if err != nil {
-			return 0, err
+		return mean, err
+	},
+	Merge: func(_ Params, cells []figure14TCPCell, means []float64) ([]Figure14TCPRow, error) {
+		treeBase, quartzBase := means[0], means[1]
+		rows := make([]Figure14TCPRow, 0, len(cells)/2)
+		for i := 0; i < len(cells); i += 2 {
+			rows = append(rows, Figure14TCPRow{
+				Sources:     cells[i].sources,
+				TwoTierTree: means[i] / treeBase,
+				Quartz:      means[i+1] / quartzBase,
+			})
 		}
-		conn.Start()
-	}
-	if err := rpc.Start(); err != nil {
-		return 0, err
-	}
-	eng := net.Engine()
-	for rpc.RTT.N() < int64(rpcs) && eng.Pending() > 0 {
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
-		if eng.Now() > 120*sim.Second {
-			return 0, fmt.Errorf("figure14tcp: RPCs starved (completed %d/%d)", rpc.RTT.N(), rpcs)
-		}
-	}
-	return rpc.RTT.Mean(), nil
+		return rows, nil
+	},
+	Render: func(rows []Figure14TCPRow) Output { return Output{Text: RenderFigure14TCP(rows)} },
 }
 
 // RenderFigure14TCP renders the TCP-cross-traffic variant.

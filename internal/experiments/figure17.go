@@ -126,6 +126,8 @@ func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
 		return core.QuartzInEdgeAndCore(p)
 	case "quartz in jellyfish":
 		return core.QuartzInJellyfish(p, rng)
+	case fig20Systems[0], fig20Systems[1], fig20Systems[2]:
+		return fig20Arch(name)
 	default:
 		return nil, fmt.Errorf("experiments: unknown architecture %q", name)
 	}
@@ -135,10 +137,10 @@ func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
 // given kind on one architecture. When local is true, the first task's
 // endpoints all sit in one pod ("nearby racks", Figure 18) and only
 // that task is measured; the remaining tasks are global cross-traffic.
-// The cell's generators come from pool (nil allocates them) and go back
-// to it on return.
-func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params fig17Params, seed int64, pool *traffic.RandPool) (mean, ci float64, err error) {
-	rands := traffic.Rands{Pool: pool}
+// The cell's generators come from the run's free list and go back to it
+// on return.
+func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params fig17Params, seed int64, sh shared) (mean, ci float64, err error) {
+	rands := sh.rands()
 	defer rands.Release()
 	rng := rands.New(seed)
 	h := traffic.NewHarness()
@@ -212,6 +214,7 @@ func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params 
 		}
 	}
 	net.Engine().RunUntil(end + 2*sim.Millisecond)
+	sh.ran(net)
 
 	// Aggregate: mean per-packet latency over the measured tasks. For
 	// scatter/gather the round trip is request mean + reply mean.
@@ -320,7 +323,7 @@ func (f taskFigure) grid() Grid[taskCell, meanCI, [][]Figure17Row] {
 				return meanCI{}, err
 			}
 			kind := f.panels[c.panel].kind
-			m, ci, err := runTasks(arch, kind, c.tasks, f.local, defaultFig17Params(kind), p.Seed+int64(100*c.tasks), &sh.fabrics.rands)
+			m, ci, err := runTasks(arch, kind, c.tasks, f.local, defaultFig17Params(kind), p.Seed+int64(100*c.tasks), sh)
 			return meanCI{m, ci}, err
 		},
 		Merge: func(_ Params, cells []taskCell, vals []meanCI) ([][]Figure17Row, error) {

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
+	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
@@ -76,93 +75,123 @@ var nonBlockingCore = netsim.SwitchModel{
 // frames keep the event counts tractable at 50 Gb/s.
 const fig20PacketSize = 1500
 
-// runFig20 measures mean latency for the pattern on one system.
-func runFig20(g *topology.Graph, router routing.Router, model func(topology.Node) netsim.SwitchModel,
-	vlb *routing.VLB, aggregate sim.Rate, seed int64) (float64, bool, error) {
-	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph: g, Router: router, SwitchModel: model, OnDeliver: h.Deliver,
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	srcs := g.HostsInRack(0)
-	dsts := g.HostsInRack(1)
-	rng := rand.New(rand.NewSource(seed))
-	task := &traffic.Task{}
-	perFlow := float64(aggregate) / float64(len(srcs))
-	pps := perFlow / (fig20PacketSize * 8)
-	for i := range srcs {
-		s := &traffic.Stream{
-			Net: net, Src: srcs[i], Dst: dsts[i],
-			Flow: routing.FlowID(i), RatePPS: pps, Size: fig20PacketSize,
-			Tag: 1, VLB: vlb,
-			Rand: rand.New(rand.NewSource(rng.Int63())),
-		}
-		task.Add(s)
-	}
-	const warm = 200 * sim.Microsecond
-	const measure = 3 * sim.Millisecond
-	if err := task.Start(warm + measure); err != nil {
-		return 0, false, err
-	}
-	net.Engine().Run()
-	lat := h.Latency(1)
-	if lat.N() == 0 {
-		return 0, false, fmt.Errorf("figure20: nothing delivered")
-	}
-	saturated := net.Dropped() > net.Delivered()/100
-	return lat.Mean(), saturated, nil
-}
+// fig20Systems names the three systems of §7.2, in column order, as the
+// run's memo knows them (buildArch): a non-blocking core switch, Quartz
+// with ECMP (direct paths only), and Quartz with VLB (40% of traffic
+// detoured over the two-hop paths).
+var fig20Systems = []string{"fig20 core switch", "fig20 quartz ECMP", "fig20 quartz VLB"}
 
-// Figure20 sweeps aggregate S1→S2 traffic from 10 to 50 Gb/s over the
-// three systems of §7.2: a non-blocking core switch, Quartz with ECMP
-// (direct paths only), and Quartz with VLB (40% of traffic detoured
-// over the two-hop paths). Cancelling ctx aborts between load levels.
-func Figure20(ctx context.Context, seed int64) ([]Figure20Row, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// fig20Arch builds one of fig20Systems.
+func fig20Arch(name string) (*core.Architecture, error) {
+	if name == fig20Systems[0] {
+		star := fig20Star()
+		return &core.Architecture{Name: name, Graph: star, Router: routing.NewECMPPerPacket(star), Model: uniform(nonBlockingCore)}, nil
 	}
 	ring, err := fig20Ring()
 	if err != nil {
 		return nil, err
 	}
-	star := fig20Star()
-	ecmp := routing.NewECMPPerPacket(ring)
-	vlb, err := routing.NewVLB(ring, 0.4)
-	if err != nil {
-		return nil, err
+	a := &core.Architecture{Name: name, Graph: ring, Model: uniform(netsim.Arista7150)}
+	if name == fig20Systems[1] {
+		a.Router = routing.NewECMPPerPacket(ring)
+	} else {
+		if a.VLB, err = routing.NewVLB(ring, 0.4); err != nil {
+			return nil, err
+		}
+		a.Router = a.VLB
 	}
-	starModel := func(topology.Node) netsim.SwitchModel { return nonBlockingCore }
-	ull := func(topology.Node) netsim.SwitchModel { return netsim.Arista7150 }
+	return a, nil
+}
 
-	var rows []Figure20Row
-	for gbps := 10; gbps <= 50; gbps += 10 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		agg := sim.Rate(gbps) * sim.Gbps
-		nb, _, err := runFig20(star, routing.NewECMPPerPacket(star), starModel, nil, agg, seed)
-		if err != nil {
-			return nil, err
-		}
-		em, esat, err := runFig20(ring, ecmp, ull, nil, agg, seed+1)
-		if err != nil {
-			return nil, err
-		}
-		vm, _, err := runFig20(ring, vlb, ull, vlb, agg, seed+2)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Figure20Row{
-			Aggregate:     agg,
-			NonBlocking:   nb,
-			QuartzECMP:    em,
-			QuartzVLB:     vm,
-			ECMPSaturated: esat,
+// fig20Value is one system's mean packet latency (µs) at one load, and
+// whether it saturated (more than 1% of packets dropped).
+type fig20Value struct {
+	Mean      float64
+	Saturated bool
+}
+
+// runFig20 measures mean latency for the pattern on one system.
+func runFig20(arch *core.Architecture, aggregate sim.Rate, seed int64, sh shared) (fig20Value, error) {
+	rands := sh.rands()
+	defer rands.Release()
+	rng := rands.New(seed)
+	h := traffic.NewHarness()
+	net, err := netsim.New(netsim.Config{
+		Graph: arch.Graph, Router: arch.Router, SwitchModel: arch.Model, OnDeliver: h.Deliver,
+	})
+	if err != nil {
+		return fig20Value{}, err
+	}
+	srcs := arch.Graph.HostsInRack(0)
+	dsts := arch.Graph.HostsInRack(1)
+	task := &traffic.Task{}
+	perFlow := float64(aggregate) / float64(len(srcs))
+	pps := perFlow / (fig20PacketSize * 8)
+	for i := range srcs {
+		task.Add(&traffic.Stream{
+			Net: net, Src: srcs[i], Dst: dsts[i],
+			Flow: routing.FlowID(i), RatePPS: pps, Size: fig20PacketSize,
+			Tag: 1, VLB: arch.VLB,
+			Rand: rands.New(rng.Int63()),
 		})
 	}
-	return rows, nil
+	const warm = 200 * sim.Microsecond
+	const measure = 3 * sim.Millisecond
+	if err := task.Start(warm + measure); err != nil {
+		return fig20Value{}, err
+	}
+	net.Engine().Run()
+	sh.ran(net)
+	lat := h.Latency(1)
+	if lat.N() == 0 {
+		return fig20Value{}, fmt.Errorf("figure20: nothing delivered")
+	}
+	return fig20Value{lat.Mean(), net.Dropped() > net.Delivered()/100}, nil
+}
+
+// fig20Cell is one system at one aggregate load.
+type fig20Cell struct {
+	gbps, system int
+}
+
+// figure20Grid sweeps aggregate S1→S2 traffic from 10 to 50 Gb/s over
+// the three fig20Systems: 5 loads × 3 systems, load-major. System k
+// draws from seed+k at every load, and its fabric is built once per run.
+var figure20Grid = Grid[fig20Cell, fig20Value, []Figure20Row]{
+	Name: "fig20",
+	Cells: func(Params) []fig20Cell {
+		var cells []fig20Cell
+		for gbps := 10; gbps <= 50; gbps += 10 {
+			for k := range fig20Systems {
+				cells = append(cells, fig20Cell{gbps, k})
+			}
+		}
+		return cells
+	},
+	Run: func(p Params, c fig20Cell, sh shared) (fig20Value, error) {
+		arch, err := sh.arch(fig20Systems[c.system], 0)
+		if err != nil {
+			return fig20Value{}, err
+		}
+		return runFig20(arch, sim.Rate(c.gbps)*sim.Gbps, p.Seed+int64(c.system), sh)
+	},
+	Merge: func(_ Params, cells []fig20Cell, vals []fig20Value) ([]Figure20Row, error) {
+		rows := make([]Figure20Row, 0, len(cells)/3)
+		for i := 0; i < len(cells); i += 3 {
+			nb, ecmp, vlb := vals[i], vals[i+1], vals[i+2]
+			rows = append(rows, Figure20Row{
+				Aggregate:     sim.Rate(cells[i].gbps) * sim.Gbps,
+				NonBlocking:   nb.Mean,
+				QuartzECMP:    ecmp.Mean,
+				QuartzVLB:     vlb.Mean,
+				ECMPSaturated: ecmp.Saturated,
+			})
+		}
+		return rows, nil
+	},
+	Render: func(rows []Figure20Row) Output {
+		return Output{Text: RenderFigure20(rows), CSV: map[string]interface{}{"figure20": rows}}
+	},
 }
 
 // RenderFigure20 renders the sweep.

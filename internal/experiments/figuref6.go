@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,9 +12,9 @@ import (
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
-// FigureF6Dynamic is the dynamic companion to Figure 6 (§3.5): instead
-// of Monte-Carlo counting which channels a fiber cut destroys, it runs
-// the packet simulator through an actual cut — permutation traffic on a
+// The dynamic companion to Figure 6 (§3.5): instead of Monte-Carlo
+// counting which channels a fiber cut destroys, f6dynamic runs the
+// packet simulator through an actual cut — permutation traffic on a
 // single Quartz ring, one fiber segment severed mid-run and repaired
 // later — and measures throughput and latency before, during, and
 // after, with the blackhole window set by the detection delay.
@@ -56,20 +55,32 @@ type FigureF6Result struct {
 	TotalDelivered, TotalDropped uint64
 }
 
-// FigureF6Dynamic runs permutation traffic across a single Quartz ring
-// (QuartzRingArch), cuts fiber 0 segment 0 at 3 ms, repairs it at 7 ms,
-// and reports 500 µs windows. Routes reconverge 500 µs after each
-// transition. Deterministic for a given seed.
-func FigureF6Dynamic(ctx context.Context, seed int64) (*FigureF6Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// figureF6Grid is one cell, the run under the seed: permutation traffic
+// across a single Quartz ring (QuartzRingArch), fiber 0 segment 0 cut
+// at 3 ms and repaired at 7 ms, reported in 500 µs windows. Routes
+// reconverge 500 µs after each transition. The cell attaches a fault
+// schedule, which reroutes, so it builds its own ring rather than
+// asking the run's memo.
+var figureF6Grid = Grid[int64, FigureF6Result, FigureF6Result]{
+	Name:  "f6dynamic",
+	Cells: func(p Params) []int64 { return []int64{p.Seed} },
+	Run: func(_ Params, seed int64, sh shared) (FigureF6Result, error) {
+		return runFigureF6(seed, sh)
+	},
+	Merge: func(_ Params, _ []int64, runs []FigureF6Result) (FigureF6Result, error) { return runs[0], nil },
+	Render: func(res FigureF6Result) Output {
+		return Output{Text: RenderFigureF6(res), CSV: map[string]interface{}{"figuref6": res.Windows}}
+	},
+}
+
+// runFigureF6 is figureF6Grid's one cell.
+func runFigureF6(seed int64, sh shared) (FigureF6Result, error) {
 	arch, err := core.QuartzRingArch(core.ArchParams{})
 	if err != nil {
-		return nil, err
+		return FigureF6Result{}, err
 	}
 	numWindows := int(figF6Duration / figF6Window)
-	res := &FigureF6Result{Windows: make([]FigureF6Window, numWindows)}
+	res := FigureF6Result{Windows: make([]FigureF6Window, numWindows)}
 	latSum := make([]float64, numWindows)
 	window := func(at sim.Time) int {
 		i := int(at / figF6Window)
@@ -93,19 +104,19 @@ func FigureF6Dynamic(ctx context.Context, seed int64) (*FigureF6Result, error) {
 		},
 	})
 	if err != nil {
-		return nil, err
+		return FigureF6Result{}, err
 	}
 
 	fi, err := arch.Ring.AttachFaults(net)
 	if err != nil {
-		return nil, err
+		return FigureF6Result{}, err
 	}
 	fi.OnChange = func(c netsim.FaultChange) {
 		res.Changes = append(res.Changes, c)
 	}
 	severed, err := arch.Ring.FiberLinks(0, 0)
 	if err != nil {
-		return nil, err
+		return FigureF6Result{}, err
 	}
 	res.SeveredLinks = len(severed)
 	if err := fi.Apply(netsim.FaultSchedule{
@@ -116,7 +127,7 @@ func FigureF6Dynamic(ctx context.Context, seed int64) (*FigureF6Result, error) {
 		DetectionDelay: figF6Detection,
 		Policy:         netsim.DropInFlight,
 	}); err != nil {
-		return nil, err
+		return FigureF6Result{}, err
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -130,26 +141,10 @@ func FigureF6Dynamic(ctx context.Context, seed int64) (*FigureF6Result, error) {
 		})
 	}
 	if err := task.Start(figF6Duration); err != nil {
-		return nil, err
+		return FigureF6Result{}, err
 	}
-	// Poll for cancellation at window granularity; a cancelled run stops
-	// the engine and reports ctx.Err.
-	eng := net.Engine()
-	var watch func()
-	watch = func() {
-		if ctx.Err() != nil {
-			eng.Stop()
-			return
-		}
-		if eng.Now()+figF6Window < figF6Duration {
-			eng.After(figF6Window, watch)
-		}
-	}
-	eng.After(figF6Window, watch)
-	eng.RunUntil(figF6Duration + 2*sim.Millisecond)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	net.Engine().RunUntil(figF6Duration + 2*sim.Millisecond)
+	sh.ran(net)
 
 	for i := range res.Windows {
 		w := &res.Windows[i]
@@ -175,7 +170,7 @@ func FigureF6Dynamic(ctx context.Context, seed int64) (*FigureF6Result, error) {
 }
 
 // RenderFigureF6 renders the windows as a table.
-func RenderFigureF6(res *FigureF6Result) string {
+func RenderFigureF6(res FigureF6Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure F6 (dynamic): fiber cut at %v, repair at %v, reconvergence after %v (%d links severed)\n",
 		figF6CutAt, figF6RepairAt, figF6Detection, res.SeveredLinks)

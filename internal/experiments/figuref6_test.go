@@ -7,7 +7,7 @@ import (
 )
 
 // meanDelivered averages Delivered over the windows in the given phase.
-func meanDelivered(res *FigureF6Result, phase string) float64 {
+func meanDelivered(res FigureF6Result, phase string) float64 {
 	sum, n := 0, 0
 	for _, w := range res.Windows {
 		if w.Phase == phase {
@@ -25,7 +25,7 @@ func TestFigureF6DipAndRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level run")
 	}
-	res, err := FigureF6Dynamic(context.Background(), 11)
+	res, err := figureF6Grid.Local(context.Background(), Params{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestFigureF6Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level run")
 	}
-	a, err := FigureF6Dynamic(context.Background(), 2014)
+	a, err := figureF6Grid.Local(context.Background(), Params{Seed: 2014})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FigureF6Dynamic(context.Background(), 2014)
+	b, err := figureF6Grid.Local(context.Background(), Params{Seed: 2014})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFigureF6Deterministic(t *testing.T) {
 func TestFigureF6Cancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FigureF6Dynamic(ctx, 1); err == nil {
+	if _, err := figureF6Grid.Local(ctx, Params{Seed: 1}); err == nil {
 		t.Error("cancelled context did not abort the run")
 	}
 }

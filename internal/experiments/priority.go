@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"github.com/quartz-dcn/quartz/internal/netsim"
-	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
-	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
@@ -21,89 +17,48 @@ type PriorityRow struct {
 	RTTUs float64
 }
 
-// PriorityComparison puts DeTail-style priority queueing (§2.1.4)
-// against the architectural fix: the §6 prototype cross-traffic
-// experiment at 3x200 Mb/s, with the RPC either sharing FIFO queues
-// with the bulk traffic or riding a strict high-priority class.
+// priorityCell is one RPC run: a prototype wiring, with the RPC in the
+// bulk traffic's class or above it.
+type priorityCell struct {
+	quartz, prioritize bool
+}
+
+// priorityGrid puts DeTail-style priority queueing (§2.1.4) against the
+// architectural fix: the §6 prototype cross-traffic experiment at
+// 3x200 Mb/s, with the RPC either sharing FIFO queues with the bulk
+// traffic or riding a strict high-priority class.
 //
 // Priorities rescue the tree's RPC from queueing — but cannot remove
 // the extra hop or help the bulk traffic itself, while the Quartz mesh
 // needs no packet classification at all: its per-pair channels keep
 // the RPC isolated under FIFO.
-func PriorityComparison(seed int64, rpcs int) ([]PriorityRow, error) {
-	var rows []PriorityRow
-	for _, quartz := range []bool{false, true} {
-		name := "two-tier tree"
-		if quartz {
-			name = "quartz mesh"
-		}
-		for _, prio := range []bool{false, true} {
+var priorityGrid = Grid[priorityCell, float64, []PriorityRow]{
+	Name: "prio",
+	Cells: func(Params) []priorityCell {
+		return []priorityCell{{false, false}, {false, true}, {true, false}, {true, true}}
+	},
+	Run: func(p Params, c priorityCell, sh shared) (float64, error) {
+		rtt, _, err := runRPC("prio", c.quartz, p.RPCs, sh, func(tb testbed, rpc *traffic.RPC) error {
+			rpc.Priority, rpc.BackgroundPriority = 1, 1
+			if c.prioritize {
+				rpc.Priority = 0
+			}
+			return tb.bursts(200*sim.Mbps, 1, p.Seed)
+		})
+		return rtt, err
+	},
+	Merge: func(_ Params, cells []priorityCell, rtts []float64) ([]PriorityRow, error) {
+		rows := make([]PriorityRow, len(cells))
+		for i, c := range cells {
 			disc := "fifo"
-			if prio {
+			if c.prioritize {
 				disc = "priority"
 			}
-			rtt, err := runPriorityCase(quartz, prio, rpcs, seed)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, disc, err)
-			}
-			rows = append(rows, PriorityRow{Topology: name, Discipline: disc, RTTUs: rtt})
+			rows[i] = PriorityRow{Topology: wiringName(c.quartz), Discipline: disc, RTTUs: rtts[i]}
 		}
-	}
-	return rows, nil
-}
-
-func runPriorityCase(quartz, prioritize bool, rpcs int, seed int64) (float64, error) {
-	g, hosts, _, err := prototype(quartz)
-	if err != nil {
-		return 0, err
-	}
-	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph:       g,
-		Router:      routing.NewECMP(g),
-		SwitchModel: prototypeSwitch,
-		Host:        netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20},
-		OnDeliver:   h.Deliver,
-	})
-	if err != nil {
-		return 0, err
-	}
-	rpc := &traffic.RPC{
-		Net: net, Harness: h,
-		Client: hosts[0], Server: hosts[2],
-		Count: rpcs, ReqTag: 1, ReplyTag: 2,
-	}
-	if prioritize {
-		rpc.Priority = 0
-		rpc.BackgroundPriority = 1
-	} else {
-		rpc.Priority = 1
-		rpc.BackgroundPriority = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	crossTarget := hosts[3]
-	for i, src := range []topology.NodeID{hosts[1], hosts[4], hosts[5]} {
-		b := &traffic.Bursty{
-			Net: net, Src: src, Dst: crossTarget,
-			Flow: routing.FlowID(1000 + i), Bandwidth: 200 * sim.Mbps,
-			Tag: 100 + i, Priority: 1,
-			Rand: rand.New(rand.NewSource(rng.Int63())),
-		}
-		if err := b.Start(sim.Time(1) << 62); err != nil {
-			return 0, err
-		}
-	}
-	if err := rpc.Start(); err != nil {
-		return 0, err
-	}
-	eng := net.Engine()
-	for rpc.RTT.N() < int64(rpcs) && eng.Pending() > 0 {
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
-		if eng.Now() > 60*sim.Second {
-			return 0, fmt.Errorf("rpcs starved")
-		}
-	}
-	return rpc.RTT.Mean(), nil
+		return rows, nil
+	},
+	Render: func(rows []PriorityRow) Output { return Output{Text: RenderPriority(rows)} },
 }
 
 // RenderPriority renders the comparison.

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestPriorityComparison(t *testing.T) {
-	rows, err := PriorityComparison(7, 400)
+	rows, err := priorityGrid.Local(context.Background(), Params{Seed: 7, RPCs: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,14 @@ import (
 )
 
 // Output is what one experiment produced: rendered text plus any
-// CSV-exportable row sets, keyed by file stem (e.g. "figure5").
+// CSV-exportable row sets, keyed by file stem (e.g. "figure5"), and the
+// number of simulator events the run processed — a value of the run
+// like its text (0 for an experiment that never enters the event loop),
+// and no part of its cache key.
 type Output struct {
-	Text string
-	CSV  map[string]interface{}
+	Text   string
+	CSV    map[string]interface{}
+	Events uint64
 }
 
 // Experiment is one registry entry.
@@ -42,15 +46,23 @@ type Experiment struct {
 	Sweep *Sweep
 }
 
-// The registry's grid experiments (one Sweep instance each, so every
-// All() call hands out the same grid).
+// The registry's grid experiments — every one that runs the event loop
+// (one Sweep instance each, so every All() call hands out the same
+// grid).
 var (
-	table8Sweep     = table8Grid.Sweep()
-	figure14Sweep   = figure14Grid.Sweep()
-	figure17Sweep   = figure17.grid().Sweep()
-	figure18Sweep   = figure18.grid().Sweep()
-	validationSweep = validationGrid.Sweep()
-	ablationSweep   = ablationGrid(ablationRing, ablationSwitch, ablationVLB, ablationECMP).Sweep()
+	figureF6Sweep    = figureF6Grid.Sweep()
+	table8Sweep      = table8Grid.Sweep()
+	figure14Sweep    = figure14Grid.Sweep()
+	figure17Sweep    = figure17.grid().Sweep()
+	figure18Sweep    = figure18.grid().Sweep()
+	figure20Sweep    = figure20Grid.Sweep()
+	figure14TCPSweep = figure14TCPGrid.Sweep()
+	stackSweep       = stackGrid.Sweep()
+	fctSweep         = fctGrid.Sweep()
+	schedulerSweep   = schedulerGrid.Sweep()
+	validationSweep  = validationGrid.Sweep()
+	prioritySweep    = priorityGrid.Sweep()
+	ablationSweep    = ablationGrid(ablationRing, ablationSwitch, ablationVLB, ablationECMP).Sweep()
 )
 
 // Find returns the experiment registered under name (case-insensitive).
@@ -94,14 +106,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "f6dynamic", Title: "Figure 6 (dynamic): mid-run fiber cut and reconvergence", Section: "§3.5",
-			Covers: []string{"FigureF6Dynamic"},
-			Run: func(ctx context.Context, p Params) (Output, error) {
-				res, err := FigureF6Dynamic(ctx, p.Seed)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderFigureF6(res), CSV: map[string]interface{}{"figuref6": res.Windows}}, nil
-			},
+			Run: figureF6Sweep.Run, Sweep: figureF6Sweep,
 		},
 		{
 			Name: "table8", Title: "Table 8: cost and latency configurator", Section: "§4.2",
@@ -143,14 +148,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "fig20", Title: "Figure 20: pathological traffic pattern", Section: "§7.2",
-			Covers: []string{"Figure20"},
-			Run: func(ctx context.Context, p Params) (Output, error) {
-				rows, err := Figure20(ctx, p.Seed)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderFigure20(rows), CSV: map[string]interface{}{"figure20": rows}}, nil
-			},
+			Run: figure20Sweep.Run, Sweep: figure20Sweep,
 		},
 		{
 			Name: "table16", Title: "Table 16: simulated switch models", Section: "§7",
@@ -160,14 +158,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "fig14tcp", Title: "Figure 14 (extension): bulk TCP cross-traffic", Section: "§6 ext.",
-			Covers: []string{"Figure14TCP"},
-			Run: func(_ context.Context, p Params) (Output, error) {
-				rows, err := Figure14TCP(p.Seed, p.RPCs)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderFigure14TCP(rows)}, nil
-			},
+			Run: figure14TCPSweep.Run, Sweep: figure14TCPSweep,
 		},
 		{
 			Name: "oversub", Title: "Oversubscription tradeoff (§3): n:k port split", Section: "§3.2",
@@ -181,13 +172,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "stack", Title: "Table 2 composition: order-of-magnitude stack walk", Section: "§2.1",
-			Run: func(_ context.Context, p Params) (Output, error) {
-				rows, err := StackComparison(p.Seed)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderStack(rows)}, nil
-			},
+			Run: stackSweep.Run, Sweep: stackSweep,
 		},
 		{
 			Name: "fig1", Title: "Figure 1 extrapolation: Quartz premium vs WDM price decline", Section: "§1",
@@ -207,23 +192,11 @@ func All() []Experiment {
 		},
 		{
 			Name: "fct", Title: "Extension: short-flow completion times (topology x protocol)", Section: "ext.",
-			Run: func(_ context.Context, p Params) (Output, error) {
-				rows, err := FlowCompletion(p.Seed, 150)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderFCT(rows)}, nil
-			},
+			Run: fctSweep.Run, Sweep: fctSweep,
 		},
 		{
 			Name: "sched", Title: "Extension: flow scheduling vs path diversity (§2.1.4)", Section: "§2.1.4",
-			Run: func(_ context.Context, p Params) (Output, error) {
-				rows, err := SchedulerComparison(p.Seed)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderScheduler(rows)}, nil
-			},
+			Run: schedulerSweep.Run, Sweep: schedulerSweep,
 		},
 		{
 			Name: "validate", Title: "Simulator validation against queueing theory (§7)", Section: "§7",
@@ -231,13 +204,7 @@ func All() []Experiment {
 		},
 		{
 			Name: "prio", Title: "Extension: priority queueing vs topology (DeTail, §2.1.4)", Section: "§2.1.4",
-			Run: func(_ context.Context, p Params) (Output, error) {
-				rows, err := PriorityComparison(p.Seed, p.RPCs)
-				if err != nil {
-					return Output{}, err
-				}
-				return Output{Text: RenderPriority(rows)}, nil
-			},
+			Run: prioritySweep.Run, Sweep: prioritySweep,
 		},
 		{
 			Name: "ablations", Title: "Ablations: ring size, switch model, VLB fraction, ECMP mode", Section: "ext.",

@@ -22,8 +22,8 @@ type ExperimentReport struct {
 	// WallSecs is real time spent inside the experiment's Run.
 	WallSecs float64 `json:"wall_secs"`
 	// Events is the number of simulator events the experiment drove
-	// (sim.TotalEvents delta; 0 for analytic experiments that never
-	// touch the event loop).
+	// (its Output.Events; 0 for analytic experiments that never touch
+	// the event loop).
 	Events uint64 `json:"events"`
 	// EventsPerSec is Events over WallSecs.
 	EventsPerSec float64 `json:"events_per_sec"`

@@ -26,69 +26,83 @@ type SchedulerRow struct {
 	Alternatives int
 }
 
-// SchedulerComparison makes §2.1.4's closing argument quantitative:
+// schedTopologies are the two fabrics of the scheduler comparison: a
+// single-root 2-tier tree (diversity 1 — the scheduler has nowhere to
+// move flows) and a Quartz mesh (diversity M-1 — the scheduler spreads
+// the overload over two-hop paths).
+var schedTopologies = []struct {
+	name  string
+	build func() (*topology.Graph, error)
+}{
+	{"two-tier tree (diversity 1)", func() (*topology.Graph, error) {
+		return topology.NewTwoTierTree(topology.TreeConfig{
+			ToRs: 4, Roots: 1, HostsPerToR: 2,
+			UpLink: topology.LinkSpec{Rate: 1 * sim.Gbps},
+		})
+	}},
+	{"quartz mesh (diversity 3)", func() (*topology.Graph, error) {
+		return topology.NewFullMesh(topology.MeshConfig{
+			Switches: 4, HostsPerSwitch: 2,
+			MeshLink: topology.LinkSpec{Rate: 1 * sim.Gbps},
+		})
+	}},
+}
+
+// schedCell is one run: a topology with or without the scheduler.
+type schedCell struct {
+	topology  int
+	scheduled bool
+}
+
+// schedValue is what one run measured: the mean packet latency (µs),
+// the scheduler's re-pins, and the path diversity between the hot racks.
+type schedValue struct {
+	Latency             float64
+	Moves, Alternatives int
+}
+
+// schedulerGrid makes §2.1.4's closing argument quantitative:
 // congestion-aware flow scheduling is "limited by the amount of path
 // diversity in the underlying network topology". The same overloaded
-// rack-pair workload runs on a single-root 2-tier tree (diversity 1 —
-// the scheduler has nowhere to move flows) and on a Quartz mesh
-// (diversity M-1 — the scheduler spreads the overload over two-hop
-// paths).
-func SchedulerComparison(seed int64) ([]SchedulerRow, error) {
-	var rows []SchedulerRow
-	for _, tc := range []struct {
-		name  string
-		build func() (*topology.Graph, error)
-	}{
-		{"two-tier tree (diversity 1)", func() (*topology.Graph, error) {
-			return topology.NewTwoTierTree(topology.TreeConfig{
-				ToRs: 4, Roots: 1, HostsPerToR: 2,
-				UpLink: topology.LinkSpec{Rate: 1 * sim.Gbps},
-			})
-		}},
-		{"quartz mesh (diversity 3)", func() (*topology.Graph, error) {
-			return topology.NewFullMesh(topology.MeshConfig{
-				Switches: 4, HostsPerSwitch: 2,
-				MeshLink: topology.LinkSpec{Rate: 1 * sim.Gbps},
-			})
-		}},
-	} {
-		g, err := tc.build()
-		if err != nil {
-			return nil, err
+// rack-pair workload runs on each of schedTopologies, unscheduled and
+// then scheduled.
+var schedulerGrid = Grid[schedCell, schedValue, []SchedulerRow]{
+	Name: "sched",
+	Cells: func(Params) []schedCell {
+		var cells []schedCell
+		for i := range schedTopologies {
+			cells = append(cells, schedCell{i, false}, schedCell{i, true})
 		}
-		unsched, _, err := runSchedulerCase(g, false, seed)
+		return cells
+	},
+	Run: func(p Params, c schedCell, sh shared) (schedValue, error) {
+		g, err := schedTopologies[c.topology].build()
 		if err != nil {
-			return nil, fmt.Errorf("%s unscheduled: %w", tc.name, err)
+			return schedValue{}, err
 		}
-		sched, moves, err := runSchedulerCase(g, true, seed)
-		if err != nil {
-			return nil, fmt.Errorf("%s scheduled: %w", tc.name, err)
-		}
-		sw := g.Switches()
-		var torA, torB topology.NodeID = -1, -1
-		for _, s := range sw {
-			switch g.Node(s).Rack {
-			case 0:
-				torA = s
-			case 1:
-				torB = s
+		return runSchedulerCase(g, c.scheduled, p.Seed, sh)
+	},
+	Merge: func(_ Params, _ []schedCell, vals []schedValue) ([]SchedulerRow, error) {
+		rows := make([]SchedulerRow, len(schedTopologies))
+		for i, tc := range schedTopologies {
+			unsched, sched := vals[2*i], vals[2*i+1]
+			rows[i] = SchedulerRow{
+				Topology:     tc.name,
+				Unscheduled:  unsched.Latency,
+				Scheduled:    sched.Latency,
+				Moves:        sched.Moves,
+				Alternatives: unsched.Alternatives,
 			}
 		}
-		rows = append(rows, SchedulerRow{
-			Topology:     tc.name,
-			Unscheduled:  unsched,
-			Scheduled:    sched,
-			Moves:        moves,
-			Alternatives: g.EdgeDisjointPaths(torA, torB),
-		})
-	}
-	return rows, nil
+		return rows, nil
+	},
+	Render: func(rows []SchedulerRow) Output { return Output{Text: RenderScheduler(rows)} },
 }
 
 // runSchedulerCase overloads the rack-0 to rack-1 pair with two flows
 // whose aggregate exceeds the 1 Gb/s inter-switch capacity and measures
 // mean latency.
-func runSchedulerCase(g *topology.Graph, withScheduler bool, seed int64) (float64, int, error) {
+func runSchedulerCase(g *topology.Graph, withScheduler bool, seed int64, sh shared) (schedValue, error) {
 	router := schedule.NewRouter(g, routing.NewECMP(g))
 	h := traffic.NewHarness()
 	net, err := netsim.New(netsim.Config{
@@ -97,7 +111,7 @@ func runSchedulerCase(g *topology.Graph, withScheduler bool, seed int64) (float6
 		OnDeliver: h.Deliver,
 	})
 	if err != nil {
-		return 0, 0, err
+		return schedValue{}, err
 	}
 	srcs := g.HostsInRack(0)
 	dsts := g.HostsInRack(1)
@@ -111,21 +125,32 @@ func runSchedulerCase(g *topology.Graph, withScheduler bool, seed int64) (float6
 			Rand: rand.New(rand.NewSource(rng.Int63())),
 		}
 		if err := st.Start(end); err != nil {
-			return 0, 0, err
+			return schedValue{}, err
 		}
 		flows = append(flows, schedule.FlowInfo{Flow: routing.FlowID(i + 1), Src: srcs[i], Dst: dsts[i]})
 	}
-	moves := 0
+	var s *schedule.Scheduler
 	if withScheduler {
-		s := schedule.New(net, router, flows)
+		s = schedule.New(net, router, flows)
 		s.Start(end)
-		defer func() { moves = s.Moves() }()
-		net.Engine().RunUntil(end + 2*sim.Millisecond)
-		moves = s.Moves()
-	} else {
-		net.Engine().RunUntil(end + 2*sim.Millisecond)
 	}
-	return h.Latency(1).Mean(), moves, nil
+	net.Engine().RunUntil(end + 2*sim.Millisecond)
+	sh.ran(net)
+	v := schedValue{Latency: h.Latency(1).Mean(), Alternatives: g.EdgeDisjointPaths(torOf(g, 0), torOf(g, 1))}
+	if s != nil {
+		v.Moves = s.Moves()
+	}
+	return v, nil
+}
+
+// torOf returns the switch of the given rack.
+func torOf(g *topology.Graph, rack int) topology.NodeID {
+	for _, s := range g.Switches() {
+		if g.Node(s).Rack == rack {
+			return s
+		}
+	}
+	return -1
 }
 
 // RenderScheduler renders the comparison.

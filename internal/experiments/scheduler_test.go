@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestSchedulerComparisonDiversityClaim(t *testing.T) {
-	rows, err := SchedulerComparison(21)
+	rows, err := schedulerGrid.Local(context.Background(), Params{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/sim"
-	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
@@ -35,74 +33,59 @@ var (
 	}
 )
 
-// StackComparison reproduces §1/§2's claim that combining the
-// state-of-the-art components "can, in theory, result in an order of
-// magnitude reduction in end-to-end network latency" — and that the
-// architectural lever (Quartz) composes with them. Four cumulative
-// steps, measured as a cross-rack RPC round trip:
+// stackStep is one configuration of the stack walk: a host model over
+// a named architecture (buildArch), its switches optionally all
+// replaced by one model.
+type stackStep struct {
+	name     string
+	host     netsim.HostModel
+	arch     string
+	switches *netsim.SwitchModel // nil keeps the architecture's own
+}
+
+// storeAndForward is a 6 µs store-and-forward switch.
+var storeAndForward = netsim.SwitchModel{Name: "SF", Latency: 6 * sim.Microsecond, CutThrough: false, BufferBytes: 1 << 20}
+
+// stackSteps are the four cumulative steps, measured as a cross-rack
+// RPC round trip:
 //
 //  1. standard stack + standard NIC, store-and-forward switches, 3-tier
 //  2. tuned stack + tuned NIC, same network
 //  3. tuned hosts, cut-through switches, same topology
 //  4. tuned hosts, cut-through switches, Quartz mesh (2 hops)
-func StackComparison(seed int64) ([]StackRow, error) {
-	type step struct {
-		name   string
-		host   netsim.HostModel
-		arch   func() (*core.Architecture, error)
-		models func(*core.Architecture)
-	}
-	sf := netsim.SwitchModel{Name: "SF", Latency: 6 * sim.Microsecond, CutThrough: false, BufferBytes: 1 << 20}
-	steps := []step{
-		{
-			name: "standard stack+NIC, SF switches, 3-tier",
-			host: standardHost,
-			arch: func() (*core.Architecture, error) { return core.ThreeTierTree(core.ArchParams{}) },
-			models: func(a *core.Architecture) {
-				a.Model = func(topology.Node) netsim.SwitchModel { return sf }
-			},
-		},
-		{
-			name: "tuned stack+NIC, SF switches, 3-tier",
-			host: tunedHost,
-			arch: func() (*core.Architecture, error) { return core.ThreeTierTree(core.ArchParams{}) },
-			models: func(a *core.Architecture) {
-				a.Model = func(topology.Node) netsim.SwitchModel { return sf }
-			},
-		},
-		{
-			name: "tuned hosts, cut-through switches, 3-tier",
-			host: tunedHost,
-			arch: func() (*core.Architecture, error) { return core.ThreeTierTree(core.ArchParams{}) },
-			models: func(a *core.Architecture) {
-				a.Model = func(topology.Node) netsim.SwitchModel { return netsim.Arista7150 }
-			},
-		},
-		{
-			name: "tuned hosts, cut-through switches, quartz mesh",
-			host: tunedHost,
-			arch: func() (*core.Architecture, error) { return core.QuartzRingArch(core.ArchParams{}) },
-		},
-	}
-	var rows []StackRow
-	for _, st := range steps {
-		arch, err := st.arch()
+var stackSteps = []stackStep{
+	{"standard stack+NIC, SF switches, 3-tier", standardHost, "three-tier tree", &storeAndForward},
+	{"tuned stack+NIC, SF switches, 3-tier", tunedHost, "three-tier tree", &storeAndForward},
+	{"tuned hosts, cut-through switches, 3-tier", tunedHost, "three-tier tree", &netsim.Arista7150},
+	{"tuned hosts, cut-through switches, quartz mesh", tunedHost, "single Quartz ring", nil},
+}
+
+// stackGrid reproduces §1/§2's claim that combining the
+// state-of-the-art components "can, in theory, result in an order of
+// magnitude reduction in end-to-end network latency" — and that the
+// architectural lever (Quartz) composes with them: one cell per step.
+var stackGrid = Grid[stackStep, float64, []StackRow]{
+	Name:  "stack",
+	Cells: func(Params) []stackStep { return stackSteps },
+	Run: func(_ Params, st stackStep, sh shared) (float64, error) {
+		arch, err := sh.arch(st.arch, 0)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if st.models != nil {
-			st.models(arch)
+		model := arch.Model
+		if st.switches != nil {
+			model = uniform(*st.switches)
 		}
 		h := traffic.NewHarness()
 		net, err := netsim.New(netsim.Config{
 			Graph:       arch.Graph,
 			Router:      arch.Router,
-			SwitchModel: arch.Model,
+			SwitchModel: model,
 			Host:        st.host,
 			OnDeliver:   h.Deliver,
 		})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		hosts := arch.Graph.Hosts()
 		rpc := &traffic.RPC{
@@ -111,12 +94,20 @@ func StackComparison(seed int64) ([]StackRow, error) {
 			Count: 200, ReqTag: 1, ReplyTag: 2,
 		}
 		if err := rpc.Start(); err != nil {
-			return nil, err
+			return 0, err
 		}
 		net.Engine().Run()
-		rows = append(rows, StackRow{Config: st.name, RTTUs: rpc.RTT.Mean()})
-	}
-	return rows, nil
+		sh.ran(net)
+		return rpc.RTT.Mean(), nil
+	},
+	Merge: func(_ Params, steps []stackStep, rtts []float64) ([]StackRow, error) {
+		rows := make([]StackRow, len(steps))
+		for i, st := range steps {
+			rows[i] = StackRow{Config: st.name, RTTUs: rtts[i]}
+		}
+		return rows, nil
+	},
+	Render: func(rows []StackRow) Output { return Output{Text: RenderStack(rows)} },
 }
 
 // RenderStack renders the cumulative comparison.

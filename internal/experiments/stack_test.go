@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestStackComparisonOrderOfMagnitude(t *testing.T) {
-	rows, err := StackComparison(3)
+	rows, err := stackGrid.Local(context.Background(), Params{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

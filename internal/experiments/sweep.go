@@ -1,10 +1,10 @@
 package experiments
 
-// The one way a grid-shaped experiment is written: a cell list, a
-// one-cell function and a pure merge (Grid). Everything else — range
-// checking, the worker pool, per-cell error labels, the wire form,
-// progress and trace spans, the Sweep the cluster coordinator
-// (internal/cluster) shards — is derived here, once.
+// The one way an experiment that runs the event loop is written: a cell
+// list, a one-cell function and a pure merge (Grid). Everything else —
+// range checking, the worker pool, per-cell error labels, the wire
+// form, the event count, progress and trace spans, the Sweep the
+// cluster coordinator (internal/cluster) shards — is derived here, once.
 //
 // Any partition of [0, n) into contiguous ranges, executed anywhere and
 // in any order, merges back into the same bytes a single process
@@ -39,7 +39,8 @@ type Grid[C, V, R any] struct {
 	Name string
 	// Cells lists the grid under p, in merge order.
 	Cells func(p Params) []C
-	// Run executes one cell; sh hands it the run's shared architectures.
+	// Run executes one cell; sh hands it the run's shared architectures
+	// and generators, and counts its events (sh.ran).
 	Run func(p Params, c C, sh shared) (V, error)
 	// Merge assembles the experiment's typed rows from the whole grid's
 	// values; vals[i] belongs to cells[i].
@@ -56,9 +57,10 @@ func (g Grid[C, V, R]) runCells(ctx context.Context, p Params, lo, hi int) (Cell
 		return CellBlock{}, fmt.Errorf("%s: %w", g.Name, err)
 	}
 	vals := make([]json.RawMessage, hi-lo)
+	events := make([]uint64, hi-lo)
 	built := new(fabrics)
 	err := forEachCell(ctx, hi-lo, p, func(k int) error {
-		v, err := g.Run(p, cells[lo+k], shared{built, p.Trace, k})
+		v, err := g.Run(p, cells[lo+k], shared{built, p.Trace, k, &events[k]})
 		if err == nil {
 			vals[k], err = json.Marshal(v)
 		}
@@ -74,7 +76,11 @@ func (g Grid[C, V, R]) runCells(ctx context.Context, p Params, lo, hi int) (Cell
 	if err != nil {
 		return CellBlock{}, fmt.Errorf("%s: encoding cells [%d,%d): %w", g.Name, lo, hi, err)
 	}
-	return CellBlock{Lo: lo, Hi: hi, Data: data}, nil
+	block := CellBlock{Lo: lo, Hi: hi, Data: data}
+	for _, n := range events {
+		block.Events += n
+	}
+	return block, nil
 }
 
 // merge decodes blocks covering the whole grid and merges them.
@@ -110,18 +116,24 @@ func (g Grid[C, V, R]) Sweep() *Sweep {
 			if err != nil {
 				return Output{}, err
 			}
-			return g.Render(rows), nil
+			out := g.Render(rows)
+			for _, b := range blocks {
+				out.Events += b.Events
+			}
+			return out, nil
 		},
 	}
 }
 
 // CellBlock is the result of executing one contiguous cell range
 // [Lo, Hi) of a sweep grid: the experiment-specific per-cell values,
-// JSON-encoded so blocks can cross process boundaries.
+// JSON-encoded so blocks can cross process boundaries, and the number
+// of simulator events the range's cells processed.
 type CellBlock struct {
-	Lo   int             `json:"lo"`
-	Hi   int             `json:"hi"`
-	Data json.RawMessage `json:"data"`
+	Lo     int             `json:"lo"`
+	Hi     int             `json:"hi"`
+	Events uint64          `json:"events"`
+	Data   json.RawMessage `json:"data"`
 }
 
 // Sweep is what a Grid looks like from outside the package: the grid's

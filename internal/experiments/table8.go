@@ -98,7 +98,7 @@ var table8Grid = Grid[table8Cell, float64, []Table8Row]{
 		if err != nil {
 			return 0, err
 		}
-		mean, _, err := runTasks(arch, ScatterKind, c.tasks, false, defaultFig17Params(ScatterKind), c.seed, &sh.fabrics.rands)
+		mean, _, err := runTasks(arch, ScatterKind, c.tasks, false, defaultFig17Params(ScatterKind), c.seed, sh)
 		return mean, err
 	},
 	Merge: func(_ Params, _ []table8Cell, lats []float64) ([]Table8Row, error) {

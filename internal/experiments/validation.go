@@ -61,8 +61,8 @@ var validationGrid = Grid[validationCell, ValidationRow, []ValidationRow]{
 		}
 		return cells
 	},
-	Run: func(p Params, c validationCell, _ shared) (ValidationRow, error) {
-		return runQueueValidation(c.exponential, c.rho, 30*p.WithDefaults().Trials, c.seed)
+	Run: func(p Params, c validationCell, sh shared) (ValidationRow, error) {
+		return runQueueValidation(c.exponential, c.rho, 30*p.WithDefaults().Trials, c.seed, sh)
 	},
 	Merge: func(_ Params, _ []validationCell, rows []ValidationRow) ([]ValidationRow, error) {
 		return rows, nil
@@ -121,7 +121,7 @@ func (in *validationInjector) Run(int64, int64) {
 // runQueueValidation measures mean waiting time on an isolated
 // bottleneck: fast ingress/egress, one 10 Gb/s service link, ideal
 // (zero-latency, infinite-buffer) switches.
-func runQueueValidation(exponential bool, rho float64, packets int, seed int64) (ValidationRow, error) {
+func runQueueValidation(exponential bool, rho float64, packets int, seed int64, sh shared) (ValidationRow, error) {
 	g := topology.New("queue")
 	s0 := g.AddSwitch("s0", topology.TierToR, 0)
 	s1 := g.AddSwitch("s1", topology.TierToR, 1)
@@ -139,7 +139,7 @@ func runQueueValidation(exponential bool, rho float64, packets int, seed int64) 
 	net, err := netsim.New(netsim.Config{
 		Graph:       g,
 		Router:      routing.NewECMP(g),
-		SwitchModel: func(topology.Node) netsim.SwitchModel { return ideal },
+		SwitchModel: uniform(ideal),
 		Host:        netsim.HostModel{BufferBytes: 1 << 30},
 		OnDeliver: func(d netsim.Delivery) {
 			delivered++
@@ -161,6 +161,7 @@ func runQueueValidation(exponential bool, rho float64, packets int, seed int64) 
 	}
 	eng.AfterAction(sim.Time(rng.ExpFloat64()*meanGapPs), inj, 0, 0)
 	eng.Run()
+	sh.ran(net)
 	if delivered != packets {
 		return ValidationRow{}, fmt.Errorf("validation: delivered %d/%d", delivered, packets)
 	}

@@ -180,7 +180,8 @@ func sortedAxisNames(axes map[string][]interface{}) []string {
 }
 
 // runCells executes every cell of doc (one, without a sweep) and
-// merges the outputs in cell order.
+// merges the outputs in cell order; the run's event count is the sum of
+// its cells'.
 func runCells(ctx context.Context, doc Doc, p experiments.Params) (experiments.Output, error) {
 	cells := cellsOf(&doc)
 	trials := 1
@@ -212,15 +213,16 @@ func runCells(ctx context.Context, doc Doc, p experiments.Params) (experiments.O
 		if len(cells) > 1 {
 			fmt.Fprintf(&b, "== %s [%d/%d: %s, seed %d]\n", doc.Name, i+1, len(cells), cell.label(trials), seed)
 		}
-		text, csv, err := runCell(ctx, &cellDoc, seed, p)
+		cellOut, err := runCell(ctx, &cellDoc, seed, p)
 		if err != nil {
 			return experiments.Output{}, fmt.Errorf("cell %d/%d (%s): %w", i+1, len(cells), cell.label(trials), err)
 		}
-		b.WriteString(text)
+		b.WriteString(cellOut.Text)
 		if len(cells) > 1 {
 			b.WriteString("\n")
 		}
-		for name, rows := range csv {
+		out.Events += cellOut.Events
+		for name, rows := range cellOut.CSV {
 			key := name
 			if len(cells) > 1 {
 				key = fmt.Sprintf("%s-cell%03d", name, i+1)
@@ -244,11 +246,11 @@ func tickProgress(p experiments.Params, done, total int) {
 }
 
 // runCell executes one fully-pinned scenario instance.
-func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (string, map[string]interface{}, error) {
+func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (experiments.Output, error) {
 	if d.Experiment != nil {
 		exp, ok := experiments.Find(d.Experiment.Name)
 		if !ok {
-			return "", nil, fmt.Errorf("unknown experiment %q", d.Experiment.Name)
+			return experiments.Output{}, fmt.Errorf("unknown experiment %q", d.Experiment.Name)
 		}
 		cellParams := experiments.Params{
 			Seed:   seed,
@@ -257,11 +259,7 @@ func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (str
 			RPCs:   d.Experiment.RPCs,
 			Trace:  p.Trace,
 		}
-		out, err := exp.Run(ctx, cellParams.WithDefaults())
-		if err != nil {
-			return "", nil, err
-		}
-		return out.Text, out.CSV, nil
+		return exp.Run(ctx, cellParams.WithDefaults())
 	}
 	// The submission's span recorder is the only side band a cell has.
 	var side netsim.ObserveOptions
@@ -270,13 +268,13 @@ func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (str
 	}
 	s, err := NewSim(d.Sim, seed, side)
 	if err != nil {
-		return "", nil, err
+		return experiments.Output{}, err
 	}
 	text, err := s.Run(ctx)
 	if err != nil {
-		return "", nil, err // a cancelled cell's partial text is not a result
+		return experiments.Output{}, err // a cancelled cell's partial text is not a result
 	}
-	return text, nil, nil
+	return experiments.Output{Text: text, Events: s.Net.Engine().Processed()}, nil
 }
 
 // clone returns a deep-enough copy of the document for per-cell

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -139,27 +140,32 @@ func TestSweepCells(t *testing.T) {
 }
 
 func TestSweepRunsEachCell(t *testing.T) {
-	doc := `{"schema": "quartz-scenario/v1", "name": "sweep-sim",
+	// doc(fanout, sweep) is a one-run document, or with sweep a sweep
+	// over fanout.
+	doc := func(fanout int, sweep string) string {
+		return fmt.Sprintf(`{"schema": "quartz-scenario/v1", "name": "sweep-sim",
 	         "sim": {"duration_ms": 1,
 	                 "topology": {"kind": "tree2"},
-	                 "workload": {"kind": "scatter", "tasks": 1, "fanout": 2, "pps": 500}},
-	         "sweep": {"axes": {"fanout": [2, 3]}}}`
-	f, err := Decode([]byte(doc), "sw.json")
-	if err != nil {
-		t.Fatal(err)
+	                 "workload": {"kind": "scatter", "tasks": 1, "fanout": %d, "pps": 500}}%s}`, fanout, sweep)
 	}
-	c, err := Compile(f)
-	if err != nil {
-		t.Fatal(err)
+	run := func(doc string, progress func(done, total int)) experiments.Output {
+		t.Helper()
+		f, err := Decode([]byte(doc), "sw.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Experiment.Run(context.Background(), experiments.Params{Seed: c.Params.Seed, Progress: progress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 	var ticks []int
-	out, err := c.Experiment.Run(context.Background(), experiments.Params{
-		Seed:     c.Params.Seed,
-		Progress: func(done, total int) { ticks = append(ticks, done*100+total) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(doc(2, `, "sweep": {"axes": {"fanout": [2, 3]}}`), func(done, total int) { ticks = append(ticks, done*100+total) })
 	if n := strings.Count(out.Text, "== sweep-sim ["); n != 2 {
 		t.Errorf("want 2 cell headers, got %d in:\n%s", n, out.Text)
 	}
@@ -168,6 +174,10 @@ func TestSweepRunsEachCell(t *testing.T) {
 	}
 	if len(ticks) != 2 || ticks[0] != 102 || ticks[1] != 202 {
 		t.Errorf("progress ticks = %v", ticks)
+	}
+	// The sweep's event count is its cells': each run alone.
+	if sum := run(doc(2, ""), nil).Events + run(doc(3, ""), nil).Events; out.Events == 0 || out.Events != sum {
+		t.Errorf("sweep processed %d events, its cells alone %d", out.Events, sum)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -192,7 +191,6 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(end Time) {
 	e.stopped = false
 	start := time.Now()
-	startRan := e.ran
 	e.runStart = start
 	e.running = true
 	for {
@@ -215,7 +213,6 @@ func (e *Engine) RunUntil(end Time) {
 	}
 	e.running = false
 	e.wall += time.Since(start)
-	totalEvents.Add(e.ran - startRan)
 	if !e.stopped {
 		e.ranThrough(end)
 	}
@@ -241,14 +238,3 @@ func (e *Engine) wallNow() time.Duration {
 	}
 	return e.wall
 }
-
-// totalEvents counts events processed across every Engine in the
-// process — the denominator tools like quartzbench use to report
-// per-experiment events/sec without threading telemetry through each
-// experiment. Atomic: engines may run on concurrent goroutines.
-var totalEvents atomic.Uint64
-
-// TotalEvents returns the number of simulation events processed by all
-// engines in this process so far. The counter is updated when a
-// Run/RunUntil call returns.
-func TotalEvents() uint64 { return totalEvents.Load() }

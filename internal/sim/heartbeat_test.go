@@ -69,15 +69,3 @@ func TestHeartbeatBadInterval(t *testing.T) {
 	}()
 	AttachHeartbeat(NewEngine(), metrics.NewRegistry(), 0, Millisecond)
 }
-
-func TestTotalEventsAccumulates(t *testing.T) {
-	before := TotalEvents()
-	e := NewEngine()
-	for i := 0; i < 25; i++ {
-		e.After(Time(i)*Nanosecond, func() {})
-	}
-	e.Run()
-	if got := TotalEvents() - before; got < 25 {
-		t.Fatalf("TotalEvents grew by %d, want >= 25", got)
-	}
-}
