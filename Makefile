@@ -40,7 +40,11 @@ race:
 # under it. FuzzCellBlocks feeds arbitrary cell-block lists to the grid
 # merge (internal/experiments/fuzz_test.go): exactly n values in cell
 # order or an error, and a block's wire form round-trips with its event
-# count. A failure leaves its
+# count. FuzzSubmitBody feeds arbitrary POST /jobs bodies to quartzd's
+# envelope parser (internal/service/fuzz_test.go): no panic, nothing but
+# whitespace after an accepted body, and an accepted request survives a
+# marshal and re-parse. FuzzDecode checks the same trailing rule. A
+# failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
@@ -50,9 +54,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFailSpec$$' -fuzztime 10s -fuzzminimizetime 200x ./cmd/quartzsim
 	$(GO) test -run '^$$' -fuzz '^FuzzCellBlocks$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/service
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the five fuzz smokes.
+# pass on the goroutine-owning packages + the six fuzz smokes.
 verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size

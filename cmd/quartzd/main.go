@@ -59,7 +59,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -91,11 +91,13 @@ var (
 )
 
 func main() {
-	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
-	log.SetPrefix("quartzd ")
+	// The daemon's own records and internal/cluster's go to stderr as
+	// key=value text.
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	flag.Parse()
 	if err := run(); err != nil {
-		log.Fatal(err)
+		slog.Error("quartzd: exiting", "err", err)
+		os.Exit(1)
 	}
 }
 
@@ -118,7 +120,7 @@ func run() error {
 		coord = cluster.New(cluster.Config{Workers: urls, Registry: reg})
 		defer coord.Close()
 		lookup = coord.WrapLookup(nil)
-		log.Printf("coordinator mode: %d static workers", len(urls))
+		slog.Info("quartzd: coordinator mode", "static_workers", len(urls))
 	}
 	svc := service.New(service.Config{
 		QueueCapacity:   *queue,
@@ -150,7 +152,7 @@ func run() error {
 		}
 		rg := &cluster.Registrar{Coordinator: *join, Advertise: *advertise}
 		go rg.Run(ctx)
-		log.Printf("worker mode: announcing %s to %s", *advertise, *join)
+		slog.Info("quartzd: worker mode", "advertise", *advertise, "join", *join)
 	}
 
 	// Bind before announcing readiness so callers (the CI smoke script
@@ -160,8 +162,8 @@ func run() error {
 		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
 	srv := metrics.NewServer(handler) // read-side timeouts; responses may stream
-	log.Printf("listening on %s (queue=%d workers=%d cache=%d timeout=%v)",
-		ln.Addr(), *queue, svcWorkers(), *cache, *timeout)
+	slog.Info("quartzd: listening", "addr", ln.Addr().String(), "mode", mode,
+		"queue", *queue, "workers", svcWorkers(), "cache", *cache, "timeout", *timeout)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -172,7 +174,7 @@ func run() error {
 	case <-ctx.Done():
 	}
 	stop() // restore default handling: a second signal kills immediately
-	log.Printf("signal received; draining (grace %v)", *grace)
+	slog.Info("quartzd: signal received; draining", "grace", *grace)
 
 	// Drain first — stop admitting, let in-flight jobs finish or cancel
 	// them at the grace deadline — then close the HTTP listener so
@@ -187,15 +189,16 @@ func run() error {
 	}
 
 	st := svc.Stats()
-	log.Printf("drained: done=%d failed=%d cancelled=%d cache_hits=%d cache_misses=%d cache_entries=%d",
-		st.Done, st.Failed, st.Cancelled, st.CacheHits, st.CacheMisses, st.CacheEntries)
+	slog.Info("quartzd: drained", "done", st.Done, "failed", st.Failed, "cancelled", st.Cancelled,
+		"cache_hits", st.CacheHits, "cache_misses", st.CacheMisses, "cache_entries", st.CacheEntries)
 	if forced != nil && errors.Is(forced, context.DeadlineExceeded) {
-		log.Printf("grace period expired; in-flight jobs were cancelled")
+		slog.Warn("quartzd: grace period expired; in-flight jobs were cancelled", "grace", *grace)
 	}
 	return nil
 }
 
-// svcWorkers mirrors the service's worker-count default for logging.
+// svcWorkers mirrors the service's worker-count default for the
+// status page and the log.
 func svcWorkers() int {
 	if *workers > 0 {
 		return *workers

@@ -13,22 +13,26 @@ import (
 )
 
 // What one Grid.runCells call builds once and its cells share: the
-// architectures, and the free list its cells borrow their stream
-// generators from. A core.Architecture is immutable once built — graph,
-// next-hop and distance tables, switch-model function; NextPort and
-// ChooseWaypoint only read them — so every cell that names one can
-// simulate on the same value from any worker, while netsim.New gives
-// each cell its own queues, pools, engine and RNG. The one thing that
-// writes to a router is Rerouter.Reroute, which a fault schedule drives;
-// cells that attach one must build their own architecture and not ask
+// architectures, and the free lists its cells borrow their networks and
+// stream generators from. A core.Architecture is immutable once built —
+// graph, next-hop and distance tables, switch-model function; NextPort
+// and ChooseWaypoint only read them — so every cell that names one can
+// simulate on the same value from any worker. A cell has the network it
+// simulates on to itself: it borrows one built on its architecture,
+// reset (netsim.Network.Reset) to exactly what netsim.New would give
+// it, and gives it back when it ends, so a run allocates a network per
+// architecture and worker, not per cell. The one thing that writes to a
+// router is Rerouter.Reroute, which a fault schedule drives; cells that
+// attach one must build their own architecture and network and not ask
 // here.
 
 // fabrics memoises architectures for one runCells call, which creates
-// it (the zero value is ready) and drops it on return; rands is that
-// call's generator free list.
+// it (the zero value is ready) and drops it on return; nets and rands
+// are that call's network and generator free lists.
 type fabrics struct {
 	mu    sync.Mutex
 	built map[fabricKey]*core.Architecture
+	nets  map[*core.Architecture][]*netsim.Network
 	rands traffic.RandPool
 }
 
@@ -52,6 +56,42 @@ type shared struct {
 // ran adds what net's engine processed to the cell's event count; a
 // cell calls it once per network, after that network has run.
 func (s shared) ran(net *netsim.Network) { *s.events += net.Engine().Processed() }
+
+// network hands the cell a network on arch with onDeliver as its
+// delivery hook: a released one, reset, if the run has one for arch,
+// else a new one. The cell gives it back with release when it ends.
+func (s shared) network(arch *core.Architecture, onDeliver func(netsim.Delivery)) (*netsim.Network, error) {
+	f := s.fabrics
+	f.mu.Lock()
+	var net *netsim.Network
+	if free := f.nets[arch]; len(free) > 0 {
+		net, f.nets[arch] = free[len(free)-1], free[:len(free)-1]
+	}
+	f.mu.Unlock()
+	if net != nil {
+		net.Reset(onDeliver)
+		return net, nil
+	}
+	return netsim.New(netsim.Config{
+		Graph: arch.Graph, Router: arch.Router, SwitchModel: arch.Model, OnDeliver: onDeliver,
+	})
+}
+
+// release returns a network from network to the run's free list for
+// arch, unless it can no longer be reset onto arch's router; the cell
+// must not touch it afterwards.
+func (s shared) release(arch *core.Architecture, net *netsim.Network) {
+	if !net.Recyclable() {
+		return
+	}
+	f := s.fabrics
+	f.mu.Lock()
+	if f.nets == nil {
+		f.nets = map[*core.Architecture][]*netsim.Network{}
+	}
+	f.nets[arch] = append(f.nets[arch], net)
+	f.mu.Unlock()
+}
 
 // rands hands one simulation of the cell its generators from the run's
 // free list; the simulation releases them when it ends.

@@ -3,9 +3,13 @@ package experiments
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 
+	"github.com/quartz-dcn/quartz/internal/core"
+	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/trace"
+	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
 // buildSpans returns the "build" spans of rec, failing unless each lies
@@ -103,23 +107,33 @@ func TestArchUsesRandMatchesBuilders(t *testing.T) {
 
 // TestPacketCellAllocBudget is the allocation gate for the packet
 // grids: what a run allocates on one core depends on the seed alone,
-// not on the machine. fig17 at Tasks 2 (30 cells, ≈ 1.0 M events): the
-// budget sits between the 4.4 MB / 10.3 k mallocs measured with the
-// cells borrowing their stream generators from the run's free list and
-// the 8.1 MB / 11.6 k they cost when each stream allocated its own; a
-// rebuild per cell plus a queue that allocates as it runs cost 26.5 MB /
-// 51.3 k. fig20 (15 cells, ≈ 0.83 M events): its three fabrics come from
-// the run's memo and its streams borrow generators; the serial runner it
-// replaced allocated 0.98 MB, and a fabric rebuild per cell costs
-// ≈ 4.1 k mallocs.
+// not on the machine. Every row runs at Tasks 2 with its cells
+// borrowing networks and stream generators from the run's free lists
+// and streams scheduling themselves as actions; each budget is about
+// 25 % over what that costs, and under what the same grid cost when
+// every cell built its own network.
+//
+//   - fig17 (30 cells, ≈ 1.0 M events): 2.5 MB / 3.9 k mallocs. A
+//     network per cell cost 4.4 MB / 10.3 k; before that, a generator
+//     per stream 8.1 MB / 11.6 k, and a fabric rebuild per cell plus a
+//     queue that allocated as it ran 26.5 MB / 51.3 k.
+//   - fig18 (24 cells): 1.9 MB / 3.6 k; 3.2 MB / 7.8 k with a network
+//     per cell.
+//   - table8 (12 cells on six fabrics): 3.5 MB / 4.3 k; 4.5 MB / 12.2 k
+//     with a network per cell.
+//   - fig20 (15 cells, ≈ 0.83 M events): 0.32 MB / 0.9 k; 0.57 MB /
+//     1.6 k with a network per cell, 0.98 MB in the serial runner it
+//     replaced, and a fabric rebuild per cell costs ≈ 4.1 k mallocs.
 func TestPacketCellAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		name           string
 		bytes, mallocs uint64
 	}{
-		{"fig17", 6 << 20, 11_000},
-		{"fig20", 8 << 20 / 10, 2_000},
+		{"fig17", 3 << 20, 5_000},
+		{"fig18", 5 << 20 / 2, 4_500},
+		{"table8", 42 << 20 / 10, 5_500},
+		{"fig20", 45 << 20 / 100, 1_200},
 	} {
 		exp, _ := Find(tc.name)
 		p := Params{Seed: 2014, Trials: 200, Tasks: 2, RPCs: 50}
@@ -135,5 +149,100 @@ func TestPacketCellAllocBudget(t *testing.T) {
 			t.Errorf("%s allocated %d bytes in %d mallocs, budget %d bytes / %d mallocs",
 				tc.name, bytes, mallocs, tc.bytes, tc.mallocs)
 		}
+	}
+}
+
+// TestConcurrentCellsShareNetworks runs two cells at a time on one
+// run's network free list (`make race` has this package in scope for
+// it), alternating between two architectures round by round. Both cells
+// borrow together, simulate together and release together, so no
+// network may be in both cells, and every one comes back: each
+// architecture's list ends holding exactly the two networks its rounds
+// needed at once. A network that had a fault injector is not taken back.
+func TestConcurrentCellsShareNetworks(t *testing.T) {
+	const rounds = 20
+	var archs [2]*core.Architecture
+	for k := range archs {
+		a, err := fig20Arch(fig20Systems[k+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		archs[k] = a
+	}
+	var (
+		run    fabrics
+		events [2]uint64
+		mu     sync.Mutex
+		live   = map[*netsim.Network]bool{}
+		wg     sync.WaitGroup
+		meet   = make(chan struct{}) // worker 0 sends, worker 1 receives
+	)
+	rendezvous := [2]func(){func() { meet <- struct{}{} }, func() { <-meet }}
+	cell := func(worker, round int) {
+		sh := shared{fabrics: &run, events: &events[worker]}
+		arch := archs[round%2]
+		h := traffic.NewHarness()
+		net, err := sh.network(arch, h.Deliver)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		if live[net] {
+			t.Errorf("worker %d round %d: network %p is already in a live cell", worker, round, net)
+		}
+		live[net] = true
+		mu.Unlock()
+		rendezvous[worker]() // both cells hold their networks
+
+		src, dst := arch.Graph.HostsInRack(0), arch.Graph.HostsInRack(1)
+		for i := 0; i <= round%4; i++ {
+			net.Unicast(1, src[worker], dst[i], 1500, 1)
+		}
+		net.Run()
+		sh.ran(net)
+		if got := h.Latency(1).N(); got != int64(round%4+1) {
+			t.Errorf("worker %d round %d: %d deliveries, want %d", worker, round, got, round%4+1)
+		}
+		rendezvous[worker]() // neither has released yet
+
+		mu.Lock()
+		delete(live, net)
+		mu.Unlock()
+		sh.release(arch, net)
+		rendezvous[worker]() // everything is back before the next round borrows
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				cell(w, round)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[*netsim.Network]bool{}
+	for k, a := range archs {
+		if n := len(run.nets[a]); n != 2 {
+			t.Errorf("architecture %d: free list holds %d networks, want the 2 its rounds had out at once", k, n)
+		}
+		for _, net := range run.nets[a] {
+			if seen[net] {
+				t.Errorf("network %p is on a free list twice", net)
+			}
+			seen[net] = true
+		}
+	}
+
+	sh := shared{fabrics: &run, events: &events[0]}
+	net, err := sh.network(archs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Faults()
+	sh.release(archs[0], net)
+	if n := len(run.nets[archs[0]]); n != 1 {
+		t.Errorf("after a faulted network's release the free list holds %d networks, want 1", n)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/core"
-	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/traffic"
@@ -137,32 +137,28 @@ func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
 // given kind on one architecture. When local is true, the first task's
 // endpoints all sit in one pod ("nearby racks", Figure 18) and only
 // that task is measured; the remaining tasks are global cross-traffic.
-// The cell's generators come from the run's free list and go back to it
-// on return.
+// The cell's network and generators come from the run's free lists and
+// go back to them on return.
 func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params fig17Params, seed int64, sh shared) (mean, ci float64, err error) {
 	rands := sh.rands()
 	defer rands.Release()
 	rng := rands.New(seed)
 	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph:       arch.Graph,
-		Router:      arch.Router,
-		SwitchModel: arch.Model,
-		OnDeliver:   h.Deliver,
-	})
+	net, err := sh.network(arch, h.Deliver)
 	if err != nil {
 		return 0, 0, err
 	}
+	defer sh.release(arch, net)
 	hosts := arch.Graph.Hosts()
-	pick := func(k int, exclude map[topology.NodeID]bool) []topology.NodeID {
-		var out []topology.NodeID
+	// pick draws k distinct hosts into buf, which the tasks share: they
+	// copy their endpoints out before the next pick.
+	buf := make([]topology.NodeID, 0, params.receivers+1)
+	pick := func(k int) []topology.NodeID {
+		out := buf[:0]
 		for len(out) < k {
-			c := hosts[rng.Intn(len(hosts))]
-			if exclude[c] {
-				continue
+			if c := hosts[rng.Intn(len(hosts))]; !slices.Contains(out, c) {
+				out = append(out, c)
 			}
-			exclude[c] = true
-			out = append(out, c)
 		}
 		return out
 	}
@@ -197,7 +193,7 @@ func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params 
 				members = append(members, lh[i])
 			}
 		} else {
-			members = pick(params.receivers+1, map[topology.NodeID]bool{})
+			members = pick(params.receivers + 1)
 		}
 		sender, receivers := members[0], members[1:]
 		var t *traffic.Task

@@ -110,25 +110,25 @@ type fig20Value struct {
 	Saturated bool
 }
 
-// runFig20 measures mean latency for the pattern on one system.
+// runFig20 measures mean latency for the pattern on one system, on a
+// network and generators borrowed from the run.
 func runFig20(arch *core.Architecture, aggregate sim.Rate, seed int64, sh shared) (fig20Value, error) {
 	rands := sh.rands()
 	defer rands.Release()
 	rng := rands.New(seed)
 	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph: arch.Graph, Router: arch.Router, SwitchModel: arch.Model, OnDeliver: h.Deliver,
-	})
+	net, err := sh.network(arch, h.Deliver)
 	if err != nil {
 		return fig20Value{}, err
 	}
+	defer sh.release(arch, net)
 	srcs := arch.Graph.HostsInRack(0)
 	dsts := arch.Graph.HostsInRack(1)
 	task := &traffic.Task{}
 	perFlow := float64(aggregate) / float64(len(srcs))
 	pps := perFlow / (fig20PacketSize * 8)
 	for i := range srcs {
-		task.Add(&traffic.Stream{
+		task.Add(traffic.Stream{
 			Net: net, Src: srcs[i], Dst: dsts[i],
 			Flow: routing.FlowID(i), RatePPS: pps, Size: fig20PacketSize,
 			Tag: 1, VLB: arch.VLB,

@@ -134,7 +134,7 @@ func runFigureF6(seed int64, sh shared) (FigureF6Result, error) {
 	hosts := arch.Graph.Hosts()
 	task := &traffic.Task{}
 	for i, pr := range traffic.RandomPermutation(hosts, rng) {
-		task.Add(&traffic.Stream{
+		task.Add(traffic.Stream{
 			Net: net, Src: pr[0], Dst: pr[1],
 			Flow: routing.FlowID(1<<20 + i), RatePPS: 20e3, Size: 1500, Tag: 1,
 			Rand: rand.New(rand.NewSource(rng.Int63())),

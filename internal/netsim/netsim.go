@@ -241,9 +241,11 @@ type Network struct {
 	eng    *sim.Engine
 	router routing.Router
 
-	// freeEv is the pooled-record free list; pooled counts the records
-	// allocated so far.
+	// freeEv is the pooled-record free list, refilled from slabs, which
+	// hold every record allocated so far (pooled of them); Reset relinks
+	// them all, including records a RunUntil left stranded in queues.
 	freeEv *netEvent
+	slabs  [][]netEvent
 	pooled int
 
 	probe     Probe
@@ -320,6 +322,7 @@ func (n *Network) newEvent() *netEvent {
 	ev := n.freeEv
 	if ev == nil {
 		slab := make([]netEvent, max(eventSlab, n.pooled))
+		n.slabs = append(n.slabs, slab)
 		n.pooled += len(slab)
 		for i := range slab {
 			slab[i].n = n
@@ -462,17 +465,14 @@ func New(cfg Config) (*Network, error) {
 		host = DefaultHost
 	}
 	n := &Network{
-		g:         cfg.Graph,
-		host:      host,
-		eng:       sim.NewEngine(),
-		router:    cfg.Router,
-		probe:     cfg.Probe,
-		onDeliver: cfg.OnDeliver,
-		onDrop:    cfg.OnDrop,
+		g:      cfg.Graph,
+		host:   host,
+		eng:    sim.NewEngine(),
+		router: cfg.Router,
+		models: make([]SwitchModel, cfg.Graph.NumNodes()),
+		dirs:   make([]dirLink, 2*cfg.Graph.NumLinks()),
 	}
-	n.txDone = txDoneAction{n: n}
-	n.models = make([]SwitchModel, cfg.Graph.NumNodes())
-	for i := 0; i < cfg.Graph.NumNodes(); i++ {
+	for i := range n.models {
 		node := cfg.Graph.Node(topology.NodeID(i))
 		if node.Kind != topology.Switch {
 			continue
@@ -483,18 +483,56 @@ func New(cfg Config) (*Network, error) {
 			n.models[i] = Arista7150
 		}
 	}
-	n.dirs = make([]dirLink, 2*cfg.Graph.NumLinks())
-	for i := 0; i < cfg.Graph.NumLinks(); i++ {
-		l := cfg.Graph.Link(topology.LinkID(i))
+	n.Reset(cfg.OnDeliver)
+	n.onDrop, n.probe = cfg.OnDrop, cfg.Probe
+	return n, nil
+}
+
+// Reset returns n to the state New builds from the graph, router,
+// switch models and host n was built with, with onDeliver as its
+// delivery hook and no drop hook, probe or fault injector: a run on the
+// reset network is event for event the run on a new one. What earlier
+// runs grew is kept — the port table, the packet-record slabs (every
+// record back on the free list, including any a RunUntil left queued)
+// and the engine's queue arrays — so a run no larger than those before
+// it allocates none of them again. Pending events are discarded.
+//
+// Reset puts no state of the router back: reconvergence after a fault
+// rewrites its tables (routing.Rerouter), so only a network that was
+// never given a fault injector (Faults) may be reset onto a router
+// other runs still use. See Recyclable.
+func (n *Network) Reset(onDeliver func(Delivery)) {
+	*n = Network{
+		g: n.g, models: n.models, host: n.host, dirs: n.dirs,
+		eng: n.eng, router: n.router, slabs: n.slabs, pooled: n.pooled,
+		onDeliver: onDeliver,
+	}
+	n.txDone = txDoneAction{n: n}
+	n.eng.Reset()
+	for i := 0; i < n.g.NumLinks(); i++ {
+		l := n.g.Link(topology.LinkID(i))
 		for d, from := range [2]topology.NodeID{l.A, l.B} {
 			dl := dirLink{rate: l.Rate, prop: l.Prop, capBytes: n.bufferOf(from), peer: l.Other(from)}
-			if cfg.Graph.Node(from).Kind == topology.Switch {
+			if n.g.Node(from).Kind == topology.Switch {
 				dl.service, dl.ecn = n.models[from].ServiceTime, n.models[from].ECNThresholdBytes
 			}
 			n.dirs[2*i+d] = dl
 		}
 	}
-	return n, nil
+	for _, slab := range n.slabs {
+		for i := range slab {
+			slab[i] = netEvent{n: n, next: n.freeEv}
+			n.freeEv = &slab[i]
+		}
+	}
+}
+
+// Recyclable reports whether n may be Reset for another run on the
+// same router: no fault injector was ever obtained (its reconvergence
+// may have rewritten the router's tables) and no probe is attached (an
+// observer may still hold the network).
+func (n *Network) Recyclable() bool {
+	return n.faults == nil && n.probe == nil
 }
 
 func (n *Network) bufferOf(node topology.NodeID) int {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,9 +10,10 @@ import (
 
 // FuzzDecode feeds arbitrary bytes to the front door every submission
 // path shares (quartz.RunScenario, quartzsim/quartzbench -scenario,
-// quartzd): Decode and Compile never panic, and a document that is
-// accepted is a fixed point — Normalize changes nothing the second
-// time, and its canonical form decodes again to the same identity.
+// quartzd): Decode and Compile never panic, a document that is
+// accepted has nothing but whitespace after it (json.Valid judges),
+// and it is a fixed point — Normalize changes nothing the second time,
+// and its canonical form decodes again to the same identity.
 // Seeded with every shipped example and the malformed testdata
 // documents; `make fuzz` runs it for ten seconds.
 func FuzzDecode(f *testing.F) {
@@ -32,6 +34,9 @@ func FuzzDecode(f *testing.F) {
 		file, err := Decode(data, "fuzz")
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted a document that is not one JSON value and whitespace: %q", data)
 		}
 		if _, err := Compile(file); err != nil {
 			return

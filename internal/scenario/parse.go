@@ -137,11 +137,22 @@ func decodeJSON(data []byte, f *File) error {
 	if err := dec.Decode(&f.Doc); err != nil {
 		return ErrorList{jsonError(err, data, f)}
 	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(bytes.TrimSpace(trailing)) > 0 {
-		return ErrorList{{File: f.Name, Msg: "trailing data after the document"}}
+	if off, ok := TrailingData(dec, data); ok {
+		return ErrorList{{File: f.Name, Line: lineAt(data, off), Msg: "trailing data after the document"}}
 	}
 	return nil
+}
+
+// TrailingData reports whether anything but JSON whitespace follows
+// the value dec has just decoded from data, and where it starts. It is
+// the one trailing-data rule of the strict decoders — a scenario
+// document here, quartzd's job envelope — because neither of the
+// decoder's own checks is enough: More is false before a stray '}' or
+// ']', and a second Decode only notices trailing data that is itself
+// JSON.
+func TrailingData(dec *json.Decoder, data []byte) (offset int64, ok bool) {
+	rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")
+	return int64(len(data) - len(rest)), len(rest) > 0
 }
 
 // jsonError converts an encoding/json error into a located *Error.

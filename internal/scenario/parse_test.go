@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -153,10 +154,33 @@ func TestDecodeSyntaxError(t *testing.T) {
 	}
 }
 
+// Only whitespace may follow the document: trailing bytes are refused
+// whether or not they are JSON themselves, and located on their line.
 func TestDecodeTrailingData(t *testing.T) {
-	_, err := Decode([]byte(minimalExperiment+"\n{\"more\": true}"), "t.json")
-	if err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Errorf("want trailing-data error, got %v", err)
+	for _, tc := range []struct {
+		name, tail string
+		line       int // of the trailing-data error; 0 if accepted
+	}{
+		{"whitespace", " \t\r\n\n", 0},
+		{"another object", "\n{\"more\": true}", 6},
+		{"a word", " x", 5},
+		{"a stray brace", "}", 5},
+		{"a stray bracket", "\n\n]", 7},
+		{"a comma", ",", 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode([]byte(minimalExperiment+tc.tail), "t.json")
+			if tc.line == 0 {
+				if err != nil {
+					t.Fatalf("document followed by %q: %v", tc.tail, err)
+				}
+				return
+			}
+			want := fmt.Sprintf("t.json:%d: trailing data after the document", tc.line)
+			if err == nil || err.Error() != want {
+				t.Fatalf("document followed by %q: error %v, want %q", tc.tail, err, want)
+			}
+		})
 	}
 }
 

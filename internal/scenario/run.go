@@ -256,7 +256,7 @@ func (s *Sim) startWorkload(rng *rand.Rand, end sim.Time) error {
 	startPairs := func(pairs [][2]topology.NodeID, tag int) error {
 		t := &traffic.Task{}
 		for i, pr := range pairs {
-			t.Add(&traffic.Stream{
+			t.Add(traffic.Stream{
 				Net: net, Src: pr[0], Dst: pr[1],
 				Flow: routing.FlowID(1<<20 + i), RatePPS: w.PPS,
 				Size: w.PacketSize, Tag: tag, VLB: arch.VLB,

@@ -164,7 +164,7 @@ func parseSubmitBody(body []byte) (Request, error) {
 	if err := dec.Decode(&req); err != nil {
 		return Request{}, err
 	}
-	if dec.More() {
+	if _, ok := scenario.TrailingData(dec, body); ok {
 		return Request{}, errors.New("trailing data after the job envelope")
 	}
 	return req, nil

@@ -313,3 +313,33 @@ func TestHTTPDraining503(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
+
+// parseSubmitBody follows the scenario decoder's trailing-data rule:
+// only whitespace may follow the envelope, whatever the bytes after it.
+func TestSubmitBodyTrailingData(t *testing.T) {
+	const envelope = `{"experiment":"fig5","params":{"seed":3}}`
+	for _, tc := range []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"nothing", "", true},
+		{"whitespace", " \r\n\t\n", true},
+		{"another envelope", `{"experiment":"fig6"}`, false},
+		{"a word", " x", false},
+		{"a stray brace", "}", false},
+		{"a stray bracket", "]", false},
+		{"a comma", "\n,", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := parseSubmitBody([]byte(envelope + tc.tail))
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("envelope followed by %q: %v", tc.tail, err)
+			case tc.ok && (req.Experiment != "fig5" || req.Params.Seed != 3):
+				t.Fatalf("envelope followed by %q parsed as %+v", tc.tail, req)
+			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "trailing data")):
+				t.Fatalf("envelope followed by %q: error %v, want trailing data", tc.tail, err)
+			}
+		})
+	}
+}

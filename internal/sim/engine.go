@@ -77,6 +77,16 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reset returns e to the state NewEngine builds — clock at zero,
+// nothing pending, no probe, no counts — but keeps the queue's arrays,
+// so a run no longer than the last one on this engine schedules without
+// growing them. Events still pending are discarded unrun.
+func (e *Engine) Reset() {
+	q := &e.queue
+	clear(q.slots) // release the discarded actions to the GC
+	*e = Engine{queue: eventHeap{keys: q.keys[:0], slots: q.slots[:0], free: q.free[:0]}}
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

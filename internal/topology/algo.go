@@ -8,10 +8,11 @@ func (g *Graph) BFSDist(src NodeID, dead map[LinkID]bool) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	// Each node joins the queue at most once, so it is sized once.
+	queue := make([]NodeID, 1, len(g.nodes))
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		for _, p := range g.ports[n] {
 			if dead[p.Link] || dist[p.Peer] >= 0 {
 				continue

@@ -64,7 +64,9 @@ func (h *Harness) Latency(tag int) *metrics.Stats {
 	return &metrics.Stats{}
 }
 
-// Stream is an open-loop Poisson packet stream between two hosts.
+// Stream is an open-loop Poisson packet stream between two hosts. It
+// is its own arrival event (a sim.Action), so a running stream
+// schedules without allocating.
 type Stream struct {
 	Net  *netsim.Network
 	Src  topology.NodeID
@@ -80,10 +82,14 @@ type Stream struct {
 	VLB *routing.VLB
 	// Rand drives arrivals and VLB choices; required.
 	Rand *rand.Rand
+
+	until     sim.Time
+	meanGapPs float64
 }
 
 // Start schedules the stream's Poisson arrivals from now until the
-// given absolute time.
+// given absolute time. The stream must not move in memory until they
+// end.
 func (s *Stream) Start(until sim.Time) error {
 	if s.Rand == nil {
 		return fmt.Errorf("traffic: stream needs a Rand")
@@ -94,47 +100,53 @@ func (s *Stream) Start(until sim.Time) error {
 	if s.Size == 0 {
 		s.Size = PacketSize
 	}
-	meanGapPs := float64(sim.Second) / s.RatePPS
-	eng := s.Net.Engine()
-	var tick func()
-	tick = func() {
-		if eng.Now() >= until {
-			return
-		}
-		p := netsim.Packet{
-			Flow: s.Flow, Src: s.Src, Dst: s.Dst,
-			Size: s.Size, Tag: s.Tag, Waypoint: netsim.NoWaypoint,
-		}
-		if s.VLB != nil {
-			p.Waypoint = s.VLB.ChooseWaypoint(s.Src, s.Dst, s.Rand)
-		}
-		s.Net.Send(p)
-		eng.After(sim.Time(s.Rand.ExpFloat64()*meanGapPs), tick)
-	}
-	eng.After(sim.Time(s.Rand.ExpFloat64()*meanGapPs), tick)
+	s.until, s.meanGapPs = until, float64(sim.Second)/s.RatePPS
+	s.schedule()
 	return nil
+}
+
+// schedule draws the gap to the stream's next arrival.
+func (s *Stream) schedule() {
+	s.Net.Engine().AfterAction(sim.Time(s.Rand.ExpFloat64()*s.meanGapPs), s, 0, 0)
+}
+
+// Run implements sim.Action: one arrival, which sends a packet and
+// schedules the next.
+func (s *Stream) Run(int64, int64) {
+	if s.Net.Engine().Now() >= s.until {
+		return
+	}
+	p := netsim.Packet{
+		Flow: s.Flow, Src: s.Src, Dst: s.Dst,
+		Size: s.Size, Tag: s.Tag, Waypoint: netsim.NoWaypoint,
+	}
+	if s.VLB != nil {
+		p.Waypoint = s.VLB.ChooseWaypoint(s.Src, s.Dst, s.Rand)
+	}
+	s.Net.Send(p)
+	s.schedule()
 }
 
 // Task is a scatter, gather, or scatter-gather task instance.
 type Task struct {
-	streams []*Stream
+	streams []Stream
 }
 
 // Add appends a stream to the task.
-func (t *Task) Add(s *Stream) { t.streams = append(t.streams, s) }
+func (t *Task) Add(s Stream) { t.streams = append(t.streams, s) }
 
 // SetSize overrides the packet size of every stream in the task.
 // Must be called before Start.
 func (t *Task) SetSize(bytes int) {
-	for _, s := range t.streams {
-		s.Size = bytes
+	for i := range t.streams {
+		t.streams[i].Size = bytes
 	}
 }
 
-// Start begins all of the task's streams.
+// Start begins all of the task's streams; none may be added after.
 func (t *Task) Start(until sim.Time) error {
-	for _, s := range t.streams {
-		if err := s.Start(until); err != nil {
+	for i := range t.streams {
+		if err := t.streams[i].Start(until); err != nil {
 			return err
 		}
 	}
@@ -150,14 +162,14 @@ func flowBase(tag int) routing.FlowID { return routing.FlowID(tag) << 20 }
 // and takes it from rands (nil allocates).
 func Scatter(net *netsim.Network, sender topology.NodeID, receivers []topology.NodeID,
 	perDestPPS float64, tag int, vlb *routing.VLB, rng *rand.Rand, rands *Rands) *Task {
-	t := &Task{}
+	t := &Task{streams: make([]Stream, len(receivers))}
 	for i, r := range receivers {
-		t.streams = append(t.streams, &Stream{
+		t.streams[i] = Stream{
 			Net: net, Src: sender, Dst: r,
 			Flow: flowBase(tag) + routing.FlowID(i), RatePPS: perDestPPS,
 			Tag: tag, VLB: vlb,
 			Rand: rands.New(rng.Int63()),
-		})
+		}
 	}
 	return t
 }
@@ -166,14 +178,14 @@ func Scatter(net *netsim.Network, sender topology.NodeID, receivers []topology.N
 // packets to one receiver (§7.1).
 func Gather(net *netsim.Network, senders []topology.NodeID, receiver topology.NodeID,
 	perSrcPPS float64, tag int, vlb *routing.VLB, rng *rand.Rand, rands *Rands) *Task {
-	t := &Task{}
+	t := &Task{streams: make([]Stream, len(senders))}
 	for i, s := range senders {
-		t.streams = append(t.streams, &Stream{
+		t.streams[i] = Stream{
 			Net: net, Src: s, Dst: receiver,
 			Flow: flowBase(tag) + routing.FlowID(i), RatePPS: perSrcPPS,
 			Tag: tag, VLB: vlb,
 			Rand: rands.New(rng.Int63()),
-		})
+		}
 	}
 	return t
 }

@@ -149,6 +149,6 @@ for pid in "$C0PID" "$W1PID" "$W2PID"; do
     [[ $CODE -eq 0 ]] || fail "daemon $pid exited $CODE after SIGTERM"
 done
 PIDS=()
-grep -q 'drained:' "$LOG0" || fail "no drain summary in the coordinator log"
+grep -q 'msg="quartzd: drained"' "$LOG0" || fail "no drain summary in the coordinator log"
 
 echo "cluster_smoke: OK"

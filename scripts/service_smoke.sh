@@ -127,6 +127,6 @@ CODE=$?
 set -e
 PID=""
 [[ $CODE -eq 0 ]] || fail "daemon exited $CODE after SIGTERM"
-grep -q 'drained:' "$LOG" || fail "no drain summary in the daemon log"
+grep -q 'msg="quartzd: drained"' "$LOG" || fail "no drain summary in the daemon log"
 
 echo "service_smoke: OK"
