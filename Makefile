@@ -43,8 +43,11 @@ race:
 # count. FuzzSubmitBody feeds arbitrary POST /jobs bodies to quartzd's
 # envelope parser (internal/service/fuzz_test.go): no panic, nothing but
 # whitespace after an accepted body, and an accepted request survives a
-# marshal and re-parse. FuzzDecode checks the same trailing rule. A
-# failure leaves its
+# marshal and re-parse. FuzzDecode checks the same trailing rule.
+# FuzzFaultModel feeds arbitrary channel-plan JSON, cuts and trials to
+# the fiber-cut model (internal/fault/fuzz_test.go): an error, or a loss
+# and a partition probability in [0, 1], with no panic, hang or
+# out-of-memory. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
@@ -55,9 +58,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFailSpec$$' -fuzztime 10s -fuzzminimizetime 200x ./cmd/quartzsim
 	$(GO) test -run '^$$' -fuzz '^FuzzCellBlocks$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultModel$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fault
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the six fuzz smokes.
+# pass on the goroutine-owning packages + the seven fuzz smokes.
 verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size

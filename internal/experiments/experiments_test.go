@@ -129,7 +129,7 @@ func TestFigure10QuartzBetweenHalfAndFull(t *testing.T) {
 
 func TestSplitVLBMatchesVLBFlow(t *testing.T) {
 	// throughputOnQuartz re-weights one template per pair; that must
-	// give exactly the flow flowsim.VLBFlow builds for each of the nine
+	// give exactly the flow flowsim.VLBFlows builds for each of the nine
 	// fractions — same subflows, order, paths and weight bits — for
 	// cross-rack pairs and same-rack ones.
 	g, err := topology.NewFullMesh(topology.MeshConfig{Switches: 5, HostsPerSwitch: 2})
@@ -137,19 +137,20 @@ func TestSplitVLBMatchesVLBFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := g.Hosts()
-	for _, pair := range [][2]topology.NodeID{{hosts[0], hosts[9]}, {hosts[3], hosts[4]}, {hosts[2], hosts[3]}} {
-		tmpl, err := flowsim.VLBFlow(g, pair[0], pair[1], 0.5, 0)
+	pairs := [][2]topology.NodeID{{hosts[0], hosts[9]}, {hosts[3], hosts[4]}, {hosts[2], hosts[3]}}
+	templates, err := flowsim.VLBFlows(g, pairs, 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for frac := 0.0; frac <= 1.0; frac += 0.125 {
+		wants, err := flowsim.VLBFlows(g, pairs, 1-frac, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for frac := 0.0; frac <= 1.0; frac += 0.125 {
-			want, err := flowsim.VLBFlow(g, pair[0], pair[1], 1-frac, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for i, tmpl := range templates {
 			got := splitVLB(tmpl, 1-frac, make([]flowsim.Subflow, len(tmpl.Subflows)))
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("pair %v frac %v:\n got %+v\nwant %+v", pair, frac, got, want)
+			if want := wants[i]; !reflect.DeepEqual(got, want) {
+				t.Errorf("pair %v frac %v:\n got %+v\nwant %+v", pairs[i], frac, got, want)
 			}
 		}
 	}

@@ -152,6 +152,41 @@ func TestPacketCellAllocBudget(t *testing.T) {
 	}
 }
 
+// TestAnalyticAllocBudget is the analytic experiments' counterpart of
+// TestPacketCellAllocBudget: each budget is ≈ 25 % over what the
+// experiment costs at seed 2014 on one core (fig5 1.1 MB in 620 mallocs,
+// fig10 4.5 MB in 1 824, oversub 7.8 MB in 2 528), and below what it
+// cost while channels were tested link by link and flows were built a
+// pair at a time (2.0 MB / 4 435, 9.7 MB / 43 345, 8.1 MB / 5 125). It
+// fails if first-fit or a flow builder starts allocating per channel, per
+// arc or per host pair again.
+func TestAnalyticAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name           string
+		bytes, mallocs uint64
+	}{
+		{"fig5", 14 << 20 / 10, 800},
+		{"fig10", 57 << 20 / 10, 2_300},
+		{"oversub", 98 << 20 / 10, 3_200},
+	} {
+		exp, _ := Find(tc.name)
+		p := Params{Seed: 2014, Trials: 5000}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := exp.Run(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		t.Logf("%s: %.2f MB, %d mallocs", tc.name, float64(bytes)/(1<<20), mallocs)
+		if bytes > tc.bytes || mallocs > tc.mallocs {
+			t.Errorf("%s allocated %d bytes in %d mallocs, budget %d bytes / %d mallocs",
+				tc.name, bytes, mallocs, tc.bytes, tc.mallocs)
+		}
+	}
+}
+
 // TestConcurrentCellsShareNetworks runs two cells at a time on one
 // run's network free list (`make race` has this package in scope for
 // it), alternating between two architectures round by round. Both cells

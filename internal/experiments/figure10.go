@@ -63,13 +63,9 @@ func fig10Pairs(g *topology.Graph, rng *rand.Rand) map[string][][2]topology.Node
 // throughputOn allocates the pattern's flows on a fabric over single
 // shortest paths.
 func throughputOn(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error) {
-	flows := make([]flowsim.Flow, 0, len(pairs))
-	for _, p := range pairs {
-		f, err := flowsim.ShortestPathFlow(g, p[0], p[1], 0)
-		if err != nil {
-			return 0, err
-		}
-		flows = append(flows, f)
+	flows, err := flowsim.ShortestPathFlows(g, pairs, 0)
+	if err != nil {
+		return 0, err
 	}
 	alloc, err := flowsim.Allocate(g, flows)
 	if err != nil {
@@ -84,14 +80,12 @@ func throughputOn(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error
 // pattern. A pair's paths do not depend on the split, so they are built
 // once and only re-weighted per fraction.
 func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error) {
-	templates := make([]flowsim.Flow, len(pairs))
+	templates, err := flowsim.VLBFlows(g, pairs, 0.5, 0)
+	if err != nil {
+		return 0, err
+	}
 	subflows := 0
-	for i, p := range pairs {
-		f, err := flowsim.VLBFlow(g, p[0], p[1], 0.5, 0)
-		if err != nil {
-			return 0, err
-		}
-		templates[i] = f
+	for _, f := range templates {
 		subflows += len(f.Subflows)
 	}
 	flows := make([]flowsim.Flow, len(pairs))
@@ -114,7 +108,7 @@ func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64,
 	return best, nil
 }
 
-// splitVLB returns the flow flowsim.VLBFlow builds for directFrac, given
+// splitVLB returns the flow flowsim.VLBFlows builds for directFrac, given
 // the same pair's flow at an interior split (the direct path first, then
 // every detour): it shares tmpl's paths and stores its subflows in buf.
 func splitVLB(tmpl flowsim.Flow, directFrac float64, buf []flowsim.Subflow) flowsim.Flow {

@@ -13,6 +13,7 @@ package fault
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -60,9 +61,19 @@ func newModel(plan *wdm.Plan) (*model, error) {
 	if plan.M > 64 {
 		return nil, fmt.Errorf("fault: M=%d exceeds the 64-segment mask", plan.M)
 	}
+	if len(plan.Assignments) == 0 {
+		return nil, fmt.Errorf("fault: plan has no assignments, so nothing to lose")
+	}
 	m, rings := plan.M, plan.Rings
 	if rings == 0 {
 		rings = 1
+	}
+	// A decoded plan's header is only checked for signs. Memory and each
+	// trial's work grow with the ring count, so it is held to what the
+	// arcs can use: no more rings than channels, nor than arcs.
+	if rings > max(1, min(plan.Channels, len(plan.Assignments))) {
+		return nil, fmt.Errorf("fault: %d fiber rings for %d channels on %d arcs: %w",
+			rings, plan.Channels, len(plan.Assignments), wdm.ErrIdleRings)
 	}
 	words := (len(plan.Assignments) + 63) / 64
 	md := &model{
@@ -271,8 +282,8 @@ type AvailabilityResult struct {
 // with probability MTTR/(MTBF+MTTR), the standard two-state Markov
 // availability model.
 func Availability(plan *wdm.Plan, p AvailabilityParams, rng *rand.Rand) (AvailabilityResult, error) {
-	if p.MTBFHours <= 0 || p.MTTRHours <= 0 {
-		return AvailabilityResult{}, fmt.Errorf("fault: MTBF and MTTR must be positive")
+	if !(p.MTBFHours > 0 && p.MTTRHours > 0) || math.IsInf(p.MTBFHours+p.MTTRHours, 1) {
+		return AvailabilityResult{}, fmt.Errorf("fault: MTBF and MTTR must be positive and finite")
 	}
 	if p.Trials < 1 {
 		return AvailabilityResult{}, fmt.Errorf("fault: need at least one trial")

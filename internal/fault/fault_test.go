@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -93,9 +94,14 @@ func TestMoreRingsLessLoss(t *testing.T) {
 
 // malformedPlans are serialized plans that pass Plan.UnmarshalJSON (it
 // checks only the header fields) but used to hang the arc walk (an
-// endpoint outside the ring never equals an index mod M) or index past
-// the per-ring masks.
+// endpoint outside the ring never equals an index mod M), index past
+// the per-ring masks, divide by zero arcs, or — with 2^40 fiber rings
+// for one channel — allocate per ring until the runtime died out of
+// memory, which no recover can catch.
 var malformedPlans = []struct{ name, doc, want string }{
+	{"rings > channels", `{"ringSize":4,"channels":1,"physicalRings":1099511627776,"assignments":[{"S":0,"T":1}]}`, "1099511627776 fiber rings for 1 channels"},
+	{"rings > arcs", `{"ringSize":4,"channels":1099511627776,"physicalRings":1099511627776,"assignments":[{"S":0,"T":1}]}`, "on 1 arcs"},
+	{"no arcs", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[]}`, "no assignments"},
 	{"T >= M", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":0,"T":1},{"S":1,"T":4}]}`, "assignment 1 (pair 1-4"},
 	{"Ring >= Rings", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":0,"T":1},{"S":0,"T":2},{"S":0,"T":3},{"S":1,"T":2,"Ring":3}]}`, "assignment 3 (pair 1-2"},
 	{"negative S", `{"ringSize":4,"channels":1,"physicalRings":1,"assignments":[{"S":-1,"T":2,"Dir":1}]}`, "assignment 0 (pair -1-2"},
@@ -136,6 +142,34 @@ func TestSimulateErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%s: err = %v, want it to name %q", bad.name, err, bad.want)
 		}
+	}
+}
+
+func TestIdleRingsRejected(t *testing.T) {
+	// The ring-count rows of malformedPlans fail as wdm.ErrIdleRings, and
+	// so does asking SplitAcrossRings for them; a ring per channel is
+	// still a plan.
+	for _, bad := range malformedPlans[:2] {
+		p := decodePlan(t, bad.doc)
+		if _, err := Simulate(p, 1, 10, rand.New(rand.NewSource(1))); !errors.Is(err, wdm.ErrIdleRings) {
+			t.Errorf("%s: Simulate err = %v, want wdm.ErrIdleRings", bad.name, err)
+		}
+		params := AvailabilityParams{MTBFHours: 1, MTTRHours: 1, Trials: 10}
+		if _, err := Availability(p, params, rand.New(rand.NewSource(1))); !errors.Is(err, wdm.ErrIdleRings) {
+			t.Errorf("%s: Availability err = %v, want wdm.ErrIdleRings", bad.name, err)
+		}
+	}
+	base := wdm.Greedy(3, nil) // one channel
+	if _, err := wdm.SplitAcrossRings(base, 2, 1); !errors.Is(err, wdm.ErrIdleRings) {
+		t.Errorf("split of %d channel(s) over 2 rings: err = %v, want wdm.ErrIdleRings", base.Channels, err)
+	}
+	p := plan33(t, 1)
+	split, err := wdm.SplitAcrossRings(p, p.Channels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(split, 2, 10, rand.New(rand.NewSource(1))); err != nil {
+		t.Errorf("a ring per channel: %v", err)
 	}
 }
 

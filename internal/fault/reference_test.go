@@ -166,21 +166,32 @@ func refAvailability(plan *wdm.Plan, p AvailabilityParams, rng *rand.Rand) Avail
 }
 
 // referencePlans returns the plans of the differential tests: a greedy
-// plan for every ring size split over 1–4 fibers, and for M >= 3 a
-// greedy plan whose hot pairs carry 2 and 3 parallel channels (several
-// arcs for one switch pair, the case an adjacency shortcut would get
-// wrong).
+// plan for every ring size split over 1–4 fibers (as many as it has
+// channels), for M >= 9 one whose three top channels carry nothing,
+// split a channel to a ring (fiber rings with no arc to cut), and for
+// M >= 3 a greedy plan whose hot pairs carry 2 and 3 parallel channels
+// (several arcs for one switch pair, the case an adjacency shortcut
+// would get wrong).
 func referencePlans(t *testing.T) map[string]*wdm.Plan {
 	t.Helper()
 	plans := map[string]*wdm.Plan{}
 	for _, m := range []int{2, 3, 9, 33, 64} {
 		base := wdm.Greedy(m, rand.New(rand.NewSource(int64(m))))
-		for rings := 1; rings <= 4; rings++ {
+		for rings := 1; rings <= min(4, base.Channels); rings++ {
 			p, err := wdm.SplitAcrossRings(base, rings, (base.Channels+rings-1)/rings)
 			if err != nil {
 				t.Fatal(err)
 			}
 			plans[fmt.Sprintf("greedy M=%d rings=%d", m, rings)] = p
+		}
+		if m >= 9 {
+			idle := *base
+			idle.Channels += 3
+			p, err := wdm.SplitAcrossRings(&idle, idle.Channels, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[fmt.Sprintf("idle rings M=%d", m)] = p
 		}
 		if m < 3 {
 			continue

@@ -12,8 +12,10 @@
 package flowsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
@@ -288,61 +290,115 @@ func (a *Allocation) Min() float64 {
 	return m
 }
 
-// ShortestPathFlow builds a single-subflow Flow along one shortest path.
-func ShortestPathFlow(g *topology.Graph, src, dst topology.NodeID, demand sim.Rate) (Flow, error) {
-	p := g.ShortestPath(src, dst, nil)
-	if p == nil {
-		return Flow{}, fmt.Errorf("flowsim: no path %d -> %d", src, dst)
-	}
-	return Flow{Src: src, Dst: dst, Demand: demand, Subflows: []Subflow{{Path: p, Weight: 1}}}, nil
+// The flow builders below return one Flow per host pair, in pair order.
+// Every path is cut from one backing array per call and every subflow
+// list from another, each sized once, so a call allocates the same few
+// times however many pairs it builds.
+
+// cut appends path to *nodes and returns it as a slice of its own,
+// capacity clipped so that no later append can write over a neighbour.
+func cut(nodes *[]topology.NodeID, path ...topology.NodeID) []topology.NodeID {
+	lo := len(*nodes)
+	*nodes = append(*nodes, path...)
+	return (*nodes)[lo:len(*nodes):len(*nodes)]
 }
 
-// VLBFlow builds a Flow on a full mesh that splits traffic between the
-// direct path and two-hop detours through every other switch, the §3.4
-// configuration: directFrac on the direct path and the rest spread
-// evenly over the detours.
-func VLBFlow(g *topology.Graph, src, dst topology.NodeID, directFrac float64, demand sim.Rate) (Flow, error) {
+// ShortestPathFlows builds one single-subflow Flow per pair along one
+// shortest path: the path g.ShortestPath returns. Pairs that share a
+// source share one breadth-first tree.
+func ShortestPathFlows(g *topology.Graph, pairs [][2]topology.NodeID, demand sim.Rate) ([]Flow, error) {
+	flows := make([]Flow, len(pairs))
+	subs := make([]Subflow, len(pairs))
+	// Visit the pairs grouped by source: one search per distinct source.
+	order := make([]int, len(pairs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(pairs[a][0], pairs[b][0]) })
+	tree := g.NewPathTree()
+	var nodes []topology.NodeID
+	for k, i := range order {
+		src, dst := pairs[i][0], pairs[i][1]
+		if k == 0 || src != pairs[order[k-1]][0] {
+			depth := tree.Grow(src)
+			if nodes == nil {
+				// Through the first source, no path within its component
+				// is longer than twice that tree's depth.
+				nodes = make([]topology.NodeID, 0, len(pairs)*(2*depth+1))
+			}
+		}
+		lo := len(nodes)
+		var ok bool
+		if nodes, ok = tree.AppendPath(nodes, dst); !ok {
+			return nil, fmt.Errorf("flowsim: no path %d -> %d", src, dst)
+		}
+		subs[i] = Subflow{Path: nodes[lo:len(nodes):len(nodes)], Weight: 1}
+		flows[i] = Flow{Src: src, Dst: dst, Demand: demand, Subflows: subs[i : i+1 : i+1]}
+	}
+	return flows, nil
+}
+
+// VLBFlows builds one Flow per pair on a full mesh that splits traffic
+// between the direct path and two-hop detours through every other
+// switch, the §3.4 configuration: directFrac on the direct path and the
+// rest spread evenly over the detours. A pair within one rack, or with
+// no detour, takes its one path whole.
+func VLBFlows(g *topology.Graph, pairs [][2]topology.NodeID, directFrac float64, demand sim.Rate) ([]Flow, error) {
 	if directFrac < 0 || directFrac > 1 {
-		return Flow{}, fmt.Errorf("flowsim: direct fraction %v out of range", directFrac)
+		return nil, fmt.Errorf("flowsim: direct fraction %v out of range", directFrac)
 	}
-	sSw, dSw := g.ToRof(src), g.ToRof(dst)
-	f := Flow{Src: src, Dst: dst, Demand: demand}
-	if sSw == dSw {
-		f.Subflows = []Subflow{{Path: []topology.NodeID{src, sSw, dst}, Weight: 1}}
-		return f, nil
-	}
-	// near marks the neighbours of sSw (bit 0) and of dSw (bit 1): one
-	// pass over the two port lists instead of two link searches per
-	// candidate detour.
+	// A pair has at most a direct path and a detour through each of the
+	// other switches.
+	detours := max(0, len(g.Switches())-2)
+	flows := make([]Flow, len(pairs))
+	subs := make([]Subflow, 0, len(pairs)*(1+detours))
+	nodes := make([]topology.NodeID, 0, len(pairs)*(4+5*detours))
+	mids := make([]topology.NodeID, 0, detours)
+	// near marks the neighbours of a pair's source switch (bit 0) and of
+	// its destination switch (bit 1): one pass over the two port lists
+	// instead of two link searches per candidate detour. Each pair clears
+	// the bits it set.
 	near := make([]uint8, g.NumNodes())
-	for _, p := range g.Ports(sSw) {
-		near[p.Peer] |= 1
-	}
-	for _, p := range g.Ports(dSw) {
-		near[p.Peer] |= 2
-	}
-	mids := make([]topology.NodeID, 0, len(g.Switches()))
-	for _, sw := range g.Switches() {
-		if sw != sSw && sw != dSw && near[sw] == 3 {
-			mids = append(mids, sw)
+	for i, p := range pairs {
+		src, dst := p[0], p[1]
+		sSw, dSw := g.ToRof(src), g.ToRof(dst)
+		lo := len(subs)
+		if sSw == dSw {
+			subs = append(subs, Subflow{Path: cut(&nodes, src, sSw, dst), Weight: 1})
+			flows[i] = Flow{Src: src, Dst: dst, Demand: demand, Subflows: subs[lo:len(subs):len(subs)]}
+			continue
 		}
-	}
-	if len(mids) == 0 {
-		directFrac = 1
-	}
-	// All paths are cut from one backing array.
-	nodes := make([]topology.NodeID, 0, 4+5*len(mids))
-	f.Subflows = make([]Subflow, 0, 1+len(mids))
-	if directFrac > 0 {
-		nodes = append(nodes, src, sSw, dSw, dst)
-		f.Subflows = append(f.Subflows, Subflow{Path: nodes[0:4:4], Weight: directFrac})
-	}
-	if directFrac < 1 {
-		w := (1 - directFrac) / float64(len(mids))
-		for _, mid := range mids {
-			nodes = append(nodes, src, sSw, mid, dSw, dst)
-			f.Subflows = append(f.Subflows, Subflow{Path: nodes[len(nodes)-5 : len(nodes) : len(nodes)], Weight: w})
+		for _, q := range g.Ports(sSw) {
+			near[q.Peer] |= 1
 		}
+		for _, q := range g.Ports(dSw) {
+			near[q.Peer] |= 2
+		}
+		mids = mids[:0]
+		for _, sw := range g.Switches() {
+			if sw != sSw && sw != dSw && near[sw] == 3 {
+				mids = append(mids, sw)
+			}
+		}
+		for _, sw := range [2]topology.NodeID{sSw, dSw} {
+			for _, q := range g.Ports(sw) {
+				near[q.Peer] = 0
+			}
+		}
+		frac := directFrac
+		if len(mids) == 0 {
+			frac = 1
+		}
+		if frac > 0 {
+			subs = append(subs, Subflow{Path: cut(&nodes, src, sSw, dSw, dst), Weight: frac})
+		}
+		if frac < 1 {
+			w := (1 - frac) / float64(len(mids))
+			for _, mid := range mids {
+				subs = append(subs, Subflow{Path: cut(&nodes, src, sSw, mid, dSw, dst), Weight: w})
+			}
+		}
+		flows[i] = Flow{Src: src, Dst: dst, Demand: demand, Subflows: subs[lo:len(subs):len(subs)]}
 	}
-	return f, nil
+	return flows, nil
 }

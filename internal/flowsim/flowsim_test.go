@@ -3,6 +3,7 @@ package flowsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -26,11 +27,11 @@ func line(t testing.TB) (*topology.Graph, topology.NodeID, topology.NodeID) {
 
 func TestSingleFlowGetsLinkRate(t *testing.T) {
 	g, h0, h1 := line(t)
-	f, err := ShortestPathFlow(g, h0, h1, 0)
+	flows, err := ShortestPathFlows(g, [][2]topology.NodeID{{h0, h1}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Allocate(g, []Flow{f})
+	a, err := Allocate(g, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +42,11 @@ func TestSingleFlowGetsLinkRate(t *testing.T) {
 
 func TestDemandCap(t *testing.T) {
 	g, h0, h1 := line(t)
-	f, err := ShortestPathFlow(g, h0, h1, 2*sim.Gbps)
+	flows, err := ShortestPathFlows(g, [][2]topology.NodeID{{h0, h1}}, 2*sim.Gbps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Allocate(g, []Flow{f})
+	a, err := Allocate(g, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +68,8 @@ func TestFairSharingTwoFlows(t *testing.T) {
 	g.Connect(a1, s0, 10*sim.Gbps, 0)
 	g.Connect(s0, s1, 10*sim.Gbps, 0)
 	g.Connect(s1, b, 10*sim.Gbps, 0)
-	f0, _ := ShortestPathFlow(g, a0, b, 0)
-	f1, _ := ShortestPathFlow(g, a1, b, 0)
-	alloc, err := Allocate(g, []Flow{f0, f1})
+	flows, _ := ShortestPathFlows(g, [][2]topology.NodeID{{a0, b}, {a1, b}}, 0)
+	alloc, err := Allocate(g, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,12 @@ func TestVLBFlowConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := g.Hosts()
-	f, err := VLBFlow(g, hosts[0], hosts[len(hosts)-1], 0.5, 0)
+	// A cross-rack pair, then a same-rack one.
+	flows, err := VLBFlows(g, [][2]topology.NodeID{{hosts[0], hosts[len(hosts)-1]}, {hosts[0], hosts[1]}}, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f, f2 := flows[0], flows[1]
 	// 1 direct + 4 detours.
 	if len(f.Subflows) != 5 {
 		t.Fatalf("subflows = %d, want 5", len(f.Subflows))
@@ -177,14 +179,10 @@ func TestVLBFlowConstruction(t *testing.T) {
 		t.Errorf("weights sum to %v", w)
 	}
 	// Same-rack case.
-	f2, err := VLBFlow(g, hosts[0], hosts[1], 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(f2.Subflows) != 1 {
 		t.Errorf("same-rack subflows = %d, want 1", len(f2.Subflows))
 	}
-	if _, err := VLBFlow(g, hosts[0], hosts[2], 1.5, 0); err == nil {
+	if _, err := VLBFlows(g, [][2]topology.NodeID{{hosts[0], hosts[2]}}, 1.5, 0); err == nil {
 		t.Error("bad fraction accepted")
 	}
 }
@@ -204,18 +202,17 @@ func TestVLBBeatsDirectOnHotPair(t *testing.T) {
 	src := g.HostsInRack(0)
 	dst := g.HostsInRack(1)
 
-	var direct, vlb []Flow
+	var pairs [][2]topology.NodeID
 	for i := range src {
-		fd, err := ShortestPathFlow(g, src[i], dst[i], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct = append(direct, fd)
-		fv, err := VLBFlow(g, src[i], dst[i], 0.25, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vlb = append(vlb, fv)
+		pairs = append(pairs, [2]topology.NodeID{src[i], dst[i]})
+	}
+	direct, err := ShortestPathFlows(g, pairs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vlb, err := VLBFlows(g, pairs, 0.25, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ad, err := Allocate(g, direct)
 	if err != nil {
@@ -292,17 +289,18 @@ func TestAllocationFeasibilityProperty(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				demand = sim.Rate(rng.Intn(10)+1) * sim.Gbps
 			}
-			var fl Flow
+			pair := [][2]topology.NodeID{{src, dst}}
+			var fl []Flow
 			var err error
 			if rng.Intn(2) == 0 {
-				fl, err = ShortestPathFlow(g, src, dst, demand)
+				fl, err = ShortestPathFlows(g, pair, demand)
 			} else {
-				fl, err = VLBFlow(g, src, dst, 0.5, demand)
+				fl, err = VLBFlows(g, pair, 0.5, demand)
 			}
 			if err != nil {
 				return false
 			}
-			flows = append(flows, fl)
+			flows = append(flows, fl...)
 		}
 		if len(flows) == 0 {
 			return true
@@ -351,7 +349,7 @@ func TestAllocationFeasibilityProperty(t *testing.T) {
 func vlbInput(t testing.TB, m int) (*topology.Graph, []Flow) {
 	t.Helper()
 	g := mesh(t, m, (64-(m-1))/4)
-	return g, vlbFlows(t, g, permutation(g.Hosts(), rand.New(rand.NewSource(2014))), 0.5, VLBFlow)
+	return g, vlbFlows(t, g, permutation(g.Hosts(), rand.New(rand.NewSource(2014))), 0.5, VLBFlows)
 }
 
 func TestAllocateAllocsIndependentOfSubflows(t *testing.T) {
@@ -369,6 +367,81 @@ func TestAllocateAllocsIndependentOfSubflows(t *testing.T) {
 	small, large := allocs(9), allocs(33) // 126 x 8 and 264 x 32 subflows
 	if large > 16 || small != large {
 		t.Errorf("Allocate makes %v allocations on M=9 and %v on M=33, want the same and at most 16", small, large)
+	}
+}
+
+// tree builds the Figure 10 fabrics' shape: racks of hosts under one
+// core switch.
+func tree(racks, hosts int) *topology.Graph {
+	g := topology.New("tree")
+	core := g.AddSwitch("core", topology.TierCore, -1)
+	for r := 0; r < racks; r++ {
+		tor := g.AddSwitch("tor", topology.TierToR, r)
+		g.Connect(tor, core, 40*sim.Gbps, 0)
+		for h := 0; h < hosts; h++ {
+			g.Connect(g.AddHost("h", r), tor, 10*sim.Gbps, 0)
+		}
+	}
+	return g
+}
+
+func TestShortestPathFlowsFollowShortestPath(t *testing.T) {
+	// Sources out of order and repeated, a pair within one rack, and a
+	// host sending to itself: each flow is the pair's own, in pair order,
+	// along the path g.ShortestPath returns.
+	g := tree(4, 3)
+	h := g.Hosts()
+	pairs := [][2]topology.NodeID{{h[5], h[0]}, {h[0], h[11]}, {h[5], h[3]}, {h[0], h[1]}, {h[7], h[7]}, {h[5], h[9]}}
+	flows, err := ShortestPathFlows(g, pairs, 3*sim.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flows) != len(pairs) {
+		t.Fatalf("%d flows for %d pairs", len(flows), len(pairs))
+	}
+	for i, p := range pairs {
+		want := Flow{Src: p[0], Dst: p[1], Demand: 3 * sim.Gbps,
+			Subflows: []Subflow{{Path: g.ShortestPath(p[0], p[1], nil), Weight: 1}}}
+		if !reflect.DeepEqual(flows[i], want) {
+			t.Errorf("pair %d: %+v, want %+v", i, flows[i], want)
+		}
+	}
+	lonely := g.AddHost("lonely", 9)
+	if _, err := ShortestPathFlows(g, [][2]topology.NodeID{{h[0], h[1]}, {h[0], lonely}}, 0); err == nil {
+		t.Error("pair with no path accepted")
+	}
+}
+
+func TestFlowBuildersAllocsIndependentOfPairs(t *testing.T) {
+	// A 9-rack tree and a 9-switch mesh of 72 hosts each: 8 pairs, then
+	// 72 pairs plus every host to host 0 (a source repeated 72 times).
+	for name, build := range map[string]func(*topology.Graph, [][2]topology.NodeID) ([]Flow, error){
+		"ShortestPathFlows": func(g *topology.Graph, p [][2]topology.NodeID) ([]Flow, error) {
+			return ShortestPathFlows(g, p, 0)
+		},
+		"VLBFlows": func(g *topology.Graph, p [][2]topology.NodeID) ([]Flow, error) {
+			return VLBFlows(g, p, 0.5, 0)
+		},
+	} {
+		g := tree(9, 8)
+		if name == "VLBFlows" {
+			g = mesh(t, 9, 8)
+		}
+		all := permutation(g.Hosts(), rand.New(rand.NewSource(2014)))
+		for _, h := range g.Hosts()[1:] {
+			all = append(all, [2]topology.NodeID{h, g.Hosts()[0]})
+		}
+		allocs := func(pairs [][2]topology.NodeID) float64 {
+			return testing.AllocsPerRun(100, func() {
+				if _, err := build(g, pairs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := allocs(all[:8]), allocs(all); few != many || many > 8 {
+			t.Errorf("%s makes %v allocations for 8 pairs and %v for %d, want the same and at most 8",
+				name, few, many, len(all))
+		}
 	}
 }
 

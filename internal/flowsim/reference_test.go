@@ -11,13 +11,14 @@ import (
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
 
-// refAllocate and refVLBFlow are Allocate and VLBFlow as they stood
-// before the rewrite onto flat storage (pointer-per-subflow, a slice of
-// link indices per subflow, a fresh fw per round, a port scan per hop,
-// two FindLink calls per candidate detour). They live only in this test
-// file and the tests below demand equal bits, not a tolerance. The one
-// addition is refValveHits, which counts entries into the numeric safety
-// valve so that a test can show its input reaches it.
+// refAllocate and refVLBFlow are Allocate and the per-pair VLB builder
+// as they stood before the rewrite onto flat storage (pointer-per-subflow,
+// a slice of link indices per subflow, a fresh fw per round, a port scan
+// per hop, two FindLink calls per candidate detour, fresh arrays for
+// every pair). They live only in this test file and the tests below
+// demand equal bits, not a tolerance. The one addition is refValveHits,
+// which counts entries into the numeric safety valve so that a test can
+// show its input reaches it.
 
 var refValveHits int
 
@@ -280,18 +281,27 @@ func mesh(t testing.TB, switches, hosts int) *topology.Graph {
 	return g
 }
 
-// vlbFlows builds one VLB flow per pair with build (VLBFlow or its
-// reference).
-func vlbFlows(t testing.TB, g *topology.Graph, pairs [][2]topology.NodeID, directFrac float64,
-	build func(*topology.Graph, topology.NodeID, topology.NodeID, float64, sim.Rate) (Flow, error)) []Flow {
-	t.Helper()
+// refVLBFlows builds one reference flow per pair.
+func refVLBFlows(g *topology.Graph, pairs [][2]topology.NodeID, directFrac float64, demand sim.Rate) ([]Flow, error) {
 	flows := make([]Flow, 0, len(pairs))
 	for _, p := range pairs {
-		f, err := build(g, p[0], p[1], directFrac, 0)
+		f, err := refVLBFlow(g, p[0], p[1], directFrac, demand)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		flows = append(flows, f)
+	}
+	return flows, nil
+}
+
+// vlbFlows builds one VLB flow per pair with build (VLBFlows or its
+// reference).
+func vlbFlows(t testing.TB, g *topology.Graph, pairs [][2]topology.NodeID, directFrac float64,
+	build func(*topology.Graph, [][2]topology.NodeID, float64, sim.Rate) ([]Flow, error)) []Flow {
+	t.Helper()
+	flows, err := build(g, pairs, directFrac, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return flows
 }
@@ -327,7 +337,7 @@ func TestAllocateMatchesReferenceOnVLB(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			pairs := permutation(g.Hosts(), rand.New(rand.NewSource(seed)))
 			for frac := 0.0; frac <= 1.0; frac += 0.125 {
-				flows := vlbFlows(t, g, pairs, 1-frac, refVLBFlow)
+				flows := vlbFlows(t, g, pairs, 1-frac, refVLBFlows)
 				sameRates(t, fmt.Sprintf("M=%d seed=%d frac=%v", m, seed, frac), g, flows)
 			}
 		}
@@ -356,23 +366,32 @@ func TestVLBFlowMatchesReference(t *testing.T) {
 		}
 	}
 	for name, g := range map[string]*topology.Graph{"mesh": mesh(t, 9, 2), "sparse": sparse} {
+		// Every ordered host pair in one call, so each pair's neighbour
+		// marks must be gone before the next pair's.
+		var pairs [][2]topology.NodeID
 		for _, src := range g.Hosts() {
 			for _, dst := range g.Hosts() {
-				if src == dst {
-					continue
+				if src != dst {
+					pairs = append(pairs, [2]topology.NodeID{src, dst})
 				}
-				for _, frac := range []float64{0, 0.125, 0.5, 1} {
-					want, err := refVLBFlow(g, src, dst, frac, 3*sim.Gbps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := VLBFlow(g, src, dst, frac, 3*sim.Gbps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %d->%d frac=%v:\n got %+v\nwant %+v", name, src, dst, frac, got, want)
-					}
+			}
+		}
+		for _, frac := range []float64{0, 0.125, 0.5, 1} {
+			flows, err := VLBFlows(g, pairs, frac, 3*sim.Gbps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(flows) != len(pairs) {
+				t.Fatalf("%s frac=%v: %d flows for %d pairs", name, frac, len(flows), len(pairs))
+			}
+			for i, p := range pairs {
+				src, dst := p[0], p[1]
+				want, err := refVLBFlow(g, src, dst, frac, 3*sim.Gbps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := flows[i]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %d->%d frac=%v:\n got %+v\nwant %+v", name, src, dst, frac, got, want)
 				}
 			}
 		}
@@ -394,17 +413,14 @@ func TestAllocateMatchesReferenceOnTrees(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, capped := range []bool{false, true} {
-			var flows []Flow
-			for _, p := range permutation(g.Hosts(), rng) {
-				var demand sim.Rate
+			flows, err := ShortestPathFlows(g, permutation(g.Hosts(), rng), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range flows {
 				if capped && rng.Intn(2) == 0 {
-					demand = sim.Rate(1+rng.Intn(9)) * sim.Gbps
+					flows[i].Demand = sim.Rate(1+rng.Intn(9)) * sim.Gbps
 				}
-				f, err := ShortestPathFlow(g, p[0], p[1], demand)
-				if err != nil {
-					t.Fatal(err)
-				}
-				flows = append(flows, f)
 			}
 			sameRates(t, fmt.Sprintf("tree seed=%d capped=%v", seed, capped), g, flows)
 		}
@@ -415,7 +431,7 @@ func TestAllocateMatchesReferenceOnCappedVLB(t *testing.T) {
 	// Demand caps shared by the subflows of multipath flows.
 	g := mesh(t, 9, 4)
 	rng := rand.New(rand.NewSource(5))
-	flows := vlbFlows(t, g, permutation(g.Hosts(), rng), 0.5, VLBFlow)
+	flows := vlbFlows(t, g, permutation(g.Hosts(), rng), 0.5, VLBFlows)
 	for i := range flows {
 		if i%3 != 0 {
 			flows[i].Demand = sim.Rate(1+rng.Intn(12)) * sim.Gbps / 2

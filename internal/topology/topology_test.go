@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -301,6 +302,113 @@ func TestBFSDistAndShortestPath(t *testing.T) {
 	}
 	if p := g.ShortestPath(sw[2], sw[2], nil); len(p) != 1 || p[0] != sw[2] {
 		t.Errorf("self path = %v, want [s2]", p)
+	}
+}
+
+// refShortestPath is ShortestPath as it stood before PathTree: a search
+// that stops when it dequeues dst, on a queue that slides forward, with
+// the path built reversed and then flipped.
+func refShortestPath(g *Graph, src, dst NodeID, dead map[LinkID]bool) []NodeID {
+	if src == dst {
+		return []NodeID{src}
+	}
+	prev := make([]NodeID, len(g.nodes))
+	for i := range prev {
+		prev[i] = -1
+	}
+	prev[src] = src
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		if n == dst {
+			break
+		}
+		for _, p := range g.ports[n] {
+			if dead[p.Link] || prev[p.Peer] >= 0 {
+				continue
+			}
+			prev[p.Peer] = n
+			queue = append(queue, p.Peer)
+		}
+	}
+	if prev[dst] < 0 {
+		return nil
+	}
+	var rev []NodeID
+	for n := dst; n != src; n = prev[n] {
+		rev = append(rev, n)
+	}
+	rev = append(rev, src)
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// TestPathTreeMatchesShortestPath: a full tree from each source gives
+// every destination the path the early-exit search finds, and so does
+// ShortestPath, with and without dead links.
+func TestPathTreeMatchesShortestPath(t *testing.T) {
+	jelly, err := NewJellyfish(JellyfishConfig{Switches: 12, HostsPerSwitch: 2, NetDegree: 4, Rand: rand.New(rand.NewSource(3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcube, err := NewBCube(3, 1, LinkSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := NewTwoTierTree(TreeConfig{ToRs: 4, Roots: 2, HostsPerToR: 3, UplinksPerRoot: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{jelly, bcube, tree} {
+		dead := map[LinkID]bool{}
+		for l := 0; l < g.NumLinks(); l += 5 {
+			dead[LinkID(l)] = true
+		}
+		pt := g.NewPathTree()
+		for src := NodeID(0); int(src) < g.NumNodes(); src++ {
+			dist := g.BFSDist(src, nil)
+			depth := 0
+			for _, d := range dist {
+				depth = max(depth, d)
+			}
+			if got := pt.Grow(src); got != depth {
+				t.Fatalf("%s: tree of %d has depth %d, BFSDist says %d", g.Name, src, got, depth)
+			}
+			for dst := NodeID(0); int(dst) < g.NumNodes(); dst++ {
+				want := refShortestPath(g, src, dst, nil)
+				got, ok := pt.AppendPath(nil, dst)
+				if !ok || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %d->%d: tree path %v, early-exit search %v", g.Name, src, dst, got, want)
+				}
+				if got := g.ShortestPath(src, dst, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %d->%d: ShortestPath %v, reference %v", g.Name, src, dst, got, want)
+				}
+				want = refShortestPath(g, src, dst, dead)
+				if got := g.ShortestPath(src, dst, dead); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %d->%d, dead links: ShortestPath %v, reference %v", g.Name, src, dst, got, want)
+				}
+			}
+		}
+	}
+	// A path is appended after what buf holds; an unreached node leaves
+	// buf as it was.
+	g := New("split")
+	a, b, c := g.AddSwitch("a", TierToR, 0), g.AddSwitch("b", TierToR, 1), g.AddSwitch("c", TierToR, 2)
+	g.Connect(a, b, sim.Gbps, 0)
+	pt := g.NewPathTree()
+	pt.Grow(a)
+	buf := []NodeID{c}
+	if buf, ok := pt.AppendPath(buf, b); !ok || !reflect.DeepEqual(buf, []NodeID{c, a, b}) {
+		t.Errorf("AppendPath onto [c] = %v, %v; want [c a b], true", buf, ok)
+	}
+	if got, ok := pt.AppendPath(buf, c); ok || len(got) != 1 {
+		t.Errorf("AppendPath to an unreached node = %v, %v; want [c], false", got, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.ShortestPath(a, b, nil) }); n > 2 {
+		t.Errorf("ShortestPath makes %v allocations, want its scratch and its path", n)
 	}
 }
 

@@ -54,27 +54,9 @@ func ExpandPlan(old *Plan, newM int, rng *rand.Rand) (*Plan, ExpansionStats, err
 	}
 	stats := ExpansionStats{From: old.M, To: newM, ChannelsBefore: old.Channels}
 
-	// usage[ch][link] occupancy on the new ring.
-	var usage [][]bool
-	ensure := func(ch int) {
-		for len(usage) <= ch {
-			usage = append(usage, make([]bool, newM))
-		}
-	}
-	occupy := func(a Assignment) bool {
-		ensure(a.Channel)
-		free := true
-		arcLinks(newM, a.S, a.T, a.Dir, func(l int) {
-			if usage[a.Channel][l] {
-				free = false
-			}
-		})
-		if !free {
-			return false
-		}
-		arcLinks(newM, a.S, a.T, a.Dir, func(l int) { usage[a.Channel][l] = true })
-		return true
-	}
+	// Channel occupancy on the new ring, and one arc's links.
+	occ := newOccupancy(newM)
+	arc := make([]uint64, occ.w)
 
 	// Splice point: old link old.M-1 (joining old.M-1 and 0) is cut and
 	// the new switches take indices old.M..newM-1 there. An old
@@ -98,10 +80,12 @@ func ExpandPlan(old *Plan, newM int, rng *rand.Rand) (*Plan, ExpansionStats, err
 			continue
 		}
 		// Same links as before, so keeping every non-crossing
-		// assignment can never self-conflict; occupy must succeed.
-		if !occupy(a) {
+		// assignment can never self-conflict; its channel must be free.
+		arcMask(arc, newM, a.S, a.T, a.Dir)
+		if !occ.free(a.Channel, arc) {
 			return nil, ExpansionStats{}, fmt.Errorf("wdm: internal: surviving assignment (%d,%d) conflicts", a.S, a.T)
 		}
+		occ.take(a.Channel, arc)
 		out = append(out, a)
 		stats.Kept++
 	}
@@ -140,17 +124,10 @@ func ExpandPlan(old *Plan, newM int, rng *rand.Rand) (*Plan, ExpansionStats, err
 	}
 	for _, pr := range pending {
 		dir := dirFor(pr)
-		placed := false
-		for ch := 0; !placed; ch++ {
-			ensure(ch)
-			a := Assignment{S: pr[0], T: pr[1], Dir: dir, Channel: ch}
-			if occupy(a) {
-				out = append(out, a)
-				placed = true
-			}
-		}
+		arcMask(arc, newM, pr[0], pr[1], dir)
+		out = append(out, Assignment{S: pr[0], T: pr[1], Dir: dir, Channel: occ.firstFit(arc)})
 	}
-	plan := &Plan{M: newM, Channels: len(usage), Rings: 1, Assignments: out}
+	plan := &Plan{M: newM, Channels: occ.channels(), Rings: 1, Assignments: out}
 	stats.ChannelsAfter = plan.Channels
 	if err := plan.Validate(); err != nil {
 		return nil, ExpansionStats{}, fmt.Errorf("wdm: expanded plan invalid: %w", err)

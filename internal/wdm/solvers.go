@@ -1,8 +1,10 @@
 package wdm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -18,56 +20,34 @@ func Greedy(m int, rng *rand.Rand) *Plan {
 	}
 	pairs := Pairs(m)
 	dirs := shortestDirections(m)
-	type path struct {
-		idx int // into pairs/dirs
-		len int
-	}
-	paths := make([]path, len(pairs))
+	lens := make([]int, len(pairs))
+	order := make([]int, len(pairs))
 	for i, pr := range pairs {
-		paths[i] = path{idx: i, len: arcLen(m, pr[0], pr[1], dirs[i])}
+		lens[i] = arcLen(m, pr[0], pr[1], dirs[i])
+		order[i] = i
 	}
-	// Longest first; within a length, rotate the start location.
-	sort.SliceStable(paths, func(i, j int) bool { return paths[i].len > paths[j].len })
 	start := 0
 	if rng != nil {
 		start = rng.Intn(m)
 	}
-	sort.SliceStable(paths, func(i, j int) bool {
-		if paths[i].len != paths[j].len {
-			return paths[i].len > paths[j].len
+	// Longest first; within a length, from the start location round the
+	// ring; within both, in Pairs order.
+	slices.SortStableFunc(order, func(i, j int) int {
+		if lens[i] != lens[j] {
+			return lens[j] - lens[i]
 		}
-		si := (pairs[paths[i].idx][0] - start + m) % m
-		sj := (pairs[paths[j].idx][0] - start + m) % m
-		return si < sj
+		return (pairs[i][0]-start+m)%m - (pairs[j][0]-start+m)%m
 	})
 
-	// usage[ch] is a bitmask-ish bool slice of links occupied by channel ch.
-	var usage [][]bool
-	assigned := make([]Assignment, 0, len(pairs))
-	for _, p := range paths {
-		pr := pairs[p.idx]
-		dir := dirs[p.idx]
-		ch := -1
-		for c := 0; c < len(usage); c++ {
-			free := true
-			arcLinks(m, pr[0], pr[1], dir, func(link int) {
-				if usage[c][link] {
-					free = false
-				}
-			})
-			if free {
-				ch = c
-				break
-			}
-		}
-		if ch == -1 {
-			usage = append(usage, make([]bool, m))
-			ch = len(usage) - 1
-		}
-		arcLinks(m, pr[0], pr[1], dir, func(link int) { usage[ch][link] = true })
-		assigned = append(assigned, Assignment{S: pr[0], T: pr[1], Dir: dir, Channel: ch})
+	occ := newOccupancy(m)
+	arc := make([]uint64, occ.w)
+	assigned := make([]Assignment, len(order))
+	for k, i := range order {
+		pr := pairs[i]
+		arcMask(arc, m, pr[0], pr[1], dirs[i])
+		assigned[k] = Assignment{S: pr[0], T: pr[1], Dir: dirs[i], Channel: occ.firstFit(arc)}
 	}
-	return &Plan{M: m, Channels: len(usage), Rings: 1, Assignments: assigned}
+	return &Plan{M: m, Channels: occ.channels(), Rings: 1, Assignments: assigned}
 }
 
 // Optimal searches for a minimum-channel plan by colouring the
@@ -330,14 +310,23 @@ func MaxRingSize(channelBudget int) int {
 	return m
 }
 
+// ErrIdleRings rejects a plan with more fiber rings than channels.
+// Channels are dealt to rings round-robin, so the extra rings would
+// carry nothing: no switch pair to connect, no arc to cut.
+var ErrIdleRings = errors.New("wdm: more fiber rings than channels")
+
 // SplitAcrossRings distributes a plan's channels over numRings physical
 // fiber rings, each carrying at most perFiber channels (§3.5: a 33-switch
 // Quartz needs 137 channels, hence two 80-channel muxes forming two
 // rings). Channels are dealt round-robin so failures of one fiber spread
-// across switch pairs. The input plan is not modified.
+// across switch pairs. The input plan is not modified. A second ring or
+// more for a plan with fewer channels is ErrIdleRings.
 func SplitAcrossRings(p *Plan, numRings, perFiber int) (*Plan, error) {
 	if numRings < 1 {
 		return nil, fmt.Errorf("wdm: numRings %d < 1", numRings)
+	}
+	if numRings > max(1, p.Channels) {
+		return nil, fmt.Errorf("%w: %d rings for %d channels", ErrIdleRings, numRings, p.Channels)
 	}
 	if p.Channels > numRings*perFiber {
 		return nil, fmt.Errorf("wdm: %d channels do not fit in %d rings of %d channels",

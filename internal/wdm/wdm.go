@@ -83,6 +83,76 @@ func arcLen(m, s, t int, dir Direction) int {
 	return (s - t + m) % m
 }
 
+// arcMask sets mask to the link bitset of the arc from s to t going dir:
+// bit l%64 of word l/64 for every link l the arc covers. The links are
+// consecutive round the ring, from s clockwise or from t for the
+// counter-clockwise arc.
+func arcMask(mask []uint64, m, s, t int, dir Direction) {
+	clear(mask)
+	l := s
+	if dir == CounterClockwise {
+		l = t
+	}
+	for n := arcLen(m, s, t, dir); n > 0; n-- {
+		mask[l/64] |= 1 << uint(l%64)
+		if l++; l == m {
+			l = 0
+		}
+	}
+}
+
+// occupancy is first-fit's record of the fiber links each channel
+// already carries: channel c's links are the bitset words[c*w:(c+1)*w]
+// of w = ⌈M/64⌉ words. An arc's links are one bitset of the same shape
+// (arcMask), built once per arc, so "free on every link" is a word-wise
+// AND. Greedy and ExpandPlan share it.
+type occupancy struct {
+	w     int
+	words []uint64
+}
+
+func newOccupancy(m int) *occupancy { return &occupancy{w: max(1, (m+63)/64)} }
+
+// channels is the number of channels touched: one past the highest
+// taken, gaps included.
+func (o *occupancy) channels() int { return len(o.words) / o.w }
+
+// free reports whether channel c carries none of arc's links; a channel
+// not touched yet carries nothing.
+func (o *occupancy) free(c int, arc []uint64) bool {
+	if c >= o.channels() {
+		return true
+	}
+	for i, b := range o.words[c*o.w : (c+1)*o.w] {
+		if b&arc[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// take marks arc's links as carried by channel c, touching every channel
+// up to c.
+func (o *occupancy) take(c int, arc []uint64) {
+	for len(o.words) < (c+1)*o.w {
+		o.words = append(o.words, 0)
+	}
+	for i, b := range arc {
+		o.words[c*o.w+i] |= b
+	}
+}
+
+// firstFit takes, and returns, the lowest channel free on every link of
+// arc.
+func (o *occupancy) firstFit(arc []uint64) int {
+	c := 0
+	for !o.free(c, arc) {
+		c++
+	}
+	o.take(c, arc)
+	return c
+}
+
 // LowerBound returns a simple link-load lower bound on the number of
 // wavelengths for all-pairs traffic on a ring of M switches: the total
 // fiber-link demand of shortest-arc routing divided by the M links. It
@@ -132,6 +202,9 @@ func OptimalChannels(m int) int {
 // Pairs returns all unordered pairs of a ring of size m in (s,t) order.
 func Pairs(m int) [][2]int {
 	var out [][2]int
+	if m > 1 {
+		out = make([][2]int, 0, m*(m-1)/2)
+	}
 	for s := 0; s < m; s++ {
 		for t := s + 1; t < m; t++ {
 			out = append(out, [2]int{s, t})

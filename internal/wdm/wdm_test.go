@@ -1,6 +1,7 @@
 package wdm
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,12 @@ func TestSplitAcrossRingsErrors(t *testing.T) {
 	if _, err := SplitAcrossRings(p, 1, 5); err == nil {
 		t.Error("overfull fiber accepted")
 	}
+	if _, err := SplitAcrossRings(p, p.Channels+1, 80); !errors.Is(err, ErrIdleRings) {
+		t.Errorf("%d rings for %d channels: err = %v, want ErrIdleRings", p.Channels+1, p.Channels, err)
+	}
+	if _, err := SplitAcrossRings(Greedy(1, nil), 1, 80); err != nil {
+		t.Errorf("one ring for a plan with no channels: %v", err)
+	}
 }
 
 func TestValidateCatchesConflicts(t *testing.T) {
@@ -305,7 +312,8 @@ func TestGreedyPlanProperty(t *testing.T) {
 	}
 }
 
-// TestSplitPlanProperty property-checks splitting across 1-4 rings.
+// TestSplitPlanProperty property-checks splitting across 1-4 rings:
+// valid, or ErrIdleRings when rings outnumber channels.
 func TestSplitPlanProperty(t *testing.T) {
 	f := func(mm, rr uint8) bool {
 		m := int(mm%20) + 4
@@ -313,6 +321,9 @@ func TestSplitPlanProperty(t *testing.T) {
 		p := Greedy(m, nil)
 		per := (p.Channels + rings - 1) / rings
 		split, err := SplitAcrossRings(p, rings, per)
+		if rings > p.Channels {
+			return errors.Is(err, ErrIdleRings)
+		}
 		if err != nil {
 			return false
 		}

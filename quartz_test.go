@@ -2,6 +2,7 @@ package quartz
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -66,6 +67,16 @@ func TestFiberCutsFacade(t *testing.T) {
 	}
 	if res.PartitionProb != 0 {
 		t.Errorf("single cut partitioned the mesh: %v", res.PartitionProb)
+	}
+	// A stored plan with 2^40 fiber rings for its one channel is an
+	// error, not a process killed out of memory.
+	var bad ChannelPlan
+	doc := `{"ringSize":4,"channels":1,"physicalRings":1099511627776,"assignments":[{"S":0,"T":1}]}`
+	if err := json.Unmarshal([]byte(doc), &bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SimulateFiberCuts(&bad, 1, 10, rand.New(rand.NewSource(3))); err == nil {
+		t.Error("plan with 2^40 idle fiber rings accepted")
 	}
 }
 
