@@ -47,7 +47,12 @@ race:
 # FuzzFaultModel feeds arbitrary channel-plan JSON, cuts and trials to
 # the fiber-cut model (internal/fault/fuzz_test.go): an error, or a loss
 # and a partition probability in [0, 1], with no panic, hang or
-# out-of-memory. A failure leaves its
+# out-of-memory. FuzzECMPTables decodes arbitrary small graphs (up to 8
+# switches and 16 hosts, multi-homed and host-attached hosts, parallel
+# links) and dead-link sets and routes them (internal/routing/
+# reference_test.go): every ECMP next-hop list equals a naive
+# shortest-path oracle's and the per-host reference tables', and VLB's
+# distances the oracle's. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
@@ -59,9 +64,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellBlocks$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultModel$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzECMPTables$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/routing
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the seven fuzz smokes.
+# pass on the goroutine-owning packages + the eight fuzz smokes.
 verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size

@@ -106,7 +106,7 @@ func QuartzInCore(p ArchParams) (*Architecture, error) {
 	// switches; use TierAgg so they get the ULL model).
 	ring := make([]topology.NodeID, quartzRingSimSize)
 	for i := range ring {
-		ring[i] = g.AddSwitch(fmt.Sprintf("qcore%d", i), topology.TierAgg, -1)
+		ring[i] = g.AddSwitch("qcore", topology.TierAgg, -1, i)
 	}
 	for i := 0; i < len(ring); i++ {
 		for j := i + 1; j < len(ring); j++ {
@@ -117,18 +117,18 @@ func QuartzInCore(p ArchParams) (*Architecture, error) {
 	for pod := 0; pod < p.Pods; pod++ {
 		aggs := make([]topology.NodeID, 2)
 		for a := range aggs {
-			aggs[a] = g.AddSwitch(fmt.Sprintf("agg%d-%d", pod, a), topology.TierAgg, -1)
+			aggs[a] = g.AddSwitch("agg", topology.TierAgg, -1, pod, a)
 			// Connect to two ring switches, spread across pods.
 			g.Connect(aggs[a], ring[(pod+a)%len(ring)], 40*sim.Gbps, topology.DefaultProp)
 			g.Connect(aggs[a], ring[(pod+a+1)%len(ring)], 40*sim.Gbps, topology.DefaultProp)
 		}
 		for t := 0; t < p.ToRsPerPod; t++ {
-			tor := g.AddSwitch(fmt.Sprintf("tor%d-%d", pod, t), topology.TierToR, rack)
+			tor := g.AddSwitch("tor", topology.TierToR, rack, pod, t)
 			for _, a := range aggs {
 				g.Connect(tor, a, 40*sim.Gbps, topology.DefaultProp)
 			}
 			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost(fmt.Sprintf("h%d-%d", rack, h), rack)
+				host := g.AddHost("h", rack, rack, h)
 				g.Connect(host, tor, 10*sim.Gbps, topology.DefaultProp)
 			}
 			rack++
@@ -150,15 +150,15 @@ func QuartzInEdge(p ArchParams) (*Architecture, error) {
 	g := topology.New("quartz-in-edge")
 	cores := make([]topology.NodeID, 2)
 	for i := range cores {
-		cores[i] = g.AddSwitch(fmt.Sprintf("core%d", i), topology.TierCore, -1)
+		cores[i] = g.AddSwitch("core", topology.TierCore, -1, i)
 	}
 	rack := 0
 	for pod := 0; pod < p.Pods; pod++ {
 		ring := make([]topology.NodeID, p.ToRsPerPod)
 		for i := range ring {
-			ring[i] = g.AddSwitch(fmt.Sprintf("qtor%d-%d", pod, i), topology.TierToR, rack)
+			ring[i] = g.AddSwitch("qtor", topology.TierToR, rack, pod, i)
 			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost(fmt.Sprintf("h%d-%d", rack, h), rack)
+				host := g.AddHost("h", rack, rack, h)
 				g.Connect(host, ring[i], 10*sim.Gbps, topology.DefaultProp)
 			}
 			// Each ring switch runs two parallel 40 Gb/s uplinks to
@@ -193,7 +193,7 @@ func QuartzInEdgeAndCore(p ArchParams) (*Architecture, error) {
 	g := topology.New("quartz-in-edge-and-core")
 	ringCore := make([]topology.NodeID, quartzRingSimSize)
 	for i := range ringCore {
-		ringCore[i] = g.AddSwitch(fmt.Sprintf("qcore%d", i), topology.TierCore, -1)
+		ringCore[i] = g.AddSwitch("qcore", topology.TierCore, -1, i)
 	}
 	for i := 0; i < len(ringCore); i++ {
 		for j := i + 1; j < len(ringCore); j++ {
@@ -204,9 +204,9 @@ func QuartzInEdgeAndCore(p ArchParams) (*Architecture, error) {
 	for pod := 0; pod < p.Pods; pod++ {
 		ring := make([]topology.NodeID, p.ToRsPerPod)
 		for i := range ring {
-			ring[i] = g.AddSwitch(fmt.Sprintf("qtor%d-%d", pod, i), topology.TierToR, rack)
+			ring[i] = g.AddSwitch("qtor", topology.TierToR, rack, pod, i)
 			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost(fmt.Sprintf("h%d-%d", rack, h), rack)
+				host := g.AddHost("h", rack, rack, h)
 				g.Connect(host, ring[i], 10*sim.Gbps, topology.DefaultProp)
 			}
 			// Uplink to two core-ring switches.
@@ -266,9 +266,9 @@ func QuartzInJellyfish(p ArchParams, rng *rand.Rand) (*Architecture, error) {
 	for pod := 0; pod < p.Pods; pod++ {
 		ring := make([]topology.NodeID, p.ToRsPerPod)
 		for i := range ring {
-			ring[i] = g.AddSwitch(fmt.Sprintf("q%d-%d", pod, i), topology.TierToR, rack)
+			ring[i] = g.AddSwitch("q", topology.TierToR, rack, pod, i)
 			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost(fmt.Sprintf("h%d-%d", rack, h), rack)
+				host := g.AddHost("h", rack, rack, h)
 				g.Connect(host, ring[i], 10*sim.Gbps, topology.DefaultProp)
 			}
 			rack++

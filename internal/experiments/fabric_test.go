@@ -108,32 +108,35 @@ func TestArchUsesRandMatchesBuilders(t *testing.T) {
 // TestPacketCellAllocBudget is the allocation gate for the packet
 // grids: what a run allocates on one core depends on the seed alone,
 // not on the machine. Every row runs at Tasks 2 with its cells
-// borrowing networks and stream generators from the run's free lists
-// and streams scheduling themselves as actions; each budget is about
-// 25 % over what that costs, and under what the same grid cost when
-// every cell built its own network.
+// borrowing networks and stream generators from the run's free lists,
+// streams scheduling themselves as actions, and fabrics routed by one
+// next-hop table per attachment switch; each budget is about 25 % over
+// what that costs, and under what the same grid cost with a table per
+// host.
 //
-//   - fig17 (30 cells, ≈ 1.0 M events): 2.5 MB / 3.9 k mallocs. A
-//     network per cell cost 4.4 MB / 10.3 k; before that, a generator
-//     per stream 8.1 MB / 11.6 k, and a fabric rebuild per cell plus a
-//     queue that allocated as it ran 26.5 MB / 51.3 k.
-//   - fig18 (24 cells): 1.9 MB / 3.6 k; 3.2 MB / 7.8 k with a network
-//     per cell.
-//   - table8 (12 cells on six fabrics): 3.5 MB / 4.3 k; 4.5 MB / 12.2 k
-//     with a network per cell.
-//   - fig20 (15 cells, ≈ 0.83 M events): 0.32 MB / 0.9 k; 0.57 MB /
-//     1.6 k with a network per cell, 0.98 MB in the serial runner it
-//     replaced, and a fabric rebuild per cell costs ≈ 4.1 k mallocs.
+//   - fig17 (30 cells, ≈ 1.0 M events): 1.0 MB / 1.6 k mallocs. A table
+//     per host cost 2.5 MB / 3.9 k; a network per cell 4.4 MB / 10.3 k;
+//     before that, a generator per stream 8.1 MB / 11.6 k, and a fabric
+//     rebuild per cell plus a queue that allocated as it ran 26.5 MB /
+//     51.3 k.
+//   - fig18 (24 cells): 0.8 MB / 1.7 k; 1.9 MB / 3.6 k with a table per
+//     host, 3.2 MB / 7.8 k with a network per cell.
+//   - table8 (12 cells on six fabrics): 1.8 MB / 1.5 k; 3.5 MB / 4.3 k
+//     with a table per host, 4.5 MB / 12.2 k with a network per cell.
+//   - fig20 (15 cells, ≈ 0.83 M events): 0.28 MB / 0.68 k; 0.32 MB /
+//     0.9 k with a table per host, 0.57 MB / 1.6 k with a network per
+//     cell, 0.98 MB in the serial runner it replaced, and a fabric
+//     rebuild per cell costs ≈ 4.1 k mallocs.
 func TestPacketCellAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		name           string
 		bytes, mallocs uint64
 	}{
-		{"fig17", 3 << 20, 5_000},
-		{"fig18", 5 << 20 / 2, 4_500},
-		{"table8", 42 << 20 / 10, 5_500},
-		{"fig20", 45 << 20 / 100, 1_200},
+		{"fig17", 13 << 20 / 10, 2_000},
+		{"fig18", 1 << 20, 2_200},
+		{"table8", 23 << 20 / 10, 1_900},
+		{"fig20", 35 << 20 / 100, 850},
 	} {
 		exp, _ := Find(tc.name)
 		p := Params{Seed: 2014, Trials: 200, Tasks: 2, RPCs: 50}
@@ -155,11 +158,14 @@ func TestPacketCellAllocBudget(t *testing.T) {
 // TestAnalyticAllocBudget is the analytic experiments' counterpart of
 // TestPacketCellAllocBudget: each budget is ≈ 25 % over what the
 // experiment costs at seed 2014 on one core (fig5 1.1 MB in 620 mallocs,
-// fig10 4.5 MB in 1 824, oversub 7.8 MB in 2 528), and below what it
-// cost while channels were tested link by link and flows were built a
-// pair at a time (2.0 MB / 4 435, 9.7 MB / 43 345, 8.1 MB / 5 125). It
-// fails if first-fit or a flow builder starts allocating per channel, per
-// arc or per host pair again.
+// fig10 4.5 MB in 1 116, oversub 7.8 MB in 825, table9 2.5 MB in 707),
+// and below what it cost while channels were tested link by link and
+// flows were built a pair at a time (2.0 MB / 4 435, 9.7 MB / 43 345,
+// 8.1 MB / 5 125) and, for the last three, while every node had a
+// backing array of ports and a formatted name of its own (1 815, 2 535
+// and 2.8 MB / 13 819 mallocs). It fails if first-fit or a flow builder
+// starts allocating per channel, per arc or per host pair again, or a
+// graph per node.
 func TestAnalyticAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
@@ -167,8 +173,9 @@ func TestAnalyticAllocBudget(t *testing.T) {
 		bytes, mallocs uint64
 	}{
 		{"fig5", 14 << 20 / 10, 800},
-		{"fig10", 57 << 20 / 10, 2_300},
-		{"oversub", 98 << 20 / 10, 3_200},
+		{"fig10", 57 << 20 / 10, 1_400},
+		{"oversub", 98 << 20 / 10, 1_050},
+		{"table9", 32 << 20 / 10, 900},
 	} {
 		exp, _ := Find(tc.name)
 		p := Params{Seed: 2014, Trials: 5000}

@@ -41,10 +41,10 @@ func buildBisectionFabric(fraction float64) *topology.Graph {
 	g := topology.New(fmt.Sprintf("fabric(%.2f)", fraction))
 	core := g.AddSwitch("core", topology.TierCore, -1)
 	for r := 0; r < fig10Switches; r++ {
-		tor := g.AddSwitch(fmt.Sprintf("tor%d", r), topology.TierToR, r)
+		tor := g.AddSwitch("tor", topology.TierToR, r, r)
 		g.Connect(tor, core, up, topology.DefaultProp)
 		for h := 0; h < fig10Hosts; h++ {
-			host := g.AddHost(fmt.Sprintf("h%d-%d", r, h), r)
+			host := g.AddHost("h", r, r, h)
 			g.Connect(host, tor, 10*sim.Gbps, topology.DefaultProp)
 		}
 	}

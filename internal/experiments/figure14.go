@@ -42,7 +42,7 @@ func prototype(quartz bool) (*topology.Graph, []topology.NodeID) {
 			tier = topology.TierAgg
 			rack = -1
 		}
-		s[i] = g.AddSwitch(fmt.Sprintf("S%d", i+1), tier, rack)
+		s[i] = g.AddSwitch("S", tier, rack, i+1)
 	}
 	if quartz {
 		for i := 0; i < 4; i++ {
@@ -61,7 +61,7 @@ func prototype(quartz bool) (*topology.Graph, []topology.NodeID) {
 	var hosts []topology.NodeID
 	for i := 1; i < 4; i++ {
 		for k := 0; k < 2; k++ {
-			h := g.AddHost(fmt.Sprintf("h%d-%d", i, k), i)
+			h := g.AddHost("h", i, i, k)
 			g.Connect(h, s[i], rate, topology.DefaultProp)
 			hosts = append(hosts, h)
 		}

@@ -53,7 +53,7 @@ func fig20Star() *topology.Graph {
 	core := g.AddSwitch("core", topology.TierCore, -1)
 	for r := 0; r < 2; r++ {
 		for h := 0; h < 4; h++ {
-			host := g.AddHost(fmt.Sprintf("h%d-%d", r, h), r)
+			host := g.AddHost("h", r, r, h)
 			g.Connect(host, core, 40*sim.Gbps, topology.DefaultProp)
 		}
 	}

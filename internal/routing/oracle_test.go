@@ -1,0 +1,56 @@
+package routing_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/quartz-dcn/quartz/internal/core"
+	"github.com/quartz-dcn/quartz/internal/routing"
+	"github.com/quartz-dcn/quartz/internal/topology"
+)
+
+// TestECMPTablesAreShortestPaths checks ECMP's next-hop lists and VLB's
+// waypoint distances against a naive shortest-path oracle and the
+// per-host reference tables (routing.CheckTables) on every topology
+// builder and every §7 architecture, intact and around one dead
+// switch-to-switch link, one dead host uplink and one dead switch. The
+// experiments' other fabrics, Figure 20's, are a one-switch star and a
+// 4 × 4 mesh, the first two graphs here.
+func TestECMPTablesAreShortestPaths(t *testing.T) {
+	must := func(g *topology.Graph, err error) *topology.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	arch := func(a *core.Architecture, err error) *topology.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Graph
+	}
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(7)) }
+	var p core.ArchParams
+	for _, g := range []*topology.Graph{
+		must(topology.NewFullMesh(topology.MeshConfig{Switches: 1, HostsPerSwitch: 8})),
+		must(topology.NewFullMesh(topology.MeshConfig{Switches: 4, HostsPerSwitch: 4})),
+		must(topology.NewFullMesh(topology.MeshConfig{Switches: 4, HostsPerSwitch: 2, TrunksPerPair: 3})),
+		must(topology.NewTwoTierTree(topology.TreeConfig{ToRs: 4, Roots: 2, HostsPerToR: 3, UplinksPerRoot: 2})),
+		must(topology.NewThreeTierTree(topology.ThreeTierConfig{Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Cores: 2, HostsPerToR: 2})),
+		must(topology.NewBCube(3, 1, topology.LinkSpec{})),
+		must(topology.NewBCube(2, 2, topology.LinkSpec{})),
+		must(topology.NewJellyfish(topology.JellyfishConfig{Switches: 8, HostsPerSwitch: 2, NetDegree: 3, Rand: rng()})),
+		arch(core.TwoTierTreeArch(p)),
+		arch(core.QuartzRingArch(p)),
+		arch(core.ThreeTierTree(p)),
+		arch(core.Jellyfish(p, rng())),
+		arch(core.QuartzInCore(p)),
+		arch(core.QuartzInEdge(p)),
+		arch(core.QuartzInEdgeAndCore(p)),
+		arch(core.QuartzInJellyfish(p, rng())),
+	} {
+		routing.CheckTables(t, g.Name, g, routing.DeadSets(g)...)
+	}
+}

@@ -70,23 +70,6 @@ type Rerouter interface {
 	Reroute(dead map[topology.LinkID]bool)
 }
 
-// copyDead defensively copies a dead-link set, dropping explicit false
-// entries; it returns nil when the effective set is empty so that table
-// builders can take their fast no-failures path.
-func copyDead(dead map[topology.LinkID]bool) map[topology.LinkID]bool {
-	var out map[topology.LinkID]bool
-	for l, d := range dead {
-		if !d {
-			continue
-		}
-		if out == nil {
-			out = make(map[topology.LinkID]bool, len(dead))
-		}
-		out[l] = true
-	}
-	return out
-}
-
 // PacketHash runs the full 64-bit splitmix-style finalizer over a flow
 // ID. The packet simulator calls it once per packet at injection and
 // caches the result in PacketMeta.Hash; per-hop port selection then
@@ -123,26 +106,92 @@ func metaHash(pkt PacketMeta) uint64 {
 	return PacketHash(pkt.Flow)
 }
 
+// linkSet is a set of links, one bit per LinkID: the failed links a
+// router's tables are built around. An empty set has no words.
+type linkSet []uint64
+
+// reset makes s the links l < n with dead[l] true, reusing its words.
+func (s *linkSet) reset(n int, dead map[topology.LinkID]bool) {
+	*s = (*s)[:0]
+	for l, d := range dead {
+		if !d || l < 0 || int(l) >= n {
+			continue
+		}
+		if len(*s) == 0 {
+			*s = append(*s, make(linkSet, (n+63)/64)...)
+		}
+		(*s)[l/64] |= 1 << (l % 64)
+	}
+}
+
+func (s linkSet) has(l topology.LinkID) bool {
+	return int(l/64) < len(s) && s[l/64]&(1<<(l%64)) != 0
+}
+
+// distances fills dist with hop counts over the links not in dead: its
+// i-th row of g.NumNodes() entries holds every node's distance to
+// srcs[i], -1 where there is no path.
+func distances(g *topology.Graph, srcs []topology.NodeID, dead linkSet, dist []int32) {
+	nn := g.NumNodes()
+	queue := make([]topology.NodeID, nn)
+	for i, src := range srcs {
+		d := dist[i*nn : (i+1)*nn]
+		for n := range d {
+			d[n] = -1
+		}
+		d[src], queue[0] = 0, src
+		for head, tail := 0, 1; head < tail; head++ {
+			n := queue[head]
+			for _, p := range g.Ports(n) {
+				if d[p.Peer] >= 0 || dead.has(p.Link) {
+					continue
+				}
+				d[p.Peer] = d[n] + 1
+				queue[tail] = p.Peer
+				tail++
+			}
+		}
+	}
+}
+
 // ECMP routes every packet along a shortest path, choosing among
 // equal-cost next hops by flow hash. On a full mesh this always selects
 // the single direct path (§3.4 of the paper).
 type ECMP struct {
 	g *topology.Graph
-	// next[dst][n] lists n's shortest-path ports toward dst — a dense
-	// slice indexed by destination NodeID (nil for non-hosts) so the
-	// per-hop lookup is two array indexes, no map hashing.
-	next [][][]topology.Port
-	// dead is the failed-link set the tables were built around (nil
-	// when routing the intact graph). Owned by the router: constructors
-	// and Reroute copy their argument, so caller mutations after the
-	// call have no effect.
-	dead map[topology.LinkID]bool
+	// dests[h] says how host h is reached, indexed by NodeID.
+	dests []dest
+	// hops holds every next-hop list in one block. A table has a row per
+	// node: node n's shortest-path ports toward the table's target t are
+	// hops[off[t·N+n]:off[t·N+n+1]], N = g.NumNodes(). After the tables
+	// come the last hops of the single-homed hosts (dest.lo, dest.hi).
+	hops []topology.Port
+	off  []int32
+	// dead is the failed-link set the tables were built around (empty
+	// when routing the intact graph).
+	dead linkSet
 	// perPacket sprays individual packets over the equal-cost set
 	// instead of pinning whole flows. The paper's simulator sprays
 	// (§7.1 reports no difference between ECMP and VLB on the mesh,
 	// and the tree's smooth congestion curves require load spreading
 	// finer than per-flow).
 	perPacket bool
+}
+
+// dest is how ECMP reaches one host. A single-homed host — every link to
+// one switch, parallel links included — is routed by its switch's table:
+// a shortest path to the host is one to the switch plus a last hop, so
+// every node but the switch has the same next hops toward both, in the
+// same port order. Any other host (multi-homed, attached to a host, or
+// with no link) is a target with a table of its own.
+type dest struct {
+	// table is the target's table, or -1 when the node is not a host.
+	table int32
+	// lo and hi bound a single-homed host's last hops in hops: its live
+	// links as ports of its switch.
+	lo, hi int32
+	// via is a single-homed host's switch, -1 for a host that is a target.
+	via topology.NodeID
 }
 
 // NewECMP precomputes shortest-path next hops toward every host.
@@ -161,19 +210,98 @@ func NewECMPPerPacket(g *topology.Graph) *ECMP {
 	return e
 }
 
-// rebuild recomputes the next-hop tables from the graph and the current
-// dead-link set.
+// attachment returns the switch every link of host h leads to, or -1 if
+// h has no link, a link to a host, or links to two switches.
+func attachment(g *topology.Graph, h topology.NodeID) topology.NodeID {
+	ports := g.Ports(h)
+	if len(ports) == 0 || g.Node(ports[0].Peer).Kind != topology.Switch {
+		return -1
+	}
+	for _, p := range ports[1:] {
+		if p.Peer != ports[0].Peer {
+			return -1
+		}
+	}
+	return ports[0].Peer
+}
+
+// rebuild recomputes the tables from the graph and the current dead-link
+// set: one breadth-first search per target, and the block sized once.
 func (e *ECMP) rebuild() {
-	e.next = make([][][]topology.Port, e.g.NumNodes())
-	for _, h := range e.g.Hosts() {
-		e.next[h] = e.g.AllShortestNextHopsAvoiding(h, e.dead)
+	g, nn := e.g, e.g.NumNodes()
+	e.dests = make([]dest, nn)
+	tableOf := make([]int32, nn)
+	for n := range e.dests {
+		e.dests[n] = dest{table: -1, via: -1}
+		tableOf[n] = -1
+	}
+	targets := make([]topology.NodeID, 0, len(g.Hosts()))
+	for _, h := range g.Hosts() {
+		t := h
+		if via := attachment(g, h); via >= 0 {
+			t, e.dests[h].via = via, via
+		}
+		if tableOf[t] < 0 {
+			tableOf[t] = int32(len(targets))
+			targets = append(targets, t)
+		}
+		e.dests[h].table = tableOf[t]
+	}
+	dist := make([]int32, len(targets)*nn)
+	distances(g, targets, e.dead, dist)
+
+	// Row i of the tables is node i%nn's toward target i/nn: its live
+	// ports one hop nearer, in port order. The block is sized once, from
+	// a first pass that writes only the offsets.
+	row := func(hops []topology.Port, i int) []topology.Port {
+		d, n := dist[i-i%nn:][:nn], topology.NodeID(i%nn)
+		if d[n] <= 0 {
+			return hops
+		}
+		for _, p := range g.Ports(n) {
+			if d[p.Peer] == d[n]-1 && !e.dead.has(p.Link) {
+				hops = append(hops, p)
+			}
+		}
+		return hops
+	}
+	e.off = make([]int32, len(dist)+1)
+	var buf []topology.Port
+	for i := range dist {
+		buf = row(buf[:0], i)
+		e.off[i+1] = e.off[i] + int32(len(buf))
+	}
+	size := int(e.off[len(dist)])
+	for _, h := range g.Hosts() {
+		if e.dests[h].via >= 0 {
+			size += len(g.Ports(h))
+		}
+	}
+	e.hops = make([]topology.Port, 0, size)
+	for i := range dist {
+		e.hops = row(e.hops, i)
+	}
+	// A host's links, seen from its switch, are the switch's ports to it
+	// in the same order: Connect appends a link to both ends' lists.
+	for _, h := range g.Hosts() {
+		dh := &e.dests[h]
+		if dh.via < 0 {
+			continue
+		}
+		dh.lo = int32(len(e.hops))
+		for _, p := range g.Ports(h) {
+			if !e.dead.has(p.Link) {
+				e.hops = append(e.hops, topology.Port{Link: p.Link, Peer: h})
+			}
+		}
+		dh.hi = int32(len(e.hops))
 	}
 }
 
 // Reroute implements Rerouter: recompute shortest paths with the given
 // links failed, replacing any previous dead set.
 func (e *ECMP) Reroute(dead map[topology.LinkID]bool) {
-	e.dead = copyDead(dead)
+	e.dead.reset(e.g.NumLinks(), dead)
 	e.rebuild()
 }
 
@@ -185,12 +313,27 @@ func (e *ECMP) Name() string {
 	return "ecmp"
 }
 
+// nextHops returns n's shortest-path ports toward host dst.
+func (e *ECMP) nextHops(n, dst topology.NodeID) []topology.Port {
+	d := e.dests[dst]
+	switch {
+	case n == dst:
+		return nil
+	case n == d.via || d.via >= 0 && d.lo == d.hi:
+		// The last hop; or, with every link of the host dead, no route
+		// from anywhere.
+		return e.hops[d.lo:d.hi]
+	}
+	i := int(d.table)*len(e.dests) + int(n)
+	return e.hops[e.off[i]:e.off[i+1]]
+}
+
 // NextPort implements Router.
 func (e *ECMP) NextPort(n topology.NodeID, pkt PacketMeta) (topology.Port, error) {
-	if pkt.Dst < 0 || int(pkt.Dst) >= len(e.next) || e.next[pkt.Dst] == nil {
+	if pkt.Dst < 0 || int(pkt.Dst) >= len(e.dests) || e.dests[pkt.Dst].table < 0 {
 		return topology.Port{}, fmt.Errorf("routing: ecmp: unknown destination %d", pkt.Dst)
 	}
-	choices := e.next[pkt.Dst][n]
+	choices := e.nextHops(n, pkt.Dst)
 	if len(choices) == 0 {
 		return topology.Port{}, fmt.Errorf("routing: ecmp: no route from %d to %d", n, pkt.Dst)
 	}
@@ -210,20 +353,17 @@ func (e *ECMP) NextPort(n topology.NodeID, pkt PacketMeta) (topology.Port, error
 // assigns waypoints at flow creation with ChooseWaypoint; forwarding
 // itself is shortest-path toward the waypoint and then the destination.
 type VLB struct {
+	// ecmp routes direct paths; its dead set is VLB's.
 	ecmp *ECMP
 	g    *topology.Graph
 	// IndirectFraction is the fraction of flows sent over two-hop paths.
 	indirectFraction float64
 	switches         []topology.NodeID
-	// distTo[sw] holds hop distances from every node to switch sw, for
-	// waypoint forwarding — dense by switch NodeID, nil for non-switch
-	// IDs, so the per-hop lookup stays map-free.
-	distTo [][]int
-	// dead mirrors the embedded ECMP's failed-link set so waypoint
-	// forwarding skips dead parallel links; deadMask is its dense
-	// per-LinkID form for the hot path.
-	dead     map[topology.LinkID]bool
-	deadMask []bool
+	// dist holds hop distances to the switches for waypoint forwarding,
+	// a row of g.NumNodes() per switch; row[sw] is switch sw's row, -1
+	// for a node that is not a switch.
+	dist []int32
+	row  []int32
 }
 
 // NewVLB builds a VLB router over g (which should be a full mesh of ToR
@@ -237,33 +377,25 @@ func NewVLB(g *topology.Graph, indirectFraction float64) (*VLB, error) {
 		g:                g,
 		indirectFraction: indirectFraction,
 		switches:         g.Switches(),
+		dist:             make([]int32, len(g.Switches())*g.NumNodes()),
+		row:              make([]int32, g.NumNodes()),
 	}
-	v.rebuildDist()
+	for n := range v.row {
+		v.row[n] = -1
+	}
+	for i, sw := range v.switches {
+		v.row[sw] = int32(i)
+	}
+	distances(g, v.switches, nil, v.dist)
 	return v, nil
-}
-
-// rebuildDist recomputes the per-switch distance tables used for
-// waypoint forwarding, honoring the current dead-link set.
-func (v *VLB) rebuildDist() {
-	v.distTo = make([][]int, v.g.NumNodes())
-	for _, sw := range v.switches {
-		v.distTo[sw] = v.g.BFSDist(sw, v.dead)
-	}
-	v.deadMask = make([]bool, v.g.NumLinks())
-	for l, d := range v.dead {
-		if d && int(l) >= 0 && int(l) < len(v.deadMask) {
-			v.deadMask[l] = true
-		}
-	}
 }
 
 // Reroute implements Rerouter: both the direct-path ECMP tables and the
 // waypoint distance tables are rebuilt around the failed links. The
 // dead map is copied.
 func (v *VLB) Reroute(dead map[topology.LinkID]bool) {
-	v.dead = copyDead(dead)
 	v.ecmp.Reroute(dead)
-	v.rebuildDist()
+	distances(v.g, v.switches, v.ecmp.dead, v.dist)
 }
 
 // Name implements Router.
@@ -316,16 +448,17 @@ func (v *VLB) NextPort(n topology.NodeID, pkt PacketMeta) (topology.Port, error)
 // passes over the port list — instead of materializing a candidate
 // slice per hop.
 func (v *VLB) towardSwitch(n topology.NodeID, pkt PacketMeta) (topology.Port, error) {
-	if pkt.Waypoint < 0 || int(pkt.Waypoint) >= len(v.distTo) || v.distTo[pkt.Waypoint] == nil {
+	if pkt.Waypoint < 0 || int(pkt.Waypoint) >= len(v.row) || v.row[pkt.Waypoint] < 0 {
 		return topology.Port{}, fmt.Errorf("routing: vlb: waypoint %d is not a switch", pkt.Waypoint)
 	}
-	dist := v.distTo[pkt.Waypoint]
+	nn := len(v.row)
+	dist := v.dist[int(v.row[pkt.Waypoint])*nn:][:nn]
 	if dist[n] <= 0 {
 		return topology.Port{}, fmt.Errorf("routing: vlb: no path from %d to waypoint %d", n, pkt.Waypoint)
 	}
 	ports := v.g.Ports(n)
 	downhill := func(p topology.Port) bool {
-		return !v.deadMask[p.Link] && dist[p.Peer] == dist[n]-1
+		return !v.ecmp.dead.has(p.Link) && dist[p.Peer] == dist[n]-1
 	}
 	count := 0
 	for _, p := range ports {

@@ -79,7 +79,7 @@ func DurationMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6
 // resolveSwitch finds a fault target switch by name or numeric node ID.
 func resolveSwitch(g *topology.Graph, target string) (topology.NodeID, error) {
 	for _, s := range g.Switches() {
-		if g.Node(s).Name == target {
+		if g.NodeName(s) == target {
 			return s, nil
 		}
 	}
@@ -366,9 +366,9 @@ func (s *Sim) render() {
 	if p.HotPorts > 0 {
 		fmt.Fprintf(b, "hottest ports (by bytes):\n")
 		for _, ps := range s.Net.HottestPorts(p.HotPorts) {
-			to := g.Node(g.Link(ps.Link).Other(ps.From))
+			to := g.Link(ps.Link).Other(ps.From)
 			fmt.Fprintf(b, "  %-10s -> %-10s  %8d pkts %10d B  util %5.1f%%  drops %d\n",
-				g.Node(ps.From).Name, to.Name, ps.Packets, ps.Bytes,
+				g.NodeName(ps.From), g.NodeName(to), ps.Packets, ps.Bytes,
 				100*ps.Utilization(s.Net.Engine().Now()), ps.Drops)
 		}
 	}
@@ -386,7 +386,7 @@ func (s *Sim) render() {
 				ref := netsim.PortRef{Link: l.ID, From: from}
 				st := sampler.DepthStats(ref)
 				peaks = append(peaks, portPeak{
-					name: fmt.Sprintf("%-10s -> %-10s", g.Node(from).Name, g.Node(l.Other(from)).Name),
+					name: fmt.Sprintf("%-10s -> %-10s", g.NodeName(from), g.NodeName(l.Other(from))),
 					peak: sampler.PeakDepth(ref), mean: st.Mean(), n: st.N(),
 				})
 			}

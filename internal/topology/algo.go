@@ -234,45 +234,3 @@ func (g *Graph) EdgeDisjointPaths(src, dst NodeID) int {
 		flow++
 	}
 }
-
-// AllShortestNextHopsAvoiding computes, for every node, the set of
-// next-hop ports on some shortest path toward dst with the dead links
-// removed — ECMP's routing table. next[n] is nil when n is dst or
-// disconnected from dst. The per-node lists are carved out of one
-// backing array (counted first, each with its capacity clipped to its
-// length), so a table costs three allocations however many nodes it
-// covers; callers only read them.
-func (g *Graph) AllShortestNextHopsAvoiding(dst NodeID, dead map[LinkID]bool) [][]Port {
-	dist := g.BFSDist(dst, dead)
-	onPath := func(n int, p Port) bool {
-		return !dead[p.Link] && dist[p.Peer] >= 0 && dist[p.Peer] == dist[n]-1
-	}
-	total := 0
-	for n := range g.nodes {
-		if dist[n] <= 0 { // dst itself or unreachable
-			continue
-		}
-		for _, p := range g.ports[n] {
-			if onPath(n, p) {
-				total++
-			}
-		}
-	}
-	next := make([][]Port, len(g.nodes))
-	backing := make([]Port, 0, total)
-	for n := range g.nodes {
-		if dist[n] <= 0 {
-			continue
-		}
-		lo := len(backing)
-		for _, p := range g.ports[n] {
-			if onPath(n, p) {
-				backing = append(backing, p)
-			}
-		}
-		if hi := len(backing); hi > lo {
-			next[n] = backing[lo:hi:hi]
-		}
-	}
-	return next
-}

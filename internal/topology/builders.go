@@ -65,9 +65,9 @@ func NewFullMesh(cfg MeshConfig) (*Graph, error) {
 	g := New(fmt.Sprintf("mesh(M=%d,n=%d)", cfg.Switches, cfg.HostsPerSwitch))
 	sw := make([]NodeID, cfg.Switches)
 	for i := range sw {
-		sw[i] = g.AddSwitch(fmt.Sprintf("tor%d", i), TierToR, i)
+		sw[i] = g.AddSwitch("tor", TierToR, i, i)
 		for h := 0; h < cfg.HostsPerSwitch; h++ {
-			host := g.AddHost(fmt.Sprintf("h%d-%d", i, h), i)
+			host := g.AddHost("h", i, i, h)
 			g.Connect(host, sw[i], cfg.HostLink.Rate, cfg.HostLink.Prop)
 		}
 	}
@@ -115,12 +115,12 @@ func NewTwoTierTree(cfg TreeConfig) (*Graph, error) {
 	g := New(fmt.Sprintf("two-tier(tors=%d,roots=%d)", cfg.ToRs, cfg.Roots))
 	roots := make([]NodeID, cfg.Roots)
 	for i := range roots {
-		roots[i] = g.AddSwitch(fmt.Sprintf("root%d", i), TierAgg, -1)
+		roots[i] = g.AddSwitch("root", TierAgg, -1, i)
 	}
 	for i := 0; i < cfg.ToRs; i++ {
-		tor := g.AddSwitch(fmt.Sprintf("tor%d", i), TierToR, i)
+		tor := g.AddSwitch("tor", TierToR, i, i)
 		for h := 0; h < cfg.HostsPerToR; h++ {
-			host := g.AddHost(fmt.Sprintf("h%d-%d", i, h), i)
+			host := g.AddHost("h", i, i, h)
 			g.Connect(host, tor, cfg.HostLink.Rate, cfg.HostLink.Prop)
 		}
 		for _, r := range roots {
@@ -184,21 +184,21 @@ func NewThreeTierTree(cfg ThreeTierConfig) (*Graph, error) {
 		cfg.Pods, cfg.ToRsPerPod, cfg.AggsPerPod, cfg.Cores))
 	cores := make([]NodeID, cfg.Cores)
 	for i := range cores {
-		cores[i] = g.AddSwitch(fmt.Sprintf("core%d", i), TierCore, -1)
+		cores[i] = g.AddSwitch("core", TierCore, -1, i)
 	}
 	rack := 0
 	for p := 0; p < cfg.Pods; p++ {
 		aggs := make([]NodeID, cfg.AggsPerPod)
 		for a := range aggs {
-			aggs[a] = g.AddSwitch(fmt.Sprintf("agg%d-%d", p, a), TierAgg, -1)
+			aggs[a] = g.AddSwitch("agg", TierAgg, -1, p, a)
 			for _, c := range cores {
 				g.Connect(aggs[a], c, cfg.CoreLink.Rate, cfg.CoreLink.Prop)
 			}
 		}
 		for t := 0; t < cfg.ToRsPerPod; t++ {
-			tor := g.AddSwitch(fmt.Sprintf("tor%d-%d", p, t), TierToR, rack)
+			tor := g.AddSwitch("tor", TierToR, rack, p, t)
 			for h := 0; h < cfg.HostsPerToR; h++ {
-				host := g.AddHost(fmt.Sprintf("h%d-%d", rack, h), rack)
+				host := g.AddHost("h", rack, rack, h)
 				g.Connect(host, tor, cfg.HostLink.Rate, cfg.HostLink.Prop)
 			}
 			for _, a := range aggs {
@@ -234,7 +234,7 @@ func NewBCube(n, k int, link LinkSpec) (*Graph, error) {
 	for i := range hosts {
 		// A host's rack is its BCube-0 group: hosts sharing a level-0
 		// switch.
-		hosts[i] = g.AddHost(fmt.Sprintf("h%d", i), i/n)
+		hosts[i] = g.AddHost("h", i/n, i)
 	}
 	// Level l has n^k switches; switch j at level l connects to the n
 	// hosts whose address agrees with j in all digits except digit l.
@@ -246,7 +246,7 @@ func NewBCube(n, k int, link LinkSpec) (*Graph, error) {
 			if l == 0 {
 				rack = j
 			}
-			sw := g.AddSwitch(fmt.Sprintf("sw%d-%d", l, j), TierToR, rack)
+			sw := g.AddSwitch("sw", TierToR, rack, l, j)
 			// j encodes all digits except digit l. Reconstruct the host
 			// addresses: low = j mod n^l gives digits below l, high =
 			// j div n^l gives digits above l.
@@ -304,9 +304,9 @@ func NewJellyfish(cfg JellyfishConfig) (*Graph, error) {
 	g := New(fmt.Sprintf("jellyfish(sw=%d,r=%d)", cfg.Switches, cfg.NetDegree))
 	sw := make([]NodeID, cfg.Switches)
 	for i := range sw {
-		sw[i] = g.AddSwitch(fmt.Sprintf("sw%d", i), TierToR, i)
+		sw[i] = g.AddSwitch("sw", TierToR, i, i)
 		for h := 0; h < cfg.HostsPerSwitch; h++ {
-			host := g.AddHost(fmt.Sprintf("h%d-%d", i, h), i)
+			host := g.AddHost("h", i, i, h)
 			g.Connect(host, sw[i], cfg.HostLink.Rate, cfg.HostLink.Prop)
 		}
 	}

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/quartz-dcn/quartz/internal/sim"
 )
@@ -71,13 +72,17 @@ func (t Tier) String() string {
 
 // Node is a host or switch in the topology.
 type Node struct {
-	ID   NodeID
-	Kind Kind
-	Tier Tier
-	Name string
+	ID NodeID
 	// Rack groups nodes for locality-aware workloads: a host shares its
 	// ToR switch's rack number. -1 means no rack affinity (core tier).
 	Rack int
+	// The node's name in parts, formatted only by Graph.NodeName: the
+	// graph's prefixes[prefix], then idx[:nidx].
+	idx    [2]int32
+	prefix uint32
+	Kind   Kind
+	Tier   Tier
+	nidx   uint8
 }
 
 // Link is an undirected link between two nodes. The packet simulator
@@ -117,10 +122,17 @@ type Graph struct {
 
 	nodes []Node
 	links []Link
-	ports [][]Port // ports[n] lists n's attachments
+	// ports[n] lists n's attachments, in the order they were connected.
+	// Every list is a stretch of a slab shared by the graph; slab and
+	// spare are the unused stretches lists are cut from (see attach).
+	ports [][]Port
+	slab  []Port
+	spare []Port
 
 	hosts    []NodeID
 	switches []NodeID
+	// prefixes are the distinct name prefixes of the nodes.
+	prefixes []string
 }
 
 // New returns an empty graph with the given descriptive name.
@@ -128,18 +140,38 @@ func New(name string) *Graph {
 	return &Graph{Name: name}
 }
 
-// AddHost adds a host in the given rack and returns its ID.
-func (g *Graph) AddHost(name string, rack int) NodeID {
-	return g.addNode(Node{Kind: Host, Tier: TierNone, Name: name, Rack: rack})
+// AddHost adds a host in the given rack and returns its ID. The host is
+// named prefix followed by up to two indices, the second after a '-':
+// AddHost("h", 3, 3, 1) adds host h3-1 in rack 3.
+func (g *Graph) AddHost(prefix string, rack int, idx ...int) NodeID {
+	return g.addNode(Node{Kind: Host, Tier: TierNone, Rack: rack}, prefix, idx)
 }
 
 // AddSwitch adds a switch at the given tier and rack (-1 for none) and
-// returns its ID.
-func (g *Graph) AddSwitch(name string, tier Tier, rack int) NodeID {
-	return g.addNode(Node{Kind: Switch, Tier: tier, Name: name, Rack: rack})
+// returns its ID. It is named as AddHost names a host.
+func (g *Graph) AddSwitch(prefix string, tier Tier, rack int, idx ...int) NodeID {
+	return g.addNode(Node{Kind: Switch, Tier: tier, Rack: rack}, prefix, idx)
 }
 
-func (g *Graph) addNode(n Node) NodeID {
+func (g *Graph) addNode(n Node, prefix string, idx []int) NodeID {
+	if len(idx) > len(n.idx) {
+		panic(fmt.Sprintf("topology: node %q named with %d indices, at most %d", prefix, len(idx), len(n.idx)))
+	}
+	for i, x := range idx {
+		n.idx[i] = int32(x)
+	}
+	n.nidx = uint8(len(idx))
+	// A builder uses a few prefixes, so a search from the latest is short.
+	n.prefix = uint32(len(g.prefixes))
+	for i := len(g.prefixes) - 1; i >= 0; i-- {
+		if g.prefixes[i] == prefix {
+			n.prefix = uint32(i)
+			break
+		}
+	}
+	if int(n.prefix) == len(g.prefixes) {
+		g.prefixes = append(g.prefixes, prefix)
+	}
 	n.ID = NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, n)
 	g.ports = append(g.ports, nil)
@@ -166,9 +198,42 @@ func (g *Graph) Connect(a, b NodeID, rate sim.Rate, prop sim.Time) LinkID {
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b, Rate: rate, Prop: prop})
-	g.ports[a] = append(g.ports[a], Port{Link: id, Peer: b})
-	g.ports[b] = append(g.ports[b], Port{Link: id, Peer: a})
+	g.attach(a, Port{Link: id, Peer: b})
+	g.attach(b, Port{Link: id, Peer: a})
 	return id
+}
+
+// attach appends p to n's port list. No node has a backing array of its
+// own: a full list moves, in order, to a stretch twice its length (one
+// port for the first), cut from the front of the spare stretch when it
+// is long enough and of the graph's slab otherwise. The stretch a list
+// leaves becomes the spare one if it is longer than what the spare has
+// left, so a builder that fills one switch after another grows each into
+// the stretches the last one outgrew. A slab too short for a stretch is
+// replaced by one for half as many ports as the graph has links, which
+// keeps slabs few and, with the spares, the bytes below what a backing
+// array per node cost.
+func (g *Graph) attach(n NodeID, p Port) {
+	ps := g.ports[n]
+	if len(ps) == cap(ps) {
+		c := max(2*len(ps), 1)
+		var to []Port
+		if len(g.spare) >= c {
+			to, g.spare = g.spare[:0:c], g.spare[c:]
+		} else {
+			if len(g.slab) < c {
+				// Appending to nil takes the allocation's whole size class.
+				g.slab = append([]Port(nil), make([]Port, max(c, len(g.links)/2))...)
+				g.slab = g.slab[:cap(g.slab)]
+			}
+			to, g.slab = g.slab[:0:c], g.slab[c:]
+		}
+		if cap(ps) > len(g.spare) {
+			g.spare = ps[:cap(ps)]
+		}
+		ps = append(to, ps...)
+	}
+	g.ports[n] = append(ps, p)
 }
 
 func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.nodes) }
@@ -182,11 +247,31 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
 
+// NodeName returns node n's name: the prefix it was added with, then its
+// indices, the second after a '-' — "h3-1" for prefix "h" and indices 3
+// and 1.
+func (g *Graph) NodeName(n NodeID) string {
+	nd := g.nodes[n]
+	prefix := g.prefixes[nd.prefix]
+	if nd.nidx == 0 {
+		return prefix
+	}
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	for i, x := range nd.idx[:nd.nidx] {
+		if i > 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return string(b)
+}
+
 // Link returns the link with the given ID.
 func (g *Graph) Link(id LinkID) Link { return g.links[id] }
 
 // Ports returns the ports of node n. The returned slice is owned by the
-// graph and must not be modified.
+// graph and must not be modified; a later Connect may reuse its storage.
 func (g *Graph) Ports(n NodeID) []Port { return g.ports[n] }
 
 // Degree returns the number of links attached to n.
@@ -267,7 +352,7 @@ func (g *Graph) CrossRackLinks() int {
 func (g *Graph) Validate() error {
 	for _, h := range g.hosts {
 		if len(g.ports[h]) == 0 {
-			return fmt.Errorf("topology %q: host %s has no links", g.Name, g.nodes[h].Name)
+			return fmt.Errorf("topology %q: host %s has no links", g.Name, g.NodeName(h))
 		}
 	}
 	for _, l := range g.links {

@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,73 @@ func TestGraphBasics(t *testing.T) {
 	// Only the switch-switch link crosses racks.
 	if got := g.CrossRackLinks(); got != 1 {
 		t.Errorf("CrossRackLinks = %d, want 1", got)
+	}
+}
+
+// TestNodeNames: a name is its prefix and indices joined as the
+// builders' fmt.Sprintf("%s%d-%d") names were, formatted when read.
+func TestNodeNames(t *testing.T) {
+	g, err := NewThreeTierTree(ThreeTierConfig{Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Cores: 2, HostsPerToR: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBCube(2, 1, LinkSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone := New("lone")
+	lone.AddSwitch("s0", TierToR, 0)
+	orphan := lone.AddHost("h", 1, -3, 12)
+	for _, tc := range []struct {
+		g    *Graph
+		n    NodeID
+		want string
+	}{
+		{g, g.Switches()[1], "core1"},
+		{g, g.SwitchesInTier(TierAgg)[3], "agg1-1"},
+		{g, g.SwitchesInTier(TierToR)[2], "tor1-0"},
+		{g, g.Hosts()[7], "h3-1"},
+		{b, b.Hosts()[3], "h3"},
+		{b, b.Switches()[3], "sw1-1"},
+		{lone, 0, "s0"},
+		{lone, orphan, "h-3-12"},
+	} {
+		if got := tc.g.NodeName(tc.n); got != tc.want {
+			t.Errorf("%s node %d is named %q, want %q", tc.g.Name, tc.n, got, tc.want)
+		}
+	}
+	if err := lone.Validate(); err == nil || !strings.Contains(err.Error(), "host h-3-12 has no links") {
+		t.Errorf("Validate of a graph with a lone host: %v", err)
+	}
+}
+
+// TestPortListsKeepConnectOrder connects random node pairs and checks
+// after every Connect that each node's port list is what appending to a
+// list of its own gives: the slab moves lists and reuses the stretches
+// they leave without reordering or overwriting any.
+func TestPortListsKeepConnectOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		g := New("random")
+		n := 2 + rng.Intn(30)
+		for i := 0; i < n; i++ {
+			g.AddSwitch("s", TierToR, i, i)
+		}
+		want := make([][]Port, n)
+		for l := 0; l < 200; l++ {
+			a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if a == b {
+				continue
+			}
+			id := g.Connect(a, b, sim.Gbps, 0)
+			want[a] = append(want[a], Port{Link: id, Peer: b})
+			want[b] = append(want[b], Port{Link: id, Peer: a})
+			for v := range want {
+				if got := g.Ports(NodeID(v)); !reflect.DeepEqual(got, want[v]) && len(got)+len(want[v]) > 0 {
+					t.Fatalf("trial %d, after link %d: node %d ports %v, want %v", trial, id, v, got, want[v])
+				}
+			}
+		}
 	}
 }
 
@@ -443,37 +511,6 @@ func TestEdgeDisjointPathsMesh(t *testing.T) {
 	sw := g.Switches()
 	if got := g.EdgeDisjointPaths(sw[0], sw[5]); got != 7 {
 		t.Errorf("mesh-8 diversity = %d, want 7", got)
-	}
-}
-
-func TestAllShortestNextHops(t *testing.T) {
-	// Diamond: a-b, a-c, b-d, c-d. From a to d there are two equal-cost
-	// next hops (b and c).
-	g := New("diamond")
-	a := g.AddSwitch("a", TierToR, 0)
-	b := g.AddSwitch("b", TierToR, 1)
-	c := g.AddSwitch("c", TierToR, 2)
-	d := g.AddSwitch("d", TierToR, 3)
-	g.Connect(a, b, sim.Gbps, 0)
-	g.Connect(a, c, sim.Gbps, 0)
-	g.Connect(b, d, sim.Gbps, 0)
-	g.Connect(c, d, sim.Gbps, 0)
-	next := g.AllShortestNextHopsAvoiding(d, nil)
-	if len(next[a]) != 2 {
-		t.Errorf("a has %d next hops to d, want 2", len(next[a]))
-	}
-	if len(next[b]) != 1 || next[b][0].Peer != d {
-		t.Errorf("b next hops = %v, want [d]", next[b])
-	}
-	if next[d] != nil {
-		t.Errorf("dst has next hops %v, want none", next[d])
-	}
-	// The lists share one backing array: growing one must reallocate
-	// rather than overwrite its neighbour.
-	want := next[b][0]
-	_ = append(next[a], Port{Peer: -1})
-	if cap(next[a]) != len(next[a]) || next[b][0] != want {
-		t.Errorf("append to a's list (cap %d, len %d) reached b's: %v", cap(next[a]), len(next[a]), next[b])
 	}
 }
 
