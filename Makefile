@@ -52,7 +52,10 @@ race:
 # links) and dead-link sets and routes them (internal/routing/
 # reference_test.go): every ECMP next-hop list equals a naive
 # shortest-path oracle's and the per-host reference tables', and VLB's
-# distances the oracle's. A failure leaves its
+# distances the oracle's. FuzzTable writes tables of hostile strings,
+# integers and floats (internal/table/table_test.go): encoding/csv reads
+# back every cell's CSV form, encoding/json every value, and a NaN or
+# infinite float is refused. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
@@ -65,9 +68,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultModel$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzECMPTables$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/routing
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/table
 
 # Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the eight fuzz smokes.
+# pass on the goroutine-owning packages + the nine fuzz smokes.
 verify: build vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size

@@ -37,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,13 +45,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/scenario"
+	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
 
@@ -74,23 +75,23 @@ var (
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile after the run to this file")
 )
 
-// exportCSV writes rows to <csvDir>/<name>.csv when -csv is set.
-func exportCSV(name string, rows interface{}) error {
+// exportCSV writes t to <csvDir>/<t.Name>.csv when -csv is set.
+func exportCSV(t table.Table) error {
 	if *csvDir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
+	path := filepath.Join(*csvDir, t.Name+".csv")
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := experiments.WriteCSV(f, rows); err != nil {
+	if err := errors.Join(t.WriteCSV(f), f.Close()); err != nil {
 		return err
 	}
-	fmt.Printf("(wrote %s)\n", f.Name())
+	fmt.Printf("(wrote %s)\n", path)
 	return nil
 }
 
@@ -196,16 +197,11 @@ func main() {
 			Events:     out.Events,
 			AllocBytes: memAfter.TotalAllocBytes - memBefore.TotalAllocBytes,
 			Mallocs:    memAfter.Mallocs - memBefore.Mallocs,
-			CSVRows:    len(out.CSV),
+			Tables:     len(out.Tables),
 		})
 		fmt.Print(out.Text)
-		names := make([]string, 0, len(out.CSV))
-		for name := range out.CSV {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := exportCSV(name, out.CSV[name]); err != nil {
+		for _, t := range out.Tables {
+			if err := exportCSV(t); err != nil {
 				fmt.Fprintf(os.Stderr, "quartzbench: %s: %v\n", e.Name, err)
 				os.Exit(1)
 			}

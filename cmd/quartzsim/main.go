@@ -37,6 +37,7 @@ import (
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/scenario"
 	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
 
@@ -290,17 +291,23 @@ func run() error {
 	return runSim(ctx, stop, doc)
 }
 
-// emit writes n rows of one view to path, as JSON when the extension
-// says so, and reports it.
-func emit(path, what string, n int, writeCSV, writeJSON func(w io.Writer) error) error {
+// emit writes one table to path, as JSON when the extension says so,
+// and reports its rows as what.
+func emit(path, what string, t table.Table) error {
+	write := t.WriteCSV
+	if strings.HasSuffix(path, ".json") {
+		write = t.WriteJSON
+	}
+	return writeFile(path, what, t.Len(), write)
+}
+
+// writeFile writes n items of what to path with write, and reports it.
+func writeFile(path, what string, n int, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".json") {
-		writeCSV = writeJSON
-	}
-	if err := errors.Join(writeCSV(f), f.Close()); err != nil {
+	if err := errors.Join(write(f), f.Close()); err != nil {
 		return fmt.Errorf("writing %s: %w", what, err)
 	}
 	fmt.Printf("wrote %d %s to %s\n", n, what, path)
@@ -376,7 +383,7 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 
 	if *traceOut != "" {
 		rec := s.Obs.Trace()
-		if err := emit(*traceOut, "trace events", len(rec.Events()), rec.WriteCSV, rec.WriteJSON); err != nil {
+		if err := emit(*traceOut, "trace events", rec.Table()); err != nil {
 			return err
 		}
 		if tr := rec.Truncated(); tr > 0 {
@@ -386,12 +393,12 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 		}
 	}
 	if sampler := s.Obs.Sampler(); *probeOut != "" {
-		if err := emit(*probeOut, "queue samples", len(sampler.Samples()), sampler.WriteCSV, sampler.WriteJSON); err != nil {
+		if err := emit(*probeOut, "queue samples", sampler.Table()); err != nil {
 			return err
 		}
 	}
 	if flows := s.Obs.Flows(); *flowsOut != "" {
-		if err := emit(*flowsOut, "flow rows", flows.NumFlows(), flows.WriteCSV, flows.WriteJSON); err != nil {
+		if err := emit(*flowsOut, "flow rows", flows.Table()); err != nil {
 			return err
 		}
 	}
@@ -404,7 +411,7 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 	}
 	if side.Spans != nil {
 		write := func(w io.Writer) error { return side.Spans.WriteChrome(w, meta) }
-		if err := emit(*spansOut, "execution spans", side.Spans.Len(), write, write); err != nil {
+		if err := writeFile(*spansOut, "execution spans", side.Spans.Len(), write); err != nil {
 			return err
 		}
 	}

@@ -145,8 +145,8 @@ func TestClusterMergeByteIdentical(t *testing.T) {
 				t.Errorf("%s with %d workers: text differs from single-process run\nsingle:\n%s\ncluster:\n%s",
 					name, workers, want.Text, got.Text)
 			}
-			if !reflect.DeepEqual(got.CSV, want.CSV) {
-				t.Errorf("%s with %d workers: CSV tables differ from single-process run", name, workers)
+			if !reflect.DeepEqual(got.Tables, want.Tables) {
+				t.Errorf("%s with %d workers: tables differ from single-process run", name, workers)
 			}
 			if got.Events != want.Events {
 				t.Errorf("%s with %d workers: %d events, single-process run %d", name, workers, got.Events, want.Events)

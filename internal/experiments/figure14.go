@@ -8,6 +8,7 @@ import (
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
@@ -216,7 +217,12 @@ var figure14Grid = Grid[figure14Cell, meanCI, []Figure14Row]{
 		return rows, nil
 	},
 	Render: func(rows []Figure14Row) Output {
-		return Output{Text: RenderFigure14(rows), CSV: map[string]interface{}{"figure14": rows}}
+		t := table.New("figure14", len(rows), "CrossTraffic", "TwoTierTree", "Quartz", "TreeCI", "QuartzCI")
+		for _, r := range rows {
+			t.Append(table.Int(r.CrossTraffic), table.Float(r.TwoTierTree), table.Float(r.Quartz),
+				table.Float(r.TreeCI), table.Float(r.QuartzCI))
+		}
+		return Output{Text: RenderFigure14(rows), Tables: []table.Table{t}}
 	},
 }
 

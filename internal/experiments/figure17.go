@@ -10,6 +10,7 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
@@ -265,7 +266,7 @@ type taskFigure struct {
 	local  bool // Figure 18: measure one localized task under global cross-traffic
 	archs  []string
 	panels []taskPanel
-	csv    string // CSV stem prefix; "" exports no rows
+	csv    string // table name prefix; "" exports no tables
 }
 
 var figure17 = taskFigure{
@@ -335,18 +336,47 @@ func (f taskFigure) grid() Grid[taskCell, meanCI, [][]Figure17Row] {
 			return panels, nil
 		},
 		Render: func(panels [][]Figure17Row) Output {
-			out := Output{CSV: map[string]interface{}{}}
 			var b strings.Builder
 			for k, pn := range f.panels {
 				b.WriteString(RenderFigure17(pn.label, f.archs, panels[k]))
-				if f.csv != "" {
-					out.CSV[f.csv+strings.ReplaceAll(pn.kind.String(), "/", "-")] = panels[k]
-				}
 			}
-			out.Text = b.String()
+			out := Output{Text: b.String()}
+			if f.csv != "" {
+				out.Tables = f.tables(panels)
+			}
 			return out
 		},
 	}
+}
+
+// tables exports each panel as the table <csv><kind>: the task count,
+// then every architecture's latency, then every CI, architectures in
+// name order.
+func (f taskFigure) tables(panels [][]Figure17Row) []table.Table {
+	archs := slices.Clone(f.archs)
+	slices.Sort(archs)
+	columns := make([]string, 1, 1+2*len(archs))
+	columns[0] = "Tasks"
+	for _, a := range archs {
+		columns = append(columns, "Latency:"+a)
+	}
+	for _, a := range archs {
+		columns = append(columns, "CI:"+a)
+	}
+	tables := make([]table.Table, len(panels))
+	row := make([]table.Cell, len(columns))
+	for k, pn := range f.panels {
+		t := table.New(f.csv+strings.ReplaceAll(pn.kind.String(), "/", "-"), len(panels[k]), columns...)
+		for _, r := range panels[k] {
+			row[0] = table.Int(r.Tasks)
+			for i, a := range archs {
+				row[1+i], row[1+len(archs)+i] = table.Float(r.Latency[a]), table.Float(r.CI[a])
+			}
+			t.Append(row...)
+		}
+		tables[k] = t
+	}
+	return tables
 }
 
 // panel runs only the figure's panel for kind.

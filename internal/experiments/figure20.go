@@ -8,6 +8,7 @@ import (
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
@@ -190,7 +191,16 @@ var figure20Grid = Grid[fig20Cell, fig20Value, []Figure20Row]{
 		return rows, nil
 	},
 	Render: func(rows []Figure20Row) Output {
-		return Output{Text: RenderFigure20(rows), CSV: map[string]interface{}{"figure20": rows}}
+		t := table.New("figure20", len(rows), "Aggregate", "NonBlocking", "QuartzECMP", "QuartzVLB", "ECMPSaturated")
+		for _, r := range rows {
+			saturated := 0
+			if r.ECMPSaturated {
+				saturated = 1
+			}
+			t.Append(table.Int(r.Aggregate), table.Float(r.NonBlocking), table.Float(r.QuartzECMP),
+				table.Float(r.QuartzVLB), table.Int(saturated))
+		}
+		return Output{Text: RenderFigure20(rows), Tables: []table.Table{t}}
 	},
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
@@ -69,7 +70,13 @@ var figureF6Grid = Grid[int64, FigureF6Result, FigureF6Result]{
 	},
 	Merge: func(_ Params, _ []int64, runs []FigureF6Result) (FigureF6Result, error) { return runs[0], nil },
 	Render: func(res FigureF6Result) Output {
-		return Output{Text: RenderFigureF6(res), CSV: map[string]interface{}{"figuref6": res.Windows}}
+		t := table.New("figuref6", len(res.Windows),
+			"Start", "Phase", "Delivered", "Dropped", "ThroughputGbps", "MeanLatencyUS")
+		for _, w := range res.Windows {
+			t.Append(table.Fixed(w.Start.Micros(), 3), table.String(w.Phase), table.Int(w.Delivered),
+				table.Int(w.Dropped), table.Float(w.ThroughputGbps), table.Float(w.MeanLatencyUS))
+		}
+		return Output{Text: RenderFigureF6(res), Tables: []table.Table{t}}
 	},
 }
 

@@ -4,10 +4,15 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
+	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/scenario"
+	"github.com/quartz-dcn/quartz/internal/table"
 )
 
 // The hashes below pin the rendered text of every registry experiment
@@ -62,9 +67,56 @@ var goldenExperiments = map[string]goldenRun{
 	"table16":   {"638d8f63acbcf221ebd0068779d7337b03c26c5d45aeb419ee7fe5c8210d9db9", 0},
 }
 
+// goldenTables pins the CSV bytes of every table an experiment exports,
+// by name, at goldenParams; an experiment missing here exports none.
+// They were recorded on the commit before the tables were built as
+// internal/table values, when a reflective writer printed the row
+// structs, so "no CSV byte changes" is checked across that rewrite.
+var goldenTables = map[string][]goldenTable{
+	"fig5":   {{"figure5", "f31668fcb189963bfb523d76f44d807a72a00597bd76bddbacc1708a53d2b76d"}},
+	"table9": {{"table9", "583c41ed25ec0d8698614131064cf9b6d0999d8d767734614bd0c75980270472"}},
+	"fig14":  {{"figure14", "3573282e62619b23e5192e8a1962e3b56ca0c02587770753f7d760e952207825"}},
+	"fig17": {
+		{"figure17-gather", "ebac20c1ec1b1017484f872272e5cddfd777386d9a15fae690fb5d6fccbb0440"},
+		{"figure17-scatter", "65e95c8f18183ace9e1fe502981faf392c4578da037df92f4da59538092fd964"},
+		{"figure17-scatter-gather", "465693890857c5f3ddba825e07aa0e706c1739312db34991754fe940c671a157"},
+	},
+	"fig20":     {{"figure20", "760bfedc69e7e4fb602abcb14626d34006d2061da5174e315eee73eaa75d0561"}},
+	"f6dynamic": {{"figuref6", "a974e2fbec5b982cb04890e2d16a8d6f95c70fdafc7522598643f4c65a0d72aa"}},
+	"table8":    {{"table8", "e3f2e8ab512c5c663995aa89c2c7d018ae513fa33d398324de6a9be27e7ef258"}},
+}
+
+// goldenTable is one exported table: its name and the SHA-256 of its
+// CSV.
+type goldenTable struct{ name, hash string }
+
 func textDigest(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])
+}
+
+// csvDigest is the SHA-256 of tb's CSV.
+func csvDigest(t *testing.T, tb table.Table) goldenTable {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatalf("table %s: %v", tb.Name, err)
+	}
+	return goldenTable{tb.Name, textDigest(b.String())}
+}
+
+// checkTables compares an experiment's exported tables, in name order,
+// with its goldenTables row.
+func checkTables(t *testing.T, name string, out experiments.Output) {
+	t.Helper()
+	var got []goldenTable
+	for _, tb := range out.Tables {
+		got = append(got, csvDigest(t, tb))
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i].name < got[j].name })
+	if want := goldenTables[name]; !reflect.DeepEqual(got, want) {
+		t.Errorf("%s tables changed:\n got %v\nwant %v", name, got, want)
+	}
 }
 
 func TestGoldenExperimentOutput(t *testing.T) {
@@ -90,6 +142,7 @@ func TestGoldenExperimentOutput(t *testing.T) {
 			if out.Events != want.events {
 				t.Errorf("%s processed %d events, want %d", name, out.Events, want.events)
 			}
+			checkTables(t, name, out)
 		})
 	}
 }
@@ -129,5 +182,35 @@ func TestGoldenScenario(t *testing.T) {
 	}
 	if out.Events != goldenScenarioEvents {
 		t.Errorf("scenario processed %d events, want %d", out.Events, goldenScenarioEvents)
+	}
+}
+
+// The golden scenario's side band — its whole packet trace, its queue
+// samples and its flow table — as CSV, recorded with goldenTables.
+var goldenScenarioTables = []goldenTable{
+	{"trace", "47a297cb31f4315eecca2547f680603ea5eb87ce8dd40308e8b6eb20522f3bbf"},
+	{"queue_samples", "da194a57c8301ad3885cdf12ed95fc27a844b943576cf26650c64bdf6008867b"},
+	{"flows", "3ffdb4bdd3d2c6d5038d481e83a16f43565a7f23eb7f1bda7ff0b562e7a2dab8"},
+}
+
+func TestGoldenScenarioTables(t *testing.T) {
+	f, err := scenario.Decode([]byte(goldenScenario), "golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.NewSim(f.Doc.Sim, f.Doc.Seed, netsim.ObserveOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s.Net.Engine().Processed() != goldenScenarioEvents {
+		t.Errorf("traced scenario processed %d events, want %d", s.Net.Engine().Processed(), goldenScenarioEvents)
+	}
+	for i, tb := range []table.Table{s.Obs.Trace().Table(), s.Obs.Sampler().Table(), s.Obs.Flows().Table()} {
+		if got, want := csvDigest(t, tb), goldenScenarioTables[i]; got != want {
+			t.Errorf("scenario side band changed: got %v, want %v", got, want)
+		}
 	}
 }

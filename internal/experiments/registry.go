@@ -9,16 +9,17 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/cost"
+	"github.com/quartz-dcn/quartz/internal/table"
 )
 
-// Output is what one experiment produced: rendered text plus any
-// CSV-exportable row sets, keyed by file stem (e.g. "figure5"), and the
+// Output is what one experiment produced: rendered text plus the tables
+// it exports, each named by its file stem (e.g. "figure5"), and the
 // number of simulator events the run processed — a value of the run
 // like its text (0 for an experiment that never enters the event loop),
 // and no part of its cache key.
 type Output struct {
 	Text   string
-	CSV    map[string]interface{}
+	Tables []table.Table
 	Events uint64
 }
 
@@ -90,7 +91,11 @@ func All() []Experiment {
 			Covers: []string{"Figure5"},
 			Run: func(_ context.Context, p Params) (Output, error) {
 				rows := Figure5(41, p.Seed)
-				return Output{Text: RenderFigure5(rows), CSV: map[string]interface{}{"figure5": rows}}, nil
+				t := table.New("figure5", len(rows), "RingSize", "Greedy", "Optimal")
+				for _, r := range rows {
+					t.Append(table.Int(r.RingSize), table.Int(r.Greedy), table.Int(r.Optimal))
+				}
+				return Output{Text: RenderFigure5(rows), Tables: []table.Table{t}}, nil
 			},
 		},
 		{
@@ -120,7 +125,14 @@ func All() []Experiment {
 				if err != nil {
 					return Output{}, err
 				}
-				return Output{Text: RenderTable9(rows), CSV: map[string]interface{}{"table9": rows}}, nil
+				t := table.New("table9", len(rows),
+					"Network", "SwitchHops", "ServerHops", "Latency", "Switches", "Wiring", "Diversity", "WDMWiring")
+				for _, r := range rows {
+					t.Append(table.String(r.Network), table.Int(r.SwitchHops), table.Int(r.ServerHops),
+						table.Fixed(r.Latency.Micros(), 3), table.Int(r.Switches), table.Int(r.Wiring),
+						table.Int(r.Diversity), table.Int(r.WDMWiring))
+				}
+				return Output{Text: RenderTable9(rows), Tables: []table.Table{t}}, nil
 			},
 		},
 		{

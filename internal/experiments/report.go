@@ -32,8 +32,8 @@ type ExperimentReport struct {
 	// zero-allocation hot-path work keeps honest.
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 	Mallocs    uint64 `json:"mallocs,omitempty"`
-	// CSVRows counts data-bearing output tables.
-	CSVRows int `json:"csv_tables,omitempty"`
+	// Tables counts the experiment's exported tables (Output.Tables).
+	Tables int `json:"csv_tables,omitempty"`
 }
 
 // MemStats summarizes the run's memory behaviour, from

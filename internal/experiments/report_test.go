@@ -10,7 +10,7 @@ import (
 func TestReportWriteJSON(t *testing.T) {
 	r := NewReport(Params{Seed: 7}, time.Date(2014, 8, 17, 12, 0, 0, 0, time.UTC))
 	r.Add(ExperimentReport{Name: "fig17", Title: "Figure 17", Section: "7.1",
-		WallSecs: 2.0, Events: 1_000_000, CSVRows: 1})
+		WallSecs: 2.0, Events: 1_000_000, Tables: 1})
 	r.Add(ExperimentReport{Name: "table8", Title: "Table 8", Section: "6.2"})
 
 	var buf bytes.Buffer

@@ -92,8 +92,8 @@ func TestSweepPartitionDeterminism(t *testing.T) {
 			if whole.Text != split.Text {
 				t.Errorf("partitioned text differs from whole-grid text:\n--- whole ---\n%s\n--- split ---\n%s", whole.Text, split.Text)
 			}
-			if !reflect.DeepEqual(whole.CSV, split.CSV) {
-				t.Errorf("partitioned CSV rows differ from whole-grid rows")
+			if !reflect.DeepEqual(whole.Tables, split.Tables) {
+				t.Errorf("partitioned tables differ from whole-grid tables")
 			}
 			if whole.Events == 0 || whole.Events != split.Events {
 				t.Errorf("whole-grid run processed %d events, partitioned run %d", whole.Events, split.Events)

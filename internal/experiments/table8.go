@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/cost"
+	"github.com/quartz-dcn/quartz/internal/table"
 )
 
 // Table8Row is one comparison of the §4.4 configurator: a baseline
@@ -126,7 +127,14 @@ var table8Grid = Grid[table8Cell, float64, []Table8Row]{
 		return rows, nil
 	},
 	Render: func(rows []Table8Row) Output {
-		return Output{Text: RenderTable8(rows), CSV: map[string]interface{}{"table8": rows}}
+		t := table.New("table8", len(rows), "Size", "Servers", "Utilization", "Baseline", "Quartz",
+			"BaselineCostPerServer", "QuartzCostPerServer", "LatencyReduction")
+		for _, r := range rows {
+			t.Append(table.String(r.Size), table.Int(r.Servers), table.String(r.Utilization),
+				table.String(r.Baseline), table.String(r.Quartz), table.Float(r.BaselineCostPerServer),
+				table.Float(r.QuartzCostPerServer), table.Float(r.LatencyReduction))
+		}
+		return Output{Text: RenderTable8(rows), Tables: []table.Table{t}}
 	},
 }
 

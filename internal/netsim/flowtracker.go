@@ -8,21 +8,17 @@ package netsim
 // materializes its event list. Bind attaches the aggregates to a
 // metrics.Registry for the live exporters; the per-flow table itself
 // stays out of the registry (per-flow series cardinality does not
-// belong in a metrics pipeline) and exports through Flows, WriteCSV,
-// and WriteJSON.
+// belong in a metrics pipeline) and exports through Flows and Table.
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/table"
 )
 
 // Drop-reason classes used for attribution. Raw reasons carry IDs
@@ -135,8 +131,7 @@ func NewFlowTracker() *FlowTracker {
 }
 
 // Bind registers the tracker's aggregate instruments in r. Per-flow
-// detail intentionally stays off the registry; use Flows or the CSV and
-// JSON writers for the table.
+// detail intentionally stays off the registry; use Flows or Table.
 //
 //	quartz_packets_sent_total        counter  source sends
 //	quartz_packets_delivered_total   counter
@@ -315,9 +310,6 @@ func (t *FlowTracker) snapshotFlow(f *flowState) FlowStats {
 	return s
 }
 
-// NumFlows returns the number of distinct flows observed.
-func (t *FlowTracker) NumFlows() int { return len(t.flows) }
-
 // FCTStats feeds every flow's FCT (µs) into hist — typically a
 // registry LatencyHistogram registered at the end of a run — and
 // returns how many flows it observed.
@@ -329,41 +321,24 @@ func (t *FlowTracker) FCTStats(hist *metrics.LatencyHistogram) int {
 	return len(t.order)
 }
 
-// WriteCSV writes the per-flow table with a header row:
+// Table returns the per-flow table "flows", in first-send order:
 // flow,first_send_ps,last_activity_ps,fct_ps,sent,delivered,dropped,
 // bytes,retransmits,max_hops,mean_latency_us,drops_by_class,fault_window_drops.
-// drops_by_class is a semicolon-joined class=count list (CSV-escaped by
-// the writer).
-func (t *FlowTracker) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+// drops_by_class is a semicolon-joined class=count list.
+func (t *FlowTracker) Table() table.Table {
+	flows := t.Flows()
+	tb := table.New("flows", len(flows),
 		"flow", "first_send_ps", "last_activity_ps", "fct_ps", "sent", "delivered",
 		"dropped", "bytes", "retransmits", "max_hops", "mean_latency_us",
-		"drops_by_class", "fault_window_drops",
-	}); err != nil {
-		return err
+		"drops_by_class", "fault_window_drops")
+	for _, f := range flows {
+		tb.Append(table.Int(f.Flow), table.Int(f.FirstSend), table.Int(f.LastActivity), table.Int(f.FCT),
+			table.Int(f.PacketsSent), table.Int(f.PacketsDelivered), table.Int(f.PacketsDropped),
+			table.Int(f.BytesDelivered), table.Int(f.Retransmits), table.Int(f.MaxHops),
+			table.Fixed(f.MeanLatency().Micros(), 3), table.String(formatDropClasses(f.DropsByClass)),
+			table.Int(f.FaultWindowDrops))
 	}
-	for _, f := range t.Flows() {
-		if err := cw.Write([]string{
-			strconv.FormatUint(uint64(f.Flow), 10),
-			strconv.FormatInt(int64(f.FirstSend), 10),
-			strconv.FormatInt(int64(f.LastActivity), 10),
-			strconv.FormatInt(int64(f.FCT), 10),
-			strconv.FormatUint(f.PacketsSent, 10),
-			strconv.FormatUint(f.PacketsDelivered, 10),
-			strconv.FormatUint(f.PacketsDropped, 10),
-			strconv.FormatUint(f.BytesDelivered, 10),
-			strconv.FormatUint(f.Retransmits, 10),
-			strconv.Itoa(f.MaxHops),
-			fmt.Sprintf("%.3f", f.MeanLatency().Micros()),
-			formatDropClasses(f.DropsByClass),
-			strconv.FormatUint(f.FaultWindowDrops, 10),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return tb
 }
 
 // formatDropClasses renders class=count pairs sorted by class.
@@ -381,50 +356,4 @@ func formatDropClasses(m map[string]uint64) string {
 		parts = append(parts, fmt.Sprintf("%s=%d", c, m[c]))
 	}
 	return strings.Join(parts, ";")
-}
-
-// flowJSON is the JSON wire form of one flow.
-type flowJSON struct {
-	Flow             uint64            `json:"flow"`
-	FirstSendPs      int64             `json:"first_send_ps"`
-	LastActivityPs   int64             `json:"last_activity_ps"`
-	FCTPs            int64             `json:"fct_ps"`
-	Sent             uint64            `json:"sent"`
-	Delivered        uint64            `json:"delivered"`
-	Dropped          uint64            `json:"dropped"`
-	Bytes            uint64            `json:"bytes"`
-	Retransmits      uint64            `json:"retransmits"`
-	MaxHops          int               `json:"max_hops"`
-	MeanLatencyUs    float64           `json:"mean_latency_us"`
-	DropsByClass     map[string]uint64 `json:"drops_by_class,omitempty"`
-	FaultWindowDrops uint64            `json:"fault_window_drops,omitempty"`
-}
-
-// WriteJSON writes the per-flow table as a JSON array.
-func (t *FlowTracker) WriteJSON(w io.Writer) error {
-	flows := t.Flows()
-	out := make([]flowJSON, 0, len(flows))
-	for _, f := range flows {
-		j := flowJSON{
-			Flow:             uint64(f.Flow),
-			FirstSendPs:      int64(f.FirstSend),
-			LastActivityPs:   int64(f.LastActivity),
-			FCTPs:            int64(f.FCT),
-			Sent:             f.PacketsSent,
-			Delivered:        f.PacketsDelivered,
-			Dropped:          f.PacketsDropped,
-			Bytes:            f.BytesDelivered,
-			Retransmits:      f.Retransmits,
-			MaxHops:          f.MaxHops,
-			MeanLatencyUs:    f.MeanLatency().Micros(),
-			FaultWindowDrops: f.FaultWindowDrops,
-		}
-		if len(f.DropsByClass) > 0 {
-			j.DropsByClass = f.DropsByClass
-		}
-		out = append(out, j)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
 }

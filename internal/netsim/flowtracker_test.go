@@ -30,8 +30,8 @@ func TestFlowTrackerAggregates(t *testing.T) {
 	}
 	net.Engine().Run()
 
-	if ft.NumFlows() != 2 {
-		t.Fatalf("NumFlows = %d, want 2", ft.NumFlows())
+	if n := len(ft.Flows()); n != 2 {
+		t.Fatalf("%d flows, want 2", n)
 	}
 	f1, ok := ft.Flow(1)
 	if !ok {
@@ -215,7 +215,7 @@ func TestFlowTrackerExports(t *testing.T) {
 	net.Engine().Run()
 
 	var buf bytes.Buffer
-	if err := ft.WriteCSV(&buf); err != nil {
+	if err := ft.Table().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
@@ -227,14 +227,17 @@ func TestFlowTrackerExports(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := ft.WriteJSON(&buf); err != nil {
+	if err := ft.Table().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]interface{}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("flow JSON does not parse: %v", err)
 	}
-	if len(decoded) != 1 || decoded[0]["delivered"].(float64) != 1 {
+	// The keys are the CSV header: drops_by_class is the CSV's string,
+	// and every column is present on every row.
+	if len(decoded) != 1 || decoded[0]["delivered"] != 1.0 ||
+		decoded[0]["drops_by_class"] != "" || decoded[0]["fault_window_drops"] != 0.0 {
 		t.Fatalf("flow JSON = %v", decoded)
 	}
 }

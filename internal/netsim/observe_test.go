@@ -105,10 +105,10 @@ func TestGoldenObserveOutput(t *testing.T) {
 	}
 
 	var traceCSV, flowCSV strings.Builder
-	if err := obs.Trace().WriteCSV(&traceCSV); err != nil {
+	if err := obs.Trace().Table().WriteCSV(&traceCSV); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flows().WriteCSV(&flowCSV); err != nil {
+	if err := obs.Flows().Table().WriteCSV(&flowCSV); err != nil {
 		t.Fatal(err)
 	}
 	flows := obs.Flows().Flows()

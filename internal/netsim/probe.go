@@ -1,16 +1,13 @@
 package netsim
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
 	"time"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
+	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
 
@@ -222,57 +219,16 @@ func (t *TraceRecorder) Events() []TraceEvent { return t.events }
 // Truncated reports how many events the bound discarded.
 func (t *TraceRecorder) Truncated() uint64 { return t.truncated }
 
-// WriteCSV writes the trace as CSV with a header row:
-// at_ps,op,packet,flow,link,from,hops,reason. Fields are RFC-4180
-// quoted when needed — fault-row reasons can carry commas and quotes.
-func (t *TraceRecorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_ps", "op", "packet", "flow", "link", "from", "hops", "reason"}); err != nil {
-		return err
-	}
+// Table returns the trace as the table "trace", one row per event:
+// at_ps,op,packet,flow,link,from,hops,reason (empty but for drops and
+// fault rows, whose reasons can carry commas and quotes).
+func (t *TraceRecorder) Table() table.Table {
+	tb := table.New("trace", len(t.events), "at_ps", "op", "packet", "flow", "link", "from", "hops", "reason")
 	for _, e := range t.events {
-		if err := cw.Write([]string{
-			strconv.FormatInt(int64(e.At), 10),
-			e.Op.String(),
-			strconv.FormatUint(e.Packet, 10),
-			strconv.FormatUint(uint64(e.Flow), 10),
-			strconv.FormatInt(int64(e.Link), 10),
-			strconv.FormatInt(int64(e.From), 10),
-			strconv.Itoa(e.Hops),
-			e.Reason,
-		}); err != nil {
-			return err
-		}
+		tb.Append(table.Int(e.At), table.String(e.Op.String()), table.Int(e.Packet), table.Int(e.Flow),
+			table.Int(e.Link), table.Int(e.From), table.Int(e.Hops), table.String(e.Reason))
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// traceJSON is the JSON wire form of one trace event.
-type traceJSON struct {
-	AtPs   int64  `json:"at_ps"`
-	Op     string `json:"op"`
-	Packet uint64 `json:"packet"`
-	Flow   uint64 `json:"flow"`
-	Link   int64  `json:"link"`
-	From   int64  `json:"from"`
-	Hops   int    `json:"hops"`
-	Reason string `json:"reason,omitempty"`
-}
-
-// WriteJSON writes the trace as a JSON array of event objects.
-func (t *TraceRecorder) WriteJSON(w io.Writer) error {
-	out := make([]traceJSON, 0, len(t.events))
-	for _, e := range t.events {
-		out = append(out, traceJSON{
-			AtPs: int64(e.At), Op: e.Op.String(), Packet: e.Packet,
-			Flow: uint64(e.Flow), Link: int64(e.Link), From: int64(e.From),
-			Hops: e.Hops, Reason: e.Reason,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return tb
 }
 
 // QueueSample is one periodic observation of a directed link.
@@ -456,49 +412,15 @@ func (s *QueueSampler) DepthStats(p PortRef) *metrics.Stats {
 // sampler is attached as a Probe, else the largest sampled depth.
 func (s *QueueSampler) PeakDepth(p PortRef) int { return s.peak[s.net.dirIndex(p)] }
 
-// WriteCSV writes the samples as CSV with a header row:
-// at_ps,link,from,queued_bytes,utilization.
-func (s *QueueSampler) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_ps", "link", "from", "queued_bytes", "utilization"}); err != nil {
-		return err
-	}
+// Table returns the samples as the table "queue_samples":
+// at_ps,link,from,queued_bytes,utilization (6 decimal places in CSV).
+func (s *QueueSampler) Table() table.Table {
+	tb := table.New("queue_samples", len(s.samples), "at_ps", "link", "from", "queued_bytes", "utilization")
 	for _, smp := range s.samples {
-		if err := cw.Write([]string{
-			strconv.FormatInt(int64(smp.At), 10),
-			strconv.FormatInt(int64(smp.Port.Link), 10),
-			strconv.FormatInt(int64(smp.Port.From), 10),
-			strconv.Itoa(smp.QueuedBytes),
-			strconv.FormatFloat(smp.Utilization, 'f', 6, 64),
-		}); err != nil {
-			return err
-		}
+		tb.Append(table.Int(smp.At), table.Int(smp.Port.Link), table.Int(smp.Port.From),
+			table.Int(smp.QueuedBytes), table.Fixed(smp.Utilization, 6))
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// sampleJSON is the JSON wire form of one queue sample.
-type sampleJSON struct {
-	AtPs        int64   `json:"at_ps"`
-	Link        int64   `json:"link"`
-	From        int64   `json:"from"`
-	QueuedBytes int     `json:"queued_bytes"`
-	Utilization float64 `json:"utilization"`
-}
-
-// WriteJSON writes the samples as a JSON array of sample objects.
-func (s *QueueSampler) WriteJSON(w io.Writer) error {
-	out := make([]sampleJSON, 0, len(s.samples))
-	for _, smp := range s.samples {
-		out = append(out, sampleJSON{
-			AtPs: int64(smp.At), Link: int64(smp.Port.Link), From: int64(smp.Port.From),
-			QueuedBytes: smp.QueuedBytes, Utilization: smp.Utilization,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return tb
 }
 
 // RunTelemetry summarizes one simulation run end to end: engine work

@@ -217,7 +217,7 @@ func TestTraceAndSamplerEmission(t *testing.T) {
 	net.Engine().RunUntil(10 * sim.Microsecond)
 
 	var csv bytes.Buffer
-	if err := tr.WriteCSV(&csv); err != nil {
+	if err := tr.Table().WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -229,7 +229,7 @@ func TestTraceAndSamplerEmission(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	if err := tr.WriteJSON(&js); err != nil {
+	if err := tr.Table().WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]interface{}
@@ -241,7 +241,7 @@ func TestTraceAndSamplerEmission(t *testing.T) {
 	}
 
 	csv.Reset()
-	if err := s.WriteCSV(&csv); err != nil {
+	if err := s.Table().WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	lines = strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -253,7 +253,7 @@ func TestTraceAndSamplerEmission(t *testing.T) {
 	}
 
 	js.Reset()
-	if err := s.WriteJSON(&js); err != nil {
+	if err := s.Table().WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	decoded = nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func traceFixture() *TraceRecorder {
 func TestTraceRecorderCSVRoundTrip(t *testing.T) {
 	tr := traceFixture()
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := tr.Table().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
@@ -67,10 +68,10 @@ func TestTraceRecorderCSVRoundTrip(t *testing.T) {
 func TestTraceRecorderJSONRoundTrip(t *testing.T) {
 	tr := traceFixture()
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := tr.Table().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var decoded []traceJSON
+	var decoded []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
@@ -78,11 +79,14 @@ func TestTraceRecorderJSONRoundTrip(t *testing.T) {
 	if len(decoded) != len(events) {
 		t.Fatalf("JSON has %d events, want %d", len(decoded), len(events))
 	}
+	// Every row carries every CSV column, reason included.
 	for i, e := range events {
-		d := decoded[i]
-		if d.AtPs != int64(e.At) || d.Op != e.Op.String() || d.Packet != e.Packet ||
-			d.Link != int64(e.Link) || d.Hops != e.Hops || d.Reason != e.Reason {
-			t.Errorf("event %d round-trips as %+v, want %+v", i, d, e)
+		want := map[string]any{
+			"at_ps": float64(e.At), "op": e.Op.String(), "packet": float64(e.Packet), "flow": float64(e.Flow),
+			"link": float64(e.Link), "from": float64(e.From), "hops": float64(e.Hops), "reason": e.Reason,
+		}
+		if !reflect.DeepEqual(decoded[i], want) {
+			t.Errorf("event %d round-trips as %v, want %v", i, decoded[i], want)
 		}
 	}
 }
@@ -111,7 +115,7 @@ func busySampler(t *testing.T) *QueueSampler {
 func TestQueueSamplerCSVRoundTrip(t *testing.T) {
 	s := busySampler(t)
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := s.Table().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
@@ -143,10 +147,10 @@ func TestQueueSamplerCSVRoundTrip(t *testing.T) {
 func TestQueueSamplerJSONRoundTrip(t *testing.T) {
 	s := busySampler(t)
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := s.Table().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var decoded []sampleJSON
+	var decoded []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("sampler JSON does not parse: %v", err)
 	}
@@ -154,11 +158,14 @@ func TestQueueSamplerJSONRoundTrip(t *testing.T) {
 	if len(decoded) != len(samples) {
 		t.Fatalf("JSON has %d samples, want %d", len(decoded), len(samples))
 	}
+	// Utilization at full precision, not the CSV's 6 places.
 	for i, smp := range samples {
-		d := decoded[i]
-		if d.AtPs != int64(smp.At) || d.Link != int64(smp.Port.Link) ||
-			d.QueuedBytes != smp.QueuedBytes || d.Utilization != smp.Utilization {
-			t.Errorf("sample %d round-trips as %+v, want %+v", i, d, smp)
+		want := map[string]any{
+			"at_ps": float64(smp.At), "link": float64(smp.Port.Link), "from": float64(smp.Port.From),
+			"queued_bytes": float64(smp.QueuedBytes), "utilization": smp.Utilization,
+		}
+		if !reflect.DeepEqual(decoded[i], want) {
+			t.Errorf("sample %d round-trips as %v, want %v", i, decoded[i], want)
 		}
 	}
 }

@@ -189,7 +189,7 @@ func runCells(ctx context.Context, doc Doc, p experiments.Params) (experiments.O
 		trials = doc.Sweep.Trials
 	}
 	var b strings.Builder
-	out := experiments.Output{CSV: map[string]interface{}{}}
+	var out experiments.Output
 	for i, cell := range cells {
 		if err := ctx.Err(); err != nil {
 			return experiments.Output{}, err
@@ -222,19 +222,15 @@ func runCells(ctx context.Context, doc Doc, p experiments.Params) (experiments.O
 			b.WriteString("\n")
 		}
 		out.Events += cellOut.Events
-		for name, rows := range cellOut.CSV {
-			key := name
+		for _, t := range cellOut.Tables {
 			if len(cells) > 1 {
-				key = fmt.Sprintf("%s-cell%03d", name, i+1)
+				t.Name = fmt.Sprintf("%s-cell%03d", t.Name, i+1)
 			}
-			out.CSV[key] = rows
+			out.Tables = append(out.Tables, t)
 		}
 		tickProgress(p, i+1, len(cells))
 	}
 	out.Text = b.String()
-	if len(out.CSV) == 0 {
-		out.CSV = nil
-	}
 	return out, nil
 }
 

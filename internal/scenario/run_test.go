@@ -257,7 +257,7 @@ func TestSideBandNeverChangesText(t *testing.T) {
 	if n := len(s.Obs.Trace().Events()); n == 0 {
 		t.Error("no trace events")
 	}
-	if n := s.Obs.Flows().NumFlows(); n == 0 || rec.Len() != n {
+	if n := len(s.Obs.Flows().Flows()); n == 0 || rec.Len() != n {
 		t.Errorf("%d flows, %d spans: want one span per flow", n, rec.Len())
 	}
 	if n := len(s.Obs.Sampler().Samples()); n == 0 || strings.Contains(text, "flows:") {

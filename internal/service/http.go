@@ -68,8 +68,8 @@ type resultBody struct {
 	State State  `json:"state"`
 	// Text is the experiment's rendered output.
 	Text string `json:"text,omitempty"`
-	// CSVTables lists the data-bearing row sets the experiment
-	// produced (exported via quartzbench -csv; the API serves text).
+	// CSVTables lists the names of the tables the experiment exported,
+	// sorted (quartzbench -csv writes them; the API serves text).
 	CSVTables []string `json:"csv_tables,omitempty"`
 	Error     string   `json:"error,omitempty"`
 }
@@ -378,8 +378,8 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	out, errMsg := j.Output()
 	body := resultBody{ID: j.ID(), State: state, Text: out.Text, Error: errMsg}
-	for name := range out.CSV {
-		body.CSVTables = append(body.CSVTables, name)
+	for _, t := range out.Tables {
+		body.CSVTables = append(body.CSVTables, t.Name)
 	}
 	sort.Strings(body.CSVTables)
 	writeJSON(w, http.StatusOK, body)

@@ -33,7 +33,7 @@ type (
 	Experiment = experiments.Experiment
 	// Params carries the experiment knobs; zero fields take defaults.
 	Params = experiments.Params
-	// Output is an experiment's rendered text and CSV rows.
+	// Output is an experiment's rendered text and exported tables.
 	Output = experiments.Output
 	// Ring is a planned ring: logical mesh, channel plan, optical budget.
 	Ring = core.Ring
