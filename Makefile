@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz verify loc bench bench-json bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke examples-smoke flagdoc
+.PHONY: build fmt test vet race fuzz verify loc bench bench-json bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke examples-smoke flagdoc
 
 build:
 	$(GO) build ./...
+
+# Fails, naming the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -70,9 +74,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzECMPTables$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/table
 
-# Tier-1 verify recipe (see ROADMAP.md): build + vet + full tests + race
-# pass on the goroutine-owning packages + the nine fuzz smokes.
-verify: build vet test race fuzz
+# Tier-1 verify recipe (see ROADMAP.md): build + gofmt + vet + full
+# tests + race pass on the goroutine-owning packages + the nine fuzz
+# smokes.
+verify: build fmt vet test race fuzz
 
 # Non-test Go lines outside bench/, in total and per package: the size
 # figure ROADMAP.md tracks from PR to PR.

@@ -60,7 +60,7 @@ import (
 const flightRecorderSpans = 4096
 
 var (
-	run        = flag.String("run", "all", "experiment to run: all, or a name from -list")
+	runName    = flag.String("run", "all", "experiment to run: all, or a name from -list")
 	list       = flag.Bool("list", false, "print the experiment registry and exit")
 	scenarioIn = flag.String("scenario", "", "run a declarative scenario file (JSON, see SCENARIOS.md) instead of registry experiments")
 	seed       = flag.Int64("seed", 2014, "random seed")
@@ -102,36 +102,54 @@ func printRegistry() {
 	}
 }
 
+// usageError marks a bad invocation (exit status 2) rather than a
+// failed run (1).
+type usageError struct{ error }
+
 func main() {
 	flag.Parse()
 	if *list {
 		printRegistry()
 		return
 	}
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
+		if errors.As(err, &usageError{}) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run executes the selected experiments and writes the requested
+// outputs. Its deferred profile writers run on every return, a failed
+// experiment's included.
+func run() (err error) {
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
-			os.Exit(1)
+		f, ferr := os.Create(*cpuProfile)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
-			os.Exit(1)
+		if ferr := pprof.StartCPUProfile(f); ferr != nil {
+			f.Close()
+			return ferr
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if ferr := f.Close(); ferr != nil {
+				err = errors.Join(err, fmt.Errorf("writing CPU profile: %w", ferr))
+			}
+		}()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
-				return
+			f, ferr := os.Create(*memProfile)
+			if ferr == nil {
+				runtime.GC() // settle allocations so the heap profile is sharp
+				ferr = errors.Join(pprof.WriteHeapProfile(f), f.Close())
 			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile is sharp
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
+			if ferr != nil {
+				err = errors.Join(err, fmt.Errorf("writing heap profile: %w", ferr))
 			}
 		}()
 	}
@@ -140,18 +158,16 @@ func main() {
 	defer stop()
 	params := experiments.Params{Seed: *seed, Trials: *trials, Tasks: *tasks, RPCs: *rpcs}
 
-	which := strings.ToLower(*run)
+	which := strings.ToLower(*runName)
 	exps := experiments.All()
 	if *scenarioIn != "" {
 		f, err := scenario.Load(*scenarioIn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
-			os.Exit(2)
+			return usageError{err}
 		}
 		c, err := scenario.Compile(f)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
-			os.Exit(2)
+			return usageError{err}
 		}
 		// The document pins its own parameters and replaces the
 		// registry selection; everything downstream is unchanged.
@@ -183,8 +199,7 @@ func main() {
 		wallStart := time.Now()
 		out, err := e.Run(ctx, params)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: %s: %v\n", e.Name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		wallSecs := time.Since(wallStart).Seconds()
 		memAfter := experiments.CaptureMemStats()
@@ -202,30 +217,23 @@ func main() {
 		fmt.Print(out.Text)
 		for _, t := range out.Tables {
 			if err := exportCSV(t); err != nil {
-				fmt.Fprintf(os.Stderr, "quartzbench: %s: %v\n", e.Name, err)
-				os.Exit(1)
+				return fmt.Errorf("%s: %w", e.Name, err)
 			}
 		}
 		fmt.Println()
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "quartzbench: unknown experiment %q\n", *run)
 		printRegistry()
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown experiment %q", *runName)}
 	}
 	if spans != nil {
 		f, err := os.Create(*traceSpans)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		err = spans.WriteChrome(f, map[string]string{"tool": "quartzbench", "run": *run})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: writing trace: %v\n", err)
-			os.Exit(1)
+		meta := map[string]string{"tool": "quartzbench", "run": *runName}
+		if err := errors.Join(spans.WriteChrome(f, meta), f.Close()); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
 		}
 		fmt.Printf("wrote %d execution spans to %s\n", spans.Len(), *traceSpans)
 	}
@@ -237,17 +245,13 @@ func main() {
 		report.Mem = &mem
 		f, err := os.Create(*jsonOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		if err := report.WriteJSON(f); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzbench: writing report: %v\n", err)
-			os.Exit(1)
+		if err := errors.Join(report.WriteJSON(f), f.Close()); err != nil {
+			return fmt.Errorf("writing report: %w", err)
 		}
 		fmt.Printf("wrote run report (%d experiments, %.1fs) to %s\n",
 			len(report.Experiments), report.WallSecs, *jsonOut)
 	}
+	return nil
 }

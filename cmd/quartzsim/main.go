@@ -346,12 +346,14 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 		"workload": doc.Sim.Workload.Kind, "seed": strconv.FormatInt(doc.Seed, 10),
 	}
 	var exporter *metrics.NDJSONExporter
+	var metricsFile *os.File
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // for an early return; the end of the run closes it and checks
+		metricsFile = f
 		exporter = metrics.NewNDJSONExporter(f)
 		s.Obs.Heartbeat().OnTick = func(at sim.Time) {
 			if err := exporter.Export(int64(at), side.Registry.Snapshot()); err != nil {
@@ -404,7 +406,8 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 	}
 	if exporter != nil {
 		// Final snapshot so the stream always ends with end-of-run state.
-		if err := exporter.Export(int64(s.Net.Engine().Now()), side.Registry.Snapshot()); err != nil {
+		final := exporter.Export(int64(s.Net.Engine().Now()), side.Registry.Snapshot())
+		if err := errors.Join(final, metricsFile.Close()); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 		fmt.Printf("wrote %d metrics snapshots to %s\n", exporter.Snapshots(), *metricsOut)

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/netsim"
+	"github.com/quartz-dcn/quartz/internal/optics"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/topology"
+	"github.com/quartz-dcn/quartz/internal/wdm"
 )
 
 func TestNewRingSmall(t *testing.T) {
@@ -18,13 +21,13 @@ func TestNewRingSmall(t *testing.T) {
 	if r.Ports() != 128 {
 		t.Errorf("Ports = %d, want 128", r.Ports())
 	}
-	if r.PhysicalRings() != 1 {
-		t.Errorf("PhysicalRings = %d, want 1", r.PhysicalRings())
+	if r.Plan.Rings != 1 {
+		t.Errorf("%d fiber rings, want 1", r.Plan.Rings)
 	}
 	if err := r.Plan.Validate(); err != nil {
 		t.Errorf("plan invalid: %v", err)
 	}
-	if r.Graph.Diameter(r.Graph.Switches()) != 1 {
+	if diameter(r.Graph, r.Graph.Switches()) != 1 {
 		t.Error("ring graph is not a full mesh")
 	}
 	if !strings.Contains(r.String(), "8 switches") {
@@ -38,8 +41,8 @@ func TestNewRing33NeedsTwoFibers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PhysicalRings() != 2 {
-		t.Errorf("PhysicalRings = %d, want 2", r.PhysicalRings())
+	if r.Plan.Rings != 2 {
+		t.Errorf("%d fiber rings, want 2", r.Plan.Rings)
 	}
 	if r.Channels() < 136 || r.Channels() > 145 {
 		t.Errorf("Channels = %d, want ~137", r.Channels())
@@ -140,7 +143,7 @@ func TestArchitectureHopCounts(t *testing.T) {
 	// Host diameters: tree 6 (h-tor-agg-core-agg-tor-h); quartz-in-edge
 	// cross-pod 6 but intra-pod 3; edge+core intra-pod 3.
 	a := archNames(t)
-	if d := a["tree"].Graph.Diameter(a["tree"].Graph.Hosts()); d != 6 {
+	if d := diameter(a["tree"].Graph, a["tree"].Graph.Hosts()); d != 6 {
 		t.Errorf("tree diameter = %d, want 6", d)
 	}
 	// Quartz in edge: hosts in the same pod are 3 hops (h-sw-sw-h).
@@ -219,24 +222,19 @@ func TestChannelReportsAllFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports := r.ChannelReports()
-	if len(reports) != 33*32/2 {
-		t.Fatalf("reports = %d, want %d", len(reports), 33*32/2)
+	if n := len(r.Plan.Assignments); n != 33*32/2 {
+		t.Fatalf("%d channels, want %d", n, 33*32/2)
 	}
-	if err := r.ValidateOptics(); err != nil {
+	if err := validateOptics(r); err != nil {
 		t.Fatal(err)
 	}
 	maxHops := 0
-	for _, rep := range reports {
-		if rep.Hops < 1 || rep.Hops > 16 {
-			t.Errorf("channel %d spans %d hops, want 1..16 (shortest arcs)", rep.Channel, rep.Hops)
+	for _, a := range r.Plan.Assignments {
+		hops := arcHops(a, 33)
+		if hops < 1 || hops > 16 {
+			t.Errorf("channel %d spans %d hops, want 1..16 (shortest arcs)", a.Channel, hops)
 		}
-		if rep.Hops > maxHops {
-			maxHops = rep.Hops
-		}
-		if rep.AttenuationDB < 0 {
-			t.Errorf("negative attenuation for channel %d", rep.Channel)
-		}
+		maxHops = max(maxHops, hops)
 	}
 	if maxHops != 16 {
 		t.Errorf("longest arc = %d hops, want 16 on a 33-ring", maxHops)
@@ -251,7 +249,47 @@ func TestValidateOpticsCatchesBadBudget(t *testing.T) {
 	// Sabotage the amplifier plan: no amps at all.
 	r.Budget.AmpAfterHops = 0
 	r.Budget.Amplifiers = 0
-	if err := r.ValidateOptics(); err == nil {
+	if err := validateOptics(r); err == nil {
 		t.Error("unamplified 12-ring passed per-channel validation")
 	}
+}
+
+// validateOptics is the per-channel oracle for NewRing's worst-case
+// check: it walks every channel of the plan, not only the longest arc,
+// through the ring's amplifier plan and fails on any that dips below the
+// receiver sensitivity.
+func validateOptics(r *Ring) error {
+	parts := r.Config.Parts
+	for _, a := range r.Plan.Assignments {
+		hops := arcHops(a, r.Config.Switches)
+		if low, _ := optics.WalkChannel(parts, hops, r.Budget.AmpAfterHops, hopKm); low < parts.RxSensitivityDBm {
+			return fmt.Errorf("channel %d (pair %d-%d, %d hops) dips to %.1f dBm, below sensitivity %.1f dBm",
+				a.Channel, a.S, a.T, hops, low, parts.RxSensitivityDBm)
+		}
+	}
+	return nil
+}
+
+// arcHops is the number of fiber segments a's arc spans on a ring of m.
+func arcHops(a wdm.Assignment, m int) int {
+	if a.Dir == wdm.Clockwise {
+		return (a.T - a.S + m) % m
+	}
+	return (a.S - a.T + m) % m
+}
+
+// diameter is the longest shortest path between two of nodes, or -1 if
+// some pair is disconnected.
+func diameter(g *topology.Graph, nodes []topology.NodeID) int {
+	d := 0
+	for _, s := range nodes {
+		dist := g.BFSDist(s, nil)
+		for _, t := range nodes {
+			if dist[t] < 0 {
+				return -1
+			}
+			d = max(d, dist[t])
+		}
+	}
+	return d
 }

@@ -30,7 +30,7 @@ func TestFiberCutImpactMatchesPlan(t *testing.T) {
 	}
 	wantTraversals := 0
 	for _, a := range r.Plan.Assignments {
-		wantTraversals += a.Hops(8)
+		wantTraversals += arcHops(a, 8)
 	}
 	if total != wantTraversals {
 		t.Errorf("severed pair-segments = %d, want %d (sum of arc lengths)", total, wantTraversals)
@@ -182,7 +182,7 @@ func TestRingJSONRoundTrip(t *testing.T) {
 	if back.Budget != r.Budget {
 		t.Errorf("budget differs: %+v vs %+v", back.Budget, r.Budget)
 	}
-	if err := r.ValidateOptics(); err != nil {
+	if err := validateOptics(r); err != nil {
 		t.Error(err)
 	}
 }

@@ -110,7 +110,7 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: optical budget: %w", err)
 	}
-	if err := optics.ValidateRing(budget, cfg.Parts, 0.05); err != nil {
+	if err := optics.ValidateRing(budget, cfg.Parts, hopKm); err != nil {
 		return nil, fmt.Errorf("core: optical budget: %w", err)
 	}
 
@@ -132,9 +132,6 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 func (r *Ring) Ports() int {
 	return r.Config.Switches * r.Config.HostsPerSwitch
 }
-
-// PhysicalRings returns the number of fiber rings carrying the plan.
-func (r *Ring) PhysicalRings() int { return r.Plan.Rings }
 
 // Channels returns the number of wavelengths in use.
 func (r *Ring) Channels() int { return r.Plan.Channels }
@@ -172,57 +169,8 @@ func MaxPortsSingleRing(switchPorts int) (ports, ringSize int) {
 	return best, bestM
 }
 
-// ChannelReport describes one channel's optical feasibility.
-type ChannelReport struct {
-	wdm.Assignment
-	// Hops is the arc length in ring segments.
-	Hops int
-	// MinDBm is the lowest power level along the path.
-	MinDBm float64
-	// ArrivalDBm is the level at the drop demux output.
-	ArrivalDBm float64
-	// AttenuationDB is the terminal attenuation needed to protect the
-	// receiver (0 if none).
-	AttenuationDB float64
-}
-
 // hopKm is the assumed fiber length of one ring hop: adjacent racks.
 const hopKm = 0.05
-
-// ChannelReports walks every assigned channel through the optical power
-// budget (§3.3) and reports its levels. The ring's own amplifier plan
-// (Budget) is applied.
-func (r *Ring) ChannelReports() []ChannelReport {
-	parts := r.Config.Parts
-	out := make([]ChannelReport, 0, len(r.Plan.Assignments))
-	for _, a := range r.Plan.Assignments {
-		hops := a.Hops(r.Config.Switches)
-		min, arrival := optics.WalkChannel(parts, hops, r.Budget.AmpAfterHops, hopKm)
-		out = append(out, ChannelReport{
-			Assignment:    a,
-			Hops:          hops,
-			MinDBm:        min,
-			ArrivalDBm:    arrival,
-			AttenuationDB: optics.AttenuationNeeded(parts, arrival),
-		})
-	}
-	return out
-}
-
-// ValidateOptics checks that every channel of the plan stays above the
-// receiver sensitivity along its entire path under the ring's amplifier
-// plan. NewRing already validates the worst case; this is the
-// exhaustive per-channel version.
-func (r *Ring) ValidateOptics() error {
-	parts := r.Config.Parts
-	for _, rep := range r.ChannelReports() {
-		if rep.MinDBm < parts.RxSensitivityDBm {
-			return fmt.Errorf("core: channel %d (pair %d-%d, %d hops) dips to %.1f dBm, below sensitivity %.1f dBm",
-				rep.Channel, rep.S, rep.T, rep.Hops, rep.MinDBm, parts.RxSensitivityDBm)
-		}
-	}
-	return nil
-}
 
 // ringJSON is the shippable description of a planned deployment: what
 // the device manufacturer would program at the factory (§3.1.1).

@@ -367,3 +367,13 @@ func TestBuildArchUnknown(t *testing.T) {
 		t.Error("unknown architecture accepted")
 	}
 }
+
+// panel runs only the figure's panel for kind.
+func (f taskFigure) panel(ctx context.Context, kind TaskKind, p Params) ([]Figure17Row, error) {
+	f.panels = f.panels[kind : kind+1]
+	panels, err := f.grid().Local(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return panels[0], nil
+}

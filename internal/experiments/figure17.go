@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -377,16 +376,6 @@ func (f taskFigure) tables(panels [][]Figure17Row) []table.Table {
 		tables[k] = t
 	}
 	return tables
-}
-
-// panel runs only the figure's panel for kind.
-func (f taskFigure) panel(ctx context.Context, kind TaskKind, p Params) ([]Figure17Row, error) {
-	f.panels = f.panels[kind : kind+1]
-	panels, err := f.grid().Local(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return panels[0], nil
 }
 
 // RenderFigure17 renders a task sweep.

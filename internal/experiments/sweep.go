@@ -93,18 +93,6 @@ func (g Grid[C, V, R]) merge(p Params, blocks []CellBlock) (rows R, err error) {
 	return g.Merge(p, cells, vals)
 }
 
-// Local runs the whole grid on this process's worker pool and returns
-// the typed rows — the same RunCells + Merge composition, wire form
-// included, that Sweep.Run and a cluster run go through. Cancelling ctx
-// stops dispatching cells and returns ctx.Err().
-func (g Grid[C, V, R]) Local(ctx context.Context, p Params) (rows R, err error) {
-	block, err := g.runCells(ctx, p, 0, len(g.Cells(p)))
-	if err != nil {
-		return rows, err
-	}
-	return g.merge(p, []CellBlock{block})
-}
-
 // Sweep publishes the grid for the registry, the service's cell-range
 // sub-jobs and the cluster coordinator.
 func (g Grid[C, V, R]) Sweep() *Sweep {

@@ -225,3 +225,15 @@ func TestCacheKeyRange(t *testing.T) {
 		t.Errorf("range keys not canonicalized over defaults")
 	}
 }
+
+// Local runs the whole grid on this process's worker pool and returns
+// the typed rows — the same RunCells + Merge composition, wire form
+// included, that Sweep.Run and a cluster run go through. Cancelling ctx
+// stops dispatching cells and returns ctx.Err().
+func (g Grid[C, V, R]) Local(ctx context.Context, p Params) (rows R, err error) {
+	block, err := g.runCells(ctx, p, 0, len(g.Cells(p)))
+	if err != nil {
+		return rows, err
+	}
+	return g.merge(p, []CellBlock{block})
+}

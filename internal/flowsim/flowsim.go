@@ -276,20 +276,6 @@ func (a *Allocation) Total() float64 {
 	return t
 }
 
-// Min returns the smallest flow rate (0 for an empty allocation).
-func (a *Allocation) Min() float64 {
-	if len(a.Rates) == 0 {
-		return 0
-	}
-	m := a.Rates[0]
-	for _, r := range a.Rates[1:] {
-		if r < m {
-			m = r
-		}
-	}
-	return m
-}
-
 // The flow builders below return one Flow per host pair, in pair order.
 // Every path is cut from one backing array per call and every subflow
 // list from another, each sized once, so a call allocates the same few

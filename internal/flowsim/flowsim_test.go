@@ -254,14 +254,10 @@ func TestAllocateErrors(t *testing.T) {
 	}
 }
 
-func TestMinAndTotal(t *testing.T) {
+func TestTotal(t *testing.T) {
 	a := &Allocation{Rates: []float64{3, 1, 2}}
-	if a.Min() != 1 || a.Total() != 6 {
-		t.Errorf("Min=%v Total=%v, want 1/6", a.Min(), a.Total())
-	}
-	empty := &Allocation{}
-	if empty.Min() != 0 {
-		t.Error("empty Min should be 0")
+	if a.Total() != 6 {
+		t.Errorf("Total=%v, want 6", a.Total())
 	}
 }
 

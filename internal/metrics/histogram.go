@@ -135,15 +135,6 @@ func (h *LatencyHistogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *LatencyHistogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns the mean observation (NaN if empty).
-func (h *LatencyHistogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return math.NaN()
-	}
-	return h.Sum() / float64(n)
-}
-
 // Min returns the smallest observation, exactly (NaN if empty).
 func (h *LatencyHistogram) Min() float64 {
 	if h.Count() == 0 {

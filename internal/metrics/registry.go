@@ -103,17 +103,6 @@ type Gauge struct {
 // Set stores x.
 func (g *Gauge) Set(x float64) { g.bits.Store(math.Float64bits(x)) }
 
-// Add adds x (CAS loop; cheap under the simulator's single writer).
-func (g *Gauge) Add(x float64) {
-	for {
-		old := g.bits.Load()
-		newBits := math.Float64bits(math.Float64frombits(old) + x)
-		if g.bits.CompareAndSwap(old, newBits) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -33,23 +33,6 @@ const (
 	DropOther     = "other"
 )
 
-// classifyDrop maps a raw drop reason to its class.
-func classifyDrop(reason string) string {
-	switch {
-	case strings.HasPrefix(reason, "queue full"):
-		return DropQueueFull
-	case strings.HasSuffix(reason, "down"):
-		return DropLinkDown
-	case strings.HasSuffix(reason, "cut"):
-		return DropLinkCut
-	case strings.HasPrefix(reason, "no route"):
-		return DropNoRoute
-	case strings.HasPrefix(reason, "hop limit"):
-		return DropHopLimit
-	}
-	return DropOther
-}
-
 // FlowStats is one flow's aggregated telemetry.
 type FlowStats struct {
 	Flow routing.FlowID
@@ -289,15 +272,6 @@ func (t *FlowTracker) Flows() []FlowStats {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].FirstSend < out[j].FirstSend })
 	return out
-}
-
-// Flow returns one flow's stats.
-func (t *FlowTracker) Flow(id routing.FlowID) (FlowStats, bool) {
-	f, ok := t.flows[id]
-	if !ok {
-		return FlowStats{}, false
-	}
-	return t.snapshotFlow(f), true
 }
 
 func (t *FlowTracker) snapshotFlow(f *flowState) FlowStats {

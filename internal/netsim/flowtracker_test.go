@@ -256,3 +256,30 @@ func TestClassifyDrop(t *testing.T) {
 		}
 	}
 }
+
+// classifyDrop maps a raw drop reason to its class: the string-matching
+// reference for DropCode.Class.
+func classifyDrop(reason string) string {
+	switch {
+	case strings.HasPrefix(reason, "queue full"):
+		return DropQueueFull
+	case strings.HasSuffix(reason, "down"):
+		return DropLinkDown
+	case strings.HasSuffix(reason, "cut"):
+		return DropLinkCut
+	case strings.HasPrefix(reason, "no route"):
+		return DropNoRoute
+	case strings.HasPrefix(reason, "hop limit"):
+		return DropHopLimit
+	}
+	return DropOther
+}
+
+// Flow returns one flow's stats.
+func (t *FlowTracker) Flow(id routing.FlowID) (FlowStats, bool) {
+	f, ok := t.flows[id]
+	if !ok {
+		return FlowStats{}, false
+	}
+	return t.snapshotFlow(f), true
+}

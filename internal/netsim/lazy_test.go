@@ -355,3 +355,16 @@ func TestEventsPerPacketUncontended(t *testing.T) {
 		}
 	}
 }
+
+// QueuedBytes returns the bytes queued on the given link in the
+// direction from the given node, settled to the present: the lazy
+// settle, observed from outside.
+func (n *Network) QueuedBytes(link topology.LinkID, from topology.NodeID) int {
+	di := 2 * int(link)
+	if n.g.Link(link).B == from {
+		di++
+	}
+	dl := &n.dirs[di]
+	dl.settle(n.eng)
+	return dl.queuedBytes
+}

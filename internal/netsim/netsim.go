@@ -789,15 +789,3 @@ func (n *Network) drop(ev *netEvent, code DropCode, link topology.LinkID, err er
 		n.probe.PacketDropped(d)
 	}
 }
-
-// QueuedBytes returns the bytes currently queued on the given link in
-// the direction from the given node.
-func (n *Network) QueuedBytes(link topology.LinkID, from topology.NodeID) int {
-	di := 2 * int(link)
-	if n.g.Link(link).B == from {
-		di++
-	}
-	dl := &n.dirs[di]
-	dl.settle(n.eng)
-	return dl.queuedBytes
-}

@@ -212,10 +212,6 @@ func (t *TraceRecorder) FaultChanged(c FaultChange) {
 	}
 }
 
-// Events returns the recorded trace in event order. The slice is live;
-// do not mutate it.
-func (t *TraceRecorder) Events() []TraceEvent { return t.events }
-
 // Truncated reports how many events the bound discarded.
 func (t *TraceRecorder) Truncated() uint64 { return t.truncated }
 
@@ -398,10 +394,6 @@ func (s *QueueSampler) PacketDelivered(Delivery) {}
 
 // PacketDropped implements Probe (no-op).
 func (s *QueueSampler) PacketDropped(Drop) {}
-
-// Samples returns every recorded sample in time order. The slice is
-// live; do not mutate it.
-func (s *QueueSampler) Samples() []QueueSample { return s.samples }
 
 // DepthStats returns the sampled queue-depth statistics of one port.
 func (s *QueueSampler) DepthStats(p PortRef) *metrics.Stats {

@@ -300,3 +300,11 @@ func BenchmarkProbeOverhead(b *testing.B) {
 	b.Run("noop", func(b *testing.B) { benchProbe(b, nopProbe{}) })
 	b.Run("trace", func(b *testing.B) { benchProbe(b, NewTraceRecorder(1024)) })
 }
+
+// Events returns the recorded trace in event order. The slice is live;
+// do not mutate it.
+func (t *TraceRecorder) Events() []TraceEvent { return t.events }
+
+// Samples returns every recorded sample in time order. The slice is
+// live; do not mutate it.
+func (s *QueueSampler) Samples() []QueueSample { return s.samples }

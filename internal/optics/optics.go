@@ -22,9 +22,6 @@ type PartSpec struct {
 	TxPowerDBm float64
 	// RxSensitivityDBm is the minimum receive power.
 	RxSensitivityDBm float64
-	// RxOverloadDBm is the maximum safe receive power; above it an
-	// attenuator is required.
-	RxOverloadDBm float64
 	// MuxInsertionLossDB is the loss of one mux or demux traversal.
 	MuxInsertionLossDB float64
 	// FiberLossDBPerKm is the fiber attenuation.
@@ -35,12 +32,11 @@ type PartSpec struct {
 
 // DefaultParts matches the worked example of §3.3: 10 Gb/s DWDM
 // transceivers with 4 dBm launch power and -15 dBm sensitivity [7], and
-// 80-channel DWDMs with 6 dB insertion loss [8]. The overload limit and
-// fiber loss are typical datasheet values for those parts.
+// 80-channel DWDMs with 6 dB insertion loss [8]. The fiber loss is a
+// typical datasheet value.
 var DefaultParts = PartSpec{
 	TxPowerDBm:         4,
 	RxSensitivityDBm:   -15,
-	RxOverloadDBm:      -7,
 	MuxInsertionLossDB: 6,
 	FiberLossDBPerKm:   0.25,
 	AmpGainDB:          25,
@@ -153,16 +149,6 @@ func WalkChannel(parts PartSpec, hops, ampEvery int, hopKm float64) (minDBm, arr
 		}
 	}
 	return min, power
-}
-
-// AttenuationNeeded returns the attenuation in dB required to bring the
-// given arrival power inside the receiver window, or 0 if none is
-// needed.
-func AttenuationNeeded(parts PartSpec, arrivalDBm float64) float64 {
-	if arrivalDBm <= parts.RxOverloadDBm {
-		return 0
-	}
-	return arrivalDBm - parts.RxOverloadDBm
 }
 
 // ValidateRing checks that the budget plan keeps every channel alive:

@@ -69,16 +69,6 @@ func TestPlanRingErrors(t *testing.T) {
 	}
 }
 
-func TestAttenuationNeeded(t *testing.T) {
-	// Arrival at 5 dBm with a -7 dBm overload limit: need 12 dB.
-	if got := AttenuationNeeded(DefaultParts, 5); got != 12 {
-		t.Errorf("AttenuationNeeded(5 dBm) = %v, want 12", got)
-	}
-	if got := AttenuationNeeded(DefaultParts, -10); got != 0 {
-		t.Errorf("AttenuationNeeded(-10 dBm) = %v, want 0", got)
-	}
-}
-
 func TestValidateRingRejectsBadPlans(t *testing.T) {
 	// A no-amplifier plan for a large ring must fail.
 	bad := RingBudget{RingSize: 24}
@@ -169,9 +159,6 @@ func TestWalkChannelAmplified(t *testing.T) {
 	}
 	if arrival <= DefaultParts.RxSensitivityDBm {
 		t.Errorf("arrival = %v, want comfortably above sensitivity", arrival)
-	}
-	if att := AttenuationNeeded(DefaultParts, arrival); att < 0 {
-		t.Errorf("negative attenuation %v", att)
 	}
 	// Amplifiers saturate at launch power: the level never exceeds Tx.
 	if arrival > DefaultParts.TxPowerDBm {

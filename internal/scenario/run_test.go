@@ -254,13 +254,13 @@ func TestSideBandNeverChangesText(t *testing.T) {
 	if ticks != 20 { // every 100 us of the 2 ms run
 		t.Errorf("heartbeat ticked %d times, want 20", ticks)
 	}
-	if n := len(s.Obs.Trace().Events()); n == 0 {
+	if n := s.Obs.Trace().Table().Len(); n == 0 {
 		t.Error("no trace events")
 	}
 	if n := len(s.Obs.Flows().Flows()); n == 0 || rec.Len() != n {
 		t.Errorf("%d flows, %d spans: want one span per flow", n, rec.Len())
 	}
-	if n := len(s.Obs.Sampler().Samples()); n == 0 || strings.Contains(text, "flows:") {
+	if n := s.Obs.Sampler().Table().Len(); n == 0 || strings.Contains(text, "flows:") {
 		t.Errorf("%d samples; flows line present = %v", n, strings.Contains(text, "flows:"))
 	}
 }

@@ -58,12 +58,6 @@ func (r *Router) Pin(f routing.FlowID, path []topology.NodeID) error {
 	return nil
 }
 
-// Unpin removes a flow's override.
-func (r *Router) Unpin(f routing.FlowID) { delete(r.overrides, f) }
-
-// Pinned returns the number of overridden flows.
-func (r *Router) Pinned() int { return len(r.overrides) }
-
 // NextPort implements routing.Router.
 func (r *Router) NextPort(n topology.NodeID, pkt routing.PacketMeta) (topology.Port, error) {
 	path, ok := r.overrides[pkt.Flow]

@@ -170,9 +170,6 @@ type Job struct {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Key returns the job's canonical cache key.
-func (j *Job) Key() string { return j.key }
-
 // TraceID returns the job's trace identifier.
 func (j *Job) TraceID() string { return j.traceID }
 
@@ -215,9 +212,6 @@ func (j *Job) Output() (experiments.Output, string) {
 	defer j.mu.Unlock()
 	return j.output, j.errMsg
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Wait blocks until the job is terminal or ctx is cancelled.
 func (j *Job) Wait(ctx context.Context) error {

@@ -186,9 +186,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Registry returns the metrics registry the service reports into.
-func (s *Service) Registry() *metrics.Registry { return s.reg }
-
 // QueueCapacity returns the configured submission-queue bound.
 func (s *Service) QueueCapacity() int { return s.cfg.QueueCapacity }
 

@@ -549,3 +549,9 @@ func TestRealRegistrySmoke(t *testing.T) {
 		t.Error("identical resubmission was not a cache hit")
 	}
 }
+
+// Key returns the job's canonical cache key.
+func (j *Job) Key() string { return j.key }
+
+// Registry returns the metrics registry the service reports into.
+func (s *Service) Registry() *metrics.Registry { return s.reg }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeString(t *testing.T) {
@@ -69,21 +68,6 @@ func TestSerializePanicsOnZeroRate(t *testing.T) {
 		}
 	}()
 	Rate(0).Serialize(1)
-}
-
-func TestBytesIn(t *testing.T) {
-	if got := (10 * Gbps).BytesIn(Microsecond); got != 1250 {
-		t.Errorf("10Gbps.BytesIn(1us) = %d, want 1250", got)
-	}
-	if got := (1 * Gbps).BytesIn(Second); got != 125_000_000 {
-		t.Errorf("1Gbps.BytesIn(1s) = %d, want 125e6", got)
-	}
-}
-
-func TestDurationRoundTrip(t *testing.T) {
-	if got, want := (42 * Microsecond).Duration(), 42*time.Microsecond; got != want {
-		t.Errorf("Duration() = %v, want %v", got, want)
-	}
 }
 
 func TestEngineRunsInTimeOrder(t *testing.T) {

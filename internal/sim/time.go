@@ -10,11 +10,7 @@
 // high-water mark.
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-	"time"
-)
+import "fmt"
 
 // Time is a point in virtual time, measured in integer picoseconds.
 //
@@ -44,11 +40,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Micros returns the time as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
-// Duration converts t to a time.Duration, rounding to nanoseconds.
-func (t Time) Duration() time.Duration {
-	return time.Duration(t / Nanosecond * Time(time.Nanosecond))
-}
 
 // String formats the time with an appropriate SI unit.
 func (t Time) String() string {
@@ -102,16 +93,4 @@ func (r Rate) Serialize(sizeBytes int) Time {
 	// bits * ps-per-second / bits-per-second. bits is at most a few
 	// hundred thousand for any real frame, so bits*1e12 fits in int64.
 	return Time(bits * int64(Second) / int64(r))
-}
-
-// BytesIn returns how many bytes rate r can carry in duration d.
-func (r Rate) BytesIn(d Time) int64 {
-	if r < 0 || d < 0 {
-		panic("sim: BytesIn with negative rate or duration")
-	}
-	// r*d can exceed int64 (10 Gb/s over one second is 1e22 bit-ps), so
-	// compute the product in 128 bits before dividing back down.
-	hi, lo := bits.Mul64(uint64(r), uint64(d))
-	q, _ := bits.Div64(hi, lo, uint64(Second))
-	return int64(q / 8)
 }

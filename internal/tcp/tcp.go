@@ -157,12 +157,6 @@ func (c *Conn) Start() {
 	c.armRTO()
 }
 
-// Done reports whether a finite flow has been fully acknowledged.
-func (c *Conn) Done() bool { return c.done }
-
-// Retransmits returns the number of retransmitted segments.
-func (c *Conn) Retransmits() uint64 { return c.retrans }
-
 // window returns cwnd in whole segments, at least 1.
 func (c *Conn) window() uint64 {
 	w := uint64(c.cwnd)
@@ -354,13 +348,4 @@ func (c *Conn) armRTO() {
 		c.transmit(c.ackedTo)
 		c.armRTO()
 	})
-}
-
-// Throughput returns the goodput in bits per second since Start.
-func (c *Conn) Throughput() float64 {
-	elapsed := c.eng.Now() - c.started
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.delivered) * float64(c.cfg.MSS) * 8 / elapsed.Seconds()
 }

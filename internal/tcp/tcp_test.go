@@ -147,7 +147,7 @@ func TestLossRecovery(t *testing.T) {
 func TestDCTCPKeepsQueuesShort(t *testing.T) {
 	// Same bottleneck, ECN threshold at 30 KB: DCTCP holds the queue
 	// near the threshold while Reno fills the whole buffer.
-	run := func(mode Mode) (maxQueue int) {
+	run := func(mode Mode) int {
 		model := netsim.Arista7150
 		model.BufferBytes = 500_000
 		model.ECNThresholdBytes = 30_000
@@ -162,23 +162,14 @@ func TestDCTCPKeepsQueuesShort(t *testing.T) {
 		c.Start()
 		g := net.Graph()
 		bott, _ := g.FindLink(g.Switches()[0], g.Switches()[1])
-		eng := net.Engine()
 		// Sample the bottleneck queue every 100 µs.
-		var tick func()
-		tick = func() {
-			if q := net.QueuedBytes(bott.ID, g.Switches()[0]); q > maxQueue {
-				maxQueue = q
-			}
-			if eng.Now() < 50*sim.Millisecond {
-				eng.After(100*sim.Microsecond, tick)
-			}
-		}
-		eng.After(100*sim.Microsecond, tick)
-		eng.RunUntil(50 * sim.Millisecond)
+		sampler := netsim.NewQueueSampler(net, 100*sim.Microsecond)
+		sampler.Start(50 * sim.Millisecond)
+		net.Engine().RunUntil(50 * sim.Millisecond)
 		if tput := c.Throughput(); tput < 0.7e9 {
 			t.Errorf("%v throughput = %.0f Mb/s, want near line rate", mode, tput/1e6)
 		}
-		return maxQueue
+		return sampler.PeakDepth(netsim.PortRef{Link: bott.ID, From: g.Switches()[0]})
 	}
 	reno := run(Reno)
 	dctcp := run(DCTCP)
@@ -232,4 +223,19 @@ func TestRTTEstimation(t *testing.T) {
 	if math.IsNaN(c.alpha) {
 		t.Error("alpha NaN")
 	}
+}
+
+// Done reports whether a finite flow has been fully acknowledged.
+func (c *Conn) Done() bool { return c.done }
+
+// Retransmits returns the number of retransmitted segments.
+func (c *Conn) Retransmits() uint64 { return c.retrans }
+
+// Throughput returns the goodput in bits per second since Start.
+func (c *Conn) Throughput() float64 {
+	elapsed := c.eng.Now() - c.started
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(c.delivered) * float64(c.cfg.MSS) * 8 / elapsed.Seconds()
 }

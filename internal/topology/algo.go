@@ -56,25 +56,6 @@ func (g *Graph) ConnectedComponents(dead map[LinkID]bool) int {
 	return count
 }
 
-// Diameter returns the maximum shortest-path hop count over the given
-// node set (typically g.Switches() or g.Hosts()). It returns -1 if any
-// pair is disconnected.
-func (g *Graph) Diameter(nodes []NodeID) int {
-	d := 0
-	for _, s := range nodes {
-		dist := g.BFSDist(s, nil)
-		for _, t := range nodes {
-			if dist[t] < 0 {
-				return -1
-			}
-			if dist[t] > d {
-				d = dist[t]
-			}
-		}
-	}
-	return d
-}
-
 // PathTree is a breadth-first search tree of a graph: every reached
 // node's predecessor on one shortest path from the tree's source. A
 // node's predecessor is fixed when the search first discovers it, so a

@@ -285,17 +285,6 @@ func (g *Graph) Hosts() []NodeID { return g.hosts }
 // returned slice is owned by the graph and must not be modified.
 func (g *Graph) Switches() []NodeID { return g.switches }
 
-// SwitchesInTier returns the switches at the given tier.
-func (g *Graph) SwitchesInTier(t Tier) []NodeID {
-	var out []NodeID
-	for _, s := range g.switches {
-		if g.nodes[s].Tier == t {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // HostsInRack returns all hosts in the given rack.
 func (g *Graph) HostsInRack(rack int) []NodeID {
 	var out []NodeID

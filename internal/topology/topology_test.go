@@ -582,3 +582,33 @@ func TestKindTierStrings(t *testing.T) {
 		}
 	}
 }
+
+// Diameter returns the maximum shortest-path hop count over the given
+// node set (typically g.Switches() or g.Hosts()). It returns -1 if any
+// pair is disconnected.
+func (g *Graph) Diameter(nodes []NodeID) int {
+	d := 0
+	for _, s := range nodes {
+		dist := g.BFSDist(s, nil)
+		for _, t := range nodes {
+			if dist[t] < 0 {
+				return -1
+			}
+			if dist[t] > d {
+				d = dist[t]
+			}
+		}
+	}
+	return d
+}
+
+// SwitchesInTier returns the switches at the given tier.
+func (g *Graph) SwitchesInTier(t Tier) []NodeID {
+	var out []NodeID
+	for _, s := range g.switches {
+		if g.nodes[s].Tier == t {
+			out = append(out, s)
+		}
+	}
+	return out
+}

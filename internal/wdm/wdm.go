@@ -287,19 +287,6 @@ func (p *Plan) MaxLinkLoad() int {
 	return max
 }
 
-// ChannelFor returns the assignment covering the unordered pair (s,t).
-func (p *Plan) ChannelFor(s, t int) (Assignment, bool) {
-	if s > t {
-		s, t = t, s
-	}
-	for _, a := range p.Assignments {
-		if a.S == s && a.T == t {
-			return a, true
-		}
-	}
-	return Assignment{}, false
-}
-
 // shortestDirections routes every pair along its shorter arc, breaking
 // diametral ties (even M) by alternating directions so the load stays
 // balanced. It returns the per-pair directions in Pairs(m) order.
@@ -326,10 +313,4 @@ func shortestDirections(m int) []Direction {
 		}
 	}
 	return dirs
-}
-
-// Hops returns the number of ring hops (fiber segments) the assignment's
-// arc spans on a ring of size m.
-func (a Assignment) Hops(m int) int {
-	return arcLen(m, a.S, a.T, a.Dir)
 }

@@ -256,20 +256,6 @@ func TestValidateCatchesConflicts(t *testing.T) {
 	}
 }
 
-func TestChannelFor(t *testing.T) {
-	p := Greedy(6, nil)
-	a, ok := p.ChannelFor(4, 1) // reversed order should still work
-	if !ok {
-		t.Fatal("pair (1,4) not found")
-	}
-	if a.S != 1 || a.T != 4 {
-		t.Errorf("got pair (%d,%d), want (1,4)", a.S, a.T)
-	}
-	if _, ok := p.ChannelFor(0, 0); ok {
-		t.Error("self pair found")
-	}
-}
-
 func TestMaxLinkLoad(t *testing.T) {
 	p := Optimal(9, rand.New(rand.NewSource(16)))
 	// With an optimal plan, max link load equals the channel count.

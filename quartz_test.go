@@ -18,8 +18,8 @@ func TestNewRingFacade(t *testing.T) {
 	if ring.Ports() != 1056 {
 		t.Errorf("Ports = %d, want 1056", ring.Ports())
 	}
-	if ring.PhysicalRings() != 2 {
-		t.Errorf("PhysicalRings = %d, want 2", ring.PhysicalRings())
+	if ring.Plan.Rings != 2 {
+		t.Errorf("%d fiber rings, want 2", ring.Plan.Rings)
 	}
 	if err := ring.Plan.Validate(); err != nil {
 		t.Error(err)

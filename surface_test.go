@@ -1,13 +1,17 @@
 package quartz
 
 import (
-	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -96,90 +100,226 @@ func TestEveryExportIsUsedByAnExample(t *testing.T) {
 	}
 }
 
-// untestedOnPurpose names the internal exports kept without a non-test
+// untestedOnPurpose names the declarations kept without a non-test
 // caller, one reason each (DESIGN.md §3, second decision).
 var untestedOnPurpose = map[string]string{
 	"wdm.Optimal":          "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
 	"wdm.ExactBranchBound": "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
 	"fault.Availability":   "EXPERIMENTS.md reports a result from it; ROADMAP 5(c)/1(d) decide",
 	"traffic.WriteTrace":   "the ParseTrace round-trip test needs it",
+	"sim.Engine.SetProbe":  "netsim's eager-completion reference needs a hook after every event, and a netsim.Probe fires before a completion is elided",
 }
 
-// An internal capability exists only if a front end reaches it or a
-// test uses it as the oracle for code a front end reaches: every
-// exported top-level func and type under internal/ is named by some
-// non-test file of the module outside its own declaration (a type's
-// declaration includes its methods' receivers). Methods and struct
-// fields are out of scope: which type a selector's operand has needs
-// type information, and this check reads syntax only. It over-counts
-// rather than under-counts — a local that shadows a top-level name
-// reads as a use.
-func TestInternalExportsHaveACaller(t *testing.T) {
-	const module = "github.com/quartz-dcn/quartz"
-	type name struct{ pkg, id string }
-	type span struct{ from, to token.Pos }
-	fset := token.NewFileSet()
-	var files []*ast.File
-	pkgOf := map[*ast.File]string{} // import path of the file's package
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		pkgOf[f] = path.Join(module, filepath.ToSlash(filepath.Dir(p)))
-		return nil
-	})
+// Production code is what production reaches: every func, method and
+// type of the module's non-test packages, exported or not, and every
+// exported struct field without a json tag, is used by some non-test
+// file outside its own declaration, or is a test's oracle kept on
+// purpose. bench/, examples/ and this package are callers but are not
+// checked: the façade's exports are for users outside the module, and
+// TestEveryExportIsUsedByAnExample guards them.
+func TestEveryDeclarationHasACaller(t *testing.T) {
+	dead, err := deadCode(".", ".", "bench", "examples")
 	if err != nil {
 		t.Fatal(err)
 	}
+	found := map[string]bool{}
+	for _, d := range dead {
+		found[d.name] = true
+		if _, ok := untestedOnPurpose[d.name]; !ok {
+			t.Errorf("%s: %s has no caller outside the tests: delete it, move it into a test file, or reach it from a front end", d.pos, d.name)
+		}
+	}
+	for name := range untestedOnPurpose {
+		if !found[name] {
+			t.Errorf("untestedOnPurpose names %s, which is not declared or has a caller now: drop it", name)
+		}
+	}
+}
 
-	declared := map[name]token.Pos{}
-	own := map[name][]span{}
-	for _, f := range files {
-		pkg := pkgOf[f]
-		internal := strings.Contains(pkg, "/internal/")
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					n := name{pkg, d.Name.Name}
-					own[n] = append(own[n], span{d.Pos(), d.End()})
-					if internal && d.Name.IsExported() {
-						declared[n] = d.Pos()
+// The guard's analysis on a module built for it: exactly the dead
+// declarations are reported, and none that an interface or a json tag
+// keeps alive.
+func TestDeadCodeFindsExactlyTheDead(t *testing.T) {
+	root := t.TempDir()
+	for name, body := range map[string]string{
+		"go.mod": "module example.com/dead\n\ngo 1.22\n",
+		"main.go": `package main
+
+import (
+	"fmt"
+
+	"example.com/dead/shape"
+)
+
+func main() {
+	sq := shape.Square{Side: 2}
+	fmt.Println(shape.Total([]shape.Shape{sq}), sq)
+}
+`,
+		"shape/shape.go": `package shape
+
+type Shape interface{ Area() float64 }
+
+type Square struct {
+	Side  float64
+	Label string ` + "`json:\"label\"`" + `
+	Color string
+}
+
+func (s Square) Area() float64      { return s.Side * s.Side }
+func (s Square) String() string     { return "square" }
+func (s Square) Perimeter() float64 { return 4 * s.Side }
+
+func Total(shapes []Shape) (sum float64) {
+	for _, s := range shapes {
+		sum += s.Area()
+	}
+	return sum
+}
+
+func half(x float64) float64 { return x / 2 }
+`,
+		"shape/shape_test.go": `package shape
+
+import "testing"
+
+func TestColor(t *testing.T) {
+	if (Square{Color: "red"}).Color != "red" {
+		t.Fatal("no colour")
+	}
+}
+`,
+	} {
+		p := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead, err := deadCode(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range dead {
+		got = append(got, d.name)
+	}
+	want := []string{"shape.Square.Color", "shape.Square.Perimeter", "shape.half"}
+	if !slices.Equal(got, want) {
+		t.Errorf("dead code %q, want %q", got, want)
+	}
+}
+
+// deadCode type-checks every non-test package of the module at root and
+// returns, sorted by name, the declarations the guard above requires a
+// use of and no non-test file uses, named pkg.Func, pkg.Type,
+// pkg.Type.Method or pkg.Type.Field after the last element of the
+// package's import path. A method counts as used when its type
+// implements an interface, naming that method, which the module declares
+// or names, or which a package it imports exports (fmt.Stringer, error,
+// json.Marshaler): whoever holds the interface may call it. Packages
+// under the callersOnly directories are read as callers, not reported on.
+func deadCode(root string, callersOnly ...string) ([]finding, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	s := &typeScan{
+		root:  root,
+		fset:  token.NewFileSet(),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		pkgs:  map[string]*types.Package{},
+		files: map[*types.Package][]*ast.File{},
+	}
+	for _, line := range strings.Split(string(mod), "\n") {
+		if m, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			s.module = strings.Trim(strings.TrimSpace(m), `"`)
+		}
+	}
+	// The source importer reads build.Default. With cgo off it takes the
+	// pure-Go files of net and os/user, which need no C toolchain.
+	build.Default.CgoEnabled = false
+	s.std = importer.ForCompiler(s.fset, "source", nil)
+	checked := map[*types.Package]bool{}
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		pkg, err := s.load(path.Join(s.module, filepath.ToSlash(rel)), p)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		checked[pkg] = !slices.ContainsFunc(callersOnly, func(dir string) bool {
+			return rel == dir || strings.HasPrefix(rel, dir+string(filepath.Separator))
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	type span struct{ from, to token.Pos }
+	names := map[types.Object]string{}
+	own := map[types.Object][]span{} // a declaration, and a type's method receivers
+	recvOf := map[*types.Func]*types.Named{}
+	declare := func(obj types.Object, name string, n ast.Node) {
+		names[obj] = name
+		own[obj] = append(own[obj], span{n.Pos(), n.End()})
+	}
+	for pkg, check := range checked {
+		if !check {
+			continue
+		}
+		prefix := path.Base(pkg.Path()) + "."
+		for _, f := range s.files[pkg] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := s.info.Defs[d.Name].(*types.Func)
+					recv := fn.Type().(*types.Signature).Recv()
+					switch {
+					case recv != nil:
+						recvOf[fn] = receiverType(recv.Type())
+						tn := recvOf[fn].Obj()
+						own[tn] = append(own[tn], span{d.Recv.Pos(), d.Recv.End()})
+						declare(fn, prefix+tn.Name()+"."+fn.Name(), d)
+					case fn.Name() != "main" && fn.Name() != "init":
+						declare(fn, prefix+fn.Name(), d)
 					}
-					continue
-				}
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if idx, ok := recv.(*ast.IndexExpr); ok {
-					recv = idx.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					n := name{pkg, id.Name}
-					own[n] = append(own[n], span{d.Recv.Pos(), d.Recv.End()})
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						n := name{pkg, ts.Name.Name}
-						own[n] = append(own[n], span{ts.Pos(), ts.End()})
-						if internal && ts.Name.IsExported() {
-							declared[n] = ts.Pos()
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						declare(s.info.Defs[ts.Name], prefix+ts.Name.Name, ts)
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, field := range st.Fields.List {
+							if field.Tag != nil {
+								tag, _ := strconv.Unquote(field.Tag.Value)
+								if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+									continue
+								}
+							}
+							for _, id := range field.Names {
+								if id.IsExported() {
+									declare(s.info.Defs[id], prefix+ts.Name.Name+"."+id.Name, field)
+								}
+							}
 						}
 					}
 				}
@@ -187,75 +327,127 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 		}
 	}
 
-	used := map[name]bool{}
-	use := func(n name, at token.Pos) {
-		for _, s := range own[n] {
-			if s.from <= at && at < s.to {
-				return
-			}
+	used := map[types.Object]bool{}
+	for id, obj := range s.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
 		}
-		used[n] = true
+		if _, ok := names[obj]; ok && !slices.ContainsFunc(own[obj], func(sp span) bool { return sp.from <= id.Pos() && id.Pos() < sp.to }) {
+			used[obj] = true
+		}
 	}
-	for _, f := range files {
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			local := path.Base(p)
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = p
+
+	byMethod := map[string][]*types.Interface{}
+	seen := map[types.Type]bool{}
+	addInterface := func(t types.Type) {
+		if named, ok := t.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return // implemented only once instantiated
 		}
-		skip := map[*ast.Ident]bool{} // selectors' right-hand sides, declared names, field keys
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				skip[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						use(name{p, n.Sel.Name}, n.Pos())
-					}
-				}
-			case *ast.FuncDecl:
-				skip[n.Name] = true
-			case *ast.TypeSpec:
-				skip[n.Name] = true
-			case *ast.Field:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					skip[id] = true
-				}
-			case *ast.Ident:
-				if !skip[n] {
-					use(name{pkgOf[f], n.Name}, n.Pos())
+		iface, ok := t.Underlying().(*types.Interface)
+		if !ok || !iface.IsMethodSet() || seen[t] {
+			return
+		}
+		seen[t] = true
+		for i := range iface.NumMethods() {
+			name := iface.Method(i).Name()
+			byMethod[name] = append(byMethod[name], iface)
+		}
+	}
+	for _, objs := range []map[*ast.Ident]types.Object{s.info.Defs, s.info.Uses} {
+		for _, obj := range objs {
+			if tn, ok := obj.(*types.TypeName); ok {
+				addInterface(tn.Type())
+			}
+		}
+	}
+	for e, tv := range s.info.Types {
+		if _, ok := e.(*ast.InterfaceType); ok {
+			addInterface(tv.Type)
+		}
+	}
+	for pkg := range checked {
+		for _, imp := range pkg.Imports() {
+			for _, n := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(n).(*types.TypeName); ok && tn.Exported() {
+					addInterface(tn.Type())
 				}
 			}
-			return true
+		}
+	}
+	for fn, named := range recvOf {
+		if used[fn] || named.TypeParams().Len() > 0 {
+			continue
+		}
+		used[fn] = slices.ContainsFunc(byMethod[fn.Name()], func(iface *types.Interface) bool {
+			return types.Implements(types.NewPointer(named), iface)
 		})
 	}
 
-	var missing []string
-	for n, pos := range declared {
-		short := path.Base(n.pkg) + "." + n.id
-		_, allowed := untestedOnPurpose[short]
-		switch {
-		case !used[n] && !allowed:
-			missing = append(missing, fmt.Sprintf("%s: %s has no caller outside the tests: delete it, or reach it from a front end", fset.Position(pos), short))
-		case used[n] && allowed:
-			t.Errorf("%s has a caller now: drop it from untestedOnPurpose", short)
+	var dead []finding
+	for obj, name := range names {
+		if !used[obj] {
+			dead = append(dead, finding{name, s.fset.Position(obj.Pos())})
 		}
 	}
-	for short := range untestedOnPurpose {
-		pkg, id, _ := strings.Cut(short, ".")
-		if _, ok := declared[name{module + "/internal/" + pkg, id}]; !ok {
-			t.Errorf("untestedOnPurpose names %s, which internal/%s does not declare", short, pkg)
+	slices.SortFunc(dead, func(a, b finding) int { return strings.Compare(a.name, b.name) })
+	return dead, nil
+}
+
+// finding is a declaration deadCode reports, and where it is.
+type finding struct {
+	name string
+	pos  token.Position
+}
+
+// receiverType is the named type a method's receiver type declares it on.
+func receiverType(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
+}
+
+// typeScan type-checks a module's packages from source: its own through
+// itself, memoised by import path, and the standard library's through
+// the source importer, which needs no compiled export data.
+type typeScan struct {
+	root, module string
+	fset         *token.FileSet
+	std          types.Importer
+	info         *types.Info
+	pkgs         map[string]*types.Package
+	files        map[*types.Package][]*ast.File
+}
+
+func (s *typeScan) Import(p string) (*types.Package, error) {
+	if p != s.module && !strings.HasPrefix(p, s.module+"/") {
+		return s.std.Import(p)
+	}
+	return s.load(p, filepath.Join(s.root, strings.TrimPrefix(p, s.module)))
+}
+
+// load type-checks the non-test files of the package in dir.
+func (s *typeScan) load(p, dir string) (*types.Package, error) {
+	if pkg, ok := s.pkgs[p]; ok {
+		return pkg, nil
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]*ast.File, len(bp.GoFiles))
+	for i, name := range bp.GoFiles {
+		if files[i], err = parser.ParseFile(s.fset, filepath.Join(dir, name), nil, 0); err != nil {
+			return nil, err
 		}
 	}
-	slices.Sort(missing)
-	for _, m := range missing {
-		t.Error(m)
+	pkg, err := (&types.Config{Importer: s}).Check(p, s.fset, files, s.info)
+	if err != nil {
+		return nil, err
 	}
+	s.pkgs[p], s.files[pkg] = pkg, files
+	return pkg, nil
 }
