@@ -24,11 +24,12 @@ vet:
 # the Grid executor: concurrent cells writing indexed slots, progress
 # and trace hooks called from every worker), plus traffic for the one
 # thing concurrent cells share and write, the generator free list
-# (traffic.RandPool). A simulation itself runs on one engine on one
-# goroutine (DESIGN.md §11), so sim, netsim and routing have nothing for
-# the detector to see.
+# (traffic.RandPool), and the scenario runner, whose sweep cells now run
+# on that pool and share only the submission's span recorder. A
+# simulation itself runs on one engine on one goroutine (DESIGN.md §11),
+# so sim, netsim and routing have nothing for the detector to see.
 race:
-	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/... ./internal/traffic/...
+	$(GO) test -race ./internal/metrics/... ./internal/service/... ./internal/cluster/... ./internal/experiments/... ./internal/traffic/... ./internal/scenario/...
 
 # Ten seconds of the native fuzzer on each target. FuzzEngineOrder runs
 # random scheduling programs on the engine and on a sort-based reference
@@ -58,8 +59,10 @@ race:
 # shortest-path oracle's and the per-host reference tables', and VLB's
 # distances the oracle's. FuzzTable writes tables of hostile strings,
 # integers and floats (internal/table/table_test.go): encoding/csv reads
-# back every cell's CSV form, encoding/json every value, and a NaN or
-# infinite float is refused. A failure leaves its
+# back every cell's CSV form, encoding/json every value, a NaN or
+# infinite float is refused, and the wire form decodes to a table both
+# writers print byte for byte as the original, while arbitrary wire
+# input is refused or survives another round trip. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.

@@ -419,7 +419,9 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 		}
 	}
 	if *telemetry {
-		fmt.Printf("telemetry: %s\n", s.Net.Telemetry())
+		et := s.Net.Engine().Telemetry()
+		fmt.Printf("telemetry: %d events (peak calendar %d) in %v (%.3g ev/s); %d delivered, %d dropped\n",
+			et.Events, et.PeakPending, et.Wall.Round(time.Microsecond), et.EventsPerSecond(), s.Net.Delivered(), s.Net.Dropped())
 	}
 	return nil
 }

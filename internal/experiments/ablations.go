@@ -36,7 +36,7 @@ func RenderAblation(title string, rows []AblationRow) string {
 
 // meshScatterLatency measures one scatter task's latency on a mesh of m
 // switches with the given switch model and router.
-func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64, sh shared) (AblationRow, error) {
+func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64, sh Shared) (AblationRow, error) {
 	g, err := topology.NewFullMesh(topology.MeshConfig{Switches: m, HostsPerSwitch: hostsPer})
 	if err != nil {
 		return AblationRow{}, err
@@ -76,7 +76,7 @@ func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64, s
 var ablationRingSizes = []int{4, 8, 16, 32}
 
 // ablationRingCell runs one ring-size configuration.
-func ablationRingCell(i int, seed int64, sh shared) (AblationRow, error) {
+func ablationRingCell(i int, seed int64, sh Shared) (AblationRow, error) {
 	row, err := meshScatterLatency(ablationRingSizes[i], 4, netsim.Arista7150, seed, sh)
 	if err != nil {
 		return AblationRow{}, err
@@ -95,7 +95,7 @@ var ablationSwitchModels = []struct {
 }
 
 // ablationSwitchCell runs one switch-model configuration.
-func ablationSwitchCell(i int, seed int64, sh shared) (AblationRow, error) {
+func ablationSwitchCell(i int, seed int64, sh Shared) (AblationRow, error) {
 	row, err := meshScatterLatency(8, 4, ablationSwitchModels[i].model, seed, sh)
 	if err != nil {
 		return AblationRow{}, err
@@ -110,7 +110,7 @@ var ablationVLBFracs = []float64{0, 0.125, 0.25, 0.5, 0.75, 1.0}
 // ablationVLBCell runs one VLB indirect fraction. Each cell builds its
 // own router because the fraction is the router's parameter; the ring
 // under it is 20 nodes and is rebuilt alongside.
-func ablationVLBCell(i int, seed int64, sh shared) (AblationRow, error) {
+func ablationVLBCell(i int, seed int64, sh Shared) (AblationRow, error) {
 	frac := ablationVLBFracs[i]
 	ring, err := fig20Ring()
 	if err != nil {
@@ -149,7 +149,7 @@ var ablationECMPModes = []struct {
 }
 
 // ablationECMPCell runs one ECMP mode.
-func ablationECMPCell(i int, seed int64, sh shared) (AblationRow, error) {
+func ablationECMPCell(i int, seed int64, sh Shared) (AblationRow, error) {
 	arch, err := core.ThreeTierTree(core.ArchParams{})
 	if err != nil {
 		return AblationRow{}, err
@@ -171,7 +171,7 @@ func ablationECMPCell(i int, seed int64, sh shared) (AblationRow, error) {
 type ablationPart struct {
 	label string
 	n     int
-	cell  func(i int, seed int64, sh shared) (AblationRow, error)
+	cell  func(i int, seed int64, sh Shared) (AblationRow, error)
 }
 
 // The four ablation axes. Ring size tests the §7 claim that "the size
@@ -213,7 +213,7 @@ func ablationGrid(parts ...ablationPart) Grid[ablationCell, AblationRow, []Ablat
 			}
 			return cells
 		},
-		Run: func(p Params, c ablationCell, sh shared) (AblationRow, error) {
+		Run: func(p Params, c ablationCell, sh Shared) (AblationRow, error) {
 			return parts[c.part].cell(c.i, p.Seed, sh)
 		},
 		Merge: func(_ Params, _ []ablationCell, rows []AblationRow) ([]AblationRow, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"time"
@@ -43,24 +44,34 @@ type fabricKey struct {
 	seed int64
 }
 
-// shared is one cell's handle on its run's fabrics; rec and track place
-// the build span under the cell's own span, and events is the cell's
-// own slot of the run's event count.
-type shared struct {
+// Shared is one cell's handle on its run: ctx is the worker pool's
+// context, fabrics the run's architectures and free lists, rec and track
+// place the build span under the cell's own span, and events is the
+// cell's own slot of the run's event count. A cell outside this package
+// (a scenario's) uses only Context and AddEvents.
+type Shared struct {
+	ctx     context.Context
 	fabrics *fabrics
 	rec     *trace.Recorder
 	track   int
 	events  *uint64
 }
 
+// Context is done once the run is cancelled or another of its cells has
+// failed; a cell that runs long checks it as it goes.
+func (s Shared) Context() context.Context { return s.ctx }
+
+// AddEvents adds n simulator events to the cell's count.
+func (s Shared) AddEvents(n uint64) { *s.events += n }
+
 // ran adds what net's engine processed to the cell's event count; a
 // cell calls it once per network, after that network has run.
-func (s shared) ran(net *netsim.Network) { *s.events += net.Engine().Processed() }
+func (s Shared) ran(net *netsim.Network) { s.AddEvents(net.Engine().Processed()) }
 
 // network hands the cell a network on arch with onDeliver as its
 // delivery hook: a released one, reset, if the run has one for arch,
 // else a new one. The cell gives it back with release when it ends.
-func (s shared) network(arch *core.Architecture, onDeliver func(netsim.Delivery)) (*netsim.Network, error) {
+func (s Shared) network(arch *core.Architecture, onDeliver func(netsim.Delivery)) (*netsim.Network, error) {
 	f := s.fabrics
 	f.mu.Lock()
 	var net *netsim.Network
@@ -80,7 +91,7 @@ func (s shared) network(arch *core.Architecture, onDeliver func(netsim.Delivery)
 // release returns a network from network to the run's free list for
 // arch, unless it can no longer be reset onto arch's router; the cell
 // must not touch it afterwards.
-func (s shared) release(arch *core.Architecture, net *netsim.Network) {
+func (s Shared) release(arch *core.Architecture, net *netsim.Network) {
 	if !net.Recyclable() {
 		return
 	}
@@ -95,7 +106,7 @@ func (s shared) release(arch *core.Architecture, net *netsim.Network) {
 
 // rands hands one simulation of the cell its generators from the run's
 // free list; the simulation releases them when it ends.
-func (s shared) rands() traffic.Rands { return traffic.Rands{Pool: &s.fabrics.rands} }
+func (s Shared) rands() traffic.Rands { return traffic.Rands{Pool: &s.fabrics.rands} }
 
 // uniform is the switch-model function of a fabric whose switches are
 // all m.
@@ -107,7 +118,7 @@ func uniform(m netsim.SwitchModel) func(topology.Node) netsim.SwitchModel {
 // building it on the run's first request: that cell records a "build"
 // span, the others reuse the result. A build is a millisecond, so the
 // lock is simply held across it.
-func (s shared) arch(name string, seed int64) (*core.Architecture, error) {
+func (s Shared) arch(name string, seed int64) (*core.Architecture, error) {
 	seeded := archUsesRand(name)
 	key := fabricKey{name: name}
 	if seeded {

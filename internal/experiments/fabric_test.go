@@ -221,7 +221,7 @@ func TestConcurrentCellsShareNetworks(t *testing.T) {
 	)
 	rendezvous := [2]func(){func() { meet <- struct{}{} }, func() { <-meet }}
 	cell := func(worker, round int) {
-		sh := shared{fabrics: &run, events: &events[worker]}
+		sh := Shared{fabrics: &run, events: &events[worker]}
 		arch := archs[round%2]
 		h := traffic.NewHarness()
 		net, err := sh.network(arch, h.Deliver)
@@ -277,7 +277,7 @@ func TestConcurrentCellsShareNetworks(t *testing.T) {
 		}
 	}
 
-	sh := shared{fabrics: &run, events: &events[0]}
+	sh := Shared{fabrics: &run, events: &events[0]}
 	net, err := sh.network(archs[0], nil)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ var fctGrid = Grid[fctCell, FCTRow, []FCTRow]{
 	Cells: func(Params) []fctCell {
 		return []fctCell{{false, tcp.Reno}, {false, tcp.DCTCP}, {true, tcp.Reno}, {true, tcp.DCTCP}}
 	},
-	Run: func(_ Params, c fctCell, sh shared) (FCTRow, error) {
+	Run: func(_ Params, c fctCell, sh Shared) (FCTRow, error) {
 		mean, p99, n, err := runFCT(c.quartz, c.mode, fctFlows, sh)
 		return FCTRow{Topology: wiringName(c.quartz), Mode: c.mode, MeanUs: mean, P99Us: p99, Flows: n}, err
 	},
@@ -51,7 +51,7 @@ var fctGrid = Grid[fctCell, FCTRow, []FCTRow]{
 	Render: func(rows []FCTRow) Output { return Output{Text: RenderFCT(rows)} },
 }
 
-func runFCT(quartz bool, mode tcp.Mode, flows int, sh shared) (mean, p99 float64, n int, err error) {
+func runFCT(quartz bool, mode tcp.Mode, flows int, sh Shared) (mean, p99 float64, n int, err error) {
 	// The prototype's 1 Gb/s switches with ECN marking at 30 KB, as
 	// DCTCP recommends for gigabit links.
 	model := prototypeSwitch

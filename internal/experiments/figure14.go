@@ -122,7 +122,7 @@ const testbedLimit = 120 * sim.Second
 // then the RPC starts and the engine runs in 10 ms slices until rpcs
 // round trips are done. It returns their mean and 95% CI half-width in
 // µs; name labels a starved run's error.
-func runRPC(name string, quartz bool, rpcs int, sh shared, cross func(tb testbed, rpc *traffic.RPC) error) (mean, ci float64, err error) {
+func runRPC(name string, quartz bool, rpcs int, sh Shared, cross func(tb testbed, rpc *traffic.RPC) error) (mean, ci float64, err error) {
 	tb, err := newTestbed(quartz, prototypeSwitch)
 	if err != nil {
 		return 0, 0, err
@@ -190,7 +190,7 @@ var figure14Grid = Grid[figure14Cell, meanCI, []Figure14Row]{
 		}
 		return cells
 	},
-	Run: func(p Params, c figure14Cell, sh shared) (meanCI, error) {
+	Run: func(p Params, c figure14Cell, sh Shared) (meanCI, error) {
 		m, ci, err := runRPC("fig14", c.quartz, p.RPCs, sh, func(tb testbed, _ *traffic.RPC) error {
 			if c.mbps == 0 {
 				return nil

@@ -51,7 +51,7 @@ var figure14TCPGrid = Grid[figure14TCPCell, float64, []Figure14TCPRow]{
 		}
 		return cells
 	},
-	Run: func(p Params, c figure14TCPCell, sh shared) (float64, error) {
+	Run: func(p Params, c figure14TCPCell, sh Shared) (float64, error) {
 		mean, _, err := runRPC("fig14tcp", c.quartz, p.RPCs, sh, func(tb testbed, _ *traffic.RPC) error {
 			// S4's servers first (disjoint from the RPC in the mesh), then
 			// the S2 server that shares the RPC's direct channel.

@@ -139,7 +139,7 @@ func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
 // that task is measured; the remaining tasks are global cross-traffic.
 // The cell's network and generators come from the run's free lists and
 // go back to them on return.
-func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params fig17Params, seed int64, sh shared) (mean, ci float64, err error) {
+func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params fig17Params, seed int64, sh Shared) (mean, ci float64, err error) {
 	rands := sh.rands()
 	defer rands.Release()
 	rng := rands.New(seed)
@@ -313,7 +313,7 @@ func (f taskFigure) grid() Grid[taskCell, meanCI, [][]Figure17Row] {
 			}
 			return cells
 		},
-		Run: func(p Params, c taskCell, sh shared) (meanCI, error) {
+		Run: func(p Params, c taskCell, sh Shared) (meanCI, error) {
 			arch, err := sh.arch(c.arch, p.Seed)
 			if err != nil {
 				return meanCI{}, err

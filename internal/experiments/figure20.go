@@ -113,7 +113,7 @@ type fig20Value struct {
 
 // runFig20 measures mean latency for the pattern on one system, on a
 // network and generators borrowed from the run.
-func runFig20(arch *core.Architecture, aggregate sim.Rate, seed int64, sh shared) (fig20Value, error) {
+func runFig20(arch *core.Architecture, aggregate sim.Rate, seed int64, sh Shared) (fig20Value, error) {
 	rands := sh.rands()
 	defer rands.Release()
 	rng := rands.New(seed)
@@ -169,7 +169,7 @@ var figure20Grid = Grid[fig20Cell, fig20Value, []Figure20Row]{
 		}
 		return cells
 	},
-	Run: func(p Params, c fig20Cell, sh shared) (fig20Value, error) {
+	Run: func(p Params, c fig20Cell, sh Shared) (fig20Value, error) {
 		arch, err := sh.arch(fig20Systems[c.system], 0)
 		if err != nil {
 			return fig20Value{}, err

@@ -65,7 +65,7 @@ type FigureF6Result struct {
 var figureF6Grid = Grid[int64, FigureF6Result, FigureF6Result]{
 	Name:  "f6dynamic",
 	Cells: func(p Params) []int64 { return []int64{p.Seed} },
-	Run: func(_ Params, seed int64, sh shared) (FigureF6Result, error) {
+	Run: func(_ Params, seed int64, sh Shared) (FigureF6Result, error) {
 		return runFigureF6(seed, sh)
 	},
 	Merge: func(_ Params, _ []int64, runs []FigureF6Result) (FigureF6Result, error) { return runs[0], nil },
@@ -81,7 +81,7 @@ var figureF6Grid = Grid[int64, FigureF6Result, FigureF6Result]{
 }
 
 // runFigureF6 is figureF6Grid's one cell.
-func runFigureF6(seed int64, sh shared) (FigureF6Result, error) {
+func runFigureF6(seed int64, sh Shared) (FigureF6Result, error) {
 	arch, err := core.QuartzRingArch(core.ArchParams{})
 	if err != nil {
 		return FigureF6Result{}, err

@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -182,6 +184,63 @@ func TestGoldenScenario(t *testing.T) {
 	}
 	if out.Events != goldenScenarioEvents {
 		t.Errorf("scenario processed %d events, want %d", out.Events, goldenScenarioEvents)
+	}
+}
+
+// goldenSweeps pins what a scenario sweep merges: its text, its event
+// count (the sum of its cells') and the CSV digest of every table its
+// cells export, renamed per cell. They were recorded on the commit
+// before sweeps ran on the Grid executor, when one serial loop ran the
+// cells and wrote the merge, so "same bytes" is checked across that
+// rewrite. doc is an examples/scenarios file name or an inline document.
+var goldenSweeps = []struct {
+	doc    string
+	run    goldenRun
+	tables []goldenTable
+}{
+	{"jellyfish-sweep.json", goldenRun{"11c2df36096116c99c21311470821a0a54cc1e8a2d90ffdab001e6f03ac061fc", 72075}, nil},
+	{"scattergather.json", goldenRun{"a07e9a9edd18250a4e78df1a99c8f243e7877a521d0feeb42d0979609c0569e4", 578938}, nil},
+	{`{"schema": "quartz-scenario/v1", "name": "fig5-seeds",
+	   "experiment": {"name": "fig5"}, "sweep": {"axes": {"seed": [1, 2]}}}`,
+		goldenRun{"2f07ae908cc349bc104e11aab6d98a9a4cf313ac67a59b0ec12865620cfb2a59", 0}, []goldenTable{
+			{"figure5-cell001", "5ecb78bdcbb1bf41a50af86c0223eb542c2d836d597a5c740c32044da7154cc1"},
+			{"figure5-cell002", "19efdc975c59f01b12743370f1a8d496e9ed66bf37c26e6eee11f780fa3d79dd"},
+		}},
+}
+
+func TestGoldenSweeps(t *testing.T) {
+	for _, g := range goldenSweeps {
+		data, name := []byte(g.doc), "inline.json"
+		if strings.HasSuffix(g.doc, ".json") {
+			var err error
+			name = g.doc
+			if data, err = os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", g.doc)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := scenario.Decode(data, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := scenario.Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Experiment.Run(context.Background(), c.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := textDigest(out.Text); got != g.run.hash || out.Events != g.run.events {
+			t.Errorf("%s: sweep output changed: sha256 %s and %d events, want %s and %d\n%s",
+				f.Doc.Name, got, out.Events, g.run.hash, g.run.events, out.Text)
+		}
+		var got []goldenTable
+		for _, tb := range out.Tables {
+			got = append(got, csvDigest(t, tb))
+		}
+		if !reflect.DeepEqual(got, g.tables) {
+			t.Errorf("%s: sweep tables changed:\n got %v\nwant %v", f.Doc.Name, got, g.tables)
+		}
 	}
 }
 

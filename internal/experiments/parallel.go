@@ -9,8 +9,9 @@ import (
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
 
-// forEachCell runs fn(i) for i in [0, n) on a bounded worker pool and
-// returns the first error. Each experiment cell is an independent
+// forEachCell runs fn(pool, i) for i in [0, n) on a bounded worker pool
+// and returns the first error; pool is done once ctx is or a cell has
+// failed. Each experiment cell is an independent
 // simulation with its own engine and seed, so the sweeps parallelize
 // perfectly; results must be written to disjoint slots by index.
 //
@@ -22,15 +23,15 @@ import (
 // "cell" span per cell in the "experiment" category, Track = cell
 // index.
 //
-// Cancelling ctx, or a cell failing, stops dispatching new cells; cells
-// already running finish, and the first cell error (else ctx.Err()) is
-// returned.
-func forEachCell(ctx context.Context, n int, p Params, fn func(i int) error) error {
+// Cancelling ctx, or a cell failing, stops dispatching new cells and
+// cancels pool, which cells already running may watch; the first cell
+// error (else ctx.Err()) is returned.
+func forEachCell(ctx context.Context, n int, p Params, fn func(pool context.Context, i int) error) error {
 	if rec := p.Trace; rec.Enabled() {
 		inner := fn
-		fn = func(i int) error {
+		fn = func(pool context.Context, i int) error {
 			start := time.Now()
-			err := inner(i)
+			err := inner(pool, i)
 			rec.Add(trace.Span{
 				Name: "cell", Cat: "experiment", Track: i,
 				Wall: rec.Since(start), WallDur: time.Since(start).Nanoseconds(),
@@ -63,7 +64,7 @@ func forEachCell(ctx context.Context, n int, p Params, fn func(i int) error) err
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := fn(i); err != nil {
+				if err := fn(pool, i); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err

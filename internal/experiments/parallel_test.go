@@ -14,7 +14,7 @@ import (
 func TestForEachCellRunsAll(t *testing.T) {
 	var count int64
 	seen := make([]int32, 100)
-	err := forEachCell(context.Background(), 100, Params{}, func(i int) error {
+	err := forEachCell(context.Background(), 100, Params{}, func(_ context.Context, i int) error {
 		atomic.AddInt64(&count, 1)
 		atomic.AddInt32(&seen[i], 1)
 		return nil
@@ -34,7 +34,7 @@ func TestForEachCellRunsAll(t *testing.T) {
 
 func TestForEachCellPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	err := forEachCell(context.Background(), 10, Params{}, func(i int) error {
+	err := forEachCell(context.Background(), 10, Params{}, func(_ context.Context, i int) error {
 		if i == 7 {
 			return boom
 		}
@@ -51,7 +51,7 @@ func TestForEachCellFewerCellsThanWorkers(t *testing.T) {
 	for n := 2; n <= 4; n++ {
 		var count int64
 		seen := make([]int32, n)
-		if err := forEachCell(context.Background(), n, Params{}, func(i int) error {
+		if err := forEachCell(context.Background(), n, Params{}, func(_ context.Context, i int) error {
 			atomic.AddInt64(&count, 1)
 			atomic.AddInt32(&seen[i], 1)
 			return nil
@@ -67,7 +67,7 @@ func TestForEachCellFewerCellsThanWorkers(t *testing.T) {
 			}
 		}
 		boom := errors.New("boom")
-		err := forEachCell(context.Background(), n, Params{}, func(i int) error {
+		err := forEachCell(context.Background(), n, Params{}, func(_ context.Context, i int) error {
 			if i == n-1 {
 				return boom
 			}
@@ -86,7 +86,7 @@ func TestForEachCellSerialError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct{ n, failAt int }{{1, 0}, {10, 3}} {
 		ran := 0
-		err := forEachCell(context.Background(), tc.n, Params{}, func(i int) error {
+		err := forEachCell(context.Background(), tc.n, Params{}, func(_ context.Context, i int) error {
 			ran++
 			if i == tc.failAt {
 				return boom
@@ -109,7 +109,7 @@ func TestForEachCellPoolStopsAtFirstError(t *testing.T) {
 	const n = 1000
 	var ran int64
 	release := make(chan struct{})
-	err := forEachCell(context.Background(), n, Params{}, func(i int) error {
+	err := forEachCell(context.Background(), n, Params{}, func(_ context.Context, i int) error {
 		atomic.AddInt64(&ran, 1)
 		if i == 0 {
 			time.AfterFunc(50*time.Millisecond, func() { close(release) })
@@ -133,7 +133,7 @@ func TestForEachCellKeepsFirstError(t *testing.T) {
 	for i := range errs {
 		errs[i] = errors.New("boom")
 	}
-	err := forEachCell(context.Background(), len(errs), Params{}, func(i int) error { return errs[i] })
+	err := forEachCell(context.Background(), len(errs), Params{}, func(_ context.Context, i int) error { return errs[i] })
 	if err == nil {
 		t.Fatal("err = nil, want one of the cell errors")
 	}
@@ -149,11 +149,11 @@ func TestForEachCellKeepsFirstError(t *testing.T) {
 }
 
 func TestForEachCellZeroAndOne(t *testing.T) {
-	if err := forEachCell(context.Background(), 0, Params{}, func(int) error { t.Fatal("ran"); return nil }); err != nil {
+	if err := forEachCell(context.Background(), 0, Params{}, func(context.Context, int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Error(err)
 	}
 	ran := false
-	if err := forEachCell(context.Background(), 1, Params{}, func(i int) error { ran = true; return nil }); err != nil {
+	if err := forEachCell(context.Background(), 1, Params{}, func(_ context.Context, i int) error { ran = true; return nil }); err != nil {
 		t.Error(err)
 	}
 	if !ran {
@@ -165,7 +165,7 @@ func TestForEachCellHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := int64(0)
-	err := forEachCell(ctx, 100, Params{}, func(i int) error {
+	err := forEachCell(ctx, 100, Params{}, func(_ context.Context, i int) error {
 		atomic.AddInt64(&ran, 1)
 		return nil
 	})
@@ -182,7 +182,7 @@ func TestForEachCellHonorsCancellation(t *testing.T) {
 func TestForEachCellSpans(t *testing.T) {
 	rec := trace.NewRecorder()
 	const n = 9
-	err := forEachCell(context.Background(), n, Params{Trace: rec}, func(i int) error { return nil })
+	err := forEachCell(context.Background(), n, Params{Trace: rec}, func(_ context.Context, i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestForEachCellProgress(t *testing.T) {
 		// Serialized by contract: no lock needed here.
 		dones = append(dones, done)
 		lastTotal = total
-	}}, func(i int) error { return nil })
+	}}, func(context.Context, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ var priorityGrid = Grid[priorityCell, float64, []PriorityRow]{
 	Cells: func(Params) []priorityCell {
 		return []priorityCell{{false, false}, {false, true}, {true, false}, {true, true}}
 	},
-	Run: func(p Params, c priorityCell, sh shared) (float64, error) {
+	Run: func(p Params, c priorityCell, sh Shared) (float64, error) {
 		rtt, _, err := runRPC("prio", c.quartz, p.RPCs, sh, func(tb testbed, rpc *traffic.RPC) error {
 			rpc.Priority, rpc.BackgroundPriority = 1, 1
 			if c.prioritize {

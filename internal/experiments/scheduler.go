@@ -75,7 +75,7 @@ var schedulerGrid = Grid[schedCell, schedValue, []SchedulerRow]{
 		}
 		return cells
 	},
-	Run: func(p Params, c schedCell, sh shared) (schedValue, error) {
+	Run: func(p Params, c schedCell, sh Shared) (schedValue, error) {
 		g, err := schedTopologies[c.topology].build()
 		if err != nil {
 			return schedValue{}, err
@@ -102,7 +102,7 @@ var schedulerGrid = Grid[schedCell, schedValue, []SchedulerRow]{
 // runSchedulerCase overloads the rack-0 to rack-1 pair with two flows
 // whose aggregate exceeds the 1 Gb/s inter-switch capacity and measures
 // mean latency.
-func runSchedulerCase(g *topology.Graph, withScheduler bool, seed int64, sh shared) (schedValue, error) {
+func runSchedulerCase(g *topology.Graph, withScheduler bool, seed int64, sh Shared) (schedValue, error) {
 	router := schedule.NewRouter(g, routing.NewECMP(g))
 	h := traffic.NewHarness()
 	net, err := netsim.New(netsim.Config{

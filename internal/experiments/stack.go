@@ -67,7 +67,7 @@ var stackSteps = []stackStep{
 var stackGrid = Grid[stackStep, float64, []StackRow]{
 	Name:  "stack",
 	Cells: func(Params) []stackStep { return stackSteps },
-	Run: func(_ Params, st stackStep, sh shared) (float64, error) {
+	Run: func(_ Params, st stackStep, sh Shared) (float64, error) {
 		arch, err := sh.arch(st.arch, 0)
 		if err != nil {
 			return 0, err

@@ -39,9 +39,10 @@ type Grid[C, V, R any] struct {
 	Name string
 	// Cells lists the grid under p, in merge order.
 	Cells func(p Params) []C
-	// Run executes one cell; sh hands it the run's shared architectures
-	// and generators, and counts its events (sh.ran).
-	Run func(p Params, c C, sh shared) (V, error)
+	// Run executes one cell; sh hands it the pool's context and the
+	// run's shared architectures and generators, and counts its events
+	// (sh.ran, sh.AddEvents).
+	Run func(p Params, c C, sh Shared) (V, error)
 	// Merge assembles the experiment's typed rows from the whole grid's
 	// values; vals[i] belongs to cells[i].
 	Merge func(p Params, cells []C, vals []V) (R, error)
@@ -59,8 +60,8 @@ func (g Grid[C, V, R]) runCells(ctx context.Context, p Params, lo, hi int) (Cell
 	vals := make([]json.RawMessage, hi-lo)
 	events := make([]uint64, hi-lo)
 	built := new(fabrics)
-	err := forEachCell(ctx, hi-lo, p, func(k int) error {
-		v, err := g.Run(p, cells[lo+k], shared{built, p.Trace, k, &events[k]})
+	err := forEachCell(ctx, hi-lo, p, func(ctx context.Context, k int) error {
+		v, err := g.Run(p, cells[lo+k], Shared{ctx, built, p.Trace, k, &events[k]})
 		if err == nil {
 			vals[k], err = json.Marshal(v)
 		}

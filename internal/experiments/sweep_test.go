@@ -153,7 +153,7 @@ func TestGridLabelsCellErrors(t *testing.T) {
 	g := Grid[int, float64, []float64]{
 		Name:  "toy",
 		Cells: func(Params) []int { return []int{10, 20, 30} },
-		Run: func(_ Params, c int, _ shared) (float64, error) {
+		Run: func(_ Params, c int, _ Shared) (float64, error) {
 			switch c {
 			case 20:
 				return 0, boom

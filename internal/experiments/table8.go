@@ -94,7 +94,7 @@ var table8Grid = Grid[table8Cell, float64, []Table8Row]{
 	},
 	// The cell's value is the architecture's mean global-scatter latency
 	// at the scenario's load level.
-	Run: func(_ Params, c table8Cell, sh shared) (float64, error) {
+	Run: func(_ Params, c table8Cell, sh Shared) (float64, error) {
 		arch, err := sh.arch(c.arch, c.seed)
 		if err != nil {
 			return 0, err

@@ -61,7 +61,7 @@ var validationGrid = Grid[validationCell, ValidationRow, []ValidationRow]{
 		}
 		return cells
 	},
-	Run: func(p Params, c validationCell, sh shared) (ValidationRow, error) {
+	Run: func(p Params, c validationCell, sh Shared) (ValidationRow, error) {
 		return runQueueValidation(c.exponential, c.rho, 30*p.WithDefaults().Trials, c.seed, sh)
 	},
 	Merge: func(_ Params, _ []validationCell, rows []ValidationRow) ([]ValidationRow, error) {
@@ -121,7 +121,7 @@ func (in *validationInjector) Run(int64, int64) {
 // runQueueValidation measures mean waiting time on an isolated
 // bottleneck: fast ingress/egress, one 10 Gb/s service link, ideal
 // (zero-latency, infinite-buffer) switches.
-func runQueueValidation(exponential bool, rho float64, packets int, seed int64, sh shared) (ValidationRow, error) {
+func runQueueValidation(exponential bool, rho float64, packets int, seed int64, sh Shared) (ValidationRow, error) {
 	g := topology.New("queue")
 	s0 := g.AddSwitch("s0", topology.TierToR, 0)
 	s1 := g.AddSwitch("s1", topology.TierToR, 1)

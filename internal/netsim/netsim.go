@@ -10,9 +10,10 @@
 //
 // Observability: a Probe (Config.Probe / Network.SetProbe) sees every
 // enqueue, transmission, delivery, and drop; TraceRecorder keeps a
-// bounded packet trace, QueueSampler takes periodic queue-depth and
-// utilization samples, and Network.Telemetry summarizes a run. With no
-// probe attached the hooks cost one nil check each.
+// bounded packet trace, and QueueSampler takes periodic queue-depth and
+// utilization samples; the engine's Telemetry and the Delivered and
+// Dropped counters summarize a run. With no probe attached the hooks
+// cost one nil check each.
 package netsim
 
 import (

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/routing"
@@ -413,40 +412,6 @@ func (s *QueueSampler) Table() table.Table {
 			table.Int(smp.QueuedBytes), table.Fixed(smp.Utilization, 6))
 	}
 	return tb
-}
-
-// RunTelemetry summarizes one simulation run end to end: engine work
-// (events, event-queue high-water mark, wall-clock rate) plus the
-// network's packet counters.
-type RunTelemetry struct {
-	// Events is the number of simulator events processed.
-	Events uint64
-	// PeakPending is the event queue's high-water mark.
-	PeakPending int
-	// Wall is real time spent in the event loop.
-	Wall time.Duration
-	// EventsPerSec is the wall-clock event rate.
-	EventsPerSec float64
-	// Delivered and Dropped count packets.
-	Delivered, Dropped uint64
-}
-
-func (t RunTelemetry) String() string {
-	return fmt.Sprintf("%d events (peak calendar %d) in %v (%.3g ev/s); %d delivered, %d dropped",
-		t.Events, t.PeakPending, t.Wall.Round(time.Microsecond), t.EventsPerSec, t.Delivered, t.Dropped)
-}
-
-// Telemetry reports the run so far.
-func (n *Network) Telemetry() RunTelemetry {
-	et := n.eng.Telemetry()
-	return RunTelemetry{
-		Events:       et.Events,
-		PeakPending:  et.PeakPending,
-		Wall:         et.Wall,
-		EventsPerSec: et.EventsPerSecond(),
-		Delivered:    n.Delivered(),
-		Dropped:      n.Dropped(),
-	}
 }
 
 // portRef maps a directed-link index back to its (link, from) identity.

@@ -189,18 +189,15 @@ func TestNetworkTelemetry(t *testing.T) {
 		net.Unicast(1, h0, h1, 400, 0)
 	}
 	net.Engine().Run()
-	tel := net.Telemetry()
-	if tel.Delivered != 10 || tel.Dropped != 0 {
-		t.Errorf("delivered/dropped = %d/%d, want 10/0", tel.Delivered, tel.Dropped)
+	if d, x := net.Delivered(), net.Dropped(); d != 10 || x != 0 {
+		t.Errorf("delivered/dropped = %d/%d, want 10/0", d, x)
 	}
+	tel := net.Engine().Telemetry()
 	if tel.Events == 0 || tel.PeakPending == 0 {
 		t.Errorf("Events=%d PeakPending=%d, want both > 0", tel.Events, tel.PeakPending)
 	}
-	if tel.EventsPerSec <= 0 {
-		t.Errorf("EventsPerSec = %v, want > 0", tel.EventsPerSec)
-	}
-	if s := tel.String(); !strings.Contains(s, "delivered") {
-		t.Errorf("String() = %q, want a readable summary", s)
+	if tel.EventsPerSecond() <= 0 {
+		t.Errorf("EventsPerSecond = %v, want > 0", tel.EventsPerSecond())
 	}
 }
 

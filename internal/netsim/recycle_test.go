@@ -82,7 +82,7 @@ func runScatter(t *testing.T, seed int64, logged bool, start func(onDeliver func
 	net.RunUntil(end + 100*sim.Microsecond)
 	r.life, r.stats = life.lines, net.Stats()
 	r.delivered, r.dropped = net.Delivered(), net.Dropped()
-	r.processed, r.peakPending = net.Engine().Processed(), net.Telemetry().PeakPending
+	r.processed, r.peakPending = net.Engine().Processed(), net.Engine().Telemetry().PeakPending
 	return r
 }
 

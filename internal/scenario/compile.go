@@ -27,6 +27,7 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/netsim"
+	"github.com/quartz-dcn/quartz/internal/table"
 )
 
 // Compiled is a scenario lowered onto the experiment machinery.
@@ -67,23 +68,20 @@ func Compile(f *File) (*Compiled, error) {
 		}, nil
 	}
 
-	c := &Compiled{
-		Doc:    doc,
-		Params: experiments.Params{Seed: doc.Seed},
-	}
 	title := doc.Title
 	if doc.Sweep != nil {
 		title += fmt.Sprintf(" (sweep: %d runs)", len(cellsOf(&doc)))
 	}
-	c.Experiment = experiments.Experiment{
-		Name:    ScenarioName(doc),
-		Title:   title,
-		Section: "scenario",
-		Run: func(ctx context.Context, p experiments.Params) (experiments.Output, error) {
-			return runCells(ctx, doc, p)
+	return &Compiled{
+		Doc: doc,
+		Experiment: experiments.Experiment{
+			Name:    ScenarioName(doc),
+			Title:   title,
+			Section: "scenario",
+			Run:     compileGrid(doc).Sweep().Run,
 		},
-	}
-	return c, nil
+		Params: experiments.Params{Seed: doc.Seed},
+	}, nil
 }
 
 // ScenarioName is the registry-style identity of a non-passthrough
@@ -179,65 +177,74 @@ func sortedAxisNames(axes map[string][]interface{}) []string {
 	return names
 }
 
-// runCells executes every cell of doc (one, without a sweep) and
-// merges the outputs in cell order; the run's event count is the sum of
-// its cells'.
-func runCells(ctx context.Context, doc Doc, p experiments.Params) (experiments.Output, error) {
-	cells := cellsOf(&doc)
+// A cell is one run of a compiled scenario: its document with the
+// cell's axis values applied, the seed it runs at and its header label.
+type cell struct {
+	doc   *Doc
+	seed  int64
+	label string
+}
+
+// String is the label, which the Grid's error message quotes.
+func (c cell) String() string { return c.label }
+
+// cellOutput is what a cell hands the merge, across the Grid's JSON
+// boundary: its text and its tables.
+type cellOutput struct {
+	Text   string
+	Tables []table.Table
+}
+
+// compileGrid lowers doc (one run, or a sweep) onto the Grid executor:
+// its cells run on the worker pool and merge in cell order into one
+// Output, whose event count is the sum of its cells'.
+func compileGrid(doc Doc) experiments.Grid[cell, cellOutput, experiments.Output] {
 	trials := 1
 	if doc.Sweep != nil {
 		trials = doc.Sweep.Trials
 	}
-	var b strings.Builder
-	var out experiments.Output
-	for i, cell := range cells {
-		if err := ctx.Err(); err != nil {
-			return experiments.Output{}, err
-		}
-		cellDoc := doc.clone()
-		defs := axisDefs(&cellDoc)
-		for _, ov := range cell.overrides {
-			def, ok := defs[ov.name]
-			if !ok {
-				return experiments.Output{}, fmt.Errorf("scenario: unknown axis %q", ov.name)
+	return experiments.Grid[cell, cellOutput, experiments.Output]{
+		Name: doc.Name,
+		Cells: func(p experiments.Params) []cell {
+			points := cellsOf(&doc)
+			cells := make([]cell, len(points))
+			for i, pt := range points {
+				d := doc.clone()
+				defs := axisDefs(&d)
+				for _, ov := range pt.overrides {
+					defs[ov.name].apply(&d, ov.val) // Decode refuses an unknown axis
+				}
+				seed := d.Seed
+				if seed == 0 || seed == doc.Seed {
+					// The axis didn't pin a seed: the submission's seed rules.
+					seed = p.Seed
+				}
+				cells[i] = cell{doc: &d, seed: seed + int64(pt.trial), label: pt.label(trials)}
 			}
-			def.apply(&cellDoc, ov.val)
-		}
-		seed := cellDoc.Seed
-		if seed == 0 || seed == doc.Seed {
-			// The axis didn't pin a seed: the submission's seed rules.
-			seed = p.Seed
-		}
-		seed += int64(cell.trial)
-
-		if len(cells) > 1 {
-			fmt.Fprintf(&b, "== %s [%d/%d: %s, seed %d]\n", doc.Name, i+1, len(cells), cell.label(trials), seed)
-		}
-		cellOut, err := runCell(ctx, &cellDoc, seed, p)
-		if err != nil {
-			return experiments.Output{}, fmt.Errorf("cell %d/%d (%s): %w", i+1, len(cells), cell.label(trials), err)
-		}
-		b.WriteString(cellOut.Text)
-		if len(cells) > 1 {
-			b.WriteString("\n")
-		}
-		out.Events += cellOut.Events
-		for _, t := range cellOut.Tables {
-			if len(cells) > 1 {
-				t.Name = fmt.Sprintf("%s-cell%03d", t.Name, i+1)
+			return cells
+		},
+		Run: func(p experiments.Params, c cell, sh experiments.Shared) (cellOutput, error) {
+			out, err := runCell(sh.Context(), c.doc, c.seed, p)
+			sh.AddEvents(out.Events)
+			return cellOutput{Text: out.Text, Tables: out.Tables}, err
+		},
+		Merge: func(_ experiments.Params, cells []cell, vals []cellOutput) (experiments.Output, error) {
+			if len(cells) == 1 {
+				return experiments.Output{Text: vals[0].Text, Tables: vals[0].Tables}, nil
 			}
-			out.Tables = append(out.Tables, t)
-		}
-		tickProgress(p, i+1, len(cells))
-	}
-	out.Text = b.String()
-	return out, nil
-}
-
-// tickProgress forwards cell completion to the submission's hook.
-func tickProgress(p experiments.Params, done, total int) {
-	if p.Progress != nil {
-		p.Progress(done, total)
+			var b strings.Builder
+			var out experiments.Output
+			for i, v := range vals {
+				fmt.Fprintf(&b, "== %s [%d/%d: %s, seed %d]\n%s\n", doc.Name, i+1, len(cells), cells[i].label, cells[i].seed, v.Text)
+				for _, t := range v.Tables {
+					t.Name = fmt.Sprintf("%s-cell%03d", t.Name, i+1)
+					out.Tables = append(out.Tables, t)
+				}
+			}
+			out.Text = b.String()
+			return out, nil
+		},
+		Render: func(out experiments.Output) experiments.Output { return out },
 	}
 }
 

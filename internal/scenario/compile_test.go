@@ -2,11 +2,16 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
+	"github.com/quartz-dcn/quartz/internal/table"
 )
 
 // The acceptance property of the whole format: a scenario that merely
@@ -179,6 +184,97 @@ func TestSweepRunsEachCell(t *testing.T) {
 	if sum := run(doc(2, ""), nil).Events + run(doc(3, ""), nil).Events; out.Events == 0 || out.Events != sum {
 		t.Errorf("sweep processed %d events, its cells alone %d", out.Events, sum)
 	}
+}
+
+// A sweep is the union of its one-run documents: cell i's section of the
+// sweep's text, and its tables less the -cellNNN suffix, are what
+// Compile + Run print for the document with that cell's axis values and
+// seed pinned and no sweep, whether the cells run on one worker or four.
+// The seed a cell must run at is worked out here, not read from the
+// header: the axis's seed, else the document's, plus the trial index.
+func TestSweepIsTheUnionOfItsRuns(t *testing.T) {
+	jellyfish, err := os.ReadFile(filepath.Join(examplesDir, "jellyfish-sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig5 := []byte(`{"schema": "quartz-scenario/v1", "name": "fig5-seeds",
+	                 "experiment": {"name": "fig5"}, "sweep": {"axes": {"seed": [1, 2]}}}`)
+	for _, src := range [][]byte{jellyfish, fig5} {
+		c := compileSim(t, string(src))
+		doc := c.Doc
+		cells := cellsOf(&doc)
+		var want strings.Builder
+		var wantEvents uint64
+		var wantTables []table.Table
+		for i, cell := range cells {
+			var m map[string]any
+			if err := json.Unmarshal(src, &m); err != nil {
+				t.Fatal(err)
+			}
+			delete(m, "sweep")
+			seed := doc.Seed
+			for _, ov := range cell.overrides {
+				switch ov.name {
+				case "seed":
+					n, _ := asInt(ov.val)
+					seed = n
+				case "quartz":
+					m["sim"].(map[string]any)["topology"].(map[string]any)["quartz"] = ov.val
+				case "workload":
+					m["sim"].(map[string]any)["workload"].(map[string]any)["kind"] = ov.val
+				default:
+					t.Fatalf("axis %q has no one-run form here", ov.name)
+				}
+			}
+			seed += int64(cell.trial)
+			m["seed"] = seed
+			one, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c1 := compileSim(t, string(one))
+			out, err := c1.Experiment.Run(context.Background(), c1.Params)
+			if err != nil {
+				t.Fatalf("%s cell %d alone: %v", doc.Name, i, err)
+			}
+			fmt.Fprintf(&want, "== %s [%d/%d: %s, seed %d]\n%s\n", doc.Name, i+1, len(cells), cell.label(doc.Sweep.Trials), seed, out.Text)
+			wantEvents += out.Events
+			for _, tb := range out.Tables {
+				tb.Name += fmt.Sprintf("-cell%03d", i+1)
+				wantTables = append(wantTables, tb)
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			out, err := c.Experiment.Run(context.Background(), c.Params)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Text != want.String() || out.Events != wantEvents {
+				t.Errorf("%s at GOMAXPROCS %d: %d events, want %d; text\n%s\nwant\n%s",
+					doc.Name, procs, out.Events, wantEvents, out.Text, want.String())
+			}
+			if len(out.Tables) != len(wantTables) {
+				t.Fatalf("%s at GOMAXPROCS %d: %d tables, want %d", doc.Name, procs, len(out.Tables), len(wantTables))
+			}
+			for i, tb := range out.Tables {
+				if got, want := csvOf(t, tb), csvOf(t, wantTables[i]); tb.Name != wantTables[i].Name || got != want {
+					t.Errorf("%s at GOMAXPROCS %d: table %s differs from %s run alone", doc.Name, procs, tb.Name, wantTables[i].Name)
+				}
+			}
+		}
+	}
+}
+
+// csvOf returns tb's CSV.
+func csvOf(t *testing.T, tb table.Table) string {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 func TestCloneIsolation(t *testing.T) {

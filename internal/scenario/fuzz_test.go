@@ -15,7 +15,8 @@ import (
 // and it is a fixed point — Normalize changes nothing the second time,
 // and its canonical form decodes again to the same identity.
 // Seeded with every shipped example and the malformed testdata
-// documents; `make fuzz` runs it for ten seconds.
+// documents and a sweep whose cell count overflows an int; `make fuzz`
+// runs it for ten seconds.
 func FuzzDecode(f *testing.F) {
 	for _, glob := range []string{filepath.Join(examplesDir, "*.json"), "testdata/*.json"} {
 		paths, err := filepath.Glob(glob)
@@ -30,6 +31,7 @@ func FuzzDecode(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	f.Add([]byte(overflowSweep()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := Decode(data, "fuzz")
 		if err != nil {

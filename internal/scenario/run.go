@@ -128,7 +128,7 @@ func faultSchedule(fs *FaultsSpec, g *topology.Graph) (netsim.FaultSchedule, err
 // Sim is one packet-level run, built and armed but not yet executed.
 // Between NewSim and Run a caller may hook what needs the live objects
 // (Obs.Heartbeat().OnTick, a metrics endpoint); after Run it reads the
-// side-band views (Obs.Trace, Obs.Flows, Obs.Sampler, Net.Telemetry).
+// side-band views (Obs.Trace, Obs.Flows, Obs.Sampler, Net.Engine().Telemetry).
 type Sim struct {
 	Arch *core.Architecture
 	Net  *netsim.Network

@@ -114,6 +114,29 @@ func TestSimRunCancellation(t *testing.T) {
 	}
 }
 
+// Cancelling a run mid-cell stops the simulation, not only the dispatch
+// of cells: the run's watchdog reads the context the cell was handed, so
+// a cancelled or timed-out job stops within a tick of wall time. The
+// document takes about four seconds to run whole on one core.
+func TestSimRunCancelledMidCell(t *testing.T) {
+	doc := `{"schema": "quartz-scenario/v1", "name": "cancel",
+	         "sim": {"duration_ms": 1000,
+	                 "topology": {"kind": "tree3"},
+	                 "workload": {"kind": "scatter", "tasks": 8, "pps": 40000}}}`
+	c := compileSim(t, doc)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	_, err := c.Experiment.Run(ctx, c.Params)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 1100*time.Millisecond {
+		t.Errorf("cancelled 100 ms in, the run returned after %v", d)
+	}
+}
+
 // A cancelled run still renders the portion it simulated: Run returns
 // that text together with ctx.Err(), so quartzsim can print it and
 // write its sinks while a job (runCell) discards it.

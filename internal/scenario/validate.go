@@ -268,7 +268,9 @@ func validateSweep(f *File, d *Doc, add func(*Error)) {
 			add(f.errAt(path, "axis needs at least one value"))
 			continue
 		}
-		cells *= len(vals)
+		if cells <= maxSweepCells { // past the cap the product only grows, and may overflow
+			cells *= len(vals)
+		}
 		for i, v := range vals {
 			if err := def.check(v); err != nil {
 				add(f.errAt(fmt.Sprintf("%s[%d]", path, i), "%v", err))
@@ -276,7 +278,7 @@ func validateSweep(f *File, d *Doc, add func(*Error)) {
 		}
 	}
 	if cells > maxSweepCells {
-		add(f.errAt("sweep", "sweep expands to %d runs (cells × trials); the cap is %d", cells, maxSweepCells))
+		add(f.errAt("sweep", "sweep expands to at least %d runs (cells × trials); the cap is %d", cells, maxSweepCells))
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,6 +132,7 @@ func TestSweepValidation(t *testing.T) {
 			  "sweep": {"axes": {"quartz": ["core"]}}}`,
 			"does not support quartz",
 		},
+		{"cap past 2^64 cells", overflowSweep(), "the cap is 512"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,6 +142,22 @@ func TestSweepValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// overflowSweep is a 9 KB document of eight sim axes with 256 values
+// each: 2⁶⁴ cells, which an unchecked product of the axis lengths wraps
+// to 0, under the cap.
+func overflowSweep() string {
+	axes := make([]string, 0, 8)
+	for _, ax := range [][2]string{
+		{"seed", "1"}, {"tasks", "1"}, {"fanout", "1"}, {"packet_size", "64"},
+		{"pps", "1000"}, {"duration_ms", "1"}, {"workload", `"scatter"`}, {"quartz", `"none"`},
+	} {
+		axes = append(axes, fmt.Sprintf("%q: [%s%s]", ax[0], strings.Repeat(ax[1]+",", 255), ax[1]))
+	}
+	return `{"schema": "quartz-scenario/v1", "name": "t",
+	  "sim": {"topology": {"kind": "tree3"}, "workload": {"kind": "scatter"}},
+	  "sweep": {"axes": {` + strings.Join(axes, ", ") + `}}}`
 }
 
 // Fault times are validated as the picoseconds the runner uses, not as

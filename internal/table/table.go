@@ -1,7 +1,8 @@
 // Package table is the one form of an exported row set — an
 // experiment's figure data (experiments.Output.Tables) or netsim's side
 // band (trace, queue samples, flows): named columns of string, integer
-// and float cells, with one CSV and one JSON writer.
+// and float cells, with one CSV and one JSON writer, and a lossless wire
+// form (MarshalJSON) in which a table crosses a process boundary.
 package table
 
 import (
@@ -87,6 +88,77 @@ func (t Table) WriteJSON(w io.Writer) error {
 	return err
 }
 
+// wireTable is a Table's wire form: its cells row-major, each as it is
+// held.
+type wireTable struct {
+	Name    string     `json:"name"`
+	Columns []string   `json:"columns"`
+	Cells   []wireCell `json:"cells"`
+}
+
+// wireCell is a Cell as it is held: its kind, a string's text, an
+// integer's or float's bits and a float's precision, zero fields left
+// out.
+type wireCell struct {
+	Kind kind   `json:"k,omitempty"`
+	Str  string `json:"s,omitempty"`
+	Bits uint64 `json:"b,omitempty"`
+	Prec int32  `json:"p,omitempty"`
+}
+
+// MarshalJSON writes the table's wire form: name, columns and every
+// cell's kind, bits and precision, so UnmarshalJSON rebuilds a table
+// whose CSV and JSON are t's byte for byte. It is not WriteJSON's
+// presentation form.
+func (t Table) MarshalJSON() ([]byte, error) {
+	w := wireTable{Name: t.Name, Columns: t.Columns, Cells: make([]wireCell, len(t.cells))}
+	for i, c := range t.cells {
+		w.Cells[i] = wireCell{Kind: c.kind, Str: c.str, Bits: c.bits, Prec: c.prec}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads MarshalJSON's wire form. It refuses cells that do
+// not fill whole rows and any cell no constructor makes: an unknown
+// kind, a precision outside [-1, maxDigits] or on a non-float, a
+// non-finite float.
+func (t *Table) UnmarshalJSON(data []byte) error {
+	var w wireTable
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	if len(w.Cells) > 0 && (len(w.Columns) == 0 || len(w.Cells)%len(w.Columns) != 0) {
+		return fmt.Errorf("table: %s: %d cells do not fill rows of %d columns", w.Name, len(w.Cells), len(w.Columns))
+	}
+	cells := make([]Cell, len(w.Cells))
+	for i, wc := range w.Cells {
+		c := Cell{str: wc.Str, bits: wc.Bits, kind: wc.Kind, prec: wc.Prec}
+		var made Cell
+		switch c.kind {
+		case kindString:
+			made = String(c.str)
+		case kindInt:
+			made = Int(int64(c.bits))
+		case kindUint:
+			made = Int(c.bits)
+		case kindFloat:
+			x := math.Float64frombits(c.bits)
+			if math.IsNaN(x) || math.IsInf(x, 0) || c.prec < -1 || c.prec > maxDigits {
+				return fmt.Errorf("table: %s cell %d: float %v with precision %d", w.Name, i, x, c.prec)
+			}
+			made = floatCell(x, c.prec)
+		default:
+			return fmt.Errorf("table: %s cell %d: unknown kind %d", w.Name, i, c.kind)
+		}
+		if c != made {
+			return fmt.Errorf("table: %s cell %d: %+v is no cell a constructor makes", w.Name, i, wc)
+		}
+		cells[i] = c
+	}
+	*t = Table{Name: w.Name, Columns: w.Columns, cells: cells}
+	return nil
+}
+
 // appendJSON appends v's encoding: a string, integer or finite float,
 // which json.Marshal cannot fail on.
 func appendJSON(b []byte, v any) []byte {
@@ -132,10 +204,18 @@ func Int[T integer](n T) Cell {
 // is a measurement, and a non-finite one is a bug where it was computed.
 func Float(x float64) Cell { return floatCell(x, -1) }
 
-// Fixed returns a float cell written in CSV with digits ≥ 0 digits after
-// the point (fmt's %.*f: Fixed(t.Micros(), 3) is a time in µs). It
-// panics as Float does.
-func Fixed(x float64, digits int) Cell { return floatCell(x, int32(digits)) }
+// maxDigits bounds a Fixed cell's digits after the point.
+const maxDigits = 64
+
+// Fixed returns a float cell written in CSV with digits ∈ [0, maxDigits]
+// digits after the point (fmt's %.*f: Fixed(t.Micros(), 3) is a time in
+// µs). It panics as Float does, and on digits out of range.
+func Fixed(x float64, digits int) Cell {
+	if digits < 0 || digits > maxDigits {
+		panic(fmt.Sprintf("table: %d digits after the point", digits))
+	}
+	return floatCell(x, int32(digits))
+}
 
 func floatCell(x float64, prec int32) Cell {
 	if math.IsNaN(x) || math.IsInf(x, 0) {

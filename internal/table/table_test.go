@@ -14,9 +14,17 @@ import (
 // FuzzTable writes a table of one string, two integer and two float
 // cells per row as CSV and as JSON, and reads both back: encoding/csv
 // must return each cell's CSV form — fmt's %v, %g and %.*f — and
-// encoding/json each cell's value, floats bit for bit. A NaN or
-// infinite float must be refused where its cell is made.
+// encoding/json each cell's value, floats bit for bit. The table's wire
+// form must decode to a table both writers print byte for byte as the
+// original. A NaN or infinite float must be refused where its cell is
+// made. The string is also read as a wire form: refused, or a table
+// that survives another round trip unchanged.
 func FuzzTable(f *testing.F) {
+	for _, wire := range wireRefusals {
+		f.Add(wire.doc, int64(1), uint64(2), 0.5, uint8(1))
+	}
+	f.Add(`{"name":"ok","columns":["a","b"],"cells":[{"s":"x"},{"k":3,"b":4611686018427387904,"p":2}]}`,
+		int64(1), uint64(2), 0.5, uint8(1))
 	// The trace recorder's fault-row reasons (netsim's traceFixture):
 	// commas, quotes, and both inside one field.
 	for _, reason := range []string{
@@ -33,6 +41,10 @@ func FuzzTable(f *testing.F) {
 	f.Add("inf", int64(1), uint64(2), math.Inf(1), uint8(3))
 	f.Add("-inf", int64(1), uint64(2), math.Inf(-1), uint8(3))
 	f.Fuzz(func(t *testing.T, s string, n int64, u uint64, x float64, digits uint8) {
+		var wire Table
+		if json.Unmarshal([]byte(s), &wire) == nil {
+			roundTrip(t, wire)
+		}
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			if !panics(func() { Float(x) }) || !panics(func() { Fixed(x, int(digits)) }) {
 				t.Fatalf("non-finite float %v accepted", x)
@@ -97,7 +109,62 @@ func FuzzTable(f *testing.F) {
 				}
 			}
 		}
+		roundTrip(t, tb)
 	})
+}
+
+// roundTrip checks that tb's wire form decodes to a table both writers
+// print exactly as they print tb.
+func roundTrip(t *testing.T, tb Table) {
+	t.Helper()
+	wire, err := json.Marshal(tb)
+	if err != nil {
+		t.Fatalf("wire form: %v", err)
+	}
+	var back Table
+	if err := json.Unmarshal(wire, &back); err != nil {
+		t.Fatalf("wire form %s refused: %v", wire, err)
+	}
+	if got, want := written(t, back), written(t, tb); got != want {
+		t.Fatalf("wire form %s decodes to\n%s\nwant\n%s", wire, got, want)
+	}
+}
+
+// written is tb's CSV followed by its JSON.
+func written(t *testing.T, tb Table) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// wireRefusals are wire forms no table has: the decoder must say so.
+var wireRefusals = []struct{ name, doc string }{
+	{"ragged", `{"name":"r","columns":["a","b"],"cells":[{"s":"x"}]}`},
+	{"cells without columns", `{"name":"r","columns":[],"cells":[{"s":"x"}]}`},
+	{"unknown kind", `{"name":"k","columns":["a"],"cells":[{"k":4}]}`},
+	{"precision below -1", `{"name":"p","columns":["a"],"cells":[{"k":3,"b":1,"p":-2}]}`},
+	{"precision past the bound", `{"name":"p","columns":["a"],"cells":[{"k":3,"b":1,"p":2147483647}]}`},
+	{"precision on an integer", `{"name":"p","columns":["a"],"cells":[{"k":2,"b":1,"p":3}]}`},
+	{"NaN", `{"name":"n","columns":["a"],"cells":[{"k":3,"b":9221120237041090561}]}`},
+	{"infinity", `{"name":"n","columns":["a"],"cells":[{"k":3,"b":9218868437227405312}]}`},
+	{"non-negative integer as negative", `{"name":"i","columns":["a"],"cells":[{"k":1,"b":5}]}`},
+	{"string with bits", `{"name":"s","columns":["a"],"cells":[{"s":"x","b":5}]}`},
+	{"not an object", `[1, 2]`},
+}
+
+func TestWireFormRefusals(t *testing.T) {
+	for _, tc := range wireRefusals {
+		var tb Table
+		if err := json.Unmarshal([]byte(tc.doc), &tb); err == nil {
+			t.Errorf("%s: %s accepted", tc.name, tc.doc)
+		}
+	}
 }
 
 // same reports whether a decoded JSON value is the cell's value: the
