@@ -2,13 +2,15 @@ package experiments
 
 import (
 	"context"
-	"reflect"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/flowsim"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
+	"github.com/quartz-dcn/quartz/internal/traffic"
 	"github.com/quartz-dcn/quartz/internal/wdm"
 )
 
@@ -127,32 +129,48 @@ func TestFigure10QuartzBetweenHalfAndFull(t *testing.T) {
 	}
 }
 
-func TestSplitVLBMatchesVLBFlow(t *testing.T) {
-	// throughputOnQuartz re-weights one template per pair; that must
-	// give exactly the flow flowsim.VLBFlows builds for each of the nine
-	// fractions — same subflows, order, paths and weight bits — for
-	// cross-rack pairs and same-rack ones.
-	g, err := topology.NewFullMesh(topology.MeshConfig{Switches: 5, HostsPerSwitch: 2})
-	if err != nil {
-		t.Fatal(err)
+func TestThroughputOnQuartzMatchesPerSplitFlows(t *testing.T) {
+	// throughputOnQuartz compiles one template set and fills it at each
+	// of the nine fractions; that must give exactly the best total of
+	// allocating the flows flowsim.VLBFlows builds for each fraction, on
+	// Figure 10's mesh and patterns and on the oversubscription meshes.
+	perSplit := func(g *topology.Graph, pairs [][2]topology.NodeID) float64 {
+		best := 0.0
+		for frac := 0.0; frac <= 1.0; frac += 0.125 {
+			flows, err := flowsim.VLBFlows(g, pairs, 1-frac, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alloc, err := flowsim.Allocate(g, flows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = max(best, alloc.Total())
+		}
+		return best
 	}
-	hosts := g.Hosts()
-	pairs := [][2]topology.NodeID{{hosts[0], hosts[9]}, {hosts[3], hosts[4]}, {hosts[2], hosts[3]}}
-	templates, err := flowsim.VLBFlows(g, pairs, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for frac := 0.0; frac <= 1.0; frac += 0.125 {
-		wants, err := flowsim.VLBFlows(g, pairs, 1-frac, 0)
+	check := func(name string, g *topology.Graph, pairs [][2]topology.NodeID) {
+		got, err := throughputOnQuartz(g, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, tmpl := range templates {
-			got := splitVLB(tmpl, 1-frac, make([]flowsim.Subflow, len(tmpl.Subflows)))
-			if want := wants[i]; !reflect.DeepEqual(got, want) {
-				t.Errorf("pair %v frac %v:\n got %+v\nwant %+v", pairs[i], frac, got, want)
-			}
+		if want := perSplit(g, pairs); got != want {
+			t.Errorf("%s: throughput %v, per-split flows give %v", name, got, want)
 		}
+	}
+	g, err := topology.NewFullMesh(topology.MeshConfig{Switches: fig10Switches, HostsPerSwitch: fig10Hosts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pattern, pairs := range fig10Pairs(g, rand.New(rand.NewSource(2014))) {
+		check(pattern, g, pairs)
+	}
+	for _, m := range []int{33, 17, 9, 5} {
+		g, err := topology.NewFullMesh(topology.MeshConfig{Switches: m, HostsPerSwitch: (64 - (m - 1)) / 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("oversub M=%d", m), g, traffic.RandomPermutation(g.Hosts(), rand.New(rand.NewSource(2014))))
 	}
 }
 

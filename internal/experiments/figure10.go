@@ -78,9 +78,13 @@ func throughputOn(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error
 // VLB: §3.4 notes the indirect fraction "can be adaptive depending on
 // the traffic characteristics", so the best split is selected per
 // pattern. A pair's paths do not depend on the split, so they are built
-// once and only re-weighted per fraction.
+// and compiled once and only re-weighted per fraction.
 func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error) {
 	templates, err := flowsim.VLBFlows(g, pairs, 0.5, 0)
+	if err != nil {
+		return 0, err
+	}
+	paths, err := flowsim.Compile(g, templates)
 	if err != nil {
 		return 0, err
 	}
@@ -88,16 +92,11 @@ func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64,
 	for _, f := range templates {
 		subflows += len(f.Subflows)
 	}
-	flows := make([]flowsim.Flow, len(pairs))
-	buf := make([]flowsim.Subflow, subflows)
+	weights := make([]float64, 0, subflows)
 	best := 0.0
 	for frac := 0.0; frac <= 1.0; frac += 0.125 {
-		free := buf
-		for i, tmpl := range templates {
-			flows[i] = splitVLB(tmpl, 1-frac, free)
-			free = free[len(flows[i].Subflows):]
-		}
-		alloc, err := flowsim.Allocate(g, flows)
+		weights = flowsim.VLBWeights(templates, 1-frac, weights[:0])
+		alloc, err := paths.Fill(weights)
 		if err != nil {
 			return 0, err
 		}
@@ -106,28 +105,6 @@ func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64,
 		}
 	}
 	return best, nil
-}
-
-// splitVLB returns the flow flowsim.VLBFlows builds for directFrac, given
-// the same pair's flow at an interior split (the direct path first, then
-// every detour): it shares tmpl's paths and stores its subflows in buf.
-func splitVLB(tmpl flowsim.Flow, directFrac float64, buf []flowsim.Subflow) flowsim.Flow {
-	if len(tmpl.Subflows) == 1 {
-		return tmpl // same rack, or no detour exists: one path whatever the split
-	}
-	direct, detours := tmpl.Subflows[0], tmpl.Subflows[1:]
-	f := tmpl
-	f.Subflows = buf[:0]
-	if directFrac > 0 {
-		f.Subflows = append(f.Subflows, flowsim.Subflow{Path: direct.Path, Weight: directFrac})
-	}
-	if directFrac < 1 {
-		w := (1 - directFrac) / float64(len(detours))
-		for _, d := range detours {
-			f.Subflows = append(f.Subflows, flowsim.Subflow{Path: d.Path, Weight: w})
-		}
-	}
-	return f
 }
 
 // Figure10 computes normalized throughput for the three traffic

@@ -49,6 +49,10 @@ type model struct {
 	// rows, so memory follows the arcs, not the plan's ring count.
 	crossing [][]uint64
 	words    int
+	// crossed[ring] marks the segments of that ring that some arc
+	// crosses; segments has a bit for each of the M segment indices.
+	crossed  []uint64
+	segments uint64
 	// dead is evaluate's scratch: the model belongs to the one call
 	// that built it.
 	dead []uint64
@@ -80,6 +84,8 @@ func newModel(plan *wdm.Plan) (*model, error) {
 		m: m, rings: rings, words: words,
 		pairs:    make([][2]uint8, len(plan.Assignments)),
 		crossing: make([][]uint64, rings),
+		crossed:  make([]uint64, rings),
+		segments: math.MaxUint64 >> uint(64-m),
 		dead:     make([]uint64, words),
 	}
 	for i, a := range plan.Assignments {
@@ -106,6 +112,7 @@ func newModel(plan *wdm.Plan) (*model, error) {
 				seg = (s + step) % m
 			}
 			md.crossing[a.Ring][seg*words+i/64] |= 1 << uint(i%64)
+			md.crossed[a.Ring] |= 1 << uint(seg)
 		}
 		md.pairs[i] = [2]uint8{uint8(a.S), uint8(a.T)}
 	}
@@ -114,11 +121,20 @@ func newModel(plan *wdm.Plan) (*model, error) {
 
 // evaluate is the one trial kernel: given each ring's mask of cut
 // segments it returns how many arcs are destroyed and whether the
-// surviving logical mesh is disconnected. Union–find runs over the
-// surviving arcs only and stops once everything is joined — in a
-// near-full mesh after a few dozen arcs, not all of them. It makes no
-// assumption of one arc per switch pair (a plan may give a pair several).
+// surviving logical mesh is disconnected. When two segment indices are
+// closed the answer is yes without looking at a single arc; otherwise
+// union–find over the survivors decides.
 func (md *model) evaluate(cutMask []uint64) (lost int, partitioned bool) {
+	lost = md.kill(cutMask)
+	if c := md.closed(cutMask); c&(c-1) != 0 {
+		return lost, true
+	}
+	return lost, md.disconnected()
+}
+
+// kill marks in md.dead every arc that crosses a cut segment of its ring
+// and returns how many there are.
+func (md *model) kill(cutMask []uint64) (lost int) {
 	clear(md.dead)
 	for r, mask := range cutMask {
 		for ; mask != 0 && md.crossing[r] != nil; mask &= mask - 1 {
@@ -128,6 +144,31 @@ func (md *model) evaluate(cutMask []uint64) (lost int, partitioned bool) {
 			}
 		}
 	}
+	for _, dead := range md.dead {
+		lost += bits.OnesCount64(dead)
+	}
+	return lost
+}
+
+// closed returns the segment indices s at which every arc that crosses s,
+// on whichever ring carries it, is cut: on every ring, segment s is cut
+// or no arc of that ring crosses it. Every arc between the switches on
+// the two sides of two closed indices crosses one of them, so two closed
+// indices mean a partition. On one ring every cut segment is closed.
+func (md *model) closed(cutMask []uint64) uint64 {
+	c := md.segments
+	for r, mask := range cutMask {
+		c &= mask | ^md.crossed[r]
+	}
+	return c
+}
+
+// disconnected runs union–find over the arcs kill left alive and reports
+// whether more than one component remains. It stops once everything is
+// joined — in a near-full mesh after a few dozen arcs, not all of them —
+// and makes no assumption of one arc per switch pair (a plan may give a
+// pair several).
+func (md *model) disconnected() bool {
 	var parent [256]uint8 // indexed by uint8: no bounds checks in find
 	for i := 0; i < md.m; i++ {
 		parent[i] = uint8(i)
@@ -141,7 +182,6 @@ func (md *model) evaluate(cutMask []uint64) (lost int, partitioned bool) {
 	}
 	comps := md.m
 	for w, dead := range md.dead {
-		lost += bits.OnesCount64(dead)
 		live := ^dead
 		if rest := len(md.pairs) - 64*w; rest < 64 {
 			live &= 1<<uint(rest) - 1
@@ -154,7 +194,7 @@ func (md *model) evaluate(cutMask []uint64) (lost int, partitioned bool) {
 			}
 		}
 	}
-	return lost, comps > 1
+	return comps > 1
 }
 
 // Simulate runs trials of cutting `cuts` distinct fiber segments
