@@ -16,7 +16,8 @@ vet:
 	$(GO) vet ./...
 
 # The packages that own goroutines, under the race detector: the
-# metrics registry (lock-free instruments scraped while written), the
+# metrics registry (quartzd's scrape path: /metrics snapshots its
+# lock-free instruments while worker goroutines write them), the
 # job service (worker pool vs HTTP handlers), the cluster tier
 # (dispatchers vs heartbeat monitors vs dynamic registration —
 # TestClusterRaceStress keeps the requeue path hot with a permanently

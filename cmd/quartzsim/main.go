@@ -1,6 +1,6 @@
 // Command quartzsim runs packet-level simulations on the architectures
 // of the paper and prints latency statistics, the hottest ports and, on
-// request, traces, queue samples, flow tables and live metrics.
+// request, traces, queue samples, flow tables and execution spans.
 //
 // Usage:
 //
@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"slices"
@@ -33,10 +32,8 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/scenario"
-	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/table"
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
@@ -69,11 +66,7 @@ var (
 	probeUS   = flag.Int64("probe-interval", 0, "sample queue depth/utilization every N microseconds (0 = off)")
 	probeOut  = flag.String("probe-out", "", "write the queue samples to this file (CSV, or JSON if it ends in .json)")
 	telemetry = flag.Bool("telemetry", true, "print the run-telemetry summary")
-
-	metricsAddr = flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics Prometheus text, /status JSON)")
-	metricsOut  = flag.String("metrics-out", "", "stream NDJSON registry snapshots to this file, one per heartbeat")
-	metricsUS   = flag.Int64("metrics-interval", 100, "heartbeat/snapshot cadence in virtual microseconds")
-	flowsOut    = flag.String("flows-out", "", "write the per-flow telemetry table to this file (CSV, or JSON if it ends in .json)")
+	flowsOut  = flag.String("flows-out", "", "write the per-flow telemetry table to this file (CSV, or JSON if it ends in .json)")
 )
 
 // docFlags is the whole of what the setup flags mean: each names the
@@ -100,7 +93,7 @@ var docFlags = [][2]string{
 
 // sinkFlags write one network's side-band output: a sweep runs several
 // networks and a registry experiment none, so neither can take them.
-var sinkFlags = []string{"trace", "trace-spans", "probe-out", "flows-out", "metrics-addr", "metrics-out"}
+var sinkFlags = []string{"trace", "trace-spans", "probe-out", "flows-out"}
 
 // archTopology maps an -arch name to its topology.kind and quartz
 // placement.
@@ -328,49 +321,9 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 			side.Spans = trace.NewFlightRecorder(flightRecorderSpans)
 		}
 	}
-	if *metricsAddr != "" || *metricsOut != "" {
-		if *metricsUS <= 0 {
-			return usageError{errors.New("-metrics-interval must be positive")}
-		}
-		side.Flows = true // per-flow series belong on the registry
-		side.Registry = metrics.NewRegistry()
-		side.HeartbeatEvery = sim.Time(*metricsUS) * sim.Microsecond
-	}
 	s, err := scenario.NewSim(doc.Sim, doc.Seed, side)
 	if err != nil {
 		return err
-	}
-
-	meta := metrics.StatusMeta{
-		"tool": "quartzsim", "scenario": doc.Name, "arch": s.Arch.Name,
-		"workload": doc.Sim.Workload.Kind, "seed": strconv.FormatInt(doc.Seed, 10),
-	}
-	var exporter *metrics.NDJSONExporter
-	var metricsFile *os.File
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close() // for an early return; the end of the run closes it and checks
-		metricsFile = f
-		exporter = metrics.NewNDJSONExporter(f)
-		s.Obs.Heartbeat().OnTick = func(at sim.Time) {
-			if err := exporter.Export(int64(at), side.Registry.Snapshot()); err != nil {
-				fmt.Fprintf(os.Stderr, "quartzsim: writing metrics: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *metricsAddr != "" {
-		errc := make(chan error, 1)
-		metrics.Serve(*metricsAddr, side.Registry, meta, errc)
-		go func() {
-			if err := <-errc; err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "quartzsim: metrics server: %v\n", err)
-			}
-		}()
-		fmt.Printf("serving live metrics on http://%s/metrics (status: /status)\n", *metricsAddr)
 	}
 
 	text, err := s.Run(ctx)
@@ -404,15 +357,11 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 			return err
 		}
 	}
-	if exporter != nil {
-		// Final snapshot so the stream always ends with end-of-run state.
-		final := exporter.Export(int64(s.Net.Engine().Now()), side.Registry.Snapshot())
-		if err := errors.Join(final, metricsFile.Close()); err != nil {
-			return fmt.Errorf("writing metrics: %w", err)
-		}
-		fmt.Printf("wrote %d metrics snapshots to %s\n", exporter.Snapshots(), *metricsOut)
-	}
 	if side.Spans != nil {
+		meta := map[string]string{
+			"tool": "quartzsim", "scenario": doc.Name, "arch": s.Arch.Name,
+			"workload": doc.Sim.Workload.Kind, "seed": strconv.FormatInt(doc.Seed, 10),
+		}
 		write := func(w io.Writer) error { return side.Spans.WriteChrome(w, meta) }
 		if err := writeFile(*spansOut, "execution spans", side.Spans.Len(), write); err != nil {
 			return err

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"io"
+	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -54,13 +55,14 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 		}(w)
 	}
 
-	// Readers: snapshot and run both exporters against live state.
+	// Readers: snapshot and export against live state — quartzd's
+	// /metrics scrape path, plus the JSON /status page.
+	status := Handler(reg, nil)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			exp := NewNDJSONExporter(io.Discard)
 			for i := 0; i < rounds/10; i++ {
 				snap := reg.Snapshot()
 				for _, s := range snap.Series {
@@ -73,8 +75,10 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 					t.Errorf("WritePrometheus: %v", err)
 					return
 				}
-				if err := exp.Export(int64(i), snap); err != nil {
-					t.Errorf("NDJSON export: %v", err)
+				rec := httptest.NewRecorder()
+				status.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+				if rec.Code != 200 {
+					t.Errorf("/status = %d", rec.Code)
 					return
 				}
 			}

@@ -1,12 +1,9 @@
 package metrics
 
-// Exporters over Snapshot: Prometheus text exposition (the live
-// endpoint's /metrics page) and streaming NDJSON (interval snapshots
-// appended to a file so a long run leaves a replayable telemetry
-// trail).
+// The exporter over Snapshot: Prometheus text exposition, the page a
+// Handler serves at /metrics.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -99,57 +96,3 @@ func writePromSeries(w io.Writer, s SeriesSnapshot) error {
 	}
 	return nil
 }
-
-// NDJSONRecord is one exported line: a series at a snapshot instant.
-// Counter values and histogram counts/sums are cumulative; Delta
-// carries the change since the previous Export for counters.
-type NDJSONRecord struct {
-	// Seq numbers the snapshot this record belongs to (0-based).
-	Seq int `json:"seq"`
-	// AtPs is the virtual time of the snapshot in picoseconds.
-	AtPs int64 `json:"at_ps"`
-	SeriesSnapshot
-	Kind  string   `json:"kind"`
-	Delta *float64 `json:"delta,omitempty"`
-}
-
-// NDJSONExporter appends one line per series per Export call to w —
-// newline-delimited JSON, the streaming form of Snapshot. It remembers
-// the previous snapshot to emit counter deltas.
-type NDJSONExporter struct {
-	w    io.Writer
-	enc  *json.Encoder
-	prev Snapshot
-	seq  int
-}
-
-// NewNDJSONExporter returns an exporter writing to w.
-func NewNDJSONExporter(w io.Writer) *NDJSONExporter {
-	return &NDJSONExporter{w: w, enc: json.NewEncoder(w)}
-}
-
-// Export writes the snapshot taken at virtual time atPs (picoseconds).
-func (e *NDJSONExporter) Export(atPs int64, snap Snapshot) error {
-	diff := snap.Diff(e.prev)
-	for i, s := range snap.Series {
-		rec := NDJSONRecord{
-			Seq: e.seq, AtPs: atPs, SeriesSnapshot: s, Kind: s.Kind.String(),
-		}
-		if s.Kind == KindCounter || s.Kind == KindHistogram {
-			d := diff.Series[i].Value
-			if s.Kind == KindHistogram {
-				d = float64(diff.Series[i].Count)
-			}
-			rec.Delta = &d
-		}
-		if err := e.enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	e.seq++
-	e.prev = snap
-	return nil
-}
-
-// Snapshots reports how many Export calls have been written.
-func (e *NDJSONExporter) Snapshots() int { return e.seq }

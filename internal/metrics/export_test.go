@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -64,55 +63,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if last != 6 {
 		t.Fatalf("last cumulative bucket = %d, want 6", last)
-	}
-}
-
-func TestNDJSONExporterRoundTrip(t *testing.T) {
-	r := testRegistry()
-	var buf bytes.Buffer
-	exp := NewNDJSONExporter(&buf)
-	if err := exp.Export(1_000_000, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	r.Counter("quartz_packets_delivered_total", "", nil).Add(8)
-	if err := exp.Export(2_000_000, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Snapshots() != 2 {
-		t.Fatalf("snapshots = %d, want 2", exp.Snapshots())
-	}
-
-	dec := json.NewDecoder(&buf)
-	var recs []NDJSONRecord
-	for {
-		var rec NDJSONRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("NDJSON line did not parse: %v", err)
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) != 8 { // 4 series x 2 snapshots
-		t.Fatalf("records = %d, want 8", len(recs))
-	}
-	var sawDelta bool
-	for _, rec := range recs {
-		if rec.Seq == 1 && rec.Name == "quartz_packets_delivered_total" {
-			if rec.AtPs != 2_000_000 {
-				t.Errorf("at_ps = %d, want 2000000", rec.AtPs)
-			}
-			if rec.Value != 20 {
-				t.Errorf("cumulative value = %v, want 20", rec.Value)
-			}
-			if rec.Delta == nil || *rec.Delta != 8 {
-				t.Errorf("delta = %v, want 8", rec.Delta)
-			}
-			sawDelta = true
-		}
-	}
-	if !sawDelta {
-		t.Fatal("no second-snapshot counter record found")
 	}
 }
 

@@ -1,12 +1,10 @@
 package metrics
 
-// The live export surface: an http.Handler over a Registry so a
-// multi-minute simulation can be watched mid-flight. /metrics serves
-// the Prometheus text format; /status (and /) serves a JSON run-status
-// page: static metadata from the caller plus the full current
-// snapshot. Handlers only read atomic instrument state — they never
-// touch the simulation's own structures — so serving from another
-// goroutine while the single-threaded event loop runs is race-free.
+// The live export surface: an http.Handler over a Registry, which
+// quartzd mounts beside its job API. /metrics serves the Prometheus
+// text format; /status (and /) serves a JSON status page: static
+// metadata from the caller plus the full current snapshot. Handlers
+// only read atomic instrument state, so a scrape races no writer.
 
 import (
 	"encoding/json"
@@ -66,20 +64,4 @@ func NewServer(h http.Handler) *http.Server {
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-}
-
-// Serve starts an HTTP server for the registry on addr in a background
-// goroutine and returns it; errors after startup (and clean shutdowns)
-// are delivered to errc if non-nil. Callers that outlive the run should
-// Close the returned server.
-func Serve(addr string, r *Registry, meta StatusMeta, errc chan<- error) *http.Server {
-	srv := NewServer(Handler(r, meta))
-	srv.Addr = addr
-	go func() {
-		err := srv.ListenAndServe()
-		if errc != nil {
-			errc <- err
-		}
-	}()
-	return srv
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"io"
 	"net"
-	"net/http"
 	"testing"
 	"time"
 )
@@ -38,20 +37,5 @@ func TestServerDisconnectsStalledHeader(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("server kept the stalled connection open: %v", err)
-	}
-}
-
-// Serve — the metrics endpoint quartzsim starts — is built by NewServer.
-func TestServeSetsReadTimeouts(t *testing.T) {
-	errc := make(chan error, 1)
-	srv := Serve("127.0.0.1:0", NewRegistry(), nil, errc)
-	defer func() {
-		srv.Close()
-		if err := <-errc; err != http.ErrServerClosed {
-			t.Errorf("serve ended with %v", err)
-		}
-	}()
-	if srv.ReadHeaderTimeout == 0 || srv.ReadTimeout == 0 || srv.IdleTimeout == 0 {
-		t.Errorf("Serve built a server without read timeouts: %+v", srv)
 	}
 }

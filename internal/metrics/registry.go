@@ -1,16 +1,17 @@
 package metrics
 
 // This file is the metrics registry: named, labeled instruments
-// (Counter, Gauge, LatencyHistogram) that the simulator's probes feed
-// while a run executes, with snapshot/diff semantics on top. All
-// instrument operations are lock-free atomic updates, so the live HTTP
-// exporter (cmd/quartzsim -metrics-addr) can read a registry from
-// another goroutine while the single-threaded event loop writes it.
+// (Counter, Gauge, LatencyHistogram) that quartzd's job service and
+// cluster coordinator update while they serve, with snapshots on top.
+// All instrument operations are lock-free atomic updates, so the HTTP
+// handler (quartzd's /metrics) can read a registry from one goroutine
+// while worker goroutines write it.
 //
-// The cardinality model is deliberately small: a production DCN
-// telemetry pipeline exports aggregates (per-port, per-class, per-run),
-// never per-flow or per-packet series — those stay in the FlowTracker
-// and TraceRecorder tables. Keep label sets bounded.
+// The cardinality model is deliberately small: export aggregates
+// (per-state, per-worker, per-daemon), never per-job or per-request
+// series. A simulation's per-flow and per-packet facts are tables
+// (netsim's FlowTracker, QueueSampler and TraceRecorder), not series.
+// Keep label sets bounded.
 
 import (
 	"fmt"
@@ -278,51 +279,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// Diff returns the change from prev to s: counter values and histogram
-// counts/sums become deltas (series absent from prev diff against
-// zero), gauges keep their current value, and histogram quantiles keep
-// the cumulative estimate (per-interval quantiles are not recoverable
-// from bucket deltas with useful accuracy, and the cumulative value is
-// what an operator watching a run wants).
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	prevBy := make(map[string]SeriesSnapshot, len(prev.Series))
-	for _, ps := range prev.Series {
-		prevBy[ps.Name+"{"+ps.Labels.key()+"}"] = ps
-	}
-	out := Snapshot{help: s.help, kind: s.kind}
-	out.Series = make([]SeriesSnapshot, 0, len(s.Series))
-	for _, cur := range s.Series {
-		p, ok := prevBy[cur.Name+"{"+cur.Labels.key()+"}"]
-		if ok {
-			switch cur.Kind {
-			case KindCounter:
-				cur.Value -= p.Value
-			case KindHistogram:
-				cur.Count -= p.Count
-				cur.Sum -= p.Sum
-				cur.Buckets = diffBuckets(cur.Buckets, p.Buckets)
-			}
-		}
-		out.Series = append(out.Series, cur)
-	}
-	return out
-}
-
-// diffBuckets subtracts prev bucket counts from cur, dropping buckets
-// that end up empty.
-func diffBuckets(cur, prev []Bucket) []Bucket {
-	prevBy := make(map[float64]uint64, len(prev))
-	for _, b := range prev {
-		prevBy[b.UpperBound] = b.Count
-	}
-	out := make([]Bucket, 0, len(cur))
-	for _, b := range cur {
-		b.Count -= prevBy[b.UpperBound]
-		if b.Count > 0 {
-			out = append(out, b)
-		}
-	}
-	return out
 }

@@ -53,53 +53,6 @@ func TestLabelsCanonicalization(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events_total", "", nil)
-	g := r.Gauge("pending", "", nil)
-	h := r.Histogram("lat_us", "", nil)
-
-	c.Add(10)
-	g.Set(5)
-	h.Observe(1)
-	h.Observe(100)
-	s1 := r.Snapshot()
-
-	c.Add(7)
-	g.Set(3)
-	h.Observe(10)
-	s2 := r.Snapshot()
-
-	d := s2.Diff(s1)
-	byName := map[string]SeriesSnapshot{}
-	for _, s := range d.Series {
-		byName[s.Name] = s
-	}
-	if v := byName["events_total"].Value; v != 7 {
-		t.Errorf("counter delta = %v, want 7", v)
-	}
-	if v := byName["pending"].Value; v != 3 {
-		t.Errorf("gauge after diff = %v, want 3 (latest value)", v)
-	}
-	if n := byName["lat_us"].Count; n != 1 {
-		t.Errorf("histogram count delta = %d, want 1", n)
-	}
-	var bucketTotal uint64
-	for _, b := range byName["lat_us"].Buckets {
-		bucketTotal += b.Count
-	}
-	if bucketTotal != 1 {
-		t.Errorf("diffed bucket counts sum to %d, want 1", bucketTotal)
-	}
-	// Diff against an empty snapshot is the snapshot itself.
-	d0 := s1.Diff(Snapshot{})
-	for _, s := range d0.Series {
-		if s.Name == "events_total" && s.Value != 10 {
-			t.Errorf("diff vs empty: counter = %v, want 10", s.Value)
-		}
-	}
-}
-
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "", nil)

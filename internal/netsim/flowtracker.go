@@ -5,10 +5,8 @@ package netsim
 // the raw event stream into flow-completion times, byte counts, hop
 // counts, retransmit detection, and classified drop counts — the §6.1
 // / §7.1 quantities, maintained online so a million-packet run never
-// materializes its event list. Bind attaches the aggregates to a
-// metrics.Registry for the live exporters; the per-flow table itself
-// stays out of the registry (per-flow series cardinality does not
-// belong in a metrics pipeline) and exports through Flows and Table.
+// materializes its event list. The table exports through Flows and
+// Table.
 
 import (
 	"fmt"
@@ -23,7 +21,7 @@ import (
 
 // Drop-reason classes used for attribution. Raw reasons carry IDs
 // ("queue full on link 12"); the tracker folds them into bounded
-// classes so counters stay low-cardinality.
+// classes so the table's drop column stays short.
 const (
 	DropQueueFull = "queue-full"
 	DropLinkDown  = "link-down"
@@ -85,9 +83,8 @@ type flowState struct {
 
 // FlowTracker aggregates per-flow telemetry from probe events. Create
 // one with NewFlowTracker, attach it via Config.Probe / SetProbe
-// (combine with Probes), and optionally Bind it to a registry. Like
-// every Probe it runs synchronously inside the event loop and is not
-// safe for concurrent use; the registry instruments it feeds are.
+// (combine with Probes). Like every Probe it runs synchronously inside
+// the event loop and is not safe for concurrent use.
 type FlowTracker struct {
 	flows map[routing.FlowID]*flowState
 	order []routing.FlowID
@@ -95,58 +92,11 @@ type FlowTracker struct {
 	// degraded counts fault transitions whose reconvergence is still
 	// pending; drops while degraded > 0 are fault-window drops.
 	degraded int
-
-	// Registry instruments (nil until Bind).
-	delivered  *metrics.Counter
-	droppedBy  map[string]*metrics.Counter
-	bytes      *metrics.Counter
-	sent       *metrics.Counter
-	retx       *metrics.Counter
-	faultDrops *metrics.Counter
-	flowsSeen  *metrics.Gauge
-	latency    *metrics.LatencyHistogram
-	reg        *metrics.Registry
 }
 
 // NewFlowTracker returns an empty tracker.
 func NewFlowTracker() *FlowTracker {
 	return &FlowTracker{flows: make(map[routing.FlowID]*flowState)}
-}
-
-// Bind registers the tracker's aggregate instruments in r. Per-flow
-// detail intentionally stays off the registry; use Flows or Table.
-//
-//	quartz_packets_sent_total        counter  source sends
-//	quartz_packets_delivered_total   counter
-//	quartz_packets_dropped_total     counter  labeled {reason: class}
-//	quartz_bytes_delivered_total     counter
-//	quartz_retransmits_total         counter  duplicate-sequence sends
-//	quartz_fault_window_drops_total  counter  drops inside degradation windows
-//	quartz_flows_seen                gauge    distinct flows observed
-//	quartz_packet_latency_us         histogram  delivery latency
-func (t *FlowTracker) Bind(r *metrics.Registry) {
-	t.reg = r
-	t.sent = r.Counter("quartz_packets_sent_total", "packets injected at source hosts", nil)
-	t.delivered = r.Counter("quartz_packets_delivered_total", "packets delivered to destination hosts", nil)
-	t.bytes = r.Counter("quartz_bytes_delivered_total", "payload bytes delivered", nil)
-	t.retx = r.Counter("quartz_retransmits_total", "source sends reusing a transport sequence number", nil)
-	t.faultDrops = r.Counter("quartz_fault_window_drops_total", "drops inside fault degradation windows", nil)
-	t.flowsSeen = r.Gauge("quartz_flows_seen", "distinct flows observed", nil)
-	t.latency = r.Histogram("quartz_packet_latency_us", "per-packet delivery latency in microseconds", nil)
-	t.droppedBy = make(map[string]*metrics.Counter)
-}
-
-// dropCounter returns the per-class drop counter (lazily registered).
-func (t *FlowTracker) dropCounter(class string) *metrics.Counter {
-	if t.reg == nil {
-		return nil
-	}
-	c := t.droppedBy[class]
-	if c == nil {
-		c = t.reg.Counter("quartz_packets_dropped_total", "packets dropped, by reason class", metrics.Labels{"reason": class})
-		t.droppedBy[class] = c
-	}
-	return c
 }
 
 // flow returns the record for id, creating it at time now.
@@ -159,9 +109,6 @@ func (t *FlowTracker) flow(id routing.FlowID, now sim.Time) *flowState {
 		}}
 		t.flows[id] = f
 		t.order = append(t.order, id)
-		if t.flowsSeen != nil {
-			t.flowsSeen.Set(float64(len(t.flows)))
-		}
 	}
 	return f
 }
@@ -174,18 +121,12 @@ func (t *FlowTracker) PacketEnqueued(e QueueEvent) {
 	}
 	f := t.flow(e.Packet.Flow, e.Packet.Created)
 	f.PacketsSent++
-	if t.sent != nil {
-		t.sent.Inc()
-	}
 	if seq := e.Packet.UserData; seq != 0 {
 		if f.seenSeq == nil {
 			f.seenSeq = make(map[uint64]struct{})
 		}
 		if _, dup := f.seenSeq[seq]; dup {
 			f.Retransmits++
-			if t.retx != nil {
-				t.retx.Inc()
-			}
 		} else {
 			f.seenSeq[seq] = struct{}{}
 		}
@@ -208,30 +149,18 @@ func (t *FlowTracker) PacketDelivered(d Delivery) {
 	if d.Packet.Hops > f.MaxHops {
 		f.MaxHops = d.Packet.Hops
 	}
-	if t.delivered != nil {
-		t.delivered.Inc()
-		t.bytes.Add(uint64(d.Packet.Size))
-		t.latency.Observe(d.Latency.Micros())
-	}
 }
 
 // PacketDropped implements Probe.
 func (t *FlowTracker) PacketDropped(d Drop) {
 	f := t.flow(d.Packet.Flow, d.Packet.Created)
 	f.PacketsDropped++
-	class := d.Code.Class()
-	f.DropsByClass[class]++
+	f.DropsByClass[d.Code.Class()]++
 	if d.At > f.LastActivity {
 		f.LastActivity = d.At
 	}
 	if t.degraded > 0 {
 		f.FaultWindowDrops++
-		if t.faultDrops != nil {
-			t.faultDrops.Inc()
-		}
-	}
-	if c := t.dropCounter(class); c != nil {
-		c.Inc()
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 func TestFlowTrackerAggregates(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()
-	reg := metrics.NewRegistry()
-	ft.Bind(reg)
 	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
 	if err != nil {
 		t.Fatal(err)
@@ -56,36 +54,28 @@ func TestFlowTrackerAggregates(t *testing.T) {
 		t.Errorf("Flows() order = %v", flows)
 	}
 
-	// Registry aggregates match.
-	snap := reg.Snapshot()
-	vals := map[string]float64{}
-	for _, s := range snap.Series {
-		vals[s.Name+s.Labels["reason"]] = s.Value
+	// Totals across the table match the two flows' traffic.
+	var sent, delivered, bytes uint64
+	for _, f := range flows {
+		sent += f.PacketsSent
+		delivered += f.PacketsDelivered
+		bytes += f.BytesDelivered
 	}
-	if vals["quartz_packets_sent_total"] != 8 || vals["quartz_packets_delivered_total"] != 8 {
-		t.Errorf("registry sent/delivered = %v/%v, want 8/8",
-			vals["quartz_packets_sent_total"], vals["quartz_packets_delivered_total"])
+	if sent != 8 || delivered != 8 {
+		t.Errorf("table sent/delivered = %d/%d, want 8/8", sent, delivered)
 	}
-	if vals["quartz_bytes_delivered_total"] != 5*400+3*900 {
-		t.Errorf("registry bytes = %v, want %d", vals["quartz_bytes_delivered_total"], 5*400+3*900)
+	if bytes != 5*400+3*900 {
+		t.Errorf("table bytes = %d, want %d", bytes, 5*400+3*900)
 	}
-	if vals["quartz_flows_seen"] != 2 {
-		t.Errorf("quartz_flows_seen = %v, want 2", vals["quartz_flows_seen"])
-	}
-	for _, s := range snap.Series {
-		if s.Name == "quartz_packet_latency_us" {
-			if s.Count != 8 || s.P50 <= 0 {
-				t.Errorf("latency histogram count=%d p50=%v, want 8 and > 0", s.Count, s.P50)
-			}
-		}
+	f2, _ := ft.Flow(2)
+	if f2.PacketsDelivered != 3 || f2.MeanLatency() <= 0 {
+		t.Errorf("flow 2 delivered=%d meanLat=%v, want 3 and > 0", f2.PacketsDelivered, f2.MeanLatency())
 	}
 }
 
 func TestFlowTrackerDropAttribution(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()
-	reg := metrics.NewRegistry()
-	ft.Bind(reg)
 	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
 	if err != nil {
 		t.Fatal(err)
@@ -114,18 +104,6 @@ func TestFlowTrackerDropAttribution(t *testing.T) {
 	// window, so it is NOT a fault-window drop.
 	if f.FaultWindowDrops != 1 {
 		t.Errorf("fault-window drops = %d, want 1 (the link-down drop only)", f.FaultWindowDrops)
-	}
-	found := false
-	for _, s := range reg.Snapshot().Series {
-		if s.Name == "quartz_packets_dropped_total" && s.Labels["reason"] == DropLinkDown {
-			found = true
-			if s.Value != 1 {
-				t.Errorf("dropped{link-down} = %v, want 1", s.Value)
-			}
-		}
-	}
-	if !found {
-		t.Error("no quartz_packets_dropped_total{reason=link-down} series")
 	}
 }
 

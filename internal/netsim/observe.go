@@ -1,14 +1,13 @@
 package netsim
 
 // Observer is the single attach surface for run observability: one
-// Network.Observe call wires a TraceRecorder, a FlowTracker, a
-// QueueSampler, and an engine heartbeat — four attach points with
-// different lifecycles — and the Observer hands back their views.
+// Network.Observe call wires a TraceRecorder, a FlowTracker and a
+// QueueSampler — three attach points with different lifecycles — and
+// the Observer hands back their views.
 
 import (
 	"sort"
 
-	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/trace"
 )
@@ -29,17 +28,9 @@ type ObserveOptions struct {
 	// interval.
 	SampleEvery sim.Time
 
-	// Until is the virtual horizon (inclusive) for sampler and heartbeat
-	// ticks. Required when SampleEvery or HeartbeatEvery is set.
+	// Until is the virtual horizon (inclusive) for sampler ticks.
+	// Required when SampleEvery is set.
 	Until sim.Time
-
-	// Registry, when set, binds the flow tracker, the sampler, and the
-	// heartbeat to it.
-	Registry *metrics.Registry
-
-	// HeartbeatEvery attaches a sim.Heartbeat to the engine at this
-	// virtual interval. Requires Registry.
-	HeartbeatEvery sim.Time
 
 	// Spans, when set, is the execution-span recorder Observer.FlowSpans
 	// renders the flow table onto after the run. Use a
@@ -53,7 +44,6 @@ type Observer struct {
 	trace   *TraceRecorder
 	flows   *FlowTracker
 	sampler *QueueSampler
-	beat    *sim.Heartbeat
 	spans   *trace.Recorder
 }
 
@@ -61,18 +51,12 @@ type Observer struct {
 // Call it once, after New and before running. A probe already attached
 // (Config.Probe) is preserved and fires first.
 func (n *Network) Observe(o ObserveOptions) *Observer {
-	if (o.SampleEvery > 0 || o.HeartbeatEvery > 0) && o.Until <= 0 {
-		panic("netsim: ObserveOptions.Until is required for sampler or heartbeat ticks")
-	}
-	if o.HeartbeatEvery > 0 && o.Registry == nil {
-		panic("netsim: ObserveOptions.HeartbeatEvery requires a Registry")
+	if o.SampleEvery > 0 && o.Until <= 0 {
+		panic("netsim: ObserveOptions.Until is required for sampler ticks")
 	}
 	obs := &Observer{spans: o.Spans}
 	if o.SampleEvery > 0 {
 		obs.sampler = NewQueueSampler(n, o.SampleEvery)
-		if o.Registry != nil {
-			obs.sampler.Bind(o.Registry)
-		}
 		obs.sampler.Start(o.Until)
 	}
 	probes := []Probe{n.probe}
@@ -82,9 +66,6 @@ func (n *Network) Observe(o ObserveOptions) *Observer {
 	}
 	if o.Flows {
 		obs.flows = NewFlowTracker()
-		if o.Registry != nil {
-			obs.flows.Bind(o.Registry)
-		}
 		probes = append(probes, obs.flows)
 	}
 	if obs.sampler != nil {
@@ -92,9 +73,6 @@ func (n *Network) Observe(o ObserveOptions) *Observer {
 		probes = append(probes, obs.sampler)
 	}
 	n.SetProbe(Probes(probes...))
-	if o.HeartbeatEvery > 0 {
-		obs.beat = sim.AttachHeartbeat(n.eng, o.Registry, o.HeartbeatEvery, o.Until)
-	}
 	return obs
 }
 
@@ -153,10 +131,6 @@ func (o *Observer) Flows() *FlowTracker {
 
 // Sampler returns the queue sampler (nil unless SampleEvery was set).
 func (o *Observer) Sampler() *QueueSampler { return o.sampler }
-
-// Heartbeat returns the attached engine heartbeat (nil unless
-// HeartbeatEvery was set).
-func (o *Observer) Heartbeat() *sim.Heartbeat { return o.beat }
 
 // FlowSpans renders the flow table as virtual-only spans on the
 // Observer's recorder: one "flow" span per flow in the "net" category,

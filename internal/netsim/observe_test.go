@@ -62,9 +62,12 @@ const (
 	goldenObserveFlows = "ae21054af025daf6296c0ad904643a9b1feedfa0c702648368cc0b3dc2c69105"
 )
 
-func TestGoldenObserveOutput(t *testing.T) {
+// goldenObserveRun is the run TestGoldenObserveOutput pins, with
+// onDeliver (nil for none) as the network's delivery hook.
+func goldenObserveRun(t *testing.T, onDeliver func(Delivery)) (*Network, *Observer) {
+	t.Helper()
 	g := buildMesh(t)
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), OnDeliver: onDeliver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +103,11 @@ func TestGoldenObserveOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.RunUntil(20 * sim.Millisecond)
+	return net, obs
+}
+
+func TestGoldenObserveOutput(t *testing.T) {
+	net, obs := goldenObserveRun(t, nil)
 	if net.Dropped() == 0 {
 		t.Fatal("the faults dropped nothing; the run does not exercise faults")
 	}
@@ -125,5 +133,50 @@ func TestGoldenObserveOutput(t *testing.T) {
 		if d := hex.EncodeToString(sum[:]); d != c.want {
 			t.Errorf("%s changed: sha256 %s, want %s (%d bytes)", name, d, c.want, len(c.got))
 		}
+	}
+}
+
+// The trace carries every packet's delivery latency: Send schedules a
+// packet's first forward NICLatency after Created, so for a non-loopback
+// packet Latency = deliver.At − enqueue(hops 0).At + NICLatency. That is
+// how quartzsim's -trace output stands in for a latency histogram.
+func TestTraceCarriesPacketLatency(t *testing.T) {
+	var deliveries []Delivery
+	net, obs := goldenObserveRun(t, func(d Delivery) { deliveries = append(deliveries, d) })
+	injected := map[uint64]sim.Time{}
+	delivered := map[uint64]sim.Time{}
+	for _, e := range obs.Trace().Events() {
+		switch {
+		case e.Op == TraceEnqueue && e.Hops == 0:
+			injected[e.Packet] = e.At
+		case e.Op == TraceDeliver:
+			delivered[e.Packet] = e.At
+		}
+	}
+	if len(deliveries) == 0 || len(delivered) != len(deliveries) {
+		t.Fatalf("%d deliveries, %d deliver rows in the trace", len(deliveries), len(delivered))
+	}
+	loopback := 0
+	for _, d := range deliveries {
+		at, ok := delivered[d.Packet.ID]
+		enq, sent := injected[d.Packet.ID]
+		if d.Packet.Src == d.Packet.Dst {
+			// Never queued: the stack round trip is the whole latency.
+			loopback++
+			if !ok || sent || at != d.At || d.Latency != 2*net.host.NICLatency {
+				t.Errorf("loopback packet %d: deliver row %v (%v), queued %v, latency %v", d.Packet.ID, at, ok, sent, d.Latency)
+			}
+			continue
+		}
+		if !ok || !sent || at != d.At {
+			t.Fatalf("packet %d delivered at %v: trace deliver row %v (%v), source enqueue %v (%v)",
+				d.Packet.ID, d.At, at, ok, enq, sent)
+		}
+		if got := at - enq + net.host.NICLatency; got != d.Latency {
+			t.Errorf("packet %d: trace gives latency %v, delivery reports %v", d.Packet.ID, got, d.Latency)
+		}
+	}
+	if loopback == len(deliveries) {
+		t.Fatal("every delivery was a loopback")
 	}
 }

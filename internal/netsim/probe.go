@@ -262,14 +262,6 @@ type QueueSampler struct {
 	// lastBusy remembers each port's cumulative busy time at the
 	// previous tick, to report per-interval utilization.
 	lastBusy []sim.Time
-
-	// Registry instruments (nil until Bind): network-wide aggregates
-	// published every tick.
-	gQueuedTotal *metrics.Gauge
-	gQueuedMax   *metrics.Gauge
-	gUtilMax     *metrics.Gauge
-	gUtilMean    *metrics.Gauge
-	gActivePorts *metrics.Gauge
 }
 
 // NewQueueSampler returns a sampler for n ticking every interval of
@@ -287,22 +279,6 @@ func NewQueueSampler(n *Network, interval sim.Time) *QueueSampler {
 	}
 }
 
-// Bind registers network-wide queue gauges in r, published on every
-// tick. Call before Start.
-//
-//	netsim_queue_bytes_total  gauge  bytes queued across all ports
-//	netsim_queue_bytes_max    gauge  deepest output queue
-//	netsim_util_max           gauge  busiest port's interval utilization
-//	netsim_util_mean          gauge  mean interval utilization
-//	netsim_ports_active       gauge  ports with a non-idle interval
-func (s *QueueSampler) Bind(r *metrics.Registry) {
-	s.gQueuedTotal = r.Gauge("netsim_queue_bytes_total", "bytes queued across all sampled ports", nil)
-	s.gQueuedMax = r.Gauge("netsim_queue_bytes_max", "deepest output queue", nil)
-	s.gUtilMax = r.Gauge("netsim_util_max", "busiest sampled port's utilization over the last interval", nil)
-	s.gUtilMean = r.Gauge("netsim_util_mean", "mean utilization of sampled ports over the last interval", nil)
-	s.gActivePorts = r.Gauge("netsim_ports_active", "sampled ports with a non-idle last interval", nil)
-}
-
 // Start schedules periodic sampling on the network's engine until the
 // given virtual time (inclusive). Call it before running.
 func (s *QueueSampler) Start(until sim.Time) {
@@ -317,63 +293,27 @@ func (s *QueueSampler) Start(until sim.Time) {
 	eng.After(s.interval, tick)
 }
 
-// sample records one observation per directed link and publishes the
-// bound registry gauges.
+// sample records one observation per directed link.
 func (s *QueueSampler) sample(now sim.Time) {
-	var agg sampleAgg
 	for i := range s.net.dirs {
-		s.sampleOne(i, now, &agg)
+		dl := &s.net.dirs[i]
+		dl.settle(s.net.eng)
+		util := (dl.busyTime - s.lastBusy[i]).Seconds() / s.interval.Seconds()
+		if util > 1 {
+			util = 1 // a frame mid-flight can straddle the tick
+		}
+		s.lastBusy[i] = dl.busyTime
+		s.depth[i].Add(float64(dl.queuedBytes))
+		if dl.queuedBytes > s.peak[i] {
+			s.peak[i] = dl.queuedBytes
+		}
+		if dl.queuedBytes == 0 && util == 0 {
+			continue // idle interval: no row
+		}
+		s.samples = append(s.samples, QueueSample{
+			At: now, Port: s.net.portRef(i), QueuedBytes: dl.queuedBytes, Utilization: util,
+		})
 	}
-	if s.gQueuedTotal == nil {
-		return
-	}
-	s.gQueuedTotal.Set(float64(agg.totalBytes))
-	s.gQueuedMax.Set(float64(agg.maxBytes))
-	s.gUtilMax.Set(agg.maxUtil)
-	if agg.ports > 0 {
-		s.gUtilMean.Set(agg.sumUtil / float64(agg.ports))
-	}
-	s.gActivePorts.Set(float64(agg.active))
-}
-
-// sampleAgg accumulates one tick's network-wide view.
-type sampleAgg struct {
-	ports      int
-	active     int
-	totalBytes int64
-	maxBytes   int
-	sumUtil    float64
-	maxUtil    float64
-}
-
-func (s *QueueSampler) sampleOne(i int, now sim.Time, agg *sampleAgg) {
-	dl := &s.net.dirs[i]
-	dl.settle(s.net.eng)
-	util := (dl.busyTime - s.lastBusy[i]).Seconds() / s.interval.Seconds()
-	if util > 1 {
-		util = 1 // a frame mid-flight can straddle the tick
-	}
-	s.lastBusy[i] = dl.busyTime
-	s.depth[i].Add(float64(dl.queuedBytes))
-	if dl.queuedBytes > s.peak[i] {
-		s.peak[i] = dl.queuedBytes
-	}
-	agg.ports++
-	agg.totalBytes += int64(dl.queuedBytes)
-	agg.sumUtil += util
-	if dl.queuedBytes > agg.maxBytes {
-		agg.maxBytes = dl.queuedBytes
-	}
-	if util > agg.maxUtil {
-		agg.maxUtil = util
-	}
-	if dl.queuedBytes == 0 && util == 0 {
-		return // idle interval: no row
-	}
-	agg.active++
-	s.samples = append(s.samples, QueueSample{
-		At: now, Port: s.net.portRef(i), QueuedBytes: dl.queuedBytes, Utilization: util,
-	})
 }
 
 // PacketEnqueued implements Probe: it keeps the exact high-water mark,

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
@@ -170,9 +169,9 @@ func TestQueueSamplerJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueueSamplerBindGauges(t *testing.T) {
+func TestQueueSamplerLastTick(t *testing.T) {
 	// Fast host links feeding a slow inter-switch link: a queue builds
-	// and persists at s0 -> s1, so the tick gauges hold nonzero values.
+	// and persists at s0 -> s1, so the last tick's rows hold nonzero values.
 	g := topology.New("pair")
 	s0 := g.AddSwitch("s0", topology.TierToR, 0)
 	s1 := g.AddSwitch("s1", topology.TierToR, 1)
@@ -186,35 +185,45 @@ func TestQueueSamplerBindGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewQueueSampler(net, 10*sim.Microsecond)
-	reg := metrics.NewRegistry()
-	s.Bind(reg)
 	s.Start(200 * sim.Microsecond)
 	for i := 0; i < 50; i++ {
 		net.Unicast(1, h0, h1, 1500, 0)
 	}
 	// Stop at 100µs: the backlog (50 × 1500 B at 1 Gbps ≈ 600µs of
-	// serialization) is still draining, so the gauges hold live values.
-	net.Engine().RunUntil(100 * sim.Microsecond)
+	// serialization) is still draining, so the last tick sees it live.
+	const last = 100 * sim.Microsecond
+	net.Engine().RunUntil(last)
 
-	vals := map[string]float64{}
-	for _, ss := range reg.Snapshot().Series {
-		vals[ss.Name] = ss.Value
+	var active, total, maxBytes int
+	var sumUtil, maxUtil float64
+	for _, smp := range s.Samples() {
+		if smp.At != last {
+			continue
+		}
+		active++
+		total += smp.QueuedBytes
+		maxBytes = max(maxBytes, smp.QueuedBytes)
+		sumUtil += smp.Utilization
+		maxUtil = max(maxUtil, smp.Utilization)
 	}
-	if vals["netsim_queue_bytes_total"] <= 0 {
-		t.Errorf("netsim_queue_bytes_total = %v, want > 0 mid-backlog", vals["netsim_queue_bytes_total"])
+	if total <= 0 {
+		t.Errorf("queued bytes across ports = %d, want > 0 mid-backlog", total)
 	}
-	if vals["netsim_queue_bytes_max"] != vals["netsim_queue_bytes_total"] {
-		t.Errorf("with one port queueing max (%v) should equal total (%v)",
-			vals["netsim_queue_bytes_max"], vals["netsim_queue_bytes_total"])
+	if maxBytes != total {
+		t.Errorf("with one port queueing max (%d) should equal total (%d)", maxBytes, total)
 	}
-	if vals["netsim_util_max"] <= 0.9 {
-		t.Errorf("netsim_util_max = %v, want ~1 on a saturated port", vals["netsim_util_max"])
+	if maxUtil <= 0.9 {
+		t.Errorf("max utilization = %v, want ~1 on a saturated port", maxUtil)
 	}
-	if m := vals["netsim_util_mean"]; m <= 0 || m >= vals["netsim_util_max"] {
-		t.Errorf("netsim_util_mean = %v, want inside (0, util_max) with mostly idle ports", m)
+	// Idle ports have no row but count in the mean over all directed links.
+	if m := sumUtil / float64(2*g.NumLinks()); m <= 0 || m >= maxUtil {
+		t.Errorf("mean utilization = %v, want inside (0, %v) with mostly idle ports", m, maxUtil)
 	}
 	// The saturated s0 -> s1 port and the s1 -> h1 port it feeds.
-	if vals["netsim_ports_active"] != 2 {
-		t.Errorf("netsim_ports_active = %v, want 2", vals["netsim_ports_active"])
+	if active != 2 {
+		t.Errorf("%d ports with a row at the last tick, want 2", active)
+	}
+	if n := s.Table().Len(); n != len(s.Samples()) {
+		t.Errorf("table has %d rows, sampler %d", n, len(s.Samples()))
 	}
 }

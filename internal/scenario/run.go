@@ -126,9 +126,8 @@ func faultSchedule(fs *FaultsSpec, g *topology.Graph) (netsim.FaultSchedule, err
 }
 
 // Sim is one packet-level run, built and armed but not yet executed.
-// Between NewSim and Run a caller may hook what needs the live objects
-// (Obs.Heartbeat().OnTick, a metrics endpoint); after Run it reads the
-// side-band views (Obs.Trace, Obs.Flows, Obs.Sampler, Net.Engine().Telemetry).
+// After Run a caller reads the side-band views (Obs.Trace, Obs.Flows,
+// Obs.Sampler, Net.Engine().Telemetry).
 type Sim struct {
 	Arch *core.Architecture
 	Net  *netsim.Network
@@ -151,7 +150,7 @@ type latencyGroup struct {
 // NewSim builds the architecture, network, observers, fault schedule
 // and workload of spec, which must be normalized and validated (Decode
 // does both). side attaches observability beyond what the document
-// asks for — file and live sinks, a span recorder — and never changes
+// asks for — file sinks, a span recorder — and never changes
 // the rendered text; its SampleEvery and Until are the document's to
 // set and are overwritten.
 func NewSim(spec *SimSpec, seed int64, side netsim.ObserveOptions) (*Sim, error) {

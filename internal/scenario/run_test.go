@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/trace"
@@ -255,27 +254,20 @@ func TestSideBandNeverChangesText(t *testing.T) {
 	c := compileSim(t, doc)
 	plain := runOnce(t, c)
 
-	reg := metrics.NewRegistry()
 	rec := trace.NewRecorder()
 	s, err := NewSim(c.Doc.Sim, c.Doc.Seed, netsim.ObserveOptions{
 		Trace: true, Flows: true, Spans: rec,
-		Registry: reg, HeartbeatEvery: 100 * sim.Microsecond,
 		SampleEvery: sim.Microsecond, Until: sim.Second, // the document's to set: overwritten
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ticks int
-	s.Obs.Heartbeat().OnTick = func(sim.Time) { ticks++ }
 	text, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if text != plain {
 		t.Errorf("side-band observers changed the text:\n--- without\n%s\n--- with\n%s", plain, text)
-	}
-	if ticks != 20 { // every 100 us of the 2 ms run
-		t.Errorf("heartbeat ticked %d times, want 20", ticks)
 	}
 	if n := s.Obs.Trace().Table().Len(); n == 0 {
 		t.Error("no trace events")

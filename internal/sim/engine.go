@@ -65,11 +65,6 @@ type Engine struct {
 	// Stop moves it past everything scheduled so far for <= end.
 	passAt  Time
 	passSeq uint64
-
-	// runStart/running track the in-progress Run/RunUntil call so
-	// heartbeat events can see live wall time (wallNow).
-	runStart time.Time
-	running  bool
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -201,8 +196,6 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(end Time) {
 	e.stopped = false
 	start := time.Now()
-	e.runStart = start
-	e.running = true
 	for {
 		if e.queue.hole != 0 {
 			// The last event scheduled nothing (or runs the engine itself,
@@ -221,7 +214,6 @@ func (e *Engine) RunUntil(end Time) {
 			e.probe.Event(e.now, e.queue.size())
 		}
 	}
-	e.running = false
 	e.wall += time.Since(start)
 	if !e.stopped {
 		e.ranThrough(end)
@@ -237,14 +229,4 @@ func (e *Engine) ranThrough(end Time) {
 		e.now = end
 	}
 	e.passAt, e.passSeq = end, e.seq+1
-}
-
-// wallNow returns wall-clock time spent in Run/RunUntil so far,
-// including the in-progress call — what a heartbeat event firing inside
-// the loop needs to compute a live event rate.
-func (e *Engine) wallNow() time.Duration {
-	if e.running {
-		return e.wall + time.Since(e.runStart)
-	}
-	return e.wall
 }
