@@ -7,7 +7,7 @@
 // Usage:
 //
 //	quartzd [-addr :8714] [-queue N] [-workers N] [-cache N]
-//	        [-scenarios N] [-timeout D] [-grace D]
+//	        [-timeout D] [-grace D]
 //	        [-coordinator] [-cluster-workers URLS] [-join URL -advertise URL]
 //
 // Cluster mode (internal/cluster). A coordinator daemon
@@ -31,18 +31,14 @@
 //	GET    /jobs/{id}         job state + progress
 //	GET    /jobs/{id}/result  output once terminal (409 before)
 //	DELETE /jobs/{id}         cancel
-//	PUT    /scenarios/{name}  store a declarative scenario document
-//	GET    /scenarios         list stored scenarios (name, compiled identity, cache key)
-//	GET    /scenarios/{name}  the stored document, byte for byte
-//	DELETE /scenarios/{name}  remove a stored scenario
 //	GET    /experiments       the experiment registry
 //	GET    /metrics, /status  Prometheus text / JSON status
 //	GET    /healthz           liveness
 //
 // POST /jobs also accepts a declarative scenario (SCENARIOS.md)
 // instead of the envelope: a raw document (curl -d @file.json —
-// recognized by its "schema": "quartz-scenario/v1" field), an inline
-// {"scenario": {...}}, or a stored one by {"scenario_ref": "name"}.
+// recognized by its "schema": "quartz-scenario/v1" field) or an inline
+// {"scenario": {...}}.
 // Scenarios that parameterize a registry experiment share its cache
 // key, so a scenario submission and an envelope submission of the same
 // work coalesce into one cache entry.
@@ -82,7 +78,6 @@ var (
 	cache   = flag.Int("cache", 256, "result cache entries (negative disables caching)")
 	timeout = flag.Duration("timeout", 10*time.Minute, "default per-job run deadline")
 	grace   = flag.Duration("grace", 30*time.Second, "drain grace period on shutdown before in-flight jobs are cancelled")
-	scens   = flag.Int("scenarios", 128, "stored-scenario capacity (PUT /scenarios answers 507 when full)")
 
 	coordinator = flag.Bool("coordinator", false, "serve as the cluster coordinator: fan sweep experiments out to workers and serve /cluster")
 	clusterWkrs = flag.String("cluster-workers", "", "comma-separated worker base URLs for the coordinator (implies -coordinator)")
@@ -123,13 +118,12 @@ func run() error {
 		slog.Info("quartzd: coordinator mode", "static_workers", len(urls))
 	}
 	svc := service.New(service.Config{
-		QueueCapacity:   *queue,
-		Workers:         *workers,
-		CacheEntries:    *cache,
-		DefaultTimeout:  *timeout,
-		ScenarioEntries: *scens,
-		Registry:        reg,
-		Lookup:          lookup,
+		QueueCapacity:  *queue,
+		Workers:        *workers,
+		CacheEntries:   *cache,
+		DefaultTimeout: *timeout,
+		Registry:       reg,
+		Lookup:         lookup,
 	})
 	handler := http.Handler(svc.Handler(metrics.StatusMeta{
 		"daemon":  "quartzd",

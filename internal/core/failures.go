@@ -5,7 +5,6 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/topology"
-	"github.com/quartz-dcn/quartz/internal/wdm"
 )
 
 // FiberCutImpact returns the logical switch pairs severed by cutting
@@ -29,34 +28,11 @@ func (r *Ring) FiberCutImpact(fiber, seg int) ([][2]int, error) {
 		if a.Ring != fiber {
 			continue
 		}
-		if arcCrossesSegment(m, a, seg) {
+		if a.Crosses(m, seg) {
 			severed = append(severed, [2]int{a.S, a.T})
 		}
 	}
 	return severed, nil
-}
-
-// arcCrossesSegment reports whether the assignment's arc traverses
-// fiber segment seg.
-func arcCrossesSegment(m int, a wdm.Assignment, seg int) bool {
-	crossed := false
-	walk := func(from, to int, step int) {
-		for i := from; i != to; i = (i + step + m) % m {
-			link := i
-			if step < 0 {
-				link = (i - 1 + m) % m
-			}
-			if link == seg {
-				crossed = true
-			}
-		}
-	}
-	if a.Dir == wdm.Clockwise {
-		walk(a.S, a.T, 1)
-	} else {
-		walk(a.S, a.T, -1)
-	}
-	return crossed
 }
 
 // FiberLinks resolves a fiber-segment cut to the logical mesh links it

@@ -90,29 +90,20 @@ func newModel(plan *wdm.Plan) (*model, error) {
 	}
 	for i, a := range plan.Assignments {
 		// A decoded plan is only checked for non-negative header fields;
-		// an endpoint outside the ring would make the walk below spin.
+		// an arc must join two switches of the ring on one of its rings.
 		if a.S < 0 || a.S >= m || a.T < 0 || a.T >= m || a.S == a.T ||
 			a.Ring < 0 || a.Ring >= rings || a.Dir > wdm.CounterClockwise {
 			return nil, fmt.Errorf("fault: assignment %d (pair %d-%d, direction %d, ring %d) does not fit M=%d with %d ring(s)",
 				i, a.S, a.T, a.Dir, a.Ring, m, rings)
 		}
-		// Walk the arc from S to T in its assigned direction, marking it
-		// on every fiber segment it crosses (segment s joins switch s and
-		// s+1, so a counter-clockwise step from s crosses segment s-1).
-		step := 1
-		if a.Dir == wdm.CounterClockwise {
-			step = m - 1
-		}
 		if md.crossing[a.Ring] == nil {
 			md.crossing[a.Ring] = make([]uint64, m*words)
 		}
-		for s := a.S; s != a.T; s = (s + step) % m {
-			seg := s
-			if a.Dir == wdm.CounterClockwise {
-				seg = (s + step) % m
+		for seg := 0; seg < m; seg++ {
+			if a.Crosses(m, seg) {
+				md.crossing[a.Ring][seg*words+i/64] |= 1 << uint(i%64)
+				md.crossed[a.Ring] |= 1 << uint(seg)
 			}
-			md.crossing[a.Ring][seg*words+i/64] |= 1 << uint(i%64)
-			md.crossed[a.Ring] |= 1 << uint(seg)
 		}
 		md.pairs[i] = [2]uint8{uint8(a.S), uint8(a.T)}
 	}

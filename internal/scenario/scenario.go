@@ -49,7 +49,7 @@ type Doc struct {
 	// Schema must be SchemaV1.
 	Schema string `json:"schema"`
 	// Name identifies the scenario (lowercase letters, digits, "-",
-	// "_", "."); it is the storage key of quartzd's PUT /scenarios/{name}.
+	// "_", "."): the default Title and the label of a sweep's cells.
 	Name string `json:"name"`
 	// Title is an optional human heading; defaults to Name.
 	Title string `json:"title,omitempty"`

@@ -10,10 +10,6 @@ package service
 //	GET    /jobs/{id}/trace   execution trace, Chrome trace-event JSON
 //	GET    /jobs/{id}/events  Server-Sent Events: per-cell progress + state
 //	DELETE /jobs/{id}       cancel
-//	PUT    /scenarios/{name}  store a named scenario document (400 on doc errors)
-//	GET    /scenarios/{name}  the stored document, as uploaded
-//	GET    /scenarios       list stored scenarios
-//	DELETE /scenarios/{name}  remove a stored scenario
 //	GET    /experiments     the experiments registry
 //	GET    /metrics         Prometheus text format
 //	GET    /status          JSON status page (meta + metric series)
@@ -21,12 +17,11 @@ package service
 //
 // POST /jobs accepts three request shapes: the job envelope
 // ({"experiment": ..., "params": ...}), the envelope carrying an
-// inline or named scenario ({"scenario": {...}} / {"scenario_ref":
-// "name"}), or — as a convenience for `curl -d @file.json` — a raw
-// scenario document, recognized by its required "schema":
-// "quartz-scenario/v1" field. A scenario that parameterizes a registry
-// experiment shares that experiment's cache key, so identical
-// submissions coalesce regardless of shape.
+// inline scenario ({"scenario": {...}}), or — as a convenience for
+// `curl -d @file.json` — a raw scenario document, recognized by its
+// required "schema": "quartz-scenario/v1" field. A scenario that
+// parameterizes a registry experiment shares that experiment's cache
+// key, so identical submissions coalesce regardless of shape.
 //
 // Every job carries an execution trace: POST /jobs reads an optional
 // X-Quartz-Trace header naming it (default: the job ID), job responses
@@ -105,10 +100,6 @@ func (s *Service) Handler(meta metrics.StatusMeta) http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.HandleFunc("PUT /scenarios/{name}", s.handleScenarioPut)
-	mux.HandleFunc("GET /scenarios/{name}", s.handleScenarioGet)
-	mux.HandleFunc("GET /scenarios", s.handleScenarioList)
-	mux.HandleFunc("DELETE /scenarios/{name}", s.handleScenarioDelete)
 	return mux
 }
 
@@ -186,10 +177,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := s.Submit(req)
 	switch {
 	case err == nil:
-	case errors.Is(err, ErrUnknownExperiment), errors.Is(err, ErrUnknownScenario):
+	case errors.Is(err, ErrUnknownExperiment):
 		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
 		return
-	case errors.Is(err, ErrBadScenario), errors.Is(err, ErrBadRange):
+	case errors.Is(err, ErrBadScenario), errors.Is(err, ErrBadRange), errors.Is(err, ErrBadTimeout):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	case errors.Is(err, ErrQueueFull):
@@ -383,74 +374,6 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(body.CSVTables)
 	writeJSON(w, http.StatusOK, body)
-}
-
-// scenarioBody is one GET /scenarios entry (and the PUT response).
-type scenarioBody struct {
-	Name string `json:"name"`
-	// Title is the document's heading.
-	Title string `json:"title,omitempty"`
-	// Experiment is the compiled identity: a registry name for
-	// passthrough documents, "scenario/<hash>" otherwise.
-	Experiment string `json:"experiment"`
-	// Key is the result-cache key a submission of this scenario uses.
-	Key string `json:"key"`
-}
-
-func scenarioView(st *StoredScenario) scenarioBody {
-	return scenarioBody{
-		Name:       st.Name,
-		Title:      st.Compiled.Doc.Title,
-		Experiment: st.Compiled.Experiment.Name,
-		Key:        st.Compiled.CacheKey(),
-	}
-}
-
-func (s *Service) handleScenarioPut(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	st, err := s.PutScenario(r.PathValue("name"), body)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrStoreFull):
-		writeJSON(w, http.StatusInsufficientStorage, errorBody{Error: err.Error()})
-		return
-	default:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, scenarioView(st))
-}
-
-func (s *Service) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
-	st, err := s.GetScenario(r.PathValue("name"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-		return
-	}
-	// Serve the document as uploaded, byte for byte.
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(st.Raw)
-}
-
-func (s *Service) handleScenarioList(w http.ResponseWriter, _ *http.Request) {
-	out := []scenarioBody{}
-	for _, st := range s.Scenarios() {
-		out = append(out, scenarioView(st))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Service) handleScenarioDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if err := s.DeleteScenario(name); err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {

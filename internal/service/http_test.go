@@ -191,26 +191,29 @@ func TestHTTPErrorsAndAuxRoutes(t *testing.T) {
 			t.Errorf("%s = %d, want 400", body, r.StatusCode)
 		}
 	}
-	// A body over the 1 MiB cap → 413 naming the limit on both routes
-	// that read one — not a document cut at the cap and answered with
-	// "400 unexpected end of JSON input".
+	// A body over the 1 MiB cap → 413 naming the limit — not a document
+	// cut at the cap and answered with "400 unexpected end of JSON input".
 	big := `{"schema":"quartz-scenario/v1","name":"big","title":"` + strings.Repeat("x", maxBodyBytes) +
 		`","experiment":{"name":"fig6"}}`
-	for _, route := range []struct{ method, path string }{
-		{http.MethodPost, "/jobs"},
-		{http.MethodPut, "/scenarios/big"},
-	} {
-		req, _ := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader(big))
-		r, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var msg errorBody
-		json.NewDecoder(r.Body).Decode(&msg)
-		r.Body.Close()
-		if r.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg.Error, "1048576-byte limit") {
-			t.Errorf("oversize %s %s = %d %q, want 413 naming the limit", route.method, route.path, r.StatusCode, msg.Error)
-		}
+	r3, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg errorBody
+	json.NewDecoder(r3.Body).Decode(&msg)
+	r3.Body.Close()
+	if r3.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg.Error, "1048576-byte limit") {
+		t.Errorf("oversize POST /jobs = %d %q, want 413 naming the limit", r3.StatusCode, msg.Error)
+	}
+	// Scenarios are POSTed to /jobs; there is no /scenarios route.
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/scenarios/x", strings.NewReader(`{}`))
+	r4, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r4.Body.Close()
+	if r4.StatusCode != http.StatusNotFound && r4.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("PUT /scenarios/x = %d, want 404 or 405", r4.StatusCode)
 	}
 	// Unknown job → 404; result of a fresh job → 409 until terminal.
 	if resp := getJSON(t, ts.URL+"/jobs/j-404404", nil); resp.StatusCode != http.StatusNotFound {

@@ -93,8 +93,8 @@ type CellRange struct {
 	Hi int `json:"hi"`
 }
 
-// Request is one job submission. Exactly one of Experiment, Scenario,
-// or ScenarioRef selects what to run.
+// Request is one job submission. Exactly one of Experiment and
+// Scenario selects what to run.
 type Request struct {
 	// Experiment is a registry name (experiments.Find).
 	Experiment string `json:"experiment,omitempty"`
@@ -103,8 +103,6 @@ type Request struct {
 	// anything with "schema": "quartz-scenario/v1" at the top level —
 	// to /jobs is shorthand for wrapping it here.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
-	// ScenarioRef names a scenario stored via PUT /scenarios/{name}.
-	ScenarioRef string `json:"scenario_ref,omitempty"`
 	// Params are the run parameters; zero fields take defaults.
 	// Scenario submissions pin their parameters in the document and
 	// reject a non-empty Params.

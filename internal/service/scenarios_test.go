@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
+	"github.com/quartz-dcn/quartz/internal/scenario"
 )
 
 // scenarioTable2 parameterizes a real registry experiment; small
@@ -103,92 +106,57 @@ func TestRawScenarioSubmitAndCacheHit(t *testing.T) {
 	if !v3.CacheHit || v3.Key != v.Key {
 		t.Errorf("direct submission did not coalesce: hit=%v key=%s want %s", v3.CacheHit, v3.Key, v.Key)
 	}
+
+	// The same document inline in the envelope is served from the entry
+	// the raw document filled.
+	resp4, data4 := postBody(t, url, `{"scenario": `+scenarioTable2+`}`)
+	if resp4.StatusCode != http.StatusOK {
+		t.Fatalf("inline submit: %d %s", resp4.StatusCode, data4)
+	}
+	var v4 View
+	if err := json.Unmarshal(data4, &v4); err != nil {
+		t.Fatal(err)
+	}
+	if !v4.CacheHit || v4.Key != v.Key {
+		t.Errorf("inline submission did not coalesce: hit=%v key=%s want %s", v4.CacheHit, v4.Key, v.Key)
+	}
 }
 
-func TestScenarioStoreHTTP(t *testing.T) {
-	s, url := realRegistryServer(t)
-	client := &http.Client{}
-	put := func(name, body string) (*http.Response, []byte) {
-		req, _ := http.NewRequest(http.MethodPut, url+"/scenarios/"+name, strings.NewReader(body))
-		resp, err := client.Do(req)
+// Every shipped scenario document resolves to one cache key whether it
+// is POSTed raw or inline, and that key is the compiled document's own
+// (TestExamplesKeepTheirCacheKeys pins those).
+func TestExamplesSubmitRawAndInline(t *testing.T) {
+	s, _ := realRegistryServer(t)
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no documents under examples/scenarios (%v)", err)
+	}
+	for _, path := range paths {
+		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		return resp, data
-	}
-
-	// Bad document: 400 with the field-precise message.
-	resp, data := put("broken", `{"schema": "quartz-scenario/v1", "name": "broken",
-	                              "experiment": {"name": "fig66"}}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad doc: %d", resp.StatusCode)
-	}
-	if !bytes.Contains(data, []byte("did you mean")) {
-		t.Errorf("error lost the suggestion: %s", data)
-	}
-
-	// Name mismatch: 400.
-	if resp, _ := put("other-name", scenarioTable2); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("name mismatch accepted: %d", resp.StatusCode)
-	}
-
-	// Good document: stored, listed, retrievable byte-for-byte.
-	resp, data = put("table2-tiny", scenarioTable2)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("put: %d %s", resp.StatusCode, data)
-	}
-	var sb struct {
-		Experiment string `json:"experiment"`
-		Key        string `json:"key"`
-	}
-	if err := json.Unmarshal(data, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.Experiment != "table2" || sb.Key == "" {
-		t.Errorf("put response = %s", data)
-	}
-
-	getResp, err := http.Get(url + "/scenarios/table2-tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(getResp.Body)
-	getResp.Body.Close()
-	if string(raw) != scenarioTable2 {
-		t.Errorf("stored document drifted: %s", raw)
-	}
-
-	var list []json.RawMessage
-	if r := getJSON(t, url+"/scenarios", &list); r.StatusCode != http.StatusOK || len(list) != 1 {
-		t.Errorf("list: %d entries", len(list))
-	}
-
-	// Submit by reference; runs the stored compiled form.
-	respRef, dataRef := postBody(t, url, `{"scenario_ref": "table2-tiny"}`)
-	if respRef.StatusCode != http.StatusAccepted && respRef.StatusCode != http.StatusOK {
-		t.Fatalf("scenario_ref submit: %d %s", respRef.StatusCode, dataRef)
-	}
-	var vRef View
-	if err := json.Unmarshal(dataRef, &vRef); err != nil {
-		t.Fatal(err)
-	}
-	if vRef.Key != sb.Key {
-		t.Errorf("ref submission key %s, stored key %s", vRef.Key, sb.Key)
-	}
-	waitDone(t, s, vRef.ID)
-
-	// Delete, then the ref 404s at submit time.
-	delReq, _ := http.NewRequest(http.MethodDelete, url+"/scenarios/table2-tiny", nil)
-	if resp, err := client.Do(delReq); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("delete: %v %d", err, resp.StatusCode)
-	}
-	if resp, _ := postBody(t, url, `{"scenario_ref": "table2-tiny"}`); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("deleted ref submit: %d, want 404", resp.StatusCode)
-	}
-	if resp, err := http.Get(url + "/scenarios/table2-tiny"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Errorf("deleted get: %d, want 404", resp.StatusCode)
+		f, err := scenario.Decode(doc, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := scenario.Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shape, body := range map[string]string{"raw": string(doc), "inline": `{"scenario": ` + string(doc) + `}`} {
+			req, err := parseSubmitBody([]byte(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", path, shape, err)
+			}
+			exp, params, err := s.resolve(req)
+			if err != nil {
+				t.Fatalf("%s %s: %v", path, shape, err)
+			}
+			if got, want := experiments.CacheKey(exp.Name, params), c.CacheKey(); got != want {
+				t.Errorf("%s %s: cache key %s, want %s", path, shape, got, want)
+			}
+		}
 	}
 }
 
@@ -201,14 +169,25 @@ func TestScenarioSubmitErrors(t *testing.T) {
 	}{
 		{"invalid scenario doc", `{"schema": "quartz-scenario/v1", "name": "x"}`,
 			http.StatusBadRequest, `needs either an`},
-		{"two selectors", `{"experiment": "table2", "scenario_ref": "x"}`,
+		{"two selectors", `{"experiment": "table2", "scenario": ` + scenarioTable2 + `}`,
 			http.StatusBadRequest, "pick one"},
-		{"scenario with params", `{"scenario_ref": "none", "params": {"trials": 3}}`,
+		{"scenario with params", `{"scenario": ` + scenarioTable2 + `, "params": {"trials": 3}}`,
 			http.StatusBadRequest, "drop the params field"},
-		{"unknown ref", `{"scenario_ref": "nope"}`,
-			http.StatusNotFound, "unknown scenario"},
+		{"inline unknown experiment", `{"scenario": {"schema": "quartz-scenario/v1", "name": "x",
+		                               "experiment": {"name": "fig66"}}}`,
+			http.StatusBadRequest, "did you mean"},
+		{"scenario_ref", `{"scenario_ref": "table2-tiny"}`,
+			http.StatusBadRequest, `unknown field \"scenario_ref\"`},
 		{"nothing selected", `{}`,
 			http.StatusNotFound, "unknown experiment"},
+		// Past time.Duration's range the float conversion wraps negative
+		// (amd64) and would fail the job at once; below 1 ns it is zero.
+		{"timeout overflows", `{"experiment": "table2", "timeout_secs": 1e10}`,
+			http.StatusBadRequest, "bad timeout_secs"},
+		{"timeout far past range", `{"experiment": "table2", "timeout_secs": 1e300}`,
+			http.StatusBadRequest, "bad timeout_secs"},
+		{"timeout below 1ns", `{"experiment": "table2", "timeout_secs": 1e-10}`,
+			http.StatusBadRequest, "bad timeout_secs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -277,28 +256,4 @@ func TestFanoutExceedingHostsFailsTheJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, s, v2.ID)
-}
-
-func TestScenarioStoreCap(t *testing.T) {
-	sr := newStubRegistry()
-	s := New(Config{Lookup: sr.lookup, ScenarioEntries: 1})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-	})
-	mk := func(name string) string {
-		return `{"schema": "quartz-scenario/v1", "name": "` + name + `",
-		         "experiment": {"name": "table2"}}`
-	}
-	if _, err := s.PutScenario("one", []byte(mk("one"))); err != nil {
-		t.Fatal(err)
-	}
-	// Overwriting the existing name is fine at capacity.
-	if _, err := s.PutScenario("one", []byte(mk("one"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PutScenario("two", []byte(mk("two"))); err == nil || !strings.Contains(err.Error(), "store full") {
-		t.Errorf("want store-full error, got %v", err)
-	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -42,6 +43,13 @@ var (
 	// ErrBadRange rejects a cell-range submission whose experiment has
 	// no sweep grid or whose bounds fall outside it (HTTP 400).
 	ErrBadRange = errors.New("bad cell range")
+	// ErrBadTimeout rejects a timeout_secs that is positive but not a
+	// representable duration: below 1 ns or past time.Duration's range
+	// (HTTP 400).
+	ErrBadTimeout = errors.New("bad timeout_secs")
+	// ErrBadScenario rejects a scenario document that does not decode or
+	// compile, and a request whose selectors conflict (HTTP 400).
+	ErrBadScenario = errors.New("bad scenario")
 )
 
 // Config parameterizes a Service. Zero values take the documented
@@ -62,9 +70,6 @@ type Config struct {
 	// oldest terminal jobs are forgotten (their results stay in the
 	// cache until evicted). Default 1000.
 	MaxJobs int
-	// ScenarioEntries bounds the named-scenario store
-	// (PUT /scenarios/{name}). Default 128.
-	ScenarioEntries int
 	// Registry receives the service's instruments; a private registry
 	// is created when nil.
 	Registry *metrics.Registry
@@ -87,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1000
-	}
-	if c.ScenarioEntries <= 0 {
-		c.ScenarioEntries = 128
 	}
 	if c.Lookup == nil {
 		c.Lookup = experiments.Find
@@ -119,8 +121,7 @@ type Service struct {
 	draining bool
 	nextID   uint64
 
-	cache     *resultCache
-	scenarios *scenarioStore
+	cache *resultCache
 
 	mQueueDepth *metrics.Gauge
 	mQueueCap   *metrics.Gauge
@@ -154,7 +155,6 @@ func New(cfg Config) *Service {
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
 		cache:      newResultCache(cfg.CacheEntries),
-		scenarios:  newScenarioStore(cfg.ScenarioEntries),
 
 		mQueueDepth: reg.Gauge("quartzd_queue_depth", "jobs waiting in the submission queue", nil),
 		mQueueCap:   reg.Gauge("quartzd_queue_capacity", "submission queue capacity", nil),
@@ -199,50 +199,48 @@ func (s *Service) QueueDepth() int { return len(s.queue) }
 func (s *Service) Experiments() []experiments.Experiment { return experiments.All() }
 
 // resolve turns a request into the experiment to run and its
-// parameters, from whichever of Experiment, Scenario, or ScenarioRef
-// is set. Scenario compilation preserves cache identity: a scenario
-// that parameterizes a registry entry resolves to the registry entry
+// parameters, from whichever of Experiment and Scenario is set.
+// Scenario compilation preserves cache identity: a scenario that
+// parameterizes a registry entry resolves to the registry entry
 // itself, so it coalesces with direct submissions of that experiment.
 func (s *Service) resolve(req Request) (experiments.Experiment, experiments.Params, error) {
-	selected := 0
-	for _, set := range []bool{req.Experiment != "", len(req.Scenario) > 0, req.ScenarioRef != ""} {
-		if set {
-			selected++
-		}
-	}
-	if selected > 1 {
-		return experiments.Experiment{}, experiments.Params{},
-			fmt.Errorf("%w: pick one of experiment, scenario, scenario_ref", ErrBadScenario)
-	}
-	if req.Experiment == "" && selected == 1 && req.Params != (ParamSpec{}) {
-		return experiments.Experiment{}, experiments.Params{},
-			fmt.Errorf("%w: a scenario pins its parameters in the document; drop the params field", ErrBadScenario)
-	}
-	var compiled *scenario.Compiled
 	switch {
-	case req.Experiment != "":
-		exp, ok := s.cfg.Lookup(req.Experiment)
-		if !ok {
-			return experiments.Experiment{}, experiments.Params{},
-				fmt.Errorf("%w: %q", ErrUnknownExperiment, req.Experiment)
-		}
-		return exp, req.Params.Params().WithDefaults(), nil
+	case req.Experiment != "" && len(req.Scenario) > 0:
+		return experiments.Experiment{}, experiments.Params{},
+			fmt.Errorf("%w: pick one of experiment, scenario", ErrBadScenario)
 	case len(req.Scenario) > 0:
-		var err error
-		if compiled, err = compileScenario(req.Scenario, "scenario"); err != nil {
-			return experiments.Experiment{}, experiments.Params{}, err
+		if req.Params != (ParamSpec{}) {
+			return experiments.Experiment{}, experiments.Params{},
+				fmt.Errorf("%w: a scenario pins its parameters in the document; drop the params field", ErrBadScenario)
 		}
-	case req.ScenarioRef != "":
-		st, err := s.GetScenario(req.ScenarioRef)
+		compiled, err := compileScenario(req.Scenario)
 		if err != nil {
 			return experiments.Experiment{}, experiments.Params{}, err
 		}
-		compiled = st.Compiled
-	default:
-		return experiments.Experiment{}, experiments.Params{},
-			fmt.Errorf("%w: %q", ErrUnknownExperiment, "")
+		return compiled.Experiment, compiled.Params.WithDefaults(), nil
 	}
-	return compiled.Experiment, compiled.Params.WithDefaults(), nil
+	exp, ok := s.cfg.Lookup(req.Experiment)
+	if !ok {
+		return experiments.Experiment{}, experiments.Params{},
+			fmt.Errorf("%w: %q", ErrUnknownExperiment, req.Experiment)
+	}
+	return exp, req.Params.Params().WithDefaults(), nil
+}
+
+// compileScenario decodes and compiles a submitted document, raw or
+// inline, wrapping its problems in ErrBadScenario: a bad scenario is
+// rejected with its field-precise errors at submission, never at run
+// time.
+func compileScenario(raw []byte) (*scenario.Compiled, error) {
+	f, err := scenario.Decode(raw, "scenario")
+	if err != nil {
+		return nil, fmt.Errorf("%w:\n%v", ErrBadScenario, err)
+	}
+	c, err := scenario.Compile(f)
+	if err != nil {
+		return nil, fmt.Errorf("%w:\n%v", ErrBadScenario, err)
+	}
+	return c, nil
 }
 
 // Submit admits one job. On success the returned job is queued (or
@@ -250,7 +248,7 @@ func (s *Service) resolve(req Request) (experiments.Experiment, experiments.Para
 // submission of identical parameters is served without recomputation:
 // from the cache when a result exists, or by returning the in-flight
 // job computing it. Errors: ErrUnknownExperiment, ErrBadScenario,
-// ErrUnknownScenario, ErrDraining, ErrQueueFull.
+// ErrBadTimeout, ErrBadRange, ErrDraining, ErrQueueFull.
 func (s *Service) Submit(req Request) (*Job, error) {
 	exp, params, err := s.resolve(req)
 	if err != nil {
@@ -282,7 +280,14 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutSecs > 0 {
-		timeout = time.Duration(req.TimeoutSecs * float64(time.Second))
+		// A float past int64's range does not fail to convert: on amd64
+		// it wraps to a negative duration that ends the job at once.
+		ns := req.TimeoutSecs * float64(time.Second)
+		if ns < 1 || ns >= math.MaxInt64 {
+			return nil, fmt.Errorf("%w: %g s is not a duration from 1ns to %v",
+				ErrBadTimeout, req.TimeoutSecs, time.Duration(math.MaxInt64))
+		}
+		timeout = time.Duration(ns)
 	}
 	now := time.Now()
 

@@ -83,6 +83,18 @@ func arcLen(m, s, t int, dir Direction) int {
 	return (s - t + m) % m
 }
 
+// Crosses reports whether the assignment's arc covers fiber link l of a
+// ring of m switches. The links an arc covers are consecutive round the
+// ring, from S clockwise or from T for the counter-clockwise arc, so
+// this is one comparison against the arc's length.
+func (a Assignment) Crosses(m, l int) bool {
+	from := a.S
+	if a.Dir == CounterClockwise {
+		from = a.T
+	}
+	return (l-from+m)%m < arcLen(m, a.S, a.T, a.Dir)
+}
+
 // arcMask sets mask to the link bitset of the arc from s to t going dir:
 // bit l%64 of word l/64 for every link l the arc covers. The links are
 // consecutive round the ring, from s clockwise or from t for the

@@ -283,6 +283,24 @@ func TestArcHelpers(t *testing.T) {
 	if Clockwise.String() != "cw" || CounterClockwise.String() != "ccw" {
 		t.Error("Direction strings wrong")
 	}
+	// Crosses names exactly the links arcLinks walks, for every arc of
+	// every small ring in both directions.
+	for m := 2; m <= 9; m++ {
+		for s := 0; s < m; s++ {
+			for u := 0; u < m; u++ {
+				for _, dir := range []Direction{Clockwise, CounterClockwise} {
+					walked := make([]bool, m)
+					arcLinks(m, s, u, dir, func(l int) { walked[l] = true })
+					a := Assignment{S: s, T: u, Dir: dir}
+					for l := range walked {
+						if a.Crosses(m, l) != walked[l] {
+							t.Fatalf("M=%d %d->%d %v link %d: Crosses %v, arcLinks %v", m, s, u, dir, l, !walked[l], walked[l])
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestGreedyPlanProperty property-checks that for any ring size and

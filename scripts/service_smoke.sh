@@ -4,8 +4,9 @@
 # poll the job to completion, fetch and check the result, resubmit the
 # identical request and require a cache hit (counter visible in
 # /metrics), POST a raw scenario document and require its identical
-# resubmission to coalesce in the cache, then SIGTERM the daemon and
-# require a clean drain (exit 0).
+# resubmission, raw and inline, to coalesce in the cache, require the
+# removed named-scenario route to be unrouted, then SIGTERM the daemon
+# and require a clean drain (exit 0).
 # CI runs this as the service-smoke job; locally: make service-smoke.
 set -euo pipefail
 
@@ -85,11 +86,8 @@ HITS_AFTER=$(curl -fsS "$BASE/metrics" | awk '/^quartzd_cache_hits_total/ {print
 [[ "${HITS_AFTER%.*}" -gt "${HITS_BEFORE%.*}" ]] ||
     fail "cache-hit counter did not increase ($HITS_BEFORE -> $HITS_AFTER)"
 
-echo "== scenario: store it, submit the raw document, resubmit for a cache hit"
+echo "== scenario: submit the raw document, resubmit raw and inline for cache hits"
 SCEN=examples/scenarios/figure6.json
-curl -fsS -X PUT "$BASE/scenarios/figure6" --data-binary @"$SCEN" >/dev/null ||
-    fail "PUT /scenarios/figure6 rejected $SCEN"
-curl -fsS "$BASE/scenarios" | grep -q '"figure6"' || fail "stored scenario missing from GET /scenarios"
 
 SC1=$(curl -fsS -X POST "$BASE/jobs" --data-binary @"$SCEN")
 SCJOB=$(json_field "$SC1" id)
@@ -107,9 +105,12 @@ SC2=$(curl -fsS -X POST "$BASE/jobs" --data-binary @"$SCEN")
 [[ "$(json_field "$SC2" cache_hit)" == true ]] ||
     fail "identical scenario resubmission not served from cache: $SC2"
 SC3=$(curl -fsS -X POST "$BASE/jobs" -H 'Content-Type: application/json' \
-    -d '{"scenario_ref":"figure6"}')
+    -d "{\"scenario\": $(cat "$SCEN")}")
 [[ "$(json_field "$SC3" cache_hit)" == true ]] ||
-    fail "scenario_ref submission did not coalesce with the raw document: $SC3"
+    fail "inline scenario submission did not coalesce with the raw document: $SC3"
+PUTCODE=$(curl -sS -o /dev/null -w '%{http_code}' -X PUT "$BASE/scenarios/figure6" --data-binary @"$SCEN")
+[[ "$PUTCODE" == 404 || "$PUTCODE" == 405 ]] ||
+    fail "PUT /scenarios/figure6 answered $PUTCODE; the named-scenario store should be unrouted"
 
 echo "== submit once more, then SIGTERM: daemon must drain cleanly"
 curl -fsS -X POST "$BASE/jobs" -H 'Content-Type: application/json' \
