@@ -63,7 +63,13 @@ race:
 # back every cell's CSV form, encoding/json every value, a NaN or
 # infinite float is refused, and the wire form decodes to a table both
 # writers print byte for byte as the original, while arbitrary wire
-# input is refused or survives another round trip. A failure leaves its
+# input is refused or survives another round trip.
+# FuzzAllocateMatchesReference decodes a small mesh or two-level tree
+# with random link rates and 1-12 shortest-path or VLB flows, some
+# demand-capped (internal/flowsim/fuzz_test.go): Allocate equals the
+# previous water-filling kernel bit for bit, and on a mesh every dyadic
+# split's fill of the pairs' CompileVLB paths equals Allocate of that
+# split's flows. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
@@ -77,9 +83,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultModel$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzECMPTables$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/table
+	$(GO) test -run '^$$' -fuzz '^FuzzAllocateMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/flowsim
 
 # Tier-1 verify recipe (see ROADMAP.md): build + gofmt + vet + full
-# tests + race pass on the goroutine-owning packages + the nine fuzz
+# tests + race pass on the goroutine-owning packages + the ten fuzz
 # smokes.
 verify: build fmt vet test race fuzz
 

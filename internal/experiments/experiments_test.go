@@ -129,19 +129,58 @@ func TestFigure10QuartzBetweenHalfAndFull(t *testing.T) {
 	}
 }
 
+// vlbFlowsAt builds, a pair at a time, the §3.4 flows at one split:
+// directFrac of a cross-rack pair on the direct path and the rest spread
+// evenly over a detour through every switch linked to both ends, in
+// switch order. A pair within one rack, or with no detour, takes its one
+// path whole.
+func vlbFlowsAt(g *topology.Graph, pairs [][2]topology.NodeID, directFrac float64) []flowsim.Flow {
+	var flows []flowsim.Flow
+	for _, p := range pairs {
+		src, dst := p[0], p[1]
+		sSw, dSw := g.ToRof(src), g.ToRof(dst)
+		f := flowsim.Flow{Src: src, Dst: dst}
+		if sSw == dSw {
+			f.Subflows = []flowsim.Subflow{{Path: []topology.NodeID{src, sSw, dst}, Weight: 1}}
+			flows = append(flows, f)
+			continue
+		}
+		var mids []topology.NodeID
+		for _, sw := range g.Switches() {
+			_, up := g.FindLink(sSw, sw)
+			_, down := g.FindLink(sw, dSw)
+			if sw != sSw && sw != dSw && up && down {
+				mids = append(mids, sw)
+			}
+		}
+		direct := directFrac
+		if len(mids) == 0 {
+			direct = 1
+		}
+		if direct > 0 {
+			f.Subflows = append(f.Subflows, flowsim.Subflow{Path: []topology.NodeID{src, sSw, dSw, dst}, Weight: direct})
+		}
+		if direct < 1 {
+			for _, mid := range mids {
+				f.Subflows = append(f.Subflows, flowsim.Subflow{
+					Path: []topology.NodeID{src, sSw, mid, dSw, dst}, Weight: (1 - direct) / float64(len(mids))})
+			}
+		}
+		flows = append(flows, f)
+	}
+	return flows
+}
+
 func TestThroughputOnQuartzMatchesPerSplitFlows(t *testing.T) {
-	// throughputOnQuartz compiles one template set and fills it at each
-	// of the nine fractions; that must give exactly the best total of
-	// allocating the flows flowsim.VLBFlows builds for each fraction, on
-	// Figure 10's mesh and patterns and on the oversubscription meshes.
+	// throughputOnQuartz compiles the pairs' paths once and fills them
+	// at each of the nine fractions; that must give exactly the best
+	// total of allocating the flows vlbFlowsAt builds for each fraction,
+	// on Figure 10's mesh and patterns and on the oversubscription
+	// meshes.
 	perSplit := func(g *topology.Graph, pairs [][2]topology.NodeID) float64 {
 		best := 0.0
 		for frac := 0.0; frac <= 1.0; frac += 0.125 {
-			flows, err := flowsim.VLBFlows(g, pairs, 1-frac, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			alloc, err := flowsim.Allocate(g, flows)
+			alloc, err := flowsim.Allocate(g, vlbFlowsAt(g, pairs, 1-frac))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -77,25 +77,17 @@ func throughputOn(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error
 // throughputOnQuartz allocates the pattern on the mesh with adaptive
 // VLB: §3.4 notes the indirect fraction "can be adaptive depending on
 // the traffic characteristics", so the best split is selected per
-// pattern. A pair's paths do not depend on the split, so they are built
-// and compiled once and only re-weighted per fraction.
+// pattern. A pair's paths do not depend on the split, so they are
+// compiled once and only re-weighted per fraction.
 func throughputOnQuartz(g *topology.Graph, pairs [][2]topology.NodeID) (float64, error) {
-	templates, err := flowsim.VLBFlows(g, pairs, 0.5, 0)
+	paths, err := flowsim.CompileVLB(g, pairs)
 	if err != nil {
 		return 0, err
 	}
-	paths, err := flowsim.Compile(g, templates)
-	if err != nil {
-		return 0, err
-	}
-	subflows := 0
-	for _, f := range templates {
-		subflows += len(f.Subflows)
-	}
-	weights := make([]float64, 0, subflows)
+	var weights []float64
 	best := 0.0
 	for frac := 0.0; frac <= 1.0; frac += 0.125 {
-		weights = flowsim.VLBWeights(templates, 1-frac, weights[:0])
+		weights = paths.VLBWeights(1-frac, weights[:0])
 		alloc, err := paths.Fill(weights)
 		if err != nil {
 			return 0, err

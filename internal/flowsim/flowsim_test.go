@@ -164,27 +164,23 @@ func TestVLBFlowConstruction(t *testing.T) {
 	}
 	hosts := g.Hosts()
 	// A cross-rack pair, then a same-rack one.
-	flows, err := VLBFlows(g, [][2]topology.NodeID{{hosts[0], hosts[len(hosts)-1]}, {hosts[0], hosts[1]}}, 0.5, 0)
+	c, err := CompileVLB(g, [][2]topology.NodeID{{hosts[0], hosts[len(hosts)-1]}, {hosts[0], hosts[1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, f2 := flows[0], flows[1]
-	// 1 direct + 4 detours.
-	if len(f.Subflows) != 5 {
-		t.Fatalf("subflows = %d, want 5", len(f.Subflows))
+	// 1 direct + 4 detours, then the same-rack pair's one path.
+	if got := c.first; !reflect.DeepEqual(got, []int32{0, 5, 6}) {
+		t.Fatalf("subflows start at %v, want [0 5 6]", got)
 	}
+	weights := c.VLBWeights(0.5, nil)
 	w := 0.0
-	for _, sf := range f.Subflows {
-		w += sf.Weight
+	for _, x := range weights[:5] {
+		w += x
 	}
-	if math.Abs(w-1) > 1e-9 {
-		t.Errorf("weights sum to %v", w)
+	if math.Abs(w-1) > 1e-9 || weights[5] != 1 {
+		t.Errorf("weights %v: the cross-rack pair's sum to %v", weights, w)
 	}
-	// Same-rack case.
-	if len(f2.Subflows) != 1 {
-		t.Errorf("same-rack subflows = %d, want 1", len(f2.Subflows))
-	}
-	if _, err := VLBFlows(g, [][2]topology.NodeID{{hosts[0], hosts[2]}}, 1.5, 0); err == nil {
+	if _, err := c.Fill(c.VLBWeights(1.5, nil)); err == nil {
 		t.Error("bad fraction accepted")
 	}
 }
@@ -257,6 +253,7 @@ func TestAllocateErrors(t *testing.T) {
 		"NaN weight":       weighted(math.NaN()),
 		"infinite weight":  weighted(math.Inf(1)),
 		"all weights zero": weighted(0, 0),
+		"negative demand":  {Src: h0, Dst: h1, Demand: -1, Subflows: []Subflow{{Path: path, Weight: 1}}},
 		"nonexistent link": {Src: h0, Dst: h1, Subflows: []Subflow{
 			{Path: []topology.NodeID{h0, g.Switches()[1], h1}, Weight: 1}}},
 	}
@@ -387,17 +384,17 @@ func TestAllocationFeasibilityProperty(t *testing.T) {
 }
 
 // vlbInput is the oversubscription sweep's input for a ring of m
-// 64-port switches: a random permutation with half of every flow on
-// two-hop detours.
-func vlbInput(t testing.TB, m int) (*topology.Graph, []Flow) {
+// 64-port switches: the mesh and a random permutation on it.
+func vlbInput(t testing.TB, m int) (*topology.Graph, [][2]topology.NodeID) {
 	t.Helper()
 	g := mesh(t, m, (64-(m-1))/4)
-	return g, vlbFlows(t, g, permutation(g.Hosts(), rand.New(rand.NewSource(2014))), 0.5, VLBFlows)
+	return g, permutation(g.Hosts(), rand.New(rand.NewSource(2014)))
 }
 
 func TestAllocateAllocsIndependentOfSubflows(t *testing.T) {
 	allocs := func(m int) float64 {
-		g, flows := vlbInput(t, m)
+		g, pairs := vlbInput(t, m)
+		flows := vlbFlows(t, g, pairs, 0.5, VLBFlows)
 		// 100 runs: AllocsPerRun truncates the mean, so the handful of
 		// allocations the runtime makes at its first collection do not
 		// count.
@@ -413,14 +410,14 @@ func TestAllocateAllocsIndependentOfSubflows(t *testing.T) {
 	}
 }
 
-// tree builds the Figure 10 fabrics' shape: racks of hosts under one
-// core switch.
-func tree(racks, hosts int) *topology.Graph {
+// tree builds the Figure 10 fabrics' shape: racks of hosts on 10 Gb/s
+// links under one core switch, each rack's uplink at up.
+func tree(racks, hosts int, up sim.Rate) *topology.Graph {
 	g := topology.New("tree")
 	core := g.AddSwitch("core", topology.TierCore, -1)
 	for r := 0; r < racks; r++ {
 		tor := g.AddSwitch("tor", topology.TierToR, r)
-		g.Connect(tor, core, 40*sim.Gbps, 0)
+		g.Connect(tor, core, up, 0)
 		for h := 0; h < hosts; h++ {
 			g.Connect(g.AddHost("h", r), tor, 10*sim.Gbps, 0)
 		}
@@ -432,7 +429,7 @@ func TestShortestPathFlowsFollowShortestPath(t *testing.T) {
 	// Sources out of order and repeated, a pair within one rack, and a
 	// host sending to itself: each flow is the pair's own, in pair order,
 	// along the path g.ShortestPath returns.
-	g := tree(4, 3)
+	g := tree(4, 3, 40*sim.Gbps)
 	h := g.Hosts()
 	pairs := [][2]topology.NodeID{{h[5], h[0]}, {h[0], h[11]}, {h[5], h[3]}, {h[0], h[1]}, {h[7], h[7]}, {h[5], h[9]}}
 	flows, err := ShortestPathFlows(g, pairs, 3*sim.Gbps)
@@ -458,16 +455,18 @@ func TestShortestPathFlowsFollowShortestPath(t *testing.T) {
 func TestFlowBuildersAllocsIndependentOfPairs(t *testing.T) {
 	// A 9-rack tree and a 9-switch mesh of 72 hosts each: 8 pairs, then
 	// 72 pairs plus every host to host 0 (a source repeated 72 times).
-	for name, build := range map[string]func(*topology.Graph, [][2]topology.NodeID) ([]Flow, error){
-		"ShortestPathFlows": func(g *topology.Graph, p [][2]topology.NodeID) ([]Flow, error) {
-			return ShortestPathFlows(g, p, 0)
+	for name, build := range map[string]func(*topology.Graph, [][2]topology.NodeID) error{
+		"ShortestPathFlows": func(g *topology.Graph, p [][2]topology.NodeID) error {
+			_, err := ShortestPathFlows(g, p, 0)
+			return err
 		},
-		"VLBFlows": func(g *topology.Graph, p [][2]topology.NodeID) ([]Flow, error) {
-			return VLBFlows(g, p, 0.5, 0)
+		"CompileVLB": func(g *topology.Graph, p [][2]topology.NodeID) error {
+			_, err := CompileVLB(g, p)
+			return err
 		},
 	} {
-		g := tree(9, 8)
-		if name == "VLBFlows" {
+		g := tree(9, 8, 40*sim.Gbps)
+		if name == "CompileVLB" {
 			g = mesh(t, 9, 8)
 		}
 		all := permutation(g.Hosts(), rand.New(rand.NewSource(2014)))
@@ -476,7 +475,7 @@ func TestFlowBuildersAllocsIndependentOfPairs(t *testing.T) {
 		}
 		allocs := func(pairs [][2]topology.NodeID) float64 {
 			return testing.AllocsPerRun(100, func() {
-				if _, err := build(g, pairs); err != nil {
+				if err := build(g, pairs); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -488,21 +487,33 @@ func TestFlowBuildersAllocsIndependentOfPairs(t *testing.T) {
 	}
 }
 
-// vlbWeights returns the weights of every subflow of templates (VLBFlows
-// at an interior split) at each of the nine splits throughputOnQuartz
-// tries, indirect fraction 0, 1/8, …, 1.
-func vlbWeights(templates []Flow) [][]float64 {
+// vlbWeights returns the weights of every subflow of c (a CompileVLB
+// set) at each of the nine splits throughputOnQuartz tries, indirect
+// fraction 0, 1/8, …, 1.
+func vlbWeights(c *Compiled) [][]float64 {
 	var splits [][]float64
 	for frac := 0.0; frac <= 1.0; frac += 0.125 {
-		splits = append(splits, VLBWeights(templates, 1-frac, nil))
+		splits = append(splits, c.VLBWeights(1-frac, nil))
 	}
 	return splits
 }
 
-// vlbCase is a mesh and the host pairs of one traffic pattern on it.
+// compileVLB is CompileVLB, failing t on an error.
+func compileVLB(t testing.TB, g *topology.Graph, pairs [][2]topology.NodeID) *Compiled {
+	t.Helper()
+	c, err := CompileVLB(g, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// vlbCase is a mesh of switches racks of hosts each, and the host pairs
+// of one traffic pattern on it.
 type vlbCase struct {
-	g     *topology.Graph
-	pairs [][2]topology.NodeID
+	g               *topology.Graph
+	switches, hosts int
+	pairs           [][2]topology.NodeID
 }
 
 // vlbCases returns Figure 10's mesh (9 racks of 8 hosts) with its three
@@ -512,29 +523,25 @@ func vlbCases(t testing.TB) map[string]vlbCase {
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(2014)) }
 	g := mesh(t, 9, 8)
 	cases := map[string]vlbCase{
-		"fig10 permutation":  {g, traffic.RandomPermutation(g.Hosts(), rng())},
-		"fig10 incast":       {g, traffic.Incast(g.Hosts(), 10, rng())},
-		"fig10 rack shuffle": {g, traffic.RackShuffle(g, 3, rng())},
+		"fig10 permutation":  {g, 9, 8, traffic.RandomPermutation(g.Hosts(), rng())},
+		"fig10 incast":       {g, 9, 8, traffic.Incast(g.Hosts(), 10, rng())},
+		"fig10 rack shuffle": {g, 9, 8, traffic.RackShuffle(g, 3, rng())},
 	}
 	for _, m := range []int{5, 9, 17, 33} {
-		g := mesh(t, m, (64-(m-1))/4)
-		cases[fmt.Sprintf("oversub M=%d", m)] = vlbCase{g, traffic.RandomPermutation(g.Hosts(), rng())}
+		n := (64 - (m - 1)) / 4
+		g := mesh(t, m, n)
+		cases[fmt.Sprintf("oversub M=%d", m)] = vlbCase{g, m, n, traffic.RandomPermutation(g.Hosts(), rng())}
 	}
 	return cases
 }
 
 func TestFillOnCompiledTemplatesMatchesPerSplitFlows(t *testing.T) {
-	// For every split, filling the interior split's compiled flows at
-	// VLBWeights gives the rates, bit for bit, of allocating the flows
-	// VLBFlows builds for that split — with Allocate and with the
-	// reference kernel.
+	// For every split, filling CompileVLB's flows at VLBWeights gives the
+	// rates, bit for bit, of allocating the flows VLBFlows builds for that
+	// split — with Allocate and with the reference kernel.
 	for name, in := range vlbCases(t) {
-		templates := vlbFlows(t, in.g, in.pairs, 0.5, VLBFlows)
-		c, err := Compile(in.g, templates)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, weights := range vlbWeights(templates) {
+		c := compileVLB(t, in.g, in.pairs)
+		for k, weights := range vlbWeights(c) {
 			frac := float64(k) / 8
 			got, err := c.Fill(weights)
 			if err != nil {
@@ -564,12 +571,9 @@ func TestFillAllocsConstant(t *testing.T) {
 	// M = 9, 17 and 33 and at every split.
 	counts := map[float64]bool{}
 	for _, m := range []int{9, 17, 33} {
-		g, templates := vlbInput(t, m)
-		c, err := Compile(g, templates)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, weights := range vlbWeights(templates) {
+		g, pairs := vlbInput(t, m)
+		c := compileVLB(t, g, pairs)
+		for k, weights := range vlbWeights(c) {
 			n := testing.AllocsPerRun(20, func() {
 				if _, err := c.Fill(weights); err != nil {
 					t.Fatal(err)
@@ -593,7 +597,8 @@ func TestFillAllocsConstant(t *testing.T) {
 func BenchmarkAllocate(b *testing.B) {
 	for _, m := range []int{9, 17, 33} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			g, flows := vlbInput(b, m)
+			g, pairs := vlbInput(b, m)
+			flows := vlbFlows(b, g, pairs, 0.5, VLBFlows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -606,17 +611,17 @@ func BenchmarkAllocate(b *testing.B) {
 }
 
 // BenchmarkFillSplits is what throughputOnQuartz does per mesh: compile
-// the interior split's flows once, then fill all nine splits (up to 71,
-// 290 and 85 rounds a split on M = 9, 17 and 33).
+// the pairs' VLB paths once, then fill all nine splits (up to 71, 290
+// and 85 rounds a split on M = 9, 17 and 33).
 func BenchmarkFillSplits(b *testing.B) {
 	for _, m := range []int{9, 17, 33} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			g, templates := vlbInput(b, m)
-			splits := vlbWeights(templates)
+			g, pairs := vlbInput(b, m)
+			splits := vlbWeights(compileVLB(b, g, pairs))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := Compile(g, templates)
+				c, err := CompileVLB(g, pairs)
 				if err != nil {
 					b.Fatal(err)
 				}

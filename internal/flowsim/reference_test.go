@@ -260,6 +260,77 @@ func refVLBFlow(g *topology.Graph, src, dst topology.NodeID, directFrac float64,
 	return f, nil
 }
 
+// VLBFlows builds the flows CompileVLB compiles, for one split: one Flow
+// per pair on a full mesh that splits traffic between the direct path and
+// two-hop detours through every other switch, directFrac on the direct
+// path and the rest spread evenly over the detours. A pair within one
+// rack, or with no detour, takes its one path whole. It is the per-split
+// builder the equality tests hold CompileVLB and VLBWeights to: every
+// path is cut from one backing array and every subflow list from another.
+func VLBFlows(g *topology.Graph, pairs [][2]topology.NodeID, directFrac float64, demand sim.Rate) ([]Flow, error) {
+	if directFrac < 0 || directFrac > 1 {
+		return nil, fmt.Errorf("flowsim: direct fraction %v out of range", directFrac)
+	}
+	// A pair has at most a direct path and a detour through each of the
+	// other switches.
+	detours := max(0, len(g.Switches())-2)
+	flows := make([]Flow, len(pairs))
+	subs := make([]Subflow, 0, len(pairs)*(1+detours))
+	nodes := make([]topology.NodeID, 0, len(pairs)*(4+5*detours))
+	mids := make([]topology.NodeID, 0, detours)
+	// near marks the neighbours of a pair's source switch (bit 0) and of
+	// its destination switch (bit 1): one pass over the two port lists
+	// instead of two link searches per candidate detour. Each pair clears
+	// the bits it set.
+	near := make([]uint8, g.NumNodes())
+	for i, p := range pairs {
+		src, dst := p[0], p[1]
+		sSw, dSw := g.ToRof(src), g.ToRof(dst)
+		lo := len(subs)
+		if sSw == dSw {
+			subs = append(subs, Subflow{Path: cut(&nodes, src, sSw, dst), Weight: 1})
+			flows[i] = Flow{Src: src, Dst: dst, Demand: demand, Subflows: subs[lo:len(subs):len(subs)]}
+			continue
+		}
+		for _, q := range g.Ports(sSw) {
+			near[q.Peer] |= 1
+		}
+		for _, q := range g.Ports(dSw) {
+			near[q.Peer] |= 2
+		}
+		mids = mids[:0]
+		for _, sw := range g.Switches() {
+			if sw != sSw && sw != dSw && near[sw] == 3 {
+				mids = append(mids, sw)
+			}
+		}
+		for _, sw := range [2]topology.NodeID{sSw, dSw} {
+			for _, q := range g.Ports(sw) {
+				near[q.Peer] = 0
+			}
+		}
+		direct, detour := vlbSplit(directFrac, len(mids))
+		if direct > 0 {
+			subs = append(subs, Subflow{Path: cut(&nodes, src, sSw, dSw, dst), Weight: direct})
+		}
+		if direct < 1 {
+			for _, mid := range mids {
+				subs = append(subs, Subflow{Path: cut(&nodes, src, sSw, mid, dSw, dst), Weight: detour})
+			}
+		}
+		flows[i] = Flow{Src: src, Dst: dst, Demand: demand, Subflows: subs[lo:len(subs):len(subs)]}
+	}
+	return flows, nil
+}
+
+// cut appends path to *nodes and returns it as a slice of its own,
+// capacity clipped so that no later append can write over a neighbour.
+func cut(nodes *[]topology.NodeID, path ...topology.NodeID) []topology.NodeID {
+	lo := len(*nodes)
+	*nodes = append(*nodes, path...)
+	return (*nodes)[lo:len(*nodes):len(*nodes)]
+}
+
 // permutation pairs every host with the host a random permutation maps
 // it to, skipping fixed points.
 func permutation(hosts []topology.NodeID, rng *rand.Rand) [][2]topology.NodeID {
@@ -376,6 +447,27 @@ func TestVLBFlowMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		// CompileVLB compiles exactly what Compile makes of VLBFlows at an
+		// interior split: the same error where a direct link is missing,
+		// and the same Compiled for the pairs that have one.
+		_, werr := Compile(g, vlbFlows(t, g, pairs, 0.5, VLBFlows))
+		if _, err := CompileVLB(g, pairs); fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("%s: CompileVLB says %v, Compile of VLBFlows %v", name, err, werr)
+		}
+		var linked [][2]topology.NodeID
+		for _, p := range pairs {
+			s, d := g.ToRof(p[0]), g.ToRof(p[1])
+			if _, ok := g.FindLink(s, d); s == d || ok {
+				linked = append(linked, p)
+			}
+		}
+		want, err := Compile(g, vlbFlows(t, g, linked, 0.5, VLBFlows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := CompileVLB(g, linked); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: CompileVLB differs from Compile of VLBFlows (%v)", name, err)
+		}
 		for _, frac := range []float64{0, 0.125, 0.5, 1} {
 			flows, err := VLBFlows(g, pairs, frac, 3*sim.Gbps)
 			if err != nil {
@@ -401,15 +493,7 @@ func TestVLBFlowMatchesReference(t *testing.T) {
 func TestAllocateMatchesReferenceOnTrees(t *testing.T) {
 	// Single shortest paths on an oversubscribed two-level tree (the
 	// Figure 10 fabrics' shape), unbounded and demand-capped.
-	g := topology.New("tree")
-	core := g.AddSwitch("core", topology.TierCore, -1)
-	for r := 0; r < 6; r++ {
-		tor := g.AddSwitch(fmt.Sprintf("tor%d", r), topology.TierToR, r)
-		g.Connect(tor, core, 25*sim.Gbps, 0)
-		for h := 0; h < 5; h++ {
-			g.Connect(g.AddHost(fmt.Sprintf("h%d-%d", r, h), r), tor, 10*sim.Gbps, 0)
-		}
-	}
+	g := tree(6, 5, 25*sim.Gbps)
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, capped := range []bool{false, true} {
