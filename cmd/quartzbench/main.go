@@ -64,7 +64,7 @@ var (
 	list       = flag.Bool("list", false, "print the experiment registry and exit")
 	scenarioIn = flag.String("scenario", "", "run a declarative scenario file (JSON, see SCENARIOS.md) instead of registry experiments")
 	seed       = flag.Int64("seed", 2014, "random seed")
-	trials     = flag.Int("trials", 5000, "Monte-Carlo trials (fig6)")
+	trials     = flag.Int("trials", 5000, "scales validate's packet count (30 x trials)")
 	tasks      = flag.Int("tasks", 8, "maximum concurrent tasks (fig17/fig18)")
 	rpcs       = flag.Int("rpcs", 2000, "RPCs per point (fig14)")
 	csvDir     = flag.String("csv", "", "also write each experiment's rows as CSV files into this directory")

@@ -31,7 +31,7 @@ func BenchmarkFigure5(b *testing.B) {
 
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		grid, err := Figure6(context.Background(), 2000, benchSeed)
+		grid, err := Figure6(context.Background(), benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

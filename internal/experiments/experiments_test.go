@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -43,30 +44,35 @@ func TestFigure5GreedyTracksOptimal(t *testing.T) {
 	}
 }
 
+// Figure 6's sentences in §3.5, against the exact sweep at the
+// benchmark's seed.
 func TestFigure6HeadlineClaims(t *testing.T) {
-	grid, err := Figure6(context.Background(), 2000, 2)
+	grid, err := Figure6(context.Background(), 2014)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One ring, one cut: ~20-30% bandwidth loss, no partition.
+	// One ring, one cut: a cut meets 136 of the 528 arcs on average
+	// (the ring's (M² − 1)/8 wavelengths over C(33, 2)); no partition.
 	r11 := grid[0][0]
-	if r11.AvgBandwidthLoss < 0.15 || r11.AvgBandwidthLoss > 0.35 {
-		t.Errorf("1 ring 1 cut loss = %v, want ~0.2", r11.AvgBandwidthLoss)
+	if want := 136.0 / 528; math.Abs(r11.AvgBandwidthLoss-want) > 1e-15 {
+		t.Errorf("1 ring 1 cut loss = %v, want 136/528 = %v", r11.AvgBandwidthLoss, want)
 	}
 	if r11.PartitionProb != 0 {
 		t.Errorf("1 ring 1 cut partition = %v, want 0", r11.PartitionProb)
 	}
-	// One ring, >= 2 cuts: partition probability > 90%.
-	if grid[0][1].PartitionProb < 0.9 {
-		t.Errorf("1 ring 2 cuts partition = %v, want > 0.9", grid[0][1].PartitionProb)
+	// One ring, >= 2 cuts: always partitioned (paper: > 90%).
+	for c := 1; c < 4; c++ {
+		if p := grid[0][c].PartitionProb; p != 1 {
+			t.Errorf("1 ring %d cuts partition = %v, want 1", c+1, p)
+		}
 	}
-	// Two rings, four cuts: partition probability ~0.24%.
-	if grid[1][3].PartitionProb > 0.02 {
-		t.Errorf("2 rings 4 cuts partition = %v, want < 2%%", grid[1][3].PartitionProb)
+	// Two rings, four cuts: under 0.5% but not zero (paper: 0.24%).
+	if p := grid[1][3].PartitionProb; !(p > 0 && p < 0.005) {
+		t.Errorf("2 rings 4 cuts partition = %v, want in (0, 0.5%%)", p)
 	}
-	// Four rings, one cut: loss ~6%.
-	if grid[3][0].AvgBandwidthLoss > 0.12 {
-		t.Errorf("4 rings 1 cut loss = %v, want ~0.06", grid[3][0].AvgBandwidthLoss)
+	// Four rings, one cut: a quarter of the one-ring loss (paper: 6%).
+	if got, want := grid[3][0].AvgBandwidthLoss, r11.AvgBandwidthLoss/4; math.Abs(got-want) > 1e-15 {
+		t.Errorf("4 rings 1 cut loss = %v, want a quarter of %v", got, r11.AvgBandwidthLoss)
 	}
 	if RenderFigure6(grid) == "" {
 		t.Error("empty render")

@@ -158,29 +158,33 @@ func TestPacketCellAllocBudget(t *testing.T) {
 // TestAnalyticAllocBudget is the analytic experiments' counterpart of
 // TestPacketCellAllocBudget: each budget is ≈ 25 % over what the
 // experiment costs at seed 2014 on one core (fig5 1.1 MB in 620 mallocs,
-// fig10 2.05 MB in 787, oversub 1.95 MB in 436, table9 2.5 MB in 707),
-// and below what it cost while channels were tested link by link and
-// flows were built a pair at a time (2.0 MB / 4 435, 9.7 MB / 43 345,
-// 8.1 MB / 5 125), for fig10 and oversub while every split of the VLB
-// sweep copied and compiled its own flows (4.5 MB / 1 116, 7.8 MB /
-// 825) and while the mesh's VLB flows were built as templates before
-// they were compiled (2.1 MB / 843, 2.4 MB / 458), and, for the last
-// three, while every node had a backing array of ports and a formatted
-// name of its own (1 815, 2 535 and 2.8 MB / 13 819 mallocs). The fig10
-// and oversub malloc budgets leave room for what the race detector adds
-// (≈ 910 and 560 under make race). It fails if first-fit or a flow
-// builder starts allocating per channel, per arc or per host pair again,
-// the VLB sweep per split, or a graph per node.
+// fig6 0.19 MB in 119, fig10 2.05 MB in 787, oversub 1.95 MB in 436,
+// table9 2.5 MB in 707), and below what it cost while channels were
+// tested link by link and flows were built a pair at a time (2.0 MB /
+// 4 435, 9.7 MB / 43 345, 8.1 MB / 5 125), for fig10 and oversub while
+// every split of the VLB sweep copied and compiled its own flows (4.5 MB
+// / 1 116, 7.8 MB / 825) and while the mesh's VLB flows were built as
+// templates before they were compiled (2.1 MB / 843, 2.4 MB / 458), and,
+// for the last three, while every node had a backing array of ports and
+// a formatted name of its own (1 815, 2 535 and 2.8 MB / 13 819
+// mallocs). The fig10 and oversub malloc budgets leave room for what the
+// race detector adds (≈ 910 and 560 under make race); fig6 has a wider
+// budget of its own under the detector (143–190 mallocs there). It fails
+// if first-fit or a flow builder starts allocating per channel, per arc
+// or per host pair again, the VLB sweep per split, a graph per node, or
+// Figure 6's exact count per cut set.
 func TestAnalyticAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		name           string
 		bytes, mallocs uint64
+		raceMallocs    uint64 // the malloc budget under the race detector, if wider
 	}{
-		{"fig5", 14 << 20 / 10, 800},
-		{"fig10", 26 << 20 / 10, 1_000},
-		{"oversub", 24 << 20 / 10, 620},
-		{"table9", 32 << 20 / 10, 900},
+		{"fig5", 14 << 20 / 10, 800, 0},
+		{"fig6", 24 << 20 / 100, 150, 240},
+		{"fig10", 26 << 20 / 10, 1_000, 0},
+		{"oversub", 24 << 20 / 10, 620, 0},
+		{"table9", 32 << 20 / 10, 900, 0},
 	} {
 		exp, _ := Find(tc.name)
 		p := Params{Seed: 2014, Trials: 5000}
@@ -192,9 +196,13 @@ func TestAnalyticAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 		t.Logf("%s: %.2f MB, %d mallocs", tc.name, float64(bytes)/(1<<20), mallocs)
-		if bytes > tc.bytes || mallocs > tc.mallocs {
+		budget := tc.mallocs
+		if raceDetector {
+			budget = max(budget, tc.raceMallocs)
+		}
+		if bytes > tc.bytes || mallocs > budget {
 			t.Errorf("%s allocated %d bytes in %d mallocs, budget %d bytes / %d mallocs",
-				tc.name, bytes, mallocs, tc.bytes, tc.mallocs)
+				tc.name, bytes, mallocs, tc.bytes, budget)
 		}
 	}
 }

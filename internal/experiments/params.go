@@ -27,8 +27,8 @@ type Progress func(done, total int)
 type Params struct {
 	// Seed makes every experiment deterministic.
 	Seed int64
-	// Trials is the Monte-Carlo trial count (Figure 6) and scales the
-	// validation experiment's packet count.
+	// Trials scales the validation experiment's packet count (30 ×
+	// Trials); Figure 6 is exact and takes none.
 	Trials int
 	// Tasks caps concurrent tasks (Figures 17/18).
 	Tasks int

@@ -102,7 +102,7 @@ func All() []Experiment {
 			Name: "fig6", Title: "Figure 6: fault tolerance under fiber cuts", Section: "§3.5",
 			Covers: []string{"Figure6"},
 			Run: func(ctx context.Context, p Params) (Output, error) {
-				grid, err := Figure6(ctx, p.Trials, p.Seed)
+				grid, err := Figure6(ctx, p.Seed)
 				if err != nil {
 					return Output{}, err
 				}

@@ -92,8 +92,8 @@ func TestClosedBoundariesAgreeWithUnionFind(t *testing.T) {
 // TestFigure6SingleRingTrialsTakeTheShortcut pins where the rule pays:
 // on Figure 6's one-ring plan (33 switches, the plan fault.Sweep builds
 // from the benchmark's seed), every set of two to four cut segments —
-// so every trial of the one-ring, ≥ 2-cut cells — has two closed
-// segment indices and is partitioned without union–find.
+// so every Monte Carlo trial of the one-ring, ≥ 2-cut cells — has two
+// closed segment indices and is partitioned without union–find.
 func TestFigure6SingleRingTrialsTakeTheShortcut(t *testing.T) {
 	base := wdm.Greedy(33, rand.New(rand.NewSource(2014)))
 	plan, err := wdm.SplitAcrossRings(base, 1, base.Channels)

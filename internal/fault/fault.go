@@ -2,16 +2,19 @@
 // Figure 6 of the paper). A Quartz deployment carries its wavelength
 // channels on one or more physical fiber rings; a fiber cut on one ring
 // segment destroys every channel whose arc crosses that segment on that
-// ring. The package measures, by Monte-Carlo simulation:
+// ring. The package measures
 //
 //   - aggregate bandwidth loss: the fraction of logical mesh links
 //     (switch pairs) destroyed, and
 //   - partition probability: whether the surviving logical mesh (using
 //     multi-hop paths) still connects all switches.
+//
+// Sweep, Figure 6's producer, computes both exactly (exact.go).
+// Simulate estimates them by Monte Carlo for any plan, and Availability
+// samples a steady state of independent failures and repairs.
 package fault
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -20,18 +23,19 @@ import (
 	"github.com/quartz-dcn/quartz/internal/wdm"
 )
 
-// Result summarizes a Monte-Carlo run.
+// Result is one cell of Figure 6: a Monte-Carlo estimate (Simulate) or
+// the exact value (Sweep).
 type Result struct {
 	// Rings is the number of physical fiber rings.
 	Rings int
 	// Cuts is the number of simultaneously failed fiber segments.
 	Cuts int
-	// Trials is the number of Monte-Carlo trials.
+	// Trials is the number of Monte-Carlo trials, 0 for an exact cell.
 	Trials int
 	// AvgBandwidthLoss is the mean fraction of logical links lost.
 	AvgBandwidthLoss float64
-	// PartitionProb is the fraction of trials in which the surviving
-	// logical mesh was disconnected.
+	// PartitionProb is the fraction of trials, or of all cut sets, in
+	// which the surviving logical mesh was disconnected.
 	PartitionProb float64
 }
 
@@ -58,15 +62,18 @@ type model struct {
 	dead []uint64
 }
 
-func newModel(plan *wdm.Plan) (*model, error) {
+// checkPlan returns the number of fiber rings of a plan both kernels
+// can take: 2 ≤ M ≤ 64, at least one arc, and every arc joining two
+// switches of the ring on one of its rings.
+func checkPlan(plan *wdm.Plan) (rings int, err error) {
 	if plan.M < 2 {
-		return nil, fmt.Errorf("fault: ring too small (M=%d)", plan.M)
+		return 0, fmt.Errorf("fault: ring too small (M=%d)", plan.M)
 	}
 	if plan.M > 64 {
-		return nil, fmt.Errorf("fault: M=%d exceeds the 64-segment mask", plan.M)
+		return 0, fmt.Errorf("fault: M=%d exceeds the 64-segment mask", plan.M)
 	}
 	if len(plan.Assignments) == 0 {
-		return nil, fmt.Errorf("fault: plan has no assignments, so nothing to lose")
+		return 0, fmt.Errorf("fault: plan has no assignments, so nothing to lose")
 	}
 	m, rings := plan.M, plan.Rings
 	if rings == 0 {
@@ -76,9 +83,27 @@ func newModel(plan *wdm.Plan) (*model, error) {
 	// trial's work grow with the ring count, so it is held to what the
 	// arcs can use: no more rings than channels, nor than arcs.
 	if rings > max(1, min(plan.Channels, len(plan.Assignments))) {
-		return nil, fmt.Errorf("fault: %d fiber rings for %d channels on %d arcs: %w",
+		return 0, fmt.Errorf("fault: %d fiber rings for %d channels on %d arcs: %w",
 			rings, plan.Channels, len(plan.Assignments), wdm.ErrIdleRings)
 	}
+	for i, a := range plan.Assignments {
+		// A decoded plan is only checked for non-negative header fields;
+		// an arc must join two switches of the ring on one of its rings.
+		if a.S < 0 || a.S >= m || a.T < 0 || a.T >= m || a.S == a.T ||
+			a.Ring < 0 || a.Ring >= rings || a.Dir > wdm.CounterClockwise {
+			return 0, fmt.Errorf("fault: assignment %d (pair %d-%d, direction %d, ring %d) does not fit M=%d with %d ring(s)",
+				i, a.S, a.T, a.Dir, a.Ring, m, rings)
+		}
+	}
+	return rings, nil
+}
+
+func newModel(plan *wdm.Plan) (*model, error) {
+	rings, err := checkPlan(plan)
+	if err != nil {
+		return nil, err
+	}
+	m := plan.M
 	words := (len(plan.Assignments) + 63) / 64
 	md := &model{
 		m: m, rings: rings, words: words,
@@ -89,13 +114,6 @@ func newModel(plan *wdm.Plan) (*model, error) {
 		dead:     make([]uint64, words),
 	}
 	for i, a := range plan.Assignments {
-		// A decoded plan is only checked for non-negative header fields;
-		// an arc must join two switches of the ring on one of its rings.
-		if a.S < 0 || a.S >= m || a.T < 0 || a.T >= m || a.S == a.T ||
-			a.Ring < 0 || a.Ring >= rings || a.Dir > wdm.CounterClockwise {
-			return nil, fmt.Errorf("fault: assignment %d (pair %d-%d, direction %d, ring %d) does not fit M=%d with %d ring(s)",
-				i, a.S, a.T, a.Dir, a.Ring, m, rings)
-		}
 		if md.crossing[a.Ring] == nil {
 			md.crossing[a.Ring] = make([]uint64, m*words)
 		}
@@ -160,17 +178,8 @@ func (md *model) closed(cutMask []uint64) uint64 {
 // and makes no assumption of one arc per switch pair (a plan may give a
 // pair several).
 func (md *model) disconnected() bool {
-	var parent [256]uint8 // indexed by uint8: no bounds checks in find
-	for i := 0; i < md.m; i++ {
-		parent[i] = uint8(i)
-	}
-	find := func(x uint8) uint8 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	var f forest
+	f.reset(md.m)
 	comps := md.m
 	for w, dead := range md.dead {
 		live := ^dead
@@ -179,8 +188,7 @@ func (md *model) disconnected() bool {
 		}
 		for ; live != 0 && comps > 1; live &= live - 1 {
 			pair := md.pairs[64*w+bits.TrailingZeros64(live)]
-			if a, b := find(pair[0]), find(pair[1]); a != b {
-				parent[a] = b
+			if f.union(pair[0], pair[1]) {
 				comps--
 			}
 		}
@@ -238,44 +246,6 @@ func Simulate(plan *wdm.Plan, cuts, trials int, rng *rand.Rand) (Result, error) 
 	res.AvgBandwidthLoss = lossSum / float64(trials)
 	res.PartitionProb = float64(partitions) / float64(trials)
 	return res, nil
-}
-
-// Sweep reproduces Figure 6's grid: for each ring count 1..maxRings, it
-// builds the channel plan for a ring of the given size, splits it
-// across that many fibers, and simulates 1..maxCuts simultaneous cuts.
-// Results are indexed [rings-1][cuts-1]. Cancelling ctx aborts between
-// cells with ctx.Err(); a nil ctx means no cancellation.
-func Sweep(ctx context.Context, ringSize, maxRings, maxCuts, trials int, rng *rand.Rand) ([][]Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if maxRings < 1 || maxCuts < 1 {
-		return nil, fmt.Errorf("fault: invalid sweep %dx%d", maxRings, maxCuts)
-	}
-	base := wdm.Greedy(ringSize, rng)
-	out := make([][]Result, maxRings)
-	for r := 1; r <= maxRings; r++ {
-		// Channels are dealt round-robin across r fibers; per-fiber
-		// capacity is whatever that requires (the paper's deployments
-		// add whole muxes per ring as needed).
-		per := (base.Channels + r - 1) / r
-		plan, err := wdm.SplitAcrossRings(base, r, per)
-		if err != nil {
-			return nil, err
-		}
-		out[r-1] = make([]Result, maxCuts)
-		for c := 1; c <= maxCuts; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res, err := Simulate(plan, c, trials, rng)
-			if err != nil {
-				return nil, err
-			}
-			out[r-1][c-1] = res
-		}
-	}
-	return out, nil
 }
 
 // AvailabilityParams describes a fiber failure/repair process for

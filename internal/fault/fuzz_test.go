@@ -11,7 +11,9 @@ import (
 // FuzzFaultModel feeds an arbitrary serialized plan, a cut count and a
 // trial count to Simulate and Availability. Neither may panic, hang or
 // run out of memory, and each returns an error or a bandwidth loss and a
-// partition probability in [0, 1]. Seeded with greedy plans split over
+// partition probability in [0, 1]. A plan of at most eight switches on
+// at most three rings also goes to the exact kernel, which must match
+// enumeration for one to three cuts. Seeded with greedy plans split over
 // one to four rings and with malformedPlans, the hand-found plans that
 // once hung, panicked or exhausted memory; `make fuzz` runs it for ten
 // seconds.
@@ -43,6 +45,9 @@ func FuzzFaultModel(f *testing.F) {
 		if res, err := Simulate(&plan, int(cuts), n, rand.New(rand.NewSource(1))); err == nil &&
 			!(inUnit(res.AvgBandwidthLoss) && inUnit(res.PartitionProb)) {
 			t.Fatalf("Simulate(%d cuts): loss %v, partition probability %v", cuts, res.AvgBandwidthLoss, res.PartitionProb)
+		}
+		if _, err := checkPlan(&plan); err == nil && plan.M <= 8 && plan.Rings <= 3 {
+			checkExact(t, "fuzzed plan", &plan, 3)
 		}
 		params := AvailabilityParams{MTBFHours: 10, MTTRHours: 1, Trials: n}
 		if res, err := Availability(&plan, params, rand.New(rand.NewSource(1))); err == nil &&

@@ -133,36 +133,74 @@ func TestLossClosedFormOneCutOnFigure6Ring(t *testing.T) {
 	}
 }
 
-// Figure 6's Monte Carlo at the golden parameters (seed 7, 200 trials a
-// cell) against the closed form: every loss cell within four standard
-// errors of it. Where every segment carries the same number of arcs,
-// one cut always loses the same fraction: the variance is zero and the
-// cell must match up to the rounding of its 200-term sum.
-func TestSweepLossWithinFourStandardErrors(t *testing.T) {
-	const seed, trials = 7, 200
-	grid, err := Sweep(context.Background(), 33, 4, 4, trials, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sweep's plans: the greedy plan is the first draw from its rng.
-	base := wdm.Greedy(33, rand.New(rand.NewSource(seed)))
-	for r, row := range grid {
+// goldenMonteCarlo is Figure 6 as the Monte Carlo estimated it before
+// Sweep computed it exactly, at the golden parameters: seed 7's greedy
+// plan, then 200 trials a cell from the same rng, rings outer and cuts
+// inner. It returns those cells and the models of the four plans.
+func goldenMonteCarlo(t *testing.T) (grid [4][4]Result, models [4]*model) {
+	t.Helper()
+	const trials = 200
+	rng := rand.New(rand.NewSource(7))
+	base := wdm.Greedy(33, rng)
+	for r := range grid {
 		plan, err := wdm.SplitAcrossRings(base, r+1, (base.Channels+r)/(r+1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		md, err := newModel(plan)
-		if err != nil {
+		if models[r], err = newModel(plan); err != nil {
 			t.Fatal(err)
 		}
+		for c := range grid[r] {
+			if grid[r][c], err = Simulate(plan, c+1, trials, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return grid, models
+}
+
+// The audit of the Monte Carlo Figure 6 once printed (seed 7, 200 trials
+// a cell) against the closed form: every loss cell within four standard
+// errors of it. Where every segment carries the same number of arcs, one
+// cut always loses the same fraction: the variance is zero and the cell
+// must match up to the rounding of its 200-term sum.
+func TestSweepLossWithinFourStandardErrors(t *testing.T) {
+	grid, models := goldenMonteCarlo(t)
+	for r, row := range grid {
 		for c, res := range row {
-			exact, _ := closedFormLoss(md, c+1).Float64()
-			se := math.Sqrt(lossVariance(md, c+1) / trials)
+			exact, _ := closedFormLoss(models[r], c+1).Float64()
+			se := math.Sqrt(lossVariance(models[r], c+1) / float64(res.Trials))
 			name := fmt.Sprintf("rings=%d cuts=%d", r+1, c+1)
 			t.Logf("%s: Monte Carlo %.5f, closed form %.5f, standard error %.5f", name, res.AvgBandwidthLoss, exact, se)
 			if d := math.Abs(res.AvgBandwidthLoss - exact); d > 4*se+1e-12 {
 				t.Errorf("%s: Monte Carlo %.5f, closed form %.5f: %.1f standard errors (%.5f) apart",
 					name, res.AvgBandwidthLoss, exact, d/se, se)
+			}
+		}
+	}
+}
+
+// Every loss cell Sweep computes at Figure 6's size, at the golden seed
+// and the benchmark's, within 1e-12 of the closed form in exact
+// rationals: the float64 histogram sum holds at M = 33 and 2–4 cuts, not
+// only on the small plans the enumeration covers.
+func TestSweepLossMatchesClosedForm(t *testing.T) {
+	for _, seed := range []int64{7, 2014} {
+		grid, err := Sweep(context.Background(), 33, 4, 4, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, row := range grid {
+			md, err := newModel(sweepPlan(t, seed, r+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, res := range row {
+				want, _ := closedFormLoss(md, c+1).Float64()
+				if d := math.Abs(res.AvgBandwidthLoss - want); d > 1e-12 {
+					t.Errorf("seed %d rings=%d cuts=%d: loss %v, closed form %v (%.1e apart)",
+						seed, r+1, c+1, res.AvgBandwidthLoss, want, d)
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -30,8 +29,8 @@ func sweepPlan(t testing.TB, seed int64, rings int) *wdm.Plan {
 // rings. One ring splits at any two cuts; two rings first split at four.
 // The suite enumerates c ≤ figure6Enumerated[r-1]; the 3- and 4-ring
 // 4-cut sets (3.8 M and 12.1 M of them, seconds each) were enumerated
-// once by raising those limits to 4, and none partitions
-// (EXPERIMENTS.md, Figure 6).
+// once by raising those limits to 4, and none partitions. The exact
+// kernel asserts every cell (TestExactFigure6Counts).
 var (
 	figure6Partitions = [4][4]int64{
 		{0, 528, 5456, 40920}, // C(33, c): every set
@@ -99,28 +98,25 @@ func TestFigure6TwoRingsFourCutsAtBenchmarkSeed(t *testing.T) {
 	}
 }
 
-// Figure 6's Monte Carlo partition cells at the golden parameters (seed
-// 7, 200 trials a cell) against the exact probabilities: equal where the
+// The partition cells of the Monte Carlo Figure 6 once printed (seed 7,
+// 200 trials a cell) against the enumerated counts: equal where the
 // exact value is 0 or 1, and within four binomial standard errors
 // elsewhere.
 func TestSweepPartitionMatchesEnumeration(t *testing.T) {
-	const seed, trials = 7, 200
-	grid, err := Sweep(context.Background(), 33, 4, 4, trials, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid, _ := goldenMonteCarlo(t)
 	for r, row := range grid {
 		for c, res := range row {
 			all := new(big.Int).Binomial(int64(33*(r+1)), int64(c+1)).Int64()
 			exact := float64(figure6Partitions[r][c]) / float64(all)
 			name := fmt.Sprintf("rings=%d cuts=%d", r+1, c+1)
+			t.Logf("%s: Monte Carlo %.5f, exact %.5f", name, res.PartitionProb, exact)
 			if exact == 0 || exact == 1 {
 				if res.PartitionProb != exact {
 					t.Errorf("%s: Monte Carlo %g, exact %g", name, res.PartitionProb, exact)
 				}
 				continue
 			}
-			se := math.Sqrt(exact * (1 - exact) / trials)
+			se := math.Sqrt(exact * (1 - exact) / float64(res.Trials))
 			if d := math.Abs(res.PartitionProb - exact); d > 4*se {
 				t.Errorf("%s: Monte Carlo %.5f, exact %.5f: %.1f standard errors (%.5f) apart",
 					name, res.PartitionProb, exact, d/se, se)

@@ -83,16 +83,22 @@ func arcLen(m, s, t int, dir Direction) int {
 	return (s - t + m) % m
 }
 
-// Crosses reports whether the assignment's arc covers fiber link l of a
-// ring of m switches. The links an arc covers are consecutive round the
-// ring, from S clockwise or from T for the counter-clockwise arc, so
-// this is one comparison against the arc's length.
-func (a Assignment) Crosses(m, l int) bool {
-	from := a.S
+// Span returns the links the assignment's arc covers on a ring of m
+// switches: n consecutive links clockwise from link from, which starts
+// at S for the clockwise arc and at T for the counter-clockwise one.
+func (a Assignment) Span(m int) (from, n int) {
+	from = a.S
 	if a.Dir == CounterClockwise {
 		from = a.T
 	}
-	return (l-from+m)%m < arcLen(m, a.S, a.T, a.Dir)
+	return from, arcLen(m, a.S, a.T, a.Dir)
+}
+
+// Crosses reports whether the assignment's arc covers fiber link l of a
+// ring of m switches: one comparison against the arc's Span.
+func (a Assignment) Crosses(m, l int) bool {
+	from, n := a.Span(m)
+	return (l-from+m)%m < n
 }
 
 // arcMask sets mask to the link bitset of the arc from s to t going dir:

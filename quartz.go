@@ -93,8 +93,9 @@ func PlanAmplifiers(ringSize int) (optics.RingBudget, error) {
 	return optics.PlanRing(ringSize, optics.DefaultParts)
 }
 
-// SimulateFiberCuts measures bandwidth loss and partition probability
-// under random fiber cuts (§3.5, Figure 6).
+// SimulateFiberCuts estimates bandwidth loss and partition probability
+// under random fiber cuts by Monte Carlo, for any plan (§3.5); the fig6
+// experiment computes Figure 6's plans exactly.
 func SimulateFiberCuts(plan *ChannelPlan, cuts, trials int, rng *rand.Rand) (fault.Result, error) {
 	return fault.Simulate(plan, cuts, trials, rng)
 }
