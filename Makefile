@@ -50,10 +50,11 @@ race:
 # envelope parser (internal/service/fuzz_test.go): no panic, nothing but
 # whitespace after an accepted body, and an accepted request survives a
 # marshal and re-parse. FuzzDecode checks the same trailing rule.
-# FuzzFaultModel feeds arbitrary channel-plan JSON, cuts and trials to
-# the fiber-cut model (internal/fault/fuzz_test.go): an error, or a loss
-# and a partition probability in [0, 1], with no panic, hang or
-# out-of-memory. FuzzECMPTables decodes arbitrary small graphs (up to 8
+# FuzzFaultModel feeds arbitrary channel-plan JSON and a cut count to
+# the exact fiber-cut count under a 20 ms deadline (fault.FiberCuts,
+# internal/fault/fuzz_test.go): an error (the deadline's counts), or a
+# loss and a partition probability in [0, 1], with no panic, hang or
+# out-of-memory; a plan of at most 8 switches must match enumeration. FuzzECMPTables decodes arbitrary small graphs (up to 8
 # switches and 16 hosts, multi-homed and host-attached hosts, parallel
 # links) and dead-link sets and routes them (internal/routing/
 # reference_test.go): every ECMP next-hop list equals a naive

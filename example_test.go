@@ -119,15 +119,16 @@ func headline(out quartz.Output) string {
 	return line
 }
 
-// ExampleSimulateFiberCuts shows §3.5's headline: one cut never
-// partitions the logical mesh.
-func ExampleSimulateFiberCuts() {
+// ExampleFiberCuts shows §3.5's headline: one cut on a 33-switch ring
+// loses 136 of its 528 links on average, and never partitions the
+// logical mesh.
+func ExampleFiberCuts() {
 	plan := quartz.GreedyChannels(33, rand.New(rand.NewSource(2)))
-	res, err := quartz.SimulateFiberCuts(plan, 1, 1000, rand.New(rand.NewSource(3)))
+	res, err := quartz.FiberCuts(context.Background(), plan, 1)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.PartitionProb)
+	fmt.Printf("loss %.4f, partition %v\n", res.AvgBandwidthLoss, res.PartitionProb)
 	// Output:
-	// 0
+	// loss 0.2576, partition 0
 }

@@ -168,8 +168,9 @@ func TestPacketCellAllocBudget(t *testing.T) {
 // for the last three, while every node had a backing array of ports and
 // a formatted name of its own (1 815, 2 535 and 2.8 MB / 13 819
 // mallocs). The fig10 and oversub malloc budgets leave room for what the
-// race detector adds (≈ 910 and 560 under make race); fig6 has a wider
-// budget of its own under the detector (143–190 mallocs there). It fails
+// race detector adds (≈ 910 and 560 under make race); fig6 and table9
+// have wider budgets of their own under the detector (143–190 and
+// 866–901 mallocs there). It fails
 // if first-fit or a flow builder starts allocating per channel, per arc
 // or per host pair again, the VLB sweep per split, a graph per node, or
 // Figure 6's exact count per cut set.
@@ -184,7 +185,7 @@ func TestAnalyticAllocBudget(t *testing.T) {
 		{"fig6", 24 << 20 / 100, 150, 240},
 		{"fig10", 26 << 20 / 10, 1_000, 0},
 		{"oversub", 24 << 20 / 10, 620, 0},
-		{"table9", 32 << 20 / 10, 900, 0},
+		{"table9", 32 << 20 / 10, 900, 1_100},
 	} {
 		exp, _ := Find(tc.name)
 		p := Params{Seed: 2014, Trials: 5000}

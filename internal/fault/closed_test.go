@@ -32,7 +32,8 @@ func forEachCutSet(rings, m, k int, f func(cutMask []uint64)) {
 // TestClosedBoundariesAgreeWithUnionFind checks the closed-boundary
 // rule against union–find on small plans: greedy plans for M = 2…9 on
 // one to four fiber rings, under every set of at most four cut segments
-// and under dense random masks drawn the way Availability draws them.
+// and under dense random masks, each segment down on its own as in a
+// steady state of independent failures.
 // Whenever two segment indices are closed, union–find over the
 // survivors must find the mesh disconnected too, and evaluate's loss is
 // the number of arcs kill marks dead.

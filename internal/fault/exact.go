@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"slices"
 
 	"github.com/quartz-dcn/quartz/internal/wdm"
@@ -55,6 +54,11 @@ type exact struct {
 	joined []labels
 	// all has a bit for each of the M segment indices.
 	all uint64
+	// ctx is the caller's. count asks it every 1 024 placements
+	// (stopped), and err keeps its answer once it is done.
+	ctx  context.Context
+	err  error
+	tick uint
 }
 
 // cutSet is one ring's cut segments, the blocks they leave and those
@@ -95,10 +99,13 @@ func (f *forest) union(a, b uint8) bool {
 	return true
 }
 
-func newExact(plan *wdm.Plan) (*exact, error) {
+func newExact(ctx context.Context, plan *wdm.Plan) (*exact, error) {
 	rings, err := checkPlan(plan)
 	if err != nil {
 		return nil, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	m, arcs := plan.M, len(plan.Assignments)
 	x := &exact{
@@ -114,6 +121,7 @@ func newExact(plan *wdm.Plan) (*exact, error) {
 		finer:  make([][2][]cutSet, rings),
 		joined: make([]labels, rings),
 		all:    math.MaxUint64 >> uint(64-m),
+		ctx:    ctx,
 	}
 	// Bucket the arcs by (ring, end): count, take prefix sums to bucket
 	// starts, place each arc at its bucket's cursor, and shift the
@@ -350,6 +358,9 @@ func (x *exact) count(i, left int, j *labels, bounds uint64) (n int64) {
 	for k := lo; k <= hi; k++ {
 		if k != 1 && k != 2 {
 			for cuts, more := uint64(1)<<uint(k)-1, true; more; cuts, more = nextSubset(cuts, x.m) {
+				if x.stopped() {
+					return n
+				}
 				var p labels
 				if pb := x.partition(r, cuts, bounds, &p); pb != 0 {
 					n += x.descend(i, left-k, j, &p, pb)
@@ -359,12 +370,18 @@ func (x *exact) count(i, left int, j *labels, bounds uint64) (n int64) {
 		}
 		sets := x.finerSets(r, k)
 		for f := range sets {
+			if x.stopped() {
+				return n
+			}
 			if s := &sets[f]; bits.OnesCount64(s.bounds&bounds) >= 2 {
 				n += x.descend(i, left-k, j, &s.blocks, s.bounds)
 			}
 		}
 		for a := bounds; k == 2 && a != 0; a &= a - 1 {
 			for b := a & (a - 1); b != 0; b &= b - 1 {
+				if x.stopped() {
+					return n
+				}
 				sa, sb := bits.TrailingZeros64(a), bits.TrailingZeros64(b)
 				cuts := uint64(1)<<uint(sa) | uint64(1)<<uint(sb)
 				switch {
@@ -382,6 +399,17 @@ func (x *exact) count(i, left int, j *labels, bounds uint64) (n int64) {
 		}
 	}
 	return n
+}
+
+// stopped counts one placement and reports whether ctx is done. It asks
+// ctx when cell starts and every 1 024 placements after, and remembers
+// a done context: a cancelled count unwinds with what it had counted,
+// which cell discards.
+func (x *exact) stopped() bool {
+	if x.tick++; x.tick%1024 == 1 && x.err == nil {
+		x.err = x.ctx.Err()
+	}
+	return x.err != nil
 }
 
 // descend joins ring order[i]'s partition p, with boundaries pb, into j
@@ -410,10 +438,14 @@ func nextSubset(v uint64, m int) (uint64, bool) {
 	return w, w>>uint(m) == 0
 }
 
-// cell is the exact Figure 6 cell for c cuts.
+// cell is the exact Figure 6 cell for c cuts, or ctx's error once it
+// is done.
 func (x *exact) cell(c int) (Result, error) {
 	if c < 1 || c > x.n {
 		return Result{}, fmt.Errorf("fault: %d cuts outside 1…%d fiber segments", c, x.n)
+	}
+	if x.tick = 0; x.stopped() {
+		return Result{}, x.err
 	}
 	survive := 0.0
 	for l, arcs := range x.spans {
@@ -423,7 +455,7 @@ func (x *exact) cell(c int) (Result, error) {
 		}
 		survive += p
 	}
-	res := Result{Rings: x.rings, Cuts: c, AvgBandwidthLoss: 1 - survive/float64(x.arcs)}
+	res := Result{AvgBandwidthLoss: 1 - survive/float64(x.arcs)}
 	if x.rings == 1 && c >= 2 {
 		res.PartitionProb = 1 // any two cuts split one ring
 	} else {
@@ -431,48 +463,11 @@ func (x *exact) cell(c int) (Result, error) {
 		for i := 1; i <= c; i++ {
 			sets = sets * float64(x.n-c+i) / float64(i)
 		}
-		res.PartitionProb = float64(x.partitions(c)) / sets
+		n := x.partitions(c)
+		if x.err != nil {
+			return Result{}, x.err
+		}
+		res.PartitionProb = float64(n) / sets
 	}
 	return res, nil
-}
-
-// Sweep reproduces Figure 6's grid exactly: for each ring count
-// 1..maxRings, it builds the channel plan for a ring of the given size
-// (the one draw from rng), splits it across that many fibers, and
-// computes the expected loss and the partition probability of 1..maxCuts
-// simultaneous cuts. Results are indexed [rings-1][cuts-1] and have no
-// Trials. Cancelling ctx aborts between cells with ctx.Err(); a nil ctx
-// means no cancellation.
-func Sweep(ctx context.Context, ringSize, maxRings, maxCuts int, rng *rand.Rand) ([][]Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if maxRings < 1 || maxCuts < 1 {
-		return nil, fmt.Errorf("fault: invalid sweep %dx%d", maxRings, maxCuts)
-	}
-	base := wdm.Greedy(ringSize, rng)
-	out := make([][]Result, maxRings)
-	for r := 1; r <= maxRings; r++ {
-		// Channels are dealt round-robin across r fibers; per-fiber
-		// capacity is whatever that requires (the paper's deployments
-		// add whole muxes per ring as needed).
-		plan, err := wdm.SplitAcrossRings(base, r, (base.Channels+r-1)/r)
-		if err != nil {
-			return nil, err
-		}
-		x, err := newExact(plan)
-		if err != nil {
-			return nil, err
-		}
-		out[r-1] = make([]Result, maxCuts)
-		for c := 1; c <= maxCuts; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if out[r-1][c-1], err = x.cell(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -29,7 +30,7 @@ func smallPlans(t *testing.T, f func(name string, plan *wdm.Plan)) {
 
 func mustExact(t testing.TB, plan *wdm.Plan) *exact {
 	t.Helper()
-	x, err := newExact(plan)
+	x, err := newExact(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

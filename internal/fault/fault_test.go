@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/quartz-dcn/quartz/internal/wdm"
 )
@@ -25,70 +27,81 @@ func plan33(t testing.TB, rings int) *wdm.Plan {
 	return p
 }
 
-func TestSingleCutSingleRing(t *testing.T) {
-	// Figure 6: one ring, one fiber cut -> ~20% bandwidth loss, no
-	// partitions (the logical mesh reroutes multi-hop).
-	p := plan33(t, 1)
-	res, err := Simulate(p, 1, 2000, rand.New(rand.NewSource(2)))
+// oneCell is FiberCuts without a deadline, failing the test on an error.
+func oneCell(t testing.TB, plan *wdm.Plan, cuts int) Result {
+	t.Helper()
+	res, err := FiberCuts(context.Background(), plan, cuts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestSingleCutSingleRing(t *testing.T) {
+	// Figure 6: one ring, one fiber cut loses 136 of the 528 arcs on
+	// average (paper: ~20%) and never partitions: the logical mesh
+	// reroutes multi-hop.
+	res := oneCell(t, plan33(t, 1), 1)
+	if want := 136.0 / 528; math.Abs(res.AvgBandwidthLoss-want) > 1e-15 {
+		t.Errorf("bandwidth loss = %v, want 136/528 = %v", res.AvgBandwidthLoss, want)
+	}
 	if res.PartitionProb != 0 {
 		t.Errorf("partition prob = %v, want 0 for a single cut", res.PartitionProb)
-	}
-	// Average loss = average link load / number of pairs ~ 137/528 ~ 26%.
-	if res.AvgBandwidthLoss < 0.15 || res.AvgBandwidthLoss > 0.35 {
-		t.Errorf("bandwidth loss = %v, want ~0.2-0.3 (paper: 20%%)", res.AvgBandwidthLoss)
 	}
 }
 
 func TestTwoCutsPartitionSingleRing(t *testing.T) {
 	// Two cuts on one ring always separate the switches between the
-	// cuts from the rest: partition probability ~1 (paper: >90%).
+	// cuts from the rest: partition probability 1 (paper: >90%). The
+	// cell takes that shortcut; the count, which does not, must agree
+	// that every one of the C(33, c) cut sets partitions.
 	p := plan33(t, 1)
-	res, err := Simulate(p, 2, 2000, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PartitionProb < 0.9 {
-		t.Errorf("partition prob = %v, want > 0.9", res.PartitionProb)
+	x := mustExact(t, p)
+	for c, all := range map[int]int64{2: 528, 3: 5456, 4: 40920} {
+		if res := oneCell(t, p, c); res.PartitionProb != 1 {
+			t.Errorf("%d cuts: partition prob = %v, want 1", c, res.PartitionProb)
+		}
+		if got := x.partitions(c); got != all {
+			t.Errorf("%d cuts: %d partitioning sets, want all %d", c, got, all)
+		}
 	}
 }
 
 func TestSecondRingPreventsPartition(t *testing.T) {
 	// Figure 6's headline: "by adding a single additional physical
 	// ring, the probability of partitioning is less than 0.24% even
-	// when four physical links fail."
+	// when four physical links fail." On this plan no set of fewer than
+	// four cuts splits two rings, and 1 200 of the C(66, 4) sets of four
+	// do.
 	p := plan33(t, 2)
-	res, err := Simulate(p, 4, 20000, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
+	for c := 1; c <= 3; c++ {
+		if res := oneCell(t, p, c); res.PartitionProb != 0 {
+			t.Errorf("%d cuts: partition prob = %v, want 0", c, res.PartitionProb)
+		}
 	}
-	if res.PartitionProb > 0.01 {
-		t.Errorf("partition prob with 2 rings / 4 cuts = %v, want < 1%%", res.PartitionProb)
+	if res, want := oneCell(t, p, 4), 1200.0/720720; res.PartitionProb != want || want >= 0.0024 {
+		t.Errorf("4 cuts: partition prob = %v, want 1200/720720 = %v, below 0.24%%", res.PartitionProb, want)
 	}
 }
 
 func TestMoreRingsLessLoss(t *testing.T) {
-	// Figure 6 top: loss at one cut drops roughly as 1/rings (paper:
-	// 20% at 1 ring, 6% at 4 rings).
-	rng := rand.New(rand.NewSource(5))
-	var losses []float64
+	// Figure 6 top: a cut falls on one ring and meets that ring's share
+	// of the arcs, so one cut on r rings loses 136/528 over r (paper: 20%
+	// at 1 ring, 6% at 4 rings), and at every cut count more rings lose
+	// less.
+	prev := make([]float64, 5)
 	for rings := 1; rings <= 4; rings++ {
 		p := plan33(t, rings)
-		res, err := Simulate(p, 1, 2000, rng)
-		if err != nil {
-			t.Fatal(err)
+		if got, want := oneCell(t, p, 1).AvgBandwidthLoss, 136.0/528/float64(rings); math.Abs(got-want) > 1e-15 {
+			t.Errorf("%d rings, 1 cut: loss %v, want 136/528/%d = %v", rings, got, rings, want)
 		}
-		losses = append(losses, res.AvgBandwidthLoss)
-	}
-	for i := 1; i < len(losses); i++ {
-		if losses[i] >= losses[i-1] {
-			t.Errorf("loss did not decrease with more rings: %v", losses)
+		for c := 1; c <= 4; c++ {
+			loss := oneCell(t, p, c).AvgBandwidthLoss
+			if rings > 1 && loss >= prev[c] {
+				t.Errorf("%d rings, %d cuts: loss %v, not below %v on one ring fewer", rings, c, loss, prev[c])
+			}
+			prev[c] = loss
 		}
-	}
-	if losses[3] > losses[0]/2 {
-		t.Errorf("4-ring loss %v not well below 1-ring loss %v", losses[3], losses[0])
 	}
 }
 
@@ -118,27 +131,23 @@ func decodePlan(t *testing.T, doc string) *wdm.Plan {
 	return &p
 }
 
+// TestSimulateErrors runs the input checks on outside data through the
+// one-cell call: a cut count outside 1…rM, a degenerate plan, and every
+// malformedPlans row, each with an error that names the fault.
 func TestSimulateErrors(t *testing.T) {
 	p := plan33(t, 1)
-	rng := rand.New(rand.NewSource(6))
-	if _, err := Simulate(p, -1, 10, rng); err == nil {
-		t.Error("negative cuts accepted")
-	}
-	if _, err := Simulate(p, 1, 0, rng); err == nil {
-		t.Error("zero trials accepted")
-	}
-	if _, err := Simulate(p, 1, 10, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := Simulate(p, 100, 10, rng); err == nil {
-		t.Error("more cuts than fibers accepted")
+	ctx := context.Background()
+	for _, cuts := range []int{-1, 0, 34} {
+		if _, err := FiberCuts(ctx, p, cuts); err == nil {
+			t.Errorf("%d cuts on 33 segments accepted", cuts)
+		}
 	}
 	tiny := &wdm.Plan{M: 1}
-	if _, err := Simulate(tiny, 1, 10, rng); err == nil {
+	if _, err := FiberCuts(ctx, tiny, 1); err == nil {
 		t.Error("degenerate plan accepted")
 	}
 	for _, bad := range malformedPlans {
-		_, err := Simulate(decodePlan(t, bad.doc), 1, 10, rng)
+		_, err := FiberCuts(ctx, decodePlan(t, bad.doc), 1)
 		if err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%s: err = %v, want it to name %q", bad.name, err, bad.want)
 		}
@@ -151,12 +160,8 @@ func TestIdleRingsRejected(t *testing.T) {
 	// still a plan.
 	for _, bad := range malformedPlans[:2] {
 		p := decodePlan(t, bad.doc)
-		if _, err := Simulate(p, 1, 10, rand.New(rand.NewSource(1))); !errors.Is(err, wdm.ErrIdleRings) {
-			t.Errorf("%s: Simulate err = %v, want wdm.ErrIdleRings", bad.name, err)
-		}
-		params := AvailabilityParams{MTBFHours: 1, MTTRHours: 1, Trials: 10}
-		if _, err := Availability(p, params, rand.New(rand.NewSource(1))); !errors.Is(err, wdm.ErrIdleRings) {
-			t.Errorf("%s: Availability err = %v, want wdm.ErrIdleRings", bad.name, err)
+		if _, err := FiberCuts(context.Background(), p, 1); !errors.Is(err, wdm.ErrIdleRings) {
+			t.Errorf("%s: FiberCuts err = %v, want wdm.ErrIdleRings", bad.name, err)
 		}
 	}
 	base := wdm.Greedy(3, nil) // one channel
@@ -168,7 +173,7 @@ func TestIdleRingsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(split, 2, 10, rand.New(rand.NewSource(1))); err != nil {
+	if _, err := FiberCuts(context.Background(), split, 2); err != nil {
 		t.Errorf("a ring per channel: %v", err)
 	}
 }
@@ -204,96 +209,6 @@ func TestSweepShape(t *testing.T) {
 	}
 }
 
-func TestDeterministicGivenSeed(t *testing.T) {
-	p := plan33(t, 2)
-	a, err := Simulate(p, 3, 500, rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Simulate(p, 3, 500, rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same seed, different results: %+v vs %+v", a, b)
-	}
-}
-
-func TestAvailabilitySteadyState(t *testing.T) {
-	// Realistic ops numbers: a fiber segment fails about once a year
-	// (8760 h) and takes 8 h to repair -> ~0.09% unavailability.
-	params := AvailabilityParams{MTBFHours: 8760, MTTRHours: 8, Trials: 50_000}
-	rng := rand.New(rand.NewSource(10))
-
-	single := plan33(t, 1)
-	r1, err := Availability(single, params, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dual := plan33(t, 2)
-	r2, err := Availability(dual, params, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantUnavail := 8.0 / 8768.0
-	if r1.SegmentUnavailability != wantUnavail {
-		t.Errorf("segment unavailability = %v, want %v", r1.SegmentUnavailability, wantUnavail)
-	}
-	// Expected concurrent cuts: segments x unavailability.
-	if want := 33 * wantUnavail; r1.MeanConcurrentCuts < want*0.8 || r1.MeanConcurrentCuts > want*1.2 {
-		t.Errorf("1-ring mean cuts = %v, want ~%v", r1.MeanConcurrentCuts, want)
-	}
-	// Two rings double the fiber count but halve per-fiber impact: the
-	// bandwidth loss stays comparable, while the partition probability
-	// collapses (a single ring partitions whenever >= 2 distinct
-	// segments are down).
-	if r2.PartitionProb >= r1.PartitionProb && r1.PartitionProb > 0 {
-		t.Errorf("2-ring partition %v not below 1-ring %v", r2.PartitionProb, r1.PartitionProb)
-	}
-	if r2.PartitionProb > 1e-4 {
-		t.Errorf("2-ring steady-state partition = %v, want ~0", r2.PartitionProb)
-	}
-	// Loss scales with segment unavailability (sub-0.1%).
-	if r1.MeanBandwidthLoss > 0.01 {
-		t.Errorf("1-ring mean loss = %v, want well under 1%%", r1.MeanBandwidthLoss)
-	}
-}
-
-func TestAvailabilityErrors(t *testing.T) {
-	p := plan33(t, 1)
-	rng := rand.New(rand.NewSource(1))
-	if _, err := Availability(p, AvailabilityParams{MTBFHours: 0, MTTRHours: 1, Trials: 10}, rng); err == nil {
-		t.Error("zero MTBF accepted")
-	}
-	if _, err := Availability(p, AvailabilityParams{MTBFHours: 1, MTTRHours: 1, Trials: 0}, rng); err == nil {
-		t.Error("zero trials accepted")
-	}
-	if _, err := Availability(p, AvailabilityParams{MTBFHours: 1, MTTRHours: 1, Trials: 10}, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
-	for _, bad := range malformedPlans {
-		_, err := Availability(decodePlan(t, bad.doc), AvailabilityParams{MTBFHours: 1, MTTRHours: 1, Trials: 10}, rng)
-		if err == nil || !strings.Contains(err.Error(), bad.want) {
-			t.Errorf("%s: err = %v, want it to name %q", bad.name, err, bad.want)
-		}
-	}
-}
-
-func TestSimulateAllocsIndependentOfTrials(t *testing.T) {
-	p := plan33(t, 2)
-	rng := rand.New(rand.NewSource(11))
-	allocs := func(trials int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := Simulate(p, 3, trials, rng); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if few, many := allocs(10), allocs(10_000); few != many {
-		t.Errorf("Simulate allocates %v times at 10 trials, %v at 10000: the trial loop allocates", few, many)
-	}
-}
-
 // BenchmarkSweep is the Figure 6 sweep at the repository benchmark's
 // parameters: a 33-switch ring, 1-4 rings x 1-4 cuts, computed exactly.
 func BenchmarkSweep(b *testing.B) {
@@ -302,5 +217,30 @@ func BenchmarkSweep(b *testing.B) {
 		if _, err := Sweep(context.Background(), 33, 4, 4, rand.New(rand.NewSource(2014))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// pathPlan is a 64-switch path, arc v → v+1 on ring v mod 4: a valid
+// plan on which every ring's arcs are split already, so the count
+// places every cut anywhere and its work grows as C(256, c).
+func pathPlan() *wdm.Plan {
+	p := &wdm.Plan{M: 64, Channels: 4, Rings: 4}
+	for v := 0; v < 63; v++ {
+		p.Assignments = append(p.Assignments, wdm.Assignment{S: v, T: v + 1, Channel: v % 4, Ring: v % 4})
+	}
+	return p
+}
+
+// FiberCuts honours its context where the count would run for minutes:
+// on pathPlan at four cuts, a 50 ms deadline ends the call with
+// context.DeadlineExceeded well within a second, under the race
+// detector too.
+func TestFiberCutsHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := FiberCuts(ctx, pathPlan(), 4)
+	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > time.Second {
+		t.Errorf("FiberCuts returned %v after %v, want context.DeadlineExceeded within 1 s", err, took)
 	}
 }

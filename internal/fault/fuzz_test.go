@@ -1,22 +1,25 @@
 package fault
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/quartz-dcn/quartz/internal/wdm"
 )
 
-// FuzzFaultModel feeds an arbitrary serialized plan, a cut count and a
-// trial count to Simulate and Availability. Neither may panic, hang or
-// run out of memory, and each returns an error or a bandwidth loss and a
-// partition probability in [0, 1]. A plan of at most eight switches on
-// at most three rings also goes to the exact kernel, which must match
-// enumeration for one to three cuts. Seeded with greedy plans split over
-// one to four rings and with malformedPlans, the hand-found plans that
-// once hung, panicked or exhausted memory; `make fuzz` runs it for ten
-// seconds.
+// FuzzFaultModel feeds an arbitrary serialized plan and a cut count to
+// FiberCuts under a 20 ms deadline. It may not panic, hang or run out of
+// memory, and returns an error — the deadline's is one — or a bandwidth
+// loss and a partition probability in [0, 1]. A plan of at most eight
+// switches on at most three rings also goes to checkExact, which holds
+// the kernel to enumeration for one to three cuts. Seeded with greedy
+// plans split over one to four rings, with malformedPlans, the
+// hand-found plans that once hung, panicked or exhausted memory, and
+// with pathPlan at four cuts, whose count outlives any deadline; `make
+// fuzz` runs it for ten seconds.
 func FuzzFaultModel(f *testing.F) {
 	for _, m := range []int{2, 5, 9, 33} {
 		base := wdm.Greedy(m, rand.New(rand.NewSource(int64(m))))
@@ -29,30 +32,31 @@ func FuzzFaultModel(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(doc, uint8(rings), uint8(20))
+			f.Add(doc, uint8(rings))
 		}
 	}
 	for _, bad := range malformedPlans {
-		f.Add([]byte(bad.doc), uint8(1), uint8(10))
+		f.Add([]byte(bad.doc), uint8(1))
 	}
+	doc, err := json.Marshal(pathPlan())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc, uint8(4))
 	inUnit := func(x float64) bool { return x >= 0 && x <= 1 }
-	f.Fuzz(func(t *testing.T, doc []byte, cuts, trials uint8) {
+	f.Fuzz(func(t *testing.T, doc []byte, cuts uint8) {
 		var plan wdm.Plan
 		if json.Unmarshal(doc, &plan) != nil {
 			return
 		}
-		n := int(trials)%64 + 1
-		if res, err := Simulate(&plan, int(cuts), n, rand.New(rand.NewSource(1))); err == nil &&
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if res, err := FiberCuts(ctx, &plan, int(cuts)); err == nil &&
 			!(inUnit(res.AvgBandwidthLoss) && inUnit(res.PartitionProb)) {
-			t.Fatalf("Simulate(%d cuts): loss %v, partition probability %v", cuts, res.AvgBandwidthLoss, res.PartitionProb)
+			t.Fatalf("FiberCuts(%d cuts): loss %v, partition probability %v", cuts, res.AvgBandwidthLoss, res.PartitionProb)
 		}
 		if _, err := checkPlan(&plan); err == nil && plan.M <= 8 && plan.Rings <= 3 {
 			checkExact(t, "fuzzed plan", &plan, 3)
-		}
-		params := AvailabilityParams{MTBFHours: 10, MTTRHours: 1, Trials: n}
-		if res, err := Availability(&plan, params, rand.New(rand.NewSource(1))); err == nil &&
-			!(inUnit(res.MeanBandwidthLoss) && inUnit(res.PartitionProb)) {
-			t.Fatalf("Availability: loss %v, partition probability %v", res.MeanBandwidthLoss, res.PartitionProb)
 		}
 	})
 }

@@ -133,13 +133,15 @@ func TestLossClosedFormOneCutOnFigure6Ring(t *testing.T) {
 	}
 }
 
+// goldenTrials is how many trials a cell the Monte Carlo Figure 6 ran.
+const goldenTrials = 200
+
 // goldenMonteCarlo is Figure 6 as the Monte Carlo estimated it before
 // Sweep computed it exactly, at the golden parameters: seed 7's greedy
 // plan, then 200 trials a cell from the same rng, rings outer and cuts
 // inner. It returns those cells and the models of the four plans.
 func goldenMonteCarlo(t *testing.T) (grid [4][4]Result, models [4]*model) {
 	t.Helper()
-	const trials = 200
 	rng := rand.New(rand.NewSource(7))
 	base := wdm.Greedy(33, rng)
 	for r := range grid {
@@ -151,7 +153,7 @@ func goldenMonteCarlo(t *testing.T) (grid [4][4]Result, models [4]*model) {
 			t.Fatal(err)
 		}
 		for c := range grid[r] {
-			if grid[r][c], err = Simulate(plan, c+1, trials, rng); err != nil {
+			if grid[r][c], err = Simulate(plan, c+1, goldenTrials, rng); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,7 +171,7 @@ func TestSweepLossWithinFourStandardErrors(t *testing.T) {
 	for r, row := range grid {
 		for c, res := range row {
 			exact, _ := closedFormLoss(models[r], c+1).Float64()
-			se := math.Sqrt(lossVariance(models[r], c+1) / float64(res.Trials))
+			se := math.Sqrt(lossVariance(models[r], c+1) / goldenTrials)
 			name := fmt.Sprintf("rings=%d cuts=%d", r+1, c+1)
 			t.Logf("%s: Monte Carlo %.5f, closed form %.5f, standard error %.5f", name, res.AvgBandwidthLoss, exact, se)
 			if d := math.Abs(res.AvgBandwidthLoss - exact); d > 4*se+1e-12 {
@@ -203,5 +205,63 @@ func TestSweepLossMatchesClosedForm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Steady-state availability, exactly. Each fiber segment is down on its
+// own with probability u = MTTR/(MTBF + MTTR), here MTBF one year
+// (8 760 h) and MTTR 8 h. At a random instant the number C of segments
+// down is Binomial(rM, u), and given C = c the down set is uniform over
+// the C(rM, c) sets of c, so P(partition) = Σ_c P(C = c)·cell(c). The
+// expected loss is 1 − the mean over arcs of (1 − u)^ℓ, from the
+// histogram of arc lengths ℓ, which does not depend on how the arcs are
+// dealt to rings: a second ring does not lower it. One ring is split by
+// any two cuts, so it is partitioned with probability P(C ≥ 2). Two
+// rings are counted up to four cuts, which bounds theirs: the sum up to
+// four below, and that plus P(C ≥ 5) above.
+func TestSteadyStateAvailability(t *testing.T) {
+	const u = 8.0 / 8768
+	var losses [2]float64
+	for rings := 1; rings <= 2; rings++ {
+		x := mustExact(t, sweepPlan(t, 2014, rings))
+		survive := 0.0
+		for l, arcs := range x.spans {
+			survive += float64(arcs) * math.Pow(1-u, float64(l))
+		}
+		losses[rings-1] = 1 - survive/float64(x.arcs)
+		// pmf[c] = P(C = c), by the ratio of successive terms.
+		pmf := make([]float64, x.n+1)
+		pmf[0] = math.Pow(1-u, float64(x.n))
+		for c := 1; c <= x.n; c++ {
+			pmf[c] = pmf[c-1] * float64(x.n-c+1) / float64(c) * u / (1 - u)
+		}
+		counted := x.n
+		if rings == 2 {
+			counted = 4
+		}
+		lower, tail := 0.0, 0.0
+		for c := 1; c <= x.n; c++ {
+			if c <= counted {
+				lower += mustCell(t, x, c).PartitionProb * pmf[c]
+			} else {
+				tail += pmf[c]
+			}
+		}
+		upper := lower + tail
+		t.Logf("%d ring(s): loss %.5f %%, partition in [%.4g, %.4g]", rings, 100*losses[rings-1], lower, upper)
+		if rings == 1 {
+			// 1 − P(C = 0) − P(C = 1), and EXPERIMENTS.md's figure.
+			want := 1 - math.Pow(1-u, 33) - 33*u*math.Pow(1-u, 32)
+			if math.Abs(lower-want) > 1e-14 || math.Abs(want-4.3135e-4) > 5e-9 {
+				t.Errorf("one ring: partition probability %.6g, want P(C ≥ 2) = %.6g ≈ 4.3135e-4", lower, want)
+			}
+			continue
+		}
+		if math.Abs(lower-6.543e-10) > 5e-14 || math.Abs(upper-6.049e-9) > 5e-13 {
+			t.Errorf("two rings: partition probability in [%.4g, %.4g], want [6.543e-10, 6.049e-9]", lower, upper)
+		}
+	}
+	if losses[0] != losses[1] || math.Abs(losses[0]-0.0077202) > 5e-8 {
+		t.Errorf("expected loss %.7f on one ring, %.7f on two; want 0.0077202 on both", losses[0], losses[1])
 	}
 }

@@ -116,7 +116,7 @@ func TestSweepPartitionMatchesEnumeration(t *testing.T) {
 				}
 				continue
 			}
-			se := math.Sqrt(exact * (1 - exact) / float64(res.Trials))
+			se := math.Sqrt(exact * (1 - exact) / goldenTrials)
 			if d := math.Abs(res.PartitionProb - exact); d > 4*se {
 				t.Errorf("%s: Monte Carlo %.5f, exact %.5f: %.1f standard errors (%.5f) apart",
 					name, res.PartitionProb, exact, d/se, se)

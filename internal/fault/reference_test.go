@@ -10,10 +10,9 @@ import (
 
 // The reference below is the trial kernel as it stood before the
 // bit-parallel rewrite: one segment mask per arc, and a union–find over
-// every arc of the plan in every trial. It lives only in this test file
-// (there is no production switch that selects it) and the tests assert
-// that the production kernel returns the same bits and leaves the
-// caller's rng at the same position.
+// every arc of the plan in every trial. The tests assert that Simulate,
+// the exact kernel's Monte Carlo oracle (montecarlo_test.go), returns
+// the same bits and leaves the caller's rng at the same position.
 
 type refModel struct {
 	m, rings int
@@ -51,7 +50,7 @@ func refSimulate(plan *wdm.Plan, cuts, trials int, rng *rand.Rand) Result {
 	md := newRefModel(plan)
 	totalFibers := md.rings * md.m
 
-	res := Result{Rings: md.rings, Cuts: cuts, Trials: trials}
+	var res Result
 	lossSum := 0.0
 	partitions := 0
 
@@ -106,62 +105,6 @@ func refSimulate(plan *wdm.Plan, cuts, trials int, rng *rand.Rand) Result {
 	}
 	res.AvgBandwidthLoss = lossSum / float64(trials)
 	res.PartitionProb = float64(partitions) / float64(trials)
-	return res
-}
-
-func refAvailability(plan *wdm.Plan, p AvailabilityParams, rng *rand.Rand) AvailabilityResult {
-	md := newRefModel(plan)
-	unavail := p.MTTRHours / (p.MTBFHours + p.MTTRHours)
-	res := AvailabilityResult{Rings: md.rings, SegmentUnavailability: unavail}
-
-	cutMask := make([]uint64, md.rings)
-	parent := make([]int, md.m)
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	lossSum, cutsSum := 0.0, 0.0
-	partitions := 0
-	for t := 0; t < p.Trials; t++ {
-		cuts := 0
-		for r := 0; r < md.rings; r++ {
-			cutMask[r] = 0
-			for seg := 0; seg < md.m; seg++ {
-				if rng.Float64() < unavail {
-					cutMask[r] |= 1 << uint(seg)
-					cuts++
-				}
-			}
-		}
-		cutsSum += float64(cuts)
-		for i := range parent {
-			parent[i] = i
-		}
-		lost := 0
-		comps := md.m
-		for i, mask := range md.arcs {
-			if mask&cutMask[md.arcRing[i]] != 0 {
-				lost++
-				continue
-			}
-			a, b := find(md.pairs[i][0]), find(md.pairs[i][1])
-			if a != b {
-				parent[a] = b
-				comps--
-			}
-		}
-		lossSum += float64(lost) / float64(len(md.arcs))
-		if comps > 1 {
-			partitions++
-		}
-	}
-	res.MeanBandwidthLoss = lossSum / float64(p.Trials)
-	res.PartitionProb = float64(partitions) / float64(p.Trials)
-	res.MeanConcurrentCuts = cutsSum / float64(p.Trials)
 	return res
 }
 
@@ -236,27 +179,6 @@ func TestSimulateMatchesReference(t *testing.T) {
 			if a, b := rng.Int63(), refRng.Int63(); a != b {
 				t.Errorf("%s cuts=%d: rng left at a different position (%d vs %d)", name, cuts, a, b)
 			}
-		}
-	}
-}
-
-func TestAvailabilityMatchesReference(t *testing.T) {
-	// A failure-prone fiber, so that most samples have several
-	// concurrent cuts and single-ring plans partition often.
-	params := AvailabilityParams{MTBFHours: 100, MTTRHours: 5, Trials: 400}
-	for name, p := range referencePlans(t) {
-		refRng := rand.New(rand.NewSource(int64(p.M)))
-		want := refAvailability(p, params, refRng)
-		rng := rand.New(rand.NewSource(int64(p.M)))
-		got, err := Availability(p, params, rng)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got != want {
-			t.Errorf("%s: got %+v, reference %+v", name, got, want)
-		}
-		if a, b := rng.Int63(), refRng.Int63(); a != b {
-			t.Errorf("%s: rng left at a different position (%d vs %d)", name, a, b)
 		}
 	}
 }

@@ -10,7 +10,8 @@
 //     either — on the runner quartzsim, quartzbench and quartzd use.
 //   - Experiments and FindExperiment give the registry of reproduced
 //     tables and figures (quartzbench -list).
-//   - NewRing and the channel helpers plan a ring (§3).
+//   - NewRing and the channel helpers plan a ring (§3), and FiberCuts
+//     computes what fiber cuts cost it (§3.5).
 //
 // It re-exports nothing of the simulator's wiring (networks, routers,
 // probes, transports): a run is a document, not hand assembly (DESIGN.md §3).
@@ -93,9 +94,10 @@ func PlanAmplifiers(ringSize int) (optics.RingBudget, error) {
 	return optics.PlanRing(ringSize, optics.DefaultParts)
 }
 
-// SimulateFiberCuts estimates bandwidth loss and partition probability
-// under random fiber cuts by Monte Carlo, for any plan (§3.5); the fig6
-// experiment computes Figure 6's plans exactly.
-func SimulateFiberCuts(plan *ChannelPlan, cuts, trials int, rng *rand.Rand) (fault.Result, error) {
-	return fault.Simulate(plan, cuts, trials, rng)
+// FiberCuts computes, exactly, the expected bandwidth loss and the
+// partition probability of `cuts` distinct fiber cuts on any plan
+// (§3.5; one cell of Figure 6). The count can take minutes on plans
+// whose rings are split already; it returns ctx.Err() once ctx is done.
+func FiberCuts(ctx context.Context, plan *ChannelPlan, cuts int) (fault.Result, error) {
+	return fault.FiberCuts(ctx, plan, cuts)
 }

@@ -61,7 +61,7 @@ func TestAmplifierFacade(t *testing.T) {
 
 func TestFiberCutsFacade(t *testing.T) {
 	plan := GreedyChannels(33, rand.New(rand.NewSource(2)))
-	res, err := SimulateFiberCuts(plan, 1, 500, rand.New(rand.NewSource(3)))
+	res, err := FiberCuts(context.Background(), plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFiberCutsFacade(t *testing.T) {
 	if err := json.Unmarshal([]byte(doc), &bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateFiberCuts(&bad, 1, 10, rand.New(rand.NewSource(3))); err == nil {
+	if _, err := FiberCuts(context.Background(), &bad, 1); err == nil {
 		t.Error("plan with 2^40 idle fiber rings accepted")
 	}
 }

@@ -105,7 +105,6 @@ func TestEveryExportIsUsedByAnExample(t *testing.T) {
 var untestedOnPurpose = map[string]string{
 	"wdm.Optimal":          "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
 	"wdm.ExactBranchBound": "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
-	"fault.Availability":   "EXPERIMENTS.md reports a result from it; ROADMAP 5(c)/1(d) decide",
 	"traffic.WriteTrace":   "the ParseTrace round-trip test needs it",
 	"sim.Engine.SetProbe":  "netsim's eager-completion reference needs a hook after every event, and a netsim.Probe fires before a completion is elided",
 }
