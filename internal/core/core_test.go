@@ -163,18 +163,18 @@ func TestArchitectureModels(t *testing.T) {
 	for _, s := range tree.Graph.Switches() {
 		m := tree.Model(tree.Graph.Node(s))
 		if tree.Graph.Node(s).Tier == topology.TierCore {
-			if m.Name != netsim.CiscoNexus7000.Name {
-				t.Errorf("tree core switch got model %s", m.Name)
+			if m != netsim.CiscoNexus7000 {
+				t.Errorf("tree core switch got model %+v", m)
 			}
-		} else if m.Name != netsim.Arista7150.Name {
-			t.Errorf("tree edge switch got model %s", m.Name)
+		} else if m != netsim.Arista7150 {
+			t.Errorf("tree edge switch got model %+v", m)
 		}
 	}
 	// Quartz in core: everything ULL.
 	qc := a["core"]
 	for _, s := range qc.Graph.Switches() {
-		if m := qc.Model(qc.Graph.Node(s)); m.Name != netsim.Arista7150.Name {
-			t.Errorf("quartz-in-core switch got model %s", m.Name)
+		if m := qc.Model(qc.Graph.Node(s)); m != netsim.Arista7150 {
+			t.Errorf("quartz-in-core switch got model %+v", m)
 		}
 	}
 }

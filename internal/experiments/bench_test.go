@@ -177,16 +177,6 @@ func BenchmarkAblationECMPMode(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure14TCP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figure14TCPGrid.Local(context.Background(), Params{Seed: benchSeed, RPCs: 400})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i, RenderFigure14TCP(rows))
-	}
-}
-
 func BenchmarkOversubscription(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := OversubscriptionSweep(benchSeed)
@@ -197,16 +187,6 @@ func BenchmarkOversubscription(b *testing.B) {
 	}
 }
 
-func BenchmarkFlowCompletion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := fctGrid.Local(context.Background(), Params{Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i, RenderFCT(rows))
-	}
-}
-
 func BenchmarkStackComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := stackGrid.Local(context.Background(), Params{Seed: benchSeed})
@@ -214,16 +194,6 @@ func BenchmarkStackComparison(b *testing.B) {
 			b.Fatal(err)
 		}
 		report(b, i, RenderStack(rows))
-	}
-}
-
-func BenchmarkSchedulerComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := schedulerGrid.Local(context.Background(), Params{Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i, RenderScheduler(rows))
 	}
 }
 

@@ -73,7 +73,6 @@ func prototype(quartz bool) (*topology.Graph, []topology.NodeID) {
 // prototypeSwitch models the testbed's 1 Gb/s store-and-forward
 // managed switches (Nortel 5510 / Catalyst 4948 class).
 var prototypeSwitch = netsim.SwitchModel{
-	Name:        "1G-SF",
 	Latency:     10 * sim.Microsecond,
 	CutThrough:  false,
 	BufferBytes: 256 << 10,
@@ -96,15 +95,15 @@ type testbed struct {
 	hosts []topology.NodeID
 }
 
-// newTestbed builds the prototype on one wiring over switches of the
-// given model. The servers run stock Ubuntu: standard NIC latency.
-func newTestbed(quartz bool, model netsim.SwitchModel) (testbed, error) {
+// newTestbed builds the prototype on one wiring over its switches. The
+// servers run stock Ubuntu: standard NIC latency.
+func newTestbed(quartz bool) (testbed, error) {
 	g, hosts := prototype(quartz)
 	h := traffic.NewHarness()
 	net, err := netsim.New(netsim.Config{
 		Graph:       g,
 		Router:      routing.NewECMP(g),
-		SwitchModel: uniform(model),
+		SwitchModel: uniform(prototypeSwitch),
 		Host:        netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20},
 		OnDeliver:   h.Deliver,
 	})
@@ -123,7 +122,7 @@ const testbedLimit = 120 * sim.Second
 // round trips are done. It returns their mean and 95% CI half-width in
 // µs; name labels a starved run's error.
 func runRPC(name string, quartz bool, rpcs int, sh Shared, cross func(tb testbed, rpc *traffic.RPC) error) (mean, ci float64, err error) {
-	tb, err := newTestbed(quartz, prototypeSwitch)
+	tb, err := newTestbed(quartz)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -66,7 +66,6 @@ func fig20Star() *topology.Graph {
 // fabric — by the figure's premise it never congests internally, so
 // its ports run at wire speed.
 var nonBlockingCore = netsim.SwitchModel{
-	Name:        "CCS-NB",
 	Latency:     6 * sim.Microsecond,
 	CutThrough:  false,
 	BufferBytes: 4 << 20,

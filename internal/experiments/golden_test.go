@@ -291,3 +291,47 @@ func TestGoldenScenarioTables(t *testing.T) {
 	checkEvents(t, "scenario", s.Net.Engine().Processed())
 	checkTables(t, "scenario", []table.Table{s.Obs.Trace().Table(), s.Obs.Sampler().Table(), s.Obs.Flows().Table()})
 }
+
+// TestGoldenFilesHaveARun fails on a golden file or events.txt line
+// that no golden run above produces — what deleting an experiment
+// leaves behind. A run's files are <run>.txt and <run>.<table>.csv
+// (checkTables pins the table names); .got files are a failed run's
+// output, not goldens.
+func TestGoldenFilesHaveARun(t *testing.T) {
+	runs := map[string]bool{"scenario": true}
+	for _, e := range experiments.All() {
+		runs[e.Name] = true
+	}
+	for _, g := range goldenSweeps {
+		runs["sweep."+g.name] = true
+	}
+	entries, err := os.ReadDir(goldenDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		name := ent.Name()
+		if name == "events.txt" || filepath.Ext(name) == ".got" {
+			continue
+		}
+		ok := false
+		if run, isText := strings.CutSuffix(name, ".txt"); isText {
+			ok = runs[run]
+		} else if stem, isCSV := strings.CutSuffix(name, ".csv"); isCSV {
+			for run := range runs {
+				ok = ok || strings.HasPrefix(stem, run+".")
+			}
+		}
+		if !ok {
+			t.Errorf("%s/%s belongs to no golden run: delete it", goldenDir, name)
+		}
+	}
+	eventsMu.Lock()
+	events := loadEvents(t)
+	eventsMu.Unlock()
+	for run := range events {
+		if !runs[run] {
+			t.Errorf("%s/events.txt has a line for %q, which is no golden run: delete it", goldenDir, run)
+		}
+	}
+}

@@ -39,7 +39,7 @@ var priorityGrid = Grid[priorityCell, float64, []PriorityRow]{
 	},
 	Run: func(p Params, c priorityCell, sh Shared) (float64, error) {
 		rtt, _, err := runRPC("prio", c.quartz, p.RPCs, sh, func(tb testbed, rpc *traffic.RPC) error {
-			rpc.Priority, rpc.BackgroundPriority = 1, 1
+			rpc.Priority = 1
 			if c.prioritize {
 				rpc.Priority = 0
 			}

@@ -1,6 +1,7 @@
 // Registry of every reproduced table and figure. cmd/quartzbench
-// iterates All() instead of hand-maintaining a switch; tests walk it to
-// check no exported Figure*/Table* entrypoint is left unregistered.
+// iterates All() instead of hand-maintaining a switch; a test parses
+// this file to check All() calls every exported Figure*/Table*
+// entrypoint.
 package experiments
 
 import (
@@ -32,9 +33,6 @@ type Experiment struct {
 	// Section is the paper section the experiment reproduces ("ext."
 	// entries go beyond the paper).
 	Section string
-	// Covers lists the exported Figure*/Table* functions this entry
-	// exercises; the registry completeness test checks their union.
-	Covers []string
 	// Run executes the experiment. Implementations honor ctx where the
 	// underlying runner does.
 	Run func(ctx context.Context, p Params) (Output, error)
@@ -51,19 +49,16 @@ type Experiment struct {
 // (one Sweep instance each, so every All() call hands out the same
 // grid).
 var (
-	figureF6Sweep    = figureF6Grid.Sweep()
-	table8Sweep      = table8Grid.Sweep()
-	figure14Sweep    = figure14Grid.Sweep()
-	figure17Sweep    = figure17.grid().Sweep()
-	figure18Sweep    = figure18.grid().Sweep()
-	figure20Sweep    = figure20Grid.Sweep()
-	figure14TCPSweep = figure14TCPGrid.Sweep()
-	stackSweep       = stackGrid.Sweep()
-	fctSweep         = fctGrid.Sweep()
-	schedulerSweep   = schedulerGrid.Sweep()
-	validationSweep  = validationGrid.Sweep()
-	prioritySweep    = priorityGrid.Sweep()
-	ablationSweep    = ablationGrid(ablationRing, ablationSwitch, ablationVLB, ablationECMP).Sweep()
+	figureF6Sweep   = figureF6Grid.Sweep()
+	table8Sweep     = table8Grid.Sweep()
+	figure14Sweep   = figure14Grid.Sweep()
+	figure17Sweep   = figure17.grid().Sweep()
+	figure18Sweep   = figure18.grid().Sweep()
+	figure20Sweep   = figure20Grid.Sweep()
+	stackSweep      = stackGrid.Sweep()
+	validationSweep = validationGrid.Sweep()
+	prioritySweep   = priorityGrid.Sweep()
+	ablationSweep   = ablationGrid(ablationRing, ablationSwitch, ablationVLB, ablationECMP).Sweep()
 )
 
 // Find returns the experiment registered under name (case-insensitive).
@@ -88,7 +83,6 @@ func All() []Experiment {
 		},
 		{
 			Name: "fig5", Title: "Figure 5: optimal wavelength assignment", Section: "§3.3",
-			Covers: []string{"Figure5"},
 			Run: func(_ context.Context, p Params) (Output, error) {
 				rows := Figure5(41, p.Seed)
 				t := table.New("figure5", len(rows), "RingSize", "Greedy", "Optimal")
@@ -100,7 +94,6 @@ func All() []Experiment {
 		},
 		{
 			Name: "fig6", Title: "Figure 6: fault tolerance under fiber cuts", Section: "§3.5",
-			Covers: []string{"Figure6"},
 			Run: func(ctx context.Context, p Params) (Output, error) {
 				grid, err := Figure6(ctx, p.Seed)
 				if err != nil {
@@ -119,7 +112,6 @@ func All() []Experiment {
 		},
 		{
 			Name: "table9", Title: "Table 9: topology comparison at ~1k ports", Section: "§5",
-			Covers: []string{"Table9"},
 			Run: func(_ context.Context, p Params) (Output, error) {
 				rows, err := Table9(p.Seed)
 				if err != nil {
@@ -137,7 +129,6 @@ func All() []Experiment {
 		},
 		{
 			Name: "fig10", Title: "Figure 10: normalized throughput", Section: "§5.1",
-			Covers: []string{"Figure10"},
 			Run: func(ctx context.Context, p Params) (Output, error) {
 				rows, err := Figure10(ctx, p.Seed)
 				if err != nil {
@@ -169,10 +160,6 @@ func All() []Experiment {
 			},
 		},
 		{
-			Name: "fig14tcp", Title: "Figure 14 (extension): bulk TCP cross-traffic", Section: "§6 ext.",
-			Run: figure14TCPSweep.Run, Sweep: figure14TCPSweep,
-		},
-		{
 			Name: "oversub", Title: "Oversubscription tradeoff (§3): n:k port split", Section: "§3.2",
 			Run: func(_ context.Context, p Params) (Output, error) {
 				rows, err := OversubscriptionSweep(p.Seed)
@@ -201,14 +188,6 @@ func All() []Experiment {
 				}
 				return Output{Text: b.String()}, nil
 			},
-		},
-		{
-			Name: "fct", Title: "Extension: short-flow completion times (topology x protocol)", Section: "ext.",
-			Run: fctSweep.Run, Sweep: fctSweep,
-		},
-		{
-			Name: "sched", Title: "Extension: flow scheduling vs path diversity (§2.1.4)", Section: "§2.1.4",
-			Run: schedulerSweep.Run, Sweep: schedulerSweep,
 		},
 		{
 			Name: "validate", Title: "Simulator validation against queueing theory (§7)", Section: "§7",

@@ -10,20 +10,34 @@ import (
 )
 
 // TestRegistryCoversAllEntrypoints parses this package's sources and
-// checks every exported Figure*/Table* function appears in some
-// registry entry's Covers list, so new reproductions cannot silently
-// miss quartzbench.
+// checks every exported Figure*/Table* function is called inside
+// registry.go's All(), so new reproductions cannot silently miss
+// quartzbench.
 func TestRegistryCoversAllEntrypoints(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	covered := map[string]bool{}
-	for _, e := range All() {
-		for _, c := range e.Covers {
-			covered[c] = true
+	called := map[string]bool{}
+	registry, ok := pkgs["experiments"].Files["registry.go"]
+	if !ok {
+		t.Fatal("registry.go not parsed")
+	}
+	for _, decl := range registry.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "All" {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok {
+						called[id.Name] = true
+					}
+				}
+				return true
+			})
 		}
+	}
+	if len(called) == 0 {
+		t.Fatal("found no calls inside All()")
 	}
 	for _, pkg := range pkgs {
 		if strings.HasSuffix(pkg.Name, "_test") {
@@ -35,46 +49,16 @@ func TestRegistryCoversAllEntrypoints(t *testing.T) {
 			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil {
+				if !ok || fd.Recv != nil || !fd.Name.IsExported() {
 					continue
 				}
 				name := fd.Name.Name
 				if !strings.HasPrefix(name, "Figure") && !strings.HasPrefix(name, "Table") {
 					continue
 				}
-				if strings.HasPrefix(name, "Render") {
-					continue
+				if !called[name] {
+					t.Errorf("exported entrypoint %s (%s) is not called inside All()", name, path)
 				}
-				if !covered[name] {
-					t.Errorf("exported entrypoint %s (%s) is not covered by any registry entry", name, path)
-				}
-			}
-		}
-	}
-}
-
-// TestRegistryCoversPointToRealFunctions is the inverse direction: a
-// Covers entry must name a function that actually exists.
-func TestRegistryCoversPointToRealFunctions(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exists := map[string]bool{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
-					exists[fd.Name.Name] = true
-				}
-			}
-		}
-	}
-	for _, e := range All() {
-		for _, c := range e.Covers {
-			if !exists[c] {
-				t.Errorf("experiment %q covers %q, which is not a function in this package", e.Name, c)
 			}
 		}
 	}

@@ -44,7 +44,7 @@ type stackStep struct {
 }
 
 // storeAndForward is a 6 µs store-and-forward switch.
-var storeAndForward = netsim.SwitchModel{Name: "SF", Latency: 6 * sim.Microsecond, CutThrough: false, BufferBytes: 1 << 20}
+var storeAndForward = netsim.SwitchModel{Latency: 6 * sim.Microsecond, CutThrough: false, BufferBytes: 1 << 20}
 
 // stackSteps are the four cumulative steps, measured as a cross-rack
 // RPC round trip:

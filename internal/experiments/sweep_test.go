@@ -111,9 +111,8 @@ func TestSweepRegistryIdentity(t *testing.T) {
 		cells int
 	}{
 		{"f6dynamic", 1}, {"table8", 6 * 2}, {"fig14", 9 * 2}, {"fig17", (8 + 8 + 4) * 5},
-		{"fig18", (6 + 6 + 5) * 4}, {"fig20", 5 * 3}, {"fig14tcp", 4 * 2}, {"stack", 4},
-		{"fct", 2 * 2}, {"sched", 2 * 2}, {"validate", 7}, {"prio", 2 * 2},
-		{"ablations", 4 + 2 + 6 + 2},
+		{"fig18", (6 + 6 + 5) * 4}, {"fig20", 5 * 3}, {"stack", 4},
+		{"validate", 7}, {"prio", 2 * 2}, {"ablations", 4 + 2 + 6 + 2},
 	}
 	got := sweepExperiments()
 	if len(got) != len(want) {

@@ -133,7 +133,7 @@ func runQueueValidation(exponential bool, rho float64, packets int, seed int64, 
 	g.Connect(s0, s1, service, 0)
 	g.Connect(s1, h1, fast, 0)
 
-	ideal := netsim.SwitchModel{Name: "ideal", BufferBytes: 1 << 30}
+	ideal := netsim.SwitchModel{BufferBytes: 1 << 30}
 	delivered := 0
 	sumLat := 0.0
 	net, err := netsim.New(netsim.Config{

@@ -1,11 +1,11 @@
 package metrics
 
-// LatencyHistogram is the O(buckets) replacement for Sample on
+// LatencyHistogram is the O(buckets) replacement for an exact sample on
 // million-packet runs: log-spaced buckets give every quantile a bounded
 // *relative* error (DDSketch-style), so p50 of a 3 µs ULL path and p999
 // of a 500 µs congested tree path are equally trustworthy from the same
-// instrument. Sample keeps every observation and is still the right
-// tool for exact figures on small runs; this one never grows.
+// instrument. It never grows; the tests' Sample, which keeps every
+// observation, is its exact oracle.
 
 import (
 	"math"

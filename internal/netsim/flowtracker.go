@@ -3,9 +3,9 @@ package netsim
 // FlowTracker is the per-flow telemetry aggregator: it rides the Probe
 // lifecycle hooks (plus FaultObserver for drop attribution) and folds
 // the raw event stream into flow-completion times, byte counts, hop
-// counts, retransmit detection, and classified drop counts — the §6.1
-// / §7.1 quantities, maintained online so a million-packet run never
-// materializes its event list. The table exports through Flows and
+// counts and classified drop counts — the §6.1 / §7.1 quantities,
+// maintained online so a million-packet run never materializes its
+// event list. The table exports through Flows and
 // Table.
 
 import (
@@ -47,11 +47,6 @@ type FlowStats struct {
 	PacketsDelivered uint64
 	PacketsDropped   uint64
 	BytesDelivered   uint64
-	// Retransmits counts source sends that reused an already-seen
-	// transport sequence number (Packet.UserData != 0) — the TCP layer's
-	// loss recovery made visible at the packet layer. Flows that do not
-	// set UserData report 0.
-	Retransmits uint64
 	// MaxHops is the longest delivered path, in forwarding elements.
 	MaxHops int
 	// SumLatency accumulates delivery latencies; mean is
@@ -75,18 +70,12 @@ func (f FlowStats) MeanLatency() sim.Time {
 	return f.SumLatency / sim.Time(f.PacketsDelivered)
 }
 
-// flowState is the mutable per-flow record.
-type flowState struct {
-	FlowStats
-	seenSeq map[uint64]struct{} // UserData values seen at the source
-}
-
 // FlowTracker aggregates per-flow telemetry from probe events. Create
 // one with NewFlowTracker, attach it via Config.Probe / SetProbe
 // (combine with Probes). Like every Probe it runs synchronously inside
 // the event loop and is not safe for concurrent use.
 type FlowTracker struct {
-	flows map[routing.FlowID]*flowState
+	flows map[routing.FlowID]*FlowStats
 	order []routing.FlowID
 
 	// degraded counts fault transitions whose reconvergence is still
@@ -96,17 +85,17 @@ type FlowTracker struct {
 
 // NewFlowTracker returns an empty tracker.
 func NewFlowTracker() *FlowTracker {
-	return &FlowTracker{flows: make(map[routing.FlowID]*flowState)}
+	return &FlowTracker{flows: make(map[routing.FlowID]*FlowStats)}
 }
 
 // flow returns the record for id, creating it at time now.
-func (t *FlowTracker) flow(id routing.FlowID, now sim.Time) *flowState {
+func (t *FlowTracker) flow(id routing.FlowID, now sim.Time) *FlowStats {
 	f := t.flows[id]
 	if f == nil {
-		f = &flowState{FlowStats: FlowStats{
+		f = &FlowStats{
 			Flow: id, FirstSend: now, LastActivity: now,
 			DropsByClass: make(map[string]uint64),
-		}}
+		}
 		t.flows[id] = f
 		t.order = append(t.order, id)
 	}
@@ -119,18 +108,7 @@ func (t *FlowTracker) PacketEnqueued(e QueueEvent) {
 	if e.Packet.Hops != 0 {
 		return
 	}
-	f := t.flow(e.Packet.Flow, e.Packet.Created)
-	f.PacketsSent++
-	if seq := e.Packet.UserData; seq != 0 {
-		if f.seenSeq == nil {
-			f.seenSeq = make(map[uint64]struct{})
-		}
-		if _, dup := f.seenSeq[seq]; dup {
-			f.Retransmits++
-		} else {
-			f.seenSeq[seq] = struct{}{}
-		}
-	}
+	t.flow(e.Packet.Flow, e.Packet.Created).PacketsSent++
 }
 
 // PacketTransmitted implements Probe (no-op: per-hop transmissions do
@@ -203,8 +181,8 @@ func (t *FlowTracker) Flows() []FlowStats {
 	return out
 }
 
-func (t *FlowTracker) snapshotFlow(f *flowState) FlowStats {
-	s := f.FlowStats
+func (t *FlowTracker) snapshotFlow(f *FlowStats) FlowStats {
+	s := *f
 	s.FCT = s.LastActivity - s.FirstSend
 	s.DropsByClass = make(map[string]uint64, len(f.DropsByClass))
 	for k, v := range f.DropsByClass {
@@ -226,18 +204,18 @@ func (t *FlowTracker) FCTStats(hist *metrics.LatencyHistogram) int {
 
 // Table returns the per-flow table "flows", in first-send order:
 // flow,first_send_ps,last_activity_ps,fct_ps,sent,delivered,dropped,
-// bytes,retransmits,max_hops,mean_latency_us,drops_by_class,fault_window_drops.
+// bytes,max_hops,mean_latency_us,drops_by_class,fault_window_drops.
 // drops_by_class is a semicolon-joined class=count list.
 func (t *FlowTracker) Table() table.Table {
 	flows := t.Flows()
 	tb := table.New("flows", len(flows),
 		"flow", "first_send_ps", "last_activity_ps", "fct_ps", "sent", "delivered",
-		"dropped", "bytes", "retransmits", "max_hops", "mean_latency_us",
+		"dropped", "bytes", "max_hops", "mean_latency_us",
 		"drops_by_class", "fault_window_drops")
 	for _, f := range flows {
 		tb.Append(table.Int(f.Flow), table.Int(f.FirstSend), table.Int(f.LastActivity), table.Int(f.FCT),
 			table.Int(f.PacketsSent), table.Int(f.PacketsDelivered), table.Int(f.PacketsDropped),
-			table.Int(f.BytesDelivered), table.Int(f.Retransmits), table.Int(f.MaxHops),
+			table.Int(f.BytesDelivered), table.Int(f.MaxHops),
 			table.Fixed(f.MeanLatency().Micros(), 3), table.String(formatDropClasses(f.DropsByClass)),
 			table.Int(f.FaultWindowDrops))
 	}

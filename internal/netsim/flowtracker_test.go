@@ -141,28 +141,6 @@ func TestFlowTrackerFaultWindowAttribution(t *testing.T) {
 	}
 }
 
-func TestFlowTrackerRetransmitDetection(t *testing.T) {
-	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
-	ft := NewFlowTracker()
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sequence 1,2,3 then 2 again (a retransmission), then an untagged
-	// packet (UserData 0: exempt from duplicate detection).
-	for _, seq := range []uint64{1, 2, 3, 2, 0} {
-		net.Send(Packet{Flow: 9, Src: h0, Dst: h1, Size: 400, Waypoint: NoWaypoint, UserData: seq})
-	}
-	net.Engine().Run()
-	f, _ := ft.Flow(9)
-	if f.Retransmits != 1 {
-		t.Errorf("retransmits = %d, want 1", f.Retransmits)
-	}
-	if f.PacketsSent != 5 {
-		t.Errorf("sent = %d, want 5", f.PacketsSent)
-	}
-}
-
 func TestFlowTrackerFCTStats(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()

@@ -14,7 +14,7 @@ import (
 
 // Tests for the elided transmit completion (dirLink.settle): a port
 // whose queue empties schedules no txDone event, and every observable —
-// lifecycle trace with queue depths, sampler rows, ECN marks, drops —
+// lifecycle trace with queue depths, sampler rows, drops —
 // must equal the reference in which every completion is an event.
 
 // eagerCompletions is that reference, built without a switch in the
@@ -40,16 +40,16 @@ func (e eagerCompletions) Event(sim.Time, int) {
 type lifeLog struct{ lines []string }
 
 func (l *lifeLog) PacketEnqueued(e QueueEvent) {
-	l.lines = append(l.lines, fmt.Sprintf("%d enq flow=%d port=%d/%d depth=%d marked=%v hops=%d pkt=%d",
-		e.At, e.Packet.Flow, e.Port.Link, e.Port.From, e.QueuedBytes, e.Packet.Marked, e.Packet.Hops, e.Packet.ID))
+	l.lines = append(l.lines, fmt.Sprintf("%d enq flow=%d port=%d/%d depth=%d hops=%d pkt=%d",
+		e.At, e.Packet.Flow, e.Port.Link, e.Port.From, e.QueuedBytes, e.Packet.Hops, e.Packet.ID))
 }
 func (l *lifeLog) PacketTransmitted(e QueueEvent) {
 	l.lines = append(l.lines, fmt.Sprintf("%d tx flow=%d port=%d/%d depth=%d pkt=%d",
 		e.At, e.Packet.Flow, e.Port.Link, e.Port.From, e.QueuedBytes, e.Packet.ID))
 }
 func (l *lifeLog) PacketDelivered(d Delivery) {
-	l.lines = append(l.lines, fmt.Sprintf("%d deliver flow=%d marked=%v lat=%d hops=%d pkt=%d",
-		d.At, d.Packet.Flow, d.Packet.Marked, d.Latency, d.Packet.Hops, d.Packet.ID))
+	l.lines = append(l.lines, fmt.Sprintf("%d deliver flow=%d lat=%d hops=%d pkt=%d",
+		d.At, d.Packet.Flow, d.Latency, d.Packet.Hops, d.Packet.ID))
 }
 func (l *lifeLog) PacketDropped(d Drop) {
 	l.lines = append(l.lines, fmt.Sprintf("%d drop flow=%d %s pkt=%d", d.At, d.Packet.Flow, d.Reason(), d.Packet.ID))
@@ -153,7 +153,7 @@ func fanIn(t *testing.T) (g *topology.Graph, a, b, dst topology.NodeID, port Por
 //   - "arrival first": B is a long frame, so its arrival at s0 was
 //     scheduled (when b's NIC started sending) before A reached s0 and
 //     reserved its completion — the arrival runs first, finds the port
-//     still holding A, and queues behind it (ECN-marked; dropped when
+//     still holding A, and queues behind it (its depth counts A; dropped when
 //     the buffer cannot hold both);
 //   - "completion first": B is a short frame sent late, so A's
 //     completion holds the lower order number — B finds the port idle.
@@ -202,17 +202,16 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 		want string
 	}{
 		{"arrival first", 1500, 1 << 20,
-			at("enq flow=2 port=%d/%d depth=%d marked=true", port.Link, port.From, sizeA+1500)},
+			at("enq flow=2 port=%d/%d depth=%d ", port.Link, port.From, sizeA+1500)},
 		{"arrival first, tight buffer", 1500, sizeA + 1500 - 1,
 			at("drop flow=2 queue full on link %d", port.Link)},
 		{"completion first", 64, 1 << 20,
-			at("enq flow=2 port=%d/%d depth=64 marked=false", port.Link, port.From)},
+			at("enq flow=2 port=%d/%d depth=64 ", port.Link, port.From)},
 		{"completion first, tight buffer", 64, sizeA + 64 - 1,
-			at("enq flow=2 port=%d/%d depth=64 marked=false", port.Link, port.From)},
+			at("enq flow=2 port=%d/%d depth=64 ", port.Link, port.From)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := Arista7150
-			model.ECNThresholdBytes = 1
 			model.BufferBytes = tc.buffer
 			// B reaches s0 NIC latency + serialization + propagation
 			// after it is sent: aim that at doneA exactly.
@@ -258,8 +257,8 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 
 // TestElidedCompletionsMatchEagerUnderLoad is the same comparison on a
 // congested run: random bursts from four senders through one 1 Gb/s
-// bottleneck with a small buffer, two priority classes, an ECN
-// threshold, a mid-run cut with held-and-detoured frames, and a sampler
+// bottleneck with a small buffer, two priority classes, a mid-run cut
+// with held-and-detoured frames, and a sampler
 // reading every port between packet events.
 func TestElidedCompletionsMatchEagerUnderLoad(t *testing.T) {
 	build := func() (*topology.Graph, []topology.NodeID, topology.NodeID, topology.LinkID) {
@@ -285,7 +284,6 @@ func TestElidedCompletionsMatchEagerUnderLoad(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			g, src, dst, direct := build()
 			model := Arista7150
-			model.ECNThresholdBytes = 3000
 			model.BufferBytes = 12000
 			drive := func(net *Network) {
 				rng := rand.New(rand.NewSource(seed))

@@ -26,18 +26,12 @@ import (
 
 // SwitchModel describes a switch's forwarding behaviour.
 type SwitchModel struct {
-	// Name labels the model in reports ("ULL", "CCS", ...).
-	Name string
 	// Latency is the forwarding latency: for cut-through switches the
 	// delay from head arrival to head departure; for store-and-forward
 	// the processing delay after the full frame arrives.
 	Latency sim.Time
 	// CutThrough selects cut-through forwarding.
 	CutThrough bool
-	// ECNThresholdBytes marks packets (Packet.Marked) when the output
-	// queue they join exceeds this depth — DCTCP-style explicit
-	// congestion notification (§2.1.4). Zero disables marking.
-	ECNThresholdBytes int
 	// ServiceTime is the per-packet forwarding occupancy of an output
 	// port: a store-and-forward chassis moves one frame through a port
 	// every ServiceTime even when the wire could go faster. Zero means
@@ -57,7 +51,6 @@ var (
 	// 6 µs, which is what produces the congestion behaviour of the
 	// paper's three-tier baseline (§7.1).
 	CiscoNexus7000 = SwitchModel{
-		Name:        "CCS",
 		Latency:     0,
 		CutThrough:  false,
 		ServiceTime: 6 * sim.Microsecond,
@@ -66,7 +59,6 @@ var (
 	// Arista7150 is the paper's ultra-low-latency switch (ULL): 380 ns
 	// cut-through, 64 10 Gb/s or 16 40 Gb/s ports.
 	Arista7150 = SwitchModel{
-		Name:        "ULL",
 		Latency:     380 * sim.Nanosecond,
 		CutThrough:  true,
 		BufferBytes: 1 << 20,
@@ -110,16 +102,10 @@ type Packet struct {
 	Waypoint topology.NodeID
 	// Tag lets workloads group deliveries (task index, request/reply).
 	Tag int
-	// UserData is carried untouched for transports (e.g. TCP sequence
-	// numbers).
-	UserData uint64
 	// Priority selects the output-queue class: 0 is served strictly
 	// before 1 (DeTail-style two-class scheduling, §2.1.4). Values
 	// above 1 are clamped.
 	Priority uint8
-	// Marked is set by ECN-enabled switches when the packet joined a
-	// queue above the marking threshold.
-	Marked bool
 	// Hops counts forwarding elements traversed (switches and
 	// forwarding hosts).
 	Hops int
@@ -400,12 +386,11 @@ type dirLink struct {
 	// What a hop needs to know about the port's own end, copied in when
 	// the network is built so forward and transmitNext read this dirLink
 	// and neither the graph nor the model table: the node at the far
-	// end, and the sending switch's per-frame service time and ECN
-	// marking threshold (both zero on a host's NIC).
+	// end, and the sending switch's per-frame service time (zero on a
+	// host's NIC).
 	peer             topology.NodeID
 	down, busy, lazy bool
 	service          sim.Time
-	ecn              int
 
 	rate        sim.Rate
 	prop        sim.Time
@@ -515,7 +500,7 @@ func (n *Network) Reset(onDeliver func(Delivery)) {
 		for d, from := range [2]topology.NodeID{l.A, l.B} {
 			dl := dirLink{rate: l.Rate, prop: l.Prop, capBytes: n.bufferOf(from), peer: l.Other(from)}
 			if n.g.Node(from).Kind == topology.Switch {
-				dl.service, dl.ecn = n.models[from].ServiceTime, n.models[from].ECNThresholdBytes
+				dl.service = n.models[from].ServiceTime
 			}
 			n.dirs[2*i+d] = dl
 		}
@@ -644,9 +629,6 @@ func (n *Network) forward(ev *netEvent, readyTime sim.Time) {
 		return
 	}
 	ser := dl.rate.Serialize(p.Size)
-	if dl.ecn > 0 && dl.queuedBytes >= dl.ecn {
-		p.Marked = true
-	}
 	// Store-and-forward chassis ports are paced by the forwarding engine
 	// when that is slower than the wire.
 	if dl.service > ser {

@@ -240,7 +240,7 @@ func TestMMQueueingTheoryValidation(t *testing.T) {
 	g.Connect(s1, h1, fast, 0)
 
 	// Use zero-latency switches and hosts to isolate pure queueing.
-	ideal := SwitchModel{Name: "ideal", Latency: 0, CutThrough: false, BufferBytes: 64 << 20}
+	ideal := SwitchModel{Latency: 0, CutThrough: false, BufferBytes: 64 << 20}
 	var lat []float64
 	net, err := New(Config{
 		Graph:       g,

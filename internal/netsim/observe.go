@@ -135,7 +135,7 @@ func (o *Observer) Sampler() *QueueSampler { return o.sampler }
 // FlowSpans renders the flow table as virtual-only spans on the
 // Observer's recorder: one "flow" span per flow in the "net" category,
 // Track = flow ID, spanning FirstSend→LastActivity on the virtual
-// clock, annotated with sent/delivered/dropped/bytes/retransmits.
+// clock, annotated with sent/delivered/dropped/bytes.
 // Wall fields stay zero, so the Chrome export places them on the
 // virtual timeline. Requires Observe to have run with both Flows and
 // Spans; call after the run. Returns the number of flow spans recorded.
@@ -152,8 +152,7 @@ func (o *Observer) FlowSpans() int {
 			Annotate("sent", int64(f.PacketsSent)).
 			Annotate("delivered", int64(f.PacketsDelivered)).
 			Annotate("dropped", int64(f.PacketsDropped)).
-			Annotate("bytes", int64(f.BytesDelivered)).
-			Annotate("retransmits", int64(f.Retransmits)))
+			Annotate("bytes", int64(f.BytesDelivered)))
 	}
 	return len(flows)
 }

@@ -1,8 +1,7 @@
 // Package routing implements the forwarding strategies the Quartz paper
 // evaluates (§3.4): ECMP over equal-cost shortest paths and Valiant load
 // balancing (VLB) on full meshes — the two mesh strategies of §3.4 and
-// Figure 20 — plus Yen's k-shortest-paths, which the flow scheduler
-// draws its alternatives from.
+// Figure 20.
 //
 // A Router answers one question for the packet simulator: given the
 // switch a packet is at and the packet's flow and destination, which
@@ -17,7 +16,6 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
@@ -480,85 +478,4 @@ func (v *VLB) towardSwitch(n topology.NodeID, pkt PacketMeta) (topology.Port, er
 		pick--
 	}
 	panic("routing: vlb: unreachable")
-}
-
-// KShortestPaths returns up to k loop-free shortest paths (by hop count)
-// from src to dst using Yen's algorithm. Paths are returned in
-// non-decreasing length order.
-func KShortestPaths(g *topology.Graph, src, dst topology.NodeID, k int) [][]topology.NodeID {
-	if k <= 0 {
-		return nil
-	}
-	first := g.ShortestPath(src, dst, nil)
-	if first == nil {
-		return nil
-	}
-	paths := [][]topology.NodeID{first}
-	var candidates [][]topology.NodeID
-	for len(paths) < k {
-		last := paths[len(paths)-1]
-		// For each spur node in the previous path...
-		for i := 0; i < len(last)-1; i++ {
-			spur := last[i]
-			rootPath := last[:i+1]
-			// Remove links used by previous paths sharing this root.
-			dead := make(map[topology.LinkID]bool)
-			for _, p := range paths {
-				if len(p) > i && equalPath(p[:i+1], rootPath) {
-					if l, ok := g.FindLink(p[i], p[i+1]); ok {
-						dead[l.ID] = true
-						// Parallel links between the same pair count as
-						// the same hop for loop-free purposes.
-						for _, port := range g.Ports(p[i]) {
-							if port.Peer == p[i+1] {
-								dead[port.Link] = true
-							}
-						}
-					}
-				}
-			}
-			// Remove root path nodes (except spur) by killing their links.
-			for _, n := range rootPath[:len(rootPath)-1] {
-				for _, port := range g.Ports(n) {
-					dead[port.Link] = true
-				}
-			}
-			spurPath := g.ShortestPath(spur, dst, dead)
-			if spurPath == nil {
-				continue
-			}
-			total := append(append([]topology.NodeID{}, rootPath[:len(rootPath)-1]...), spurPath...)
-			if !containsPath(paths, total) && !containsPath(candidates, total) {
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(i, j int) bool { return len(candidates[i]) < len(candidates[j]) })
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
-	}
-	return paths
-}
-
-func equalPath(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsPath(set [][]topology.NodeID, p []topology.NodeID) bool {
-	for _, q := range set {
-		if equalPath(q, p) {
-			return true
-		}
-	}
-	return false
 }

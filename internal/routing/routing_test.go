@@ -214,71 +214,6 @@ func TestVLBTinyMeshFallsBackToDirect(t *testing.T) {
 	}
 }
 
-func TestKShortestPathsRing(t *testing.T) {
-	// Ring of 6: between opposite nodes there are exactly two 3-hop
-	// edge-disjoint paths.
-	g := topology.New("ring6")
-	var sw [6]topology.NodeID
-	for i := range sw {
-		sw[i] = g.AddSwitch("s", topology.TierToR, i)
-	}
-	for i := range sw {
-		g.Connect(sw[i], sw[(i+1)%6], sim.Gbps, 0)
-	}
-	paths := KShortestPaths(g, sw[0], sw[3], 4)
-	if len(paths) < 2 {
-		t.Fatalf("got %d paths, want >=2", len(paths))
-	}
-	if len(paths[0]) != 4 || len(paths[1]) != 4 {
-		t.Errorf("first two paths lengths %d,%d; want 4,4 (3 hops)", len(paths[0]), len(paths[1]))
-	}
-	for _, p := range paths {
-		if p[0] != sw[0] || p[len(p)-1] != sw[3] {
-			t.Errorf("path %v has wrong endpoints", p)
-		}
-	}
-}
-
-func TestKShortestPathsMesh(t *testing.T) {
-	g := mesh(t, 5, 0)
-	sw := g.Switches()
-	paths := KShortestPaths(g, sw[0], sw[1], 10)
-	if len(paths) < 4 {
-		t.Fatalf("got %d paths, want >=4 (1 direct + 3 two-hop)", len(paths))
-	}
-	if len(paths[0]) != 2 {
-		t.Errorf("shortest path %v, want direct", paths[0])
-	}
-	// Paths are sorted by length and loop-free.
-	for i := 1; i < len(paths); i++ {
-		if len(paths[i]) < len(paths[i-1]) {
-			t.Errorf("paths out of order at %d", i)
-		}
-		seen := map[topology.NodeID]bool{}
-		for _, n := range paths[i] {
-			if seen[n] {
-				t.Errorf("path %v revisits node %d", paths[i], n)
-			}
-			seen[n] = true
-		}
-	}
-}
-
-func TestKShortestPathsEdgeCases(t *testing.T) {
-	g := mesh(t, 3, 0)
-	sw := g.Switches()
-	if p := KShortestPaths(g, sw[0], sw[1], 0); p != nil {
-		t.Error("k=0 returned paths")
-	}
-	// Disconnected: two isolated switches.
-	g2 := topology.New("disc")
-	a := g2.AddSwitch("a", topology.TierToR, 0)
-	b := g2.AddSwitch("b", topology.TierToR, 1)
-	if p := KShortestPaths(g2, a, b, 3); p != nil {
-		t.Error("disconnected pair returned paths")
-	}
-}
-
 // TestECMPValidNextHopProperty checks on random meshes that every
 // ECMP hop moves strictly closer to the destination.
 func TestECMPValidNextHopProperty(t *testing.T) {

@@ -231,10 +231,8 @@ type RPC struct {
 	// ReqTag/ReplyTag must be unique in the harness.
 	ReqTag, ReplyTag int
 	// Priority is the queueing class of the RPC's own packets (0 is
-	// served first); BackgroundPriority is unused by RPC itself but
-	// mirrors the class its competition runs at, for experiment code
-	// symmetry.
-	Priority, BackgroundPriority uint8
+	// served first).
+	Priority uint8
 
 	// RTT accumulates round-trip times in microseconds.
 	RTT metrics.Stats

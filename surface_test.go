@@ -103,17 +103,18 @@ func TestEveryExportIsUsedByAnExample(t *testing.T) {
 // untestedOnPurpose names the declarations kept without a non-test
 // caller, one reason each (DESIGN.md §3, second decision).
 var untestedOnPurpose = map[string]string{
-	"wdm.Optimal":          "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
-	"wdm.ExactBranchBound": "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
-	"traffic.WriteTrace":   "the ParseTrace round-trip test needs it",
-	"sim.Engine.SetProbe":  "netsim's eager-completion reference needs a hook after every event, and a netsim.Probe fires before a completion is elided",
+	"wdm.Optimal":            "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
+	"wdm.ExactBranchBound":   "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
+	"traffic.WriteTrace":     "the ParseTrace round-trip test needs it",
+	"sim.Engine.SetProbe":    "netsim's eager-completion reference needs a hook after every event, and a netsim.Probe fires before a completion is elided",
+	"routing.PacketMeta.Src": "bench/probes.go sets it and nothing reads it; it goes with that line (ROADMAP 5(c))",
 }
 
 // Production code is what production reaches: every func, method and
-// type of the module's non-test packages, exported or not, and every
-// exported struct field without a json tag, is used by some non-test
-// file outside its own declaration, or is a test's oracle kept on
-// purpose. bench/, examples/ and this package are callers but are not
+// type of the module's non-test packages, exported or not, is used by
+// some non-test file outside its own declaration, and every exported
+// struct field without a json tag is read by one, or is a test's oracle
+// kept on purpose. bench/, examples/ and this package are callers but are not
 // checked: the façade's exports are for users outside the module, and
 // TestEveryExportIsUsedByAnExample guards them.
 func TestEveryDeclarationHasACaller(t *testing.T) {
@@ -136,8 +137,8 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 }
 
 // The guard's analysis on a module built for it: exactly the dead
-// declarations are reported, and none that an interface or a json tag
-// keeps alive.
+// declarations are reported — a field that is only written is dead —
+// and none that an interface or a json tag keeps alive.
 func TestDeadCodeFindsExactlyTheDead(t *testing.T) {
 	root := t.TempDir()
 	for name, body := range map[string]string{
@@ -151,7 +152,9 @@ import (
 )
 
 func main() {
-	sq := shape.Square{Side: 2}
+	sq := shape.Square{Side: 2, Made: 1}
+	sq.Made++
+	(sq.Made) = 3
 	fmt.Println(shape.Total([]shape.Shape{sq}), sq)
 }
 `,
@@ -163,6 +166,7 @@ type Square struct {
 	Side  float64
 	Label string ` + "`json:\"label\"`" + `
 	Color string
+	Made  int
 }
 
 func (s Square) Area() float64      { return s.Side * s.Side }
@@ -205,7 +209,7 @@ func TestColor(t *testing.T) {
 	for _, d := range dead {
 		got = append(got, d.name)
 	}
-	want := []string{"shape.Square.Color", "shape.Square.Perimeter", "shape.half"}
+	want := []string{"shape.Square.Color", "shape.Square.Made", "shape.Square.Perimeter", "shape.half"}
 	if !slices.Equal(got, want) {
 		t.Errorf("dead code %q, want %q", got, want)
 	}
@@ -213,9 +217,9 @@ func TestColor(t *testing.T) {
 
 // deadCode type-checks every non-test package of the module at root and
 // returns, sorted by name, the declarations the guard above requires a
-// use of and no non-test file uses, named pkg.Func, pkg.Type,
-// pkg.Type.Method or pkg.Type.Field after the last element of the
-// package's import path. A method counts as used when its type
+// use of and no non-test file uses (reads, for a field), named
+// pkg.Func, pkg.Type, pkg.Type.Method or pkg.Type.Field after the last
+// element of the package's import path. A method counts as used when its type
 // implements an interface, naming that method, which the module declares
 // or names, or which a package it imports exports (fmt.Stringer, error,
 // json.Marshaler): whoever holds the interface may call it. Packages
@@ -326,6 +330,40 @@ func deadCode(root string, callersOnly ...string) ([]finding, error) {
 		}
 	}
 
+	// A field is used where it is read. A composite literal's key, the
+	// selector an assignment or an x.F++ stores into, is a write.
+	writes := map[*ast.Ident]bool{}
+	field := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, files := range s.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := s.info.Uses[id].(*types.Var); ok && v.IsField() {
+									writes[id] = true
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						field(e)
+					}
+				case *ast.IncDecStmt:
+					field(n.X)
+				}
+				return true
+			})
+		}
+	}
+
 	used := map[types.Object]bool{}
 	for id, obj := range s.info.Uses {
 		switch o := obj.(type) {
@@ -333,6 +371,9 @@ func deadCode(root string, callersOnly ...string) ([]finding, error) {
 			obj = o.Origin()
 		case *types.Var:
 			obj = o.Origin()
+		}
+		if writes[id] {
+			continue
 		}
 		if _, ok := names[obj]; ok && !slices.ContainsFunc(own[obj], func(sp span) bool { return sp.from <= id.Pos() && id.Pos() < sp.to }) {
 			used[obj] = true
