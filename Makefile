@@ -70,7 +70,10 @@ race:
 # demand-capped (internal/flowsim/fuzz_test.go): Allocate equals the
 # previous water-filling kernel bit for bit, and on a mesh every dyadic
 # split's fill of the pairs' CompileVLB paths equals Allocate of that
-# split's flows. A failure leaves its
+# split's flows. FuzzParseTrace feeds arbitrary text to the replay
+# trace reader (internal/traffic/fuzz_test.go): every accepted time is
+# in [0, 1000 s], and writing the events back and reading them again
+# gives the same events to the picosecond. A failure leaves its
 # input under the package's testdata/fuzz/ — commit it with the fix.
 # Minimisation is capped in iterations: at the default 60 s per input
 # the whole smoke goes to shrinking the first few finds.
@@ -85,9 +88,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzECMPTables$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/table
 	$(GO) test -run '^$$' -fuzz '^FuzzAllocateMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/flowsim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/traffic
 
 # Tier-1 verify recipe (see ROADMAP.md): build + gofmt + vet + full
-# tests + race pass on the goroutine-owning packages + the ten fuzz
+# tests + race pass on the goroutine-owning packages + the eleven fuzz
 # smokes.
 verify: build fmt vet test race fuzz
 

@@ -29,8 +29,9 @@ type Figure5Row struct {
 	// Greedy is the paper's heuristic (§3.1.1), measured.
 	Greedy int
 	// Optimal is the proven minimum — the value the paper's ILP
-	// computes (closed form, verified by branch-and-bound for small
-	// rings; see internal/wdm).
+	// computes (closed form, verified by the tests' branch-and-bound
+	// for small rings and reached by some greedy seed at every size up
+	// to 41; see internal/wdm).
 	Optimal int
 }
 

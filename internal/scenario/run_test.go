@@ -216,6 +216,7 @@ func TestSimRunReplay(t *testing.T) {
 	for _, tc := range []struct{ name, workload, want string }{
 		{"no trace", `{"kind": "replay"}`, "t.json:3: sim.workload.trace: missing required field"},
 		{"unparsable row", `{"kind": "replay", "trace": "10,0,x,400"}`, `sim.workload.trace: traffic: trace line 1: bad field "x"`},
+		{"non-finite time", `{"kind": "replay", "trace": "NaN,0,1,400"}`, `sim.workload.trace: traffic: trace line 1: time "NaN" µs outside [0, 1e+09]`},
 		{"tasks", `{"kind": "replay", "tasks": 2, "trace": "10,0,1,400"}`, "sim.workload.tasks: replay is a single global pattern"},
 		{"trace on a generated kind", `{"kind": "scatter", "trace": "10,0,1,400"}`, `sim.workload.trace: a trace is the packet list of kind "replay"`},
 	} {

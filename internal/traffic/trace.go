@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -28,9 +29,16 @@ type TraceEvent struct {
 	Tag int
 }
 
+// maxTraceTime is the latest time a trace may give. Up to it a float64
+// count of microseconds resolves every picosecond (that holds below
+// 2^50 ps ≈ 1126 s), and it is a hundred times the longest run a
+// scenario allows.
+const maxTraceTime = 1000 * sim.Second
+
 // ParseTrace reads a CSV trace: `at_us,src,dst,size[,flow[,tag]]` with
-// an optional header row. Events need not be sorted; the replayer
-// sorts them.
+// an optional header row. Times are rounded to the nearest picosecond
+// and must lie in [0, maxTraceTime]. Events need not be sorted; the
+// replayer sorts them.
 func ParseTrace(r io.Reader) ([]TraceEvent, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -57,6 +65,9 @@ func ParseTrace(r io.Reader) ([]TraceEvent, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traffic: trace line %d: bad time %q", line, rec[0])
 		}
+		if !(atUs >= 0 && atUs <= maxTraceTime.Micros()) {
+			return nil, fmt.Errorf("traffic: trace line %d: time %q µs outside [0, %g]", line, rec[0], maxTraceTime.Micros())
+		}
 		ints := make([]int, 0, 5)
 		for _, f := range rec[1:] {
 			v, err := strconv.Atoi(f)
@@ -66,7 +77,7 @@ func ParseTrace(r io.Reader) ([]TraceEvent, error) {
 			ints = append(ints, v)
 		}
 		ev := TraceEvent{
-			At:   sim.Time(atUs * float64(sim.Microsecond)),
+			At:   sim.Time(math.Round(atUs * float64(sim.Microsecond))),
 			Src:  ints[0],
 			Dst:  ints[1],
 			Size: ints[2],
@@ -81,31 +92,6 @@ func ParseTrace(r io.Reader) ([]TraceEvent, error) {
 		events = append(events, ev)
 	}
 	return events, nil
-}
-
-// WriteTrace writes events as CSV with a header, the inverse of
-// ParseTrace — for synthesizing shareable workloads from the built-in
-// generators.
-func WriteTrace(w io.Writer, events []TraceEvent) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_us", "src", "dst", "size", "flow", "tag"}); err != nil {
-		return err
-	}
-	for _, ev := range events {
-		rec := []string{
-			strconv.FormatFloat(ev.At.Micros(), 'f', 3, 64),
-			strconv.Itoa(ev.Src),
-			strconv.Itoa(ev.Dst),
-			strconv.Itoa(ev.Size),
-			strconv.FormatUint(uint64(ev.Flow), 10),
-			strconv.Itoa(ev.Tag),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Replay schedules every trace event onto the network. Events are

@@ -1,7 +1,10 @@
 package traffic
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,6 +12,31 @@ import (
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 )
+
+// WriteTrace writes events as CSV with a header: ParseTrace's inverse.
+// Six decimals of a microsecond are the picosecond, and the flow is
+// written signed, as ParseTrace reads it.
+func WriteTrace(w io.Writer, events []TraceEvent) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"at_us", "src", "dst", "size", "flow", "tag"}); err != nil {
+		return err
+	}
+	for _, ev := range events {
+		rec := []string{
+			strconv.FormatFloat(ev.At.Micros(), 'f', 6, 64),
+			strconv.Itoa(ev.Src),
+			strconv.Itoa(ev.Dst),
+			strconv.Itoa(ev.Size),
+			strconv.FormatInt(int64(ev.Flow), 10),
+			strconv.Itoa(ev.Tag),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
 
 func TestTraceRoundTrip(t *testing.T) {
 	events := []TraceEvent{
@@ -42,10 +70,31 @@ func TestParseTraceHeaderAndErrors(t *testing.T) {
 	if len(events) != 1 || events[0].At != 1500*sim.Nanosecond || events[0].Tag != 1 {
 		t.Errorf("parsed %+v", events)
 	}
+	// Times round to the nearest picosecond: 1.001 µs is 1 000 999.99…
+	// ps in binary, not 1 000 999.
+	for at, want := range map[string]sim.Time{
+		"1.001":      1_001_000,
+		"0.000001":   1,
+		"0.0000005":  1,
+		"0.0000004":  0,
+		"-0":         0,
+		"999.999999": 999_999_999,
+		"1e9":        1000 * sim.Second,
+	} {
+		events, err := ParseTrace(strings.NewReader(at + ",0,1,400\n"))
+		if err != nil || len(events) != 1 || events[0].At != want {
+			t.Errorf("time %s: parsed %+v, %v; want At %d", at, events, err, want)
+		}
+	}
 	for name, bad := range map[string]string{
-		"short row": "1.0,0,1\n",
-		"bad time":  "abc,0,1,400\n2.0,x,1,400\n",
-		"bad field": "1.0,zero,1,400\n",
+		"short row":      "1.0,0,1\n",
+		"bad time":       "abc,0,1,400\n2.0,x,1,400\n",
+		"bad field":      "1.0,zero,1,400\n",
+		"NaN time":       "NaN,0,1,400\n",
+		"infinite time":  "+Inf,0,1,400\n",
+		"huge time":      "1e300,0,1,400\n",
+		"negative time":  "1.0,0,1,400\n-0.0000004,0,1,400\n",
+		"past the limit": "1000000000.000001,0,1,400\n",
 	} {
 		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
 			t.Errorf("%s accepted", name)

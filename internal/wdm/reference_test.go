@@ -8,6 +8,22 @@ import (
 	"testing"
 )
 
+// arcLinks calls fn for each fiber link index covered by the arc from s
+// to t in direction dir on a ring of size m, walking node by node: the
+// references' own arc geometry, independent of Assignment.Span.
+func arcLinks(m, s, t int, dir Direction, fn func(link int)) {
+	switch dir {
+	case Clockwise:
+		for i := s; i != t; i = (i + 1) % m {
+			fn(i)
+		}
+	case CounterClockwise:
+		for i := s; i != t; i = (i - 1 + m) % m {
+			fn((i - 1 + m) % m)
+		}
+	}
+}
+
 // refGreedy and refExpandPlan are Greedy and ExpandPlan as they stood
 // before first-fit moved onto link bitsets: a [][]bool occupancy table,
 // and each channel tested link by link through a closure. They live only

@@ -3,14 +3,12 @@
 // dedicated wavelength such that no wavelength is used twice on any
 // fiber link, minimizing the number of distinct wavelengths.
 //
-// Three solvers are provided:
-//
-//   - Greedy: the paper's longest-path-first heuristic (§3.1.1).
-//   - ExactBranchBound: an exact solver equivalent to the paper's ILP,
-//     practical for small rings.
-//   - Optimal: an iterated-greedy conflict-graph colouring search that
-//     targets OptimalChannels, the closed-form proven minimum (the
-//     value the paper's ILP computes).
+// Greedy is the paper's longest-path-first heuristic (§3.1.1), and the
+// one planner: ExpandPlan grows its plans and SplitAcrossRings spreads
+// them over fibers. OptimalChannels is the closed-form minimum, the
+// value the paper's ILP computes. The tests hold the two together: an
+// exact branch-and-bound proves the closed form for M ≤ 10, and some
+// Greedy seed reaches it at every M up to 41.
 //
 // Ring conventions: nodes are 0..M-1 around the ring; fiber link i joins
 // node i and node (i+1) mod M. A clockwise arc starting at node s with
@@ -58,21 +56,6 @@ type Plan struct {
 	Rings int
 	// Assignments has one entry per unordered switch pair.
 	Assignments []Assignment
-}
-
-// arcLinks calls fn for each fiber link index covered by the arc from s
-// to t in direction dir on a ring of size m.
-func arcLinks(m, s, t int, dir Direction, fn func(link int)) {
-	switch dir {
-	case Clockwise:
-		for i := s; i != t; i = (i + 1) % m {
-			fn(i)
-		}
-	case CounterClockwise:
-		for i := s; i != t; i = (i - 1 + m) % m {
-			fn((i - 1 + m) % m)
-		}
-	}
 }
 
 // arcLen returns the number of links in the arc from s to t going dir.
@@ -171,24 +154,6 @@ func (o *occupancy) firstFit(arc []uint64) int {
 	return c
 }
 
-// LowerBound returns a simple link-load lower bound on the number of
-// wavelengths for all-pairs traffic on a ring of M switches: the total
-// fiber-link demand of shortest-arc routing divided by the M links. It
-// is tight for odd M and one or two below the true optimum for even M
-// (see OptimalChannels).
-func LowerBound(m int) int {
-	if m < 2 {
-		return 0
-	}
-	k := m / 2
-	if m%2 == 1 {
-		return k * (k + 1) / 2
-	}
-	// Forced (non-diametral) load per link plus the averaged diametral
-	// load, rounded up.
-	return k*(k-1)/2 + (k+1)/2
-}
-
 // OptimalChannels returns the provably minimum number of wavelengths for
 // all-pairs communication on a ring of M switches — the value the
 // paper's ILP computes. The closed form is the classical all-to-all
@@ -200,9 +165,9 @@ func LowerBound(m int) int {
 //
 // The even cases exceed the naive load bound because the M/2 diametral
 // pairs cannot be split without stacking three deep somewhere (for
-// example, M=4 provably needs 3 channels, not 2). ExactBranchBound
-// verifies this formula for every M it can reach, and TestOptimal*
-// cross-checks the colouring solver against it.
+// example, M=4 provably needs 3 channels, not 2). The tests' exact
+// solver proves the formula for M ≤ 10, and TestGreedyWitnessesClosedForm
+// finds a Greedy plan at exactly this count for every M up to 41.
 func OptimalChannels(m int) int {
 	if m < 2 {
 		return 0
@@ -258,22 +223,23 @@ func (p *Plan) Validate() error {
 		if a.Ring < 0 || a.Ring >= rings {
 			return fmt.Errorf("wdm: pair (%d,%d) on ring %d outside [0,%d)", a.S, a.T, a.Ring, rings)
 		}
+		if a.Dir > CounterClockwise {
+			return fmt.Errorf("wdm: pair (%d,%d) has direction %d, neither cw nor ccw", a.S, a.T, a.Dir)
+		}
 		key := [2]int{a.S, a.T}
 		if seen[key] {
 			return fmt.Errorf("wdm: pair (%d,%d) assigned twice", a.S, a.T)
 		}
 		seen[key] = true
-		var conflict error
-		arcLinks(p.M, a.S, a.T, a.Dir, func(link int) {
+		from, n := a.Span(p.M)
+		for i := range n {
+			link := (from + i) % p.M
 			s := slot{a.Ring, link, a.Channel}
-			if other, clash := used[s]; clash && conflict == nil {
-				conflict = fmt.Errorf("wdm: channel %d reused on ring %d link %d by (%d,%d) and (%d,%d)",
+			if other, clash := used[s]; clash {
+				return fmt.Errorf("wdm: channel %d reused on ring %d link %d by (%d,%d) and (%d,%d)",
 					a.Channel, a.Ring, link, other[0], other[1], a.S, a.T)
 			}
 			used[s] = key
-		})
-		if conflict != nil {
-			return conflict
 		}
 	}
 	if want := p.M * (p.M - 1) / 2; len(seen) != want {
@@ -283,7 +249,7 @@ func (p *Plan) Validate() error {
 }
 
 // MaxLinkLoad returns the maximum number of channels traversing any one
-// fiber link in the plan (per ring).
+// fiber link in the plan (per ring). The plan must validate.
 func (p *Plan) MaxLinkLoad() int {
 	rings := p.Rings
 	if rings == 0 {
@@ -293,16 +259,16 @@ func (p *Plan) MaxLinkLoad() int {
 	for r := range load {
 		load[r] = make([]int, p.M)
 	}
-	max := 0
+	peak := 0
 	for _, a := range p.Assignments {
-		arcLinks(p.M, a.S, a.T, a.Dir, func(link int) {
-			load[a.Ring][link]++
-			if load[a.Ring][link] > max {
-				max = load[a.Ring][link]
-			}
-		})
+		from, n := a.Span(p.M)
+		for i := range n {
+			l := &load[a.Ring][(from+i)%p.M]
+			*l++
+			peak = max(peak, *l)
+		}
 	}
-	return max
+	return peak
 }
 
 // shortestDirections routes every pair along its shorter arc, breaking

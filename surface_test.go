@@ -103,9 +103,6 @@ func TestEveryExportIsUsedByAnExample(t *testing.T) {
 // untestedOnPurpose names the declarations kept without a non-test
 // caller, one reason each (DESIGN.md §3, second decision).
 var untestedOnPurpose = map[string]string{
-	"wdm.Optimal":            "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
-	"wdm.ExactBranchBound":   "certifies OptimalChannels in wdm_test.go; ROADMAP 2(b) decides",
-	"traffic.WriteTrace":     "the ParseTrace round-trip test needs it",
 	"sim.Engine.SetProbe":    "netsim's eager-completion reference needs a hook after every event, and a netsim.Probe fires before a completion is elided",
 	"routing.PacketMeta.Src": "bench/probes.go sets it and nothing reads it; it goes with that line (ROADMAP 5(c))",
 }
