@@ -23,8 +23,13 @@ func testRegistry() *Registry {
 }
 
 func TestWritePrometheus(t *testing.T) {
+	r := testRegistry()
+	// The text format escapes only \\, \" and \n in a label value; any
+	// other character, a no-break space included, is written as itself
+	// (a Prometheus parser rejects Go's \u00a0).
+	r.Counter("quartz_worker_up", "", Labels{"worker": "http://a\u00a0b:1/\"\\\n"}).Inc()
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, testRegistry().Snapshot()); err != nil {
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -38,6 +43,7 @@ func TestWritePrometheus(t *testing.T) {
 		`quartz_packet_latency_us_bucket{le="+Inf"} 6`,
 		"quartz_packet_latency_us_count 6",
 		`quartz_packet_latency_us{quantile="0.99"}`,
+		"quartz_worker_up{worker=\"http://a\u00a0b:1/\\\"\\\\\\n\"} 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n--- got ---\n%s", want, out)

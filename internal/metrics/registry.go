@@ -43,10 +43,20 @@ func (l Labels) key() string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, l[k])
+		b.WriteString(k)
+		b.WriteString(`="`)
+		labelValueEscaper.WriteString(&b, l[k])
+		b.WriteByte('"')
 	}
 	return b.String()
 }
+
+// labelValueEscaper escapes a label value for the text exposition
+// format (0.0.4), which allows any UTF-8 and only the escapes \\, \"
+// and \n: Go's %q would write \u00a0 for a no-break space, and a
+// Prometheus parser rejects the scrape. The mapping is injective, so
+// distinct label sets keep distinct keys.
+var labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // clone copies the label map so callers can reuse theirs.
 func (l Labels) clone() Labels {
