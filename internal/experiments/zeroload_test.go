@@ -54,7 +54,7 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 		g := arch.Graph
 		var got netsim.Delivery
 		probe := &portsProbe{}
-		cfg := netsim.Config{Graph: g, Router: arch.Router, SwitchModel: arch.Model, Probe: probe,
+		cfg := netsim.Config{Graph: g, Router: arch.Router, SwitchModel: arch.Model,
 			OnDeliver: func(d netsim.Delivery) { got = d }}
 		reused, err := netsim.New(cfg)
 		if err != nil {
@@ -75,8 +75,8 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 						}
 					} else {
 						net.Reset(cfg.OnDeliver)
-						net.SetProbe(probe)
 					}
+					net.SetProbe(probe)
 					got, probe.ports = netsim.Delivery{}, probe.ports[:0]
 					net.Unicast(1, src, dst, size, 0)
 					net.Run()

@@ -71,9 +71,9 @@ func (f FlowStats) MeanLatency() sim.Time {
 }
 
 // FlowTracker aggregates per-flow telemetry from probe events. Create
-// one with NewFlowTracker, attach it via Config.Probe / SetProbe
-// (combine with Probes). Like every Probe it runs synchronously inside
-// the event loop and is not safe for concurrent use.
+// one with NewFlowTracker, attach it with SetProbe (combine with
+// Probes). Like every Probe it runs synchronously inside the event
+// loop and is not safe for concurrent use.
 type FlowTracker struct {
 	flows map[routing.FlowID]*FlowStats
 	order []routing.FlowID

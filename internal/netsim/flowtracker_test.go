@@ -15,10 +15,11 @@ import (
 func TestFlowTrackerAggregates(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(ft)
 	// Flow 1: 5 packets h0->h1. Flow 2: 3 packets the other way.
 	for i := 0; i < 5; i++ {
 		net.Unicast(1, h0, h1, 400, 0)
@@ -76,10 +77,11 @@ func TestFlowTrackerAggregates(t *testing.T) {
 func TestFlowTrackerDropAttribution(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(ft)
 	// Cut the s0-s1 inter-switch link at 0; routes reconverge at 1ms,
 	// and with no other path the packet sent after that has no route.
 	if err := net.Faults().Apply(FaultSchedule{
@@ -110,10 +112,11 @@ func TestFlowTrackerDropAttribution(t *testing.T) {
 func TestFlowTrackerFaultWindowAttribution(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(ft)
 	// Cut the inter-switch link at 1ms; detection 10ms keeps the
 	// degradation window open for the rest of the run.
 	fi := net.Faults()
@@ -144,10 +147,11 @@ func TestFlowTrackerFaultWindowAttribution(t *testing.T) {
 func TestFlowTrackerFCTStats(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(ft)
 	net.Unicast(1, h0, h1, 400, 0)
 	net.Unicast(2, h1, h0, 400, 0)
 	net.Engine().Run()
@@ -163,10 +167,11 @@ func TestFlowTrackerFCTStats(t *testing.T) {
 func TestFlowTrackerExports(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	ft := NewFlowTracker()
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: ft})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(ft)
 	net.Unicast(1, h0, h1, 400, 0)
 	net.Engine().Run()
 

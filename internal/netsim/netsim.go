@@ -8,12 +8,12 @@
 // (6 µs store-and-forward "CCS") and Arista7150 (380 ns cut-through
 // "ULL").
 //
-// Observability: a Probe (Config.Probe / Network.SetProbe) sees every
-// enqueue, transmission, delivery, and drop; TraceRecorder keeps a
-// bounded packet trace, and QueueSampler takes periodic queue-depth and
-// utilization samples; the engine's Telemetry and the Delivered and
-// Dropped counters summarize a run. With no probe attached the hooks
-// cost one nil check each.
+// Observability: a Probe (Network.SetProbe, or Network.Observe for the
+// standard set) sees every enqueue, transmission, delivery, and drop;
+// TraceRecorder keeps a bounded packet trace, and QueueSampler takes
+// periodic queue-depth and utilization samples; the engine's Telemetry
+// and the Delivered and Dropped counters summarize a run. With no probe
+// attached the hooks cost one nil check each.
 package netsim
 
 import (
@@ -197,10 +197,6 @@ type Config struct {
 	// OnDeliver and OnDrop are optional hooks.
 	OnDeliver func(Delivery)
 	OnDrop    func(Drop)
-	// Probe observes the full packet lifecycle (enqueue, transmit,
-	// deliver, drop); nil — the default — costs nothing. Combine
-	// several with Probes, or attach the standard set with Observe.
-	Probe Probe
 }
 
 // maxHops aborts forwarding loops; no experiment topology has paths
@@ -470,7 +466,7 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	n.Reset(cfg.OnDeliver)
-	n.onDrop, n.probe = cfg.OnDrop, cfg.Probe
+	n.onDrop = cfg.OnDrop
 	return n, nil
 }
 
@@ -542,8 +538,9 @@ func (n *Network) Run() { n.eng.Run() }
 // clock to end.
 func (n *Network) RunUntil(end sim.Time) { n.eng.RunUntil(end) }
 
-// SetProbe attaches a lifecycle observer (nil detaches it); it replaces
-// any probe set via Config.Probe. Use Probes to combine several.
+// SetProbe attaches a lifecycle observer (nil, the default, detaches
+// it and costs nothing); it replaces any probe attached before. Use
+// Probes to combine several, or Observe for the standard set.
 func (n *Network) SetProbe(p Probe) { n.probe = p }
 
 // Graph returns the simulated topology.

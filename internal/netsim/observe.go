@@ -49,7 +49,7 @@ type Observer struct {
 
 // Observe attaches the selected observability and returns the Observer.
 // Call it once, after New and before running. A probe already attached
-// (Config.Probe) is preserved and fires first.
+// with SetProbe is preserved and fires first.
 func (n *Network) Observe(o ObserveOptions) *Observer {
 	if o.SampleEvery > 0 && o.Until <= 0 {
 		panic("netsim: ObserveOptions.Until is required for sampler ticks")

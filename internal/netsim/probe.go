@@ -31,10 +31,10 @@ type QueueEvent struct {
 }
 
 // Probe observes the packet lifecycle inside a Network: every queue
-// join, every transmission, every delivery, every drop. Attach one via
-// Config.Probe or Network.SetProbe. With no probe attached each hook
-// site costs a single nil check, so the default is effectively free
-// (see BenchmarkProbeOverhead).
+// join, every transmission, every delivery, every drop. Attach one with
+// Network.SetProbe. With no probe attached each hook site costs a
+// single nil check, so the default is effectively free (see
+// BenchmarkProbeOverhead).
 //
 // Probes run synchronously inside the event loop and must not call
 // back into the Network or Engine.

@@ -15,10 +15,11 @@ import (
 func TestTraceRecorderLifecycle(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	tr := NewTraceRecorder(0)
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: tr})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(tr)
 	id := net.Unicast(1, h0, h1, 400, 0)
 	net.Engine().Run()
 
@@ -73,10 +74,11 @@ func TestTraceRecorderLifecycle(t *testing.T) {
 func TestTraceRecorderBound(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	tr := NewTraceRecorder(3)
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: tr})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(tr)
 	for i := 0; i < 5; i++ {
 		net.Unicast(1, h0, h1, 400, 0)
 	}
@@ -92,10 +94,11 @@ func TestTraceRecorderBound(t *testing.T) {
 func TestTraceRecorderDrop(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	tr := NewTraceRecorder(0)
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: tr})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(tr)
 	cutLink(t, net, 1, 0) // the s0-s1 inter-switch link
 	net.Unicast(1, h0, h1, 400, 0)
 	net.Engine().RunUntil(sim.Millisecond)
@@ -168,10 +171,11 @@ func TestProbesCombinator(t *testing.T) {
 		t.Error("Probes(a) should unwrap to a itself")
 	}
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: Probes(a, nil, b)})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(Probes(a, nil, b))
 	net.Unicast(1, h0, h1, 400, 0)
 	net.Engine().Run()
 	if len(a.Events()) == 0 || len(a.Events()) != len(b.Events()) {
@@ -204,10 +208,11 @@ func TestNetworkTelemetry(t *testing.T) {
 func TestTraceAndSamplerEmission(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	tr := NewTraceRecorder(0)
-	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: tr})
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(tr)
 	s := NewQueueSampler(net, sim.Microsecond)
 	s.Start(10 * sim.Microsecond)
 	net.Unicast(1, h0, h1, 400, 0)
@@ -278,10 +283,11 @@ func benchProbe(b *testing.B, p Probe) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net, err := New(Config{Graph: g, Router: routing.NewECMP(g), Probe: p})
+		net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 		if err != nil {
 			b.Fatal(err)
 		}
+		net.SetProbe(p)
 		for j := 0; j < 100; j++ {
 			net.Unicast(1, h0, h1, 400, 0)
 		}
