@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet race fuzz verify loc bench bench-json bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke examples-smoke flagdoc
+.PHONY: build fmt test vet race fuzz verify loc bench bench-pair profile service-smoke scenario-smoke trace-smoke cluster-smoke examples-smoke flagdoc
 
 build:
 	$(GO) build ./...
@@ -100,18 +100,11 @@ verify: build fmt vet test race fuzz
 loc:
 	bash scripts/loc.sh
 
+# One iteration of every kernel micro-benchmark (sim, netsim, flowsim,
+# fault, metrics), without re-running the tests. The repository's
+# performance record is bench/ (BENCHMARK.json; bench-pair, profile).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
-# Machine-readable perf record: run every experiment at reduced
-# parameters (a smoke-scale pass, minutes not hours) and write
-# per-experiment wall time, simulator events/sec and allocations to
-# BENCH_quartz.json. CI uploads it as an artifact; commit it when the
-# perf trajectory is worth recording. Nothing gates on it: event counts
-# are golden values (internal/experiments/golden_test.go), and
-# bench-pair checks speed.
-bench-json:
-	$(GO) run ./cmd/quartzbench -trials 500 -tasks 4 -rpcs 200 -json BENCH_quartz.json
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
 
 # Paired runs of the repository's benchmark (BENCHMARK.json) on two
 # revisions, alternating, with a fresh seed per pair: how a performance

@@ -5,14 +5,15 @@
 //
 //	quartzbench [-run all|<name>] [-list] [-scenario FILE]
 //	            [-seed N] [-trials N] [-tasks N] [-rpcs N]
-//	            [-csv DIR] [-json FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	            [-csv DIR] [-cpuprofile FILE] [-memprofile FILE]
 //	            [-trace-spans FILE] [-flight-recorder]
 //
 // -scenario runs a declarative scenario document (SCENARIOS.md)
 // instead of registry entries: the compiled experiment flows through
-// the same timing, CSV-export, and -json report loop, with the
-// parameters the document pins (the -seed/-trials/... flags do not
-// apply).
+// the same printing, CSV-export and span loop, with the parameters the
+// document pins. -run, -seed, -trials, -tasks and -rpcs describe what
+// the document describes, so setting one with -scenario is a usage
+// error (exit 2), as in quartzsim.
 //
 // The experiment set comes from the experiments registry
 // (experiments.All); -list prints it. Each experiment is deterministic
@@ -22,11 +23,6 @@
 // the simulator's own hot paths (`go tool pprof` reads them).
 // Interrupting the run (SIGINT/SIGTERM) cancels the in-flight
 // experiment's context.
-//
-// -json writes a machine-readable run report: per-experiment wall time
-// and simulator events/sec plus the run parameters and build
-// environment. `make bench-json` uses it to regenerate
-// BENCH_quartz.json, the repo's accumulating perf record.
 //
 // -trace-spans records execution spans — experiment build/run/cell
 // phases — and writes Chrome trace-event JSON for Perfetto
@@ -47,7 +43,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/scenario"
@@ -68,7 +63,6 @@ var (
 	tasks      = flag.Int("tasks", 8, "maximum concurrent tasks (fig17/fig18)")
 	rpcs       = flag.Int("rpcs", 2000, "RPCs per point (fig14)")
 	csvDir     = flag.String("csv", "", "also write each experiment's rows as CSV files into this directory")
-	jsonOut    = flag.String("json", "", "write a machine-readable run report (wall time, events/sec per experiment) to this file")
 	traceSpans = flag.String("trace-spans", "", "record execution spans (experiment cells) and write Chrome trace-event JSON to this file (open in Perfetto)")
 	flightRec  = flag.Bool("flight-recorder", false, "bound the span recorder to the most recent spans (with -trace-spans): a black box for long runs")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -102,6 +96,13 @@ func printRegistry() {
 	}
 }
 
+// scenarioFields names, for each flag a -scenario document replaces,
+// the document field that sets it instead.
+var scenarioFields = map[string]string{
+	"run": "experiment.name", "seed": "seed",
+	"trials": "experiment.trials", "tasks": "experiment.tasks", "rpcs": "experiment.rpcs",
+}
+
 // usageError marks a bad invocation (exit status 2) rather than a
 // failed run (1).
 type usageError struct{ error }
@@ -125,6 +126,16 @@ func main() {
 // outputs. Its deferred profile writers run on every return, a failed
 // experiment's included.
 func run() (err error) {
+	if *scenarioIn != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if field, ok := scenarioFields[f.Name]; ok && err == nil {
+				err = usageError{fmt.Errorf("-%s and -scenario both describe the run; set %s in %s instead", f.Name, field, *scenarioIn)}
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
 	if *cpuProfile != "" {
 		f, ferr := os.Create(*cpuProfile)
 		if ferr != nil {
@@ -185,35 +196,18 @@ func run() (err error) {
 		}
 		params.Trace = spans
 	}
-	report := experiments.NewReport(params, time.Now())
 
 	ran := false
-	var peakHeap uint64
 	for _, e := range exps {
 		if which != "all" && which != e.Name {
 			continue
 		}
 		ran = true
 		fmt.Printf("==> %s\n", e.Title)
-		memBefore := experiments.CaptureMemStats()
-		wallStart := time.Now()
 		out, err := e.Run(ctx, params)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		wallSecs := time.Since(wallStart).Seconds()
-		memAfter := experiments.CaptureMemStats()
-		if memAfter.PeakHeapBytes > peakHeap {
-			peakHeap = memAfter.PeakHeapBytes
-		}
-		report.Add(experiments.ExperimentReport{
-			Name: e.Name, Title: e.Title, Section: e.Section,
-			WallSecs:   wallSecs,
-			Events:     out.Events,
-			AllocBytes: memAfter.TotalAllocBytes - memBefore.TotalAllocBytes,
-			Mallocs:    memAfter.Mallocs - memBefore.Mallocs,
-			Tables:     len(out.Tables),
-		})
 		fmt.Print(out.Text)
 		for _, t := range out.Tables {
 			if err := exportCSV(t); err != nil {
@@ -236,22 +230,6 @@ func run() (err error) {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 		fmt.Printf("wrote %d execution spans to %s\n", spans.Len(), *traceSpans)
-	}
-	if *jsonOut != "" {
-		mem := experiments.CaptureMemStats()
-		if mem.PeakHeapBytes < peakHeap {
-			mem.PeakHeapBytes = peakHeap
-		}
-		report.Mem = &mem
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		if err := errors.Join(report.WriteJSON(f), f.Close()); err != nil {
-			return fmt.Errorf("writing report: %w", err)
-		}
-		fmt.Printf("wrote run report (%d experiments, %.1fs) to %s\n",
-			len(report.Experiments), report.WallSecs, *jsonOut)
 	}
 	return nil
 }
