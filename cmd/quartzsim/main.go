@@ -351,6 +351,9 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc) error {
 		if err := emit(*probeOut, "queue samples", sampler.Table()); err != nil {
 			return err
 		}
+		if tr := sampler.Truncated(); tr > 0 {
+			fmt.Fprintf(os.Stderr, "quartzsim: warning: queue samples are INCOMPLETE: %d row(s) past the bound discarded; sample less often\n", tr)
+		}
 	}
 	if flows := s.Obs.Flows(); *flowsOut != "" {
 		if err := emit(*flowsOut, "flow rows", flows.Table()); err != nil {

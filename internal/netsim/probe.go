@@ -245,7 +245,9 @@ type QueueSample struct {
 // Ports that were idle over a whole interval (empty queue, zero
 // utilization) produce no sample row — on large topologies most ports
 // are idle most of the time and recording them would swamp the trace —
-// but their DepthStats still count every tick.
+// but their DepthStats still count every tick. Rows, which only a file
+// sink reads, are bounded too: past maxQueueSamples they are counted
+// (Truncated), not kept, as a TraceRecorder bounds its log.
 //
 // Create one with NewQueueSampler, optionally attach it as a probe for
 // exact peaks, and call Start(until) before running the engine.
@@ -253,7 +255,9 @@ type QueueSampler struct {
 	net      *Network
 	interval sim.Time
 
-	samples []QueueSample
+	samples   []QueueSample
+	max       int // maxQueueSamples; tests lower it
+	truncated uint64
 	// depth aggregates sampled queue depths per directed link index.
 	depth []metrics.Stats
 	// peak is the exact per-port high-water mark, maintained by the
@@ -264,6 +268,9 @@ type QueueSampler struct {
 	lastBusy []sim.Time
 }
 
+// maxQueueSamples bounds the rows a QueueSampler keeps: 10 MB of them.
+const maxQueueSamples = 1 << 18
+
 // NewQueueSampler returns a sampler for n ticking every interval of
 // virtual time.
 func NewQueueSampler(n *Network, interval sim.Time) *QueueSampler {
@@ -273,6 +280,7 @@ func NewQueueSampler(n *Network, interval sim.Time) *QueueSampler {
 	return &QueueSampler{
 		net:      n,
 		interval: interval,
+		max:      maxQueueSamples,
 		depth:    make([]metrics.Stats, len(n.dirs)),
 		peak:     make([]int, len(n.dirs)),
 		lastBusy: make([]sim.Time, len(n.dirs)),
@@ -310,6 +318,10 @@ func (s *QueueSampler) sample(now sim.Time) {
 		if dl.queuedBytes == 0 && util == 0 {
 			continue // idle interval: no row
 		}
+		if len(s.samples) >= s.max {
+			s.truncated++
+			continue
+		}
 		s.samples = append(s.samples, QueueSample{
 			At: now, Port: s.net.portRef(i), QueuedBytes: dl.queuedBytes, Utilization: util,
 		})
@@ -342,6 +354,9 @@ func (s *QueueSampler) DepthStats(p PortRef) *metrics.Stats {
 // PeakDepth returns the port's high-water queue depth: exact when the
 // sampler is attached as a Probe, else the largest sampled depth.
 func (s *QueueSampler) PeakDepth(p PortRef) int { return s.peak[s.net.dirIndex(p)] }
+
+// Truncated reports how many rows the bound discarded.
+func (s *QueueSampler) Truncated() uint64 { return s.truncated }
 
 // Table returns the samples as the table "queue_samples":
 // at_ps,link,from,queued_bytes,utilization (6 decimal places in CSV).

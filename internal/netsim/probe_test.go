@@ -116,6 +116,29 @@ func TestTraceRecorderDrop(t *testing.T) {
 	}
 }
 
+// The sampler keeps at most its bound of rows and counts the rest,
+// while its depth statistics go on counting every tick.
+func TestQueueSamplerBound(t *testing.T) {
+	g, h0, h1 := twoHosts(t, 1*sim.Gbps)
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewQueueSampler(net, sim.Microsecond)
+	s.max = 5
+	s.Start(100 * sim.Microsecond)
+	for i := 0; i < 20; i++ {
+		net.Unicast(1, h0, h1, 1500, 0)
+	}
+	net.Engine().RunUntil(100 * sim.Microsecond)
+	if len(s.Samples()) != 5 || s.Table().Len() != 5 || s.Truncated() == 0 {
+		t.Errorf("kept %d rows (table %d), discarded %d; want 5 kept and some discarded", len(s.Samples()), s.Table().Len(), s.Truncated())
+	}
+	if n := s.DepthStats(PortRef{Link: 1, From: 0}).N(); n != 100 {
+		t.Errorf("DepthStats counted %d ticks, want all 100", n)
+	}
+}
+
 func TestQueueSampler(t *testing.T) {
 	// A slow inter-switch link with a burst of packets builds a queue;
 	// the sampler must see nonzero depth and utilization on it.

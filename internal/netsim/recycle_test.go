@@ -185,3 +185,43 @@ func TestRecycledNetworkMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// Irrelevant additions change nothing (a metamorphic relation): a fault
+// schedule whose only event fires after the run's end, or an idle host
+// appended as the last node, leaves every delivery (instant, latency,
+// hops) and every port counter of the scatter load as it was; the idle
+// host's own ports count nothing.
+func TestIrrelevantAdditionsChangeNothing(t *testing.T) {
+	run := func(late bool, idle bool) recycledRun {
+		g, model := recycleMesh(t)
+		if idle {
+			sw := g.Switches()[len(g.Switches())-1]
+			g.Connect(g.AddHost("idle", g.Node(sw).Rack), sw, 10*sim.Gbps, topology.DefaultProp)
+		}
+		return runScatter(t, 1, false, func(onDeliver func(Delivery)) *Network {
+			net, err := New(Config{Graph: g, Router: routing.NewECMP(g), SwitchModel: model, OnDeliver: onDeliver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if late { // runScatter stops at 400 µs
+				if err := net.Faults().Apply(FaultSchedule{Events: []FaultEvent{{Kind: FaultLink, Link: 0, At: 401 * sim.Microsecond}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return net
+		})
+	}
+	want := run(false, false)
+	for _, tc := range []struct{ late, idle bool }{{true, false}, {false, true}} {
+		got := run(tc.late, tc.idle)
+		if !reflect.DeepEqual(got.deliveries, want.deliveries) || !reflect.DeepEqual(got.stats[:len(want.stats)], want.stats) {
+			t.Errorf("late fault %v, idle host %v: %d deliveries, %d dropped; want %d, %d and the same instants and port counters",
+				tc.late, tc.idle, len(got.deliveries), got.dropped, len(want.deliveries), want.dropped)
+		}
+		for _, ps := range got.stats[len(want.stats):] {
+			if ps.Packets != 0 || ps.Drops != 0 || ps.BusyTime != 0 {
+				t.Errorf("the idle host's port %+v carried traffic", ps)
+			}
+		}
+	}
+}

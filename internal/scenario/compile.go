@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -113,10 +114,15 @@ type sweepCell struct {
 	trial     int
 }
 
+// axisValue is value i of the axis name.
 type axisValue struct {
 	name string
+	i    int
 	val  interface{}
 }
+
+// path locates the value in the document: "sweep.axes.<name>[i]".
+func (ov axisValue) path() string { return fmt.Sprintf("sweep.axes.%s[%d]", ov.name, ov.i) }
 
 // label renders the cell header fragment ("tasks=4 pps=40000, trial 2/3").
 func (c sweepCell) label(trials int) string {
@@ -141,40 +147,33 @@ func cellsOf(d *Doc) []sweepCell {
 	if d.Sweep == nil {
 		return []sweepCell{{}}
 	}
-	names := sortedAxisNames(d.Sweep.Axes)
-	cells := []sweepCell{{}}
+	names, n := sortedKeys(d.Sweep.Axes), 1
 	for _, name := range names {
-		vals := d.Sweep.Axes[name]
-		next := make([]sweepCell, 0, len(cells)*len(vals))
-		for _, c := range cells {
-			for _, v := range vals {
-				ov := make([]axisValue, len(c.overrides), len(c.overrides)+1)
-				copy(ov, c.overrides)
-				next = append(next, sweepCell{overrides: append(ov, axisValue{name, v})})
-			}
-		}
-		cells = next
+		n *= len(d.Sweep.Axes[name])
 	}
-	if d.Sweep.Trials > 1 {
-		next := make([]sweepCell, 0, len(cells)*d.Sweep.Trials)
-		for _, c := range cells {
-			for t := 0; t < d.Sweep.Trials; t++ {
-				next = append(next, sweepCell{overrides: c.overrides, trial: t})
-			}
+	cells := make([]sweepCell, 0, n*d.Sweep.Trials)
+	for k := 0; k < n; k++ {
+		ovs := make([]axisValue, len(names))
+		for j, rest := len(names)-1, k; j >= 0; j-- {
+			vals := d.Sweep.Axes[names[j]]
+			ovs[j] = axisValue{names[j], rest % len(vals), vals[rest%len(vals)]}
+			rest /= len(vals)
 		}
-		cells = next
+		for t := 0; t < d.Sweep.Trials; t++ {
+			cells = append(cells, sweepCell{ovs, t})
+		}
 	}
 	return cells
 }
 
-// sortedAxisNames returns the axis names in canonical order.
-func sortedAxisNames(axes map[string][]interface{}) []string {
-	names := make([]string, 0, len(axes))
-	for name := range axes {
-		names = append(names, name)
+// sortedKeys returns m's keys in order: axis names in canonical order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(keys)
+	return keys
 }
 
 // A cell is one run of a compiled scenario: its document with the
@@ -205,21 +204,12 @@ func compileGrid(doc Doc) experiments.Grid[cell, cellOutput, experiments.Output]
 	}
 	return experiments.Grid[cell, cellOutput, experiments.Output]{
 		Name: doc.Name,
-		Cells: func(p experiments.Params) []cell {
+		Cells: func(experiments.Params) []cell {
 			points := cellsOf(&doc)
 			cells := make([]cell, len(points))
 			for i, pt := range points {
-				d := doc.clone()
-				defs := axisDefs(&d)
-				for _, ov := range pt.overrides {
-					defs[ov.name].apply(&d, ov.val) // Decode refuses an unknown axis
-				}
-				seed := d.Seed
-				if seed == 0 || seed == doc.Seed {
-					// The axis didn't pin a seed: the submission's seed rules.
-					seed = p.Seed
-				}
-				cells[i] = cell{doc: &d, seed: seed + int64(pt.trial), label: pt.label(trials)}
+				d, _ := pt.doc(&doc) // Decode validated every cell
+				cells[i] = cell{doc: &d, seed: d.Seed + int64(pt.trial), label: pt.label(trials)}
 			}
 			return cells
 		},
@@ -308,128 +298,63 @@ func (d Doc) clone() Doc {
 	return d
 }
 
-// axisDef validates and applies one sweep axis.
-type axisDef struct {
-	check func(v interface{}) error
-	apply func(d *Doc, v interface{})
-}
+// experimentAxes and simAxes map each sweepable axis of the two
+// document types to the field it writes, by its JSON path.
+var (
+	experimentAxes = map[string]string{
+		"seed": "seed", "trials": "experiment.trials", "tasks": "experiment.tasks", "rpcs": "experiment.rpcs",
+	}
+	simAxes = map[string]string{
+		"seed": "seed", "tasks": "sim.workload.tasks", "fanout": "sim.workload.fanout",
+		"packet_size": "sim.workload.packet_size", "pps": "sim.workload.pps", "duration_ms": "sim.duration_ms",
+		"workload": "sim.workload.kind", "quartz": "sim.topology.quartz",
+	}
+)
 
-// axisDefs returns the sweepable axes of a document, which depend on
-// its type (registry parameters vs simulation knobs).
-func axisDefs(d *Doc) map[string]axisDef {
-	defs := map[string]axisDef{
-		"seed": intAxis(1, 1<<62, func(d *Doc, n int64) { d.Seed = n }),
-	}
-	if d.Experiment != nil {
-		defs["trials"] = intAxis(1, 1_000_000, func(d *Doc, n int64) { d.Experiment.Trials = int(n) })
-		defs["tasks"] = intAxis(1, maxTasks, func(d *Doc, n int64) { d.Experiment.Tasks = int(n) })
-		defs["rpcs"] = intAxis(1, 1_000_000, func(d *Doc, n int64) { d.Experiment.RPCs = int(n) })
-	}
+// axesOf returns the sweepable axes of d's document type.
+func axesOf(d *Doc) map[string]string {
 	if d.Sim != nil {
-		defs["tasks"] = intAxis(1, maxTasks, func(d *Doc, n int64) { d.Sim.Workload.Tasks = int(n) })
-		defs["fanout"] = intAxis(1, 4096, func(d *Doc, n int64) { d.Sim.Workload.Fanout = int(n) })
-		defs["packet_size"] = intAxis(64, 9000, func(d *Doc, n int64) { d.Sim.Workload.PacketSize = int(n) })
-		defs["pps"] = floatAxis(0, 100e6, func(d *Doc, x float64) { d.Sim.Workload.PPS = x })
-		defs["duration_ms"] = floatAxis(0, maxDurationMS, func(d *Doc, x float64) { d.Sim.DurationMS = x })
-		defs["workload"] = stringAxis(generatedWorkloads, func(d *Doc, s string) {
-			d.Sim.Workload.Kind = s
-			if singlePattern(s) {
-				d.Sim.Workload.Tasks = 1
-			}
-		})
-		defs["quartz"] = axisDef{
-			check: func(v interface{}) error {
-				s, ok := v.(string)
-				if !ok {
-					return fmt.Errorf("want a string, got %v", v)
-				}
-				allowed := quartzPlacements[d.Sim.Topology.Kind]
-				if !oneOf(lower(s), allowed) {
-					return fmt.Errorf("topology %q does not support quartz=%q (valid here: %s)",
-						d.Sim.Topology.Kind, s, strings.Join(allowed, ", "))
-				}
-				return nil
-			},
-			apply: func(d *Doc, v interface{}) { d.Sim.Topology.Quartz = lower(v.(string)) },
+		return simAxes
+	}
+	return experimentAxes
+}
+
+// doc returns the document c runs: base with the cell's axis values
+// written into their fields, the "workload" axis setting tasks to 1
+// for a single-pattern kind. A value that cannot be written — of the
+// wrong type, or refused by sweepValue — is an error at that value.
+func (c sweepCell) doc(base *Doc) (Doc, []*Error) {
+	d := base.clone()
+	var bad []*Error
+	for _, ov := range c.overrides {
+		msg := write(&d, axesOf(base)[ov.name], ov.val)
+		if msg == "" {
+			msg = sweepValue(ov)
+		}
+		if msg != "" {
+			bad = append(bad, &Error{Path: ov.path(), Msg: msg})
+		} else if ov.name == "workload" && singlePattern(d.Sim.Workload.Kind) {
+			d.Sim.Workload.Tasks = 1
 		}
 	}
-	return defs
+	return d, bad
 }
 
-// asInt coerces a decoded axis value (float64 from JSON, or a Go int
-// in hand-built docs) to an integer.
-func asInt(v interface{}) (int64, bool) {
-	switch n := v.(type) {
-	case float64:
-		if n != float64(int64(n)) {
-			return 0, false
-		}
-		return int64(n), true
-	case int:
-		return int64(n), true
-	case int64:
-		return n, true
+// write sets the field at path in d to v by a JSON merge of that one
+// field, which leaves the rest of d — a replay's trace above all —
+// shared and unread. It says why v cannot be set: the wrong type.
+func write(d *Doc, path string, v interface{}) string {
+	if v == nil {
+		return "want a value, got null"
 	}
-	return 0, false
-}
-
-// asFloat coerces a decoded axis value to a float.
-func asFloat(v interface{}) (float64, bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case int:
-		return float64(n), true
-	case int64:
-		return float64(n), true
+	b, _ := json.Marshal(v) // v was decoded from JSON
+	names := strings.Split(path, ".")
+	for i := len(names) - 1; i >= 0; i-- {
+		b = fmt.Appendf(nil, `{%q:%s}`, names[i], b)
 	}
-	return 0, false
-}
-
-func intAxis(min, max int64, set func(*Doc, int64)) axisDef {
-	return axisDef{
-		check: func(v interface{}) error {
-			n, ok := asInt(v)
-			if !ok {
-				return fmt.Errorf("want an integer, got %v", v)
-			}
-			if n < min || n > max {
-				return fmt.Errorf("value %d out of range [%d, %d]", n, min, max)
-			}
-			return nil
-		},
-		apply: func(d *Doc, v interface{}) { n, _ := asInt(v); set(d, n) },
+	var te *json.UnmarshalTypeError
+	if err := json.Unmarshal(b, d); errors.As(err, &te) {
+		return fmt.Sprintf("want %s, got %v", te.Type, v)
 	}
-}
-
-func floatAxis(min, max float64, set func(*Doc, float64)) axisDef {
-	return axisDef{
-		check: func(v interface{}) error {
-			x, ok := asFloat(v)
-			if !ok {
-				return fmt.Errorf("want a number, got %v", v)
-			}
-			if x <= min || x > max {
-				return fmt.Errorf("value %g out of range (%g, %g]", x, min, max)
-			}
-			return nil
-		},
-		apply: func(d *Doc, v interface{}) { x, _ := asFloat(v); set(d, x) },
-	}
-}
-
-func stringAxis(valid []string, set func(*Doc, string)) axisDef {
-	return axisDef{
-		check: func(v interface{}) error {
-			s, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("want a string, got %v", v)
-			}
-			if !oneOf(lower(s), valid) {
-				return fmt.Errorf("unknown value %q (valid: %s)", s, strings.Join(valid, ", "))
-			}
-			return nil
-		},
-		apply: func(d *Doc, v interface{}) { set(d, lower(v.(string))) },
-	}
+	return ""
 }

@@ -216,8 +216,7 @@ func TestSweepIsTheUnionOfItsRuns(t *testing.T) {
 			for _, ov := range cell.overrides {
 				switch ov.name {
 				case "seed":
-					n, _ := asInt(ov.val)
-					seed = n
+					seed = int64(ov.val.(float64))
 				case "quartz":
 					m["sim"].(map[string]any)["topology"].(map[string]any)["quartz"] = ov.val
 				case "workload":

@@ -13,7 +13,9 @@ import (
 // quartzd): Decode and Compile never panic, a document that is
 // accepted has nothing but whitespace after it (json.Valid judges),
 // and it is a fixed point — Normalize changes nothing the second time,
-// and its canonical form decodes again to the same identity.
+// and its canonical form decodes again to the same identity. Every
+// cell of an accepted sweep, written out as a document of its own (the
+// base with the cell's values and seed, no sweep), decodes too.
 // Seeded with every shipped example and the malformed testdata
 // documents and a sweep whose cell count overflows an int; `make fuzz`
 // runs it for ten seconds.
@@ -55,6 +57,20 @@ func FuzzDecode(f *testing.F) {
 		}
 		if got, want := ScenarioName(re.Doc), ScenarioName(doc); got != want {
 			t.Fatalf("canonical form re-decodes to %s, want %s\n%s", got, want, Canonical(doc))
+		}
+		if doc.Sweep == nil {
+			return
+		}
+		for _, c := range cellsOf(&doc) {
+			one, bad := c.doc(&doc)
+			if bad != nil {
+				t.Fatalf("cell %s of an accepted sweep: %v", c.label(doc.Sweep.Trials), ErrorList(bad))
+			}
+			one.Seed += int64(c.trial)
+			one.Sweep = nil
+			if _, err := Decode(Canonical(one), "cell"); err != nil {
+				t.Fatalf("cell %s of an accepted sweep is rejected alone: %v\n%s", c.label(doc.Sweep.Trials), err, Canonical(one))
+			}
 		}
 	})
 }

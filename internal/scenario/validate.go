@@ -71,20 +71,35 @@ func Validate(f *File) error {
 	case d.Experiment != nil && d.Sim != nil:
 		add(f.errAt("sim", `"experiment" and "sim" are mutually exclusive; keep one`))
 	}
-	if d.Experiment != nil {
-		validateExperiment(f, d.Experiment, add)
-	}
-	if d.Sim != nil {
-		validateSim(f, d.Sim, add)
+	validateFields(f, d, add)
+	if s := d.Sim; s != nil && s.Workload.Kind == "replay" && s.Workload.Trace != "" {
+		// Parsed here, once: a sweep's cells share the document's trace.
+		if _, err := traffic.ParseTrace(strings.NewReader(s.Workload.Trace)); err != nil {
+			add(f.errAt("sim.workload.trace", "%v", err))
+		}
 	}
 	if d.Sweep != nil {
 		validateSweep(f, d, add)
+		if len(errs) == 0 {
+			validateCells(f, add)
+		}
 	}
 	if len(errs) == 0 {
 		return nil
 	}
 	sort.SliceStable(errs, func(i, j int) bool { return errs[i].Line < errs[j].Line })
 	return errs
+}
+
+// validateFields checks the sections a sweep axis writes into: those
+// of f.Doc, or of one of its sweep's cells.
+func validateFields(f *File, d *Doc, add func(*Error)) {
+	if d.Experiment != nil {
+		validateExperiment(f, d.Experiment, add)
+	}
+	if d.Sim != nil {
+		validateSim(f, d.Sim, add)
+	}
 }
 
 func validateExperiment(f *File, e *ExperimentSpec, add func(*Error)) {
@@ -155,15 +170,13 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 		}
 	case w.Trace == "":
 		add(f.errAt("sim.workload.trace", "missing required field: replay needs CSV rows at_us,src,dst,size[,flow[,tag]]"))
-	default:
-		if _, err := traffic.ParseTrace(strings.NewReader(w.Trace)); err != nil {
-			add(f.errAt("sim.workload.trace", "%v", err))
-		}
 	}
 
-	// Duration.
+	// Duration: like a fault time, judged as the picoseconds it runs for.
 	if s.DurationMS <= 0 || s.DurationMS > maxDurationMS {
 		add(f.errAt("sim.duration_ms", "duration %g out of range (0, %d] ms", s.DurationMS, maxDurationMS))
+	} else if msTime(s.DurationMS) == 0 {
+		add(f.errAt("sim.duration_ms", "duration %g ms rounds to 0 ps, below the clock's resolution", s.DurationMS))
 	}
 
 	// Faults.
@@ -248,37 +261,75 @@ func checkFaultTime(f *File, add func(*Error), path, what string, ms float64) si
 func validateSweep(f *File, d *Doc, add func(*Error)) {
 	sw := d.Sweep
 	checkRange(f, add, "sweep.trials", sw.Trials, 1, maxSweepCells)
-	defs := axisDefs(d)
-	valid := make([]string, 0, len(defs))
-	for name := range defs {
-		valid = append(valid, name)
-	}
-	sort.Strings(valid)
-
+	axes := axesOf(d)
 	cells := sw.Trials
-	for _, name := range sortedAxisNames(sw.Axes) {
-		vals := sw.Axes[name]
+	for _, name := range sortedKeys(sw.Axes) {
 		path := "sweep.axes." + name
-		def, ok := defs[name]
-		if !ok {
-			add(f.errAt(path, "unknown sweep axis %q (valid for this scenario type: %s)", name, strings.Join(valid, ", ")))
-			continue
-		}
-		if len(vals) == 0 {
+		if _, ok := axes[name]; !ok {
+			add(f.errAt(path, "unknown sweep axis %q (valid for this scenario type: %s)", name, strings.Join(sortedKeys(axes), ", ")))
+		} else if n := len(sw.Axes[name]); n == 0 {
 			add(f.errAt(path, "axis needs at least one value"))
-			continue
-		}
-		if cells <= maxSweepCells { // past the cap the product only grows, and may overflow
-			cells *= len(vals)
-		}
-		for i, v := range vals {
-			if err := def.check(v); err != nil {
-				add(f.errAt(fmt.Sprintf("%s[%d]", path, i), "%v", err))
-			}
+		} else if cells <= maxSweepCells { // past the cap the product only grows, and may overflow
+			cells *= n
 		}
 	}
 	if cells > maxSweepCells {
 		add(f.errAt("sweep", "sweep expands to at least %d runs (cells × trials); the cap is %d", cells, maxSweepCells))
+	}
+}
+
+// maxSweepSeed bounds a seed axis value, leaving its trials room.
+const maxSweepSeed = 1 << 62
+
+// sweepValue holds the rules a swept value answers to beyond its
+// field's own: 0 is how a document omits a number, so it is no value;
+// a seed is in [1, 2^62]; and the workload axis takes the generated
+// kinds, as "replay" varies nothing but its trace.
+func sweepValue(ov axisValue) string {
+	x, num := ov.val.(float64)
+	switch {
+	case num && x == 0:
+		return "0 is not a sweep value: in a document it means the default"
+	case ov.name == "seed" && (x < 1 || x > maxSweepSeed):
+		return fmt.Sprintf("value %.0f out of range [1, %d]", x, maxSweepSeed)
+	case ov.name == "workload" && !oneOf(ov.val.(string), generatedWorkloads):
+		return fmt.Sprintf("unknown value %q (valid: %s)", ov.val, strings.Join(generatedWorkloads, ", "))
+	}
+	return ""
+}
+
+// validateCells checks each cell of f.Doc's sweep as the document it
+// runs (sweepCell.doc). A problem is reported once, at the first cell
+// that has it, located at the value that wrote the field it names, else
+// at the cell's first value.
+func validateCells(f *File, add func(*Error)) {
+	seen := map[string]bool{}
+	once := func(key, path, msg string) {
+		if !seen[key] {
+			seen[key] = true
+			add(f.errAt(path, "%s", msg))
+		}
+	}
+	for _, c := range cellsOf(&f.Doc) {
+		if c.trial > 0 || len(c.overrides) == 0 {
+			continue // trial 0 with the same values, or f.Doc itself
+		}
+		d, bad := c.doc(&f.Doc)
+		for _, e := range bad {
+			once(e.Path+"\x00"+e.Msg, e.Path, e.Msg)
+		}
+		if len(bad) > 0 {
+			continue
+		}
+		validateFields(f, &d, func(e *Error) {
+			at := c.overrides[0]
+			for _, ov := range c.overrides {
+				if axesOf(&d)[ov.name] == e.Path {
+					at = ov
+				}
+			}
+			once(e.Path+"\x00"+e.Msg, at.path(), fmt.Sprintf("cell %s: %s: %s", c.label(1), e.Path, e.Msg))
+		})
 	}
 }
 

@@ -123,7 +123,7 @@ func TestSweepValidation(t *testing.T) {
 			"bad value",
 			`{"schema": "quartz-scenario/v1", "name": "t", "experiment": {"name": "fig6"},
 			  "sweep": {"axes": {"trials": [100, "lots"]}}}`,
-			"want an integer",
+			"sweep.axes.trials[1]: want int, got lots",
 		},
 		{
 			"bad quartz for topology",
@@ -133,10 +133,67 @@ func TestSweepValidation(t *testing.T) {
 			"does not support quartz",
 		},
 		{"cap past 2^64 cells", overflowSweep(), "the cap is 512"},
+		{
+			"zero value",
+			`{"schema": "quartz-scenario/v1", "name": "t", "experiment": {"name": "fig6"},
+			  "sweep": {"axes": {"trials": [100, 0]}}}`,
+			"sweep.axes.trials[1]: 0 is not a sweep value",
+		},
+		{
+			"seed out of range",
+			`{"schema": "quartz-scenario/v1", "name": "t", "experiment": {"name": "fig6"},
+			  "sweep": {"axes": {"seed": [1, -1]}}}`,
+			"sweep.axes.seed[1]: value -1 out of range [1, 4611686018427387904]",
+		},
+		{
+			"value out of its field's range",
+			`{"schema": "quartz-scenario/v1", "name": "t",
+			  "sim": {"topology": {"kind": "ring"}, "workload": {"kind": "scatter"}},
+			  "sweep": {"axes": {"fanout": [2, 5000]}}}`,
+			"sweep.axes.fanout[1]: cell fanout=5000: sim.workload.fanout: value 5000 out of range [1, 4096]",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Decode([]byte(tc.doc), "t.json")
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("want %q in error, got: %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// A cell is the document it runs, so a problem that only a cell has is
+// reported once, however many trials and other axis values repeat it,
+// at the value that writes the field, naming the first such cell.
+func TestSweepCellProblemReportedOnce(t *testing.T) {
+	_, err := Decode([]byte(`{"schema": "quartz-scenario/v1", "name": "t",
+	  "sim": {"topology": {"kind": "tree3"}, "workload": {"kind": "permutation"}},
+	  "sweep": {"axes": {"tasks": [1, 3], "pps": [1000, 2000], "seed": [1, 2]}, "trials": 4}}`), "t.json")
+	list, ok := err.(ErrorList)
+	if !ok || len(list) != 1 {
+		t.Fatalf("want one problem, got %T: %v", err, err)
+	}
+	const want = "t.json:3: sweep.axes.tasks[1]: cell pps=1000 seed=1 tasks=3: sim.workload.tasks: permutation is a single global pattern"
+	if !strings.HasPrefix(list[0].Error(), want) {
+		t.Errorf("got  %s\nwant %s…", list[0], want)
+	}
+}
+
+// A duration is validated as the picoseconds the run lasts: one that
+// rounds to 0 ps would reach the queue sampler as no horizon at all
+// (a panic in NewSim, on a quartzd worker's goroutine), as a field or
+// as a sweep axis value alike.
+func TestDurationValidatedInPicoseconds(t *testing.T) {
+	for _, tc := range []struct{ name, duration, sweep, want string }{
+		{"field", `1e-10`, ``, "sim.duration_ms: duration 1e-10 ms rounds to 0 ps"},
+		{"axis value", `1`, `, "sweep": {"axes": {"duration_ms": [1, 1e-10]}}`,
+			"sweep.axes.duration_ms[1]: cell duration_ms=1e-10: sim.duration_ms: duration 1e-10 ms rounds to 0 ps"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode([]byte(`{"schema": "quartz-scenario/v1", "name": "t",
+			  "sim": {"topology": {"kind": "ring"}, "workload": {"kind": "scatter"},
+			          "duration_ms": `+tc.duration+`, "probes": {"queue_sample_us": 100}}`+tc.sweep+`}`), "t.json")
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("want %q in error, got: %v", tc.want, err)
 			}
