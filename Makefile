@@ -133,13 +133,13 @@ bench-pair:
 RUN ?= fig6
 PROFDIR ?= $(or $(TMPDIR),/tmp)
 profile:
-	$(GO) build -o $(PROFDIR)/quartzbench.profile ./cmd/quartzbench
+	$(GO) build -o $(PROFDIR)/quartzsim.profile ./cmd/quartzsim
 	for r in $(RUN); do for i in 1 2 3 4 5; do \
-		GOMAXPROCS=1 $(PROFDIR)/quartzbench.profile -run $$r -seed 2014 -trials 5000 -tasks 4 -rpcs 200 \
+		GOMAXPROCS=1 $(PROFDIR)/quartzsim.profile -run $$r -seed 2014 -trials 5000 -tasks 4 -rpcs 200 \
 			-cpuprofile $(PROFDIR)/$$r.$$i.cpu.pprof -memprofile $(PROFDIR)/$$r.$$i.mem.pprof >/dev/null || exit 1; \
 	done; done
-	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.[1-5].cpu.pprof)
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/quartzbench.profile $(RUN:%=$(PROFDIR)/%.[1-5].mem.pprof)
+	$(GO) tool pprof -top -nodecount=15 $(PROFDIR)/quartzsim.profile $(RUN:%=$(PROFDIR)/%.[1-5].cpu.pprof)
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 $(PROFDIR)/quartzsim.profile $(RUN:%=$(PROFDIR)/%.[1-5].mem.pprof)
 
 # End-to-end check of the quartzd job service: submit, poll, fetch,
 # cache hit on resubmit (envelope and raw-scenario forms), graceful
@@ -167,8 +167,8 @@ cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
 # End-to-end check of execution tracing and of quartzsim's side-band
-# sinks: quartzsim (flags and a -scenario file) and quartzbench traces
-# validate under cmd/tracecheck (schema, per-track timestamp order),
+# sinks: quartzsim traces (flags, a -scenario file and -run's cell
+# spans) validate under cmd/tracecheck (schema, per-track timestamp order),
 # and a quartzd job round-trips its X-Quartz-Trace header through
 # GET /jobs/{id}/trace. CI runs this as the trace-smoke step.
 trace-smoke:

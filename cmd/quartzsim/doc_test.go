@@ -40,19 +40,21 @@ func setFlags(t *testing.T, pairs ...string) map[string]bool {
 }
 
 // quartzsim re-executes the test binary as the command (see
-// TestRemovedFlagsRejected) and returns its stdout, stderr and whether
-// it exited non-zero. Arguments must not contain spaces.
-func quartzsim(t *testing.T, args ...string) (stdout, stderr string, failed bool) {
+// TestRemovedFlagsRejected) and returns its stdout, stderr and exit
+// status. Arguments must not contain spaces.
+func quartzsim(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsRejected$")
 	cmd.Env = append(os.Environ(), "QUARTZSIM_TEST_ARGS="+strings.Join(args, " "))
 	var out, errb strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
-	if _, failed = err.(*exec.ExitError); err != nil && !failed {
+	if exit, ok := err.(*exec.ExitError); ok {
+		status = exit.ExitCode()
+	} else if err != nil {
 		t.Fatalf("quartzsim %v: %v", args, err)
 	}
-	return out.String(), errb.String(), failed
+	return out.String(), errb.String(), status
 }
 
 // Each -arch name must select the architecture the flag path's own
@@ -129,8 +131,8 @@ func TestFlagsBuildTheGoldenScenario(t *testing.T) {
 // scenario/<hash> identity and cache key) and prints the same text.
 func TestDryRunDocumentRoundTrips(t *testing.T) {
 	args := goldenFlags[:len(goldenFlags)-2] // -flows-out would write a file beside the run
-	printed, plan, failed := quartzsim(t, append(args, "-dry-run")...)
-	if failed {
+	printed, plan, status := quartzsim(t, append(args, "-dry-run")...)
+	if status != 0 {
 		t.Fatalf("-dry-run failed: %s", plan)
 	}
 	if !json.Valid([]byte(printed)) {
@@ -148,8 +150,8 @@ func TestDryRunDocumentRoundTrips(t *testing.T) {
 		}
 		return id
 	}
-	again, stderr, failed := quartzsim(t, "-scenario", path, "-dry-run")
-	if failed {
+	again, stderr, status := quartzsim(t, "-scenario", path, "-dry-run")
+	if status != 0 {
 		t.Fatalf("-scenario printed.json -dry-run failed: %s", stderr)
 	}
 	if a, b := identity(plan), identity(again); len(a) != 2 || strings.Join(a, "\n") != strings.Join(b, "\n") {
@@ -159,9 +161,9 @@ func TestDryRunDocumentRoundTrips(t *testing.T) {
 		t.Errorf("-scenario -dry-run printed the document back:\n%s", again)
 	}
 
-	fromFlags, _, failed := quartzsim(t, append(args, "-telemetry=false")...)
-	fromFile, _, failed2 := quartzsim(t, "-scenario", path, "-telemetry=false")
-	if failed || failed2 || fromFlags != fromFile {
+	fromFlags, _, status := quartzsim(t, append(args, "-telemetry=false")...)
+	fromFile, _, status2 := quartzsim(t, "-scenario", path, "-telemetry=false")
+	if status != 0 || status2 != 0 || fromFlags != fromFile {
 		t.Errorf("text differs:\n--- flags\n%s\n--- file\n%s", fromFlags, fromFile)
 	}
 	// Without -flows-out the document has no probes.flows, so this text
@@ -177,12 +179,12 @@ func TestSinksAttachToAScenarioFile(t *testing.T) {
 	dir := t.TempDir()
 	spans, flows := filepath.Join(dir, "s.json"), filepath.Join(dir, "f.csv")
 	doc := "../../examples/scenarios/fault-cut.json"
-	plain, _, failed := quartzsim(t, "-scenario", doc, "-telemetry=false")
-	if failed {
+	plain, _, status := quartzsim(t, "-scenario", doc, "-telemetry=false")
+	if status != 0 {
 		t.Fatal("plain run failed")
 	}
-	out, stderr, failed := quartzsim(t, "-scenario", doc, "-telemetry=false", "-trace-spans", spans, "-flows-out", flows)
-	if failed {
+	out, stderr, status := quartzsim(t, "-scenario", doc, "-telemetry=false", "-trace-spans", spans, "-flows-out", flows)
+	if status != 0 {
 		t.Fatalf("run with sinks failed: %s", stderr)
 	}
 	rest, ok := strings.CutPrefix(out, plain)

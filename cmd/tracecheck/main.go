@@ -1,5 +1,5 @@
 // Command tracecheck validates a Chrome trace-event JSON file — the
-// output of quartzsim/quartzbench -trace-spans and GET
+// output of quartzsim -trace-spans and GET
 // /jobs/{id}/trace — before it reaches Perfetto, where a malformed
 // trace fails with an opaque importer error. scripts/trace_smoke.sh
 // runs it over every export path.

@@ -83,7 +83,7 @@ func ExampleRunScenario() {
 	// task  1: n=77       mean     2.71us ±0.06  min 2.20  max 3.25
 }
 
-// ExampleFindExperiment runs a registry entry by its quartzbench name.
+// ExampleFindExperiment runs a registry entry by its name.
 func ExampleFindExperiment() {
 	exp, ok := quartz.FindExperiment("table9")
 	if !ok {

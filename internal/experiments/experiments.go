@@ -3,7 +3,7 @@
 // experiment is a Figure*/Table* function that returns typed rows;
 // every experiment that runs the event loop is a Grid (sweep.go) whose
 // cells are independent simulations and whose run reports its event
-// count. Render* helpers print paper-style ASCII tables. cmd/quartzbench
+// count. Render* helpers print paper-style ASCII tables. quartzsim -run
 // and the repository's benchmark suite are thin wrappers around the
 // registry (All).
 //

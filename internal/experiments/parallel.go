@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -25,7 +26,9 @@ import (
 //
 // Cancelling ctx, or a cell failing, stops dispatching new cells and
 // cancels pool, which cells already running may watch; the first cell
-// error (else ctx.Err()) is returned.
+// error (else ctx.Err()) is returned. A cell that panics fails with
+// the panic as its error, so one bad cell fails its run, not the
+// process.
 func forEachCell(ctx context.Context, n int, p Params, fn func(pool context.Context, i int) error) error {
 	if rec := p.Trace; rec.Enabled() {
 		inner := fn
@@ -64,7 +67,7 @@ func forEachCell(ctx context.Context, n int, p Params, fn func(pool context.Cont
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := fn(pool, i); err != nil {
+				if err := runCell(fn, pool, i); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -89,4 +92,16 @@ func forEachCell(ctx context.Context, n int, p Params, fn func(pool context.Cont
 		firstErr = ctx.Err()
 	}
 	return firstErr
+}
+
+// runCell calls fn for cell i and turns a panic into the cell's error.
+// It is its own function so the deferred recover is open-coded and
+// costs a cell no allocation.
+func runCell(fn func(pool context.Context, i int) error, pool context.Context, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cell %d: panic: %v", i, r)
+		}
+	}()
+	return fn(pool, i)
 }

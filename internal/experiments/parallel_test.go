@@ -126,6 +126,30 @@ func TestForEachCellPoolStopsAtFirstError(t *testing.T) {
 	}
 }
 
+// A panicking cell fails the run with the panic as its error, through
+// the first-error path that also stops the pool, instead of ending the
+// process: with one worker, no cell after the panicking one runs.
+func TestForEachCellRecoversPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(workers)
+		var ran int64
+		err := forEachCell(context.Background(), 8, Params{Trace: trace.NewRecorder()}, func(_ context.Context, i int) error {
+			atomic.AddInt64(&ran, 1)
+			if i == 3 {
+				panic("cell three exploded")
+			}
+			return nil
+		})
+		runtime.GOMAXPROCS(prev)
+		if err == nil || err.Error() != "cell 3: panic: cell three exploded" {
+			t.Errorf("%d workers: err = %v, want cell 3's panic", workers, err)
+		}
+		if workers == 1 && ran != 4 {
+			t.Errorf("one worker ran %d cells, want 4 (the pool stops at the panic)", ran)
+		}
+	}
+}
+
 func TestForEachCellKeepsFirstError(t *testing.T) {
 	// Every cell fails; exactly one of their errors must surface and it
 	// must be one of the returned values, not a zero value.

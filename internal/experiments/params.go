@@ -48,7 +48,8 @@ type Params struct {
 	Trace *trace.Recorder `json:"-"`
 }
 
-// DefaultParams returns the values quartzbench uses by default.
+// DefaultParams returns the registry's defaults: what quartzsim -run
+// NAME and a quartzd job with no params run at.
 func DefaultParams() Params {
 	return Params{Seed: 2014, Trials: 5000, Tasks: 8, RPCs: 2000}
 }

@@ -1,4 +1,4 @@
-// Registry of every reproduced table and figure. cmd/quartzbench
+// Registry of every reproduced table and figure. quartzsim -run all
 // iterates All() instead of hand-maintaining a switch; a test parses
 // this file to check All() calls every exported Figure*/Table*
 // entrypoint.
@@ -26,7 +26,7 @@ type Output struct {
 
 // Experiment is one registry entry.
 type Experiment struct {
-	// Name is the CLI selector (quartzbench -run <name>).
+	// Name is the CLI selector (quartzsim -run <name>).
 	Name string
 	// Title is the heading printed above the output.
 	Title string

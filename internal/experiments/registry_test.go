@@ -12,7 +12,7 @@ import (
 // TestRegistryCoversAllEntrypoints parses this package's sources and
 // checks every exported Figure*/Table* function is called inside
 // registry.go's All(), so new reproductions cannot silently miss
-// quartzbench.
+// quartzsim -run all.
 func TestRegistryCoversAllEntrypoints(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", nil, 0)

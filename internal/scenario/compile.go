@@ -1,7 +1,7 @@
 package scenario
 
 // Compilation: a validated Doc becomes an experiments.Experiment plus
-// experiments.Params — the same currency the registry, quartzbench,
+// experiments.Params — the same currency the registry, quartzsim -run
 // and the quartzd job service already trade in.
 //
 // Identity rules (the result cache keys on these):

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes to the front door every submission
-// path shares (quartz.RunScenario, quartzsim/quartzbench -scenario,
+// path shares (quartz.RunScenario, quartzsim -scenario and -run,
 // quartzd): Decode and Compile never panic, a document that is
 // accepted has nothing but whitespace after it (json.Valid judges),
 // and it is a fixed point — Normalize changes nothing the second time,

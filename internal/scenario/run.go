@@ -1,12 +1,12 @@
 package scenario
 
 // The one runner: every front end that describes a packet-level run —
-// quartzsim's flags, a -scenario file, quartzbench -scenario, a quartzd
-// job — produces a SimSpec, and NewSim + Run execute it. The rendered
-// text is a pure function of the document and the seed — a hard
-// requirement for the result cache, where a cached body must equal what
-// a re-execution would print. Anything wall-clock or file-shaped rides
-// the side band (ObserveOptions) and never reaches the text.
+// quartzsim's flags, a -scenario file, a quartzd job — produces a
+// SimSpec, and NewSim + Run execute it. The rendered text is a pure
+// function of the document and the seed — a hard requirement for the
+// result cache, where a cached body must equal what a re-execution
+// would print. Anything wall-clock or file-shaped rides the side band
+// (ObserveOptions) and never reaches the text.
 
 import (
 	"context"

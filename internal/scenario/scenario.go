@@ -13,7 +13,7 @@
 //	      ──Compile──▶ *Compiled{experiments.Experiment, experiments.Params}
 //
 // A compiled scenario is indistinguishable from a registry experiment
-// to everything downstream: cmd/quartzbench runs its Experiment.Run
+// to everything downstream: cmd/quartzsim runs its Experiment.Run
 // directly, and internal/service submits it through the same queue,
 // worker pool, and result cache as a named experiment. A packet-level
 // run has exactly one description and one runner: cmd/quartzsim's flags
@@ -67,9 +67,9 @@ type Doc struct {
 }
 
 // ExperimentSpec parameterizes one experiments registry entry — the
-// declarative equivalent of quartzbench -run NAME with parameter flags.
+// document quartzsim -run NAME builds from its parameter flags.
 type ExperimentSpec struct {
-	// Name is a registry name (quartzbench -list). Required.
+	// Name is a registry name (quartzsim -list). Required.
 	Name string `json:"name"`
 	// Trials, Tasks, and RPCs override experiments.Params fields;
 	// zero means the experiment default (5000 / 8 / 2000).

@@ -110,7 +110,7 @@ func validateExperiment(f *File, e *ExperimentSpec, add func(*Error)) {
 		if s := suggestExperiment(e.Name); s != "" {
 			msg += fmt.Sprintf(" (did you mean %q?)", s)
 		} else {
-			msg += " (quartzbench -list prints the registry)"
+			msg += " (quartzsim -list prints the registry)"
 		}
 		add(f.errAt("experiment.name", "%s", msg))
 	}

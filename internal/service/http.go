@@ -64,7 +64,7 @@ type resultBody struct {
 	// Text is the experiment's rendered output.
 	Text string `json:"text,omitempty"`
 	// CSVTables lists the names of the tables the experiment exported,
-	// sorted (quartzbench -csv writes them; the API serves text).
+	// sorted (quartzsim -csv writes them; the API serves text).
 	CSVTables []string `json:"csv_tables,omitempty"`
 	Error     string   `json:"error,omitempty"`
 }

@@ -446,6 +446,18 @@ func (s *Service) worker() {
 	}
 }
 
+// runRecovered calls run and turns a panic into its error, so a job
+// whose experiment panics outside a cell fails alone instead of ending
+// the daemon with every job in its queue.
+func runRecovered(ctx context.Context, run func(context.Context, experiments.Params) (experiments.Output, error), p experiments.Params) (out experiments.Output, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return run(ctx, p)
+}
+
 // runJob executes one dequeued job end to end.
 func (s *Service) runJob(j *Job) {
 	now := time.Now()
@@ -475,7 +487,7 @@ func (s *Service) runJob(j *Job) {
 	p := j.params
 	p.Progress = j.setProgress
 	p.Trace = j.rec
-	out, err := j.run(ctx, p)
+	out, err := runRecovered(ctx, j.run, p)
 
 	state := StateDone
 	msg := ""

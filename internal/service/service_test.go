@@ -72,6 +72,26 @@ func (sr *stubRegistry) lookup(name string) (experiments.Experiment, bool) {
 			}
 			return experiments.Output{Text: "ticked"}, nil
 		})}, true
+	case "panic":
+		return experiments.Experiment{Name: "panic", Run: run(func(context.Context, experiments.Params) (experiments.Output, error) {
+			panic("merge exploded")
+		})}, true
+	case "panicky":
+		// A six-cell grid on the real cell pool whose cell 3 panics.
+		g := experiments.Grid[int, int, []int]{
+			Name:  "panicky",
+			Cells: func(experiments.Params) []int { return []int{0, 1, 2, 3, 4, 5} },
+			Run: func(_ experiments.Params, c int, _ experiments.Shared) (int, error) {
+				if c == 3 {
+					panic("cell three exploded")
+				}
+				return c, nil
+			},
+			Merge:  func(_ experiments.Params, _ []int, vals []int) ([]int, error) { return vals, nil },
+			Render: func(rows []int) experiments.Output { return experiments.Output{Text: fmt.Sprint(rows)} },
+		}
+		sw := g.Sweep()
+		return experiments.Experiment{Name: "panicky", Run: run(sw.Run), Sweep: sw}, true
 	case "grid":
 		// A synthetic 8-cell sweep: cell i's value is seed*100+i, the
 		// merge renders them space-separated. Counts executions like the
@@ -377,6 +397,37 @@ func TestFailedJobNotCached(t *testing.T) {
 	}
 	if sr.runs.Load() != 2 {
 		t.Errorf("runs = %d, want 2 (failures re-execute)", sr.runs.Load())
+	}
+}
+
+// A job whose experiment panics — in a cell of its grid or outside
+// one — ends failed with the panic in its message, and the daemon runs
+// the next job: one bad experiment does not end the process.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	sr := newStubRegistry()
+	s := New(Config{QueueCapacity: 4, Workers: 1, Lookup: sr.lookup})
+	defer s.Drain(context.Background())
+
+	for _, tc := range []struct{ name, want string }{
+		{"panicky", "cell 3: panic: cell three exploded"},
+		{"panic", "panic: merge exploded"},
+	} {
+		bad, err := s.Submit(Request{Experiment: tc.name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := s.Submit(Request{Experiment: "echo", Params: ParamSpec{Seed: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, bad)
+		if _, msg := bad.Output(); bad.State() != StateFailed || msg != tc.want {
+			t.Errorf("%s: state %v, message %q; want failed, %q", tc.name, bad.State(), msg, tc.want)
+		}
+		waitTerminal(t, next)
+		if out, _ := next.Output(); next.State() != StateDone || out.Text != "seed=5" {
+			t.Errorf("the job after %s: state %v, text %q; want done, seed=5", tc.name, next.State(), out.Text)
+		}
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 //   - RunScenario executes one JSON scenario document (SCENARIOS.md) —
 //     a packet-level simulation, a registry experiment, or a sweep of
-//     either — on the runner quartzsim, quartzbench and quartzd use.
+//     either — on the runner quartzsim and quartzd use.
 //   - Experiments and FindExperiment give the registry of reproduced
-//     tables and figures (quartzbench -list).
+//     tables and figures (quartzsim -list).
 //   - NewRing and the channel helpers plan a ring (§3), and FiberCuts
 //     computes what fiber cuts cost it (§3.5).
 //
@@ -61,7 +61,7 @@ func RunScenario(ctx context.Context, doc []byte) (Output, error) {
 // Experiments returns the full registry in presentation order.
 func Experiments() []Experiment { return experiments.All() }
 
-// FindExperiment looks a registry entry up by its quartzbench name.
+// FindExperiment looks a registry entry up by its name (quartzsim -run NAME).
 func FindExperiment(name string) (Experiment, bool) { return experiments.Find(name) }
 
 // NewRing plans a ring: channels, fiber split, amplifiers (§3).

@@ -2,7 +2,7 @@
 # End-to-end smoke test of execution tracing, curl only (no jq):
 # run quartzsim with -trace-spans and validate the Chrome trace with
 # tracecheck (flow tracks, per-track timestamp order), from flags and
-# from a -scenario file with -flows-out beside it; run quartzbench
+# from a -scenario file with -flows-out beside it; run quartzsim
 # -run fig17 with -trace-spans and require the cell spans; then start
 # quartzd, submit a job carrying an X-Quartz-Trace header, and require
 # the header echoed and GET /jobs/{id}/trace to serve a valid trace
@@ -44,7 +44,6 @@ json_field() {
 
 echo "== build"
 go build -o "$TMP/quartzsim" ./cmd/quartzsim
-go build -o "$TMP/quartzbench" ./cmd/quartzbench
 go build -o "$TMP/tracecheck" ./cmd/tracecheck
 go build -o "$TMP/quartzd" ./cmd/quartzd
 
@@ -72,10 +71,10 @@ head -n1 "$TMP/scn_flows.csv" | grep -q '^flow,first_send_ps,' ||
 [[ $(wc -l <"$TMP/scn_flows.csv") -gt 100 ]] ||
     fail "scenario-file flow table is nearly empty"
 
-echo "== quartzbench -run fig17 -trace-spans"
-"$TMP/quartzbench" -run fig17 -tasks 1 -trace-spans "$TMP/bench_spans.json" >/dev/null
-"$TMP/tracecheck" -require cell "$TMP/bench_spans.json" ||
-    fail "quartzbench trace did not validate"
+echo "== quartzsim -run fig17 -trace-spans"
+"$TMP/quartzsim" -run fig17 -tasks 1 -trace-spans "$TMP/run_spans.json" >/dev/null
+"$TMP/tracecheck" -require cell "$TMP/run_spans.json" ||
+    fail "quartzsim -run trace did not validate"
 
 echo "== start quartzd on :${PORT}"
 "$TMP/quartzd" -addr "127.0.0.1:${PORT}" -queue 4 -grace 30s >"$LOG" 2>&1 &
