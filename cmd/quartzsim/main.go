@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/scenario"
@@ -54,7 +55,7 @@ var (
 	list         = flag.Bool("list", false, "print the experiment registry and exit")
 	dryRun       = flag.Bool("dry-run", false, "validate and print the compiled plan (and the document the setup flags build) without running")
 
-	archName   = flag.String("arch", "edgecore", "architecture: tree3, tree2, ring, core, edge, edgecore, jellyfish, qjellyfish")
+	archName   = flag.String("arch", "edgecore", "architecture: "+archAliases())
 	workload   = flag.String("workload", "scatter", "workload: scatter, gather, scattergather, permutation, incast, replay")
 	replay     = flag.String("replay", "", "CSV trace file to replay (workload=replay): at_us,src,dst,size[,flow[,tag]]")
 	failSpec   = flag.String("fail", "", "fault schedule: 'kind:target@time[,repair@time];...' e.g. 'link:3@2ms,repair@10ms' (kinds: link:<id>, switch:<name-or-id>, fiber:<fiber>.<segment>)")
@@ -116,19 +117,15 @@ var runFlags = [][2]string{
 
 // sinkFlags write side-band output beside the run. All but -trace-spans
 // observe one network, which a sweep or a registry experiment lacks.
-var sinkFlags = []string{"trace", "trace-spans", "probe-out", "flows-out"}
+var sinkFlags = []string{"trace", "trace-spans", "probe-out", "flows-out", "telemetry"}
 
-// archTopology maps an -arch name to its topology.kind and quartz
-// placement.
-var archTopology = map[string]scenario.TopologySpec{
-	"tree3":      {Kind: "tree3"},
-	"tree2":      {Kind: "tree2"},
-	"ring":       {Kind: "ring"},
-	"core":       {Kind: "tree3", Quartz: "core"},
-	"edge":       {Kind: "tree3", Quartz: "edge"},
-	"edgecore":   {Kind: "tree3", Quartz: "both"},
-	"jellyfish":  {Kind: "jellyfish"},
-	"qjellyfish": {Kind: "jellyfish", Quartz: "edge"},
+// archAliases lists the -arch values, core.Designs' aliases.
+func archAliases() string {
+	aliases := make([]string, len(core.Designs))
+	for i, d := range core.Designs {
+		aliases[i] = d.Alias
+	}
+	return strings.Join(aliases, ", ")
 }
 
 // usageError marks a problem with the invocation or the document (exit
@@ -190,12 +187,12 @@ func parseFailClause(clause string) (ev scenario.FaultEventSpec, err error) {
 // describe and sends it through the same Decode as a file, so a flag
 // run has the document's defaults and limits. set holds the flags given.
 func docFromFlags(set map[string]bool) (*scenario.File, error) {
-	topo, ok := archTopology[*archName]
+	d, ok := core.FindDesign(func(d core.Design) bool { return d.Alias == *archName })
 	if !ok {
 		return nil, fmt.Errorf("unknown architecture %q (see -h)", *archName)
 	}
 	spec := &scenario.SimSpec{
-		Topology:   topo,
+		Topology:   scenario.TopologySpec{Kind: d.Kind, Quartz: d.Quartz},
 		Workload:   scenario.WorkloadSpec{Kind: *workload, Fanout: *fanout, PPS: *pps},
 		DurationMS: float64(*ms),
 		Probes: &scenario.ProbesSpec{
@@ -342,6 +339,9 @@ func oneSim(doc scenario.Doc) bool { return doc.Sim != nil && doc.Sweep == nil }
 func run() error {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["trace-max"] && *traceOut == "" {
+		return usageError{errors.New("-trace-max bounds the events -trace keeps: give it with -trace")}
+	}
 	files, err := documents(set)
 	if err != nil {
 		return usageError{err}
@@ -357,6 +357,9 @@ func run() error {
 				return usageError{fmt.Errorf("-%s writes one simulated network's output, but %s is a sweep or a registry experiment",
 					name, file.Name)}
 			}
+		}
+		if set["csv"] && c.Doc.Sim != nil {
+			return usageError{fmt.Errorf("-csv writes the tables a registry experiment exports; a simulation (%s) exports none", file.Name)}
 		}
 		if *probeOut != "" && (c.Doc.Sim.Probes == nil || c.Doc.Sim.Probes.QueueSampleUS == 0) { // oneSim: checked above
 			return usageError{errors.New("-probe-out needs a queue sampler: -probe-interval, or sim.probes.queue_sample_us in the document")}

@@ -12,9 +12,9 @@ import (
 
 // Architecture bundles a simulated network design: the topology, the
 // routing strategy, and the switch model of each node — everything the
-// packet simulator needs. The six §7 architectures are built by the
+// packet simulator needs. The eight compared designs are built by the
 // functions below, at the paper's simulated scale (4-switch Quartz
-// rings, 16-switch Jellyfish).
+// rings, 16-switch Jellyfish); Designs names them.
 type Architecture struct {
 	Name   string
 	Graph  *topology.Graph
@@ -41,6 +41,13 @@ type ArchParams struct {
 	ToRsPerPod int
 	// HostsPerToR is servers per rack (default 4).
 	HostsPerToR int
+}
+
+// Hosts is the number of servers every design built at p has: pods ×
+// ToRs per pod × hosts per ToR, after the defaults.
+func (p ArchParams) Hosts() int {
+	p.setDefaults()
+	return p.Pods * p.ToRsPerPod * p.HostsPerToR
 }
 
 func (p *ArchParams) setDefaults() {

@@ -114,14 +114,15 @@ func uniform(m netsim.SwitchModel) func(topology.Node) netsim.SwitchModel {
 	return func(topology.Node) netsim.SwitchModel { return m }
 }
 
-// arch returns the named architecture as buildArch builds it from seed,
-// building it on the run's first request: that cell records a "build"
-// span, the others reuse the result. A build is a millisecond, so the
-// lock is simply held across it.
+// arch returns the named architecture — a core design, built from seed
+// when it draws from the RNG, or one of fig20's systems — building it on
+// the run's first request: that cell records a "build" span, the others
+// reuse the result. A build is a millisecond, so the lock is simply held
+// across it.
 func (s Shared) arch(name string, seed int64) (*core.Architecture, error) {
-	seeded := archUsesRand(name)
+	d, design := core.FindDesign(func(d core.Design) bool { return d.Name == name })
 	key := fabricKey{name: name}
-	if seeded {
+	if d.Random {
 		key.seed = seed
 	}
 	f := s.fabrics
@@ -132,10 +133,13 @@ func (s Shared) arch(name string, seed int64) (*core.Architecture, error) {
 	}
 	start := time.Now()
 	var rng *rand.Rand
-	if seeded {
+	if d.Random {
 		rng = rand.New(rand.NewSource(seed))
 	}
-	a, err := buildArch(name, rng)
+	if !design {
+		d.Build = func(core.ArchParams, *rand.Rand) (*core.Architecture, error) { return fig20Arch(name) }
+	}
+	a, err := d.Build(core.ArchParams{}, rng)
 	if err != nil {
 		return nil, err
 	}

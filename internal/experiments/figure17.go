@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"strings"
 
@@ -98,39 +97,6 @@ func defaultFig17Params(kind TaskKind) fig17Params {
 		p.measure = 4 * sim.Millisecond
 	}
 	return p
-}
-
-// archUsesRand reports whether buildArch(name, rng) draws from rng: the
-// two Jellyfish variants wire themselves at random, the rest ignore it.
-func archUsesRand(name string) bool {
-	return name == "jellyfish" || name == "quartz in jellyfish"
-}
-
-// buildArch constructs an architecture by name.
-func buildArch(name string, rng *rand.Rand) (*core.Architecture, error) {
-	p := core.ArchParams{}
-	switch name {
-	case "two-tier tree":
-		return core.TwoTierTreeArch(p)
-	case "single Quartz ring":
-		return core.QuartzRingArch(p)
-	case "three-tier tree":
-		return core.ThreeTierTree(p)
-	case "jellyfish":
-		return core.Jellyfish(p, rng)
-	case "quartz in core":
-		return core.QuartzInCore(p)
-	case "quartz in edge":
-		return core.QuartzInEdge(p)
-	case "quartz in edge and core":
-		return core.QuartzInEdgeAndCore(p)
-	case "quartz in jellyfish":
-		return core.QuartzInJellyfish(p, rng)
-	case fig20Systems[0], fig20Systems[1], fig20Systems[2]:
-		return fig20Arch(name)
-	default:
-		return nil, fmt.Errorf("experiments: unknown architecture %q", name)
-	}
 }
 
 // runTasks measures mean packet latency with n concurrent tasks of the

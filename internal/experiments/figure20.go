@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/core"
@@ -76,14 +77,18 @@ var nonBlockingCore = netsim.SwitchModel{
 const fig20PacketSize = 1500
 
 // fig20Systems names the three systems of §7.2, in column order, as the
-// run's memo knows them (buildArch): a non-blocking core switch, Quartz
-// with ECMP (direct paths only), and Quartz with VLB (40% of traffic
-// detoured over the two-hop paths).
+// run's memo knows them (Shared.arch): a non-blocking core switch,
+// Quartz with ECMP (direct paths only), and Quartz with VLB (40% of
+// traffic detoured over the two-hop paths).
 var fig20Systems = []string{"fig20 core switch", "fig20 quartz ECMP", "fig20 quartz VLB"}
 
 // fig20Arch builds one of fig20Systems.
 func fig20Arch(name string) (*core.Architecture, error) {
-	if name == fig20Systems[0] {
+	system := slices.Index(fig20Systems, name)
+	switch system {
+	case -1:
+		return nil, fmt.Errorf("experiments: unknown architecture %q", name)
+	case 0:
 		star := fig20Star()
 		return &core.Architecture{Name: name, Graph: star, Router: routing.NewECMPPerPacket(star), Model: uniform(nonBlockingCore)}, nil
 	}
@@ -92,7 +97,7 @@ func fig20Arch(name string) (*core.Architecture, error) {
 		return nil, err
 	}
 	a := &core.Architecture{Name: name, Graph: ring, Model: uniform(netsim.Arista7150)}
-	if name == fig20Systems[1] {
+	if system == 1 {
 		a.Router = routing.NewECMPPerPacket(ring)
 	} else {
 		if a.VLB, err = routing.NewVLB(ring, 0.4); err != nil {

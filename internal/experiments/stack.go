@@ -34,7 +34,7 @@ var (
 )
 
 // stackStep is one configuration of the stack walk: a host model over
-// a named architecture (buildArch), its switches optionally all
+// a named architecture (Shared.arch), its switches optionally all
 // replaced by one model.
 type stackStep struct {
 	name     string

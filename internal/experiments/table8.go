@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/cost"
 	"github.com/quartz-dcn/quartz/internal/table"
 )
@@ -44,29 +45,17 @@ var table8Scenarios = []struct {
 	{"Large", "High", 100_000, "three-tier tree", "quartz in edge and core"},
 }
 
-// table8CostPerServer prices one architecture at one size from the
-// calibrated 2014 parts catalog — pure arithmetic, no simulation.
+// table8CostPerServer prices one architecture at one size with its
+// core.Designs bill of materials and the calibrated 2014 parts catalog —
+// pure arithmetic, no simulation.
 func table8CostPerServer(arch string, servers int) (float64, error) {
-	c := cost.Default2014
-	var bom *cost.BOM
-	switch arch {
-	case "two-tier tree":
-		bom = cost.TwoTierTree(servers, c)
-	case "single Quartz ring":
-		var err error
-		if bom, err = cost.QuartzRing(servers, c); err != nil {
-			return 0, err
-		}
-	case "three-tier tree":
-		bom = cost.ThreeTierTree(servers, c)
-	case "quartz in edge":
-		bom = cost.QuartzEdge(servers, c)
-	case "quartz in core":
-		bom = cost.QuartzCore(servers, c)
-	case "quartz in edge and core":
-		bom = cost.QuartzEdgeAndCore(servers, c)
-	default:
+	d, _ := core.FindDesign(func(d core.Design) bool { return d.Name == arch })
+	if d.Cost == nil {
 		return 0, fmt.Errorf("table8: no bill of materials for %q", arch)
+	}
+	bom, err := d.Cost(servers, cost.Default2014)
+	if err != nil {
+		return 0, err
 	}
 	return bom.PerServer(), nil
 }

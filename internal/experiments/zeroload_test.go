@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"maps"
-	"math/rand"
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/netsim"
@@ -47,7 +46,7 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 	names := append([]string{"two-tier tree", "single Quartz ring", "three-tier tree", "jellyfish", "quartz in core",
 		"quartz in edge", "quartz in edge and core", "quartz in jellyfish"}, fig20Systems...)
 	for _, name := range names {
-		arch, err := buildArch(name, rand.New(rand.NewSource(2014)))
+		arch, err := Shared{fabrics: new(fabrics)}.arch(name, 2014)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,5 +118,8 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 	}
 	if want := map[string]bool{"three-tier tree": true, "quartz in edge": true}; !maps.Equal(hides, want) {
 		t.Errorf("cut-through switches behind a CCS port add nothing on %v, want exactly %v", hides, want)
+	}
+	if _, err := (Shared{fabrics: new(fabrics)}).arch("nonsense", 2014); err == nil {
+		t.Error("an unknown architecture name built")
 	}
 }

@@ -27,43 +27,9 @@ import (
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
-// BuildArch constructs the architecture a TopologySpec selects, sized
-// by its dimensions and routed per the RoutingSpec. rng feeds the
-// random graphs (jellyfish); pass a seeded source for reproducibility.
-func BuildArch(t TopologySpec, r *RoutingSpec, rng *rand.Rand) (*core.Architecture, error) {
-	p := core.ArchParams{Pods: t.Pods, ToRsPerPod: t.TorsPerPod, HostsPerToR: t.HostsPerTor}
-	var arch *core.Architecture
-	var err error
-	switch t.Kind + "/" + t.Quartz {
-	case "tree2/none":
-		arch, err = core.TwoTierTreeArch(p)
-	case "tree3/none":
-		arch, err = core.ThreeTierTree(p)
-	case "tree3/edge":
-		arch, err = core.QuartzInEdge(p)
-	case "tree3/core":
-		arch, err = core.QuartzInCore(p)
-	case "tree3/both":
-		arch, err = core.QuartzInEdgeAndCore(p)
-	case "ring/none":
-		arch, err = core.QuartzRingArch(p)
-	case "jellyfish/none":
-		arch, err = core.Jellyfish(p, rng)
-	case "jellyfish/edge":
-		arch, err = core.QuartzInJellyfish(p, rng)
-	default:
-		return nil, fmt.Errorf("scenario: no architecture for topology %q with quartz %q", t.Kind, t.Quartz)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if r != nil && r.Policy == "vlb" {
-		arch, err = arch.WithVLB(r.VLBFraction)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return arch, nil
+// archParams sizes the design t selects.
+func (t TopologySpec) archParams() core.ArchParams {
+	return core.ArchParams{Pods: t.Pods, ToRsPerPod: t.TorsPerPod, HostsPerToR: t.HostsPerTor}
 }
 
 // msTime converts virtual milliseconds (a scenario field) to sim.Time,
@@ -154,9 +120,19 @@ type latencyGroup struct {
 // the rendered text; its SampleEvery and Until are the document's to
 // set and are overwritten.
 func NewSim(spec *SimSpec, seed int64, side netsim.ObserveOptions) (*Sim, error) {
-	arch, err := BuildArch(spec.Topology, spec.Routing, rand.New(rand.NewSource(seed)))
+	t := spec.Topology
+	d, ok := core.FindDesign(func(d core.Design) bool { return d.Kind == t.Kind && d.Quartz == t.Quartz })
+	if !ok {
+		return nil, fmt.Errorf("scenario: no architecture for topology %q with quartz %q", t.Kind, t.Quartz)
+	}
+	arch, err := d.Build(t.archParams(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
+	}
+	if r := spec.Routing; r != nil && r.Policy == "vlb" {
+		if arch, err = arch.WithVLB(r.VLBFraction); err != nil {
+			return nil, err
+		}
 	}
 	s := &Sim{Arch: arch, spec: spec, harness: traffic.NewHarness()}
 	s.Net, err = netsim.New(netsim.Config{
@@ -220,10 +196,6 @@ func NewSim(spec *SimSpec, seed int64, side netsim.ObserveOptions) (*Sim, error)
 func (s *Sim) startWorkload(rng *rand.Rand, end sim.Time) error {
 	w, arch, net := s.spec.Workload, s.Arch, s.Net
 	hosts := arch.Graph.Hosts()
-	tooFew := func(need int) error {
-		return fmt.Errorf("sim.workload.fanout: %s with fanout %d needs %d hosts; the %s (topology %q) has %d",
-			w.Kind, w.Fanout, need, arch.Name, s.spec.Topology.Kind, len(hosts))
-	}
 	if w.Kind == "replay" {
 		events, err := traffic.ParseTrace(strings.NewReader(w.Trace))
 		if err != nil {
@@ -270,9 +242,6 @@ func (s *Sim) startWorkload(rng *rand.Rand, end sim.Time) error {
 		tag := 10 * (i + 1)
 		switch w.Kind {
 		case "scatter", "gather", "scattergather":
-			if w.Fanout+1 > len(hosts) {
-				return tooFew(w.Fanout + 1)
-			}
 			members := pick(w.Fanout + 1)
 			sender, rest := members[0], members[1:]
 			var t *traffic.Task
@@ -295,9 +264,6 @@ func (s *Sim) startWorkload(rng *rand.Rand, end sim.Time) error {
 				return err
 			}
 		case "incast":
-			if len(hosts) < 2 { // Incast draws until src != dst
-				return tooFew(2)
-			}
 			pairs := traffic.Incast(hosts, w.Fanout, rng)
 			streams = len(pairs)
 			if err := startPairs(pairs, tag); err != nil {

@@ -96,15 +96,17 @@ type SimSpec struct {
 	DurationMS float64 `json:"duration_ms,omitempty"`
 }
 
-// TopologySpec selects and sizes the simulated network.
+// TopologySpec selects and sizes the simulated network. Kind and
+// Quartz together name one of core.Designs (its Kind and Quartz); a
+// pair that is no design is refused.
 type TopologySpec struct {
 	// Kind is the base topology: "tree2", "tree3", "ring" (a single
 	// Quartz ring as the whole fabric), or "jellyfish". Required.
 	Kind string `json:"kind"`
 	// Quartz is the replacement placement on tree3/jellyfish:
-	// "none" (default), "edge", "core" (tree3 only), or "both".
-	// Meaningless for kind "ring" (the fabric is the ring) and
-	// rejected for "tree2".
+	// "none" (default), "edge", "core" (tree3 only), or "both" (tree3
+	// only). Only "none" is valid for "ring" (the fabric is the ring)
+	// and "tree2".
 	Quartz string `json:"quartz,omitempty"`
 	// Pods, TorsPerPod, and HostsPerTor size the network; zero selects
 	// the paper's configuration (4 / 4 / 4).

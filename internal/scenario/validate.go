@@ -6,9 +6,11 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/traffic"
@@ -25,8 +27,9 @@ const (
 )
 
 var (
-	topologyKinds = []string{"jellyfish", "ring", "tree2", "tree3"}
-	quartzKinds   = []string{"both", "core", "edge", "none"}
+	// Sorted, from core.Designs: its kinds, placements, and placements per kind.
+	topologyKinds, quartzKinds, quartzPlacements = designPairs()
+
 	workloadKinds = []string{"gather", "incast", "permutation", "replay", "scatter", "scattergather"}
 	// generatedWorkloads are synthesized from the workload's parameters,
 	// which is what makes them values of the "workload" sweep axis;
@@ -36,13 +39,16 @@ var (
 	faultPolicies      = []string{"detour", "drop"}
 )
 
-// quartzPlacements lists the Quartz replacement placements each base
-// topology supports (the core.Architecture builders that exist).
-var quartzPlacements = map[string][]string{
-	"tree2":     {"none"},
-	"tree3":     {"both", "core", "edge", "none"},
-	"ring":      {"none"}, // the fabric is the ring; "quartz" is meaningless
-	"jellyfish": {"edge", "none"},
+// designPairs derives the topology lists from core.Designs.
+func designPairs() (kinds, placements []string, byKind map[string][]string) {
+	byKind = map[string][]string{}
+	for _, d := range core.Designs {
+		byKind[d.Kind] = append(byKind[d.Kind], d.Quartz)
+		slices.Sort(byKind[d.Kind])
+		placements = append(placements, d.Quartz)
+	}
+	slices.Sort(placements)
+	return sortedKeys(byKind), slices.Compact(placements), byKind
 }
 
 // Validate checks f.Doc (which must already be normalized) and returns
@@ -135,6 +141,8 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 	checkRange(f, add, "sim.topology.pods", t.Pods, 0, maxTopologyDim)
 	checkRange(f, add, "sim.topology.tors_per_pod", t.TorsPerPod, 0, maxTopologyDim)
 	checkRange(f, add, "sim.topology.hosts_per_tor", t.HostsPerTor, 0, maxTopologyDim)
+	design, sized := core.FindDesign(func(d core.Design) bool { return d.Kind == t.Kind && d.Quartz == t.Quartz })
+	sized = sized && min(t.Pods, t.TorsPerPod, t.HostsPerTor) >= 0
 
 	// Routing.
 	if r := s.Routing; r != nil {
@@ -159,6 +167,17 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 		checkRange(f, add, "sim.workload.tasks", w.Tasks, 1, maxTasks)
 	}
 	checkRange(f, add, "sim.workload.fanout", w.Fanout, 1, 4096)
+	need := 0 // hosts the workload's pattern draws from
+	switch w.Kind {
+	case "scatter", "gather", "scattergather":
+		need = w.Fanout + 1
+	case "incast":
+		need = 2 // Incast draws until src != dst
+	}
+	if hosts := t.archParams().Hosts(); sized && need > hosts {
+		add(f.errAt("sim.workload.fanout", "%s with fanout %d needs %d hosts; the %s (topology %q) has %d",
+			w.Kind, w.Fanout, need, design.Name, t.Kind, hosts))
+	}
 	if w.PPS <= 0 || w.PPS > 100e6 {
 		add(f.errAt("sim.workload.pps", "rate %g out of range (0, 1e8] packets/s", w.PPS))
 	}

@@ -152,6 +152,13 @@ func TestSweepValidation(t *testing.T) {
 			  "sweep": {"axes": {"fanout": [2, 5000]}}}`,
 			"sweep.axes.fanout[1]: cell fanout=5000: sim.workload.fanout: value 5000 out of range [1, 4096]",
 		},
+		{
+			"fanout wider than the fabric",
+			`{"schema": "quartz-scenario/v1", "name": "t",
+			  "sim": {"topology": {"kind": "tree3"}, "workload": {"kind": "scatter"}},
+			  "sweep": {"axes": {"fanout": [63, 64]}}}`,
+			`sweep.axes.fanout[1]: cell fanout=64: sim.workload.fanout: scatter with fanout 64 needs 65 hosts; the three-tier tree (topology "tree3") has 64`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -178,6 +178,9 @@ func TestScenarioSubmitErrors(t *testing.T) {
 			http.StatusBadRequest, "did you mean"},
 		{"scenario_ref", `{"scenario_ref": "table2-tiny"}`,
 			http.StatusBadRequest, `unknown field \"scenario_ref\"`},
+		{"fanout wider than the fabric", `{"schema": "quartz-scenario/v1", "name": "wide",
+		                                  "sim": {"topology": {"kind": "tree3"}, "workload": {"kind": "scatter", "fanout": 100}}}`,
+			http.StatusBadRequest, "sim.workload.fanout: scatter with fanout 100 needs 101 hosts"},
 		{"nothing selected", `{}`,
 			http.StatusNotFound, "unknown experiment"},
 		// Past time.Duration's range the float conversion wraps negative
@@ -220,40 +223,4 @@ func TestRawTOMLSubmit(t *testing.T) {
 	if n := len(s.Jobs()); n != 0 {
 		t.Errorf("%d job(s) admitted from rejected bodies", n)
 	}
-}
-
-// A workload that needs more hosts than the topology has fails its job
-// with a message naming the field; it used to panic on the worker
-// goroutine and take the daemon down with it.
-func TestFanoutExceedingHostsFailsTheJob(t *testing.T) {
-	s, url := realRegistryServer(t)
-	resp, data := postBody(t, url, `{"schema": "quartz-scenario/v1", "name": "wide",
-	  "sim": {"duration_ms": 1, "topology": {"kind": "tree3"}, "workload": {"kind": "scatter", "fanout": 100}}}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, data)
-	}
-	var v View
-	if err := json.Unmarshal(data, &v); err != nil {
-		t.Fatal(err)
-	}
-	j, _ := s.Job(v.ID)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := j.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	_, msg := j.Output()
-	if st := j.State(); st != StateFailed || !strings.Contains(msg, "sim.workload.fanout: scatter with fanout 100 needs 101 hosts") {
-		t.Errorf("job ended %v with %q, want failed naming sim.workload.fanout", st, msg)
-	}
-	// The daemon keeps serving.
-	resp2, data2 := postBody(t, url, scenarioTable2)
-	if resp2.StatusCode != http.StatusAccepted && resp2.StatusCode != http.StatusOK {
-		t.Fatalf("submit after the failed job: %d %s", resp2.StatusCode, data2)
-	}
-	var v2 View
-	if err := json.Unmarshal(data2, &v2); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, s, v2.ID)
 }
