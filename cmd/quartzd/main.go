@@ -7,29 +7,28 @@
 // Usage:
 //
 //	quartzd [-addr :8714] [-queue N] [-workers N] [-cache N]
-//	        [-timeout D] [-grace D]
-//	        [-coordinator] [-cluster-workers URLS] [-join URL -advertise URL]
+//	        [-timeout D] [-grace D] [-cluster-workers URLS]
 //
-// Cluster mode (internal/cluster). A coordinator daemon
-// (-coordinator, or implied by -cluster-workers with a comma-separated
-// static worker list) shards sweep-shaped experiments across worker
-// daemons and merges the partial results — byte-identical to a local
-// run for every worker count — and serves two extra routes:
+// Cluster mode (internal/cluster). A daemon given -cluster-workers, a
+// comma-separated list of worker base URLs (http(s)://host[:port]), is
+// the coordinator: it shards sweep-shaped experiments across those
+// workers and merges the partial results — byte-identical to a local
+// run for every worker count — and serves one extra route:
 //
-//	POST /cluster/register    a worker announces its base URL
 //	GET  /cluster             the worker set: liveness, queue depth
 //
-// Workers are stock quartzd daemons; one started with
-// -join http://coordinator:8714 -advertise http://me:8715 keeps
-// announcing itself to the coordinator (idempotent, with backoff), so
-// clusters can grow without restarting the coordinator.
+// Workers are stock quartzd daemons. The list is fixed while the
+// coordinator runs; a worker restarted at a listed URL rejoins when its
+// heartbeat answers again.
 //
 // API (JSON):
 //
 //	POST   /jobs              {"experiment":"validate","params":{"seed":7,"trials":100}}
 //	GET    /jobs              list jobs
 //	GET    /jobs/{id}         job state + progress
+//	GET    /jobs/{id}/events  state and progress as Server-Sent Events, until terminal
 //	GET    /jobs/{id}/result  output once terminal (409 before)
+//	GET    /jobs/{id}/trace   the job's execution trace (Chrome trace-event JSON)
 //	DELETE /jobs/{id}         cancel
 //	GET    /experiments       the experiment registry
 //	GET    /metrics, /status  Prometheus text / JSON status
@@ -58,6 +57,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -79,10 +79,7 @@ var (
 	timeout = flag.Duration("timeout", 10*time.Minute, "default per-job run deadline")
 	grace   = flag.Duration("grace", 30*time.Second, "drain grace period on shutdown before in-flight jobs are cancelled")
 
-	coordinator = flag.Bool("coordinator", false, "serve as the cluster coordinator: fan sweep experiments out to workers and serve /cluster")
-	clusterWkrs = flag.String("cluster-workers", "", "comma-separated worker base URLs for the coordinator (implies -coordinator)")
-	join        = flag.String("join", "", "coordinator base URL to register this daemon with (worker mode)")
-	advertise   = flag.String("advertise", "", "this daemon's reachable base URL, announced via -join")
+	clusterWkrs = flag.String("cluster-workers", "", "comma-separated worker base URLs; given, this daemon is the cluster coordinator (fans sweep experiments out to them, serves /cluster)")
 )
 
 func main() {
@@ -104,18 +101,16 @@ func run() error {
 	mode := "single"
 	var coord *cluster.Coordinator
 	var lookup func(string) (experiments.Experiment, bool)
-	if *coordinator || *clusterWkrs != "" {
+	urls, err := workerURLs(*clusterWkrs)
+	if err != nil {
+		return err
+	}
+	if len(urls) > 0 {
 		mode = "coordinator"
-		var urls []string
-		for _, u := range strings.Split(*clusterWkrs, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
 		coord = cluster.New(cluster.Config{Workers: urls, Registry: reg})
 		defer coord.Close()
 		lookup = coord.WrapLookup(nil)
-		slog.Info("quartzd: coordinator mode", "static_workers", len(urls))
+		slog.Info("quartzd: coordinator mode", "cluster_workers", len(urls))
 	}
 	svc := service.New(service.Config{
 		QueueCapacity:  *queue,
@@ -134,19 +129,9 @@ func run() error {
 	}))
 	if coord != nil {
 		mux := http.NewServeMux()
-		ch := coord.Handler()
-		mux.Handle("/cluster", ch)
-		mux.Handle("/cluster/", ch)
+		mux.Handle("/cluster", coord.Handler())
 		mux.Handle("/", handler)
 		handler = mux
-	}
-	if *join != "" {
-		if *advertise == "" {
-			return errors.New("-join requires -advertise (this daemon's reachable base URL)")
-		}
-		rg := &cluster.Registrar{Coordinator: *join, Advertise: *advertise}
-		go rg.Run(ctx)
-		slog.Info("quartzd: worker mode", "advertise", *advertise, "join", *join)
 	}
 
 	// Bind before announcing readiness so callers (the CI smoke script
@@ -198,4 +183,22 @@ func svcWorkers() int {
 		return *workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// workerURLs parses -cluster-workers: comma-separated base URLs, each
+// trimmed of spaces, empty entries dropped. A URL without an http or
+// https scheme or without a host is refused, named in the error.
+func workerURLs(list string) ([]string, error) {
+	var urls []string
+	for _, u := range strings.Split(list, ",") {
+		if u = strings.TrimSpace(u); u == "" {
+			continue
+		}
+		p, err := url.Parse(u)
+		if err != nil || (p.Scheme != "http" && p.Scheme != "https") || p.Host == "" {
+			return nil, fmt.Errorf("-cluster-workers: bad worker URL %q: want http(s)://host[:port]", u)
+		}
+		urls = append(urls, u)
+	}
+	return urls, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -92,6 +93,41 @@ func TestArchFlagSelectsTheSameArchitecture(t *testing.T) {
 	}
 	if _, err := docFromFlags(setFlags(t, "-arch", "hypercube")); err == nil {
 		t.Error("-arch hypercube built a document")
+	}
+}
+
+// A flag document's validation error names the line of the refused
+// field in the document -dry-run prints for the same flags with a
+// valid value, fields Normalize fills included.
+func TestFlagErrorLinesMatchTheDryRun(t *testing.T) {
+	for _, tc := range []struct {
+		flag, bad, good, field string
+	}{
+		{"-ms", "20000", "1", "duration_ms"},
+		{"-pps", "-5", "20000", "pps"},
+		{"-fanout", "100", "12", "fanout"},
+		{"-hot", "-1", "5", "hot_ports"},
+	} {
+		_, err := docFromFlags(setFlags(t, tc.flag, tc.bad))
+		var list scenario.ErrorList
+		if !errors.As(err, &list) || len(list) != 1 {
+			t.Errorf("%s %s: error %v, want one validation error", tc.flag, tc.bad, err)
+			continue
+		}
+		doc, plan, status := quartzsim(t, tc.flag, tc.good, "-dry-run")
+		if status != 0 {
+			t.Fatalf("%s %s -dry-run: %s", tc.flag, tc.good, plan)
+		}
+		want := 0
+		for i, line := range strings.Split(doc, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), `"`+tc.field+`":`) {
+				want = i + 1
+			}
+		}
+		if want == 0 || list[0].Line != want {
+			t.Errorf("%s %s: error at line %d (%v); %s is on line %d of the -dry-run document:\n%s",
+				tc.flag, tc.bad, list[0].Line, err, tc.field, want, doc)
+		}
 	}
 }
 

@@ -234,14 +234,20 @@ func runDoc(name string, set map[string]bool) (*scenario.File, error) {
 }
 
 // decodeFlags sends a document the flags built through the same Decode
-// as a file, indented so the line numbers in a validation error are
-// those of the document -dry-run prints.
+// as a file. It decodes the normalized document in the form -dry-run
+// prints (Normalize is idempotent, so Decode ends at the same document),
+// so the line numbers in a validation error are those of that print.
 func decodeFlags(doc scenario.Doc, source string) (*scenario.File, error) {
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Decode(data, source)
+	doc.Normalize()
+	return scenario.Decode(printed(doc), source)
+}
+
+// printed is a normalized document as -dry-run prints it: its
+// canonical JSON, indented.
+func printed(doc scenario.Doc) []byte {
+	var b bytes.Buffer
+	json.Indent(&b, scenario.Canonical(doc), "", "  ")
+	return b.Bytes()
 }
 
 func printRegistry(w io.Writer) {
@@ -372,9 +378,7 @@ func run() error {
 	for i, c := range compiled {
 		plan := os.Stdout
 		if *scenarioPath == "" { // the document alone on stdout, ready to save; the plan beside it
-			var b bytes.Buffer
-			json.Indent(&b, scenario.Canonical(c.Doc), "", "  ")
-			fmt.Println(b.String())
+			fmt.Println(string(printed(c.Doc)))
 			plan = os.Stderr
 		}
 		params := c.Params.WithDefaults()

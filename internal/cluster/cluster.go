@@ -11,8 +11,9 @@
 // coordinator drives them through POST /jobs with a cell range
 // (service.Request.Cells) and follows GET /jobs/{id}/events, the SSE
 // stream any client can watch, until it closes on a terminal state.
-// The worker set is static (-workers on the coordinator), dynamic
-// (workers POST /cluster/register, see Registrar), or both.
+// The worker set is the list given to New (quartzd's -cluster-workers),
+// fixed for the coordinator's lifetime; a worker restarted at a listed
+// URL rejoins when its heartbeat answers again.
 //
 // Determinism. The registry Run of a sweep experiment is
 // Sweep.RunCells(0, n) + Sweep.Merge — the exact pair the coordinator
@@ -46,7 +47,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -57,8 +58,9 @@ import (
 // Config parameterizes a Coordinator. Zero values take the documented
 // defaults.
 type Config struct {
-	// Workers are the static worker base URLs ("http://host:port"),
-	// dialed at startup. More can join via POST /cluster/register.
+	// Workers are the worker base URLs ("http://host:port"), dialed at
+	// startup and fixed for the coordinator's lifetime. A URL named
+	// twice, or with a trailing "/", is one worker.
 	Workers []string
 	// HeartbeatInterval paces the per-worker health probe. Default 2s.
 	HeartbeatInterval time.Duration
@@ -160,11 +162,11 @@ type Coordinator struct {
 	client *http.Client
 	reg    *metrics.Registry
 
-	mu      sync.Mutex
-	workers map[string]*worker
-	stop    chan struct{}
-	stopped bool
-	wg      sync.WaitGroup
+	workers   []*worker  // URL order; fixed by New
+	gaugeMu   sync.Mutex // orders the monitors' writes of mWorkersAlive
+	stop      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 
 	mWorkersAlive *metrics.Gauge
 	mWorkersTotal *metrics.Gauge
@@ -174,8 +176,8 @@ type Coordinator struct {
 	mSweeps       map[string]*metrics.Counter
 }
 
-// New returns a started Coordinator: heartbeat monitors for the static
-// workers are live immediately. Stop it with Close.
+// New returns a started Coordinator over cfg.Workers: heartbeat
+// monitors for the workers are live immediately. Stop it with Close.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
@@ -183,11 +185,10 @@ func New(cfg Config) *Coordinator {
 		reg = metrics.NewRegistry()
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		client:  cfg.Client,
-		reg:     reg,
-		workers: make(map[string]*worker),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		client: cfg.Client,
+		reg:    reg,
+		stop:   make(chan struct{}),
 
 		mWorkersAlive: reg.Gauge("quartzd_cluster_workers_alive", "workers currently answering health probes", nil),
 		mWorkersTotal: reg.Gauge("quartzd_cluster_workers_total", "workers known to the coordinator", nil),
@@ -199,64 +200,51 @@ func New(cfg Config) *Coordinator {
 			"failed": reg.Counter("quartzd_cluster_sweeps_total", "cluster sweeps, by outcome", metrics.Labels{"outcome": "failed"}),
 		},
 	}
-	for _, u := range cfg.Workers {
-		c.AddWorker(u)
+	urls := make([]string, len(cfg.Workers))
+	for i, u := range cfg.Workers {
+		urls[i] = strings.TrimRight(u, "/")
+	}
+	slices.Sort(urls)
+	for _, u := range slices.Compact(urls) {
+		c.addWorker(u)
+	}
+	c.mWorkersTotal.Set(float64(len(c.workers)))
+	c.updateAliveGauge()
+	for _, w := range c.workers {
+		c.wg.Add(1)
+		go c.monitor(w)
 	}
 	return c
 }
 
-// AddWorker registers a worker daemon by base URL and starts its
-// heartbeat monitor. Idempotent: re-registering a known URL (the
-// Registrar loop does, as its own liveness signal) is a no-op.
-func (c *Coordinator) AddWorker(url string) {
-	url = strings.TrimRight(url, "/")
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return
-	}
-	if _, ok := c.workers[url]; ok {
-		return
-	}
+// addWorker appends the worker at url to the set New builds.
+func (c *Coordinator) addWorker(url string) {
 	live, down := context.WithCancel(context.Background())
-	w := &worker{
+	c.workers = append(c.workers, &worker{
 		url: url, live: live, down: down,
 		// Born alive: the first sweep may land before the first probe,
 		// and a wrong guess only costs one requeue.
 		alive:  true,
 		mDepth: c.reg.Gauge("quartzd_cluster_worker_queue_depth", "last observed worker queue depth", metrics.Labels{"worker": url}),
-	}
-	c.workers[url] = w
-	c.wg.Add(1)
-	go c.monitor(w)
-	c.updateWorkerGauges()
+	})
 }
 
-// alive snapshots the workers currently believed healthy, in URL order
+// alive lists the workers currently believed healthy, in URL order
 // (deterministic fan-out shape for a given worker set).
 func (c *Coordinator) alive() []*worker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []*worker
 	for _, w := range c.workers {
 		if w.isAlive() {
 			out = append(out, w)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].url < out[j].url })
 	return out
 }
 
-func (c *Coordinator) updateWorkerGauges() {
-	// Callers hold c.mu.
-	alive := 0
-	for _, w := range c.workers {
-		if w.isAlive() {
-			alive++
-		}
-	}
-	c.mWorkersAlive.Set(float64(alive))
-	c.mWorkersTotal.Set(float64(len(c.workers)))
+func (c *Coordinator) updateAliveGauge() {
+	c.gaugeMu.Lock()
+	defer c.gaugeMu.Unlock()
+	c.mWorkersAlive.Set(float64(len(c.alive())))
 }
 
 // monitor is one worker's heartbeat loop: probe /healthz, record the
@@ -275,9 +263,7 @@ func (c *Coordinator) monitor(w *worker) {
 			w.markAlive(hb.QueueDepth)
 			delay = c.cfg.HeartbeatInterval
 		}
-		c.mu.Lock()
-		c.updateWorkerGauges()
-		c.mu.Unlock()
+		c.updateAliveGauge()
 		select {
 		case <-c.stop:
 			return
@@ -294,21 +280,10 @@ type WorkerView struct {
 	LastError  string `json:"last_error,omitempty"`
 }
 
-// WorkersSnapshot lists the known workers in URL order.
+// WorkersSnapshot lists the workers in URL order.
 func (c *Coordinator) WorkersSnapshot() []WorkerView {
-	c.mu.Lock()
-	urls := make([]string, 0, len(c.workers))
-	for u := range c.workers {
-		urls = append(urls, u)
-	}
-	workers := make([]*worker, 0, len(urls))
-	sort.Strings(urls)
-	for _, u := range urls {
-		workers = append(workers, c.workers[u])
-	}
-	c.mu.Unlock()
-	out := make([]WorkerView, 0, len(workers))
-	for _, w := range workers {
+	out := make([]WorkerView, 0, len(c.workers))
+	for _, w := range c.workers {
 		w.mu.Lock()
 		out = append(out, WorkerView{URL: w.url, Alive: w.alive, QueueDepth: w.depth, LastError: w.lastErr})
 		w.mu.Unlock()
@@ -316,15 +291,11 @@ func (c *Coordinator) WorkersSnapshot() []WorkerView {
 	return out
 }
 
-// Close stops the heartbeat monitors. In-flight sweeps are not
-// interrupted — cancel their jobs through the owning service.
+// Close stops the heartbeat monitors; a second Close is a no-op.
+// In-flight sweeps are not interrupted — cancel their jobs through the
+// owning service.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	if !c.stopped {
-		c.stopped = true
-		close(c.stop)
-	}
-	c.mu.Unlock()
+	c.closeOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
 }
 

@@ -401,49 +401,39 @@ func TestClusterSharedCacheTier(t *testing.T) {
 	}
 }
 
-// TestClusterRegistration: a worker joins dynamically through the
-// Registrar loop and immediately serves sweeps.
-func TestClusterRegistration(t *testing.T) {
-	lookup := stubLookup(8, 0)
-	coord, s, _ := newCoordinator(t, lookup, nil)
-	ch := httptest.NewServer(coord.Handler())
-	t.Cleanup(ch.Close)
-	w := newWorker(t, lookup, nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rg := &cluster.Registrar{Coordinator: ch.URL, Advertise: w.URL, Interval: 10 * time.Millisecond}
-	go rg.Run(ctx)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ws := coord.WorkersSnapshot()
-		if len(ws) == 1 && ws[0].URL == w.URL {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never registered: %+v", ws)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Registration is idempotent: the loop keeps announcing, the set
-	// stays at one.
-	time.Sleep(50 * time.Millisecond)
-	if ws := coord.WorkersSnapshot(); len(ws) != 1 {
-		t.Fatalf("re-registration duplicated the worker: %+v", ws)
-	}
-
-	j, err := s.Submit(service.Request{Experiment: "grid", Params: service.ParamSpec{Seed: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wctx, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer wcancel()
-	if err := j.Wait(wctx); err != nil {
-		t.Fatal(err)
-	}
-	if out, errMsg := j.Output(); errMsg != "" || !strings.HasPrefix(out.Text, "grid=[2000") {
-		t.Fatalf("sweep on registered worker: %q / %q", out.Text, errMsg)
+// TestClusterWorkerList: the worker set is the configured list, one
+// worker per URL in URL order, however often and with whatever trailing
+// "/" the list names it.
+func TestClusterWorkerList(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers []string
+		want    []string
+	}{
+		{"once", []string{"http://127.0.0.1:1"}, []string{"http://127.0.0.1:1"}},
+		{"named twice", []string{"http://127.0.0.1:1", "http://127.0.0.1:1"}, []string{"http://127.0.0.1:1"}},
+		{"trailing slash", []string{"http://127.0.0.1:1/", "http://127.0.0.1:1"}, []string{"http://127.0.0.1:1"}},
+		{"URL order", []string{"http://127.0.0.1:2", "http://127.0.0.1:1/", "http://127.0.0.1:2/"}, []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}},
+		{"none", nil, []string{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			// Nothing listens on these ports, and nothing here waits
+			// for a probe to say so.
+			coord := cluster.New(cluster.Config{Workers: tc.workers, HeartbeatInterval: time.Hour, Registry: reg})
+			defer coord.Close()
+			got := []string{}
+			for _, w := range coord.WorkersSnapshot() {
+				got = append(got, w.URL)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("WorkersSnapshot URLs = %q, want %q", got, tc.want)
+			}
+			total := reg.Gauge("quartzd_cluster_workers_total", "workers known to the coordinator", nil).Value()
+			if total != float64(len(tc.want)) {
+				t.Errorf("quartzd_cluster_workers_total = %v, want %d", total, len(tc.want))
+			}
+		})
 	}
 }
 
@@ -487,8 +477,8 @@ func TestClusterEmptyGrid(t *testing.T) {
 	}
 }
 
-// TestClusterRaceStress hammers registration, heartbeat, snapshotting,
-// and dispatch-with-requeue concurrently — meaningful under -race
+// TestClusterRaceStress hammers heartbeat, snapshotting, and
+// dispatch-with-requeue concurrently — meaningful under -race
 // (make verify runs this package with the detector on). A permanently
 // dead worker keeps the requeue path hot on every sweep.
 func TestClusterRaceStress(t *testing.T) {
@@ -514,20 +504,26 @@ func TestClusterRaceStress(t *testing.T) {
 		coord.Close()
 	})
 
-	var wg sync.WaitGroup
-	// Churn the membership: repeated idempotent re-registration plus
-	// snapshot readers, racing the heartbeat monitors.
+	// Snapshot readers of the membership state for as long as the
+	// sweeps run, racing the heartbeat monitors and the dead worker's
+	// requeue and markDead path.
+	var readers sync.WaitGroup
+	sweepsDone := make(chan struct{})
 	for g := 0; g < 2; g++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				coord.AddWorker(w1.URL)
-				coord.AddWorker(dead.URL)
-				_ = coord.WorkersSnapshot()
+			defer readers.Done()
+			for {
+				select {
+				case <-sweepsDone:
+					return
+				case <-time.After(100 * time.Microsecond):
+					_ = coord.WorkersSnapshot()
+				}
 			}
 		}()
 	}
+	var wg sync.WaitGroup
 	// Concurrent sweeps, each forced to execute (distinct seeds) and
 	// each hitting the dead worker's requeue path.
 	errs := make(chan error, 8)
@@ -552,6 +548,8 @@ func TestClusterRaceStress(t *testing.T) {
 		}(int64(100 + g))
 	}
 	wg.Wait()
+	close(sweepsDone)
+	readers.Wait()
 	close(errs)
 	for err := range errs {
 		t.Errorf("stress sweep: %v", err)

@@ -3,132 +3,23 @@ package cluster
 // The coordinator's own HTTP surface, mounted next to the service
 // handler in cmd/quartzd:
 //
-//	POST /cluster/register  a worker announces its base URL
-//	GET  /cluster           the worker set: URL, liveness, queue depth
-//
-// and the worker's side of dynamic membership: Registrar, a loop that
-// keeps re-announcing this daemon to the coordinator (registration is
-// idempotent, so the loop doubles as a reachability check in the
-// worker→coordinator direction).
+//	GET /cluster  the worker set: URL, liveness, queue depth
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"time"
 )
 
-// RegisterBody is the POST /cluster/register request.
-type RegisterBody struct {
-	URL string `json:"url"`
-}
-
-// Handler returns the coordinator mux (the /cluster routes).
+// Handler returns the coordinator mux (the /cluster route).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/register", c.handleRegister)
 	mux.HandleFunc("GET /cluster", c.handleWorkers)
 	return mux
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	var rb RegisterBody
-	if err := json.Unmarshal(body, &rb); err != nil {
-		httpError(w, http.StatusBadRequest, "bad register body: "+err.Error())
-		return
-	}
-	u, err := url.Parse(rb.URL)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad worker url %q: want http(s)://host:port", rb.URL))
-		return
-	}
-	c.AddWorker(rb.URL)
-	writeJSON(w, http.StatusOK, c.WorkersSnapshot())
-}
-
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.WorkersSnapshot())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// Registrar is the worker-side membership loop: announce Advertise to
-// the Coordinator every Interval, backing off (doubling to 8×Interval)
-// while the coordinator is unreachable. Run blocks until ctx is done.
-type Registrar struct {
-	// Coordinator is the coordinator's base URL.
-	Coordinator string
-	// Advertise is this worker's reachable base URL.
-	Advertise string
-	// Interval is the re-announce cadence. Default 5s.
-	Interval time.Duration
-	// Client issues the requests. Default http.DefaultClient.
-	Client *http.Client
-}
-
-// Run announces until ctx is cancelled. The first announce happens
-// immediately, so a worker that starts after the coordinator joins
-// without waiting out an interval.
-func (rg *Registrar) Run(ctx context.Context) {
-	interval := rg.Interval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	client := rg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	delay := interval
-	for {
-		if err := rg.announce(ctx, client); err != nil {
-			delay = min(delay*2, 8*interval)
-		} else {
-			delay = interval
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(delay):
-		}
-	}
-}
-
-func (rg *Registrar) announce(ctx context.Context, client *http.Client) error {
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	body, _ := json.Marshal(RegisterBody{URL: rg.Advertise})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rg.Coordinator+"/cluster/register", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("register: HTTP %d", resp.StatusCode)
-	}
-	return nil
+	_ = enc.Encode(c.WorkersSnapshot())
 }

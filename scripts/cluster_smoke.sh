@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of distributed quartzd, curl only (no jq):
 # build the daemon, start two plain workers and a coordinator wired to
-# them on loopback, check GET /cluster sees both workers, submit a
+# them on loopback, check GET /cluster sees both workers, check that
+# dynamic registration (POST /cluster/register, -join) and a worker URL
+# without an http(s) scheme are refused, submit a
 # reduced-trials table8 sweep to the coordinator while an SSE
 # subscription watches it, require the merged result to be
 # byte-identical to the same experiment run single-process on a worker,
@@ -92,6 +94,19 @@ echo "== coordinator sees both workers"
 CLUSTER=$(curl -fsS "$BASE/cluster")
 printf '%s' "$CLUSTER" | grep -q "$W1" || fail "worker 1 missing from GET /cluster: $CLUSTER"
 printf '%s' "$CLUSTER" | grep -q "$W2" || fail "worker 2 missing from GET /cluster: $CLUSTER"
+
+echo "== removed membership entry points are refused"
+REGCODE=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$BASE/cluster/register" \
+    -H 'Content-Type: application/json' -d "{\"url\":\"$W1\"}")
+[[ "$REGCODE" == 404 || "$REGCODE" == 405 ]] ||
+    fail "POST /cluster/register answered $REGCODE; dynamic registration should be unrouted"
+CODE=0
+"$BIN" -join http://127.0.0.1:1 >/dev/null 2>&1 || CODE=$?
+[[ $CODE -eq 2 ]] || fail "quartzd -join exited $CODE, want 2 (unknown flag)"
+CODE=0
+BADOUT=$(timeout 10 "$BIN" -addr 127.0.0.1:0 -cluster-workers localhost:1 2>&1) || CODE=$?
+[[ $CODE -ne 0 && $CODE -ne 124 ]] || fail "quartzd -cluster-workers localhost:1 exited $CODE, want a refusal: $BADOUT"
+printf '%s' "$BADOUT" | grep -q 'localhost:1' || fail "the refusal does not name the bad worker URL: $BADOUT"
 
 echo "== single-process baseline on worker 1"
 BASE1=$(curl -fsS -X POST "$W1/jobs" -H 'Content-Type: application/json' -d "$REQ")
