@@ -19,9 +19,9 @@ vet:
 # metrics registry (quartzd's scrape path: /metrics snapshots its
 # lock-free instruments while worker goroutines write them), the
 # job service (worker pool vs HTTP handlers), the cluster tier
-# (dispatchers vs heartbeat monitors vs dynamic registration —
-# TestClusterRaceStress keeps the requeue path hot with a permanently
-# dead worker), and the experiments' cell worker pool (forEachCell under
+# (dispatchers vs heartbeat monitors — TestClusterRaceStress keeps the
+# requeue path hot with a permanently dead worker), and the
+# experiments' cell worker pool (forEachCell under
 # the Grid executor: concurrent cells writing indexed slots, progress
 # and trace hooks called from every worker), plus traffic for the one
 # thing concurrent cells share and write, the generator free list

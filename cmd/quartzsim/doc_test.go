@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/core"
-	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/scenario"
 )
 
@@ -79,7 +78,7 @@ func TestArchFlagSelectsTheSameArchitecture(t *testing.T) {
 			t.Errorf("-arch %s: %v", name, err)
 			continue
 		}
-		s, err := scenario.NewSim(f.Doc.Sim, f.Doc.Seed, netsim.ObserveOptions{})
+		s, err := scenario.NewSim(f.Doc.Sim, f.Doc.Seed, scenario.Sinks{})
 		if err != nil {
 			t.Errorf("-arch %s (%+v): %v", name, f.Doc.Sim.Topology, err)
 			continue

@@ -515,11 +515,11 @@ func writeFile(path, report string, write func(io.Writer) error) error {
 // attached beside it: they observe the run, and everything they print
 // comes after — never inside — the document's deterministic text.
 func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc, spans *trace.Recorder) error {
-	side := netsim.ObserveOptions{
-		Trace: *traceOut != "", TraceLimit: *traceMax,
-		Flows: *flowsOut != "", Spans: spans,
+	sinks := scenario.Sinks{Flows: *flowsOut != "", Spans: spans}
+	if *traceOut != "" {
+		sinks.Trace = netsim.NewTraceRecorder(*traceMax)
 	}
-	s, err := scenario.NewSim(doc.Sim, doc.Seed, side)
+	s, err := scenario.NewSim(doc.Sim, doc.Seed, sinks)
 	if err != nil {
 		return err
 	}
@@ -534,8 +534,7 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc, spans *tr
 	}
 	fmt.Print(text)
 
-	if *traceOut != "" {
-		rec := s.Obs.Trace()
+	if rec := s.Trace; rec != nil {
 		if err := emit(*traceOut, "trace events", rec.Table()); err != nil {
 			return err
 		}
@@ -545,7 +544,7 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc, spans *tr
 				tr, *traceMax)
 		}
 	}
-	if sampler := s.Obs.Sampler(); *probeOut != "" {
+	if sampler := s.Sampler; *probeOut != "" {
 		if err := emit(*probeOut, "queue samples", sampler.Table()); err != nil {
 			return err
 		}
@@ -553,7 +552,7 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc, spans *tr
 			fmt.Fprintf(os.Stderr, "quartzsim: warning: queue samples are INCOMPLETE: %d row(s) past the bound discarded; sample less often\n", tr)
 		}
 	}
-	if flows := s.Obs.Flows(); *flowsOut != "" {
+	if flows := s.Flows; *flowsOut != "" {
 		if err := emit(*flowsOut, "flow rows", flows.Table()); err != nil {
 			return err
 		}

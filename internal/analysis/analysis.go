@@ -128,7 +128,7 @@ func Table9(cfg Table9Config) ([]Row, error) {
 
 	// BCube(32,1): 1024 dual-homed servers over two levels of 32-port
 	// switches; forwarding crosses one intermediate server (16 us).
-	bcube, err := topology.NewBCube(32, 1, topology.LinkSpec{})
+	bcube, err := topology.NewBCube(32, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package cluster
 
 // The coordinator's client side of the worker protocol: plain quartzd
 // HTTP JSON calls (the worker runs no cluster code). Every call but
-// the event stream gets its own deadline from Config.RequestTimeout
+// the event stream gets its own deadline from requestTimeout
 // layered under the caller's context.
 
 import (
@@ -41,7 +41,7 @@ func paramSpec(p experiments.Params) service.ParamSpec {
 // with the server's error string in errMsg so callers can map status
 // codes to the retry taxonomy.
 func (c *Coordinator) doJSON(ctx context.Context, method, url string, body interface{}, out interface{}) (status int, retryAfter time.Duration, errMsg string, err error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -101,7 +101,7 @@ func (c *Coordinator) submitCells(ctx context.Context, base, name string, p expe
 }
 
 // followJob waits on a worker job's GET /jobs/{id}/events stream for
-// its terminal state and error. No RequestTimeout (a range may outlive
+// its terminal state and error. No requestTimeout (a range may outlive
 // it): the stream dies with ctx or with the worker's heartbeat.
 func (c *Coordinator) followJob(ctx context.Context, w *worker, id string, progress func(done int)) (service.State, string, error) {
 	ctx, cancel := context.WithCancel(ctx)
@@ -182,7 +182,7 @@ func (c *Coordinator) getResult(ctx context.Context, base, id string) (resultVie
 // needs (its own job was cancelled mid-sweep). Detached from the dead
 // caller context on purpose.
 func (c *Coordinator) cancelJob(base, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
 	_, _, _, _ = c.doJSON(ctx, http.MethodDelete, base+"/jobs/"+id, nil, nil)
 }

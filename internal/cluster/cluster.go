@@ -64,32 +64,28 @@ type Config struct {
 	Workers []string
 	// HeartbeatInterval paces the per-worker health probe. Default 2s.
 	HeartbeatInterval time.Duration
-	// HeartbeatBackoffMax caps the probe backoff while a worker is
-	// dead (the re-dial loop doubles from HeartbeatInterval). Default
-	// 30s.
-	HeartbeatBackoffMax time.Duration
-	// RequestTimeout bounds each HTTP call to a worker except the
-	// event stream, which lasts as long as its range. Default 10s.
-	RequestTimeout time.Duration
 	// Registry receives the quartzd_cluster_* instruments; a private
 	// registry is created when nil. Pass the service's registry so one
 	// /metrics page shows both tiers.
 	Registry *metrics.Registry
 	// Client issues worker HTTP requests. Default: a dedicated client
-	// (per-call deadlines come from RequestTimeout; a Timeout of its
+	// (per-call deadlines come from requestTimeout; a Timeout of its
 	// own would cut event streams short).
 	Client *http.Client
 }
 
+const (
+	// heartbeatBackoffMax caps the probe backoff while a worker is
+	// dead (the re-dial loop doubles from HeartbeatInterval).
+	heartbeatBackoffMax = 30 * time.Second
+	// requestTimeout bounds each HTTP call to a worker except the
+	// event stream, which lasts as long as its range.
+	requestTimeout = 10 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 2 * time.Second
-	}
-	if c.HeartbeatBackoffMax <= 0 {
-		c.HeartbeatBackoffMax = 30 * time.Second
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -258,7 +254,7 @@ func (c *Coordinator) monitor(w *worker) {
 		if hb, err := c.health(w.url); err != nil {
 			w.markDead(err)
 			w.hangUp()
-			delay = min(delay*2, c.cfg.HeartbeatBackoffMax)
+			delay = min(delay*2, heartbeatBackoffMax)
 		} else {
 			w.markAlive(hb.QueueDepth)
 			delay = c.cfg.HeartbeatInterval

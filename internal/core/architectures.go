@@ -83,8 +83,6 @@ func ThreeTierTree(p ArchParams) (*Architecture, error) {
 	g, err := topology.NewThreeTierTree(topology.ThreeTierConfig{
 		Pods: p.Pods, ToRsPerPod: p.ToRsPerPod, AggsPerPod: 2, Cores: 2,
 		HostsPerToR: p.HostsPerToR,
-		AggLink:     topology.LinkSpec{Rate: 40 * sim.Gbps},
-		CoreLink:    topology.LinkSpec{Rate: 40 * sim.Gbps},
 	})
 	if err != nil {
 		return nil, err
@@ -334,7 +332,6 @@ func TwoTierTreeArch(p ArchParams) (*Architecture, error) {
 		ToRs:        p.Pods * p.ToRsPerPod,
 		Roots:       2,
 		HostsPerToR: p.HostsPerToR,
-		UpLink:      topology.LinkSpec{Rate: 40 * sim.Gbps},
 	})
 	if err != nil {
 		return nil, err

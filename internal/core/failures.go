@@ -37,8 +37,7 @@ func (r *Ring) FiberCutImpact(fiber, seg int) ([][2]int, error) {
 
 // FiberLinks resolves a fiber-segment cut to the logical mesh links it
 // severs — FiberCutImpact mapped onto the ring's Graph. It is the
-// canonical netsim.FaultSchedule.FiberLinks resolver; AttachFaults
-// installs it.
+// one netsim fiber resolver; AttachFaults installs it.
 func (r *Ring) FiberLinks(fiber, seg int) ([]topology.LinkID, error) {
 	severed, err := r.FiberCutImpact(fiber, seg)
 	if err != nil {

@@ -117,8 +117,8 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	g, err := topology.NewFullMesh(topology.MeshConfig{
 		Switches:       cfg.Switches,
 		HostsPerSwitch: cfg.HostsPerSwitch,
-		HostLink:       topology.LinkSpec{Rate: cfg.HostRate},
-		MeshLink:       topology.LinkSpec{Rate: cfg.MeshRate},
+		HostRate:       cfg.HostRate,
+		MeshRate:       cfg.MeshRate,
 	})
 	if err != nil {
 		return nil, err

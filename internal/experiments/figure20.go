@@ -38,8 +38,8 @@ func fig20Ring() (*topology.Graph, error) {
 	g, err := topology.NewFullMesh(topology.MeshConfig{
 		Switches:       4,
 		HostsPerSwitch: 4,
-		HostLink:       topology.LinkSpec{Rate: 40 * sim.Gbps},
-		MeshLink:       topology.LinkSpec{Rate: 40 * sim.Gbps},
+		HostRate:       40 * sim.Gbps,
+		MeshRate:       40 * sim.Gbps,
 	})
 	if err != nil {
 		return nil, err

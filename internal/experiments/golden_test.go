@@ -281,7 +281,7 @@ func TestGoldenScenarioTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := scenario.NewSim(f.Doc.Sim, f.Doc.Seed, netsim.ObserveOptions{Trace: true})
+	s, err := scenario.NewSim(f.Doc.Sim, f.Doc.Seed, scenario.Sinks{Trace: netsim.NewTraceRecorder(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestGoldenScenarioTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEvents(t, "scenario", s.Net.Engine().Processed())
-	checkTables(t, "scenario", []table.Table{s.Obs.Trace().Table(), s.Obs.Sampler().Table(), s.Obs.Flows().Table()})
+	checkTables(t, "scenario", []table.Table{s.Trace.Table(), s.Sampler.Table(), s.Flows.Table()})
 }
 
 // TestGoldenFilesHaveARun fails on a golden file or events.txt line

@@ -191,8 +191,8 @@ func TestVLBBeatsDirectOnHotPair(t *testing.T) {
 	// spreads over detours and wins.
 	g, err := topology.NewFullMesh(topology.MeshConfig{
 		Switches: 4, HostsPerSwitch: 4,
-		MeshLink: topology.LinkSpec{Rate: 40 * sim.Gbps},
-		HostLink: topology.LinkSpec{Rate: 40 * sim.Gbps},
+		MeshRate: 40 * sim.Gbps,
+		HostRate: 40 * sim.Gbps,
 	})
 	if err != nil {
 		t.Fatal(err)

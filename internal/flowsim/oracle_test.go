@@ -136,7 +136,7 @@ func TestVLBRatesScaleWithLinkRates(t *testing.T) {
 		for _, j := range []int{-3, 1, 4} {
 			rate := sim.Rate(math.Ldexp(float64(10*sim.Gbps), j))
 			g, err := topology.NewFullMesh(topology.MeshConfig{Switches: in.switches, HostsPerSwitch: in.hosts,
-				HostLink: topology.LinkSpec{Rate: rate}, MeshLink: topology.LinkSpec{Rate: rate}})
+				HostRate: rate, MeshRate: rate})
 			if err != nil {
 				t.Fatal(err)
 			}

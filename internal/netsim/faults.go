@@ -25,7 +25,7 @@ const (
 	FaultSwitch
 	// FaultFiber fails the set of wavelength links severed by cutting
 	// one fiber segment of a Quartz ring (§3.5) — resolved through
-	// FaultSchedule.FiberLinks.
+	// FaultInjector.SetFiberResolver.
 	FaultFiber
 )
 
@@ -97,10 +97,6 @@ type FaultSchedule struct {
 	DetectionDelay sim.Time
 	// Policy picks what happens to packets queued on a cut link.
 	Policy ReroutePolicy
-	// FiberLinks resolves a FaultFiber event to the wavelength links it
-	// severs; core.Ring.FiberLinks is the canonical implementation.
-	// Required iff the schedule contains FaultFiber events.
-	FiberLinks func(fiber, segment int) ([]topology.LinkID, error)
 }
 
 // FaultChange reports one data-plane or control-plane transition to
@@ -168,8 +164,10 @@ func (n *Network) Faults() *FaultInjector {
 	return n.faults
 }
 
-// SetFiberResolver installs the FaultFiber link resolver (see
-// FaultSchedule.FiberLinks).
+// SetFiberResolver installs the resolver that maps a FaultFiber event
+// to the wavelength links it severs — required iff a schedule contains
+// FaultFiber events. core.Ring.AttachFaults installs the ring's
+// FiberLinks, the one implementation.
 func (fi *FaultInjector) SetFiberResolver(f func(fiber, segment int) ([]topology.LinkID, error)) {
 	fi.fiber = f
 }
@@ -223,7 +221,7 @@ func (fi *FaultInjector) resolve(ev FaultEvent) ([]topology.LinkID, error) {
 		return links, nil
 	case FaultFiber:
 		if fi.fiber == nil {
-			return nil, fmt.Errorf("netsim: fiber fault needs a FiberLinks resolver (no Quartz ring attached?)")
+			return nil, fmt.Errorf("netsim: fiber fault needs a fiber resolver (no Quartz ring attached?)")
 		}
 		links, err := fi.fiber(ev.Fiber, ev.Segment)
 		if err != nil {
@@ -241,9 +239,6 @@ func (fi *FaultInjector) resolve(ev FaultEvent) ([]topology.LinkID, error) {
 // event time. Invalid schedules are rejected atomically — no event is
 // installed.
 func (fi *FaultInjector) Apply(s FaultSchedule) error {
-	if s.FiberLinks != nil {
-		fi.fiber = s.FiberLinks
-	}
 	if s.DetectionDelay > 0 {
 		fi.detection = s.DetectionDelay
 	}

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/table"
@@ -76,7 +75,6 @@ func (f FlowStats) MeanLatency() sim.Time {
 // loop and is not safe for concurrent use.
 type FlowTracker struct {
 	flows map[routing.FlowID]*FlowStats
-	order []routing.FlowID
 
 	// degraded counts fault transitions whose reconvergence is still
 	// pending; drops while degraded > 0 are fault-window drops.
@@ -97,7 +95,6 @@ func (t *FlowTracker) flow(id routing.FlowID, now sim.Time) *FlowStats {
 			DropsByClass: make(map[string]uint64),
 		}
 		t.flows[id] = f
-		t.order = append(t.order, id)
 	}
 	return f
 }
@@ -156,28 +153,20 @@ func (t *FlowTracker) FaultChanged(c FaultChange) {
 	t.degraded++
 }
 
-// sortFlows puts the flow table in canonical order: (FirstSend, Flow)
-// ascending, where insertion order breaks FirstSend ties by whichever
-// flow's first packet the event loop happened to enqueue first.
-func (t *FlowTracker) sortFlows() {
-	sort.Slice(t.order, func(i, j int) bool {
-		a, b := t.flows[t.order[i]], t.flows[t.order[j]]
-		if a.FirstSend != b.FirstSend {
-			return a.FirstSend < b.FirstSend
-		}
-		return a.Flow < b.Flow
-	})
-}
-
-// Flows returns every tracked flow in first-send order, with FCT
-// filled in. The snapshot is a copy; mutating it does not affect the
-// tracker.
+// Flows returns every tracked flow in (FirstSend, Flow) order, with
+// FCT filled in. The snapshot is a copy; mutating it does not affect
+// the tracker.
 func (t *FlowTracker) Flows() []FlowStats {
-	out := make([]FlowStats, 0, len(t.order))
-	for _, id := range t.order {
-		out = append(out, t.snapshotFlow(t.flows[id]))
+	out := make([]FlowStats, 0, len(t.flows))
+	for _, f := range t.flows {
+		out = append(out, t.snapshotFlow(f))
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].FirstSend < out[j].FirstSend })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].FirstSend != out[j].FirstSend {
+			return out[i].FirstSend < out[j].FirstSend
+		}
+		return out[i].Flow < out[j].Flow
+	})
 	return out
 }
 
@@ -191,18 +180,7 @@ func (t *FlowTracker) snapshotFlow(f *FlowStats) FlowStats {
 	return s
 }
 
-// FCTStats feeds every flow's FCT (µs) into hist — typically a
-// registry LatencyHistogram registered at the end of a run — and
-// returns how many flows it observed.
-func (t *FlowTracker) FCTStats(hist *metrics.LatencyHistogram) int {
-	for _, id := range t.order {
-		f := t.flows[id]
-		hist.Observe((f.LastActivity - f.FirstSend).Micros())
-	}
-	return len(t.order)
-}
-
-// Table returns the per-flow table "flows", in first-send order:
+// Table returns the per-flow table "flows", in Flows' order:
 // flow,first_send_ps,last_activity_ps,fct_ps,sent,delivered,dropped,
 // bytes,max_hops,mean_latency_us,drops_by_class,fault_window_drops.
 // drops_by_class is a semicolon-joined class=count list.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 )
@@ -155,12 +154,15 @@ func TestFlowTrackerFCTStats(t *testing.T) {
 	net.Unicast(1, h0, h1, 400, 0)
 	net.Unicast(2, h1, h0, 400, 0)
 	net.Engine().Run()
-	h := metrics.NewLatencyHistogram()
-	if n := ft.FCTStats(h); n != 2 {
-		t.Fatalf("FCTStats observed %d flows, want 2", n)
+	// The scenario's FCT line reads these FCTs.
+	flows := ft.Flows()
+	if len(flows) != 2 {
+		t.Fatalf("%d flows, want 2", len(flows))
 	}
-	if h.Count() != 2 || h.Quantile(0.5) <= 0 {
-		t.Fatalf("FCT histogram count=%d p50=%v", h.Count(), h.Quantile(0.5))
+	for _, f := range flows {
+		if f.FCT <= 0 || f.FCT != f.LastActivity-f.FirstSend {
+			t.Errorf("flow %d: FCT %v, first send %v, last activity %v", f.Flow, f.FCT, f.FirstSend, f.LastActivity)
+		}
 	}
 }
 

@@ -8,12 +8,14 @@
 // (6 µs store-and-forward "CCS") and Arista7150 (380 ns cut-through
 // "ULL").
 //
-// Observability: a Probe (Network.SetProbe, or Network.Observe for the
-// standard set) sees every enqueue, transmission, delivery, and drop;
-// TraceRecorder keeps a bounded packet trace, and QueueSampler takes
-// periodic queue-depth and utilization samples; the engine's Telemetry
-// and the Delivered and Dropped counters summarize a run. With no probe
-// attached the hooks cost one nil check each.
+// Observability: a Probe, attached with Network.SetProbe (Probes
+// combines several), sees every enqueue, transmission, delivery, and
+// drop; TraceRecorder keeps a bounded packet trace, FlowTracker folds
+// it into per-flow telemetry, and QueueSampler takes periodic
+// queue-depth and utilization samples. Each one's Table is in its own
+// canonical order. The engine's Telemetry and the Delivered and
+// Dropped counters summarize a run. With no probe attached the hooks
+// cost one nil check each.
 package netsim
 
 import (
@@ -540,7 +542,7 @@ func (n *Network) RunUntil(end sim.Time) { n.eng.RunUntil(end) }
 
 // SetProbe attaches a lifecycle observer (nil, the default, detaches
 // it and costs nothing); it replaces any probe attached before. Use
-// Probes to combine several, or Observe for the standard set.
+// Probes to combine several. It is the one attach point.
 func (n *Network) SetProbe(p Probe) { n.probe = p }
 
 // Graph returns the simulated topology.

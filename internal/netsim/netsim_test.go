@@ -199,7 +199,7 @@ func TestHopCount(t *testing.T) {
 
 func TestServerForwardingPaysStackLatency(t *testing.T) {
 	// BCube(2,1): hosts route through intermediate hosts for some pairs.
-	g, err := topology.NewBCube(2, 1, topology.LinkSpec{})
+	g, err := topology.NewBCube(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

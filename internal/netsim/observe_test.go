@@ -20,20 +20,21 @@ func buildMesh(t testing.TB) *topology.Graph {
 	return g
 }
 
-// TestObserve checks the consolidated observability surface: one call
-// attaches the recorders, the accessors hand back their views.
+// TestObserve checks the one attach point: a recorder and a tracker
+// combined with Probes and attached with SetProbe both see the run.
 func TestObserve(t *testing.T) {
 	g := buildMesh(t)
 	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := net.Observe(ObserveOptions{Trace: true, Flows: true})
+	rec, ft := NewTraceRecorder(0), NewFlowTracker()
+	net.SetProbe(Probes(rec, ft))
 	hosts := g.Hosts()
 	net.Unicast(1, hosts[0], hosts[3], 400, 0)
 	net.Unicast(2, hosts[5], hosts[9], 400, 0)
 	net.Engine().Run()
-	flows := obs.Flows().Flows()
+	flows := ft.Flows()
 	if len(flows) != 2 {
 		t.Fatalf("flow table has %d rows, want 2", len(flows))
 	}
@@ -42,21 +43,21 @@ func TestObserve(t *testing.T) {
 			t.Errorf("flow %d delivered %d, want 1", f.Flow, f.PacketsDelivered)
 		}
 	}
-	if ev := obs.Trace().Events(); len(ev) == 0 {
+	if ev := rec.Events(); len(ev) == 0 {
 		t.Fatal("trace is empty")
 	}
 }
 
-// The two digests pin Observer.Trace() CSV and Observer.Flows() CSV
-// bytes for one single-engine run. They were recorded on the commit
-// before the multi-shard execution family (and with it the K-way
-// fan-in inside Observe) was deleted, so the two orderings the merge
-// step used to apply — trace rows by content, flows by (FirstSend,
-// Flow) — are checked across that deletion, not only within one
-// process; on that commit the unsorted recorder and tracker printed
-// different bytes for this run. The run has two link cuts (one repaired) and a switch failure, and flows 9 and 3
-// first send at the same instant in that order, so a flow table that
-// broke the tie by insertion would print 9 before 3. The flow digest
+// The two digests pin the trace CSV and flow table CSV bytes of a bare
+// TraceRecorder and FlowTracker for one single-engine run. They were
+// recorded on the commit before the multi-shard execution family (and
+// with it a K-way fan-in of per-shard recorders) was deleted, so the
+// two orderings the merge step used to apply — trace rows by content,
+// flows by (FirstSend, Flow) — are checked across that deletion, not
+// only within one process. Each table now keeps that order itself. The
+// run has two link cuts (one repaired) and a switch failure, and flows
+// 9 and 3 first send at the same instant in that order, so a flow
+// table that broke the tie by insertion would print 9 before 3. The flow digest
 // was re-recorded when the table lost its retransmits column, which
 // read 0 on every row: the bytes are that commit's with the ninth
 // column cut.
@@ -66,15 +67,17 @@ const (
 )
 
 // goldenObserveRun is the run TestGoldenObserveOutput pins, with
-// onDeliver (nil for none) as the network's delivery hook.
-func goldenObserveRun(t *testing.T, onDeliver func(Delivery)) (*Network, *Observer) {
+// onDeliver (nil for none) as the network's delivery hook, and the
+// trace recorder and flow tracker attached to it.
+func goldenObserveRun(t *testing.T, onDeliver func(Delivery)) (*Network, *TraceRecorder, *FlowTracker) {
 	t.Helper()
 	g := buildMesh(t)
 	net, err := New(Config{Graph: g, Router: routing.NewECMP(g), OnDeliver: onDeliver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := net.Observe(ObserveOptions{Trace: true, Flows: true})
+	rec, ft := NewTraceRecorder(0), NewFlowTracker()
+	net.SetProbe(Probes(rec, ft))
 	hosts := g.Hosts()
 	eng := net.Engine()
 	for i, h := range hosts {
@@ -106,23 +109,23 @@ func goldenObserveRun(t *testing.T, onDeliver func(Delivery)) (*Network, *Observ
 		t.Fatal(err)
 	}
 	net.RunUntil(20 * sim.Millisecond)
-	return net, obs
+	return net, rec, ft
 }
 
 func TestGoldenObserveOutput(t *testing.T) {
-	net, obs := goldenObserveRun(t, nil)
+	net, rec, ft := goldenObserveRun(t, nil)
 	if net.Dropped() == 0 {
 		t.Fatal("the faults dropped nothing; the run does not exercise faults")
 	}
 
 	var traceCSV, flowCSV strings.Builder
-	if err := obs.Trace().Table().WriteCSV(&traceCSV); err != nil {
+	if err := rec.Table().WriteCSV(&traceCSV); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flows().Table().WriteCSV(&flowCSV); err != nil {
+	if err := ft.Table().WriteCSV(&flowCSV); err != nil {
 		t.Fatal(err)
 	}
-	flows := obs.Flows().Flows()
+	flows := ft.Flows()
 	for i, f := range flows {
 		if f.Flow == 3 && (i+1 >= len(flows) || flows[i+1].Flow != 9 || flows[i+1].FirstSend != f.FirstSend) {
 			t.Errorf("flows 3 and 9 tie on FirstSend and must print in that order")
@@ -145,10 +148,10 @@ func TestGoldenObserveOutput(t *testing.T) {
 // how quartzsim's -trace output stands in for a latency histogram.
 func TestTraceCarriesPacketLatency(t *testing.T) {
 	var deliveries []Delivery
-	net, obs := goldenObserveRun(t, func(d Delivery) { deliveries = append(deliveries, d) })
+	net, rec, _ := goldenObserveRun(t, func(d Delivery) { deliveries = append(deliveries, d) })
 	injected := map[uint64]sim.Time{}
 	delivered := map[uint64]sim.Time{}
-	for _, e := range obs.Trace().Events() {
+	for _, e := range rec.Events() {
 		switch {
 		case e.Op == TraceEnqueue && e.Hops == 0:
 			injected[e.Packet] = e.At

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/quartz-dcn/quartz/internal/metrics"
 	"github.com/quartz-dcn/quartz/internal/routing"
@@ -216,14 +217,47 @@ func (t *TraceRecorder) Truncated() uint64 { return t.truncated }
 
 // Table returns the trace as the table "trace", one row per event:
 // at_ps,op,packet,flow,link,from,hops,reason (empty but for drops and
-// fault rows, whose reasons can carry commas and quotes).
+// fault rows, whose reasons can carry commas and quotes). The recorder
+// keeps execution order, which is not time order — a transmit row is
+// written when the frame is dequeued and stamped with the later instant
+// its tail leaves — so the rows are sorted by traceLess.
 func (t *TraceRecorder) Table() table.Table {
-	tb := table.New("trace", len(t.events), "at_ps", "op", "packet", "flow", "link", "from", "hops", "reason")
-	for _, e := range t.events {
+	evs := append([]TraceEvent(nil), t.events...)
+	sort.SliceStable(evs, func(i, j int) bool { return traceLess(evs[i], evs[j]) })
+	tb := table.New("trace", len(evs), "at_ps", "op", "packet", "flow", "link", "from", "hops", "reason")
+	for _, e := range evs {
 		tb.Append(table.Int(e.At), table.String(e.Op.String()), table.Int(e.Packet), table.Int(e.Flow),
 			table.Int(e.Link), table.Int(e.From), table.Int(e.Hops), table.String(e.Reason))
 	}
 	return tb
+}
+
+// traceLess is a total order on trace events by content: timestamp
+// first, then every remaining field. Events that compare equal are
+// byte-identical rows.
+func traceLess(a, b TraceEvent) bool {
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	if a.Op != b.Op {
+		return a.Op < b.Op
+	}
+	if a.Packet != b.Packet {
+		return a.Packet < b.Packet
+	}
+	if a.Flow != b.Flow {
+		return a.Flow < b.Flow
+	}
+	if a.Link != b.Link {
+		return a.Link < b.Link
+	}
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	if a.Hops != b.Hops {
+		return a.Hops < b.Hops
+	}
+	return a.Reason < b.Reason
 }
 
 // QueueSample is one periodic observation of a directed link.

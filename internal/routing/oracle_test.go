@@ -39,8 +39,8 @@ func TestECMPTablesAreShortestPaths(t *testing.T) {
 		must(topology.NewFullMesh(topology.MeshConfig{Switches: 4, HostsPerSwitch: 2, TrunksPerPair: 3})),
 		must(topology.NewTwoTierTree(topology.TreeConfig{ToRs: 4, Roots: 2, HostsPerToR: 3, UplinksPerRoot: 2})),
 		must(topology.NewThreeTierTree(topology.ThreeTierConfig{Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Cores: 2, HostsPerToR: 2})),
-		must(topology.NewBCube(3, 1, topology.LinkSpec{})),
-		must(topology.NewBCube(2, 2, topology.LinkSpec{})),
+		must(topology.NewBCube(3, 1)),
+		must(topology.NewBCube(2, 2)),
 		must(topology.NewJellyfish(topology.JellyfishConfig{Switches: 8, HostsPerSwitch: 2, NetDegree: 3, Rand: rng()})),
 		arch(core.TwoTierTreeArch(p)),
 		arch(core.QuartzRingArch(p)),

@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/experiments"
-	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/table"
 )
 
@@ -87,8 +86,19 @@ func Compile(f *File) (*Compiled, error) {
 
 // ScenarioName is the registry-style identity of a non-passthrough
 // scenario: "scenario/" + the first 12 hex digits of the canonical
-// document hash.
+// document hash. probes.trace_spans only sends spans to a side band,
+// so the hash leaves it out, and an empty probes section is hashed as
+// absent.
 func ScenarioName(d Doc) string {
+	if d.Sim != nil && d.Sim.Probes != nil {
+		s, pr := *d.Sim, *d.Sim.Probes
+		pr.TraceSpans = false
+		s.Probes = &pr
+		if pr == (ProbesSpec{}) {
+			s.Probes = nil
+		}
+		d.Sim = &s
+	}
 	sum := sha256.Sum256(Canonical(d))
 	return "scenario/" + hex.EncodeToString(sum[:6])
 }
@@ -255,11 +265,11 @@ func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (exp
 		return exp.Run(ctx, cellParams.WithDefaults())
 	}
 	// The submission's span recorder is the only side band a cell has.
-	var side netsim.ObserveOptions
+	var sinks Sinks
 	if pr := d.Sim.Probes; pr != nil && pr.TraceSpans {
-		side.Spans = p.Trace
+		sinks.Spans = p.Trace
 	}
-	s, err := NewSim(d.Sim, seed, side)
+	s, err := NewSim(d.Sim, seed, sinks)
 	if err != nil {
 		return experiments.Output{}, err
 	}

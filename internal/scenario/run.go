@@ -6,7 +6,7 @@ package scenario
 // function of the document and the seed — a hard requirement for the
 // result cache, where a cached body must equal what a re-execution
 // would print. Anything wall-clock or file-shaped rides the side band
-// (ObserveOptions) and never reaches the text.
+// (Sinks) and never reaches the text.
 
 import (
 	"context"
@@ -24,6 +24,7 @@ import (
 	"github.com/quartz-dcn/quartz/internal/routing"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
+	"github.com/quartz-dcn/quartz/internal/trace"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
@@ -91,14 +92,36 @@ func faultSchedule(fs *FaultsSpec, g *topology.Graph) (netsim.FaultSchedule, err
 	return sched, nil
 }
 
+// Sinks attach observability beyond what a document asks for. They
+// never change the rendered text.
+type Sinks struct {
+	// Trace records every packet's lifecycle; the caller builds it,
+	// with its bound.
+	Trace *netsim.TraceRecorder
+	// Flows attaches a flow tracker even when the document's
+	// probes.flows does not.
+	Flows bool
+	// Spans receives one virtual-time "flow" span per flow at the end
+	// of Run (it implies Flows). Use a trace.NewFlightRecorder to bound
+	// long runs.
+	Spans *trace.Recorder
+}
+
 // Sim is one packet-level run, built and armed but not yet executed.
-// After Run a caller reads the side-band views (Obs.Trace, Obs.Flows,
-// Obs.Sampler, Net.Engine().Telemetry).
+// After Run a caller reads the side-band views (Trace, Flows, Sampler,
+// Net.Engine().Telemetry); each is nil when the run did not attach it.
 type Sim struct {
 	Arch *core.Architecture
 	Net  *netsim.Network
-	Obs  *netsim.Observer
+	// Trace is Sinks.Trace.
+	Trace *netsim.TraceRecorder
+	// Flows is attached by probes.flows, Sinks.Flows or Sinks.Spans.
+	Flows *netsim.FlowTracker
+	// Sampler is attached by probes.queue_sample_us and ticks to the
+	// end of the run.
+	Sampler *netsim.QueueSampler
 
+	spans   *trace.Recorder
 	spec    *SimSpec
 	harness *traffic.Harness
 	groups  []latencyGroup
@@ -113,13 +136,11 @@ type latencyGroup struct {
 	tag   int
 }
 
-// NewSim builds the architecture, network, observers, fault schedule
-// and workload of spec, which must be normalized and validated (Decode
-// does both). side attaches observability beyond what the document
-// asks for — file sinks, a span recorder — and never changes
-// the rendered text; its SampleEvery and Until are the document's to
-// set and are overwritten.
-func NewSim(spec *SimSpec, seed int64, side netsim.ObserveOptions) (*Sim, error) {
+// NewSim builds the architecture, network, probes, fault schedule and
+// workload of spec, which must be normalized and validated (Decode
+// does both). The document's probes and the caller's sinks attach
+// through one Network.SetProbe.
+func NewSim(spec *SimSpec, seed int64, sinks Sinks) (*Sim, error) {
 	t := spec.Topology
 	d, ok := core.FindDesign(func(d core.Design) bool { return d.Kind == t.Kind && d.Quartz == t.Quartz })
 	if !ok {
@@ -134,7 +155,7 @@ func NewSim(spec *SimSpec, seed int64, side netsim.ObserveOptions) (*Sim, error)
 			return nil, err
 		}
 	}
-	s := &Sim{Arch: arch, spec: spec, harness: traffic.NewHarness()}
+	s := &Sim{Arch: arch, Trace: sinks.Trace, spans: sinks.Spans, spec: spec, harness: traffic.NewHarness()}
 	s.Net, err = netsim.New(netsim.Config{
 		Graph:       arch.Graph,
 		Router:      arch.Router,
@@ -146,17 +167,22 @@ func NewSim(spec *SimSpec, seed int64, side netsim.ObserveOptions) (*Sim, error)
 	}
 	end := msTime(spec.DurationMS)
 
-	// Observability rides the consolidated attach surface.
-	oo := side
-	oo.SampleEvery, oo.Until = 0, end
-	if p := spec.Probes; p != nil {
-		oo.Flows = oo.Flows || p.Flows
-		oo.SampleEvery = sim.Time(p.QueueSampleUS) * sim.Microsecond
+	p := spec.Probes
+	var probes []netsim.Probe
+	if s.Trace != nil {
+		probes = append(probes, s.Trace)
 	}
-	if oo.Spans != nil {
-		oo.Flows = true // flow spans render from the flow table
+	if sinks.Flows || s.spans != nil || (p != nil && p.Flows) {
+		s.Flows = netsim.NewFlowTracker()
+		probes = append(probes, s.Flows)
 	}
-	s.Obs = s.Net.Observe(oo)
+	if p != nil && p.QueueSampleUS > 0 {
+		s.Sampler = netsim.NewQueueSampler(s.Net, sim.Time(p.QueueSampleUS)*sim.Microsecond)
+		s.Sampler.Start(end)
+		// As a probe the sampler keeps exact per-port peak depths.
+		probes = append(probes, s.Sampler)
+	}
+	s.Net.SetProbe(netsim.Probes(probes...))
 
 	if spec.Faults != nil {
 		sched, err := faultSchedule(spec.Faults, arch.Graph)
@@ -298,10 +324,31 @@ func (s *Sim) Run(ctx context.Context) (string, error) {
 	eng.After(watchdogEvery, watchdog)
 
 	s.Net.RunUntil(msTime(s.spec.DurationMS) + 2*sim.Millisecond)
-	// Side-band only: flow spans go to the recorder, never the text.
-	s.Obs.FlowSpans()
+	s.flowSpans()
 	s.render()
 	return s.text.String(), ctx.Err()
+}
+
+// flowSpans renders the flow table onto the span recorder, if any (a
+// side band: never the text): one "flow" span per flow in the "net"
+// category, Track = flow ID, spanning FirstSend→LastActivity on the
+// virtual clock, annotated with sent/delivered/dropped/bytes. Wall
+// fields stay zero, so the Chrome export places them on the virtual
+// timeline.
+func (s *Sim) flowSpans() {
+	if s.spans == nil {
+		return
+	}
+	for _, f := range s.Flows.Flows() {
+		s.spans.Add(trace.Span{
+			Name: "flow", Cat: "net", Track: int(f.Flow),
+			Virt: int64(f.FirstSend), VirtEnd: int64(f.LastActivity),
+		}.
+			Annotate("sent", int64(f.PacketsSent)).
+			Annotate("delivered", int64(f.PacketsDelivered)).
+			Annotate("dropped", int64(f.PacketsDropped)).
+			Annotate("bytes", int64(f.BytesDelivered)))
+	}
 }
 
 // render appends the end-of-run summary to the text.
@@ -323,9 +370,13 @@ func (s *Sim) render() {
 	}
 	if p.Flows {
 		fct := metrics.NewLatencyHistogram()
-		if n := s.Obs.Flows().FCTStats(fct); n > 0 {
+		flows := s.Flows.Flows()
+		for _, f := range flows {
+			fct.Observe(f.FCT.Micros())
+		}
+		if len(flows) > 0 {
 			fmt.Fprintf(b, "flows: %d tracked | FCT p50 %.1fus p99 %.1fus max %.1fus\n",
-				n, fct.Quantile(0.50), fct.Quantile(0.99), fct.Max())
+				len(flows), fct.Quantile(0.50), fct.Quantile(0.99), fct.Max())
 		}
 	}
 	if p.HotPorts > 0 {
@@ -337,7 +388,7 @@ func (s *Sim) render() {
 				100*ps.Utilization(s.Net.Engine().Now()), ps.Drops)
 		}
 	}
-	if sampler := s.Obs.Sampler(); sampler != nil {
+	if sampler := s.Sampler; sampler != nil {
 		type portPeak struct {
 			name string
 			peak int

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -147,7 +148,7 @@ func TestSimRunReturnsPartialTextOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSim(f.Doc.Sim, f.Doc.Seed, netsim.ObserveOptions{})
+	s, err := NewSim(f.Doc.Sim, f.Doc.Seed, Sinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +257,7 @@ func TestSideBandNeverChangesText(t *testing.T) {
 	plain := runOnce(t, c)
 
 	rec := trace.NewRecorder()
-	s, err := NewSim(c.Doc.Sim, c.Doc.Seed, netsim.ObserveOptions{
-		Trace: true, Flows: true, Spans: rec,
-		SampleEvery: sim.Microsecond, Until: sim.Second, // the document's to set: overwritten
-	})
+	s, err := NewSim(c.Doc.Sim, c.Doc.Seed, Sinks{Trace: netsim.NewTraceRecorder(0), Flows: true, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +268,13 @@ func TestSideBandNeverChangesText(t *testing.T) {
 	if text != plain {
 		t.Errorf("side-band observers changed the text:\n--- without\n%s\n--- with\n%s", plain, text)
 	}
-	if n := s.Obs.Trace().Table().Len(); n == 0 {
+	if n := s.Trace.Table().Len(); n == 0 {
 		t.Error("no trace events")
 	}
-	if n := len(s.Obs.Flows().Flows()); n == 0 || rec.Len() != n {
+	if n := len(s.Flows.Flows()); n == 0 || rec.Len() != n {
 		t.Errorf("%d flows, %d spans: want one span per flow", n, rec.Len())
 	}
-	if n := s.Obs.Sampler().Table().Len(); n == 0 || strings.Contains(text, "flows:") {
+	if n := s.Sampler.Table().Len(); n == 0 || strings.Contains(text, "flows:") {
 		t.Errorf("%d samples; flows line present = %v", n, strings.Contains(text, "flows:"))
 	}
 }
@@ -303,7 +301,7 @@ func TestDurationRoundTrip(t *testing.T) {
 // refused by Decode, and by NewSim for a spec that skipped validation.
 func TestBuildArchRejectsUnknownCombo(t *testing.T) {
 	spec := &SimSpec{Topology: TopologySpec{Kind: "tree2", Quartz: "edge"}, DurationMS: 1}
-	if _, err := NewSim(spec, 1, netsim.ObserveOptions{}); err == nil {
+	if _, err := NewSim(spec, 1, Sinks{}); err == nil {
 		t.Error("NewSim built tree2/edge")
 	}
 	if _, err := Decode([]byte(`{"schema": "quartz-scenario/v1", "name": "u", "sim": {"duration_ms": 1,
@@ -334,12 +332,13 @@ func TestRegistryScenarioRuns(t *testing.T) {
 }
 
 func TestSimRunTraceSpans(t *testing.T) {
-	doc := `{"schema": "quartz-scenario/v1", "name": "spans",
-	         "sim": {"duration_ms": 2,
-	                 "topology": {"kind": "tree3", "quartz": "edge"},
-	                 "workload": {"kind": "scatter", "tasks": 2, "fanout": 3, "pps": 2000},
-	                 "probes": {"trace_spans": true}}}`
-	c := compileSim(t, doc)
+	withProbes := func(probes string) string {
+		return `{"schema": "quartz-scenario/v1", "name": "spans",
+		         "sim": {"duration_ms": 2,
+		                 "topology": {"kind": "tree3", "quartz": "edge"},
+		                 "workload": {"kind": "scatter", "tasks": 2, "fanout": 3, "pps": 2000}` + probes + `}}`
+	}
+	c := compileSim(t, withProbes(`, "probes": {"trace_spans": true}`))
 
 	// Without a recorder the probe is inert.
 	plain := runOnce(t, c)
@@ -362,5 +361,64 @@ func TestSimRunTraceSpans(t *testing.T) {
 	}
 	if names["net/flow"] == 0 {
 		t.Errorf("no net/flow spans recorded (got %v)", names)
+	}
+
+	// Spans never reach the text, so the field cannot split the cache:
+	// the document without it (or with it and nothing else in probes)
+	// has the same key. A probe that does change the text still does.
+	if a, b := c.CacheKey(), compileSim(t, withProbes("")).CacheKey(); a != b {
+		t.Errorf("trace_spans splits the cache key: %s with, %s without", a, b)
+	}
+	hot := withProbes(`, "probes": {"trace_spans": true, "hot_ports": 3}`)
+	if a, b := c.CacheKey(), compileSim(t, hot).CacheKey(); a == b {
+		t.Errorf("hot_ports, which changes the text, left the cache key at %s", a)
+	}
+	if !strings.Contains(string(Canonical(c.Doc)), `"trace_spans":true`) {
+		t.Errorf("the canonical document lost trace_spans: %s", Canonical(c.Doc))
+	}
+}
+
+// quartzsim (NewSim with Sinks.Spans) and quartzd (Compile, then Run
+// with Params.Trace) record the same flow spans for one trace_spans
+// document.
+func TestFlowSpansAgreeAcrossFrontEnds(t *testing.T) {
+	c := compileSim(t, `{"schema": "quartz-scenario/v1", "name": "spans", "seed": 3,
+	         "sim": {"duration_ms": 2,
+	                 "topology": {"kind": "ring"},
+	                 "workload": {"kind": "scattergather", "tasks": 2, "fanout": 3},
+	                 "probes": {"trace_spans": true}}}`)
+	cli := trace.NewRecorder()
+	s, err := NewSim(c.Doc.Sim, c.Doc.Seed, Sinks{Spans: cli})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	job := trace.NewRecorder()
+	p := c.Params
+	p.Trace = job
+	if _, err := c.Experiment.Run(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	type flowSpan struct {
+		track         int
+		virt, virtEnd int64
+	}
+	flowSpans := func(rec *trace.Recorder) []flowSpan {
+		var out []flowSpan
+		for _, sp := range rec.Spans() {
+			if sp.Cat == "net" && sp.Name == "flow" {
+				out = append(out, flowSpan{sp.Track, sp.Virt, sp.VirtEnd})
+			}
+		}
+		return out
+	}
+	a, b := flowSpans(cli), flowSpans(job)
+	if len(a) == 0 {
+		t.Fatal("no net/flow spans recorded")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("flow spans differ: quartzsim's path recorded %v, quartzd's %v", a, b)
 	}
 }

@@ -66,10 +66,6 @@ type Config struct {
 	// DefaultTimeout caps a job's run time when the request does not
 	// set one. Default 10 minutes.
 	DefaultTimeout time.Duration
-	// MaxJobs bounds the in-memory job table: when exceeded, the
-	// oldest terminal jobs are forgotten (their results stay in the
-	// cache until evicted). Default 1000.
-	MaxJobs int
 	// Registry receives the service's instruments; a private registry
 	// is created when nil.
 	Registry *metrics.Registry
@@ -89,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Minute
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1000
 	}
 	if c.Lookup == nil {
 		c.Lookup = experiments.Find
@@ -358,12 +351,17 @@ func (s *Service) newJobLocked(exp experiments.Experiment, p experiments.Params,
 	return j
 }
 
+// maxJobs bounds the in-memory job table: when exceeded, the oldest
+// terminal jobs are forgotten (their results stay in the cache until
+// evicted).
+const maxJobs = 1000
+
 // registerLocked records a job in the table, evicting the oldest
-// terminal jobs beyond the retention bound. Caller holds s.mu.
+// terminal jobs beyond maxJobs. Caller holds s.mu.
 func (s *Service) registerLocked(j *Job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	for len(s.order) > s.cfg.MaxJobs {
+	for len(s.order) > maxJobs {
 		evicted := false
 		for i, id := range s.order {
 			if old := s.jobs[id]; old != nil && old.State().Terminal() {

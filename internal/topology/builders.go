@@ -7,15 +7,16 @@ import (
 	"github.com/quartz-dcn/quartz/internal/sim"
 )
 
-// LinkSpec gives the rate and propagation delay for one class of links.
-type LinkSpec struct {
-	Rate sim.Rate
-	Prop sim.Time
-}
-
 // Default propagation delay for intra-datacenter links: 50 m of fiber at
-// ~5 ns/m.
+// ~5 ns/m. Every builder's links carry it.
 const DefaultProp = 250 * sim.Nanosecond
+
+// The builders' link rates: server links (and Jellyfish's and BCube's
+// every link) run at edgeRate, a tree's uplinks at upRate.
+const (
+	edgeRate = 10 * sim.Gbps
+	upRate   = 40 * sim.Gbps
+)
 
 // MeshConfig describes a full mesh of ToR switches — the logical topology
 // of a Quartz ring (§3 of the paper).
@@ -24,10 +25,10 @@ type MeshConfig struct {
 	Switches int
 	// HostsPerSwitch is n, the number of server-facing ports used.
 	HostsPerSwitch int
-	// HostLink and MeshLink give the link classes; zero rates default to
-	// 10 Gb/s.
-	HostLink LinkSpec
-	MeshLink LinkSpec
+	// HostRate and MeshRate are the two link classes' rates; zero
+	// defaults to 10 Gb/s.
+	HostRate sim.Rate
+	MeshRate sim.Rate
 	// TrunksPerPair creates this many parallel links between each switch
 	// pair (default 1). A Quartz switch pair may be allocated several
 	// wavelengths.
@@ -35,17 +36,11 @@ type MeshConfig struct {
 }
 
 func (c *MeshConfig) setDefaults() {
-	if c.HostLink.Rate == 0 {
-		c.HostLink.Rate = 10 * sim.Gbps
+	if c.HostRate == 0 {
+		c.HostRate = edgeRate
 	}
-	if c.MeshLink.Rate == 0 {
-		c.MeshLink.Rate = 10 * sim.Gbps
-	}
-	if c.HostLink.Prop == 0 {
-		c.HostLink.Prop = DefaultProp
-	}
-	if c.MeshLink.Prop == 0 {
-		c.MeshLink.Prop = DefaultProp
+	if c.MeshRate == 0 {
+		c.MeshRate = edgeRate
 	}
 	if c.TrunksPerPair == 0 {
 		c.TrunksPerPair = 1
@@ -68,13 +63,13 @@ func NewFullMesh(cfg MeshConfig) (*Graph, error) {
 		sw[i] = g.AddSwitch("tor", TierToR, i, i)
 		for h := 0; h < cfg.HostsPerSwitch; h++ {
 			host := g.AddHost("h", i, i, h)
-			g.Connect(host, sw[i], cfg.HostLink.Rate, cfg.HostLink.Prop)
+			g.Connect(host, sw[i], cfg.HostRate, DefaultProp)
 		}
 	}
 	for i := 0; i < len(sw); i++ {
 		for j := i + 1; j < len(sw); j++ {
 			for t := 0; t < cfg.TrunksPerPair; t++ {
-				g.Connect(sw[i], sw[j], cfg.MeshLink.Rate, cfg.MeshLink.Prop)
+				g.Connect(sw[i], sw[j], cfg.MeshRate, DefaultProp)
 			}
 		}
 	}
@@ -82,32 +77,19 @@ func NewFullMesh(cfg MeshConfig) (*Graph, error) {
 }
 
 // TreeConfig describes a 2-tier multi-root tree: ToR switches each
-// connected to every root (aggregation) switch.
+// connected to every root (aggregation) switch, hosts at 10 Gb/s and
+// uplinks at 40 Gb/s.
 type TreeConfig struct {
 	ToRs           int
 	Roots          int
 	HostsPerToR    int
 	UplinksPerRoot int // parallel links from each ToR to each root (default 1)
-	HostLink       LinkSpec
-	UpLink         LinkSpec
 }
 
 // NewTwoTierTree builds a 2-tier multi-root tree.
 func NewTwoTierTree(cfg TreeConfig) (*Graph, error) {
 	if cfg.ToRs < 1 || cfg.Roots < 1 {
 		return nil, fmt.Errorf("topology: 2-tier tree needs >=1 ToR and root, got %d/%d", cfg.ToRs, cfg.Roots)
-	}
-	if cfg.HostLink.Rate == 0 {
-		cfg.HostLink.Rate = 10 * sim.Gbps
-	}
-	if cfg.UpLink.Rate == 0 {
-		cfg.UpLink.Rate = 40 * sim.Gbps
-	}
-	if cfg.HostLink.Prop == 0 {
-		cfg.HostLink.Prop = DefaultProp
-	}
-	if cfg.UpLink.Prop == 0 {
-		cfg.UpLink.Prop = DefaultProp
 	}
 	if cfg.UplinksPerRoot == 0 {
 		cfg.UplinksPerRoot = 1
@@ -121,11 +103,11 @@ func NewTwoTierTree(cfg TreeConfig) (*Graph, error) {
 		tor := g.AddSwitch("tor", TierToR, i, i)
 		for h := 0; h < cfg.HostsPerToR; h++ {
 			host := g.AddHost("h", i, i, h)
-			g.Connect(host, tor, cfg.HostLink.Rate, cfg.HostLink.Prop)
+			g.Connect(host, tor, edgeRate, DefaultProp)
 		}
 		for _, r := range roots {
 			for u := 0; u < cfg.UplinksPerRoot; u++ {
-				g.Connect(tor, r, cfg.UpLink.Rate, cfg.UpLink.Prop)
+				g.Connect(tor, r, upRate, DefaultProp)
 			}
 		}
 	}
@@ -134,7 +116,8 @@ func NewTwoTierTree(cfg TreeConfig) (*Graph, error) {
 
 // ThreeTierConfig describes the paper's baseline 3-tier multi-root tree
 // (Figure 15(a)): pods of ToR switches under aggregation switches, with
-// aggregation switches connected to core switches.
+// aggregation switches connected to core switches. Host links run at
+// 10 Gb/s, ToR-to-agg and agg-to-core links at 40 Gb/s.
 type ThreeTierConfig struct {
 	// Pods is the number of aggregation pods.
 	Pods int
@@ -148,30 +131,6 @@ type ThreeTierConfig struct {
 	Cores int
 	// HostsPerToR is the number of servers per rack.
 	HostsPerToR int
-	HostLink    LinkSpec // default 10 Gb/s
-	AggLink     LinkSpec // ToR-to-agg, default 40 Gb/s
-	CoreLink    LinkSpec // agg-to-core, default 40 Gb/s
-}
-
-func (c *ThreeTierConfig) setDefaults() {
-	if c.HostLink.Rate == 0 {
-		c.HostLink.Rate = 10 * sim.Gbps
-	}
-	if c.AggLink.Rate == 0 {
-		c.AggLink.Rate = 40 * sim.Gbps
-	}
-	if c.CoreLink.Rate == 0 {
-		c.CoreLink.Rate = 40 * sim.Gbps
-	}
-	if c.HostLink.Prop == 0 {
-		c.HostLink.Prop = DefaultProp
-	}
-	if c.AggLink.Prop == 0 {
-		c.AggLink.Prop = DefaultProp
-	}
-	if c.CoreLink.Prop == 0 {
-		c.CoreLink.Prop = DefaultProp
-	}
 }
 
 // NewThreeTierTree builds a 3-tier multi-root tree.
@@ -179,7 +138,6 @@ func NewThreeTierTree(cfg ThreeTierConfig) (*Graph, error) {
 	if cfg.Pods < 1 || cfg.ToRsPerPod < 1 || cfg.AggsPerPod < 1 || cfg.Cores < 1 {
 		return nil, fmt.Errorf("topology: invalid 3-tier config %+v", cfg)
 	}
-	cfg.setDefaults()
 	g := New(fmt.Sprintf("three-tier(pods=%d,tors=%d,aggs=%d,cores=%d)",
 		cfg.Pods, cfg.ToRsPerPod, cfg.AggsPerPod, cfg.Cores))
 	cores := make([]NodeID, cfg.Cores)
@@ -192,17 +150,17 @@ func NewThreeTierTree(cfg ThreeTierConfig) (*Graph, error) {
 		for a := range aggs {
 			aggs[a] = g.AddSwitch("agg", TierAgg, -1, p, a)
 			for _, c := range cores {
-				g.Connect(aggs[a], c, cfg.CoreLink.Rate, cfg.CoreLink.Prop)
+				g.Connect(aggs[a], c, upRate, DefaultProp)
 			}
 		}
 		for t := 0; t < cfg.ToRsPerPod; t++ {
 			tor := g.AddSwitch("tor", TierToR, rack, p, t)
 			for h := 0; h < cfg.HostsPerToR; h++ {
 				host := g.AddHost("h", rack, rack, h)
-				g.Connect(host, tor, cfg.HostLink.Rate, cfg.HostLink.Prop)
+				g.Connect(host, tor, edgeRate, DefaultProp)
 			}
 			for _, a := range aggs {
-				g.Connect(tor, a, cfg.AggLink.Rate, cfg.AggLink.Prop)
+				g.Connect(tor, a, upRate, DefaultProp)
 			}
 			rack++
 		}
@@ -214,16 +172,10 @@ func NewThreeTierTree(cfg ThreeTierConfig) (*Graph, error) {
 // precisely, level-k BCube with n-port switches. Hosts have k+1 links;
 // there are n^(k+1) hosts and (k+1)*n^k switches. BCube is
 // server-centric: switches never connect to switches, and multi-hop
-// forwarding goes through hosts.
-func NewBCube(n, k int, link LinkSpec) (*Graph, error) {
+// forwarding goes through hosts. Every link runs at 10 Gb/s.
+func NewBCube(n, k int) (*Graph, error) {
 	if n < 2 || k < 0 {
 		return nil, fmt.Errorf("topology: bcube needs n>=2, k>=0, got n=%d k=%d", n, k)
-	}
-	if link.Rate == 0 {
-		link.Rate = 10 * sim.Gbps
-	}
-	if link.Prop == 0 {
-		link.Prop = DefaultProp
 	}
 	g := New(fmt.Sprintf("bcube(n=%d,k=%d)", n, k))
 	numHosts := 1
@@ -254,7 +206,7 @@ func NewBCube(n, k int, link LinkSpec) (*Graph, error) {
 			high := j / pow
 			for d := 0; d < n; d++ {
 				host := hosts[high*pow*n+d*pow+low]
-				g.Connect(host, sw, link.Rate, link.Prop)
+				g.Connect(host, sw, edgeRate, DefaultProp)
 			}
 		}
 		pow *= n
@@ -263,15 +215,13 @@ func NewBCube(n, k int, link LinkSpec) (*Graph, error) {
 }
 
 // JellyfishConfig describes a Jellyfish random regular graph of ToR
-// switches (Singla et al.).
+// switches (Singla et al.), every link at 10 Gb/s.
 type JellyfishConfig struct {
 	Switches       int
 	HostsPerSwitch int
 	// NetDegree is the number of switch-to-switch ports per switch (r in
 	// the paper).
 	NetDegree int
-	HostLink  LinkSpec
-	NetLink   LinkSpec
 	// Rand seeds the random graph; required.
 	Rand *rand.Rand
 }
@@ -289,25 +239,13 @@ func NewJellyfish(cfg JellyfishConfig) (*Graph, error) {
 	if cfg.Rand == nil {
 		return nil, fmt.Errorf("topology: jellyfish requires a seeded *rand.Rand")
 	}
-	if cfg.HostLink.Rate == 0 {
-		cfg.HostLink.Rate = 10 * sim.Gbps
-	}
-	if cfg.NetLink.Rate == 0 {
-		cfg.NetLink.Rate = 10 * sim.Gbps
-	}
-	if cfg.HostLink.Prop == 0 {
-		cfg.HostLink.Prop = DefaultProp
-	}
-	if cfg.NetLink.Prop == 0 {
-		cfg.NetLink.Prop = DefaultProp
-	}
 	g := New(fmt.Sprintf("jellyfish(sw=%d,r=%d)", cfg.Switches, cfg.NetDegree))
 	sw := make([]NodeID, cfg.Switches)
 	for i := range sw {
 		sw[i] = g.AddSwitch("sw", TierToR, i, i)
 		for h := 0; h < cfg.HostsPerSwitch; h++ {
 			host := g.AddHost("h", i, i, h)
-			g.Connect(host, sw[i], cfg.HostLink.Rate, cfg.HostLink.Prop)
+			g.Connect(host, sw[i], edgeRate, DefaultProp)
 		}
 	}
 	// Random regular graph via pairing with retry. adj tracks
@@ -321,7 +259,7 @@ func NewJellyfish(cfg JellyfishConfig) (*Graph, error) {
 		adj[i] = make(map[int]bool)
 	}
 	connect := func(a, b int) {
-		g.Connect(sw[a], sw[b], cfg.NetLink.Rate, cfg.NetLink.Prop)
+		g.Connect(sw[a], sw[b], edgeRate, DefaultProp)
 		adj[a][b], adj[b][a] = true, true
 		free[a]--
 		free[b]--

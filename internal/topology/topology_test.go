@@ -54,7 +54,7 @@ func TestNodeNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBCube(2, 1, LinkSpec{})
+	b, err := NewBCube(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestThreeTierTree(t *testing.T) {
 
 func TestBCube(t *testing.T) {
 	// BCube(4,1): 16 hosts, 8 switches, each host 2 links.
-	g, err := NewBCube(4, 1, LinkSpec{})
+	g, err := NewBCube(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestBCube(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Error(err)
 	}
-	if _, err := NewBCube(1, 1, LinkSpec{}); err == nil {
+	if _, err := NewBCube(1, 1); err == nil {
 		t.Error("n=1 accepted")
 	}
 }
@@ -422,7 +422,7 @@ func TestPathTreeMatchesShortestPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcube, err := NewBCube(3, 1, LinkSpec{})
+	bcube, err := NewBCube(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestBCubePropertyInvariants(t *testing.T) {
 	f := func(nn, kk uint8) bool {
 		n := int(nn%4) + 2 // 2..5
 		k := int(kk % 3)   // 0..2
-		g, err := NewBCube(n, k, LinkSpec{})
+		g, err := NewBCube(n, k)
 		if err != nil {
 			return false
 		}

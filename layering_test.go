@@ -21,3 +21,18 @@ func TestSimImportsOnlyTheStandardLibrary(t *testing.T) {
 		}
 	}
 }
+
+// The packet simulator knows nothing of execution spans: the scenario
+// runner renders a run's flow spans from the flow table it attached.
+func TestNetsimDoesNotImportTrace(t *testing.T) {
+	for path, f := range parseGo(t, "internal/netsim/*.go") {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "github.com/quartz-dcn/quartz/internal/trace" {
+				t.Errorf("%s imports %s: spans are rendered outside internal/netsim", path, p)
+			}
+		}
+	}
+}
