@@ -205,11 +205,18 @@ type Config struct {
 // anywhere near this long.
 const maxHops = 64
 
+// nodeModel is a node as a hop sees it, so the packet path never asks
+// the graph: a host, or a switch and its model.
+type nodeModel struct {
+	SwitchModel // zero for a host
+	host        bool
+}
+
 // Network simulates packet forwarding on a topology.
 type Network struct {
 	g *topology.Graph
 
-	models []SwitchModel // per node; valid for switches
+	models []nodeModel // per node
 	host   HostModel
 	dirs   []dirLink // 2*link + (0 if A->B else 1)
 
@@ -453,18 +460,18 @@ func New(cfg Config) (*Network, error) {
 		host:   host,
 		eng:    sim.NewEngine(),
 		router: cfg.Router,
-		models: make([]SwitchModel, cfg.Graph.NumNodes()),
+		models: make([]nodeModel, cfg.Graph.NumNodes()),
 		dirs:   make([]dirLink, 2*cfg.Graph.NumLinks()),
 	}
 	for i := range n.models {
 		node := cfg.Graph.Node(topology.NodeID(i))
-		if node.Kind != topology.Switch {
-			continue
-		}
-		if cfg.SwitchModel != nil {
-			n.models[i] = cfg.SwitchModel(node)
-		} else {
-			n.models[i] = Arista7150
+		switch {
+		case node.Kind == topology.Host:
+			n.models[i].host = true
+		case cfg.SwitchModel != nil:
+			n.models[i].SwitchModel = cfg.SwitchModel(node)
+		default:
+			n.models[i].SwitchModel = Arista7150
 		}
 	}
 	n.Reset(cfg.OnDeliver)
@@ -496,11 +503,10 @@ func (n *Network) Reset(onDeliver func(Delivery)) {
 	for i := 0; i < n.g.NumLinks(); i++ {
 		l := n.g.Link(topology.LinkID(i))
 		for d, from := range [2]topology.NodeID{l.A, l.B} {
-			dl := dirLink{rate: l.Rate, prop: l.Prop, capBytes: n.bufferOf(from), peer: l.Other(from)}
-			if n.g.Node(from).Kind == topology.Switch {
-				dl.service = n.models[from].ServiceTime
+			n.dirs[2*i+d] = dirLink{
+				rate: l.Rate, prop: l.Prop, capBytes: n.bufferOf(from), peer: l.Other(from),
+				service: n.models[from].ServiceTime,
 			}
-			n.dirs[2*i+d] = dl
 		}
 	}
 	for _, slab := range n.slabs {
@@ -520,7 +526,7 @@ func (n *Network) Recyclable() bool {
 }
 
 func (n *Network) bufferOf(node topology.NodeID) int {
-	if n.g.Node(node).Kind == topology.Host {
+	if n.models[node].host {
 		return n.host.BufferBytes
 	}
 	return n.models[node].BufferBytes
@@ -568,7 +574,7 @@ func (n *Network) Send(pkt Packet) uint64 {
 	if pkt.Size <= 0 {
 		panic(fmt.Sprintf("netsim: packet size %d", pkt.Size))
 	}
-	if n.g.Node(pkt.Src).Kind != topology.Host {
+	if !n.models[pkt.Src].host {
 		panic(fmt.Sprintf("netsim: source %d is not a host", pkt.Src))
 	}
 	ev := n.newEvent()
@@ -716,13 +722,13 @@ func (n *Network) arrive(ev *netEvent) {
 		n.eng.AfterAction(n.host.NICLatency, ev, 0, 0)
 		return
 	}
-	if n.g.Node(node).Kind == topology.Host {
+	m := &n.models[node]
+	if m.host {
 		// Server-side forwarding (BCube-style): pay the OS stack.
 		ev.kind = evForward
 		n.eng.AfterAction(n.host.ForwardLatency, ev, 0, 0)
 		return
 	}
-	m := &n.models[node]
 	ready := n.eng.Now() + m.Latency
 	if m.CutThrough {
 		// The head arrived ev.ser ago and may leave m.Latency later. The

@@ -342,7 +342,13 @@ func (e *ECMP) NextPort(n topology.NodeID, pkt PacketMeta) (topology.Port, error
 	if e.perPacket {
 		key ^= pkt.Seq * 0x9E3779B97F4A7C15
 	}
-	return choices[pickHash(key, n)%uint64(len(choices))], nil
+	h, m := pickHash(key, n), uint64(len(choices))
+	if m&(m-1) == 0 {
+		// Most multi-way choices are among 2 or 4: a mask, not a divide,
+		// and the same index.
+		return choices[h&(m-1)], nil
+	}
+	return choices[h%m], nil
 }
 
 // VLB implements Valiant load balancing on a full mesh of ToR switches

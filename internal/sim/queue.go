@@ -134,18 +134,15 @@ func (q *eventHeap) siftDown(k key) {
 		}
 		least := first
 		if first+heapArity <= n {
-			// A full node: two independent comparisons, then one.
+			// A full node: two independent comparisons, then one, each
+			// taken as a 0/1 value and the winner chosen by a mask, so
+			// which child is least — a coin flip on random event times —
+			// is never a branch to mispredict.
 			c := h[first : first+heapArity : first+heapArity]
-			a, b := 0, 2
-			if c[1].before(c[0]) {
-				a = 1
-			}
-			if c[3].before(c[2]) {
-				b = 3
-			}
-			if c[b].before(c[a]) {
-				a = b
-			}
+			a := b2i(c[1].before(c[0]))
+			b := 2 + b2i(c[3].before(c[2]))
+			m := -b2i(c[b&3].before(c[a&3]))
+			a ^= (a ^ b) & m
 			least = first + a
 		} else {
 			for c := first + 1; c < n; c++ {
@@ -161,4 +158,14 @@ func (q *eventHeap) siftDown(k key) {
 		i = least
 	}
 	h[i] = k
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a SETcc, not
+// a jump.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }

@@ -26,7 +26,7 @@ func arcLinks(m, s, t int, dir Direction, fn func(link int)) {
 
 // refGreedy and refExpandPlan are Greedy and ExpandPlan as they stood
 // before first-fit moved onto link bitsets: a [][]bool occupancy table,
-// and each channel tested link by link through a closure. They live only
+// and each channel tested link by link. They live only
 // in this test file (no production switch selects them) and the tests
 // below demand plans equal under reflect.DeepEqual, not merely valid.
 
@@ -67,12 +67,18 @@ func refGreedy(m int, rng *rand.Rand) *Plan {
 		dir := dirs[p.idx]
 		ch := -1
 		for c := 0; c < len(usage); c++ {
+			// arcLinks' walk, stopping at the first occupied link.
 			free := true
-			arcLinks(m, pr[0], pr[1], dir, func(link int) {
-				if usage[c][link] {
-					free = false
+			for i := pr[0]; free && i != pr[1]; {
+				link := i
+				if dir == Clockwise {
+					i = (i + 1) % m
+				} else {
+					i = (i - 1 + m) % m
+					link = i
 				}
-			})
+				free = !usage[c][link]
+			}
 			if free {
 				ch = c
 				break

@@ -6,7 +6,9 @@
 # them alternately — base first in even pairs, change first in odd
 # ones — with a fresh seed per pair and the run length BENCHMARK.json
 # fixes. Prints, per end-to-end metric, each side's median and
-# quartiles and how many pairs the change won, and whether the two
+# quartiles, how many pairs the change won, the median of the per-pair
+# ratios change/base with its sign-test interval (at least 90 %
+# coverage; "resolved" only when it excludes 1), and whether the two
 # sides' outputs_digest matched in every pair.
 #
 #   scripts/bench_pair.sh <base-rev> <workload> [pairs=10] [change-rev=HEAD]
@@ -83,6 +85,27 @@ quartiles() {
     END { printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
 }
 
+# ratio_interval: the median of the per-pair ratios on stdin and its
+# sign-test interval, the order statistics r(k) and r(n+1-k) for the
+# largest k whose Binomial(n, 1/2) coverage, P(k <= B <= n-k), is at
+# least 90 %. The ratios differ from 1 only if the interval excludes it.
+ratio_interval() {
+  sort -g | awk '{r[NR] = $1}
+    END {
+      n = NR
+      if (n == 0) exit
+      med = n % 2 ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
+      # cdf[i] = P(B <= i) for B ~ Binomial(n, 1/2).
+      p = 0.5 ^ n; c = p; cdf[0] = c
+      for (i = 1; i <= n; i++) { p = p * (n - i + 1) / i; c += p; cdf[i] = c }
+      k = 0
+      for (j = 1; 2 * j <= n; j++) if (1 - 2 * cdf[j - 1] >= 0.90) k = j
+      if (k == 0) { printf "ratio median %.4f; %d pairs are too few for a 90 %% interval\n", med, n; exit }
+      lo = r[k]; hi = r[n + 1 - k]
+      printf "ratio median %.4f, interval [%.4f, %.4f] (r(%d), r(%d), coverage %.1f %%)%s\n", med, lo, hi, k, n + 1 - k, 100 * (1 - 2 * cdf[k - 1]), (hi < 1 || lo > 1) ? ", resolved" : ", not resolved"
+    }'
+}
+
 echo
 printf '%-20s %-34s %-34s %s\n' "metric (lower wins)" "base q1 / median / q3" "change q1 / median / q3" "change wins"
 for m in $metrics; do
@@ -103,6 +126,10 @@ for m in $metrics; do
     if (n >= 10 && 10 * w >= 9 * n && b - c > q3 - q1) s = s ", a gain by the section-8 rule"
     print s }')
   printf '%-20s %-34s %-34s %d of %d (%d ties)  %s\n' "$m" "$b1 / $b2 / $b3" "$c1 / $c2 / $c3" "$wins" "$pairs" "$ties" "$verdict"
+  interval=$(for ((i = 0; i < pairs; i++)); do
+    awk -v b="$(value base "$i" "$m")" -v c="$(value change "$i" "$m")" 'BEGIN {if (b != 0) printf "%.9g\n", c / b}'
+  done | ratio_interval)
+  [ -n "$interval" ] && printf '%-20s %s\n' "" "$interval"
 done
 echo "outputs_digest matched in every pair: $digests_match"
 [ "$digests_match" = yes ]
