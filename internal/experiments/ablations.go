@@ -66,8 +66,9 @@ func meshScatterLatency(m, hostsPer int, model netsim.SwitchModel, seed int64, s
 	if err := t.Start(end); err != nil {
 		return AblationRow{}, err
 	}
-	net.Engine().RunUntil(end + sim.Millisecond)
-	sh.ran(net)
+	if err := sh.run(net, end+sim.Millisecond); err != nil {
+		return AblationRow{}, err
+	}
 	s := h.Latency(1)
 	return AblationRow{Latency: s.Mean(), CI: s.CI95(), Drops: net.Dropped()}, nil
 }

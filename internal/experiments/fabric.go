@@ -8,6 +8,7 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/netsim"
+	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/trace"
 	"github.com/quartz-dcn/quartz/internal/traffic"
@@ -64,9 +65,17 @@ func (s Shared) Context() context.Context { return s.ctx }
 // AddEvents adds n simulator events to the cell's count.
 func (s Shared) AddEvents(n uint64) { *s.events += n }
 
-// ran adds what net's engine processed to the cell's event count; a
-// cell calls it once per network, after that network has run.
-func (s Shared) ran(net *netsim.Network) { s.AddEvents(net.Engine().Processed()) }
+// run runs net to end (sim.MaxTime: until nothing is pending) or until
+// the cell's context ends, adds the events it processed to the cell's
+// count and returns the context's error, which the cell returns.
+func (s Shared) run(net *netsim.Network, end sim.Time) error {
+	eng := net.Engine()
+	eng.StopOn(s.ctx.Done())
+	before := eng.Processed()
+	eng.RunUntil(end)
+	s.AddEvents(eng.Processed() - before)
+	return s.ctx.Err()
+}
 
 // network hands the cell a network on arch with onDeliver as its
 // delivery hook: a released one, reset, if the run has one for arch,

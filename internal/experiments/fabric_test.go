@@ -8,6 +8,7 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/netsim"
+	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/trace"
 	"github.com/quartz-dcn/quartz/internal/traffic"
 )
@@ -247,7 +248,7 @@ func TestConcurrentCellsShareNetworks(t *testing.T) {
 	)
 	rendezvous := [2]func(){func() { meet <- struct{}{} }, func() { <-meet }}
 	cell := func(worker, round int) {
-		sh := Shared{fabrics: &run, events: &events[worker]}
+		sh := Shared{ctx: context.Background(), fabrics: &run, events: &events[worker]}
 		arch := archs[round%2]
 		h := traffic.NewHarness()
 		net, err := sh.network(arch, h.Deliver)
@@ -267,8 +268,9 @@ func TestConcurrentCellsShareNetworks(t *testing.T) {
 		for i := 0; i <= round%4; i++ {
 			net.Unicast(1, src[worker], dst[i], 1500, 1)
 		}
-		net.Run()
-		sh.ran(net)
+		if err := sh.run(net, sim.MaxTime); err != nil {
+			t.Error(err)
+		}
 		if got := h.Latency(1).N(); got != int64(round%4+1) {
 			t.Errorf("worker %d round %d: %d deliveries, want %d", worker, round, got, round%4+1)
 		}

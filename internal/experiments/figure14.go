@@ -138,9 +138,10 @@ func runRPC(name string, quartz bool, rpcs int, sh Shared, cross func(tb testbed
 		return 0, 0, err
 	}
 	eng := tb.net.Engine()
-	defer sh.ran(tb.net)
 	for rpc.RTT.N() < int64(rpcs) && eng.Pending() > 0 {
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
+		if err := sh.run(tb.net, eng.Now()+10*sim.Millisecond); err != nil {
+			return 0, 0, err
+		}
 		if eng.Now() > testbedLimit {
 			return 0, 0, fmt.Errorf("%s: RPCs starved (completed %d/%d)", name, rpc.RTT.N(), rpcs)
 		}

@@ -175,8 +175,9 @@ func runTasks(arch *core.Architecture, kind TaskKind, n int, local bool, params 
 			return 0, 0, err
 		}
 	}
-	net.Engine().RunUntil(end + 2*sim.Millisecond)
-	sh.ran(net)
+	if err := sh.run(net, end+2*sim.Millisecond); err != nil {
+		return 0, 0, err
+	}
 
 	// Aggregate: mean per-packet latency over the measured tasks. For
 	// scatter/gather the round trip is request mean + reply mean.

@@ -145,8 +145,9 @@ func runFig20(arch *core.Architecture, aggregate sim.Rate, seed int64, sh Shared
 	if err := task.Start(warm + measure); err != nil {
 		return fig20Value{}, err
 	}
-	net.Engine().Run()
-	sh.ran(net)
+	if err := sh.run(net, sim.MaxTime); err != nil {
+		return fig20Value{}, err
+	}
 	lat := h.Latency(1)
 	if lat.N() == 0 {
 		return fig20Value{}, fmt.Errorf("figure20: nothing delivered")

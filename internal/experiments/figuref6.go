@@ -150,8 +150,9 @@ func runFigureF6(seed int64, sh Shared) (FigureF6Result, error) {
 	if err := task.Start(figF6Duration); err != nil {
 		return FigureF6Result{}, err
 	}
-	net.Engine().RunUntil(figF6Duration + 2*sim.Millisecond)
-	sh.ran(net)
+	if err := sh.run(net, figF6Duration+2*sim.Millisecond); err != nil {
+		return FigureF6Result{}, err
+	}
 
 	for i := range res.Windows {
 		w := &res.Windows[i]

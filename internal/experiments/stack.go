@@ -96,8 +96,9 @@ var stackGrid = Grid[stackStep, float64, []StackRow]{
 		if err := rpc.Start(); err != nil {
 			return 0, err
 		}
-		net.Engine().Run()
-		sh.ran(net)
+		if err := sh.run(net, sim.MaxTime); err != nil {
+			return 0, err
+		}
 		return rpc.RTT.Mean(), nil
 	},
 	Merge: func(_ Params, steps []stackStep, rtts []float64) ([]StackRow, error) {

@@ -41,7 +41,7 @@ type Grid[C, V, R any] struct {
 	Cells func(p Params) []C
 	// Run executes one cell; sh hands it the pool's context and the
 	// run's shared architectures and generators, and counts its events
-	// (sh.ran, sh.AddEvents).
+	// (sh.run, sh.AddEvents).
 	Run func(p Params, c C, sh Shared) (V, error)
 	// Merge assembles the experiment's typed rows from the whole grid's
 	// values; vals[i] belongs to cells[i].

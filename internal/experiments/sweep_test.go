@@ -236,3 +236,38 @@ func (g Grid[C, V, R]) Local(ctx context.Context, p Params) (rows R, err error) 
 	}
 	return g.merge(p, []CellBlock{block})
 }
+
+// TestPacketCellStopsOnCancel: a packet cell whose context is done
+// returns the context's error, not a row read off a stopped run, and
+// adds at most stopPoll (sim's poll interval) events to its count. The
+// cells are called directly: forEachCell would not hand out a cell
+// under a done context at all.
+func TestPacketCellStopsOnCancel(t *testing.T) {
+	const stopPoll = 1 << 12
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := DefaultParams()
+	for _, tc := range []struct {
+		name string
+		run  func(Shared) error
+	}{
+		{"fig17", func(sh Shared) error {
+			g := figure17.grid()
+			_, err := g.Run(p, g.Cells(p)[0], sh)
+			return err
+		}},
+		{"table8", func(sh Shared) error {
+			_, err := table8Grid.Run(p, table8Grid.Cells(p)[0], sh)
+			return err
+		}},
+	} {
+		var events uint64
+		err := tc.run(Shared{ctx: ctx, fabrics: new(fabrics), events: &events})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if events > stopPoll {
+			t.Errorf("%s: a cancelled cell added %d events, want at most %d", tc.name, events, stopPoll)
+		}
+	}
+}

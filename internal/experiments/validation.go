@@ -160,8 +160,9 @@ func runQueueValidation(exponential bool, rho float64, packets int, seed int64, 
 		exponential: exponential, meanGapPs: meanGapPs, remaining: packets,
 	}
 	eng.AfterAction(sim.Time(rng.ExpFloat64()*meanGapPs), inj, 0, 0)
-	eng.Run()
-	sh.ran(net)
+	if err := sh.run(net, sim.MaxTime); err != nil {
+		return ValidationRow{}, err
+	}
 	if delivered != packets {
 		return ValidationRow{}, fmt.Errorf("validation: delivered %d/%d", delivered, packets)
 	}

@@ -18,14 +18,26 @@ import (
 // must equal the reference in which every completion is an event.
 
 // eagerCompletions is that reference, built without a switch in the
-// production path: attached as the engine's event probe, it arms every
-// elided completion under its reserved order number right after the
-// event that elided it, which is precisely the schedule the forward
-// path produced before completions were elided. Single-engine networks
-// only.
+// production path: a Probe that, each time a transmitter dequeues a
+// frame, schedules rearm at the present instant. rearm arms every
+// elided completion under its reserved order number, which is precisely
+// the schedule the forward path produced before completions were
+// elided. The Probe contract forbids calling back into the engine; this
+// one may, because what it schedules changes no other event's (at,
+// seq) order: rearm takes its number before transmitNext reserves the
+// completion's, so it always runs before that completion's turn, and a
+// port read in between settles by Passed exactly as an armed completion
+// would decide it.
 type eagerCompletions struct{ n *Network }
 
-func (e eagerCompletions) Event(sim.Time, int) {
+func (e eagerCompletions) PacketEnqueued(QueueEvent) {}
+func (e eagerCompletions) PacketTransmitted(QueueEvent) {
+	e.n.eng.Schedule(e.n.eng.Now(), e.rearm)
+}
+func (e eagerCompletions) PacketDelivered(Delivery) {}
+func (e eagerCompletions) PacketDropped(Drop)       {}
+
+func (e eagerCompletions) rearm() {
 	n := e.n
 	for di := range n.dirs {
 		if dl := &n.dirs[di]; dl.lazy {
@@ -78,12 +90,13 @@ func observe(t *testing.T, g *topology.Graph, model SwitchModel, eager bool, int
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eager {
-		net.Engine().SetProbe(eagerCompletions{net})
-	}
 	life := &lifeLog{}
 	sampler := NewQueueSampler(net, interval)
-	net.SetProbe(Probes(life, sampler))
+	probes := []Probe{life, sampler}
+	if eager {
+		probes = append(probes, eagerCompletions{net})
+	}
+	net.SetProbe(Probes(probes...))
 	sampler.Start(end)
 	drive(net)
 	net.RunUntil(end)
@@ -129,9 +142,9 @@ func diffObserved(t *testing.T, label string, lazy, eager runObserved) {
 	}
 }
 
-// fanIn builds two senders behind one switch: a, b — s0 — s1 — dst.
-// Frames from a and b meet at the s0->s1 port.
-func fanIn(t *testing.T) (g *topology.Graph, a, b, dst topology.NodeID, port PortRef) {
+// fanIn builds three senders behind one switch: a, b, c — s0 — s1 —
+// dst. Frames from a, b and c meet at the s0->s1 port.
+func fanIn(t *testing.T) (g *topology.Graph, a, b, c, dst topology.NodeID, port PortRef) {
 	t.Helper()
 	g = topology.New("fan-in")
 	s0 := g.AddSwitch("s0", topology.TierToR, 0)
@@ -143,7 +156,9 @@ func fanIn(t *testing.T) (g *topology.Graph, a, b, dst topology.NodeID, port Por
 	g.Connect(b, s0, 10*sim.Gbps, topology.DefaultProp)
 	l := g.Connect(s0, s1, 10*sim.Gbps, topology.DefaultProp)
 	g.Connect(s1, dst, 10*sim.Gbps, topology.DefaultProp)
-	return g, a, b, dst, PortRef{Link: l, From: s0}
+	c = g.AddHost("c", 0)
+	g.Connect(c, s0, 10*sim.Gbps, topology.DefaultProp)
+	return g, a, b, c, dst, PortRef{Link: l, From: s0}
 }
 
 // TestCompletionTieMatchesEagerReference constructs an exact
@@ -156,7 +171,11 @@ func fanIn(t *testing.T) (g *topology.Graph, a, b, dst topology.NodeID, port Por
 //     still holding A, and queues behind it (its depth counts A; dropped when
 //     the buffer cannot hold both);
 //   - "completion first": B is a short frame sent late, so A's
-//     completion holds the lower order number — B finds the port idle.
+//     completion holds the lower order number — B finds the port idle;
+//   - "completion first, re-armed": as the last, but a third frame C
+//     joins the port while A is still on the wire and after B's arrival
+//     was scheduled, so forward arms A's elided completion. It must keep
+//     the number it reserved: B then finds C transmitting, not A.
 //
 // A sampler tick is placed on the same picosecond. Everything observed
 // must equal the eager reference.
@@ -166,7 +185,7 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 		sendA = 10 * sim.Microsecond
 		end   = 100 * sim.Microsecond
 	)
-	g, a, b, dst, port := fanIn(t)
+	g, a, b, c, dst, port := fanIn(t)
 
 	// Pilot: A alone, to read off the instant its tail leaves s0.
 	var doneA sim.Time
@@ -196,19 +215,24 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 		name   string
 		sizeB  int
 		buffer int
+		// sizeC, when not zero, is the size of frame C (flow 3), whose
+		// tail reaches s0 100 ns before the tie.
+		sizeC int
 		// want is the prefix of the one line B (flow 2) must log at the
 		// tied instant: how it joined the s0->s1 port, or that it could
 		// not.
 		want string
 	}{
-		{"arrival first", 1500, 1 << 20,
+		{"arrival first", 1500, 1 << 20, 0,
 			at("enq flow=2 port=%d/%d depth=%d ", port.Link, port.From, sizeA+1500)},
-		{"arrival first, tight buffer", 1500, sizeA + 1500 - 1,
+		{"arrival first, tight buffer", 1500, sizeA + 1500 - 1, 0,
 			at("drop flow=2 queue full on link %d", port.Link)},
-		{"completion first", 64, 1 << 20,
+		{"completion first", 64, 1 << 20, 0,
 			at("enq flow=2 port=%d/%d depth=64 ", port.Link, port.From)},
-		{"completion first, tight buffer", 64, sizeA + 64 - 1,
+		{"completion first, tight buffer", 64, sizeA + 64 - 1, 0,
 			at("enq flow=2 port=%d/%d depth=64 ", port.Link, port.From)},
+		{"completion first, re-armed", 64, 1 << 20, 64,
+			at("enq flow=2 port=%d/%d depth=128 ", port.Link, port.From)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := Arista7150
@@ -222,6 +246,10 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 			drive := func(net *Network) {
 				net.Engine().Schedule(sendA, func() { net.Unicast(1, a, dst, sizeA, 0) })
 				net.Engine().Schedule(sendB, func() { net.Unicast(2, b, dst, tc.sizeB, 0) })
+				if tc.sizeC != 0 {
+					sendC := doneA - 100*sim.Nanosecond - DefaultHost.NICLatency - (10 * sim.Gbps).Serialize(tc.sizeC) - topology.DefaultProp
+					net.Engine().Schedule(sendC, func() { net.Unicast(3, c, dst, tc.sizeC, 0) })
+				}
 			}
 			// Sampler interval = doneA: its first tick is a third event
 			// on the tied picosecond.

@@ -306,23 +306,12 @@ func (s *Sim) startWorkload(rng *rand.Rand, end sim.Time) error {
 
 // Run drives the event loop to the end of the run (duration plus a
 // 2 ms drain) and renders the deterministic summary. A cancelled ctx
-// stops the loop at the next watchdog tick — a quartzd timeout, Ctrl-C
-// in quartzsim — and Run then returns the text of the simulated
-// portion together with ctx.Err(): a job discards it, the CLI prints
-// it and still writes its sinks.
+// stops the loop within a fixed number of events (sim.Engine.StopOn) —
+// a quartzd timeout, Ctrl-C in quartzsim — and Run then returns the
+// text of the simulated portion together with ctx.Err(): a job discards
+// it, the CLI prints it and still writes its sinks.
 func (s *Sim) Run(ctx context.Context) (string, error) {
-	eng := s.Net.Engine()
-	const watchdogEvery = 100 * sim.Microsecond
-	var watchdog func()
-	watchdog = func() {
-		if ctx.Err() != nil {
-			eng.Stop()
-			return
-		}
-		eng.After(watchdogEvery, watchdog)
-	}
-	eng.After(watchdogEvery, watchdog)
-
+	s.Net.Engine().StopOn(ctx.Done())
 	s.Net.RunUntil(msTime(s.spec.DurationMS) + 2*sim.Millisecond)
 	s.flowSpans()
 	s.render()

@@ -114,26 +114,40 @@ func TestSimRunCancellation(t *testing.T) {
 	}
 }
 
+// stopPoll is sim's poll interval: a run whose done channel closes
+// processes at most this many more events.
+const stopPoll = 1 << 12
+
 // Cancelling a run mid-cell stops the simulation, not only the dispatch
-// of cells: the run's watchdog reads the context the cell was handed, so
-// a cancelled or timed-out job stops within a tick of wall time. The
-// document takes about four seconds to run whole on one core.
+// of cells: the engine polls the context the cell was handed, so a
+// cancelled or timed-out job stops within stopPoll events, however
+// much of the document is left (here almost all of a second at 40 000
+// pps per stream, a few seconds of wall time on one core).
 func TestSimRunCancelledMidCell(t *testing.T) {
-	doc := `{"schema": "quartz-scenario/v1", "name": "cancel",
+	f, err := Decode([]byte(`{"schema": "quartz-scenario/v1", "name": "cancel",
 	         "sim": {"duration_ms": 1000,
 	                 "topology": {"kind": "tree3"},
-	                 "workload": {"kind": "scatter", "tasks": 8, "pps": 40000}}}`
-	c := compileSim(t, doc)
+	                 "workload": {"kind": "scatter", "tasks": 8, "pps": 40000}}}`), "t.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSim(f.Doc.Sim, f.Doc.Seed, Sinks{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	start := time.Now()
-	time.AfterFunc(100*time.Millisecond, cancel)
-	_, err := c.Experiment.Run(ctx, c.Params)
-	if !errors.Is(err, context.Canceled) {
+	eng := s.Net.Engine()
+	var seen uint64
+	eng.Schedule(sim.Millisecond, func() {
+		cancel()
+		seen = eng.Processed()
+	})
+	if _, err := s.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if d := time.Since(start); d > 1100*time.Millisecond {
-		t.Errorf("cancelled 100 ms in, the run returned after %v", d)
+	if after := eng.Processed() - seen; seen == 0 || after > stopPoll {
+		t.Errorf("cancelled in event %d, the run processed %d more; want at most %d", seen, after, stopPoll)
 	}
 }
 

@@ -17,14 +17,6 @@ type Action interface {
 	Run(a, b int64)
 }
 
-// EventProbe observes the engine's event loop. Event is called after
-// every processed event with the virtual time it ran at and the number
-// of events still pending. With no probe attached the loop pays a
-// single nil check per event.
-type EventProbe interface {
-	Event(at Time, pending int)
-}
-
 // Telemetry summarizes a run: how much work the engine did and how fast
 // the wall clock saw it go.
 type Telemetry struct {
@@ -57,12 +49,12 @@ type Engine struct {
 	stopped bool
 	ran     uint64
 	wall    time.Duration
-	probe   EventProbe
+	done    <-chan struct{}
 
 	// passAt/passSeq are the run frontier Passed compares against: every
 	// event that sorts before (passAt, passSeq) has had its turn. The run
-	// loop moves it to each event it pops, a RunUntil that ends without
-	// Stop moves it past everything scheduled so far for <= end.
+	// loop moves it to each event it pops, a RunUntil that is not stopped
+	// moves it past everything scheduled so far for <= end.
 	passAt  Time
 	passSeq uint64
 }
@@ -73,7 +65,7 @@ func NewEngine() *Engine {
 }
 
 // Reset returns e to the state NewEngine builds — clock at zero,
-// nothing pending, no probe, no counts — but keeps the queue's arrays,
+// nothing pending, no counts, no StopOn — but keeps the queue's arrays,
 // so a run no longer than the last one on this engine schedules without
 // growing them. Events still pending are discarded unrun.
 func (e *Engine) Reset() {
@@ -91,8 +83,13 @@ func (e *Engine) Processed() uint64 { return e.ran }
 // Pending reports how many events are waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.size() }
 
-// SetProbe attaches an event-loop observer (nil detaches it).
-func (e *Engine) SetProbe(p EventProbe) { e.probe = p }
+// stopPoll is how many events run between two looks at StopOn's channel.
+const stopPoll = 1 << 12
+
+// StopOn stops every later run within stopPoll events of done closing,
+// before its first event if done is already closed (see RunUntil). A nil
+// done, the default, never stops a run and costs one nil test per event.
+func (e *Engine) StopOn(done <-chan struct{}) { e.done = done }
 
 // Telemetry reports the run so far: events processed, the queue's
 // high-water mark, and wall-clock time spent in Run/RunUntil.
@@ -158,7 +155,7 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, act Action, a, b int64) {
 // compares (at, seq) against the running event's own place, so a tie on
 // the instant is decided by schedule order, as the queue would decide
 // it. Between runs, everything scheduled before a RunUntil(end) that
-// was not stopped returned has passed if its instant is <= end.
+// returned unstopped has passed if its instant is <= end.
 func (e *Engine) Passed(at Time, seq uint64) bool {
 	return at < e.passAt || (at == e.passAt && seq < e.passSeq)
 }
@@ -180,17 +177,17 @@ func (e *Engine) AfterAction(delay Time, act Action, a, b int64) {
 	e.ScheduleAction(e.now+delay, act, a, b)
 }
 
-// Stop halts the run loop after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
+// stop halts the run loop after the current event returns.
+func (e *Engine) stop() { e.stopped = true }
 
-// Run processes events until the queue is empty or Stop is called.
+// Run processes events until the queue is empty or the run is stopped.
 func (e *Engine) Run() {
 	e.RunUntil(MaxTime)
 }
 
 // RunUntil processes events with timestamps <= end, then advances the
 // clock to end (if it is later than the last event). Events scheduled at
-// exactly end are processed. A run cut short by Stop leaves the clock at
+// exactly end are processed. A run stopped by StopOn leaves the clock at
 // the last event it processed: events at or before end may still be
 // pending, and a resumed run must not see time move backwards.
 func (e *Engine) RunUntil(end Time) {
@@ -202,6 +199,13 @@ func (e *Engine) RunUntil(end Time) {
 			// or panicked into a recover): it has had its turn.
 			e.queue.fill()
 		}
+		if e.done != nil && e.ran%stopPoll == 0 {
+			select {
+			case <-e.done:
+				e.stop()
+			default:
+			}
+		}
 		if e.stopped || e.queue.size() == 0 || e.queue.peekAt() > end {
 			break
 		}
@@ -210,9 +214,6 @@ func (e *Engine) RunUntil(end Time) {
 		e.passAt, e.passSeq = k.at, k.seq
 		e.ran++
 		ev.act.Run(ev.a, ev.b)
-		if e.probe != nil {
-			e.probe.Event(e.now, e.queue.size())
-		}
 	}
 	e.wall += time.Since(start)
 	if !e.stopped {

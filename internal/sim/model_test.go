@@ -24,7 +24,7 @@ type engineAPI interface {
 	ReserveSeq() uint64
 	ScheduleReserved(at Time, seq uint64, act Action, a, b int64)
 	Passed(at Time, seq uint64) bool
-	Stop()
+	stop()
 	RunUntil(end Time)
 }
 
@@ -56,7 +56,7 @@ type refEngine struct {
 
 func (m *refEngine) Now() Time    { return m.now }
 func (m *refEngine) Pending() int { return len(m.pending) }
-func (m *refEngine) Stop()        { m.stopped = true }
+func (m *refEngine) stop()        { m.stopped = true }
 
 // Telemetry models the two fields that do not depend on the wall clock.
 func (m *refEngine) Telemetry() Telemetry {
@@ -179,7 +179,7 @@ func (p *program) Run(id, behaviour int64) {
 	case behaviour == behavePlain:
 		return
 	case behaviour == behaveStop:
-		p.e.Stop()
+		p.e.stop()
 	case behaviour < behaveBurst:
 		child(behaviour - behaveSpawn)
 		p.arm()
@@ -286,7 +286,7 @@ func randomProgram(rng *rand.Rand, ops int) []byte {
 }
 
 // TestEngineMatchesReferenceModel: random programs of Schedule,
-// ScheduleAction, ReserveSeq, ScheduleReserved, Stop and RunUntil —
+// ScheduleAction, ReserveSeq, ScheduleReserved, stop and RunUntil —
 // events scheduling events and arming reservations from inside the loop
 // included — log the same on the engine as on the sort-based model.
 func TestEngineMatchesReferenceModel(t *testing.T) {
@@ -313,7 +313,7 @@ var holePrograms = [][]byte{
 	// late (the event at 64 finds the one for 6 passed).
 	{opReserve, 0x15, opArmer, 0x05, opReserve, 0x05, opReserve, 0x06, opArmer, 0x10, opArmer, 0x14,
 		opAction, 0x25, opAction, 0x03},
-	// Stop inside a handler that pushed nothing, as the last event and
+	// stop inside a handler that pushed nothing, as the last event and
 	// with others left; the resumed run starts from a closed hole.
 	{opStopper, 0x03, opAction, 0x03, opStopper, 0x03, opSpawner, 0x13, opStopper, 0x21},
 	// RunUntil breaking on a later event, on an empty queue, and at the

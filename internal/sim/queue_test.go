@@ -124,7 +124,7 @@ type holdAction struct {
 
 func (h *holdAction) Run(int64, int64) {
 	if h.left == 0 {
-		h.e.Stop()
+		h.e.stop()
 		return
 	}
 	h.left--

@@ -13,17 +13,17 @@ type recorder struct{ log *[]string }
 
 func (r recorder) Run(a, _ int64) { *r.log = append(*r.log, fmt.Sprint("r", a)) }
 
-// TestRunUntilStopLeavesClock: a run cut short by Stop must not jump
+// TestRunUntilStopLeavesClock: a run cut short by stop must not jump
 // the clock to end past events that are still pending, or the resumed
 // run moves Now() backwards.
 func TestRunUntilStopLeavesClock(t *testing.T) {
 	e := NewEngine()
 	var seen []Time
-	e.Schedule(10, func() { seen = append(seen, e.Now()); e.Stop() })
+	e.Schedule(10, func() { seen = append(seen, e.Now()); e.stop() })
 	e.Schedule(20, func() { seen = append(seen, e.Now()) })
 	e.RunUntil(100)
 	if e.Now() != 10 || e.Pending() != 1 {
-		t.Fatalf("after Stop: now %v pending %d, want 10 and 1", e.Now(), e.Pending())
+		t.Fatalf("after stop: now %v pending %d, want 10 and 1", e.Now(), e.Pending())
 	}
 	before := e.Now()
 	e.RunUntil(100)
@@ -165,12 +165,12 @@ func TestPassedBetweenRuns(t *testing.T) {
 	}
 }
 
-// TestPassedStoppedRun: Stop freezes the frontier at the last event
+// TestPassedStoppedRun: stop freezes the frontier at the last event
 // processed, not at the RunUntil bound.
 func TestPassedStoppedRun(t *testing.T) {
 	e := NewEngine()
 	r := e.ReserveSeq()
-	e.Schedule(10, func() { e.Stop() })
+	e.Schedule(10, func() { e.stop() })
 	e.Schedule(60, func() {})
 	e.RunUntil(100)
 	if !e.Passed(9, r) {

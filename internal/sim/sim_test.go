@@ -151,11 +151,11 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
+	e.Schedule(1, func() { ran++; e.stop() })
 	e.Schedule(2, func() { ran++ })
 	e.Run()
 	if ran != 1 {
-		t.Errorf("ran %d events after Stop, want 1", ran)
+		t.Errorf("ran %d events after stop, want 1", ran)
 	}
 	if e.Pending() != 1 {
 		t.Errorf("Pending() = %d, want 1", e.Pending())

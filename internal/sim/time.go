@@ -5,8 +5,8 @@
 // The engine drives every packet-level experiment in this repository. It
 // maintains a virtual clock with picosecond resolution and a 4-ary-heap
 // event queue with deterministic FIFO tie-breaking, so a simulation run is
-// a pure function of its inputs and seed. An EventProbe can observe the
-// event loop, and Telemetry reports run throughput and the queue's
+// a pure function of its inputs and seed. StopOn is the one way to stop
+// a run early, and Telemetry reports run throughput and the queue's
 // high-water mark.
 package sim
 

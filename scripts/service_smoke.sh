@@ -5,8 +5,9 @@
 # identical request and require a cache hit (counter visible in
 # /metrics), POST a raw scenario document and require its identical
 # resubmission, raw and inline, to coalesce in the cache, require the
-# removed named-scenario route to be unrouted, then SIGTERM the daemon
-# and require a clean drain (exit 0).
+# removed named-scenario route to be unrouted, require a max-rate
+# document's 0.3 s timeout to fail its job within 3 s, then SIGTERM the
+# daemon and require a clean drain (exit 0).
 # CI runs this as the service-smoke job; locally: make service-smoke.
 set -euo pipefail
 
@@ -111,6 +112,29 @@ SC3=$(curl -fsS -X POST "$BASE/jobs" -H 'Content-Type: application/json' \
 PUTCODE=$(curl -sS -o /dev/null -w '%{http_code}' -X PUT "$BASE/scenarios/figure6" --data-binary @"$SCEN")
 [[ "$PUTCODE" == 404 || "$PUTCODE" == 405 ]] ||
     fail "PUT /scenarios/figure6 answered $PUTCODE; the named-scenario store should be unrouted"
+
+echo "== timeout: a max-rate document must fail within 3 s of a 0.3 s timeout"
+# 64 scatter tasks at 100e6 pps each on tree3: millions of events in
+# 0.1 ms of virtual time, several seconds of wall time if it ran whole.
+MAXRATE='{"schema": "quartz-scenario/v1", "name": "max-rate", "sim": {"duration_ms": 0.1,
+  "topology": {"kind": "tree3"}, "workload": {"kind": "scatter", "tasks": 64, "pps": 100e6}}}'
+T0=$(date +%s%N)
+TO=$(curl -fsS -X POST "$BASE/jobs" -H 'Content-Type: application/json' \
+    -d "{\"scenario\": $MAXRATE, \"timeout_secs\": 0.3}")
+TOJOB=$(json_field "$TO" id)
+[[ -n "$TOJOB" ]] || fail "no job id for the max-rate submit: $TO"
+STATE=""
+while (($(date +%s%N) - T0 < 3000000000)); do
+    VIEW=$(curl -fsS "$BASE/jobs/$TOJOB")
+    STATE=$(json_field "$VIEW" state)
+    [[ "$STATE" == done || "$STATE" == failed || "$STATE" == cancelled ]] && break
+    sleep 0.1
+done
+ELAPSED_MS=$((($(date +%s%N) - T0) / 1000000))
+[[ "$STATE" == failed ]] ||
+    fail "max-rate job with timeout_secs 0.3 is '$STATE' ${ELAPSED_MS} ms after submission, want failed within 3000 ms: $VIEW"
+[[ "$VIEW" == *"deadline exceeded"* ]] || fail "timed-out job does not say deadline exceeded: $VIEW"
+echo "   failed after ${ELAPSED_MS} ms"
 
 echo "== submit once more, then SIGTERM: daemon must drain cleanly"
 curl -fsS -X POST "$BASE/jobs" -H 'Content-Type: application/json' \

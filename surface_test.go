@@ -103,7 +103,6 @@ func TestEveryExportIsUsedByAnExample(t *testing.T) {
 // untestedOnPurpose names the declarations kept without a non-test
 // caller, one reason each (DESIGN.md §3, second decision).
 var untestedOnPurpose = map[string]string{
-	"sim.Engine.SetProbe":    "netsim's eager-completion reference needs a hook after every event, and a netsim.Probe fires before a completion is elided",
 	"routing.PacketMeta.Src": "bench/probes.go sets it and nothing reads it; it goes with that line (ROADMAP 5(c))",
 }
 
