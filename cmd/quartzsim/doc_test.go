@@ -234,3 +234,21 @@ func TestSinksAttachToAScenarioFile(t *testing.T) {
 		}
 	}
 }
+
+// The -dry-run plan's params line names what the run reads: a flag-built
+// simulation its seed alone (its tasks are in the document), a registry
+// run its parameters with the registry's defaults filled in.
+func TestDryRunPlanShowsTheParamsItRuns(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ms", "1", "-tasks", "4", "-seed", "3"}, "params:     seed=3\n"},
+		{[]string{"-run", "fig17", "-tasks", "4"}, "params:     seed=2014 trials=5000 tasks=4 rpcs=2000\n"},
+	} {
+		_, plan, status := quartzsim(t, append(tc.args, "-dry-run")...)
+		if status != 0 || !strings.Contains(plan, tc.want) {
+			t.Errorf("%v -dry-run: exit %d, want the line %q in the plan:\n%s", tc.args, status, tc.want, plan)
+		}
+	}
+}

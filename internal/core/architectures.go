@@ -62,6 +62,12 @@ func (p *ArchParams) setDefaults() {
 	}
 }
 
+// design returns the architecture name over g, routed with per-packet
+// ECMP as every compared design is, with the given switch models.
+func design(name string, g *topology.Graph, model func(topology.Node) netsim.SwitchModel) *Architecture {
+	return &Architecture{Name: name, Graph: g, Router: routing.NewECMPPerPacket(g), Model: model}
+}
+
 // modelByTier returns ULL for edge/aggregation switches and CCS for
 // core switches — the paper's assignment (§7).
 func modelByTier(n topology.Node) netsim.SwitchModel {
@@ -81,18 +87,12 @@ func allULL(topology.Node) netsim.SwitchModel { return netsim.Arista7150 }
 func ThreeTierTree(p ArchParams) (*Architecture, error) {
 	p.setDefaults()
 	g, err := topology.NewThreeTierTree(topology.ThreeTierConfig{
-		Pods: p.Pods, ToRsPerPod: p.ToRsPerPod, AggsPerPod: 2, Cores: 2,
-		HostsPerToR: p.HostsPerToR,
+		Pods: p.Pods, ToRsPerPod: p.ToRsPerPod, HostsPerToR: p.HostsPerToR,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Architecture{
-		Name:   "three-tier tree",
-		Graph:  g,
-		Router: routing.NewECMPPerPacket(g),
-		Model:  modelByTier,
-	}, nil
+	return design("three-tier tree", g, modelByTier), nil
 }
 
 // quartzRingSimSize is the simulated ring size: "Each simulated Quartz
@@ -100,24 +100,43 @@ func ThreeTierTree(p ArchParams) (*Architecture, error) {
 // performance" (§7).
 const quartzRingSimSize = 4
 
+// coreRing adds the Quartz ring that replaces the core: four ULL
+// switches qcore0…qcore3 at the given tier, meshed at 40 Gb/s.
+func coreRing(g *topology.Graph, tier topology.Tier) []topology.NodeID {
+	ring := make([]topology.NodeID, quartzRingSimSize)
+	for i := range ring {
+		ring[i] = g.AddSwitch("qcore", tier, -1, i)
+	}
+	g.Mesh(ring, 40*sim.Gbps)
+	return ring
+}
+
+// podRing adds pod's edge ring of ToRsPerPod ULL switches: for each
+// switch i, the switch <prefix><pod>-<i> in rack pod·ToRsPerPod + i, its
+// hosts at 10 Gb/s and, when uplink is non-nil, the uplinks uplink adds;
+// then the ring's full mesh at 10 Gb/s.
+func podRing(g *topology.Graph, p ArchParams, pod int, prefix string, uplink func(i int, sw topology.NodeID)) []topology.NodeID {
+	ring := make([]topology.NodeID, p.ToRsPerPod)
+	for i := range ring {
+		rack := pod*p.ToRsPerPod + i
+		ring[i] = g.AddSwitch(prefix, topology.TierToR, rack, pod, i)
+		g.AddHosts(ring[i], rack, p.HostsPerToR, 10*sim.Gbps)
+		if uplink != nil {
+			uplink(i, ring[i])
+		}
+	}
+	g.Mesh(ring, 10*sim.Gbps)
+	return ring
+}
+
 // QuartzInCore builds Figure 15(b): the 3-tier structure with the core
 // switches replaced by one Quartz ring of four ULL switches meshed at
-// 40 Gb/s; each aggregation switch connects to two ring switches.
+// 40 Gb/s; each aggregation switch connects to two ring switches. The
+// ring's switches are TierAgg so that they get the ULL model.
 func QuartzInCore(p ArchParams) (*Architecture, error) {
 	p.setDefaults()
 	g := topology.New("quartz-in-core")
-	// Core ring: full mesh of 4 ULL switches (TierToR tier marker would
-	// confuse the model function, so they are TierAgg-like "core ring"
-	// switches; use TierAgg so they get the ULL model).
-	ring := make([]topology.NodeID, quartzRingSimSize)
-	for i := range ring {
-		ring[i] = g.AddSwitch("qcore", topology.TierAgg, -1, i)
-	}
-	for i := 0; i < len(ring); i++ {
-		for j := i + 1; j < len(ring); j++ {
-			g.Connect(ring[i], ring[j], 40*sim.Gbps, topology.DefaultProp)
-		}
-	}
+	ring := coreRing(g, topology.TierAgg)
 	rack := 0
 	for pod := 0; pod < p.Pods; pod++ {
 		aggs := make([]topology.NodeID, 2)
@@ -132,19 +151,11 @@ func QuartzInCore(p ArchParams) (*Architecture, error) {
 			for _, a := range aggs {
 				g.Connect(tor, a, 40*sim.Gbps, topology.DefaultProp)
 			}
-			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost("h", rack, rack, h)
-				g.Connect(host, tor, 10*sim.Gbps, topology.DefaultProp)
-			}
+			g.AddHosts(tor, rack, p.HostsPerToR, 10*sim.Gbps)
 			rack++
 		}
 	}
-	return &Architecture{
-		Name:   "quartz in core",
-		Graph:  g,
-		Router: routing.NewECMPPerPacket(g),
-		Model:  allULL,
-	}, nil
+	return design("quartz in core", g, allULL), nil
 }
 
 // QuartzInEdge builds Figure 15(c): the ToR and aggregation tiers are
@@ -157,37 +168,19 @@ func QuartzInEdge(p ArchParams) (*Architecture, error) {
 	for i := range cores {
 		cores[i] = g.AddSwitch("core", topology.TierCore, -1, i)
 	}
-	rack := 0
 	for pod := 0; pod < p.Pods; pod++ {
-		ring := make([]topology.NodeID, p.ToRsPerPod)
-		for i := range ring {
-			ring[i] = g.AddSwitch("qtor", topology.TierToR, rack, pod, i)
-			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost("h", rack, rack, h)
-				g.Connect(host, ring[i], 10*sim.Gbps, topology.DefaultProp)
-			}
-			// Each ring switch runs two parallel 40 Gb/s uplinks to
-			// each core: the ring replaces both the ToR and the
-			// aggregation tier, so it owns the pod's full uplink
-			// capacity (Figure 15(c)).
+		// Each ring switch runs two parallel 40 Gb/s uplinks to each
+		// core: the ring replaces both the ToR and the aggregation
+		// tier, so it owns the pod's full uplink capacity (Figure
+		// 15(c)).
+		podRing(g, p, pod, "qtor", func(_ int, sw topology.NodeID) {
 			for _, c := range cores {
-				g.Connect(ring[i], c, 40*sim.Gbps, topology.DefaultProp)
-				g.Connect(ring[i], c, 40*sim.Gbps, topology.DefaultProp)
+				g.Connect(sw, c, 40*sim.Gbps, topology.DefaultProp)
+				g.Connect(sw, c, 40*sim.Gbps, topology.DefaultProp)
 			}
-			rack++
-		}
-		for i := 0; i < len(ring); i++ {
-			for j := i + 1; j < len(ring); j++ {
-				g.Connect(ring[i], ring[j], 10*sim.Gbps, topology.DefaultProp)
-			}
-		}
+		})
 	}
-	return &Architecture{
-		Name:   "quartz in edge",
-		Graph:  g,
-		Router: routing.NewECMPPerPacket(g),
-		Model:  modelByTier,
-	}, nil
+	return design("quartz in edge", g, modelByTier), nil
 }
 
 // QuartzInEdgeAndCore builds Figure 15(d): edge rings as in
@@ -196,41 +189,15 @@ func QuartzInEdge(p ArchParams) (*Architecture, error) {
 func QuartzInEdgeAndCore(p ArchParams) (*Architecture, error) {
 	p.setDefaults()
 	g := topology.New("quartz-in-edge-and-core")
-	ringCore := make([]topology.NodeID, quartzRingSimSize)
-	for i := range ringCore {
-		ringCore[i] = g.AddSwitch("qcore", topology.TierCore, -1, i)
-	}
-	for i := 0; i < len(ringCore); i++ {
-		for j := i + 1; j < len(ringCore); j++ {
-			g.Connect(ringCore[i], ringCore[j], 40*sim.Gbps, topology.DefaultProp)
-		}
-	}
-	rack := 0
+	ringCore := coreRing(g, topology.TierCore)
 	for pod := 0; pod < p.Pods; pod++ {
-		ring := make([]topology.NodeID, p.ToRsPerPod)
-		for i := range ring {
-			ring[i] = g.AddSwitch("qtor", topology.TierToR, rack, pod, i)
-			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost("h", rack, rack, h)
-				g.Connect(host, ring[i], 10*sim.Gbps, topology.DefaultProp)
-			}
-			// Uplink to two core-ring switches.
-			g.Connect(ring[i], ringCore[(pod+i)%len(ringCore)], 40*sim.Gbps, topology.DefaultProp)
-			g.Connect(ring[i], ringCore[(pod+i+1)%len(ringCore)], 40*sim.Gbps, topology.DefaultProp)
-			rack++
-		}
-		for i := 0; i < len(ring); i++ {
-			for j := i + 1; j < len(ring); j++ {
-				g.Connect(ring[i], ring[j], 10*sim.Gbps, topology.DefaultProp)
-			}
-		}
+		// Each ring switch uplinks to two core-ring switches.
+		podRing(g, p, pod, "qtor", func(i int, sw topology.NodeID) {
+			g.Connect(sw, ringCore[(pod+i)%len(ringCore)], 40*sim.Gbps, topology.DefaultProp)
+			g.Connect(sw, ringCore[(pod+i+1)%len(ringCore)], 40*sim.Gbps, topology.DefaultProp)
+		})
 	}
-	return &Architecture{
-		Name:   "quartz in edge and core",
-		Graph:  g,
-		Router: routing.NewECMPPerPacket(g),
-		Model:  allULL,
-	}, nil
+	return design("quartz in edge and core", g, allULL), nil
 }
 
 // Jellyfish builds §7's random baseline: 16 ULL switches, each
@@ -249,12 +216,7 @@ func Jellyfish(p ArchParams, rng *rand.Rand) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Architecture{
-		Name:   "jellyfish",
-		Graph:  g,
-		Router: routing.NewECMPPerPacket(g),
-		Model:  allULL,
-	}, nil
+	return design("jellyfish", g, allULL), nil
 }
 
 // QuartzInJellyfish builds §7's sixth architecture: four Quartz rings
@@ -267,23 +229,8 @@ func QuartzInJellyfish(p ArchParams, rng *rand.Rand) (*Architecture, error) {
 	}
 	g := topology.New("quartz-in-jellyfish")
 	rings := make([][]topology.NodeID, p.Pods)
-	rack := 0
-	for pod := 0; pod < p.Pods; pod++ {
-		ring := make([]topology.NodeID, p.ToRsPerPod)
-		for i := range ring {
-			ring[i] = g.AddSwitch("q", topology.TierToR, rack, pod, i)
-			for h := 0; h < p.HostsPerToR; h++ {
-				host := g.AddHost("h", rack, rack, h)
-				g.Connect(host, ring[i], 10*sim.Gbps, topology.DefaultProp)
-			}
-			rack++
-		}
-		for i := 0; i < len(ring); i++ {
-			for j := i + 1; j < len(ring); j++ {
-				g.Connect(ring[i], ring[j], 10*sim.Gbps, topology.DefaultProp)
-			}
-		}
-		rings[pod] = ring
+	for pod := range rings {
+		rings[pod] = podRing(g, p, pod, "q", nil)
 	}
 	// Random inter-ring links: each ring gets 4 outgoing links to
 	// switches in other rings, attachment points round-robin.
@@ -301,12 +248,7 @@ func QuartzInJellyfish(p ArchParams, rng *rand.Rand) (*Architecture, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return &Architecture{
-		Name:   "quartz in jellyfish",
-		Graph:  g,
-		Router: routing.NewECMPPerPacket(g),
-		Model:  allULL,
-	}, nil
+	return design("quartz in jellyfish", g, allULL), nil
 }
 
 // WithVLB returns a copy of the architecture routing with VLB at the
@@ -336,12 +278,7 @@ func TwoTierTreeArch(p ArchParams) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Architecture{
-		Name:   "two-tier tree",
-		Graph:  g,
-		Router: routing.NewECMPPerPacket(g),
-		Model:  allULL,
-	}, nil
+	return design("two-tier tree", g, allULL), nil
 }
 
 // QuartzRingArch builds a single Quartz ring as the whole network of a
@@ -358,11 +295,7 @@ func QuartzRingArch(p ArchParams) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Architecture{
-		Name:   "single Quartz ring",
-		Graph:  ring.Graph,
-		Router: routing.NewECMPPerPacket(ring.Graph),
-		Model:  allULL,
-		Ring:   ring,
-	}, nil
+	a := design("single Quartz ring", ring.Graph, allULL)
+	a.Ring = ring
+	return a, nil
 }

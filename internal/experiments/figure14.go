@@ -46,11 +46,7 @@ func prototype(quartz bool) (*topology.Graph, []topology.NodeID) {
 		s[i] = g.AddSwitch("S", tier, rack, i+1)
 	}
 	if quartz {
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				g.Connect(s[i], s[j], rate, topology.DefaultProp)
-			}
-		}
+		g.Mesh(s, rate)
 	} else {
 		for i := 1; i < 4; i++ {
 			g.Connect(s[i], s[0], rate, topology.DefaultProp)
@@ -59,15 +55,10 @@ func prototype(quartz bool) (*topology.Graph, []topology.NodeID) {
 	// Six servers: two on each of S2, S3, S4 (S1 is the aggregation
 	// switch in the tree rewiring; in the mesh it carries cross-traffic
 	// sources only, as in Figure 13).
-	var hosts []topology.NodeID
 	for i := 1; i < 4; i++ {
-		for k := 0; k < 2; k++ {
-			h := g.AddHost("h", i, i, k)
-			g.Connect(h, s[i], rate, topology.DefaultProp)
-			hosts = append(hosts, h)
-		}
+		g.AddHosts(s[i], i, 2, rate)
 	}
-	return g, hosts
+	return g, g.Hosts()
 }
 
 // prototypeSwitch models the testbed's 1 Gb/s store-and-forward

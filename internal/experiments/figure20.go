@@ -54,10 +54,7 @@ func fig20Star() *topology.Graph {
 	g := topology.New("fig20-core-switch")
 	core := g.AddSwitch("core", topology.TierCore, -1)
 	for r := 0; r < 2; r++ {
-		for h := 0; h < 4; h++ {
-			host := g.AddHost("h", r, r, h)
-			g.Connect(host, core, 40*sim.Gbps, topology.DefaultProp)
-		}
+		g.AddHosts(core, r, 4, 40*sim.Gbps)
 	}
 	return g
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/quartz-dcn/quartz/internal/core"
 	"github.com/quartz-dcn/quartz/internal/routing"
+	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/topology"
 )
 
@@ -32,13 +33,23 @@ func TestECMPTablesAreShortestPaths(t *testing.T) {
 		return a.Graph
 	}
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(7)) }
+	// A mesh whose switch pairs each have three parallel trunks.
+	trunked := topology.New("mesh(M=4,n=2,trunks=3)")
+	sw := make([]topology.NodeID, 4)
+	for i := range sw {
+		sw[i] = trunked.AddSwitch("tor", topology.TierToR, i, i)
+		trunked.AddHosts(sw[i], i, 2, 10*sim.Gbps)
+	}
+	for range 3 {
+		trunked.Mesh(sw, 10*sim.Gbps)
+	}
 	var p core.ArchParams
 	for _, g := range []*topology.Graph{
 		must(topology.NewFullMesh(topology.MeshConfig{Switches: 1, HostsPerSwitch: 8})),
 		must(topology.NewFullMesh(topology.MeshConfig{Switches: 4, HostsPerSwitch: 4})),
-		must(topology.NewFullMesh(topology.MeshConfig{Switches: 4, HostsPerSwitch: 2, TrunksPerPair: 3})),
+		trunked,
 		must(topology.NewTwoTierTree(topology.TreeConfig{ToRs: 4, Roots: 2, HostsPerToR: 3, UplinksPerRoot: 2})),
-		must(topology.NewThreeTierTree(topology.ThreeTierConfig{Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Cores: 2, HostsPerToR: 2})),
+		must(topology.NewThreeTierTree(topology.ThreeTierConfig{Pods: 2, ToRsPerPod: 2, HostsPerToR: 2})),
 		must(topology.NewBCube(3, 1)),
 		must(topology.NewBCube(2, 2)),
 		must(topology.NewJellyfish(topology.JellyfishConfig{Switches: 8, HostsPerSwitch: 2, NetDegree: 3, Rand: rng()})),

@@ -37,7 +37,9 @@ type Compiled struct {
 	// Experiment runs the scenario; for registry passthrough documents
 	// it is the registry entry itself.
 	Experiment experiments.Experiment
-	// Params are the run parameters the scenario pins.
+	// Params are the parameters the run reads: the registry entry's,
+	// defaults applied, for a passthrough document; the seed alone for a
+	// simulation or a sweep, whose cells take the rest from the document.
 	Params experiments.Params
 }
 
@@ -64,7 +66,7 @@ func Compile(f *File) (*Compiled, error) {
 				Trials: doc.Experiment.Trials,
 				Tasks:  doc.Experiment.Tasks,
 				RPCs:   doc.Experiment.RPCs,
-			},
+			}.WithDefaults(),
 		}, nil
 	}
 

@@ -224,3 +224,39 @@ func TestRawTOMLSubmit(t *testing.T) {
 		t.Errorf("%d job(s) admitted from rejected bodies", n)
 	}
 }
+
+// A job's view shows the parameters its run reads: a simulation
+// document's seed alone (it takes tasks and the rest from the document),
+// a registry document's parameters with the registry's defaults filled
+// in. Neither key moves: CacheKey applies the defaults itself.
+func TestScenarioJobViewShowsTheParamsItRuns(t *testing.T) {
+	s, url := realRegistryServer(t)
+	const sim = `{"schema": "quartz-scenario/v1", "name": "view",
+	  "sim": {"duration_ms": 0.1, "topology": {"kind": "tree3"}, "workload": {"kind": "scatter", "tasks": 4}}}`
+	d := experiments.DefaultParams()
+	for _, tc := range []struct {
+		doc  string
+		want ParamSpec
+	}{
+		{sim, ParamSpec{Seed: d.Seed}},
+		{scenarioTable2, ParamSpec{Seed: d.Seed, Trials: 2, Tasks: d.Tasks, RPCs: d.RPCs}},
+	} {
+		resp, data := postBody(t, url, tc.doc)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, data)
+		}
+		var v View
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, s, v.ID)
+		var got View
+		getJSON(t, url+"/jobs/"+v.ID, &got)
+		if got.Params != tc.want {
+			t.Errorf("%s: view params %+v, want %+v", v.Experiment, got.Params, tc.want)
+		}
+		if want := experiments.CacheKey(v.Experiment, tc.want.Params().WithDefaults()); got.Key != want {
+			t.Errorf("%s: key %s, want %s", v.Experiment, got.Key, want)
+		}
+	}
+}

@@ -161,8 +161,6 @@ func New(cfg Config) *Service {
 			StateCancelled: reg.Counter("quartzd_jobs_total", "jobs finished, by terminal state", metrics.Labels{"state": "cancelled"}),
 		},
 		mSubmit: map[string]*metrics.Counter{
-			"accepted":          reg.Counter("quartzd_submissions_total", "submissions, by outcome", metrics.Labels{"outcome": "accepted"}),
-			"cache_hit":         reg.Counter("quartzd_submissions_total", "submissions, by outcome", metrics.Labels{"outcome": "cache_hit"}),
 			"coalesced":         reg.Counter("quartzd_submissions_total", "submissions, by outcome", metrics.Labels{"outcome": "coalesced"}),
 			"rejected_full":     reg.Counter("quartzd_submissions_total", "submissions, by outcome", metrics.Labels{"outcome": "rejected_full"}),
 			"rejected_draining": reg.Counter("quartzd_submissions_total", "submissions, by outcome", metrics.Labels{"outcome": "rejected_draining"}),
@@ -210,7 +208,7 @@ func (s *Service) resolve(req Request) (experiments.Experiment, experiments.Para
 		if err != nil {
 			return experiments.Experiment{}, experiments.Params{}, err
 		}
-		return compiled.Experiment, compiled.Params.WithDefaults(), nil
+		return compiled.Experiment, compiled.Params, nil
 	}
 	exp, ok := s.cfg.Lookup(req.Experiment)
 	if !ok {
@@ -293,7 +291,6 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	if !req.NoCache {
 		if ent, ok := s.cache.get(key); ok {
 			s.mCacheHits.Inc()
-			s.mSubmit["cache_hit"].Inc()
 			job := s.newJobLocked(exp, params, run, key, timeout, req, now)
 			job.cacheHit = true
 			job.startedAt = now
@@ -316,7 +313,6 @@ func (s *Service) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.cfg.QueueCapacity)
 	}
 	s.mCacheMiss.Inc()
-	s.mSubmit["accepted"].Inc()
 	s.registerLocked(job)
 	if !req.NoCache {
 		s.inflight[key] = job

@@ -29,22 +29,6 @@ type MeshConfig struct {
 	// defaults to 10 Gb/s.
 	HostRate sim.Rate
 	MeshRate sim.Rate
-	// TrunksPerPair creates this many parallel links between each switch
-	// pair (default 1). A Quartz switch pair may be allocated several
-	// wavelengths.
-	TrunksPerPair int
-}
-
-func (c *MeshConfig) setDefaults() {
-	if c.HostRate == 0 {
-		c.HostRate = edgeRate
-	}
-	if c.MeshRate == 0 {
-		c.MeshRate = edgeRate
-	}
-	if c.TrunksPerPair == 0 {
-		c.TrunksPerPair = 1
-	}
 }
 
 // NewFullMesh builds a full mesh of ToR switches with hosts attached —
@@ -56,23 +40,19 @@ func NewFullMesh(cfg MeshConfig) (*Graph, error) {
 	if cfg.HostsPerSwitch < 0 {
 		return nil, fmt.Errorf("topology: negative hosts per switch")
 	}
-	cfg.setDefaults()
+	if cfg.HostRate == 0 {
+		cfg.HostRate = edgeRate
+	}
+	if cfg.MeshRate == 0 {
+		cfg.MeshRate = edgeRate
+	}
 	g := New(fmt.Sprintf("mesh(M=%d,n=%d)", cfg.Switches, cfg.HostsPerSwitch))
 	sw := make([]NodeID, cfg.Switches)
 	for i := range sw {
 		sw[i] = g.AddSwitch("tor", TierToR, i, i)
-		for h := 0; h < cfg.HostsPerSwitch; h++ {
-			host := g.AddHost("h", i, i, h)
-			g.Connect(host, sw[i], cfg.HostRate, DefaultProp)
-		}
+		g.AddHosts(sw[i], i, cfg.HostsPerSwitch, cfg.HostRate)
 	}
-	for i := 0; i < len(sw); i++ {
-		for j := i + 1; j < len(sw); j++ {
-			for t := 0; t < cfg.TrunksPerPair; t++ {
-				g.Connect(sw[i], sw[j], cfg.MeshRate, DefaultProp)
-			}
-		}
-	}
+	g.Mesh(sw, cfg.MeshRate)
 	return g, nil
 }
 
@@ -101,10 +81,7 @@ func NewTwoTierTree(cfg TreeConfig) (*Graph, error) {
 	}
 	for i := 0; i < cfg.ToRs; i++ {
 		tor := g.AddSwitch("tor", TierToR, i, i)
-		for h := 0; h < cfg.HostsPerToR; h++ {
-			host := g.AddHost("h", i, i, h)
-			g.Connect(host, tor, edgeRate, DefaultProp)
-		}
+		g.AddHosts(tor, i, cfg.HostsPerToR, edgeRate)
 		for _, r := range roots {
 			for u := 0; u < cfg.UplinksPerRoot; u++ {
 				g.Connect(tor, r, upRate, DefaultProp)
@@ -116,37 +93,39 @@ func NewTwoTierTree(cfg TreeConfig) (*Graph, error) {
 
 // ThreeTierConfig describes the paper's baseline 3-tier multi-root tree
 // (Figure 15(a)): pods of ToR switches under aggregation switches, with
-// aggregation switches connected to core switches. Host links run at
-// 10 Gb/s, ToR-to-agg and agg-to-core links at 40 Gb/s.
+// aggregation switches connected to core switches. Each ToR connects to
+// both of its pod's two aggregation switches, each of those to both of
+// the two cores (the paper's sizes). Host links run at 10 Gb/s,
+// ToR-to-agg and agg-to-core links at 40 Gb/s.
 type ThreeTierConfig struct {
 	// Pods is the number of aggregation pods.
 	Pods int
 	// ToRsPerPod is the number of ToR switches in each pod.
 	ToRsPerPod int
-	// AggsPerPod is the number of aggregation switches per pod; each ToR
-	// connects to all of them (the paper uses 2).
-	AggsPerPod int
-	// Cores is the number of core switches; each aggregation switch
-	// connects to all of them (the paper uses 2).
-	Cores int
 	// HostsPerToR is the number of servers per rack.
 	HostsPerToR int
 }
 
+// A 3-tier tree's aggregation switches per pod and core switches.
+const (
+	treeAggsPerPod = 2
+	treeCores      = 2
+)
+
 // NewThreeTierTree builds a 3-tier multi-root tree.
 func NewThreeTierTree(cfg ThreeTierConfig) (*Graph, error) {
-	if cfg.Pods < 1 || cfg.ToRsPerPod < 1 || cfg.AggsPerPod < 1 || cfg.Cores < 1 {
+	if cfg.Pods < 1 || cfg.ToRsPerPod < 1 {
 		return nil, fmt.Errorf("topology: invalid 3-tier config %+v", cfg)
 	}
 	g := New(fmt.Sprintf("three-tier(pods=%d,tors=%d,aggs=%d,cores=%d)",
-		cfg.Pods, cfg.ToRsPerPod, cfg.AggsPerPod, cfg.Cores))
-	cores := make([]NodeID, cfg.Cores)
+		cfg.Pods, cfg.ToRsPerPod, treeAggsPerPod, treeCores))
+	cores := make([]NodeID, treeCores)
 	for i := range cores {
 		cores[i] = g.AddSwitch("core", TierCore, -1, i)
 	}
 	rack := 0
 	for p := 0; p < cfg.Pods; p++ {
-		aggs := make([]NodeID, cfg.AggsPerPod)
+		aggs := make([]NodeID, treeAggsPerPod)
 		for a := range aggs {
 			aggs[a] = g.AddSwitch("agg", TierAgg, -1, p, a)
 			for _, c := range cores {
@@ -155,10 +134,7 @@ func NewThreeTierTree(cfg ThreeTierConfig) (*Graph, error) {
 		}
 		for t := 0; t < cfg.ToRsPerPod; t++ {
 			tor := g.AddSwitch("tor", TierToR, rack, p, t)
-			for h := 0; h < cfg.HostsPerToR; h++ {
-				host := g.AddHost("h", rack, rack, h)
-				g.Connect(host, tor, edgeRate, DefaultProp)
-			}
+			g.AddHosts(tor, rack, cfg.HostsPerToR, edgeRate)
 			for _, a := range aggs {
 				g.Connect(tor, a, upRate, DefaultProp)
 			}
@@ -243,10 +219,7 @@ func NewJellyfish(cfg JellyfishConfig) (*Graph, error) {
 	sw := make([]NodeID, cfg.Switches)
 	for i := range sw {
 		sw[i] = g.AddSwitch("sw", TierToR, i, i)
-		for h := 0; h < cfg.HostsPerSwitch; h++ {
-			host := g.AddHost("h", i, i, h)
-			g.Connect(host, sw[i], edgeRate, DefaultProp)
-		}
+		g.AddHosts(sw[i], i, cfg.HostsPerSwitch, edgeRate)
 	}
 	// Random regular graph via pairing with retry. adj tracks
 	// switch-switch adjacency to avoid parallel links and self-loops.

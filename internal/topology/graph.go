@@ -203,6 +203,24 @@ func (g *Graph) Connect(a, b NodeID, rate sim.Rate, prop sim.Time) LinkID {
 	return id
 }
 
+// Mesh links every pair of sw once at the given rate, in index order:
+// sw[0]-sw[1], sw[0]-sw[2], …, sw[1]-sw[2], ….
+func (g *Graph) Mesh(sw []NodeID, rate sim.Rate) {
+	for i, a := range sw {
+		for _, b := range sw[i+1:] {
+			g.Connect(a, b, rate, DefaultProp)
+		}
+	}
+}
+
+// AddHosts adds n hosts h<rack>-0 … h<rack>-(n-1) in the given rack and
+// links each one to switch sw at the given rate.
+func (g *Graph) AddHosts(sw NodeID, rack, n int, rate sim.Rate) {
+	for k := 0; k < n; k++ {
+		g.Connect(g.AddHost("h", rack, rack, k), sw, rate, DefaultProp)
+	}
+}
+
 // attach appends p to n's port list. No node has a backing array of its
 // own: a full list moves, in order, to a stretch twice its length (one
 // port for the first), cut from the front of the spare stretch when it

@@ -215,17 +215,18 @@ func ScatterGather(net *netsim.Network, h *Harness, sender topology.NodeID,
 	return t
 }
 
+// rpcSize is an RPC request's and its reply's size in bytes.
+const rpcSize = 128
+
 // RPC runs a closed-loop request/response exchange: one request in
 // flight at a time, reply sent immediately on request delivery, next
 // request sent on reply delivery (the prototype's Thrift "Hello World"
-// RPC, §6.1). Round-trip times land in rttMicros.
+// RPC, §6.1), each packet rpcSize bytes. Round-trip times land in RTT.
 type RPC struct {
-	Net       *netsim.Network
-	Harness   *Harness
-	Client    topology.NodeID
-	Server    topology.NodeID
-	ReqSize   int
-	ReplySize int
+	Net     *netsim.Network
+	Harness *Harness
+	Client  topology.NodeID
+	Server  topology.NodeID
 	// Count is the number of RPCs to issue (the paper uses 10,000).
 	Count int
 	// ReqTag/ReplyTag must be unique in the harness.
@@ -246,16 +247,10 @@ func (r *RPC) Start() error {
 	if r.Count <= 0 {
 		return fmt.Errorf("traffic: rpc count %d", r.Count)
 	}
-	if r.ReqSize == 0 {
-		r.ReqSize = 128
-	}
-	if r.ReplySize == 0 {
-		r.ReplySize = 128
-	}
 	r.Harness.Handle(r.ReqTag, func(d netsim.Delivery) {
 		r.Net.Send(netsim.Packet{
 			Flow: flowBase(r.ReplyTag), Src: r.Server, Dst: r.Client,
-			Size: r.ReplySize, Tag: r.ReplyTag, Waypoint: netsim.NoWaypoint,
+			Size: rpcSize, Tag: r.ReplyTag, Waypoint: netsim.NoWaypoint,
 			Priority: r.Priority,
 		})
 	})
@@ -274,13 +269,20 @@ func (r *RPC) issue() {
 	r.started = r.Net.Engine().Now()
 	r.Net.Send(netsim.Packet{
 		Flow: flowBase(r.ReqTag), Src: r.Client, Dst: r.Server,
-		Size: r.ReqSize, Tag: r.ReqTag, Waypoint: netsim.NoWaypoint,
+		Size: rpcSize, Tag: r.ReqTag, Waypoint: netsim.NoWaypoint,
 		Priority: r.Priority,
 	})
 }
 
+// A Bursty burst is burstLen back-to-back packets of burstSize bytes:
+// bulk traffic, 20 packets a burst as in the paper.
+const (
+	burstSize = 1500
+	burstLen  = 20
+)
+
 // Bursty generates the prototype experiment's cross-traffic (§6.1):
-// bursts of BurstLen packets back-to-back, separated by idle intervals
+// bursts of burstLen packets back-to-back, separated by idle intervals
 // sized to average the target bandwidth.
 type Bursty struct {
 	Net      *netsim.Network
@@ -288,11 +290,7 @@ type Bursty struct {
 	Flow     routing.FlowID
 	// Bandwidth is the target average rate.
 	Bandwidth sim.Rate
-	// Size is the packet size (1500 when zero — bulk traffic).
-	Size int
-	// BurstLen is packets per burst (20 in the paper).
-	BurstLen int
-	Tag      int
+	Tag       int
 	// Priority is the queueing class of the burst packets.
 	Priority uint8
 	Rand     *rand.Rand
@@ -303,16 +301,10 @@ func (b *Bursty) Start(until sim.Time) error {
 	if b.Bandwidth <= 0 {
 		return fmt.Errorf("traffic: bursty bandwidth %v", b.Bandwidth)
 	}
-	if b.Size == 0 {
-		b.Size = 1500
-	}
-	if b.BurstLen == 0 {
-		b.BurstLen = 20
-	}
 	if b.Rand == nil {
 		return fmt.Errorf("traffic: bursty needs a Rand")
 	}
-	burstBits := float64(b.BurstLen) * float64(b.Size) * 8
+	burstBits := float64(burstLen * burstSize * 8)
 	periodPs := burstBits / float64(b.Bandwidth) * float64(sim.Second)
 	eng := b.Net.Engine()
 	var tick func()
@@ -320,10 +312,10 @@ func (b *Bursty) Start(until sim.Time) error {
 		if eng.Now() >= until {
 			return
 		}
-		for i := 0; i < b.BurstLen; i++ {
+		for i := 0; i < burstLen; i++ {
 			b.Net.Send(netsim.Packet{
 				Flow: b.Flow, Src: b.Src, Dst: b.Dst,
-				Size: b.Size, Tag: b.Tag, Waypoint: netsim.NoWaypoint,
+				Size: burstSize, Tag: b.Tag, Waypoint: netsim.NoWaypoint,
 				Priority: b.Priority,
 			})
 		}

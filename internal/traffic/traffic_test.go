@@ -158,13 +158,13 @@ func TestBurstyAverageBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Engine().Run()
-	bytes := float64(h.Latency(30).N()) * 1500
+	bytes := float64(h.Latency(30).N() * burstSize)
 	gotRate := bytes * 8 / dur.Seconds()
 	if gotRate < 1.4e8 || gotRate > 2.6e8 {
 		t.Errorf("bursty achieved %v bps, want ~2e8", gotRate)
 	}
-	if b.BurstLen != 20 || b.Size != 1500 {
-		t.Errorf("defaults: burst=%d size=%d, want 20/1500", b.BurstLen, b.Size)
+	if burstLen != 20 || burstSize != 1500 {
+		t.Errorf("bursts of %d packets of %d bytes, want the paper's 20 of 1500", burstLen, burstSize)
 	}
 	bad := &Bursty{Net: net, Src: hosts[0], Dst: hosts[1], Rand: b.Rand}
 	if err := bad.Start(dur); err == nil {

@@ -55,7 +55,7 @@ func RunScenario(ctx context.Context, doc []byte) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	return c.Experiment.Run(ctx, c.Params.WithDefaults())
+	return c.Experiment.Run(ctx, c.Params)
 }
 
 // Experiments returns the full registry in presentation order.
