@@ -109,8 +109,8 @@ bench:
 # Paired runs of the repository's benchmark (BENCHMARK.json) on two
 # revisions, alternating, with a fresh seed per pair: how a performance
 # claim is checked on a small shared box. Prints each side's median and
-# quartiles per end-to-end metric, the pairs won, and whether the
-# outputs digests matched.
+# quartiles per end-to-end metric, the pairs won, a verdict against
+# the metric's bound, and whether the outputs digests matched.
 #   make bench-pair BASE=HEAD~1 WORKLOAD=paper_packet PAIRS=10
 BASE ?= HEAD~1
 WORKLOAD ?= paper_packet

@@ -131,7 +131,7 @@ type Job struct {
 	id     string
 	key    string
 	name   string
-	params experiments.Params // defaults applied, no hooks
+	params experiments.Params // what the run reads (scenario.Compiled.Params), no hooks
 	run    func(ctx context.Context, p experiments.Params) (experiments.Output, error)
 
 	timeout time.Duration
