@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/quartz-dcn/quartz/internal/core"
+	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/scenario"
 )
 
@@ -78,7 +79,7 @@ func TestArchFlagSelectsTheSameArchitecture(t *testing.T) {
 			t.Errorf("-arch %s: %v", name, err)
 			continue
 		}
-		s, err := scenario.NewSim(f.Doc.Sim, f.Doc.Seed, scenario.Sinks{})
+		s, err := scenario.NewSim(experiments.Shared{}, f.Doc.Sim, f.Doc.Seed, scenario.Sinks{})
 		if err != nil {
 			t.Errorf("-arch %s (%+v): %v", name, f.Doc.Sim.Topology, err)
 			continue

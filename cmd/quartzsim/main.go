@@ -528,7 +528,7 @@ func runSim(ctx context.Context, stopSignals func(), doc scenario.Doc, spans *tr
 	if *traceOut != "" {
 		sinks.Trace = netsim.NewTraceRecorder(*traceMax)
 	}
-	s, err := scenario.NewSim(doc.Sim, doc.Seed, sinks)
+	s, err := scenario.NewSim(experiments.Shared{}, doc.Sim, doc.Seed, sinks)
 	if err != nil {
 		return err
 	}

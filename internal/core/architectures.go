@@ -62,9 +62,10 @@ func (p *ArchParams) setDefaults() {
 	}
 }
 
-// design returns the architecture name over g, routed with per-packet
-// ECMP as every compared design is, with the given switch models.
-func design(name string, g *topology.Graph, model func(topology.Node) netsim.SwitchModel) *Architecture {
+// NewDesign returns the architecture name over g, routed with
+// per-packet ECMP as every compared design is, with the given switch
+// models (nil: netsim's default, the ULL switch, everywhere).
+func NewDesign(name string, g *topology.Graph, model func(topology.Node) netsim.SwitchModel) *Architecture {
 	return &Architecture{Name: name, Graph: g, Router: routing.NewECMPPerPacket(g), Model: model}
 }
 
@@ -92,7 +93,7 @@ func ThreeTierTree(p ArchParams) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return design("three-tier tree", g, modelByTier), nil
+	return NewDesign("three-tier tree", g, modelByTier), nil
 }
 
 // quartzRingSimSize is the simulated ring size: "Each simulated Quartz
@@ -155,7 +156,7 @@ func QuartzInCore(p ArchParams) (*Architecture, error) {
 			rack++
 		}
 	}
-	return design("quartz in core", g, allULL), nil
+	return NewDesign("quartz in core", g, allULL), nil
 }
 
 // QuartzInEdge builds Figure 15(c): the ToR and aggregation tiers are
@@ -180,7 +181,7 @@ func QuartzInEdge(p ArchParams) (*Architecture, error) {
 			}
 		})
 	}
-	return design("quartz in edge", g, modelByTier), nil
+	return NewDesign("quartz in edge", g, modelByTier), nil
 }
 
 // QuartzInEdgeAndCore builds Figure 15(d): edge rings as in
@@ -197,7 +198,7 @@ func QuartzInEdgeAndCore(p ArchParams) (*Architecture, error) {
 			g.Connect(sw, ringCore[(pod+i+1)%len(ringCore)], 40*sim.Gbps, topology.DefaultProp)
 		})
 	}
-	return design("quartz in edge and core", g, allULL), nil
+	return NewDesign("quartz in edge and core", g, allULL), nil
 }
 
 // Jellyfish builds §7's random baseline: 16 ULL switches, each
@@ -216,7 +217,7 @@ func Jellyfish(p ArchParams, rng *rand.Rand) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return design("jellyfish", g, allULL), nil
+	return NewDesign("jellyfish", g, allULL), nil
 }
 
 // QuartzInJellyfish builds §7's sixth architecture: four Quartz rings
@@ -248,7 +249,7 @@ func QuartzInJellyfish(p ArchParams, rng *rand.Rand) (*Architecture, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return design("quartz in jellyfish", g, allULL), nil
+	return NewDesign("quartz in jellyfish", g, allULL), nil
 }
 
 // WithVLB returns a copy of the architecture routing with VLB at the
@@ -278,7 +279,7 @@ func TwoTierTreeArch(p ArchParams) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return design("two-tier tree", g, allULL), nil
+	return NewDesign("two-tier tree", g, allULL), nil
 }
 
 // QuartzRingArch builds a single Quartz ring as the whole network of a
@@ -295,7 +296,7 @@ func QuartzRingArch(p ArchParams) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := design("single Quartz ring", ring.Graph, allULL)
+	a := NewDesign("single Quartz ring", ring.Graph, allULL)
 	a.Ring = ring
 	return a, nil
 }

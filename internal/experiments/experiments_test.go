@@ -425,17 +425,18 @@ func TestTaskKindString(t *testing.T) {
 	}
 }
 
-// fig20Arch builds fig20's three systems and nothing else: Shared.arch
-// sends it every name that is not one of core.Designs.
+// ownFabric builds fig20's two fabrics and the §6 prototype's two
+// wirings and nothing else: Shared.Arch sends it every name that is not
+// one of core.Designs.
 func TestBuildArchUnknown(t *testing.T) {
-	for _, name := range fig20Systems {
-		if a, err := fig20Arch(name); err != nil || a.Name != name {
+	for _, name := range []string{fig20Switch, fig20Quartz, prototypeTree, prototypeMesh} {
+		if a, err := ownFabric(name); err != nil || a.Name != name {
 			t.Errorf("%s: built %v, %v", name, a, err)
 		}
 	}
 	for _, name := range []string{"nonsense", "quartz in edge", ""} {
-		if _, err := fig20Arch(name); err == nil {
-			t.Errorf("fig20Arch built %q", name)
+		if _, err := ownFabric(name); err == nil {
+			t.Errorf("ownFabric built %q", name)
 		}
 	}
 }

@@ -77,60 +77,82 @@ func wiringName(quartz bool) string {
 	return "two-tier tree"
 }
 
-// testbed is one run on the §6 prototype: its network, the harness that
-// sees every delivery, and the six servers h2a h2b (S2), h3a h3b (S3),
-// h4a h4b (S4).
-type testbed struct {
-	net   *netsim.Network
-	h     *traffic.Harness
-	hosts []topology.NodeID
-}
+// The §6 prototype's two wirings as Shared.Arch knows them (ownFabric):
+// its switches, routed by ECMP, which every server pair of either wiring
+// reaches over one shortest path.
+const (
+	prototypeTree = "prototype two-tier tree"
+	prototypeMesh = "prototype quartz mesh"
+)
 
-// newTestbed builds the prototype on one wiring over its switches. The
-// servers run stock Ubuntu: standard NIC latency.
-func newTestbed(quartz bool) (testbed, error) {
-	g, hosts := prototype(quartz)
-	h := traffic.NewHarness()
-	net, err := netsim.New(netsim.Config{
-		Graph:       g,
-		Router:      routing.NewECMP(g),
-		SwitchModel: uniform(prototypeSwitch),
-		Host:        netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20},
-		OnDeliver:   h.Deliver,
-	})
-	return testbed{net, h, hosts}, err
-}
+// testbedHost is the prototype's servers: stock Ubuntu, standard NIC
+// latency.
+var testbedHost = netsim.HostModel{NICLatency: 10 * sim.Microsecond, ForwardLatency: 15 * sim.Microsecond, BufferBytes: 1 << 20}
 
 // testbedLimit bounds a testbed run in virtual time: cross-traffic
 // re-arms forever, so a run whose foreground work is not done by then
 // has starved.
 const testbedLimit = 120 * sim.Second
 
+// crossTraffic is the bursty cross-traffic of Figure 13: three sources
+// aimed at the second server on S3 — the second servers of S2 and S4,
+// and the first of S4 — each at rate (0: none), in queueing class
+// priority, their generators seeded from seed; rpcPriority is the RPC's
+// own class. In the tree all three share the aggregation uplink to S3
+// with the RPC; in the mesh only the S2 source shares the direct S2-S3
+// channel.
+type crossTraffic struct {
+	rate                  sim.Rate
+	priority, rpcPriority uint8
+	seed                  int64
+}
+
 // runRPC measures the RPC of Figure 13 — the first server on S2 calling
-// the first on S3 — on one wiring of the testbed: cross starts the
-// experiment's cross-traffic (and may set the RPC's queueing classes),
-// then the RPC starts and the engine runs in 10 ms slices until rpcs
-// round trips are done. It returns their mean and 95% CI half-width in
-// µs; name labels a starved run's error.
-func runRPC(name string, quartz bool, rpcs int, sh Shared, cross func(tb testbed, rpc *traffic.RPC) error) (mean, ci float64, err error) {
-	tb, err := newTestbed(quartz)
+// the first on S3 — on one wiring of the testbed (servers h2a h2b on S2,
+// h3a h3b on S3, h4a h4b on S4) under cross: the cross-traffic starts,
+// then the RPC, and the engine runs in 10 ms slices until rpcs round
+// trips are done. It returns their mean and 95% CI half-width in µs;
+// name labels a starved run's error.
+func runRPC(name string, quartz bool, rpcs int, cross crossTraffic, sh Shared) (mean, ci float64, err error) {
+	wiring := prototypeTree
+	if quartz {
+		wiring = prototypeMesh
+	}
+	arch, err := sh.Arch(Fabric{Name: wiring})
 	if err != nil {
 		return 0, 0, err
 	}
-	rpc := &traffic.RPC{
-		Net: tb.net, Harness: tb.h,
-		Client: tb.hosts[0], Server: tb.hosts[2],
-		Count: rpcs, ReqTag: 1, ReplyTag: 2,
-	}
-	if err := cross(tb, rpc); err != nil {
+	pk, err := sh.Build(PacketRun{Arch: arch, Host: testbedHost}, nil)
+	if err != nil {
 		return 0, 0, err
+	}
+	defer pk.Release()
+	hosts := arch.Graph.Hosts()
+	if cross.rate > 0 {
+		rng := rand.New(rand.NewSource(cross.seed))
+		for i, src := range []topology.NodeID{hosts[1], hosts[4], hosts[5]} {
+			b := &traffic.Bursty{
+				Net: pk.Net, Src: src, Dst: hosts[3],
+				Flow: routing.FlowID(1000 + i), Bandwidth: cross.rate,
+				Tag: 100 + i, Priority: cross.priority,
+				Rand: rand.New(rand.NewSource(rng.Int63())),
+			}
+			if err := b.Start(sim.Time(1) << 62); err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	rpc := &traffic.RPC{
+		Net: pk.Net, Harness: pk.Harness,
+		Client: hosts[0], Server: hosts[2],
+		Count: rpcs, ReqTag: 1, ReplyTag: 2, Priority: cross.rpcPriority,
 	}
 	if err := rpc.Start(); err != nil {
 		return 0, 0, err
 	}
-	eng := tb.net.Engine()
+	eng := pk.Net.Engine()
 	for rpc.RTT.N() < int64(rpcs) && eng.Pending() > 0 {
-		if err := sh.run(tb.net, eng.Now()+10*sim.Millisecond); err != nil {
+		if err := sh.Run(pk.Net, eng.Now()+10*sim.Millisecond); err != nil {
 			return 0, 0, err
 		}
 		if eng.Now() > testbedLimit {
@@ -138,28 +160,6 @@ func runRPC(name string, quartz bool, rpcs int, sh Shared, cross func(tb testbed
 		}
 	}
 	return rpc.RTT.Mean(), rpc.RTT.CI95(), nil
-}
-
-// bursts starts the bursty cross-traffic of Figure 13: three sources
-// aimed at the second server on S3 — the second servers of S2 and S4,
-// and the first of S4 — each at rate, in queueing class priority, their
-// generators seeded from seed. In the tree all three share the
-// aggregation uplink to S3 with the RPC; in the mesh only the S2 source
-// shares the direct S2-S3 channel.
-func (tb testbed) bursts(rate sim.Rate, priority uint8, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	for i, src := range []topology.NodeID{tb.hosts[1], tb.hosts[4], tb.hosts[5]} {
-		b := &traffic.Bursty{
-			Net: tb.net, Src: src, Dst: tb.hosts[3],
-			Flow: routing.FlowID(1000 + i), Bandwidth: rate,
-			Tag: 100 + i, Priority: priority,
-			Rand: rand.New(rand.NewSource(rng.Int63())),
-		}
-		if err := b.Start(sim.Time(1) << 62); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // figure14Cell is one RPC run: a prototype wiring at one cross-traffic
@@ -182,12 +182,7 @@ var figure14Grid = Grid[figure14Cell, meanCI, []Figure14Row]{
 		return cells
 	},
 	Run: func(p Params, c figure14Cell, sh Shared) (meanCI, error) {
-		m, ci, err := runRPC("fig14", c.quartz, p.RPCs, sh, func(tb testbed, _ *traffic.RPC) error {
-			if c.mbps == 0 {
-				return nil
-			}
-			return tb.bursts(sim.Rate(c.mbps)*sim.Mbps, 0, p.Seed+int64(c.mbps))
-		})
+		m, ci, err := runRPC("fig14", c.quartz, p.RPCs, crossTraffic{rate: sim.Rate(c.mbps) * sim.Mbps, seed: p.Seed + int64(c.mbps)}, sh)
 		return meanCI{m, ci}, err
 	},
 	// Each wiring is normalized to its own zero-cross-traffic cell, so

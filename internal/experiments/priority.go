@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/quartz-dcn/quartz/internal/sim"
-	"github.com/quartz-dcn/quartz/internal/traffic"
 )
 
 // PriorityRow reports the prototype RPC's latency under heavy
@@ -38,13 +37,11 @@ var priorityGrid = Grid[priorityCell, float64, []PriorityRow]{
 		return []priorityCell{{false, false}, {false, true}, {true, false}, {true, true}}
 	},
 	Run: func(p Params, c priorityCell, sh Shared) (float64, error) {
-		rtt, _, err := runRPC("prio", c.quartz, p.RPCs, sh, func(tb testbed, rpc *traffic.RPC) error {
-			rpc.Priority = 1
-			if c.prioritize {
-				rpc.Priority = 0
-			}
-			return tb.bursts(200*sim.Mbps, 1, p.Seed)
-		})
+		cross := crossTraffic{rate: 200 * sim.Mbps, priority: 1, rpcPriority: 1, seed: p.Seed}
+		if c.prioritize {
+			cross.rpcPriority = 0
+		}
+		rtt, _, err := runRPC("prio", c.quartz, p.RPCs, cross, sh)
 		return rtt, err
 	},
 	Merge: func(_ Params, cells []priorityCell, rtts []float64) ([]PriorityRow, error) {

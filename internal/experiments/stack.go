@@ -34,13 +34,13 @@ var (
 )
 
 // stackStep is one configuration of the stack walk: a host model over
-// a named architecture (Shared.arch), its switches optionally all
+// a named architecture (Shared.Arch), its switches optionally all
 // replaced by one model.
 type stackStep struct {
 	name     string
 	host     netsim.HostModel
 	arch     string
-	switches *netsim.SwitchModel // nil keeps the architecture's own
+	switches netsim.SwitchModel // zero keeps the architecture's own
 }
 
 // storeAndForward is a 6 µs store-and-forward switch.
@@ -54,10 +54,10 @@ var storeAndForward = netsim.SwitchModel{Latency: 6 * sim.Microsecond, CutThroug
 //  3. tuned hosts, cut-through switches, same topology
 //  4. tuned hosts, cut-through switches, Quartz mesh (2 hops)
 var stackSteps = []stackStep{
-	{"standard stack+NIC, SF switches, 3-tier", standardHost, "three-tier tree", &storeAndForward},
-	{"tuned stack+NIC, SF switches, 3-tier", tunedHost, "three-tier tree", &storeAndForward},
-	{"tuned hosts, cut-through switches, 3-tier", tunedHost, "three-tier tree", &netsim.Arista7150},
-	{"tuned hosts, cut-through switches, quartz mesh", tunedHost, "single Quartz ring", nil},
+	{"standard stack+NIC, SF switches, 3-tier", standardHost, "three-tier tree", storeAndForward},
+	{"tuned stack+NIC, SF switches, 3-tier", tunedHost, "three-tier tree", storeAndForward},
+	{"tuned hosts, cut-through switches, 3-tier", tunedHost, "three-tier tree", netsim.Arista7150},
+	{"tuned hosts, cut-through switches, quartz mesh", tunedHost, "single Quartz ring", netsim.SwitchModel{}},
 }
 
 // stackGrid reproduces §1/§2's claim that combining the
@@ -68,35 +68,25 @@ var stackGrid = Grid[stackStep, float64, []StackRow]{
 	Name:  "stack",
 	Cells: func(Params) []stackStep { return stackSteps },
 	Run: func(_ Params, st stackStep, sh Shared) (float64, error) {
-		arch, err := sh.arch(st.arch, 0)
+		arch, err := sh.Arch(Fabric{Name: st.arch})
 		if err != nil {
 			return 0, err
 		}
-		model := arch.Model
-		if st.switches != nil {
-			model = uniform(*st.switches)
-		}
-		h := traffic.NewHarness()
-		net, err := netsim.New(netsim.Config{
-			Graph:       arch.Graph,
-			Router:      arch.Router,
-			SwitchModel: model,
-			Host:        st.host,
-			OnDeliver:   h.Deliver,
-		})
+		pk, err := sh.Build(PacketRun{Arch: arch, Host: st.host, Switches: st.switches}, nil)
 		if err != nil {
 			return 0, err
 		}
+		defer pk.Release()
 		hosts := arch.Graph.Hosts()
 		rpc := &traffic.RPC{
-			Net: net, Harness: h,
+			Net: pk.Net, Harness: pk.Harness,
 			Client: hosts[0], Server: hosts[len(hosts)-1],
 			Count: 200, ReqTag: 1, ReplyTag: 2,
 		}
 		if err := rpc.Start(); err != nil {
 			return 0, err
 		}
-		if err := sh.run(net, sim.MaxTime); err != nil {
+		if err := sh.Run(pk.Net, sim.MaxTime); err != nil {
 			return 0, err
 		}
 		return rpc.RTT.Mean(), nil

@@ -84,7 +84,7 @@ var table8Grid = Grid[table8Cell, float64, []Table8Row]{
 	// The cell's value is the architecture's mean global-scatter latency
 	// at the scenario's load level.
 	Run: func(_ Params, c table8Cell, sh Shared) (float64, error) {
-		arch, err := sh.arch(c.arch, c.seed)
+		arch, err := sh.Arch(Fabric{Name: c.arch, Seed: c.seed})
 		if err != nil {
 			return 0, err
 		}

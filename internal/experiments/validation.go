@@ -160,7 +160,7 @@ func runQueueValidation(exponential bool, rho float64, packets int, seed int64, 
 		exponential: exponential, meanGapPs: meanGapPs, remaining: packets,
 	}
 	eng.AfterAction(sim.Time(rng.ExpFloat64()*meanGapPs), inj, 0, 0)
-	if err := sh.run(net, sim.MaxTime); err != nil {
+	if err := sh.Run(net, sim.MaxTime); err != nil {
 		return ValidationRow{}, err
 	}
 	if delivered != packets {

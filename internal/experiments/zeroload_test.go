@@ -43,13 +43,17 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 	const size = 400
 	nic := netsim.DefaultHost.NICLatency
 	hides := map[string]bool{}
-	names := append([]string{"two-tier tree", "single Quartz ring", "three-tier tree", "jellyfish", "quartz in core",
-		"quartz in edge", "quartz in edge and core", "quartz in jellyfish"}, fig20Systems...)
-	for _, name := range names {
-		arch, err := Shared{fabrics: new(fabrics)}.arch(name, 2014)
+	var fabs []Fabric
+	for _, name := range []string{"two-tier tree", "single Quartz ring", "three-tier tree", "jellyfish", "quartz in core",
+		"quartz in edge", "quartz in edge and core", "quartz in jellyfish"} {
+		fabs = append(fabs, Fabric{Name: name, Seed: 2014})
+	}
+	for _, f := range append(fabs, fig20Systems...) {
+		arch, err := Shared{fabrics: new(fabrics)}.Arch(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := arch.Name
 		g := arch.Graph
 		var got netsim.Delivery
 		probe := &portsProbe{}
@@ -119,7 +123,7 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 	if want := map[string]bool{"three-tier tree": true, "quartz in edge": true}; !maps.Equal(hides, want) {
 		t.Errorf("cut-through switches behind a CCS port add nothing on %v, want exactly %v", hides, want)
 	}
-	if _, err := (Shared{fabrics: new(fabrics)}).arch("nonsense", 2014); err == nil {
+	if _, err := (Shared{fabrics: new(fabrics)}).Arch(Fabric{Name: "nonsense", Seed: 2014}); err == nil {
 		t.Error("an unknown architecture name built")
 	}
 }

@@ -270,15 +270,12 @@ func TestOverlappingFaultsRefcount(t *testing.T) {
 
 func TestHostUplinkCutAndRepair(t *testing.T) {
 	g := ring4(t)
-	var dropped int
-	net, err := New(Config{
-		Graph:  g,
-		Router: routing.NewECMP(g),
-		OnDrop: func(Drop) { dropped++ },
-	})
+	log := &dropLog{}
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(log)
 	h0, h1 := g.Hosts()[0], g.Hosts()[1]
 	s0 := g.ToRof(h0)
 	uplink, _ := g.FindLink(h0, s0)
@@ -286,8 +283,8 @@ func TestHostUplinkCutAndRepair(t *testing.T) {
 	eng := net.Engine()
 	net.Unicast(1, h0, h1, 400, 0)
 	eng.RunUntil(sim.Millisecond / 2)
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1 (host uplink down)", dropped)
+	if len(log.drops) != 1 {
+		t.Fatalf("dropped = %d, want 1 (host uplink down)", len(log.drops))
 	}
 	eng.RunUntil(sim.Millisecond)
 	net.Unicast(2, h0, h1, 400, 0)

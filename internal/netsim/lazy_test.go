@@ -99,7 +99,7 @@ func observe(t *testing.T, g *topology.Graph, model SwitchModel, eager bool, int
 	net.SetProbe(Probes(probes...))
 	sampler.Start(end)
 	drive(net)
-	net.RunUntil(end)
+	net.Engine().RunUntil(end)
 	// Read every port once more after the run, through the public
 	// accessor: a completion nobody looked at must have been applied.
 	for i := 0; i < g.NumLinks(); i++ {
@@ -197,7 +197,7 @@ func TestCompletionTieMatchesEagerReference(t *testing.T) {
 		rec := NewTraceRecorder(0)
 		net.SetProbe(rec)
 		net.Engine().Schedule(sendA, func() { net.Unicast(1, a, dst, sizeA, 0) })
-		net.RunUntil(end)
+		net.Engine().RunUntil(end)
 		for _, e := range rec.Events() {
 			if e.Op == TraceTransmit && e.Link == port.Link && e.From == port.From {
 				doneA = e.At

@@ -196,9 +196,8 @@ type Config struct {
 	SwitchModel func(topology.Node) SwitchModel
 	// Host is the end-host model; zero value means DefaultHost.
 	Host HostModel
-	// OnDeliver and OnDrop are optional hooks.
+	// OnDeliver is an optional hook; a Probe sees drops.
 	OnDeliver func(Delivery)
-	OnDrop    func(Drop)
 }
 
 // maxHops aborts forwarding loops; no experiment topology has paths
@@ -242,7 +241,6 @@ type Network struct {
 
 	probe     Probe
 	onDeliver func(Delivery)
-	onDrop    func(Drop)
 
 	nextID    uint64
 	delivered uint64
@@ -475,13 +473,12 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	n.Reset(cfg.OnDeliver)
-	n.onDrop = cfg.OnDrop
 	return n, nil
 }
 
 // Reset returns n to the state New builds from the graph, router,
 // switch models and host n was built with, with onDeliver as its
-// delivery hook and no drop hook, probe or fault injector: a run on the
+// delivery hook and no probe or fault injector: a run on the
 // reset network is event for event the run on a new one. What earlier
 // runs grew is kept — the port table, the packet-record slabs (every
 // record back on the free list, including any a RunUntil left queued)
@@ -541,10 +538,6 @@ func (n *Network) Scheduler() *sim.Engine { return n.eng }
 
 // Run processes events until none remain.
 func (n *Network) Run() { n.eng.Run() }
-
-// RunUntil processes events with timestamps <= end, then advances the
-// clock to end.
-func (n *Network) RunUntil(end sim.Time) { n.eng.RunUntil(end) }
 
 // SetProbe attaches a lifecycle observer (nil, the default, detaches
 // it and costs nothing); it replaces any probe attached before. Use
@@ -764,16 +757,11 @@ func (n *Network) deliver(ev *netEvent) {
 
 func (n *Network) drop(ev *netEvent, code DropCode, link topology.LinkID, err error) {
 	n.dropped++
-	if n.onDrop == nil && n.probe == nil {
+	if n.probe == nil {
 		n.freeEvent(ev)
 		return
 	}
 	d := Drop{Packet: ev.p, At: n.eng.Now(), Code: code, Link: link, Err: err}
 	n.freeEvent(ev)
-	if n.onDrop != nil {
-		n.onDrop(d)
-	}
-	if n.probe != nil {
-		n.probe.PacketDropped(d)
-	}
+	n.probe.PacketDropped(d)
 }

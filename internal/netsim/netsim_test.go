@@ -142,26 +142,26 @@ func TestQueueDropsWhenFull(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
 	small := Arista7150
 	small.BufferBytes = 1000 // fits two 400B packets, not three
-	drops := 0
+	log := &dropLog{}
 	net, err := New(Config{
 		Graph:       g,
 		Router:      routing.NewECMP(g),
 		SwitchModel: func(topology.Node) SwitchModel { return small },
 		Host:        HostModel{NICLatency: 0, ForwardLatency: 0, BufferBytes: 1000},
-		OnDrop:      func(Drop) { drops++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(log)
 	for i := 0; i < 10; i++ {
 		net.Unicast(routing.FlowID(i), h0, h1, 400, 0)
 	}
 	net.Engine().Run()
-	if drops == 0 {
+	if len(log.drops) == 0 {
 		t.Error("no drops despite 4000B burst into 1000B buffer")
 	}
-	if net.Dropped() != uint64(drops) {
-		t.Errorf("Dropped() = %d, hook saw %d", net.Dropped(), drops)
+	if net.Dropped() != uint64(len(log.drops)) {
+		t.Errorf("Dropped() = %d, probe saw %d", net.Dropped(), len(log.drops))
 	}
 	if net.Delivered()+net.Dropped() != 10 {
 		t.Errorf("delivered %d + dropped %d != 10", net.Delivered(), net.Dropped())

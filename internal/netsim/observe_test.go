@@ -108,7 +108,7 @@ func goldenObserveRun(t *testing.T, onDeliver func(Delivery)) (*Network, *TraceR
 	}); err != nil {
 		t.Fatal(err)
 	}
-	net.RunUntil(20 * sim.Millisecond)
+	net.Engine().RunUntil(20 * sim.Millisecond)
 	return net, rec, ft
 }
 

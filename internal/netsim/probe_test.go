@@ -290,6 +290,14 @@ func TestTraceAndSamplerEmission(t *testing.T) {
 	}
 }
 
+// dropLog records every drop.
+type dropLog struct {
+	nopProbe
+	drops []Drop
+}
+
+func (l *dropLog) PacketDropped(d Drop) { l.drops = append(l.drops, d) }
+
 // nopProbe is an attached-but-empty probe, for measuring hook cost.
 type nopProbe struct{}
 

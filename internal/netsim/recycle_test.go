@@ -79,7 +79,7 @@ func runScatter(t *testing.T, seed int64, logged bool, start func(onDeliver func
 	}
 	const end = 300 * sim.Microsecond
 	scatterLoad(net, seed, end)
-	net.RunUntil(end + 100*sim.Microsecond)
+	net.Engine().RunUntil(end + 100*sim.Microsecond)
 	r.life, r.stats = life.lines, net.Stats()
 	r.delivered, r.dropped = net.Delivered(), net.Dropped()
 	r.processed, r.peakPending = net.Engine().Processed(), net.Engine().Telemetry().PeakPending
@@ -114,12 +114,12 @@ func TestRecycledNetworkMatchesFresh(t *testing.T) {
 		cutLink(t, recycled, cut.ID, 0)
 		scatterLoad(recycled, int64(100+round), sim.Millisecond)
 		stop := sim.Time(150+10*round) * sim.Microsecond
-		recycled.RunUntil(stop)
+		recycled.Engine().RunUntil(stop)
 		// Host 12 is idle: a frame it sends starts on its empty uplink
 		// 500 ns later (NIC latency), and its completion, elided, falls
 		// due 320 ns after that (400 bytes at 10 Gb/s).
 		recycled.Unicast(99, hosts[12], hosts[13], 400, 0)
-		recycled.RunUntil(stop + 600*sim.Nanosecond)
+		recycled.Engine().RunUntil(stop + 600*sim.Nanosecond)
 		queued, lazy := 0, 0
 		for di := range recycled.dirs {
 			dl := &recycled.dirs[di]

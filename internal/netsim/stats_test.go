@@ -55,15 +55,12 @@ func TestPortStatsCounters(t *testing.T) {
 
 func TestCutLinkDropsTraffic(t *testing.T) {
 	g, h0, h1 := twoHosts(t, 10*sim.Gbps)
-	var reasons []string
-	net, err := New(Config{
-		Graph:  g,
-		Router: routing.NewECMP(g),
-		OnDrop: func(d Drop) { reasons = append(reasons, d.Reason()) },
-	})
+	log := &dropLog{}
+	net, err := New(Config{Graph: g, Router: routing.NewECMP(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.SetProbe(log)
 	// Cut the switch-to-switch link (link 1 in construction order) until
 	// 1ms; routes never reconverge around it.
 	l, ok := g.FindLink(g.Switches()[0], g.Switches()[1])
@@ -77,8 +74,8 @@ func TestCutLinkDropsTraffic(t *testing.T) {
 	if net.Delivered() != 0 || net.Dropped() != 1 {
 		t.Fatalf("delivered/dropped = %d/%d, want 0/1", net.Delivered(), net.Dropped())
 	}
-	if len(reasons) != 1 || !strings.Contains(reasons[0], "down") {
-		t.Errorf("drop reasons = %v, want link down", reasons)
+	if len(log.drops) != 1 || !strings.Contains(log.drops[0].Reason(), "down") {
+		t.Errorf("drops = %v, want link down", log.drops)
 	}
 	// Repaired at 1ms: retry.
 	eng.RunUntil(sim.Millisecond)

@@ -17,7 +17,6 @@ package scenario
 //     spelled-out defaults reach one key.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -226,8 +225,7 @@ func compileGrid(doc Doc) experiments.Grid[cell, cellOutput, experiments.Output]
 			return cells
 		},
 		Run: func(p experiments.Params, c cell, sh experiments.Shared) (cellOutput, error) {
-			out, err := runCell(sh.Context(), c.doc, c.seed, p)
-			sh.AddEvents(out.Events)
+			out, err := runCell(sh, c.doc, c.seed, p)
 			return cellOutput{Text: out.Text, Tables: out.Tables}, err
 		},
 		Merge: func(_ experiments.Params, cells []cell, vals []cellOutput) (experiments.Output, error) {
@@ -250,8 +248,9 @@ func compileGrid(doc Doc) experiments.Grid[cell, cellOutput, experiments.Output]
 	}
 }
 
-// runCell executes one fully-pinned scenario instance.
-func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (experiments.Output, error) {
+// runCell executes one fully-pinned scenario instance and adds its
+// events to sh's cell.
+func runCell(sh experiments.Shared, d *Doc, seed int64, p experiments.Params) (experiments.Output, error) {
 	if d.Experiment != nil {
 		exp, ok := experiments.Find(d.Experiment.Name)
 		if !ok {
@@ -264,22 +263,24 @@ func runCell(ctx context.Context, d *Doc, seed int64, p experiments.Params) (exp
 			RPCs:   d.Experiment.RPCs,
 			Trace:  p.Trace,
 		}
-		return exp.Run(ctx, cellParams.WithDefaults())
+		out, err := exp.Run(sh.Context(), cellParams.WithDefaults())
+		sh.AddEvents(out.Events)
+		return out, err
 	}
 	// The submission's span recorder is the only side band a cell has.
 	var sinks Sinks
 	if pr := d.Sim.Probes; pr != nil && pr.TraceSpans {
 		sinks.Spans = p.Trace
 	}
-	s, err := NewSim(d.Sim, seed, sinks)
+	s, err := NewSim(sh, d.Sim, seed, sinks)
 	if err != nil {
 		return experiments.Output{}, err
 	}
-	text, err := s.Run(ctx)
+	text, err := s.Run(sh.Context())
 	if err != nil {
 		return experiments.Output{}, err // a cancelled cell's partial text is not a result
 	}
-	return experiments.Output{Text: text, Events: s.Net.Engine().Processed()}, nil
+	return experiments.Output{Text: text}, nil
 }
 
 // clone returns a deep-enough copy of the document for per-cell

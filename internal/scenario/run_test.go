@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/quartz-dcn/quartz/internal/experiments"
 	"github.com/quartz-dcn/quartz/internal/netsim"
 	"github.com/quartz-dcn/quartz/internal/sim"
 	"github.com/quartz-dcn/quartz/internal/trace"
@@ -131,7 +132,7 @@ func TestSimRunCancelledMidCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSim(f.Doc.Sim, f.Doc.Seed, Sinks{})
+	s, err := NewSim(experiments.Shared{}, f.Doc.Sim, f.Doc.Seed, Sinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSimRunReturnsPartialTextOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSim(f.Doc.Sim, f.Doc.Seed, Sinks{})
+	s, err := NewSim(experiments.Shared{}, f.Doc.Sim, f.Doc.Seed, Sinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestSideBandNeverChangesText(t *testing.T) {
 	plain := runOnce(t, c)
 
 	rec := trace.NewRecorder()
-	s, err := NewSim(c.Doc.Sim, c.Doc.Seed, Sinks{Trace: netsim.NewTraceRecorder(0), Flows: true, Spans: rec})
+	s, err := NewSim(experiments.Shared{}, c.Doc.Sim, c.Doc.Seed, Sinks{Trace: netsim.NewTraceRecorder(0), Flows: true, Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestDurationRoundTrip(t *testing.T) {
 // refused by Decode, and by NewSim for a spec that skipped validation.
 func TestBuildArchRejectsUnknownCombo(t *testing.T) {
 	spec := &SimSpec{Topology: TopologySpec{Kind: "tree2", Quartz: "edge"}, DurationMS: 1}
-	if _, err := NewSim(spec, 1, Sinks{}); err == nil {
+	if _, err := NewSim(experiments.Shared{}, spec, 1, Sinks{}); err == nil {
 		t.Error("NewSim built tree2/edge")
 	}
 	if _, err := Decode([]byte(`{"schema": "quartz-scenario/v1", "name": "u", "sim": {"duration_ms": 1,
@@ -402,7 +403,7 @@ func TestFlowSpansAgreeAcrossFrontEnds(t *testing.T) {
 	                 "workload": {"kind": "scattergather", "tasks": 2, "fanout": 3},
 	                 "probes": {"trace_spans": true}}}`)
 	cli := trace.NewRecorder()
-	s, err := NewSim(c.Doc.Sim, c.Doc.Seed, Sinks{Spans: cli})
+	s, err := NewSim(experiments.Shared{}, c.Doc.Sim, c.Doc.Seed, Sinks{Spans: cli})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func validateSim(f *File, s *SimSpec, add func(*Error)) {
 	checkRange(f, add, "sim.topology.pods", t.Pods, 0, maxTopologyDim)
 	checkRange(f, add, "sim.topology.tors_per_pod", t.TorsPerPod, 0, maxTopologyDim)
 	checkRange(f, add, "sim.topology.hosts_per_tor", t.HostsPerTor, 0, maxTopologyDim)
-	design, sized := core.FindDesign(func(d core.Design) bool { return d.Kind == t.Kind && d.Quartz == t.Quartz })
+	design, sized := t.design()
 	sized = sized && min(t.Pods, t.TorsPerPod, t.HostsPerTor) >= 0
 
 	// Routing.
