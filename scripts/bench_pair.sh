@@ -11,9 +11,11 @@
 # coverage; "resolved" only when it excludes 1), a verdict against the
 # metric's BENCHMARK.json bound — "within bound" or "PAST BOUND" when
 # the change's median is worse than the base's by more than the bound,
-# "unresolved" when the base's own spread, (q3 - q1) / median, is wider
-# than the bound and so cannot tell — and whether the two sides'
-# outputs_digest matched in every pair.
+# "unresolved" when the per-pair ratios' own spread, (q3 - q1) / median,
+# is wider than the bound and so cannot tell (each pair runs its own
+# seed, so a metric that moves with the seed spreads both sides alike
+# but not their ratio) — and whether the two sides' outputs_digest
+# matched in every pair.
 #
 #   scripts/bench_pair.sh <base-rev> <workload> [pairs=10] [change-rev=HEAD]
 #
@@ -24,7 +26,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,23p' "$0" >&2
+  sed -n '2,25p' "$0" >&2
   exit 2
 fi
 base_rev=$1
@@ -130,15 +132,19 @@ for m in $metrics; do
     if (n >= 10 && 10 * w >= 9 * n && b - c > q3 - q1) s = s ", a gain by the section-8 rule"
     print s }')
   printf '%-20s %-34s %-34s %d of %d (%d ties)  %s\n' "$m" "$b1 / $b2 / $b3" "$c1 / $c2 / $c3" "$wins" "$pairs" "$ties" "$verdict"
-  interval=$(for ((i = 0; i < pairs; i++)); do
+  ratios=$(for ((i = 0; i < pairs; i++)); do
     awk -v b="$(value base "$i" "$m")" -v c="$(value change "$i" "$m")" 'BEGIN {if (b != 0) printf "%.9g\n", c / b}'
-  done | ratio_interval)
-  [ -n "$interval" ] && printf '%-20s %s\n' "" "$interval"
+  done)
+  r1=0 r2=0 r3=0
+  if [ -n "$ratios" ]; then
+    printf '%-20s %s\n' "" "$(ratio_interval <<<"$ratios")"
+    read -r r1 r2 r3 < <(quartiles <<<"$ratios")
+  fi
   bound=$(awk -v m="$m" '$1 == m {print $2}' <<<"$bounds")
-  printf '%-20s %s\n' "" "$(awk -v b="$b2" -v c="$c2" -v q1="$b1" -v q3="$b3" -v bound="$bound" 'BEGIN {
-    if (b == 0) { print (c <= 0 ? "within bound" : "PAST BOUND") " (base median 0)"; exit }
-    spread = (q3 - q1) / b; worse = (c - b) / b
-    s = sprintf("bound %g: median %+.2f%%, base spread %.2f%%", bound, 100 * worse, 100 * spread)
+  printf '%-20s %s\n' "" "$(awk -v b="$b2" -v c="$c2" -v q1="$r1" -v med="$r2" -v q3="$r3" -v bound="$bound" 'BEGIN {
+    if (b == 0 || med == 0) { print (c <= 0 ? "within bound" : "PAST BOUND") " (base median 0)"; exit }
+    spread = (q3 - q1) / med; worse = (c - b) / b
+    s = sprintf("bound %g: median %+.2f%%, ratio spread %.2f%%", bound, 100 * worse, 100 * spread)
     if (spread > bound) print s ": unresolved"
     else if (worse > bound) print s ": PAST BOUND"
     else print s ": within bound" }')"
